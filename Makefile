@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: help build test race race-server bench fuzz cover vet fmt-check staticcheck check nfsbench-smoke mond-smoke merge-smoke dist-smoke
+.PHONY: help build test race race-server bench fuzz cover vet fmt-check staticcheck check nfsbench-smoke mond-smoke merge-smoke dist-smoke perf perf-check
 
 help: ## list targets
 	@grep -E '^[a-z-]+:.*##' $(MAKEFILE_LIST) | awk -F':.*## ' '{printf "  %-10s %s\n", $$1, $$2}'
@@ -43,6 +43,14 @@ merge-smoke: ## generate, split, and analyze a trace distributed three ways; ass
 
 dist-smoke: ## remote dispatch over TCP with crash and hang fault injection; assert byte-identical tables and re-dispatch (CI, gating)
 	bash scripts/dist_smoke.sh
+
+perf: ## run the repo's benchmark (BENCHMARK.json; results under tools/perf/out)
+	bash tools/perf/run.sh
+
+# tools/perf is a nested module: root `go build ./...` never reaches it,
+# so an internal rename would break its -trace layer tracer silently.
+perf-check: ## vet and test the benchmark module, including the tracer's smoke run of every workload (CI, gating)
+	cd tools/perf && $(GO) vet ./... && $(GO) test ./...
 
 fuzz: ## run each native fuzz target for 10s
 	$(GO) test -run xxx -fuzz FuzzTextRecord -fuzztime 10s ./internal/core

@@ -51,6 +51,17 @@ func TestBenchDeterministicOpCounts(t *testing.T) {
 	}
 }
 
+// TestBenchFourConnections drives four connections at once, each with
+// its reader loop and its writers running concurrently. wire.RecordConn
+// once shared a header buffer between the two directions, which under
+// load corrupted frames (errors, hangs) and fails this test under -race.
+func TestBenchFourConnections(t *testing.T) {
+	rep := benchRun(t, "-n", "3000", "-T", "1", "-c", "4", "-filesize", "65536")
+	if rep.Errors != 0 || rep.TotalOps != 3000 {
+		t.Fatalf("total_ops %d errors %d, want 3000 and 0", rep.TotalOps, rep.Errors)
+	}
+}
+
 // TestBenchReportShape sanity-checks the report invariants: counts add
 // up, no errors against the in-process server, percentiles are ordered,
 // and the CDF ends at 1.

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"maps"
+
 	"repro/internal/core"
 	"repro/internal/stats"
 )
@@ -89,10 +91,11 @@ type nameBinding struct {
 }
 
 // BlockLifeStream is the incremental form of BlockLife: feed it
-// time-ordered operations with Consume and read the analysis with
-// Result. The sharded pipeline runs one stream per shard (the per-file
-// state partitions cleanly by handle) and merges the partial results
-// with MergeBlockLife.
+// time-ordered operations with Add and read the analysis with Result.
+// The sharded pipeline runs one stream per shard (the per-file state
+// partitions cleanly by handle) and merges their states before
+// finishing. It is a sequential reducer: phases are positions in the
+// stream, so partials compose only as a resume chain.
 type BlockLifeStream struct {
 	st    blockLifeState
 	start float64
@@ -120,9 +123,9 @@ func NewBlockLifeStream(start, phase, margin float64) *BlockLifeStream {
 	return s
 }
 
-// Consume folds one operation into the analysis. Ops must arrive in
-// time order; ops past the analysis window are ignored.
-func (s *BlockLifeStream) Consume(op *core.Op) {
+// Add folds one operation into the analysis. Ops must arrive in time
+// order; ops past the analysis window are ignored.
+func (s *BlockLifeStream) Add(op *core.Op) {
 	if s.done || op.T >= s.end {
 		return
 	}
@@ -138,7 +141,7 @@ func (s *BlockLifeStream) Consume(op *core.Op) {
 }
 
 // Result finalizes the stream (counting the end surplus) and returns
-// the analysis. After Result, further Consume calls are no-ops.
+// the analysis. After Result, further Add calls are no-ops.
 func (s *BlockLifeStream) Result() *BlockLifeResult {
 	if !s.done {
 		// End surplus: Phase-1 births still alive.
@@ -150,25 +153,41 @@ func (s *BlockLifeStream) Result() *BlockLifeResult {
 	return &s.st.res
 }
 
-// MergeBlockLife combines per-shard results into one, as if a single
-// stream had seen every shard's operations. All counters are integers
-// and the lifetime CDF merges by sample union, so the merged result is
-// independent of how files were partitioned.
-func MergeBlockLife(parts ...*BlockLifeResult) *BlockLifeResult {
-	out := &BlockLifeResult{Lifetimes: &stats.CDF{}}
-	for _, p := range parts {
-		out.Births += p.Births
-		out.Deaths += p.Deaths
-		out.EndSurplus += p.EndSurplus
-		for i := range p.BirthCause {
-			out.BirthCause[i] += p.BirthCause[i]
+// Merge folds src's mid-stream state into s: result counters and
+// lifetime samples sum, live births and tracked sizes follow their
+// file, and a name binding follows the file it names (the router
+// delivers removes there).
+func (s *BlockLifeStream) Merge(src *BlockLifeStream, f Filter) {
+	if f.unkeyed() {
+		dst, from := &s.st.res, &src.st.res
+		dst.Births += from.Births
+		for i, c := range from.BirthCause {
+			dst.BirthCause[i] += c
 		}
-		for i := range p.DeathCause {
-			out.DeathCause[i] += p.DeathCause[i]
+		dst.Deaths += from.Deaths
+		for i, c := range from.DeathCause {
+			dst.DeathCause[i] += c
 		}
-		out.Lifetimes.Merge(p.Lifetimes)
+		dst.EndSurplus += from.EndSurplus
+		dst.Lifetimes.Merge(from.Lifetimes)
 	}
-	return out
+	s.st.births = roomFor(s.st.births, src.st.births, f.Owns)
+	for fh, blocks := range src.st.births {
+		if !f.owns(fh) {
+			continue
+		}
+		if cur := s.st.births[fh]; cur != nil {
+			maps.Copy(cur, blocks)
+		} else {
+			s.st.births[fh] = maps.Clone(blocks)
+		}
+	}
+	s.st.sizes = overlay(s.st.sizes, src.st.sizes, f.Owns)
+	for nb, fh := range src.st.names {
+		if f.binding(nb, fh) {
+			s.st.names[nb] = fh
+		}
+	}
 }
 
 // BlockLife runs the create-based analysis over a materialized op
@@ -179,7 +198,7 @@ func BlockLife(ops []*core.Op, start, phase, margin float64) *BlockLifeResult {
 		if op.T >= s.end {
 			break
 		}
-		s.Consume(op)
+		s.Add(op)
 	}
 	return s.Result()
 }

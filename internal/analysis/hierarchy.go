@@ -135,27 +135,82 @@ func (h *Hierarchy) Coverage() float64 {
 // Edges reports the number of known parent edges.
 func (h *Hierarchy) Edges() int { return len(h.parent) }
 
-// CoverageAfterWarmup runs the reconstruction over ops, ignoring the
-// first warmup seconds, and returns the post-warmup coverage — the
-// paper's claim is that this approaches 1 within minutes.
-func CoverageAfterWarmup(ops []*core.Op, warmup float64) float64 {
-	if len(ops) == 0 {
-		return 0
+// merge folds src's edges, index and known set into h.
+func (h *Hierarchy) merge(src *Hierarchy) {
+	h.parent = overlay(h.parent, src.parent, nil)
+	h.byEdge = overlay(h.byEdge, src.byEdge, nil)
+	h.known = overlay(h.known, src.known, nil)
+	h.resolvable += src.resolvable
+	h.total += src.total
+}
+
+// HierarchyCoverage is the §4.1.1 coverage reducer: it runs the
+// reconstruction over the whole stream and counts, from warmup seconds
+// after the first operation on, how many handle-bearing ops name a
+// handle already known — the paper's claim is that this approaches 1
+// within minutes. The namespace is learned from other files' lookups,
+// so the state does not partition by handle and the reducer is
+// sequential.
+type HierarchyCoverage struct {
+	warmup float64
+	h      *Hierarchy
+
+	// The warm-up clock starts with the first op of the whole stream,
+	// not of a resumed piece, so it travels with the state.
+	started           bool
+	start             float64
+	resolvable, total int64
+}
+
+// NewHierarchyCoverage returns an empty reducer ignoring the first
+// warmup seconds.
+func NewHierarchyCoverage(warmup float64) *HierarchyCoverage {
+	return &HierarchyCoverage{warmup: warmup, h: NewHierarchy()}
+}
+
+// Add implements Reducer.
+func (c *HierarchyCoverage) Add(op *core.Op) {
+	if !c.started {
+		c.start = op.T + c.warmup
+		c.started = true
 	}
-	start := ops[0].T + warmup
-	h := NewHierarchy()
-	var resolvable, total int64
-	for _, op := range ops {
-		if op.T >= start && op.FH != 0 {
-			total++
-			if h.known[op.FH] {
-				resolvable++
-			}
+	if op.T >= c.start && op.FH != 0 {
+		c.total++
+		if c.h.Known(op.FH) {
+			c.resolvable++
 		}
-		h.Observe(op)
 	}
-	if total == 0 {
+	c.h.Observe(op)
+}
+
+// Merge implements Reducer. src is the earlier partial, so its warm-up
+// clock stands. The namespace is one unit, not keyed by handle.
+func (c *HierarchyCoverage) Merge(src *HierarchyCoverage, f Filter) {
+	if !f.unkeyed() {
+		return
+	}
+	if src.started {
+		c.started, c.start = true, src.start
+	}
+	c.resolvable += src.resolvable
+	c.total += src.total
+	c.h.merge(src.h)
+}
+
+// Coverage reports the post-warmup fraction of resolvable ops.
+func (c *HierarchyCoverage) Coverage() float64 {
+	if c.total == 0 {
 		return 0
 	}
-	return float64(resolvable) / float64(total)
+	return float64(c.resolvable) / float64(c.total)
+}
+
+// CoverageAfterWarmup runs the reconstruction over ops, ignoring the
+// first warmup seconds, and returns the post-warmup coverage.
+func CoverageAfterWarmup(ops []*core.Op, warmup float64) float64 {
+	c := NewHierarchyCoverage(warmup)
+	for _, op := range ops {
+		c.Add(op)
+	}
+	return c.Coverage()
 }

@@ -72,8 +72,12 @@ func (h *HourlySeries) Add(op *core.Op) {
 }
 
 // Merge folds other's buckets into h. Both series must cover the same
-// span; bucket contents are whole counts, so merging is exact.
-func (h *HourlySeries) Merge(other *HourlySeries) {
+// span (or h be open); bucket contents are whole counts, so merging is
+// exact. No bucket is keyed by a file handle.
+func (h *HourlySeries) Merge(other *HourlySeries, f Filter) {
+	if !f.unkeyed() {
+		return
+	}
 	h.Ops.Merge(other.Ops)
 	h.ReadOps.Merge(other.ReadOps)
 	h.WriteOps.Merge(other.WriteOps)

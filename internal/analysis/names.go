@@ -138,8 +138,8 @@ func lifeClass(life float64) int {
 }
 
 // NamesStream is the incremental form of AnalyzeNames: feed it
-// time-ordered operations with Consume, then build the report with
-// Report once the window end is known. Finished instances fold into
+// time-ordered operations with Add, then build the report with Report
+// once the window end is known. Finished instances fold into
 // per-category aggregates as they die, so the live state is just the
 // open instances and the name map — which is what makes the stream's
 // partial state serializable and resumable across process boundaries.
@@ -178,6 +178,26 @@ func newNamesAgg() namesAgg {
 	return a
 }
 
+// merge folds src's sums, histograms and sample sets into a.
+func (a *namesAgg) merge(src *namesAgg) {
+	for c := 0; c < int(numCategories); c++ {
+		a.created[c] += src.created[c]
+		a.deleted[c] += src.deleted[c]
+		a.readOps[c] += src.readOps[c]
+		a.writeOps[c] += src.writeOps[c]
+		a.lifetimes[c].Merge(src.lifetimes[c])
+		a.sizes[c].Merge(src.sizes[c])
+		for i, v := range src.sizeHist[c] {
+			a.sizeHist[c][i] += v
+		}
+		for i, v := range src.lifeHist[c] {
+			a.lifeHist[c][i] += v
+		}
+	}
+	a.lockDeleted += src.lockDeleted
+	a.totalDeleted += src.totalDeleted
+}
+
 // fold accumulates one finished instance.
 func (a *namesAgg) fold(fl *fileLife) {
 	a.created[fl.cat]++
@@ -206,9 +226,25 @@ func NewNamesStream() *NamesStream {
 	}
 }
 
-// Consume folds one operation into the stream. Ops must arrive in time
+// Merge folds src — the earlier partial — into n: open instances, name
+// bindings, and the per-category aggregate. Bindings and instances span
+// directories arbitrarily, so the state is one unit, not keyed by
+// handle, and the reducer is sequential.
+func (n *NamesStream) Merge(src *NamesStream, f Filter) {
+	if !f.unkeyed() {
+		return
+	}
+	for fh, fl := range src.lives {
+		cp := *fl
+		n.lives[fh] = &cp
+	}
+	n.names = overlay(n.names, src.names, nil)
+	n.agg.merge(&src.agg)
+}
+
+// Add folds one operation into the stream. Ops must arrive in time
 // order.
-func (n *NamesStream) Consume(op *core.Op) {
+func (n *NamesStream) Add(op *core.Op) {
 	key := func(dir core.FH, name string) nameBinding { return nameBinding{dir, name} }
 	switch op.Proc {
 	case core.ProcCreate, core.ProcMkdir, core.ProcSymlink:
@@ -272,18 +308,7 @@ func (n *NamesStream) Consume(op *core.Op) {
 // into a copy of the aggregate, so it can be called mid-stream.
 func (n *NamesStream) Report(windowEnd float64) *NameReport {
 	agg := newNamesAgg()
-	for c := 0; c < int(numCategories); c++ {
-		agg.created[c] = n.agg.created[c]
-		agg.deleted[c] = n.agg.deleted[c]
-		agg.readOps[c] = n.agg.readOps[c]
-		agg.writeOps[c] = n.agg.writeOps[c]
-		agg.lifetimes[c] = n.agg.lifetimes[c].Clone()
-		agg.sizes[c] = n.agg.sizes[c].Clone()
-		agg.sizeHist[c] = n.agg.sizeHist[c]
-		agg.lifeHist[c] = n.agg.lifeHist[c]
-	}
-	agg.lockDeleted = n.agg.lockDeleted
-	agg.totalDeleted = n.agg.totalDeleted
+	agg.merge(&n.agg)
 	for _, fl := range n.lives {
 		end := *fl
 		end.died = windowEnd
@@ -334,7 +359,7 @@ func (n *NamesStream) Report(windowEnd float64) *NameReport {
 func AnalyzeNames(ops []*core.Op, windowEnd float64) *NameReport {
 	n := NewNamesStream()
 	for _, op := range ops {
-		n.Consume(op)
+		n.Add(op)
 	}
 	return n.Report(windowEnd)
 }

@@ -59,6 +59,30 @@ func (m AccessMap) Add(op *core.Op) {
 	})
 }
 
+// merge appends src's lists for the handles f owns to m's and returns
+// the result; src must cover a later stretch of the trace than m does
+// for any file they share. A file m has not seen shares src's backing
+// array, capped at its current length (three-index slice), so the copy
+// costs O(files), not O(accesses), and an append on either side
+// reallocates instead of writing into the other's view. That is safe
+// because access lists are append-only: nothing mutates an element in
+// place, and every consumer that sorts (DetectRunsInFiles, sweepFiles)
+// copies first.
+func (m AccessMap) merge(src AccessMap, f Filter) AccessMap {
+	m = roomFor(m, src, f.Owns)
+	for fh, accs := range src {
+		if !f.owns(fh) {
+			continue
+		}
+		if cur, ok := m[fh]; ok {
+			m[fh] = append(cur, accs...)
+		} else {
+			m[fh] = accs[:len(accs):len(accs)]
+		}
+	}
+	return m
+}
+
 // FileAccesses groups every data access by file handle, in trace order.
 func FileAccesses(ops []*core.Op) map[core.FH][]Access {
 	m := make(AccessMap)
@@ -98,33 +122,24 @@ type ReorderSweepPoint struct {
 	SwappedPct float64
 }
 
-// SweepFiles counts, for each window size, how many accesses the
-// sorting pass moves across the given files, plus the total access
-// count. The raw counts (rather than percentages) let the pipeline sum
-// partial sweeps across shards exactly.
-func SweepFiles(files map[core.FH][]Access, windowsMS []float64) (swaps []int, total int) {
+// sweepFiles measures, for each window size, what percentage of the
+// files' accesses the sorting pass moves. Each sweep sorts a fresh copy.
+func sweepFiles(files AccessMap, windowsMS []float64) []ReorderSweepPoint {
+	total := 0
 	for _, accs := range files {
 		total += len(accs)
 	}
-	swaps = make([]int, len(windowsMS))
-	for i, wms := range windowsMS {
+	out := make([]ReorderSweepPoint, 0, len(windowsMS))
+	for _, wms := range windowsMS {
+		swaps := 0
 		for _, accs := range files {
 			cp := make([]Access, len(accs))
 			copy(cp, accs)
-			swaps[i] += SortWindow(cp, wms/1000)
+			swaps += SortWindow(cp, wms/1000)
 		}
-	}
-	return swaps, total
-}
-
-// SweepPoints converts summed swap counts back into the Figure 1
-// percentage points.
-func SweepPoints(windowsMS []float64, swaps []int, total int) []ReorderSweepPoint {
-	out := make([]ReorderSweepPoint, 0, len(windowsMS))
-	for i, wms := range windowsMS {
 		pct := 0.0
 		if total > 0 {
-			pct = 100 * float64(swaps[i]) / float64(total)
+			pct = 100 * float64(swaps) / float64(total)
 		}
 		out = append(out, ReorderSweepPoint{WindowMS: wms, SwappedPct: pct})
 	}
@@ -132,12 +147,33 @@ func SweepPoints(windowsMS []float64, swaps []int, total int) []ReorderSweepPoin
 }
 
 // ReorderSweep measures, for each window size, what fraction of
-// accesses the sorting pass moves (Figure 1). The input ops are grouped
-// per file; each sweep sorts a fresh copy.
+// accesses the sorting pass moves (Figure 1).
 func ReorderSweep(ops []*core.Op, windowsMS []float64) []ReorderSweepPoint {
-	swaps, total := SweepFiles(FileAccesses(ops), windowsMS)
-	return SweepPoints(windowsMS, swaps, total)
+	return sweepFiles(FileAccesses(ops), windowsMS)
 }
+
+// ReorderSweeper is the Figure 1 reducer: per-file access lists under a
+// fixed list of window sizes. Sorting windows apply per file, so the
+// lists partition by handle.
+type ReorderSweeper struct {
+	windowsMS []float64
+	files     AccessMap
+}
+
+// NewReorderSweeper returns an empty sweep over the given window sizes
+// (milliseconds).
+func NewReorderSweeper(windowsMS []float64) *ReorderSweeper {
+	return &ReorderSweeper{windowsMS: windowsMS, files: make(AccessMap)}
+}
+
+// Add implements Reducer.
+func (r *ReorderSweeper) Add(op *core.Op) { r.files.Add(op) }
+
+// Merge implements Reducer.
+func (r *ReorderSweeper) Merge(src *ReorderSweeper, f Filter) { r.files = r.files.merge(src.files, f) }
+
+// Points runs the sweep over everything added so far.
+func (r *ReorderSweeper) Points() []ReorderSweepPoint { return sweepFiles(r.files, r.windowsMS) }
 
 // Run kinds.
 type RunKind int
@@ -198,9 +234,7 @@ func DefaultRunConfig(windowMS float64) RunConfig {
 // classifies them, iterating files in sorted-handle order so the run
 // list is reproducible. The sort is by the rendered handle spelling,
 // not the interned ID — ID numbering depends on decode interleaving,
-// spellings don't. Every consumer of runs (Tabulate, SizeProfile,
-// SequentialityProfile) aggregates per-run counts, so concatenating the
-// run lists of disjoint file sets yields identical tables.
+// spellings don't.
 func DetectRunsInFiles(files map[core.FH][]Access, cfg RunConfig) []Run {
 	fhs := make([]core.FH, 0, len(files))
 	for fh := range files {
@@ -221,6 +255,28 @@ func DetectRunsInFiles(files map[core.FH][]Access, cfg RunConfig) []Run {
 	}
 	return runs
 }
+
+// RunDetector is the Table 3 / Figure 2 / Figure 5 reducer: per-file
+// access lists under one run-detection configuration. Runs never span
+// files, so the lists partition by handle.
+type RunDetector struct {
+	cfg   RunConfig
+	files AccessMap
+}
+
+// NewRunDetector returns an empty detector.
+func NewRunDetector(cfg RunConfig) *RunDetector {
+	return &RunDetector{cfg: cfg, files: make(AccessMap)}
+}
+
+// Add implements Reducer.
+func (r *RunDetector) Add(op *core.Op) { r.files.Add(op) }
+
+// Merge implements Reducer.
+func (r *RunDetector) Merge(src *RunDetector, f Filter) { r.files = r.files.merge(src.files, f) }
+
+// Runs detects and classifies the runs in everything added so far.
+func (r *RunDetector) Runs() []Run { return DetectRunsInFiles(r.files, r.cfg) }
 
 // DetectRuns splits every file's accesses into runs and classifies
 // them.

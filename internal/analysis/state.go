@@ -7,8 +7,8 @@ import (
 )
 
 // Binary encode/decode of each reducer's partial state, symmetric to
-// its Merge form: DecodeState folds the serialized partial into the
-// receiver exactly as Merge would fold a live one. File handles and
+// its Merge form: Decode folds the serialized partial into the receiver
+// exactly as Merge would fold a live one. File handles and
 // procedures go through the state package's dictionaries, so interned
 // IDs survive process boundaries.
 //
@@ -76,9 +76,9 @@ func decodeBuckets(d *state.Decoder, b *stats.TimeBuckets) {
 	}
 }
 
-// EncodeState serializes the summary counters. Days is derived from the
+// Encode serializes the summary counters. Days is derived from the
 // trace span at render time, so it is not part of the state.
-func (s *Summary) EncodeState(e *state.Encoder) {
+func (s *Summary) Encode(e *state.Encoder) {
 	e.Varint(s.TotalOps)
 	e.Varint(s.ReadOps)
 	e.Varint(s.WriteOps)
@@ -100,8 +100,8 @@ func (s *Summary) EncodeState(e *state.Encoder) {
 	}
 }
 
-// DecodeState folds a serialized summary into s, like Merge.
-func (s *Summary) DecodeState(d *state.Decoder) {
+// Decode folds a serialized summary into s, like Merge.
+func (s *Summary) Decode(d *state.Decoder) {
 	s.TotalOps += d.Varint()
 	s.ReadOps += d.Varint()
 	s.WriteOps += d.Varint()
@@ -118,10 +118,10 @@ func (s *Summary) DecodeState(d *state.Decoder) {
 	}
 }
 
-// EncodeState serializes the five hourly series as sparse buckets.
+// Encode serializes the five hourly series as sparse buckets.
 // Bucket indexes are anchored at t=0, so the open and fixed forms
 // serialize identically.
-func (h *HourlySeries) EncodeState(e *state.Encoder) {
+func (h *HourlySeries) Encode(e *state.Encoder) {
 	encodeBuckets(e, h.Ops)
 	encodeBuckets(e, h.ReadOps)
 	encodeBuckets(e, h.WriteOps)
@@ -129,10 +129,10 @@ func (h *HourlySeries) EncodeState(e *state.Encoder) {
 	encodeBuckets(e, h.BytesWrite)
 }
 
-// DecodeState folds serialized hourly series into h. The receiver may
+// Decode folds serialized hourly series into h. The receiver may
 // be open (growing) or fixed (clamping); folding by bucket index
 // reproduces exactly what adding the underlying ops would have.
-func (h *HourlySeries) DecodeState(d *state.Decoder) {
+func (h *HourlySeries) Decode(d *state.Decoder) {
 	decodeBuckets(d, h.Ops)
 	decodeBuckets(d, h.ReadOps)
 	decodeBuckets(d, h.WriteOps)
@@ -140,8 +140,8 @@ func (h *HourlySeries) DecodeState(d *state.Decoder) {
 	decodeBuckets(d, h.BytesWrite)
 }
 
-// EncodeState serializes the per-file access lists.
-func (m AccessMap) EncodeState(e *state.Encoder) {
+// encode serializes the per-file access lists.
+func (m AccessMap) encode(e *state.Encoder) {
 	e.Uvarint(uint64(len(m)))
 	for fh, accs := range m {
 		e.FH(fh)
@@ -157,10 +157,10 @@ func (m AccessMap) EncodeState(e *state.Encoder) {
 	}
 }
 
-// DecodeState appends serialized access lists to m. Partials must be
+// decode appends serialized access lists to m. Partials must be
 // decoded in trace-time order so each file's accesses concatenate in
-// order — the same contract AccessMap.Merge has.
-func (m AccessMap) DecodeState(d *state.Decoder) {
+// order — the same contract its merge has.
+func (m AccessMap) decode(d *state.Decoder) {
 	nf := d.Count("file count")
 	for i := 0; i < nf && d.Err() == nil; i++ {
 		fh := d.FH()
@@ -181,11 +181,61 @@ func (m AccessMap) DecodeState(d *state.Decoder) {
 	}
 }
 
-// EncodeState serializes the full mid-stream block-lifetime state:
+// Encode serializes the run-detection configuration and the per-file
+// access lists. A partial is only meaningful under the configuration it
+// was built with, so Decode validates it.
+func (r *RunDetector) Encode(e *state.Encoder) {
+	e.F64(r.cfg.ReorderWindow)
+	e.F64(r.cfg.IdleGap)
+	e.Varint(r.cfg.JumpBlocks)
+	r.files.encode(e)
+}
+
+// Decode appends a serialized run-detection partial to r.
+func (r *RunDetector) Decode(d *state.Decoder) {
+	rw, ig, jb := d.F64(), d.F64(), d.Varint()
+	if d.Err() != nil {
+		return
+	}
+	if rw != r.cfg.ReorderWindow || ig != r.cfg.IdleGap || jb != r.cfg.JumpBlocks {
+		d.Failf("run config (window=%v gap=%v k=%v) does not match receiver (window=%v gap=%v k=%v)",
+			rw, ig, jb, r.cfg.ReorderWindow, r.cfg.IdleGap, r.cfg.JumpBlocks)
+		return
+	}
+	r.files.decode(d)
+}
+
+// Encode serializes the window list and the per-file access lists.
+func (r *ReorderSweeper) Encode(e *state.Encoder) {
+	e.Uvarint(uint64(len(r.windowsMS)))
+	for _, w := range r.windowsMS {
+		e.F64(w)
+	}
+	r.files.encode(e)
+}
+
+// Decode appends a serialized reorder-sweep partial to r. The window
+// list must match the receiver's.
+func (r *ReorderSweeper) Decode(d *state.Decoder) {
+	n := d.Count("window count")
+	if d.Err() == nil && n != len(r.windowsMS) {
+		d.Failf("window count %d does not match receiver's %d", n, len(r.windowsMS))
+		return
+	}
+	for i := 0; i < n && d.Err() == nil; i++ {
+		if w := d.F64(); d.Err() == nil && w != r.windowsMS[i] {
+			d.Failf("window %d is %vms, receiver has %vms", i, w, r.windowsMS[i])
+			return
+		}
+	}
+	r.files.decode(d)
+}
+
+// Encode serializes the full mid-stream block-lifetime state:
 // result counters, live Phase-1 births, tracked sizes and name
 // bindings, and the window configuration (validated on decode — a
 // partial is only meaningful under the window it was built with).
-func (s *BlockLifeStream) EncodeState(e *state.Encoder) {
+func (s *BlockLifeStream) Encode(e *state.Encoder) {
 	e.F64(s.start)
 	e.F64(s.st.phase1End)
 	e.F64(s.st.margin)
@@ -224,10 +274,10 @@ func (s *BlockLifeStream) EncodeState(e *state.Encoder) {
 	}
 }
 
-// DecodeState folds a serialized block-lifetime partial into s. The
+// Decode folds a serialized block-lifetime partial into s. The
 // encoded window must match the receiver's: lifetimes and phases only
 // compose under one configuration.
-func (s *BlockLifeStream) DecodeState(d *state.Decoder) {
+func (s *BlockLifeStream) Decode(d *state.Decoder) {
 	start := d.F64()
 	phase1End := d.F64()
 	margin := d.F64()
@@ -293,93 +343,9 @@ func (s *BlockLifeStream) DecodeState(d *state.Decoder) {
 	}
 }
 
-// DistributeState spreads m's per-file lists across shard-local maps,
-// appending each file's accesses to the part shardOf assigns it — the
-// inverse of the union an encoder builds, so a resumed multi-shard run
-// places every file's history on the shard its future ops will route to.
-func (m AccessMap) DistributeState(parts []AccessMap, shardOf func(core.FH) int) {
-	for fh, accs := range m {
-		p := parts[shardOf(fh)]
-		p[fh] = append(p[fh], accs...)
-	}
-}
-
-// MergeStateInto folds s's mid-stream state into dst: result counters
-// and lifetime samples sum, live births and tracked sizes union (keys
-// are disjoint across shards), and name bindings copy when keepName
-// accepts them. A nil keepName keeps every binding; the pipeline passes
-// a router-consistency filter so bindings a shard saw but the global
-// order later rebound do not leak into the serialized state.
-func (s *BlockLifeStream) MergeStateInto(dst *BlockLifeStream, keepName func(dir core.FH, name string, child core.FH) bool) {
-	dst.st.res.Births += s.st.res.Births
-	for i, c := range s.st.res.BirthCause {
-		dst.st.res.BirthCause[i] += c
-	}
-	dst.st.res.Deaths += s.st.res.Deaths
-	for i, c := range s.st.res.DeathCause {
-		dst.st.res.DeathCause[i] += c
-	}
-	dst.st.res.EndSurplus += s.st.res.EndSurplus
-	dst.st.res.Lifetimes.Merge(s.st.res.Lifetimes)
-	for fh, blocks := range s.st.births {
-		m := dst.st.births[fh]
-		if m == nil {
-			m = make(map[int64]float64, len(blocks))
-			dst.st.births[fh] = m
-		}
-		for b, t := range blocks {
-			m[b] = t
-		}
-	}
-	for fh, size := range s.st.sizes {
-		dst.st.sizes[fh] = size
-	}
-	for nb, fh := range s.st.names {
-		if keepName == nil || keepName(nb.dir, nb.name, fh) {
-			dst.st.names[nb] = fh
-		}
-	}
-}
-
-// DistributeState spreads s's decoded state across shard-local streams:
-// births and sizes go to the shard owning their file handle, name
-// bindings to the shard owning the bound child (the router delivers
-// removes there), and the scalar counters to parts[0] — Result merges
-// all parts, so placement of pure sums is arbitrary.
-func (s *BlockLifeStream) DistributeState(parts []*BlockLifeStream, shardOf func(core.FH) int) {
-	dst0 := parts[0]
-	dst0.st.res.Births += s.st.res.Births
-	for i, c := range s.st.res.BirthCause {
-		dst0.st.res.BirthCause[i] += c
-	}
-	dst0.st.res.Deaths += s.st.res.Deaths
-	for i, c := range s.st.res.DeathCause {
-		dst0.st.res.DeathCause[i] += c
-	}
-	dst0.st.res.EndSurplus += s.st.res.EndSurplus
-	dst0.st.res.Lifetimes.Merge(s.st.res.Lifetimes)
-	for fh, blocks := range s.st.births {
-		dst := parts[shardOf(fh)]
-		m := dst.st.births[fh]
-		if m == nil {
-			m = make(map[int64]float64, len(blocks))
-			dst.st.births[fh] = m
-		}
-		for b, t := range blocks {
-			m[b] = t
-		}
-	}
-	for fh, size := range s.st.sizes {
-		parts[shardOf(fh)].st.sizes[fh] = size
-	}
-	for nb, fh := range s.st.names {
-		parts[shardOf(fh)].st.names[nb] = fh
-	}
-}
-
-// EncodeState serializes the peak-hour window, category map, and
+// Encode serializes the peak-hour window, category map, and
 // instance set.
-func (p *PeakHourInstances) EncodeState(e *state.Encoder) {
+func (p *PeakHourInstances) Encode(e *state.Encoder) {
 	e.F64(p.From)
 	e.F64(p.To)
 	e.Uvarint(uint64(len(p.cat)))
@@ -393,10 +359,10 @@ func (p *PeakHourInstances) EncodeState(e *state.Encoder) {
 	}
 }
 
-// DecodeState folds a serialized peak-hour partial into p. Windows must
+// Decode folds a serialized peak-hour partial into p. Windows must
 // match; category entries overwrite (partials are decoded in trace-time
 // order, so later name observations win, as they would in one pass).
-func (p *PeakHourInstances) DecodeState(d *state.Decoder) {
+func (p *PeakHourInstances) Decode(d *state.Decoder) {
 	from := d.F64()
 	to := d.F64()
 	if d.Err() != nil {
@@ -427,31 +393,9 @@ func (p *PeakHourInstances) DecodeState(d *state.Decoder) {
 	}
 }
 
-// MergeStateInto folds p's maps into dst. Handles partition by shard,
-// so the union is exact.
-func (p *PeakHourInstances) MergeStateInto(dst *PeakHourInstances) {
-	for fh, c := range p.cat {
-		dst.cat[fh] = c
-	}
-	for fh := range p.instances {
-		dst.instances[fh] = true
-	}
-}
-
-// DistributeState spreads p's decoded maps across shard-local
-// accumulators by file handle.
-func (p *PeakHourInstances) DistributeState(parts []*PeakHourInstances, shardOf func(core.FH) int) {
-	for fh, c := range p.cat {
-		parts[shardOf(fh)].cat[fh] = c
-	}
-	for fh := range p.instances {
-		parts[shardOf(fh)].instances[fh] = true
-	}
-}
-
-// EncodeState serializes the mailbox/large-file handle sets and
+// Encode serializes the mailbox/large-file handle sets and
 // per-file byte counts.
-func (m *MailboxShare) EncodeState(e *state.Encoder) {
+func (m *MailboxShare) Encode(e *state.Encoder) {
 	e.Uvarint(uint64(len(m.mailboxFH)))
 	for fh := range m.mailboxFH {
 		e.FH(fh)
@@ -467,9 +411,9 @@ func (m *MailboxShare) EncodeState(e *state.Encoder) {
 	}
 }
 
-// DecodeState folds a serialized mailbox-share partial into m: handle
+// Decode folds a serialized mailbox-share partial into m: handle
 // sets union, byte counts sum.
-func (m *MailboxShare) DecodeState(d *state.Decoder) {
+func (m *MailboxShare) Decode(d *state.Decoder) {
 	nm := d.Count("mailbox handle count")
 	for i := 0; i < nm && d.Err() == nil; i++ {
 		if fh := d.FH(); d.Err() == nil {
@@ -492,40 +436,12 @@ func (m *MailboxShare) DecodeState(d *state.Decoder) {
 	}
 }
 
-// MergeStateInto folds m's sets and counts into dst: sets union, byte
-// counts sum.
-func (m *MailboxShare) MergeStateInto(dst *MailboxShare) {
-	for fh := range m.mailboxFH {
-		dst.mailboxFH[fh] = true
-	}
-	for fh := range m.big {
-		dst.big[fh] = true
-	}
-	for fh, n := range m.bytes {
-		dst.bytes[fh] += n
-	}
-}
-
-// DistributeState spreads m's decoded maps across shard-local
-// accumulators by file handle.
-func (m *MailboxShare) DistributeState(parts []*MailboxShare, shardOf func(core.FH) int) {
-	for fh := range m.mailboxFH {
-		parts[shardOf(fh)].mailboxFH[fh] = true
-	}
-	for fh := range m.big {
-		parts[shardOf(fh)].big[fh] = true
-	}
-	for fh, n := range m.bytes {
-		parts[shardOf(fh)].bytes[fh] += n
-	}
-}
-
-// EncodeState serializes the reconstructed namespace: parent edges, the
+// encode serializes the reconstructed namespace: parent edges, the
 // reverse index exactly as it stands (stale entries and all — resolve's
 // repair path depends on the index state, so a faithful copy keeps the
 // resumed run deterministic), the known-handle set, and the coverage
 // counters.
-func (h *Hierarchy) EncodeState(e *state.Encoder) {
+func (h *Hierarchy) encode(e *state.Encoder) {
 	e.Uvarint(uint64(len(h.parent)))
 	for fh, nb := range h.parent {
 		e.FH(fh)
@@ -546,8 +462,8 @@ func (h *Hierarchy) EncodeState(e *state.Encoder) {
 	e.Varint(h.total)
 }
 
-// DecodeState folds a serialized namespace into h.
-func (h *Hierarchy) DecodeState(d *state.Decoder) {
+// decode folds a serialized namespace into h.
+func (h *Hierarchy) decode(d *state.Decoder) {
 	np := d.Count("parent edge count")
 	for i := 0; i < np && d.Err() == nil; i++ {
 		fh := d.FH()
@@ -576,9 +492,36 @@ func (h *Hierarchy) DecodeState(d *state.Decoder) {
 	h.total += d.Varint()
 }
 
-// EncodeState serializes the name-analysis stream: open instances, name
+// Encode serializes the warm-up configuration and clock, the
+// post-warmup counters, and the namespace.
+func (c *HierarchyCoverage) Encode(e *state.Encoder) {
+	e.F64(c.warmup)
+	e.Bool(c.started)
+	e.F64(c.start)
+	e.Varint(c.resolvable)
+	e.Varint(c.total)
+	c.h.encode(e)
+}
+
+// Decode folds a serialized coverage partial into c. The warm-up must
+// match the receiver's.
+func (c *HierarchyCoverage) Decode(d *state.Decoder) {
+	warmup := d.F64()
+	if d.Err() == nil && warmup != c.warmup {
+		d.Failf("hierarchy warmup %vs does not match receiver's %vs", warmup, c.warmup)
+		return
+	}
+	if started, start := d.Bool(), d.F64(); started && d.Err() == nil {
+		c.started, c.start = true, start
+	}
+	c.resolvable += d.Varint()
+	c.total += d.Varint()
+	c.h.decode(d)
+}
+
+// Encode serializes the name-analysis stream: open instances, name
 // bindings, and the folded per-category aggregate.
-func (n *NamesStream) EncodeState(e *state.Encoder) {
+func (n *NamesStream) Encode(e *state.Encoder) {
 	e.Uvarint(uint64(numCategories))
 
 	e.Uvarint(uint64(len(n.lives)))
@@ -619,8 +562,8 @@ func (n *NamesStream) EncodeState(e *state.Encoder) {
 	e.Varint(n.agg.totalDeleted)
 }
 
-// DecodeState folds a serialized names stream into n.
-func (n *NamesStream) DecodeState(d *state.Decoder) {
+// Decode folds a serialized names stream into n.
+func (n *NamesStream) Decode(d *state.Decoder) {
 	nc := d.Uvarint()
 	if d.Err() != nil {
 		return

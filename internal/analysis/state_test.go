@@ -2,6 +2,9 @@ package analysis
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,31 +13,45 @@ import (
 	"repro/internal/stats"
 )
 
-// This file pins the codec contract of state.go from inside the
-// package: for every reducer, DecodeState over an encoded partial
-// rebuilds exactly the state the feeds produced, a resumed run tracks
-// the original op for op, and the validation paths reject mismatched
-// configurations with the decoder's sticky error rather than folding
-// garbage. The cross-process and merge grids live in
-// internal/pipeline; these tests own the per-reducer symmetry.
+// The round-trip, merge, clone and re-shard properties of every reducer
+// are pinned by the contract harness in contract_test.go. This file
+// owns what needs hand-built payloads: Decode's validation paths, which
+// must reject a foreign configuration or a hostile value with the
+// decoder's sticky error rather than fold garbage.
 
-// stateHandle adapts one reducer to the shared round-trip harness,
-// reusing the clone_test fingerprints so "equal" means the same thing
-// in both files.
-type stateHandle struct {
-	feed func(*core.Op)
-	enc  func(*state.Encoder)
-	dec  func(*state.Decoder)
-	fp   func() string
-}
-
-// stateOps extends the clone stream with a read hours later, so the
-// open hourly series actually grows past its first bucket.
+// stateOps is a fixed stream covering the paths the reducers branch
+// on: creates, lookups, reads, writes with wcc sizes, a rename, removes,
+// categorized names (lock, mailbox, temp), and a read hours later.
 func stateOps() []*core.Op {
-	ops := cloneOps()
-	ops = append(ops, &core.Op{T: 7205, Replied: true, Proc: core.MustProc("read"),
-		Client: 1, FH: core.InternFH("f1"), Offset: 0, Count: 4096, RCount: 4096})
-	return ops
+	dir := core.InternFH("d0")
+	mk := func(t float64, proc string, mut func(*core.Op)) *core.Op {
+		o := &core.Op{T: t, Replied: true, Proc: core.MustProc(proc), Client: 1}
+		mut(o)
+		return o
+	}
+	var ops []*core.Op
+	for i, name := range []string{"file.lock", "inbox", "a.tmp", "notes.c", "plain"} {
+		fh := core.InternFH(fmt.Sprintf("f%d", i))
+		t0 := float64(1 + i*9)
+		ops = append(ops,
+			mk(t0, "create", func(o *core.Op) { o.FH = dir; o.Name = name; o.NewFH = fh }),
+			mk(t0+1, "lookup", func(o *core.Op) { o.FH = dir; o.Name = name; o.NewFH = fh }),
+			mk(t0+2, "write", func(o *core.Op) {
+				o.FH = fh
+				o.Count = 16384
+				o.RCount = 16384
+				o.HasPre = true
+				o.Size = 16384
+			}),
+			mk(t0+3, "read", func(o *core.Op) { o.FH = fh; o.Count = 8192; o.RCount = 8192 }),
+		)
+	}
+	return append(ops,
+		mk(50, "rename", func(o *core.Op) { o.FH = dir; o.Name = "plain"; o.FH2 = dir; o.Name2 = "renamed" }),
+		mk(55, "remove", func(o *core.Op) { o.FH = dir; o.Name = "file.lock" }),
+		mk(70, "remove", func(o *core.Op) { o.FH = dir; o.Name = "a.tmp" }),
+		mk(7205, "read", func(o *core.Op) { o.FH = core.InternFH("f1"); o.Count = 4096; o.RCount = 4096 }),
+	)
 }
 
 func encodeSection(t *testing.T, enc func(*state.Encoder)) []byte {
@@ -66,223 +83,82 @@ func decodeSection(t *testing.T, blob []byte, dec func(*state.Decoder)) error {
 	return d.Finish()
 }
 
-func stateCases() []struct {
-	name string
-	mk   func() stateHandle
-} {
-	return []struct {
-		name string
-		mk   func() stateHandle
-	}{
-		{"summary", func() stateHandle {
-			s := NewSummary(1)
-			return stateHandle{s.Add, s.EncodeState, s.DecodeState, summaryCloneable(s).fp}
-		}},
-		{"hourly-open", func() stateHandle {
-			h := NewHourlyOpen()
-			return stateHandle{h.Add, h.EncodeState, h.DecodeState, hourlyCloneable(h).fp}
-		}},
-		{"hourly-fixed", func() stateHandle {
-			h := NewHourly(8000)
-			return stateHandle{h.Add, h.EncodeState, h.DecodeState, hourlyCloneable(h).fp}
-		}},
-		{"accessmap", func() stateHandle {
-			m := make(AccessMap)
-			return stateHandle{m.Add, m.EncodeState, m.DecodeState, accessMapCloneable(m).fp}
-		}},
-		{"blocklife", func() stateHandle {
-			s := NewBlockLifeStream(0, 50, 50)
-			return stateHandle{s.Consume, s.EncodeState, s.DecodeState, blockLifeCloneable(s).fp}
-		}},
-		{"peakhour", func() stateHandle {
-			p := NewPeakHourInstances(0, 100)
-			return stateHandle{p.Add, p.EncodeState, p.DecodeState, peakHourCloneable(p).fp}
-		}},
-		{"mailbox", func() stateHandle {
-			m := NewMailboxShare()
-			return stateHandle{m.Add, m.EncodeState, m.DecodeState, mailboxCloneable(m).fp}
-		}},
-		{"hierarchy", func() stateHandle {
-			h := NewHierarchy()
-			return stateHandle{h.Observe, h.EncodeState, h.DecodeState, hierarchyCloneable(h).fp}
-		}},
-		{"names", func() stateHandle {
-			n := NewNamesStream()
-			return stateHandle{n.Consume, n.EncodeState, n.DecodeState, namesCloneable(n).fp}
-		}},
-	}
-}
-
-func TestStateRoundTrip(t *testing.T) {
-	ops := stateOps()
-	cut := len(ops) * 2 / 3
-	for _, tc := range stateCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			// Encode a mid-stream checkpoint; decoding into a fresh
-			// instance must reproduce it exactly.
-			orig := tc.mk()
-			for _, op := range ops[:cut] {
-				orig.feed(op)
-			}
-			blob := encodeSection(t, orig.enc)
-			resumed := tc.mk()
-			if err := decodeSection(t, blob, resumed.dec); err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if resumed.fp() != orig.fp() {
-				t.Fatalf("decoded state differs from encoded:\n--- decoded ---\n%s\n--- original ---\n%s",
-					resumed.fp(), orig.fp())
-			}
-
-			// Both continue over the suffix: the resumed run must track
-			// the original, and both must equal a never-checkpointed run.
-			for _, op := range ops[cut:] {
-				orig.feed(op)
-				resumed.feed(op)
-			}
-			if resumed.fp() != orig.fp() {
-				t.Fatalf("resumed run diverged after checkpoint:\n--- resumed ---\n%s\n--- original ---\n%s",
-					resumed.fp(), orig.fp())
-			}
-			fresh := tc.mk()
-			for _, op := range ops {
-				fresh.feed(op)
-			}
-			if resumed.fp() != fresh.fp() {
-				t.Fatalf("resumed run differs from uninterrupted run:\n--- resumed ---\n%s\n--- fresh ---\n%s",
-					resumed.fp(), fresh.fp())
-			}
-		})
-	}
-}
-
-// TestStateDecodeFoldsLikeMerge pins the fold semantics: decoding two
-// halves' states into one fresh instance equals one full run, for the
-// reducers whose partials compose by decode order.
-func TestStateDecodeFoldsLikeMerge(t *testing.T) {
-	ops := stateOps()
-	cut := len(ops) / 2
-	for _, tc := range stateCases() {
-		if tc.name == "blocklife" || tc.name == "hierarchy" || tc.name == "names" {
-			// Order-dependent reducers compose only as resume chains
-			// (TestStateRoundTrip); independent halves are not defined.
-			continue
-		}
-		t.Run(tc.name, func(t *testing.T) {
-			first := tc.mk()
-			for _, op := range ops[:cut] {
-				first.feed(op)
-			}
-			second := tc.mk()
-			for _, op := range ops[cut:] {
-				second.feed(op)
-			}
-			folded := tc.mk()
-			if err := decodeSection(t, encodeSection(t, first.enc), folded.dec); err != nil {
-				t.Fatalf("decode first half: %v", err)
-			}
-			if err := decodeSection(t, encodeSection(t, second.enc), folded.dec); err != nil {
-				t.Fatalf("decode second half: %v", err)
-			}
-			full := tc.mk()
-			for _, op := range ops {
-				full.feed(op)
-			}
-			if folded.fp() != full.fp() {
-				t.Fatalf("two decoded halves differ from one full run:\n--- folded ---\n%s\n--- full ---\n%s",
-					folded.fp(), full.fp())
-			}
-		})
-	}
-}
-
-// TestStateDistributeRebuildsWhole pins the decode-side sharding: a
-// decoded partial spread across shard-local accumulators and merged
-// back equals the original.
-func TestStateDistributeRebuildsWhole(t *testing.T) {
-	ops := stateOps()
-	shardOf := func(fh core.FH) int { return int(fh) % 2 }
-
-	t.Run("accessmap", func(t *testing.T) {
-		m := make(AccessMap)
-		for _, op := range ops {
-			m.Add(op)
-		}
-		parts := []AccessMap{make(AccessMap), make(AccessMap)}
-		m.DistributeState(parts, shardOf)
-		rebuilt := make(AccessMap)
-		for _, p := range parts {
-			for fh, accs := range p {
-				rebuilt[fh] = append(rebuilt[fh], accs...)
-			}
-		}
-		if accessMapCloneable(rebuilt).fp() != accessMapCloneable(m).fp() {
-			t.Fatalf("distributed access map does not rebuild the whole")
-		}
-	})
-	t.Run("blocklife", func(t *testing.T) {
-		s := NewBlockLifeStream(0, 50, 50)
-		for _, op := range ops {
-			s.Consume(op)
-		}
-		parts := []*BlockLifeStream{NewBlockLifeStream(0, 50, 50), NewBlockLifeStream(0, 50, 50)}
-		s.DistributeState(parts, shardOf)
-		rebuilt := NewBlockLifeStream(0, 50, 50)
-		for _, p := range parts {
-			p.MergeStateInto(rebuilt, nil)
-		}
-		if blockLifeCloneable(rebuilt).fp() != blockLifeCloneable(s).fp() {
-			t.Fatalf("distributed block-life state does not rebuild the whole")
-		}
-	})
-	t.Run("peakhour", func(t *testing.T) {
-		p := NewPeakHourInstances(0, 100)
-		for _, op := range ops {
-			p.Add(op)
-		}
-		parts := []*PeakHourInstances{NewPeakHourInstances(0, 100), NewPeakHourInstances(0, 100)}
-		p.DistributeState(parts, shardOf)
-		rebuilt := NewPeakHourInstances(0, 100)
-		for _, part := range parts {
-			part.MergeStateInto(rebuilt)
-		}
-		if peakHourCloneable(rebuilt).fp() != peakHourCloneable(p).fp() {
-			t.Fatalf("distributed peak-hour state does not rebuild the whole")
-		}
-	})
-	t.Run("mailbox", func(t *testing.T) {
-		m := NewMailboxShare()
-		for _, op := range ops {
-			m.Add(op)
-		}
-		parts := []*MailboxShare{NewMailboxShare(), NewMailboxShare()}
-		m.DistributeState(parts, shardOf)
-		rebuilt := NewMailboxShare()
-		for _, part := range parts {
-			part.MergeStateInto(rebuilt)
-		}
-		if mailboxCloneable(rebuilt).fp() != mailboxCloneable(m).fp() {
-			t.Fatalf("distributed mailbox state does not rebuild the whole")
-		}
-	})
-}
-
 // decodeWantErr runs a decode that must fail with a message containing
 // want, wrapped in the decoder's sticky ErrCorrupt.
 func decodeWantErr(t *testing.T, blob []byte, dec func(*state.Decoder), want string) {
 	t.Helper()
 	err := decodeSection(t, blob, dec)
-	if err == nil {
-		t.Fatalf("decode succeeded, want error containing %q", want)
+	if !errors.Is(err, state.ErrCorrupt) {
+		t.Fatalf("decode error %v does not wrap state.ErrCorrupt", err)
 	}
 	if !strings.Contains(err.Error(), want) {
 		t.Fatalf("decode error %q does not contain %q", err, want)
 	}
 }
 
-func TestStateDecodeValidation(t *testing.T) {
-	ops := stateOps()
+// foreignConfig checks one configured reducer: a state written under
+// the other configuration is rejected, and the receiver — already
+// holding state of its own — is left exactly as it was.
+func foreignConfig[R Reducer[R]](mk, other func() R, want string) func(*testing.T) {
+	return func(t *testing.T) {
+		ops := stateOps()
+		fed := func(mk func() R) R {
+			r := mk()
+			for _, op := range ops {
+				r.Add(op)
+			}
+			return r
+		}
+		blob := encodeSection(t, fed(other).Encode)
+		recv, twin := fed(mk), fed(mk)
+		decodeWantErr(t, blob, recv.Decode, want)
+		if !reflect.DeepEqual(recv, twin) {
+			t.Fatalf("rejected decode changed the receiver:\n got %+v\nwant %+v", recv, twin)
+		}
+		// The same receiver still accepts a state of its own configuration.
+		if err := decodeSection(t, encodeSection(t, fed(mk).Encode), recv.Decode); err != nil {
+			t.Fatalf("decode under the receiver's own configuration: %v", err)
+		}
+	}
+}
 
+// TestDecodeRejectsForeignConfig covers every reducer that has a
+// configuration, one case per configured value.
+func TestDecodeRejectsForeignConfig(t *testing.T) {
+	runs := func(cfg RunConfig) func() *RunDetector {
+		return func() *RunDetector { return NewRunDetector(cfg) }
+	}
+	sweep := func(w ...float64) func() *ReorderSweeper {
+		return func() *ReorderSweeper { return NewReorderSweeper(w) }
+	}
+	life := func(start, phase, margin float64) func() *BlockLifeStream {
+		return func() *BlockLifeStream { return NewBlockLifeStream(start, phase, margin) }
+	}
+	peak := func(from, to float64) func() *PeakHourInstances {
+		return func() *PeakHourInstances { return NewPeakHourInstances(from, to) }
+	}
+	warm := func(w float64) func() *HierarchyCoverage {
+		return func() *HierarchyCoverage { return NewHierarchyCoverage(w) }
+	}
+	base := RunConfig{ReorderWindow: 0.01, IdleGap: 30, JumpBlocks: 10}
+	for name, run := range map[string]func(*testing.T){
+		"runs-window":      foreignConfig(runs(base), runs(RunConfig{ReorderWindow: 0.005, IdleGap: 30, JumpBlocks: 10}), "run config"),
+		"runs-idle-gap":    foreignConfig(runs(base), runs(RunConfig{ReorderWindow: 0.01, IdleGap: 60, JumpBlocks: 10}), "run config"),
+		"runs-jump":        foreignConfig(runs(base), runs(RunConfig{ReorderWindow: 0.01, IdleGap: 30, JumpBlocks: 1}), "run config"),
+		"reorder-count":    foreignConfig(sweep(0, 5, 10), sweep(0, 5), "window count"),
+		"reorder-value":    foreignConfig(sweep(0, 5, 10), sweep(0, 5, 20), "window 2"),
+		"blocklife-start":  foreignConfig(life(0, 50, 50), life(10, 50, 50), "block-life window"),
+		"blocklife-phase":  foreignConfig(life(0, 50, 50), life(0, 60, 50), "block-life window"),
+		"blocklife-margin": foreignConfig(life(0, 50, 50), life(0, 50, 40), "block-life window"),
+		"peakhour-from":    foreignConfig(peak(0, 100), peak(50, 100), "peak-hour window"),
+		"peakhour-to":      foreignConfig(peak(0, 100), peak(0, 150), "peak-hour window"),
+		"hierarchy-warmup": foreignConfig(warm(600), warm(60), "hierarchy warmup"),
+	} {
+		t.Run(name, run)
+	}
+}
+
+func TestStateDecodeValidation(t *testing.T) {
 	t.Run("bucket-width-mismatch", func(t *testing.T) {
 		b := stats.NewOpenTimeBuckets(1800)
 		b.Add(10, 1)
@@ -300,27 +176,15 @@ func TestStateDecodeValidation(t *testing.T) {
 		tgt := stats.NewOpenTimeBuckets(3600)
 		decodeWantErr(t, blob, func(d *state.Decoder) { decodeBuckets(d, tgt) }, "exceeds limit")
 	})
-	t.Run("blocklife-window-mismatch", func(t *testing.T) {
-		s := NewBlockLifeStream(0, 50, 50)
-		blob := encodeSection(t, s.EncodeState)
-		tgt := NewBlockLifeStream(0, 60, 50)
-		decodeWantErr(t, blob, tgt.DecodeState, "does not match receiver")
-	})
 	t.Run("blocklife-finalized", func(t *testing.T) {
 		s := NewBlockLifeStream(0, 50, 50)
-		for _, op := range ops {
-			s.Consume(op)
+		for _, op := range stateOps() {
+			s.Add(op)
 		}
 		s.Result()
-		blob := encodeSection(t, s.EncodeState)
+		blob := encodeSection(t, s.Encode)
 		tgt := NewBlockLifeStream(0, 50, 50)
-		decodeWantErr(t, blob, tgt.DecodeState, "finalized")
-	})
-	t.Run("peakhour-window-mismatch", func(t *testing.T) {
-		p := NewPeakHourInstances(0, 100)
-		blob := encodeSection(t, p.EncodeState)
-		tgt := NewPeakHourInstances(50, 150)
-		decodeWantErr(t, blob, tgt.DecodeState, "does not match receiver")
+		decodeWantErr(t, blob, tgt.Decode, "finalized")
 	})
 	t.Run("peakhour-category-out-of-range", func(t *testing.T) {
 		blob := encodeSection(t, func(e *state.Encoder) {
@@ -331,14 +195,14 @@ func TestStateDecodeValidation(t *testing.T) {
 			e.Uvarint(uint64(numCategories) + 7)
 		})
 		tgt := NewPeakHourInstances(0, 100)
-		decodeWantErr(t, blob, tgt.DecodeState, "out of range")
+		decodeWantErr(t, blob, tgt.Decode, "out of range")
 	})
 	t.Run("names-category-count-mismatch", func(t *testing.T) {
 		blob := encodeSection(t, func(e *state.Encoder) {
 			e.Uvarint(uint64(numCategories) + 1)
 		})
 		tgt := NewNamesStream()
-		decodeWantErr(t, blob, tgt.DecodeState, "does not match this build's")
+		decodeWantErr(t, blob, tgt.Decode, "does not match this build's")
 	})
 	t.Run("names-instance-category-out-of-range", func(t *testing.T) {
 		blob := encodeSection(t, func(e *state.Encoder) {
@@ -356,6 +220,6 @@ func TestStateDecodeValidation(t *testing.T) {
 			e.Bool(true)
 		})
 		tgt := NewNamesStream()
-		decodeWantErr(t, blob, tgt.DecodeState, "out of range")
+		decodeWantErr(t, blob, tgt.Decode, "out of range")
 	})
 }

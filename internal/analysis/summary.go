@@ -62,8 +62,11 @@ func (s *Summary) Add(op *core.Op) {
 
 // Merge folds other into s, as if other's operations had been added to
 // s directly. Every field is an integer count, so the merged summary is
-// identical whatever the partitioning.
-func (s *Summary) Merge(other *Summary) {
+// identical whatever the partitioning; none is keyed by a file handle.
+func (s *Summary) Merge(other *Summary, f Filter) {
+	if !f.unkeyed() {
+		return
+	}
 	s.TotalOps += other.TotalOps
 	s.ReadOps += other.ReadOps
 	s.WriteOps += other.WriteOps

@@ -93,16 +93,12 @@ func (p *PeakHourInstances) Finish() PeakHourResult {
 	return r
 }
 
-// MergePeakHour sums per-shard results; instance sets partitioned by
-// handle are disjoint, so the sums equal a single-pass count.
-func MergePeakHour(parts ...PeakHourResult) PeakHourResult {
-	var out PeakHourResult
-	for _, p := range parts {
-		out.Instances += p.Instances
-		out.Locks += p.Locks
-		out.Mailboxes += p.Mailboxes
-	}
-	return out
+// Merge folds src's name categories and instance set into p for the
+// handles f owns. Categories overwrite: src is the later partial, so
+// its name observations win, as they would in one pass.
+func (p *PeakHourInstances) Merge(src *PeakHourInstances, f Filter) {
+	p.cat = overlay(p.cat, src.cat, f.Owns)
+	p.instances = overlay(p.instances, src.instances, f.Owns)
 }
 
 // MailboxShare accumulates the data bytes moved per file alongside the
@@ -139,43 +135,36 @@ func (m *MailboxShare) Add(op *core.Op) {
 	}
 }
 
-// MailboxShareResult carries the per-shard sums; compute the final
-// share with MergeMailboxShare (a single accumulator merges with
-// itself alone).
-type MailboxShareResult struct {
-	Mailbox uint64 // bytes moved on named-mailbox handles
-	Alt     uint64 // bytes moved on named-mailbox or multi-megabyte handles
-	Total   uint64 // all data bytes
+// Merge folds src into m for the handles f owns: handle sets union,
+// byte counts sum.
+func (m *MailboxShare) Merge(src *MailboxShare, f Filter) {
+	m.mailboxFH = overlay(m.mailboxFH, src.mailboxFH, f.Owns)
+	m.big = overlay(m.big, src.big, f.Owns)
+	m.bytes = roomFor(m.bytes, src.bytes, f.Owns)
+	for fh, n := range src.bytes {
+		if f.owns(fh) {
+			m.bytes[fh] += n
+		}
+	}
 }
 
-// Finish sums the per-file byte counts against the final handle sets.
-func (m *MailboxShare) Finish() MailboxShareResult {
-	var r MailboxShareResult
+// Finish sums the per-file byte counts against the final handle sets
+// and returns the bytes moved on mailboxes and all data bytes. When
+// named mailboxes account for under half the bytes, the estimate that
+// also counts multi-megabyte files stands in.
+func (m *MailboxShare) Finish() (mailbox, total uint64) {
+	var alt uint64
 	for fh, n := range m.bytes {
-		r.Total += n
+		total += n
 		if m.mailboxFH[fh] {
-			r.Mailbox += n
+			mailbox += n
 		}
 		if m.mailboxFH[fh] || m.big[fh] {
-			r.Alt += n
+			alt += n
 		}
 	}
-	return r
-}
-
-// MergeMailboxShare sums shard results and applies the fallback rule:
-// when named mailboxes account for under half the bytes, the large-file
-// estimate stands in. It returns (mailbox, total) bytes.
-func MergeMailboxShare(parts ...MailboxShareResult) (mailbox, total uint64) {
-	var sum MailboxShareResult
-	for _, p := range parts {
-		sum.Mailbox += p.Mailbox
-		sum.Alt += p.Alt
-		sum.Total += p.Total
+	if total > 0 && float64(mailbox)/float64(total) < 0.5 {
+		mailbox = alt
 	}
-	mailbox = sum.Mailbox
-	if sum.Total > 0 && float64(mailbox)/float64(sum.Total) < 0.5 {
-		mailbox = sum.Alt
-	}
-	return mailbox, sum.Total
+	return mailbox, total
 }

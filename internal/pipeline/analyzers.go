@@ -3,19 +3,130 @@ package pipeline
 import (
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/state"
 )
 
-// This file adapts each of the paper's analyses to the engine's
-// shard/merge contract. Every sharded analyzer here is exact: its
+// This file binds each of the paper's analyses to the engine. An
+// analysis is an analysis.Reducer plus a finish step; everything the
+// engine does with it — open one reducer per shard, merge them at the
+// end, clone them for a snapshot, serialize them, re-shard a serialized
+// state — is written once, in sharded, as a composition of the
+// reducer's Add/Merge/Encode/Decode. Every analyzer here is exact: its
 // merged result is identical to a single sequential pass, either
 // because its state partitions by file handle (the router guarantees a
-// file's full history lands on one shard) or because its reduction is
-// an integer sum.
+// file's full history lands on one shard), or because it is an integer
+// sum, or because it is global and runs on one shard.
 
-// funcAcc adapts a consume function to Accumulator.
-type funcAcc struct{ f func(*core.Op) }
+// adapter is what the engine sees of an analyzer's reducers; sharded is
+// its one implementation.
+type adapter interface {
+	// open creates one reducer per shard.
+	open(shards int) []Accumulator
+	// close merges the shards and publishes the result on the analyzer.
+	close()
+	// fork returns a fresh analyzer holding an independent copy of every
+	// shard's state, plus the copies, so a snapshot can keep feeding
+	// them. Closing it yields what the original would have produced had
+	// the stream ended at the fork.
+	fork() (Analyzer, []Accumulator)
+	// stateKey names the section payload format; the section is written
+	// as "<index>:<key>" so one run can carry two analyzers of a kind.
+	stateKey() string
+	// sequential reports order dependence: such states resume, they
+	// never merge as independent partials.
+	sequential() bool
+	// newLike returns a fresh unopened analyzer with the same
+	// configuration.
+	newLike() Analyzer
+	// encodeState writes the union of every shard's state. It runs after
+	// Quiesce; rt arbitrates name bindings that differ between shards.
+	encodeState(e *state.Encoder, rt *router)
+	// decodeState folds one serialized state into the open shards, each
+	// taking the files it owns. It runs after open, before any Feed.
+	decodeState(d *state.Decoder)
+}
 
-func (a funcAcc) Consume(op *core.Op) { a.f(op) }
+// sharded runs one analysis.Reducer per shard. A global analysis is the
+// same thing opened with one shard.
+type sharded[R analysis.Reducer[R]] struct {
+	key    string
+	seq    bool
+	mk     func() R        // a fresh reducer under the analyzer's configuration
+	finish func(R)         // publishes the merged reducer's result
+	like   func() Analyzer // a fresh analyzer under the same configuration
+	parts  []R
+}
+
+// bind returns the adapter in *slot, creating it on first use.
+func bind[R analysis.Reducer[R]](slot **sharded[R], key string, seq bool,
+	mk func() R, finish func(R), like func() Analyzer) adapter {
+	if *slot == nil {
+		*slot = &sharded[R]{key: key, seq: seq, mk: mk, finish: finish, like: like}
+	}
+	return *slot
+}
+
+func (s *sharded[R]) open(shards int) []Accumulator {
+	s.parts = make([]R, shards)
+	accs := make([]Accumulator, shards)
+	for i := range s.parts {
+		s.parts[i] = s.mk()
+		accs[i] = s.parts[i]
+	}
+	return accs
+}
+
+// merged folds every shard into a fresh reducer.
+func (s *sharded[R]) merged(f analysis.Filter) R {
+	m := s.mk()
+	for _, p := range s.parts {
+		m.Merge(p, f)
+	}
+	return m
+}
+
+func (s *sharded[R]) close() { s.finish(s.merged(analysis.Filter{})) }
+
+func (s *sharded[R]) fork() (Analyzer, []Accumulator) {
+	a := s.like()
+	f := a.adapter().(*sharded[R]) // like returns s's own analyzer type
+	accs := f.open(len(s.parts))
+	for i, p := range s.parts {
+		f.parts[i].Merge(p, analysis.Filter{})
+	}
+	return a, accs
+}
+
+func (s *sharded[R]) stateKey() string  { return s.key }
+func (s *sharded[R]) sequential() bool  { return s.seq }
+func (s *sharded[R]) newLike() Analyzer { return s.like() }
+
+// encodeState drops name bindings the router no longer agrees with. A
+// shard's (dir, name) → file map can hold a binding the global stream
+// has since rebound or removed, because the superseding op was routed
+// to another shard. The router sees every binding event in order, so
+// what it still agrees with is exactly the map a one-shard run holds.
+func (s *sharded[R]) encodeState(e *state.Encoder, rt *router) {
+	s.merged(analysis.Filter{Binding: rt.bound}).Encode(e)
+}
+
+func (s *sharded[R]) decodeState(d *state.Decoder) {
+	tmp := s.mk()
+	tmp.Decode(d)
+	if d.Err() != nil {
+		return
+	}
+	n := len(s.parts)
+	for i, p := range s.parts {
+		i := i
+		p.Merge(tmp, analysis.Filter{Owns: func(fh core.FH) bool { return shardIndex(fh, n) == i }})
+	}
+}
+
+// IsSequential reports whether the analyzer's reduction is order
+// dependent — if so, partial states from disjoint trace pieces cannot
+// be merged independently and must be chained with resume.
+func IsSequential(a Analyzer) bool { return a.adapter().sequential() }
 
 // SummaryAnalyzer computes analysis.Summarize over the stream
 // (Tables 1 and 2).
@@ -26,40 +137,14 @@ type SummaryAnalyzer struct {
 	// Result is valid after the run.
 	Result *analysis.Summary
 
-	parts []*analysis.Summary
+	sh *sharded[*analysis.Summary]
 }
 
-// Open implements Analyzer.
-func (a *SummaryAnalyzer) Open(shards int) []Accumulator {
-	accs := make([]Accumulator, shards)
-	a.parts = make([]*analysis.Summary, shards)
-	for i := range accs {
-		s := analysis.NewSummary(a.Days)
-		a.parts[i] = s
-		accs[i] = funcAcc{s.Add}
-	}
-	return accs
-}
-
-// Close implements Analyzer.
-func (a *SummaryAnalyzer) Close() {
-	a.Result = analysis.NewSummary(a.Days)
-	for _, p := range a.parts {
-		a.Result.Merge(p)
-	}
-}
-
-// Fork implements ForkableAnalyzer.
-func (a *SummaryAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &SummaryAnalyzer{Days: a.Days}
-	f.parts = make([]*analysis.Summary, len(a.parts))
-	accs := make([]Accumulator, len(a.parts))
-	for i, p := range a.parts {
-		s := p.Clone()
-		f.parts[i] = s
-		accs[i] = funcAcc{s.Add}
-	}
-	return f, accs
+func (a *SummaryAnalyzer) adapter() adapter {
+	return bind(&a.sh, "summary", false,
+		func() *analysis.Summary { return analysis.NewSummary(a.Days) },
+		func(s *analysis.Summary) { a.Result = s },
+		func() Analyzer { return &SummaryAnalyzer{Days: a.Days} })
 }
 
 // HourlyAnalyzer computes analysis.Hourly over the stream (Table 5,
@@ -72,237 +157,94 @@ type HourlyAnalyzer struct {
 	// Result is valid after the run.
 	Result *analysis.HourlySeries
 
-	parts []*analysis.HourlySeries
+	sh *sharded[*analysis.HourlySeries]
 }
 
-func (a *HourlyAnalyzer) newSeries() *analysis.HourlySeries {
-	if a.Span > 0 {
-		return analysis.NewHourly(a.Span)
-	}
-	return analysis.NewHourlyOpen()
+func (a *HourlyAnalyzer) adapter() adapter {
+	return bind(&a.sh, "hourly", false,
+		func() *analysis.HourlySeries {
+			if a.Span > 0 {
+				return analysis.NewHourly(a.Span)
+			}
+			return analysis.NewHourlyOpen()
+		},
+		func(h *analysis.HourlySeries) { a.Result = h },
+		func() Analyzer { return &HourlyAnalyzer{Span: a.Span} })
 }
 
-// Open implements Analyzer.
-func (a *HourlyAnalyzer) Open(shards int) []Accumulator {
-	accs := make([]Accumulator, shards)
-	a.parts = make([]*analysis.HourlySeries, shards)
-	for i := range accs {
-		h := a.newSeries()
-		a.parts[i] = h
-		accs[i] = funcAcc{h.Add}
-	}
-	return accs
-}
-
-// Close implements Analyzer.
-func (a *HourlyAnalyzer) Close() {
-	a.Result = a.newSeries()
-	for _, p := range a.parts {
-		a.Result.Merge(p)
-	}
-}
-
-// Fork implements ForkableAnalyzer.
-func (a *HourlyAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &HourlyAnalyzer{Span: a.Span}
-	f.parts = make([]*analysis.HourlySeries, len(a.parts))
-	accs := make([]Accumulator, len(a.parts))
-	for i, p := range a.parts {
-		h := p.Clone()
-		f.parts[i] = h
-		accs[i] = funcAcc{h.Add}
-	}
-	return f, accs
-}
-
-// RunsAnalyzer detects access runs (Table 3, Figures 2 and 5). Each
-// shard accumulates per-file access lists and detects runs over its own
-// files at close; the run list is the concatenation in shard order.
-// Every downstream consumer (Tabulate, SizeProfile,
-// SequentialityProfile) aggregates per-run counts, so the concatenation
-// order cannot affect any table.
+// RunsAnalyzer detects access runs (Table 3, Figures 2 and 5). Runs
+// never span files, so each shard accumulates the access lists of the
+// files it owns.
 type RunsAnalyzer struct {
 	Config analysis.RunConfig
 	// Result is valid after the run.
 	Result []analysis.Run
 
-	parts []analysis.AccessMap
+	sh *sharded[*analysis.RunDetector]
 }
 
-// Open implements Analyzer.
-func (a *RunsAnalyzer) Open(shards int) []Accumulator {
-	accs := make([]Accumulator, shards)
-	a.parts = make([]analysis.AccessMap, shards)
-	for i := range accs {
-		m := make(analysis.AccessMap)
-		a.parts[i] = m
-		accs[i] = funcAcc{m.Add}
-	}
-	return accs
-}
-
-// Close implements Analyzer.
-func (a *RunsAnalyzer) Close() {
-	a.Result = nil
-	for _, m := range a.parts {
-		a.Result = append(a.Result, analysis.DetectRunsInFiles(m, a.Config)...)
-	}
+func (a *RunsAnalyzer) adapter() adapter {
+	return bind(&a.sh, "runs", false,
+		func() *analysis.RunDetector { return analysis.NewRunDetector(a.Config) },
+		func(r *analysis.RunDetector) { a.Result = r.Runs() },
+		func() Analyzer { return &RunsAnalyzer{Config: a.Config} })
 }
 
 // Table reports Tabulate over the detected runs.
 func (a *RunsAnalyzer) Table() analysis.RunTable { return analysis.Tabulate(a.Result) }
 
-// Fork implements ForkableAnalyzer.
-func (a *RunsAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &RunsAnalyzer{Config: a.Config}
-	f.parts = make([]analysis.AccessMap, len(a.parts))
-	accs := make([]Accumulator, len(a.parts))
-	for i, p := range a.parts {
-		m := p.Clone()
-		f.parts[i] = m
-		accs[i] = funcAcc{m.Add}
-	}
-	return f, accs
-}
-
 // BlockLifeAnalyzer runs the create-based block-lifetime analysis
 // (Table 4, Figure 3). Block state is per file, and the router delivers
 // removes and renames to the owning shard, so per-shard streams merge
-// exactly.
+// exactly. Phases are positions in the stream, so it is sequential.
 type BlockLifeAnalyzer struct {
 	Start, Phase, Margin float64
 	// Result is valid after the run.
 	Result *analysis.BlockLifeResult
 
-	parts []*analysis.BlockLifeStream
+	sh *sharded[*analysis.BlockLifeStream]
 }
 
-// Open implements Analyzer.
-func (a *BlockLifeAnalyzer) Open(shards int) []Accumulator {
-	accs := make([]Accumulator, shards)
-	a.parts = make([]*analysis.BlockLifeStream, shards)
-	for i := range accs {
-		s := analysis.NewBlockLifeStream(a.Start, a.Phase, a.Margin)
-		a.parts[i] = s
-		accs[i] = s
-	}
-	return accs
-}
-
-// Close implements Analyzer.
-func (a *BlockLifeAnalyzer) Close() {
-	results := make([]*analysis.BlockLifeResult, len(a.parts))
-	for i, s := range a.parts {
-		results[i] = s.Result()
-	}
-	a.Result = analysis.MergeBlockLife(results...)
-}
-
-// Fork implements ForkableAnalyzer.
-func (a *BlockLifeAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &BlockLifeAnalyzer{Start: a.Start, Phase: a.Phase, Margin: a.Margin}
-	f.parts = make([]*analysis.BlockLifeStream, len(a.parts))
-	accs := make([]Accumulator, len(a.parts))
-	for i, p := range a.parts {
-		s := p.Clone()
-		f.parts[i] = s
-		accs[i] = s
-	}
-	return f, accs
+func (a *BlockLifeAnalyzer) adapter() adapter {
+	return bind(&a.sh, "blocklife", true,
+		func() *analysis.BlockLifeStream { return analysis.NewBlockLifeStream(a.Start, a.Phase, a.Margin) },
+		func(s *analysis.BlockLifeStream) { a.Result = s.Result() },
+		func() Analyzer { return &BlockLifeAnalyzer{Start: a.Start, Phase: a.Phase, Margin: a.Margin} })
 }
 
 // ReorderSweepAnalyzer measures swapped accesses per reorder-window
-// size (Figure 1). Sorting windows apply per file, so shards sweep
-// their own files and the swap counts sum.
+// size (Figure 1). Sorting windows apply per file, so the access lists
+// shard by handle.
 type ReorderSweepAnalyzer struct {
 	WindowsMS []float64
 	// Result is valid after the run.
 	Result []analysis.ReorderSweepPoint
 
-	parts []analysis.AccessMap
+	sh *sharded[*analysis.ReorderSweeper]
 }
 
-// Open implements Analyzer.
-func (a *ReorderSweepAnalyzer) Open(shards int) []Accumulator {
-	accs := make([]Accumulator, shards)
-	a.parts = make([]analysis.AccessMap, shards)
-	for i := range accs {
-		m := make(analysis.AccessMap)
-		a.parts[i] = m
-		accs[i] = funcAcc{m.Add}
-	}
-	return accs
-}
-
-// Close implements Analyzer.
-func (a *ReorderSweepAnalyzer) Close() {
-	swaps := make([]int, len(a.WindowsMS))
-	total := 0
-	for _, m := range a.parts {
-		s, t := analysis.SweepFiles(m, a.WindowsMS)
-		for i := range swaps {
-			swaps[i] += s[i]
-		}
-		total += t
-	}
-	a.Result = analysis.SweepPoints(a.WindowsMS, swaps, total)
-}
-
-// Fork implements ForkableAnalyzer.
-func (a *ReorderSweepAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &ReorderSweepAnalyzer{WindowsMS: a.WindowsMS}
-	f.parts = make([]analysis.AccessMap, len(a.parts))
-	accs := make([]Accumulator, len(a.parts))
-	for i, p := range a.parts {
-		m := p.Clone()
-		f.parts[i] = m
-		accs[i] = funcAcc{m.Add}
-	}
-	return f, accs
+func (a *ReorderSweepAnalyzer) adapter() adapter {
+	return bind(&a.sh, "reorder", false,
+		func() *analysis.ReorderSweeper { return analysis.NewReorderSweeper(a.WindowsMS) },
+		func(r *analysis.ReorderSweeper) { a.Result = r.Points() },
+		func() Analyzer { return &ReorderSweepAnalyzer{WindowsMS: a.WindowsMS} })
 }
 
 // PeakHourAnalyzer counts peak-hour file instances by category
-// (Table 1). Instance sets partition by handle, so shard counts sum.
+// (Table 1). Instance sets partition by handle.
 type PeakHourAnalyzer struct {
 	From, To float64
 	// Result is valid after the run.
 	Result analysis.PeakHourResult
 
-	parts []*analysis.PeakHourInstances
+	sh *sharded[*analysis.PeakHourInstances]
 }
 
-// Open implements Analyzer.
-func (a *PeakHourAnalyzer) Open(shards int) []Accumulator {
-	accs := make([]Accumulator, shards)
-	a.parts = make([]*analysis.PeakHourInstances, shards)
-	for i := range accs {
-		p := analysis.NewPeakHourInstances(a.From, a.To)
-		a.parts[i] = p
-		accs[i] = funcAcc{p.Add}
-	}
-	return accs
-}
-
-// Close implements Analyzer.
-func (a *PeakHourAnalyzer) Close() {
-	results := make([]analysis.PeakHourResult, len(a.parts))
-	for i, p := range a.parts {
-		results[i] = p.Finish()
-	}
-	a.Result = analysis.MergePeakHour(results...)
-}
-
-// Fork implements ForkableAnalyzer.
-func (a *PeakHourAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &PeakHourAnalyzer{From: a.From, To: a.To}
-	f.parts = make([]*analysis.PeakHourInstances, len(a.parts))
-	accs := make([]Accumulator, len(a.parts))
-	for i, p := range a.parts {
-		c := p.Clone()
-		f.parts[i] = c
-		accs[i] = funcAcc{c.Add}
-	}
-	return f, accs
+func (a *PeakHourAnalyzer) adapter() adapter {
+	return bind(&a.sh, "peakhour", false,
+		func() *analysis.PeakHourInstances { return analysis.NewPeakHourInstances(a.From, a.To) },
+		func(p *analysis.PeakHourInstances) { a.Result = p.Finish() },
+		func() Analyzer { return &PeakHourAnalyzer{From: a.From, To: a.To} })
 }
 
 // MailboxAnalyzer computes the mailbox share of data bytes (Table 1).
@@ -310,87 +252,38 @@ type MailboxAnalyzer struct {
 	// MailboxBytes and TotalBytes are valid after the run.
 	MailboxBytes, TotalBytes uint64
 
-	parts []*analysis.MailboxShare
+	sh *sharded[*analysis.MailboxShare]
 }
 
-// Open implements Analyzer.
-func (a *MailboxAnalyzer) Open(shards int) []Accumulator {
-	accs := make([]Accumulator, shards)
-	a.parts = make([]*analysis.MailboxShare, shards)
-	for i := range accs {
-		m := analysis.NewMailboxShare()
-		a.parts[i] = m
-		accs[i] = funcAcc{m.Add}
-	}
-	return accs
-}
-
-// Close implements Analyzer.
-func (a *MailboxAnalyzer) Close() {
-	results := make([]analysis.MailboxShareResult, len(a.parts))
-	for i, m := range a.parts {
-		results[i] = m.Finish()
-	}
-	a.MailboxBytes, a.TotalBytes = analysis.MergeMailboxShare(results...)
-}
-
-// Fork implements ForkableAnalyzer.
-func (a *MailboxAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &MailboxAnalyzer{}
-	f.parts = make([]*analysis.MailboxShare, len(a.parts))
-	accs := make([]Accumulator, len(a.parts))
-	for i, p := range a.parts {
-		m := p.Clone()
-		f.parts[i] = m
-		accs[i] = funcAcc{m.Add}
-	}
-	return f, accs
+func (a *MailboxAnalyzer) adapter() adapter {
+	return bind(&a.sh, "mailbox", false,
+		analysis.NewMailboxShare,
+		func(m *analysis.MailboxShare) { a.MailboxBytes, a.TotalBytes = m.Finish() },
+		func() Analyzer { return &MailboxAnalyzer{} })
 }
 
 // HierarchyAnalyzer measures §4.1.1 namespace-reconstruction coverage.
 // The hierarchy's state is inherently global — a directory becomes
 // "known" through other files' lookups — so this is a GlobalAnalyzer:
 // it sees the whole ordered stream on its own goroutine, overlapping
-// the sharded work instead of partitioning it.
+// the sharded work instead of partitioning it. A fork of it is global
+// too, so a snapshot continuation feeds it the full stream as well.
 type HierarchyAnalyzer struct {
 	Warmup float64
 	// Coverage is valid after the run.
 	Coverage float64
 
-	acc *hierarchyAcc
+	sh *sharded[*analysis.HierarchyCoverage]
 }
 
 // Unsharded marks HierarchyAnalyzer as global.
 func (a *HierarchyAnalyzer) Unsharded() {}
 
-// Open implements Analyzer.
-func (a *HierarchyAnalyzer) Open(shards int) []Accumulator {
-	a.acc = &hierarchyAcc{h: analysis.NewHierarchy(), warmup: a.Warmup}
-	return []Accumulator{a.acc}
-}
-
-// Close implements Analyzer.
-func (a *HierarchyAnalyzer) Close() {
-	a.Coverage = 0
-	if a.acc != nil && a.acc.total > 0 {
-		a.Coverage = float64(a.acc.resolvable) / float64(a.acc.total)
-	}
-}
-
-// Fork implements ForkableAnalyzer. The forked analyzer is itself a
-// GlobalAnalyzer, so a snapshot continuation feeds it the full ordered
-// stream, exactly as the engine does.
-func (a *HierarchyAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &HierarchyAnalyzer{Warmup: a.Warmup}
-	f.acc = &hierarchyAcc{
-		h:          a.acc.h.Clone(),
-		warmup:     a.acc.warmup,
-		started:    a.acc.started,
-		start:      a.acc.start,
-		resolvable: a.acc.resolvable,
-		total:      a.acc.total,
-	}
-	return f, []Accumulator{f.acc}
+func (a *HierarchyAnalyzer) adapter() adapter {
+	return bind(&a.sh, "hierarchy", true,
+		func() *analysis.HierarchyCoverage { return analysis.NewHierarchyCoverage(a.Warmup) },
+		func(c *analysis.HierarchyCoverage) { a.Coverage = c.Coverage() },
+		func() Analyzer { return &HierarchyAnalyzer{Warmup: a.Warmup} })
 }
 
 // NamesAnalyzer runs the §6.3 filename analysis over the stream. Name
@@ -399,51 +292,20 @@ func (a *HierarchyAnalyzer) Fork() (Analyzer, []Accumulator) {
 // goroutine, overlapping the sharded analyses.
 type NamesAnalyzer struct {
 	stream *analysis.NamesStream
+	sh     *sharded[*analysis.NamesStream]
 }
 
 // Unsharded marks NamesAnalyzer as global.
 func (a *NamesAnalyzer) Unsharded() {}
 
-// Open implements Analyzer.
-func (a *NamesAnalyzer) Open(shards int) []Accumulator {
-	a.stream = analysis.NewNamesStream()
-	return []Accumulator{funcAcc{a.stream.Consume}}
+func (a *NamesAnalyzer) adapter() adapter {
+	return bind(&a.sh, "names", true,
+		analysis.NewNamesStream,
+		func(n *analysis.NamesStream) { a.stream = n },
+		func() Analyzer { return &NamesAnalyzer{} })
 }
 
-// Close implements Analyzer.
-func (a *NamesAnalyzer) Close() {}
-
-// ReportAt builds the report as of windowEnd. Valid after the run (or
-// any time the stream is quiescent — Report does not consume state).
+// ReportAt builds the report as of windowEnd. Valid after the run.
 func (a *NamesAnalyzer) ReportAt(windowEnd float64) *analysis.NameReport {
 	return a.stream.Report(windowEnd)
-}
-
-// Fork implements ForkableAnalyzer.
-func (a *NamesAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &NamesAnalyzer{stream: a.stream.Clone()}
-	return f, []Accumulator{funcAcc{f.stream.Consume}}
-}
-
-type hierarchyAcc struct {
-	h      *analysis.Hierarchy
-	warmup float64
-
-	started           bool
-	start             float64
-	resolvable, total int64
-}
-
-func (c *hierarchyAcc) Consume(op *core.Op) {
-	if !c.started {
-		c.start = op.T + c.warmup
-		c.started = true
-	}
-	if op.T >= c.start && op.FH != 0 {
-		c.total++
-		if c.h.Known(op.FH) {
-			c.resolvable++
-		}
-	}
-	c.h.Observe(op)
 }

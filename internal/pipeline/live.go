@@ -23,10 +23,6 @@ type Live struct {
 	batch   int
 
 	analyzers []Analyzer
-	// shardedOf/globalOf record each analyzer's role so Fork can route
-	// the forked accumulators the same way Open did.
-	sharded []Analyzer
-	global  []Analyzer
 
 	perShard [][]Accumulator
 	shardCh  []chan liveBatch
@@ -56,18 +52,14 @@ func NewLive(cfg Config, analyzers ...Analyzer) *Live {
 		batch:     cfg.batchSize(),
 		analyzers: analyzers,
 	}
+	var global []Accumulator
+	lv.perShard = make([][]Accumulator, lv.workers)
 	for _, a := range analyzers {
 		if _, ok := a.(GlobalAnalyzer); ok {
-			lv.global = append(lv.global, a)
-		} else {
-			lv.sharded = append(lv.sharded, a)
+			global = append(global, a.adapter().open(1)[0])
+			continue
 		}
-	}
-
-	lv.perShard = make([][]Accumulator, lv.workers)
-	for _, a := range lv.sharded {
-		accs := a.Open(lv.workers)
-		for i, acc := range accs {
+		for i, acc := range a.adapter().open(lv.workers) {
 			lv.perShard[i] = append(lv.perShard[i], acc)
 		}
 	}
@@ -82,7 +74,7 @@ func NewLive(cfg Config, analyzers ...Analyzer) *Live {
 			for b := range lv.shardCh[w] {
 				for _, op := range b.ops {
 					for _, acc := range accs {
-						acc.Consume(op)
+						acc.Add(op)
 					}
 				}
 				if b.arrive != nil {
@@ -93,16 +85,15 @@ func NewLive(cfg Config, analyzers ...Analyzer) *Live {
 		}(w)
 	}
 
-	lv.globalCh = make([]chan liveBatch, len(lv.global))
-	for g, a := range lv.global {
+	lv.globalCh = make([]chan liveBatch, len(global))
+	for g, acc := range global {
 		lv.globalCh[g] = make(chan liveBatch, 4)
-		acc := a.Open(1)[0]
 		lv.wg.Add(1)
 		go func(g int, acc Accumulator) {
 			defer lv.wg.Done()
 			for b := range lv.globalCh[g] {
 				for _, op := range b.ops {
-					acc.Consume(op)
+					acc.Add(op)
 				}
 				if b.arrive != nil {
 					b.arrive.Done()
@@ -120,13 +111,7 @@ func NewLive(cfg Config, analyzers ...Analyzer) *Live {
 // Feed routes one operation into the engine. The op must not be
 // mutated afterwards.
 func (lv *Live) Feed(op *core.Op) {
-	if lv.stats.Ops == 0 || op.T < lv.stats.MinT {
-		lv.stats.MinT = op.T
-	}
-	if lv.stats.Ops == 0 || op.T > lv.stats.MaxT {
-		lv.stats.MaxT = op.T
-	}
-	lv.stats.Ops++
+	lv.stats.count(op)
 
 	w := lv.rt.shard(op)
 	lv.bufs[w] = append(lv.bufs[w], op)
@@ -177,13 +162,9 @@ func (lv *Live) shutdown() {
 // Finish flushes the pipeline, stops the workers, closes every
 // analyzer, and returns the final statistics. The Live is spent.
 func (lv *Live) Finish() Stats {
-	for w := range lv.bufs {
-		lv.flushShard(w)
-	}
-	lv.flushOrdered()
-	lv.shutdown()
+	lv.Quiesce()
 	for _, a := range lv.analyzers {
-		a.Close()
+		a.adapter().close()
 	}
 	return lv.stats
 }
@@ -212,19 +193,6 @@ func (lv *Live) Abort() {
 	lv.shutdown()
 }
 
-// ForkableAnalyzer is an Analyzer whose partial state can be cloned
-// mid-stream. Fork returns a fresh analyzer holding an independent deep
-// copy of the receiver's state, plus the copy's per-shard accumulators
-// (one per shard for sharded analyzers, exactly one for global ones) so
-// a continuation can keep feeding it. Calling Close on the forked
-// analyzer yields the result the original would have produced had the
-// stream ended at the fork point. Every analyzer in this package
-// implements it.
-type ForkableAnalyzer interface {
-	Analyzer
-	Fork() (Analyzer, []Accumulator)
-}
-
 // Snapshot is a consistent copy of a Live's entire state at one point
 // in the op stream: every analyzer's partial reduction, the router's
 // name bindings, and the stream statistics. It is a single-threaded
@@ -245,18 +213,12 @@ type Snapshot struct {
 }
 
 // Fork takes a snapshot. It flushes every buffered batch, parks all
-// workers at a barrier (so no Consume is in flight), deep-copies every
+// workers at a barrier (so no Add is in flight), deep-copies every
 // analyzer and the router, then releases the workers. Ingest stalls
-// only for the copy, not for the analyses. Fork fails if any analyzer
-// does not implement ForkableAnalyzer.
+// only for the copy, not for the analyses.
 func (lv *Live) Fork() (*Snapshot, error) {
 	if lv.done {
 		return nil, fmt.Errorf("pipeline: Fork after Finish/Abort")
-	}
-	for _, a := range lv.analyzers {
-		if _, ok := a.(ForkableAnalyzer); !ok {
-			return nil, fmt.Errorf("pipeline: analyzer %T does not support Fork", a)
-		}
 	}
 
 	// Flush pending batches, then post the barrier to every channel.
@@ -283,7 +245,7 @@ func (lv *Live) Fork() (*Snapshot, error) {
 		stats:     lv.stats,
 	}
 	for _, a := range lv.analyzers {
-		fa, accs := a.(ForkableAnalyzer).Fork()
+		fa, accs := a.adapter().fork()
 		snap.Analyzers = append(snap.Analyzers, fa)
 		if _, ok := a.(GlobalAnalyzer); ok {
 			snap.globalAccs = append(snap.globalAccs, accs[0])
@@ -299,20 +261,14 @@ func (lv *Live) Fork() (*Snapshot, error) {
 
 // Feed routes one operation into the snapshot continuation.
 func (s *Snapshot) Feed(op *core.Op) {
-	if s.stats.Ops == 0 || op.T < s.stats.MinT {
-		s.stats.MinT = op.T
-	}
-	if s.stats.Ops == 0 || op.T > s.stats.MaxT {
-		s.stats.MaxT = op.T
-	}
-	s.stats.Ops++
+	s.stats.count(op)
 
 	w := s.rt.shard(op)
 	for _, acc := range s.perShard[w] {
-		acc.Consume(op)
+		acc.Add(op)
 	}
 	for _, acc := range s.globalAccs {
-		acc.Consume(op)
+		acc.Add(op)
 	}
 }
 
@@ -321,7 +277,7 @@ func (s *Snapshot) Feed(op *core.Op) {
 func (s *Snapshot) Finish() Stats {
 	if !s.finished {
 		for _, a := range s.Analyzers {
-			a.Close()
+			a.adapter().close()
 		}
 		s.finished = true
 	}

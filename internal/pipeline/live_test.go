@@ -1,32 +1,6 @@
 package pipeline
 
-import (
-	"strings"
-	"testing"
-
-	"repro/internal/core"
-)
-
-// plainAnalyzer implements Analyzer but not ForkableAnalyzer.
-type plainAnalyzer struct{ n int64 }
-
-func (a *plainAnalyzer) Open(shards int) []Accumulator {
-	accs := make([]Accumulator, shards)
-	for i := range accs {
-		accs[i] = funcAcc{func(*core.Op) { a.n++ }}
-	}
-	return accs
-}
-func (a *plainAnalyzer) Close() {}
-
-func TestForkRequiresForkableAnalyzers(t *testing.T) {
-	lv := NewLive(Config{Workers: 2}, &SummaryAnalyzer{}, &plainAnalyzer{})
-	defer lv.Abort()
-	_, err := lv.Fork()
-	if err == nil || !strings.Contains(err.Error(), "does not support Fork") {
-		t.Fatalf("Fork with non-forkable analyzer: err = %v", err)
-	}
-}
+import "testing"
 
 func TestForkAfterFinishErrors(t *testing.T) {
 	lv := NewLive(Config{Workers: 1}, &SummaryAnalyzer{})

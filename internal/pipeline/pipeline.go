@@ -91,27 +91,29 @@ func (s *sliceOps) Next() (*core.Op, error) {
 	return op, nil
 }
 
-// Accumulator consumes the operations routed to one shard, in stream
-// order. Implementations are never called concurrently.
+// Accumulator is the engine's view of one shard's reducer: it is fed
+// the operations routed to that shard, in stream order, and is never
+// called concurrently.
 type Accumulator interface {
-	Consume(op *core.Op)
+	Add(op *core.Op)
 }
 
-// Analyzer is one reduction over the op stream. Open is called once per
-// run and returns one accumulator per shard; accumulator i sees exactly
-// the operations routed to shard i, in stream order. Close folds the
-// accumulators into the analyzer's result. Analyzers are single-use:
-// construct a fresh one per run.
+// Analyzer is one reduction over the op stream: a configuration, the
+// place its result lands, and (through adapter) the per-shard reducers
+// the engine drives. The engine opens one reducer per shard, feeds
+// reducer i exactly the operations routed to shard i, and at the end
+// merges them and publishes the result on the analyzer. Analyzers are
+// single-use: construct a fresh one per run. The implementations are
+// the analyzers in this package.
 type Analyzer interface {
-	Open(shards int) []Accumulator
-	Close()
+	adapter() adapter
 }
 
 // GlobalAnalyzer marks analyses whose state cannot be partitioned by
 // file handle (for example the namespace hierarchy, where a directory's
-// edges are learned from other files' lookups). The engine calls
-// Open(1) and streams every operation, in order, to the single
-// accumulator on a dedicated goroutine.
+// edges are learned from other files' lookups). The engine opens them
+// with one shard and streams every operation to it, in order, on a
+// dedicated goroutine.
 type GlobalAnalyzer interface {
 	Analyzer
 	// Unsharded is a marker; it is never called.
@@ -124,6 +126,17 @@ type Stats struct {
 	Ops int64
 	// MinT and MaxT are the earliest and latest call times seen.
 	MinT, MaxT float64
+}
+
+// count folds one operation into the statistics.
+func (s *Stats) count(op *core.Op) {
+	if s.Ops == 0 || op.T < s.MinT {
+		s.MinT = op.T
+	}
+	if s.Ops == 0 || op.T > s.MaxT {
+		s.MaxT = op.T
+	}
+	s.Ops++
 }
 
 // Span reports MaxT - MinT, the trace window in seconds.
@@ -169,6 +182,21 @@ func mix32(v uint32) uint64 {
 	return uint64(v)
 }
 
+// shardIndex maps a file handle to its owning shard. The router and the
+// re-sharding of a decoded state both go through it, so state lands
+// exactly where the resumed stream will route that file's operations.
+func shardIndex(fh core.FH, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return int(mix32(uint32(fh)) % uint64(n))
+}
+
+// bound reports whether the router still maps (dir, name) to child.
+func (r *router) bound(dir core.FH, name string, child core.FH) bool {
+	return r.names[binding{dir, name}] == child
+}
+
 func (r *router) shard(op *core.Op) int {
 	fh, byClient := r.key(op)
 	if r.shards == 1 {
@@ -180,7 +208,7 @@ func (r *router) shard(op *core.Op) int {
 	if byClient {
 		return int(mix32(op.Client^0x9e3779b9) % r.shards)
 	}
-	return int(mix32(uint32(fh)) % r.shards)
+	return shardIndex(fh, int(r.shards))
 }
 
 // key computes the routing key and maintains the binding map — the two

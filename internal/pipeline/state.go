@@ -59,15 +59,6 @@ func WritePartial(w io.Writer, lv *Live, label string, join core.JoinStats, pare
 	if !lv.done {
 		return fmt.Errorf("pipeline: WritePartial needs a quiesced Live")
 	}
-	stateful := make([]statefulAnalyzer, len(lv.analyzers))
-	for i, a := range lv.analyzers {
-		sa, ok := a.(statefulAnalyzer)
-		if !ok {
-			return fmt.Errorf("pipeline: analyzer %T does not support partial state", a)
-		}
-		stateful[i] = sa
-	}
-
 	e := state.NewEncoder()
 	e.Section(metaSection)
 	e.String(label)
@@ -95,9 +86,10 @@ func WritePartial(w io.Writer, lv *Live, label string, join core.JoinStats, pare
 		e.FH(fh)
 	}
 
-	for i, sa := range stateful {
-		e.Section(sectionName(i, sa.stateKey()))
-		sa.encodeState(e, lv.rt)
+	for i, a := range lv.analyzers {
+		ad := a.adapter()
+		e.Section(sectionName(i, ad.stateKey()))
+		ad.encodeState(e, lv.rt)
 	}
 	return e.Flush(w)
 }
@@ -150,16 +142,13 @@ func ReadPartial(r io.Reader) (*Partial, error) {
 // opened analyzers.
 func (p *Partial) decodeInto(analyzers []Analyzer) error {
 	for i, a := range analyzers {
-		sa, ok := a.(statefulAnalyzer)
-		if !ok {
-			return fmt.Errorf("pipeline: analyzer %T does not support partial state", a)
-		}
-		name := sectionName(i, sa.stateKey())
+		ad := a.adapter()
+		name := sectionName(i, ad.stateKey())
 		d, found := p.file.Section(name)
 		if !found {
 			return fmt.Errorf("pipeline: state file has no section %q — written by a different analysis?: %w", name, state.ErrCorrupt)
 		}
-		sa.decodeState(d)
+		ad.decodeState(d)
 		if err := d.Finish(); err != nil {
 			return err
 		}
@@ -245,14 +234,13 @@ func MergePartials(analyzers []Analyzer, partials []*Partial) (Stats, core.JoinS
 	} else if len(sorted) > 1 {
 		for _, a := range analyzers {
 			if IsSequential(a) {
-				sa := a.(statefulAnalyzer)
-				return Stats{}, core.JoinStats{}, fmt.Errorf("pipeline: analysis %q is order-dependent and cannot merge independent states; chain the pieces with -resume", sa.stateKey())
+				return Stats{}, core.JoinStats{}, fmt.Errorf("pipeline: analysis %q is order-dependent and cannot merge independent states; chain the pieces with -resume", a.adapter().stateKey())
 			}
 		}
 	}
 
 	for _, a := range analyzers {
-		a.Open(1)
+		a.adapter().open(1)
 	}
 	var stats Stats
 	var join core.JoinStats
@@ -274,7 +262,7 @@ func MergePartials(analyzers []Analyzer, partials []*Partial) (Stats, core.JoinS
 		join.Merge(p.Join)
 	}
 	for _, a := range analyzers {
-		a.Close()
+		a.adapter().close()
 	}
 	return stats, join, nil
 }
@@ -298,11 +286,7 @@ func RunPartitioned(cfg Config, pieces [][]*core.Op, analyzers ...Analyzer) (Sta
 		if !last {
 			current = make([]Analyzer, len(analyzers))
 			for i, a := range analyzers {
-				sa, ok := a.(statefulAnalyzer)
-				if !ok {
-					return Stats{}, fmt.Errorf("pipeline: analyzer %T does not support partial state", a)
-				}
-				current[i] = sa.newLike()
+				current[i] = a.adapter().newLike()
 			}
 		}
 		lv := NewLive(cfg, current...)

@@ -14,81 +14,10 @@ import (
 	"repro/internal/state"
 )
 
-// fullSet is the shared analyzerSet plus the names stream, so the
-// partition grid covers every analyzer with partial-state support.
-type fullSet struct {
-	*analyzerSet
-	names *NamesAnalyzer
-}
-
-func newFullSet(span float64) *fullSet {
-	return &fullSet{analyzerSet: newAnalyzerSet(span), names: &NamesAnalyzer{}}
-}
-
-func (s *fullSet) all() []Analyzer { return append(s.analyzers(), s.names) }
-
-// fingerprint renders every analyzer's result into one comparable
-// string — the same projections the CLI renders, so equality here means
-// byte-identical tables.
-func (s *fullSet) fingerprint(stats Stats) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "stats=%+v\n", stats)
-	fmt.Fprintf(&b, "summary=%+v\n", *s.summary.Result)
-	hr := s.hourly.Result
-	for i := 0; i < hr.Ops.NumBuckets(); i++ {
-		fmt.Fprintf(&b, "hour%d=%v/%v/%v/%v/%v\n", i, hr.Ops.Bucket(i), hr.ReadOps.Bucket(i),
-			hr.WriteOps.Bucket(i), hr.BytesRead.Bucket(i), hr.BytesWrite.Bucket(i))
-	}
-	fmt.Fprintf(&b, "raw=%+v\nproc=%+v\n", s.rawRuns.Table(), s.procRuns.Table())
-	bl := s.blockLife.Result
-	fmt.Fprintf(&b, "blocklife=%d/%v/%d/%v/%d n=%d p50=%v p90=%v\n",
-		bl.Births, bl.BirthCause, bl.Deaths, bl.DeathCause, bl.EndSurplus,
-		bl.Lifetimes.N(), bl.Lifetimes.Percentile(50), bl.Lifetimes.Percentile(90))
-	fmt.Fprintf(&b, "sweep=%+v\n", s.sweep.Result)
-	fmt.Fprintf(&b, "peak=%+v\nmailbox=%d/%d\n", s.peak.Result, s.mailbox.MailboxBytes, s.mailbox.TotalBytes)
-	fmt.Fprintf(&b, "hier=%v\n", s.hier.Coverage)
-	rep := s.names.ReportAt(stats.MaxT)
-	for _, cs := range rep.PerCategory {
-		fmt.Fprintf(&b, "names %s=%d/%d p50=%v p98=%v\n", cs.Category, cs.Created, cs.Deleted,
-			cs.Lifetimes.Percentile(50), cs.Sizes.Percentile(98))
-	}
-	fmt.Fprintf(&b, "names acc=%v/%v/%v\n", rep.LockFracOfDeleted, rep.SizeAccuracy, rep.LifeAccuracy)
-	return b.String()
-}
-
-// TestRunPartitionedMatchesRunSlice is the tentpole guarantee at the
-// engine level: serializing every analyzer's state between pieces and
-// resuming produces results identical to one uninterrupted pass, for
-// every partition count × worker count combination.
-func TestRunPartitionedMatchesRunSlice(t *testing.T) {
-	ops := genOps(t, 0.5)
-	if len(ops) == 0 {
-		t.Fatal("no ops generated")
-	}
-	span := ops[len(ops)-1].T - ops[0].T
-
-	ref := newFullSet(span)
-	refStats := RunSlice(Config{Workers: 1}, ops, ref.all()...)
-	want := ref.fingerprint(refStats)
-
-	for _, pieces := range []int{1, 2, 8} {
-		for _, workers := range []int{1, 8} {
-			cut := make([][]*core.Op, pieces)
-			for i := range cut {
-				cut[i] = ops[i*len(ops)/pieces : (i+1)*len(ops)/pieces]
-			}
-			set := newFullSet(span)
-			stats, err := RunPartitioned(Config{Workers: workers}, cut, set.all()...)
-			if err != nil {
-				t.Fatalf("pieces=%d workers=%d: %v", pieces, workers, err)
-			}
-			if got := set.fingerprint(stats); got != want {
-				t.Errorf("pieces=%d workers=%d: results differ from single pass:\n--- want ---\n%s--- got ---\n%s",
-					pieces, workers, want, got)
-			}
-		}
-	}
-}
+// The per-analyzer resume, merge and re-shard grids live in the reducer
+// contract harness (internal/analysis/contract_test.go); these tests
+// own the state-file container: metadata, chaining, validation, version
+// skew and hostile bytes.
 
 // encodePartial runs analyzers over ops and returns the serialized
 // partial state.
@@ -116,6 +45,35 @@ func encodePartial(t testing.TB, label string, ops []*core.Op, parent *Partial, 
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestRunPartitionedEmptyPieces covers the chain's edges: no pieces at
+// all is an empty run, and a piece with no operations (a trace file
+// that held none) passes its parent's state through unchanged — for a
+// sum, a sharded sequential reducer and a global one.
+func TestRunPartitionedEmptyPieces(t *testing.T) {
+	ops := genOps(t, 0.25)
+	span := ops[len(ops)-1].T - ops[0].T
+	render := func(pieces [][]*core.Op) string {
+		sum, names := &SummaryAnalyzer{}, &NamesAnalyzer{}
+		life := &BlockLifeAnalyzer{Phase: span / 2, Margin: span / 2}
+		stats, err := RunPartitioned(Config{Workers: 2}, pieces, sum, life, names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := names.ReportAt(stats.MaxT)
+		return fmt.Sprintf("%+v\n%+v\n%d/%d/%d n=%d\n%v/%v/%v", stats, *sum.Result,
+			life.Result.Births, life.Result.Deaths, life.Result.EndSurplus, life.Result.Lifetimes.N(),
+			rep.CreatedAndDeleted, rep.SizeAccuracy, rep.LifeAccuracy)
+	}
+	if got, want := render(nil), render([][]*core.Op{nil}); got != want {
+		t.Errorf("no pieces:\n%s\none empty piece:\n%s", got, want)
+	}
+	mid := len(ops) / 2
+	want := render([][]*core.Op{ops})
+	if got := render([][]*core.Op{nil, ops[:mid], nil, ops[mid:], nil}); got != want {
+		t.Errorf("empty pieces changed the result:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
 }
 
 func TestWritePartialRequiresQuiescedLive(t *testing.T) {

@@ -102,20 +102,6 @@ func TestMergeWidthMismatchPanics(t *testing.T) {
 	a.Merge(b)
 }
 
-func TestOpenClonePreservesForm(t *testing.T) {
-	a := NewOpenTimeBuckets(3600)
-	a.Add(10, 1)
-	cp := a.Clone()
-	if !cp.Open() {
-		t.Fatalf("clone of an open accumulator is fixed")
-	}
-	cp.Add(7300, 2) // clone grows independently
-	if a.NumBuckets() != 1 || cp.NumBuckets() != 3 {
-		t.Fatalf("clone shares growth with original: %d vs %d buckets",
-			a.NumBuckets(), cp.NumBuckets())
-	}
-}
-
 func TestInvalidOpenWidthPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -227,19 +227,6 @@ func (c *CDF) AddSamples(vs []float64) {
 	c.sorted = false
 }
 
-// Clone returns an independent copy of the CDF. The sample slice is
-// copied outright: queries sort samples in place, so sharing a backing
-// array between a live accumulator and a snapshot would let one
-// reorder the other's data under it.
-func (c *CDF) Clone() *CDF {
-	cp := &CDF{sorted: c.sorted}
-	if len(c.samples) > 0 {
-		cp.samples = make([]float64, len(c.samples))
-		copy(cp.samples, c.samples)
-	}
-	return cp
-}
-
 // Percentile reports the p-th percentile (p in [0,100]) using
 // nearest-rank. It returns 0 for an empty CDF.
 func (c *CDF) Percentile(p float64) float64 {
@@ -373,13 +360,6 @@ func (b *TimeBuckets) Merge(other *TimeBuckets) {
 			b.FoldBucket(i, v)
 		}
 	}
-}
-
-// Clone returns an independent copy of the accumulator.
-func (b *TimeBuckets) Clone() *TimeBuckets {
-	cp := &TimeBuckets{width: b.width, buckets: make([]float64, len(b.buckets)), open: b.open}
-	copy(cp.buckets, b.buckets)
-	return cp
 }
 
 // Ratio builds a per-bucket ratio series num[i]/den[i]; buckets where the

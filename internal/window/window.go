@@ -155,7 +155,9 @@ func (r *Ring) Cells() []Cell {
 		if c.Sum == nil || c.Start != float64(i)*r.width || c.Ops == 0 {
 			continue
 		}
-		out = append(out, Cell{Start: c.Start, Sum: c.Sum.Clone(), Ops: c.Ops})
+		sum := analysis.NewSummary(0)
+		sum.Merge(c.Sum, analysis.Filter{})
+		out = append(out, Cell{Start: c.Start, Sum: sum, Ops: c.Ops})
 	}
 	return out
 }
@@ -179,7 +181,7 @@ func (r *Ring) Sliding(k int) *analysis.Summary {
 		if c.Sum == nil || c.Start != float64(i)*r.width {
 			continue
 		}
-		sum.Merge(c.Sum)
+		sum.Merge(c.Sum, analysis.Filter{})
 	}
 	return sum
 }

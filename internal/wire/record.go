@@ -22,9 +22,11 @@ const MaxRecordLen = 1 << 24
 // goroutine each (the usual reader-loop/writer split); concurrent
 // writers must serialize externally.
 type RecordConn struct {
-	r   *bufio.Reader
-	w   *bufio.Writer
-	hdr [4]byte
+	r *bufio.Reader
+	w *bufio.Writer
+	// One header buffer per direction: the reader loop and the writer
+	// run concurrently and must share nothing.
+	rhdr, whdr [4]byte
 }
 
 // NewRecordConn wraps a stream (typically a net.Conn) in record framing.
@@ -37,8 +39,8 @@ func (c *RecordConn) WriteRecord(msg []byte) error {
 	if len(msg) > MaxRecordLen {
 		return fmt.Errorf("wire: record of %d bytes exceeds limit", len(msg))
 	}
-	binary.BigEndian.PutUint32(c.hdr[:], uint32(len(msg))|0x80000000)
-	if _, err := c.w.Write(c.hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(c.whdr[:], uint32(len(msg))|0x80000000)
+	if _, err := c.w.Write(c.whdr[:]); err != nil {
 		return err
 	}
 	if _, err := c.w.Write(msg); err != nil {
@@ -59,7 +61,7 @@ func (c *RecordConn) ReadRecord() ([]byte, error) {
 	var msg []byte
 	started := false
 	for {
-		if _, err := io.ReadFull(c.r, c.hdr[:]); err != nil {
+		if _, err := io.ReadFull(c.r, c.rhdr[:]); err != nil {
 			if started && err == io.EOF {
 				// Non-final fragments were consumed; the record is
 				// truncated even though the header read saw no bytes.
@@ -68,7 +70,7 @@ func (c *RecordConn) ReadRecord() ([]byte, error) {
 			return nil, err
 		}
 		started = true
-		hdr := binary.BigEndian.Uint32(c.hdr[:])
+		hdr := binary.BigEndian.Uint32(c.rhdr[:])
 		last := hdr&0x80000000 != 0
 		n := int(hdr & 0x7FFFFFFF)
 		if n > MaxRecordLen || len(msg)+n > MaxRecordLen {

@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"io"
+	"net"
+	"sync"
 	"testing"
 
 	"repro/internal/rpc"
@@ -139,4 +141,54 @@ func TestRecordConnLimits(t *testing.T) {
 	if err := send.WriteRecord(make([]byte, MaxRecordLen+1)); err == nil {
 		t.Fatal("oversized write accepted")
 	}
+}
+
+// TestRecordConnFullDuplex pins the documented reader-loop/writer split:
+// on each end of a pipe one goroutine writes while another reads. Run
+// under -race it fails if the two directions share any state (they once
+// shared the 4-byte header buffer); without -race a clobbered header
+// shows up as a record of the wrong length or content.
+func TestRecordConnFullDuplex(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	const records = 2000
+	msg := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, i%97) }
+
+	var wg sync.WaitGroup
+	for _, c := range []*RecordConn{NewRecordConn(a), NewRecordConn(b)} {
+		c := c
+		wg.Add(2)
+		// A failure closes the pipe so the other three goroutines error
+		// out instead of blocking forever.
+		fail := func(format string, args ...any) {
+			t.Errorf(format, args...)
+			a.Close()
+			b.Close()
+		}
+		go func() {
+			defer wg.Done()
+			for i := 0; i < records; i++ {
+				if err := c.WriteRecord(msg(i)); err != nil {
+					fail("write %d: %v", i, err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < records; i++ {
+				got, err := c.ReadRecord()
+				if err != nil {
+					fail("read %d: %v", i, err)
+					return
+				}
+				if !bytes.Equal(got, msg(i)) {
+					fail("record %d: got %d bytes, want %d", i, len(got), len(msg(i)))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
