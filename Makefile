@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: help build test race race-server bench fuzz cover vet fmt-check staticcheck check nfsbench-smoke mond-smoke merge-smoke dist-smoke perf perf-check
+.PHONY: help build test race race-server bench fuzz cover vet fmt-check staticcheck check nfsbench-smoke mond-smoke merge-smoke dist-smoke perf perf-check loc
 
 help: ## list targets
 	@grep -E '^[a-z-]+:.*##' $(MAKEFILE_LIST) | awk -F':.*## ' '{printf "  %-10s %s\n", $$1, $$2}'
@@ -51,6 +51,9 @@ perf: ## run the repo's benchmark (BENCHMARK.json; results under tools/perf/out)
 # so an internal rename would break its -trace layer tracer silently.
 perf-check: ## vet and test the benchmark module, including the tracer's smoke run of every workload (CI, gating)
 	cd tools/perf && $(GO) vet ./... && $(GO) test ./...
+
+loc: ## non-test, non-blank, non-comment Go lines per package (tools/perf excluded); the number simplicity PRs quote
+	@bash scripts/loc.sh
 
 fuzz: ## run each native fuzz target for 10s
 	$(GO) test -run xxx -fuzz FuzzTextRecord -fuzztime 10s ./internal/core

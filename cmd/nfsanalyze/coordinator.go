@@ -1,18 +1,14 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/dispatch"
@@ -20,21 +16,21 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Coordinator mode: fan the trace set's files across workers, then
-// merge the resulting states and render — byte-identical to one
-// process reading everything. Two worker pools exist: local child
-// processes running `nfsanalyze -partial` (the default), and remote
-// nfsworker daemons reached over TCP via internal/dispatch
-// (-remote host:port,...), which stream the trace bytes themselves so
-// no shared filesystem is needed. Order-independent analyses run
-// their workers in parallel and merge independent states;
-// order-dependent ones (blocklife, hierarchy, names) run as a
-// sequential resume chain, still isolating each piece in its own
-// worker (memory isolation and checkpointing rather than
-// parallelism). Either pool degrades gracefully: a piece whose
-// workers are all dead or exhausted runs locally in-process.
+// Coordinator mode: cut the trace set's files into pieces, turn every
+// piece into a serialized partial state, then merge the states and
+// render — byte-identical to one process reading everything. There is
+// one way to run a piece, jobspec.RunTask, and two places to run it: a
+// pool of remote nfsworker daemons reached over TCP via
+// internal/dispatch (-remote host:port,...), which are sent the trace
+// bytes so no shared filesystem is needed, and this process. The pool
+// goes first and may be empty; whatever it leaves without a state —
+// every piece when there is no -remote, the pieces it gave up on when
+// its workers died — runs here. Order-independent analyses run their
+// pieces in parallel and merge independent states; order-dependent ones
+// (blocklife, hierarchy, names) run as a resume chain, one piece at a
+// time, each resuming from the state before it.
 
-// coordConfig carries everything the coordinator modes need.
+// coordConfig carries everything the coordinator needs.
 type coordConfig struct {
 	set      *jobspec.Set
 	paths    []string
@@ -80,149 +76,11 @@ func partitionFiles(paths []string, n int) [][]string {
 	return groups
 }
 
-// runCoordinator partitions cc.paths across local worker processes,
-// collects their partial states, merges, and renders.
+// runCoordinator partitions cc.paths into pieces, runs them, merges the
+// states, and renders.
 func runCoordinator(cc coordConfig, stdout, stderr io.Writer) error {
-	groups := partitionFiles(cc.paths, cc.workers)
-	seq := cc.set.Sequential()
-
-	exe, err := os.Executable()
-	if err != nil {
-		return fmt.Errorf("coordinator: locating own binary: %w", err)
-	}
-	dir, err := os.MkdirTemp("", "nfsanalyze-coord-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	fmt.Fprintf(stderr, "nfsanalyze: coordinator: %d workers over %d files\n", len(groups), len(cc.paths))
-
-	stateFiles := make([]string, len(groups))
-	for i := range groups {
-		stateFiles[i] = filepath.Join(dir, fmt.Sprintf("piece-%03d.state", i))
-	}
-	spec := cc.set.Spec
-	workerArgs := func(i int) []string {
-		args := []string{
-			"-analysis", spec.Kind,
-			"-window", fmt.Sprint(spec.Window),
-			"-k", fmt.Sprint(spec.Jump),
-			"-start", fmt.Sprint(spec.Start),
-			"-phase", fmt.Sprint(spec.Phase),
-			"-margin", fmt.Sprint(spec.Margin),
-			"-decoders", fmt.Sprint(cc.decoders),
-			"-partial", stateFiles[i],
-		}
-		if seq && i > 0 {
-			args = append(args, "-resume", stateFiles[i-1])
-		}
-		return append(args, groups[i]...)
-	}
-
-	if seq && len(groups) > 1 {
-		for i := range groups {
-			if err := runWorker(exe, i, workerArgs(i), groups[i], cc.timeout, stderr); err != nil {
-				return err
-			}
-		}
-	} else {
-		errs := make([]error, len(groups))
-		var wg sync.WaitGroup
-		for i := range groups {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = runWorker(exe, i, workerArgs(i), groups[i], cc.timeout, stderr)
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-	}
-
-	partials := make([]*pipeline.Partial, len(stateFiles))
-	for i, path := range stateFiles {
-		p, err := readPartialFile(path, spec.Kind)
-		if err != nil {
-			return fmt.Errorf("coordinator: worker %d state: %w", i, err)
-		}
-		partials[i] = p
-	}
-	stats, join, err := pipeline.MergePartials(cc.set.Analyzers, partials)
-	if err != nil {
-		return err
-	}
-	cc.set.Render(stdout, stats, join)
-	return nil
-}
-
-// localRetries is the per-piece attempt budget for local subprocess
-// workers; retries are paced by localBackoff.
-const localRetries = 2
-
-// localBackoff paces local retry attempts: a transient crash gets a
-// breather (with jitter, so parallel pieces don't retry in lockstep)
-// instead of an instant re-spawn into the same condition.
-var localBackoff = dispatch.NewBackoff(100*time.Millisecond, 2*time.Second, 0.3, 1)
-
-// runWorker spawns one `nfsanalyze -partial` child per attempt. Every
-// attempt runs under a context deadline: a hung worker is killed —
-// process group and all, so decoder children die with it — and the
-// piece is retried. State files are deterministic, so a retry after a
-// partial write is safe (the file is recreated from scratch).
-func runWorker(exe string, idx int, args, files []string, timeout time.Duration, stderr io.Writer) error {
-	var lastErr error
-	for attempt := 0; attempt < localRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(localBackoff.Delay(attempt - 1))
-		}
-		ctx := context.Background()
-		cancel := context.CancelFunc(func() {})
-		if timeout > 0 {
-			ctx, cancel = context.WithTimeout(ctx, timeout)
-		}
-		var errBuf bytes.Buffer
-		cmd := exec.CommandContext(ctx, exe, args...)
-		cmd.Env = append(os.Environ(), "NFSANALYZE_WORKER=1")
-		cmd.Stdout = io.Discard
-		cmd.Stderr = &errBuf
-		// The worker gets its own process group so a deadline kill
-		// takes out anything it spawned, not just the direct child.
-		cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
-		cmd.Cancel = func() error {
-			return syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
-		}
-		// If the group refuses to die, stop waiting rather than hang
-		// the coordinator on a shared pipe.
-		cmd.WaitDelay = 5 * time.Second
-		err := cmd.Run()
-		cancel()
-		if err == nil {
-			return nil
-		}
-		reason := err.Error()
-		if ctx.Err() == context.DeadlineExceeded {
-			reason = fmt.Sprintf("deadline: hung past %s, killed", timeout)
-		}
-		lastErr = fmt.Errorf("coordinator: worker %d (files %s) failed: %s\n%s",
-			idx, strings.Join(files, ", "), reason, strings.TrimSpace(errBuf.String()))
-		if attempt < localRetries-1 {
-			fmt.Fprintf(stderr, "nfsanalyze: coordinator: worker %d failed, retrying: %s\n", idx, reason)
-		}
-	}
-	return lastErr
-}
-
-// runRemoteCoordinator fans the trace set across remote nfsworker
-// daemons via internal/dispatch, falls back to local execution for any
-// piece the pool could not finish, merges, and renders.
-func runRemoteCoordinator(cc coordConfig, stdout, stderr io.Writer) error {
 	n := cc.workers
-	if n <= 0 {
+	if n <= 0 && len(cc.remote) > 0 {
 		// Over-partition relative to the pool so straggler re-dispatch
 		// and failure retries have spare pieces to balance with.
 		n = 2 * len(cc.remote)
@@ -241,108 +99,108 @@ func runRemoteCoordinator(cc coordConfig, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "nfsanalyze: "+format+"\n", args...)
 		logMu.Unlock()
 	}
-	logf("coordinator: %d remote workers (%s) over %d files in %d pieces",
-		len(cc.remote), strings.Join(cc.remote, ","), len(cc.paths), len(groups))
+	logf("coordinator: %d pieces over %d files, %d remote workers (%s)",
+		len(groups), len(cc.paths), len(cc.remote), strings.Join(cc.remote, ","))
 
-	validate := func(task dispatch.Task, state []byte) error {
-		p, err := pipeline.ReadPartial(bytes.NewReader(state))
-		if err != nil {
-			return err
-		}
-		if p.Label != cc.set.Spec.Kind {
-			return fmt.Errorf("state holds a %q analysis, not %q", p.Label, cc.set.Spec.Kind)
-		}
-		return nil
-	}
+	kind := cc.set.Spec.Kind
 	dcfg := dispatch.Config{
 		Addrs:         cc.remote,
 		AssignTimeout: cc.timeout,
-		Validate:      validate,
-		Logf:          logf,
+		Validate: func(_ dispatch.Task, state []byte) error {
+			_, err := jobspec.DecodeState(kind, state)
+			return err
+		},
+		Logf: logf,
 	}
 
-	ctx := context.Background()
+	// runPieces leaves a state in states[t.ID] for every task: the remote
+	// pool, when there is one, gets each attempt the full
+	// retry/deadline/failover/speculation treatment, and every piece it
+	// could not finish then runs in this process.
 	states := make([][]byte, len(groups))
-	if cc.set.Sequential() {
-		// Order-dependent analyses form a resume chain: piece i+1 needs
-		// piece i's state, so dispatch is one piece at a time — each
-		// link still gets the full retry/deadline/failover treatment,
-		// and a straggling link can be speculatively duplicated.
-		var parent []byte
-		for i, g := range groups {
-			task := dispatch.Task{ID: i, Spec: specJSON, Decoders: cc.decoders, Files: g, Parent: parent}
-			results, _, err := dispatch.Run(ctx, dcfg, []dispatch.Task{task})
+	runPieces := func(tasks []dispatch.Task) error {
+		if len(cc.remote) > 0 {
+			results, rs, err := dispatch.Run(context.Background(), dcfg, tasks)
 			if err != nil {
 				return err
 			}
-			if len(results) == 1 {
-				states[i] = results[0].State
-			} else {
-				blob, err := runPieceLocally(ctx, cc, g, parent, logf, i)
-				if err != nil {
-					return err
-				}
-				states[i] = blob
+			logf("coordinator: dispatch finished: %d/%d pieces remote (dispatched %d, retries %d, speculations %d, duplicates %d)",
+				rs.Completed, len(tasks), rs.Dispatched, rs.Retries, rs.Speculations, rs.Duplicates)
+			for _, res := range results {
+				states[res.TaskID] = res.State
 			}
-			parent = states[i]
 		}
-	} else {
-		tasks := make([]dispatch.Task, len(groups))
-		for i, g := range groups {
-			tasks[i] = dispatch.Task{ID: i, Spec: specJSON, Decoders: cc.decoders, Files: g}
-		}
-		results, rstats, err := dispatch.Run(ctx, dcfg, tasks)
-		if err != nil {
-			return err
-		}
-		logf("coordinator: dispatch finished: %d/%d pieces remote (dispatched %d, retries %d, speculations %d, duplicates %d)",
-			rstats.Completed, len(groups), rstats.Dispatched, rstats.Retries, rstats.Speculations, rstats.Duplicates)
-		for _, res := range results {
-			states[res.TaskID] = res.State
-		}
-		for i, blob := range states {
-			if blob != nil {
+		errs := make([]error, len(tasks))
+		var wg sync.WaitGroup
+		for k, t := range tasks {
+			if states[t.ID] != nil {
 				continue
 			}
-			b, err := runPieceLocally(ctx, cc, groups[i], nil, logf, i)
+			if len(cc.remote) > 0 {
+				logf("coordinator: piece %d: worker pool degraded; running locally", t.ID)
+			}
+			wg.Add(1)
+			go func(k int, t dispatch.Task) {
+				defer wg.Done()
+				states[t.ID], errs[k] = runPiece(cc.timeout, t)
+			}(k, t)
+		}
+		wg.Wait()
+		for _, err := range errs {
 			if err != nil {
 				return err
 			}
-			states[i] = b
 		}
+		return nil
+	}
+
+	tasks := make([]dispatch.Task, len(groups))
+	for i, g := range groups {
+		tasks[i] = dispatch.Task{ID: i, Spec: specJSON, Decoders: cc.decoders, Files: g}
+	}
+	if cc.set.Sequential() {
+		// A resume chain: piece i+1 needs piece i's state, so the pieces
+		// go one at a time.
+		for i := range tasks {
+			if i > 0 {
+				tasks[i].Parent = states[i-1]
+			}
+			if err := runPieces(tasks[i : i+1]); err != nil {
+				return err
+			}
+		}
+	} else if err := runPieces(tasks); err != nil {
+		return err
 	}
 
 	partials := make([]*pipeline.Partial, len(states))
 	for i, blob := range states {
-		p, err := pipeline.ReadPartial(bytes.NewReader(blob))
+		p, err := jobspec.DecodeState(kind, blob)
 		if err != nil {
 			return fmt.Errorf("coordinator: piece %d state: %w", i, err)
 		}
-		if p.Label != cc.set.Spec.Kind {
-			return fmt.Errorf("coordinator: piece %d holds a %q analysis, not %q", i, p.Label, cc.set.Spec.Kind)
-		}
 		partials[i] = p
 	}
-	stats, join, err := pipeline.MergePartials(cc.set.Analyzers, partials)
-	if err != nil {
-		return err
-	}
-	cc.set.Render(stdout, stats, join)
-	return nil
+	return renderMerged(cc.set, partials, stdout)
 }
 
-// runPieceLocally is the graceful-degradation path: when the remote
-// pool could not finish a piece, analyze it in-process so the run
-// still completes without human intervention.
-func runPieceLocally(ctx context.Context, cc coordConfig, files []string, parent []byte, logf func(string, ...interface{}), idx int) ([]byte, error) {
-	logf("coordinator: piece %d: worker pool degraded; running locally", idx)
-	var pp *pipeline.Partial
-	if len(parent) > 0 {
-		p, err := pipeline.ReadPartial(bytes.NewReader(parent))
-		if err != nil {
-			return nil, err
-		}
-		pp = p
+// runPiece analyzes one piece in this process under the -worker-timeout
+// deadline. The deadline is looked at between operations: it ends a
+// piece that is merely long, but it cannot interrupt a read that never
+// returns or reclaim the memory of a piece that is too big — isolating
+// a piece in its own process is what an nfsworker on loopback is for.
+// Nothing here is retried: a piece that fails in-process fails the same
+// way again.
+func runPiece(timeout time.Duration, t dispatch.Task) ([]byte, error) {
+	ctx := context.Background()
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	return jobspec.RunFiles(ctx, cc.set.Spec, files, cc.decoders, pp)
+	state, err := jobspec.RunTask(ctx, t.Spec, t.Parent, t.Files, t.Decoders)
+	if err != nil {
+		return nil, fmt.Errorf("coordinator: piece %d (files %s): %w", t.ID, strings.Join(t.Files, ", "), err)
+	}
+	return state, nil
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,22 +13,6 @@ import (
 
 	"repro/internal/core"
 )
-
-// TestMain lets the test binary double as the coordinator's worker:
-// runCoordinator spawns os.Executable() with NFSANALYZE_WORKER=1, which
-// under `go test` is this binary. The env var only matters here — the
-// production binary runs the same -partial arguments through main()
-// regardless.
-func TestMain(m *testing.M) {
-	if os.Getenv("NFSANALYZE_WORKER") == "1" {
-		if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "nfsanalyze:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
 
 // splitQuiescent cuts the trace file into n pieces at quiescent
 // boundaries (no call awaiting its reply), the same rule
@@ -194,14 +180,12 @@ func TestResumeRendersDirectly(t *testing.T) {
 	}
 }
 
-// TestCoordinatorMatchesDirect spawns real worker processes (this test
-// binary, via TestMain) over a gzip multi-file trace set and checks
-// the rendered tables are byte-identical to the single-process run —
-// for 1 and 8 workers, parallel and chained analyses alike.
+// TestCoordinatorMatchesDirect runs -coordinator with no -remote pool,
+// so every piece runs in this process, over a gzip multi-file trace set
+// and checks the rendered tables are byte-identical to the plain run —
+// every analysis, at one piece, at a piece count that groups files, and
+// at more pieces asked for than there are files.
 func TestCoordinatorMatchesDirect(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes")
-	}
 	dir := t.TempDir()
 	path, _ := smokeTrace(t, dir)
 	pdir := filepath.Join(dir, "pieces")
@@ -209,9 +193,9 @@ func TestCoordinatorMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	pieces := splitQuiescent(t, path, 8, pdir, true)
-	for _, kind := range []string{"summary", "runs", "blocklife", "names"} {
+	for _, kind := range allKinds {
 		want := directOutput(t, kind, path)
-		for _, workers := range []int{1, 8} {
+		for _, workers := range []int{1, 3, len(pieces) + 4} {
 			var out, errb bytes.Buffer
 			args := append([]string{"-analysis", kind, "-coordinator", "-workers", fmt.Sprint(workers)}, pieces...)
 			if err := run(args, &out, &errb); err != nil {
@@ -224,6 +208,45 @@ func TestCoordinatorMatchesDirect(t *testing.T) {
 				t.Fatalf("%s/%d workers: stderr missing coordinator banner: %s", kind, workers, errb.String())
 			}
 		}
+	}
+}
+
+// TestCoordinatorPieceFailures pins what an in-process piece reports
+// when it cannot finish: a -worker-timeout that has already expired is a
+// deadline error naming the piece and its files, not a hang and not a
+// silent success; a damaged trace file is named.
+func TestCoordinatorPieceFailures(t *testing.T) {
+	dir := t.TempDir()
+	path, _ := smokeTrace(t, dir)
+	pieces := splitQuiescent(t, path, 2, dir, true)
+
+	for _, kind := range []string{"summary", "names"} {
+		var out, errb bytes.Buffer
+		args := append([]string{"-analysis", kind, "-coordinator", "-workers", "2", "-worker-timeout", "1ns"}, pieces...)
+		err := run(args, &out, &errb)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: expired -worker-timeout: got %v, want a deadline error", kind, err)
+		}
+		if !strings.Contains(err.Error(), "piece ") || !strings.Contains(err.Error(), "piece-00") {
+			t.Fatalf("%s: deadline error %q does not name the piece and its files", kind, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%s: failed run rendered %q", kind, out.String())
+		}
+	}
+
+	// A gzip member cut short mid-stream.
+	data, err := os.ReadFile(pieces[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(pieces[1], data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	err = run(append([]string{"-analysis", "summary", "-coordinator", "-workers", "2"}, pieces...), &out, &errb)
+	if err == nil || !strings.Contains(err.Error(), filepath.Base(pieces[1])) || !strings.Contains(err.Error(), "piece 1") {
+		t.Fatalf("corrupt piece file: got %v, want an error naming piece 1 and %s", err, pieces[1])
 	}
 }
 
@@ -268,6 +291,8 @@ func TestDistributedErrors(t *testing.T) {
 	expectErr([]string{"-coordinator", "-resume", sumA, pieces[0]}, "-coordinator cannot be combined")
 	expectErr([]string{"-merge"}, "needs state files")
 	expectErr([]string{"-coordinator"}, "needs file inputs")
+	expectErr([]string{"-coordinator", "-remote", "127.0.0.1:1,,127.0.0.1:2", pieces[0]}, "empty worker address")
+	expectErr([]string{"-coordinator", "-remote", "127.0.0.1:1, ", pieces[0]}, "empty worker address")
 
 	// Label mismatch: summary state fed to a runs merge.
 	expectErr([]string{"-analysis", "runs", "-merge", sumA, sumB}, `holds a "summary" analysis`)

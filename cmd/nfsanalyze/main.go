@@ -18,10 +18,11 @@
 // -resume seeds a run from such a file (checkpoint/resume, or chaining
 // consecutive trace pieces); -merge combines state files and renders
 // the tables, byte-identical to one run over everything; -coordinator
-// does all of that in one command, fanning the trace set's files across
-// -workers child processes. Order-dependent analyses (blocklife,
-// hierarchy, names) distribute as a resume chain; the rest merge
-// independently computed states.
+// does all of that in one command, cutting the trace set's files into
+// -workers pieces and running each piece on a -remote nfsworker or,
+// where there is none, in this process. Order-dependent analyses
+// (blocklife, hierarchy, names) distribute as a resume chain; the rest
+// merge independently computed states.
 //
 // Usage:
 //
@@ -34,9 +35,11 @@
 //	nfsanalyze -i day1.trace -analysis summary -partial day1.state
 //	nfsanalyze -analysis summary -merge day1.state day2.state
 //	nfsanalyze -analysis summary -coordinator -workers 8 traces/
+//	nfsanalyze -analysis summary -coordinator -remote host1:7000,host2:7000 traces/
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -66,9 +69,9 @@ func main() {
 // to stderr, so main exits nonzero without printing it again.
 var errUsage = errors.New("usage")
 
-// The analyzer set and renderer for each -analysis kind live in
-// internal/jobspec, shared with cmd/nfsworker so a remote worker
-// rebuilds the exact analyzers this process would run.
+// The analyzer set, the renderer and the ingest loop for each -analysis
+// kind live in internal/jobspec, shared with cmd/nfsworker so a remote
+// worker runs exactly what this process would.
 
 // run is main's logic behind injectable streams, so the cmd tree is
 // testable end to end.
@@ -83,14 +86,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	start := fs.Float64("start", 0, "blocklife phase-1 start (seconds)")
 	phase := fs.Float64("phase", workload.Day, "blocklife phase-1 length (seconds)")
 	margin := fs.Float64("margin", workload.Day, "blocklife end margin (seconds)")
-	workers := fs.Int("workers", 0, "pipeline shard count, or worker process count with -coordinator (0 = one per CPU)")
+	workers := fs.Int("workers", 0, "pipeline shard count; with -coordinator, the number of pieces the input files are cut into (0 = one per CPU, or two per -remote worker)")
 	decoders := fs.Int("decoders", 0, "parallel decode goroutines per input file (0 = one per CPU)")
 	partialOut := fs.String("partial", "", "serialize partial analysis state to this file instead of rendering tables")
 	resumeIn := fs.String("resume", "", "seed the analysis from this state file before reading input")
 	mergeMode := fs.Bool("merge", false, "inputs are state files: merge them and render the tables")
-	coordMode := fs.Bool("coordinator", false, "partition input files across -workers child processes, merge their states, render")
-	remote := fs.String("remote", "", "comma-separated nfsworker addresses; with -coordinator, dispatch pieces to them over TCP instead of local subprocesses")
-	workerTimeout := fs.Duration("worker-timeout", 10*time.Minute, "deadline per worker attempt in coordinator mode; an attempt past it is killed and re-dispatched")
+	coordMode := fs.Bool("coordinator", false, "cut the input files into -workers pieces, analyze each piece on a -remote worker or else in this process, merge the states, render")
+	remote := fs.String("remote", "", "comma-separated nfsworker addresses; with -coordinator, dispatch pieces to them over TCP (a piece the pool cannot finish runs in this process)")
+	workerTimeout := fs.Duration("worker-timeout", 10*time.Minute, "deadline per piece attempt in coordinator mode; a remote attempt past it is abandoned and re-dispatched, an in-process piece past it fails the run")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
@@ -174,16 +177,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 			timeout:  *workerTimeout,
 		}
 		if *remote != "" {
-			cc.remote = strings.Split(*remote, ",")
-			return runRemoteCoordinator(cc, stdout, stderr)
+			for _, addr := range strings.Split(*remote, ",") {
+				addr = strings.TrimSpace(addr)
+				if addr == "" {
+					return fmt.Errorf("-remote %q has an empty worker address", *remote)
+				}
+				cc.remote = append(cc.remote, addr)
+			}
 		}
 		return runCoordinator(cc, stdout, stderr)
-	}
-
-	if *partialOut != "" && os.Getenv("NFSANALYZE_TEST_HANG") == "1" {
-		// Test hook: simulate a wedged worker so the coordinator's
-		// per-attempt deadline and process-group kill can be pinned.
-		time.Sleep(time.Hour)
 	}
 
 	icfg := core.IngestConfig{Decoders: *decoders}
@@ -208,8 +210,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer ts.Close()
 		src = ts
 	}
-	cfg := pipeline.Config{Workers: *workers}
-
 	var resumed *pipeline.Partial
 	if *resumeIn != "" {
 		resumed, err = readPartialFile(*resumeIn, spec.Kind)
@@ -217,49 +217,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-
-	lv := pipeline.NewLive(cfg, set.Analyzers...)
-	if resumed != nil {
-		if err := resumed.Resume(lv); err != nil {
-			lv.Abort()
-			return err
-		}
+	lv, join, err := set.Ingest(context.Background(), src, *workers, resumed)
+	if err != nil {
+		return err
 	}
-	j := pipeline.NewJoiner(src)
-	for {
-		op, err := j.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			lv.Abort()
-			return err
-		}
-		lv.Feed(op)
-	}
-	join := j.Stats()
-	if resumed != nil {
-		// Join statistics accumulate across the resume chain like every
-		// other reducer.
-		total := resumed.Join
-		total.Merge(join)
-		join = total
-	}
-
 	if *partialOut != "" {
-		stats := lv.Quiesce()
-		if stats.Ops == 0 {
-			return fmt.Errorf("no operations in trace")
-		}
-		f, err := os.Create(*partialOut)
+		blob, err := set.State(lv, join, resumed)
 		if err != nil {
 			return err
 		}
-		if err := pipeline.WritePartial(f, lv, spec.Kind, join, resumed); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(*partialOut, blob, 0o666); err != nil {
 			return err
 		}
 	} else {
@@ -281,17 +248,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 // readPartialFile reads one state file and checks it holds the analysis
 // the caller is rendering.
 func readPartialFile(path, kind string) (*pipeline.Partial, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	p, err := pipeline.ReadPartial(f)
+	p, err := jobspec.DecodeState(kind, data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if p.Label != kind {
-		return nil, fmt.Errorf("%s: state holds a %q analysis, not %q (pass -analysis %s)", path, p.Label, kind, p.Label)
 	}
 	return p, nil
 }
@@ -306,6 +269,12 @@ func runMerge(set *jobspec.Set, paths []string, stdout io.Writer) error {
 		}
 		partials = append(partials, p)
 	}
+	return renderMerged(set, partials, stdout)
+}
+
+// renderMerged is the tail -merge and -coordinator share: fold the
+// partial states into the set's analyzers and render the tables.
+func renderMerged(set *jobspec.Set, partials []*pipeline.Partial, stdout io.Writer) error {
 	stats, join, err := pipeline.MergePartials(set.Analyzers, partials)
 	if err != nil {
 		return err

@@ -2,46 +2,23 @@ package main
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dispatch"
 	"repro/internal/jobspec"
-	"repro/internal/pipeline"
 )
 
-// jobRunner is the worker-side execution hook backed by the shared
-// jobspec machinery — the same runner cmd/nfsworker wires up, here
-// in-process so the tests control fault injection directly.
-func jobRunner(ctx context.Context, specJSON, parent []byte, files []string, decoders int) ([]byte, error) {
-	var spec jobspec.Spec
-	if err := json.Unmarshal(specJSON, &spec); err != nil {
-		return nil, err
-	}
-	var pp *pipeline.Partial
-	if len(parent) > 0 {
-		p, err := pipeline.ReadPartial(bytes.NewReader(parent))
-		if err != nil {
-			return nil, err
-		}
-		pp = p
-	}
-	return jobspec.RunFiles(ctx, spec, files, decoders, pp)
-}
-
-// startAnalysisWorker serves w on loopback and returns its address.
+// startAnalysisWorker serves w on loopback, running assignments the way
+// cmd/nfsworker does, and returns its address. The worker is in-process
+// so the tests control fault injection directly.
 func startAnalysisWorker(t *testing.T, w *dispatch.Worker) string {
 	t.Helper()
-	if w.Runner == nil {
-		w.Runner = jobRunner
-	}
+	w.Runner = jobspec.RunTask
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -146,40 +123,6 @@ func TestRemoteCoordinatorFallsBackWhenPoolDead(t *testing.T) {
 		if !strings.Contains(errb.String(), "running locally") {
 			t.Fatalf("%s: stderr missing local-fallback note: %s", kind, errb.String())
 		}
-	}
-}
-
-// TestLocalWorkerDeadlineKillsHungWorker pins satellite behavior: a
-// local -coordinator worker that hangs is killed (process group and
-// all) when -worker-timeout expires, retried, and the run fails with a
-// deadline error instead of hanging forever.
-func TestLocalWorkerDeadlineKillsHungWorker(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes")
-	}
-	dir := t.TempDir()
-	path, _ := smokeTrace(t, dir)
-	t.Setenv("NFSANALYZE_TEST_HANG", "1")
-	start := time.Now()
-	var out, errb bytes.Buffer
-	err := run([]string{
-		"-analysis", "summary", "-coordinator",
-		"-workers", "1", "-worker-timeout", "300ms", path,
-	}, &out, &errb)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatalf("hung worker did not fail the run (stderr: %s)", errb.String())
-	}
-	if !strings.Contains(err.Error(), "hung past") {
-		t.Fatalf("error %q does not report the deadline kill", err)
-	}
-	if !strings.Contains(errb.String(), "retrying") {
-		t.Fatalf("stderr missing the retry between attempts: %s", errb.String())
-	}
-	// Two 300ms attempts plus backoff: anything near a minute means the
-	// kill never landed and cmd.Wait rode the full hang.
-	if elapsed > 30*time.Second {
-		t.Fatalf("run took %v; the process-group kill apparently failed", elapsed)
 	}
 }
 

@@ -12,9 +12,6 @@
 package main
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -28,7 +25,6 @@ import (
 
 	"repro/internal/dispatch"
 	"repro/internal/jobspec"
-	"repro/internal/pipeline"
 )
 
 func main() {
@@ -70,8 +66,11 @@ func run(args []string, stderr io.Writer) int {
 	// scrape it to learn the port.
 	logf("listening on %s (pid %d)", lis.Addr(), os.Getpid())
 
+	// jobspec.RunTask is the same call nfsanalyze makes for a piece it
+	// runs itself, so worker output is bit-compatible with local
+	// execution.
 	w := &dispatch.Worker{
-		Runner:   analysisRunner,
+		Runner:   jobspec.RunTask,
 		Logf:     logf,
 		FaultFor: faultFor,
 		TempDir:  *tempdir,
@@ -91,25 +90,6 @@ func run(args []string, stderr io.Writer) int {
 	}
 	logf("drained, exiting")
 	return 0
-}
-
-// analysisRunner executes one assignment with the shared jobspec
-// machinery — the same code path nfsanalyze itself runs, so worker
-// output is bit-compatible with local execution.
-func analysisRunner(ctx context.Context, specJSON, parent []byte, files []string, decoders int) ([]byte, error) {
-	var spec jobspec.Spec
-	if err := json.Unmarshal(specJSON, &spec); err != nil {
-		return nil, fmt.Errorf("decoding analysis spec: %w", err)
-	}
-	var pp *pipeline.Partial
-	if len(parent) > 0 {
-		p, err := pipeline.ReadPartial(bytes.NewReader(parent))
-		if err != nil {
-			return nil, fmt.Errorf("decoding parent state: %w", err)
-		}
-		pp = p
-	}
-	return jobspec.RunFiles(ctx, spec, files, decoders, pp)
 }
 
 // parseFlaky compiles the -flaky schedule into a FaultFor hook.

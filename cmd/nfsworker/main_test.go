@@ -18,7 +18,6 @@ import (
 	"repro"
 	"repro/internal/dispatch"
 	"repro/internal/jobspec"
-	"repro/internal/pipeline"
 )
 
 func TestParseFlaky(t *testing.T) {
@@ -156,12 +155,8 @@ func TestServeAndDrain(t *testing.T) {
 	if stats.Completed != 1 {
 		t.Fatalf("stats %+v", stats)
 	}
-	p, err := pipeline.ReadPartial(bytes.NewReader(results[0].State))
-	if err != nil {
-		t.Fatalf("daemon state unreadable: %v", err)
-	}
-	if p.Label != "summary" {
-		t.Fatalf("daemon state label %q", p.Label)
+	if _, err := jobspec.DecodeState("summary", results[0].State); err != nil {
+		t.Fatalf("daemon state: %v", err)
 	}
 
 	// SIGTERM: the signal handler registered by run() must drain and

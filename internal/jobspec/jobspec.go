@@ -2,14 +2,17 @@
 // kind plus every tuning option — in a form that crosses process and
 // machine boundaries: the coordinator serializes a Spec as JSON into a
 // dispatch assignment, and the remote worker rebuilds the exact same
-// analyzer set from it. Keeping construction in one place is what
-// keeps every execution mode (in-process, subprocess, remote worker)
-// rendering byte-identical tables: they all run the same analyzers
-// and the same render closure.
+// analyzer set from it. Construction, the ingest loop and the state
+// codec calls live here once, which is what keeps every execution mode
+// (direct run, resumed run, in-process piece, remote worker) rendering
+// byte-identical tables: they all run the same analyzers through the
+// same loop and the same render closure.
 package jobspec
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 
@@ -167,13 +170,48 @@ func Build(spec Spec) (*Set, error) {
 	return set, nil
 }
 
-// RunFiles executes the worker side of one distributed assignment in
-// this process: build the spec's analyzers, optionally resume from a
-// parent partial state, stream the trace files through the joiner and
-// pipeline, quiesce, and serialize the partial state. The returned
-// bytes are a complete state file, checksummed and mergeable. The
-// context is checked between operations so a coordinator-imposed
-// deadline abandons the run promptly.
+// Ingest is the one records → Joiner → Live loop: open the analyzers
+// on the given shard count, optionally resume from a parent state, join
+// calls to replies and feed every operation through. The direct run,
+// -partial/-resume, the coordinator's in-process pieces and nfsworker
+// all ingest here. It returns the still-open Live — Finish it to render,
+// or hand it to State — and the join statistics, cumulative across the
+// resume chain like every other reducer. ctx is checked every few
+// thousand operations, so a deadline abandons the run promptly.
+func (s *Set) Ingest(ctx context.Context, src core.RecordSource, shards int, parent *pipeline.Partial) (*pipeline.Live, core.JoinStats, error) {
+	lv := pipeline.NewLive(pipeline.Config{Workers: shards}, s.Analyzers...)
+	if parent != nil {
+		if err := parent.Resume(lv); err != nil {
+			lv.Abort()
+			return nil, core.JoinStats{}, err
+		}
+	}
+	j := pipeline.NewJoiner(src)
+	if err := lv.FeedFrom(ctx, j); err != nil {
+		return nil, core.JoinStats{}, err
+	}
+	join := j.Stats()
+	if parent != nil {
+		join.Merge(parent.Join)
+	}
+	return lv, join, nil
+}
+
+// State quiesces an ingested Live and serializes its partial state: a
+// complete state file, checksummed and mergeable.
+func (s *Set) State(lv *pipeline.Live, join core.JoinStats, parent *pipeline.Partial) ([]byte, error) {
+	if lv.Quiesce().Ops == 0 {
+		return nil, fmt.Errorf("no operations in trace")
+	}
+	var buf bytes.Buffer
+	if err := pipeline.WritePartial(&buf, lv, s.Spec.Kind, join, parent); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// RunFiles analyzes one piece — the trace files at paths, resumed from
+// parent when the piece is a link in a chain — and returns its state.
 func RunFiles(ctx context.Context, spec Spec, paths []string, decoders int, parent *pipeline.Partial) ([]byte, error) {
 	set, err := Build(spec)
 	if err != nil {
@@ -184,66 +222,42 @@ func RunFiles(ctx context.Context, spec Spec, paths []string, decoders int, pare
 		return nil, err
 	}
 	defer ts.Close()
-
-	lv := pipeline.NewLive(pipeline.Config{Workers: 1}, set.Analyzers...)
-	if parent != nil {
-		if err := parent.Resume(lv); err != nil {
-			lv.Abort()
-			return nil, err
-		}
-	}
-	j := pipeline.NewJoiner(ts)
-	// An already-expired deadline aborts before any work; inside the
-	// loop the check is amortized so small assignments stay cheap.
-	select {
-	case <-ctx.Done():
-		lv.Abort()
-		return nil, ctx.Err()
-	default:
-	}
-	const cancelCheckEvery = 4096
-	n := 0
-	for {
-		op, err := j.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			lv.Abort()
-			return nil, err
-		}
-		lv.Feed(op)
-		if n++; n%cancelCheckEvery == 0 {
-			select {
-			case <-ctx.Done():
-				lv.Abort()
-				return nil, ctx.Err()
-			default:
-			}
-		}
-	}
-	join := j.Stats()
-	if parent != nil {
-		total := parent.Join
-		total.Merge(join)
-		join = total
-	}
-	stats := lv.Quiesce()
-	if stats.Ops == 0 {
-		return nil, fmt.Errorf("jobspec: no operations in assignment")
-	}
-	var buf writerBuffer
-	if err := pipeline.WritePartial(&buf, lv, spec.Kind, join, parent); err != nil {
+	lv, join, err := set.Ingest(ctx, ts, 1, parent)
+	if err != nil {
 		return nil, err
 	}
-	return buf.b, nil
+	return set.State(lv, join, parent)
 }
 
-// writerBuffer is a minimal io.Writer over an owned byte slice,
-// avoiding a bytes.Buffer copy on the result path.
-type writerBuffer struct{ b []byte }
+// RunTask is RunFiles for a piece that arrives as bytes — the spec as
+// JSON, the parent as a serialized state — which is how a dispatch
+// assignment carries it. It is the dispatch.Runner of nfsworker and what
+// the coordinator calls for the pieces it runs in its own process.
+func RunTask(ctx context.Context, specJSON, parent []byte, files []string, decoders int) ([]byte, error) {
+	var spec Spec
+	if err := json.Unmarshal(specJSON, &spec); err != nil {
+		return nil, fmt.Errorf("decoding analysis spec: %w", err)
+	}
+	var pp *pipeline.Partial
+	if len(parent) > 0 {
+		p, err := DecodeState(spec.Kind, parent)
+		if err != nil {
+			return nil, fmt.Errorf("decoding parent state: %w", err)
+		}
+		pp = p
+	}
+	return RunFiles(ctx, spec, files, decoders, pp)
+}
 
-func (w *writerBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
+// DecodeState parses a serialized partial state and checks that it
+// holds the kind analysis.
+func DecodeState(kind string, data []byte) (*pipeline.Partial, error) {
+	p, err := pipeline.ReadPartial(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	if p.Label != kind {
+		return nil, fmt.Errorf("state holds a %q analysis, not %q", p.Label, kind)
+	}
+	return p, nil
 }

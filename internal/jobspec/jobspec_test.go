@@ -3,11 +3,14 @@ package jobspec
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/pipeline"
 )
 
@@ -59,31 +62,6 @@ func writeTrace(t *testing.T, dir string) string {
 	return path
 }
 
-// TestRunFilesProducesLoadableState runs each analysis through the
-// worker-side entry point and checks the returned blob is a valid
-// partial state carrying the right label and a parent link only when
-// resumed.
-func TestRunFilesProducesLoadableState(t *testing.T) {
-	dir := t.TempDir()
-	path := writeTrace(t, dir)
-	for _, kind := range allKinds {
-		blob, err := RunFiles(context.Background(), Default(kind), []string{path}, 1, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		p, err := pipeline.ReadPartial(bytes.NewReader(blob))
-		if err != nil {
-			t.Fatalf("%s: unreadable state: %v", kind, err)
-		}
-		if p.Label != kind {
-			t.Fatalf("%s: state label %q", kind, p.Label)
-		}
-		if len(p.ParentDigest) != 0 {
-			t.Fatalf("%s: unresumed state has a parent digest", kind)
-		}
-	}
-}
-
 // TestRunFilesResumeChains runs a chained analysis in two RunFiles
 // calls and checks the child state records the parent's digest — the
 // linkage MergePartials later validates.
@@ -109,6 +87,101 @@ func TestRunFilesResumeChains(t *testing.T) {
 	}
 	if !bytes.Equal(child.ParentDigest, parent.Digest) {
 		t.Fatal("resumed state does not link to its parent")
+	}
+}
+
+// TestRenderEveryKind renders every analysis two ways on a generated
+// trace — ingested and finished directly at two shards, and decoded from
+// the state RunTask returns for the same file (a loadable state file
+// with the right label and no parent link) — and checks each prints its
+// table and that the two renderings are byte-identical, which is the
+// promise every nfsanalyze mode rests on.
+func TestRenderEveryKind(t *testing.T) {
+	path := writeTrace(t, t.TempDir())
+	for _, tc := range []struct{ kind, want string }{
+		{"summary", "join: "},
+		{"runs", "runs="},
+		{"blocklife", "births="},
+		{"hourly", "peak hours:"},
+		{"names", "lifetime prediction"},
+		{"hierarchy", "hierarchy coverage after 10min warmup: "},
+		{"reorder", "window    50ms: "},
+	} {
+		spec := Default(tc.kind)
+		direct, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, err := pipeline.OpenTraceSet([]string{path}, core.IngestConfig{Decoders: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lv, join, err := direct.Ingest(context.Background(), ts, 2, nil)
+		ts.Close()
+		if err != nil {
+			t.Fatalf("%s: ingest: %v", tc.kind, err)
+		}
+		var want bytes.Buffer
+		direct.Render(&want, lv.Finish(), join)
+		if !strings.Contains(want.String(), tc.want) {
+			t.Fatalf("%s: rendering lacks %q:\n%s", tc.kind, tc.want, want.String())
+		}
+
+		specJSON, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := RunTask(context.Background(), specJSON, nil, []string{path}, 1)
+		if err != nil {
+			t.Fatalf("%s: RunTask: %v", tc.kind, err)
+		}
+		p, err := DecodeState(tc.kind, blob)
+		if err != nil {
+			t.Fatalf("%s: DecodeState: %v", tc.kind, err)
+		}
+		if len(p.ParentDigest) != 0 {
+			t.Fatalf("%s: unresumed state has a parent digest", tc.kind)
+		}
+		merged, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, mjoin, err := pipeline.MergePartials(merged.Analyzers, []*pipeline.Partial{p})
+		if err != nil {
+			t.Fatalf("%s: merge: %v", tc.kind, err)
+		}
+		var got bytes.Buffer
+		merged.Render(&got, stats, mjoin)
+		if got.String() != want.String() {
+			t.Fatalf("%s: rendering from state differs:\n--- direct ---\n%s--- from state ---\n%s", tc.kind, want.String(), got.String())
+		}
+	}
+}
+
+// TestRunTaskRejectsBadBytes covers what arrives over the wire: the spec
+// and the parent state are bytes from another process.
+func TestRunTaskRejectsBadBytes(t *testing.T) {
+	path := writeTrace(t, t.TempDir())
+	ctx := context.Background()
+	names, _ := json.Marshal(Default("names"))
+	summary, _ := json.Marshal(Default("summary"))
+	state, err := RunTask(ctx, summary, nil, []string{path}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name         string
+		spec, parent []byte
+		want         string
+	}{
+		{"spec not JSON", []byte("{"), nil, "decoding analysis spec"},
+		{"parent truncated", summary, state[:len(state)/2], "decoding parent state"},
+		{"parent of another analysis", names, state, `holds a "summary" analysis, not "names"`},
+	} {
+		_, err := RunTask(ctx, tc.spec, tc.parent, []string{path}, 1)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }
 

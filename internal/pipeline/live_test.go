@@ -1,6 +1,13 @@
 package pipeline
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"io"
+	"testing"
+
+	"repro/internal/core"
+)
 
 func TestForkAfterFinishErrors(t *testing.T) {
 	lv := NewLive(Config{Workers: 1}, &SummaryAnalyzer{})
@@ -110,4 +117,52 @@ func TestRepeatedForks(t *testing.T) {
 		}
 	}
 	lv.Abort()
+}
+
+// endlessOps never reaches io.EOF and cancels its context after a
+// while, the shape of a piece that outlives its deadline.
+type endlessOps struct {
+	n, cancelAt int
+	cancel      context.CancelFunc
+	fail        error
+}
+
+func (s *endlessOps) Next() (*core.Op, error) {
+	if s.n++; s.n == s.cancelAt {
+		if s.fail != nil {
+			return nil, s.fail
+		}
+		s.cancel()
+	}
+	return &core.Op{T: float64(s.n), Proc: core.ProcGetattr, FH: 1}, nil
+}
+
+// TestFeedFromStops pins the three ways the shared ingest loop ends
+// early: a context already done feeds nothing, a context cancelled
+// mid-stream is noticed within one check interval, and a source error
+// comes back as is — each leaving the Live aborted, not running.
+func TestFeedFromStops(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	src := &endlessOps{cancelAt: 10, cancel: cancel}
+	lv := NewLive(Config{Workers: 2}, &SummaryAnalyzer{})
+	if err := lv.FeedFrom(ctx, src); !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-stream cancel: got %v", err)
+	}
+	if got := lv.Stats().Ops; got < 9 || got > cancelCheckEvery {
+		t.Fatalf("fed %d ops after a cancel at op 10; the check interval is %d", got, cancelCheckEvery)
+	}
+	if _, err := lv.Fork(); err == nil {
+		t.Fatal("Live still running after FeedFrom gave up")
+	}
+
+	lv = NewLive(Config{Workers: 2}, &SummaryAnalyzer{})
+	if err := lv.FeedFrom(ctx, src); !errors.Is(err, context.Canceled) || lv.Stats().Ops != 0 {
+		t.Fatalf("context already done: got %v after %d ops", err, lv.Stats().Ops)
+	}
+
+	lv = NewLive(Config{Workers: 2}, &SummaryAnalyzer{})
+	src = &endlessOps{cancelAt: 10, fail: io.ErrUnexpectedEOF}
+	if err := lv.FeedFrom(context.Background(), src); err != io.ErrUnexpectedEOF || lv.Stats().Ops != 9 {
+		t.Fatalf("source error: got %v after %d ops", err, lv.Stats().Ops)
+	}
 }

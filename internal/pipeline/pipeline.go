@@ -34,6 +34,7 @@
 package pipeline
 
 import (
+	"context"
 	"io"
 	"runtime"
 
@@ -257,6 +258,33 @@ func (r *router) key(op *core.Op) (fh core.FH, byClient bool) {
 	return 0, true
 }
 
+// cancelCheckEvery is how many operations FeedFrom feeds between looks
+// at its context: often enough that a deadline lands within
+// milliseconds, rarely enough that the per-op loop does not pay for it.
+const cancelCheckEvery = 4096
+
+// FeedFrom feeds every operation of src into the engine until io.EOF.
+// This is the one ingest loop: Run, nfsanalyze in every mode and
+// nfsworker all come through it. A source error or a done context
+// aborts the Live and is returned; analyzer results are then undefined.
+func (lv *Live) FeedFrom(ctx context.Context, src OpSource) error {
+	for n := 0; ; n++ {
+		if n%cancelCheckEvery == 0 && ctx.Err() != nil {
+			lv.Abort()
+			return ctx.Err()
+		}
+		op, err := src.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			lv.Abort()
+			return err
+		}
+		lv.Feed(op)
+	}
+}
+
 // Run streams src through the engine, feeding every analyzer, and
 // returns stream statistics. On a source error the workers are drained
 // and the error returned; analyzer results are then undefined. Run is
@@ -264,17 +292,8 @@ func (r *router) key(op *core.Op) (fh core.FH, byClient bool) {
 // daemon path (cmd/nfsmond) are the same machinery.
 func Run(cfg Config, src OpSource, analyzers ...Analyzer) (Stats, error) {
 	lv := NewLive(cfg, analyzers...)
-	for {
-		op, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			stats := lv.Stats()
-			lv.Abort()
-			return stats, err
-		}
-		lv.Feed(op)
+	if err := lv.FeedFrom(context.Background(), src); err != nil {
+		return lv.Stats(), err
 	}
 	return lv.Finish(), nil
 }

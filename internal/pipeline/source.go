@@ -194,15 +194,17 @@ func (j *Joiner) ingest(r *core.Record) {
 	}
 }
 
-// drain flushes the calls that never got replies, in deterministic
-// order, once the source is exhausted.
-func (j *Joiner) drain() {
-	unmatched := make([]*core.Record, 0, len(j.pending))
+// unmatched returns the calls still awaiting replies in the order an
+// end-of-stream drain surfaces them: by (time, client, port, xid). drain
+// and PendingOps both use it, which is what keeps a finished snapshot
+// equal to a batch run.
+func (j *Joiner) unmatched() []*core.Record {
+	calls := make([]*core.Record, 0, len(j.pending))
 	for _, pc := range j.pending {
-		unmatched = append(unmatched, pc.rec)
+		calls = append(calls, pc.rec)
 	}
-	sort.Slice(unmatched, func(a, b int) bool {
-		x, y := unmatched[a], unmatched[b]
+	sort.Slice(calls, func(a, b int) bool {
+		x, y := calls[a], calls[b]
 		if x.Time != y.Time {
 			return x.Time < y.Time
 		}
@@ -214,7 +216,13 @@ func (j *Joiner) drain() {
 		}
 		return x.XID < y.XID
 	})
-	for _, call := range unmatched {
+	return calls
+}
+
+// drain flushes the calls that never got replies, in deterministic
+// order, once the source is exhausted.
+func (j *Joiner) drain() {
+	for _, call := range j.unmatched() {
 		j.stats.UnmatchedCalls++
 		j.push(core.FromPair(call, nil))
 		j.free(call)
@@ -314,25 +322,8 @@ func (j *Joiner) Held() int { return j.ready.Len() }
 func (j *Joiner) PendingOps() []*core.Op {
 	sim := make(opHeap, j.ready.Len(), j.ready.Len()+len(j.pending))
 	copy(sim, j.ready)
-	unmatched := make([]*core.Record, 0, len(j.pending))
-	for _, pc := range j.pending {
-		unmatched = append(unmatched, pc.rec)
-	}
-	sort.Slice(unmatched, func(a, b int) bool {
-		x, y := unmatched[a], unmatched[b]
-		if x.Time != y.Time {
-			return x.Time < y.Time
-		}
-		if x.Client != y.Client {
-			return x.Client < y.Client
-		}
-		if x.Port != y.Port {
-			return x.Port < y.Port
-		}
-		return x.XID < y.XID
-	})
 	seq := j.seq
-	for _, call := range unmatched {
+	for _, call := range j.unmatched() {
 		seq++
 		heap.Push(&sim, readyOp{op: core.FromPair(call, nil), seq: seq})
 	}

@@ -320,7 +320,10 @@ func (s *RecordScanner) Append(b []byte) {
 func (s *RecordScanner) Pending() int { return len(s.buf) }
 
 // Next returns the next complete RPC message, or nil if more stream
-// bytes are needed. It returns an error if a fragment header is invalid.
+// bytes are needed. It returns an error if a fragment header is invalid
+// or the fragments of one record add up to more than xdr.MaxItemLen
+// (16 MiB, the bound wire.RecordConn enforces too) — without the second
+// check a stream of non-final fragments would grow the record forever.
 func (s *RecordScanner) Next() ([]byte, error) {
 	for {
 		if len(s.buf) < 4 {
@@ -329,8 +332,8 @@ func (s *RecordScanner) Next() ([]byte, error) {
 		hdr := uint32(s.buf[0])<<24 | uint32(s.buf[1])<<16 | uint32(s.buf[2])<<8 | uint32(s.buf[3])
 		last := hdr&0x80000000 != 0
 		n := int(hdr & 0x7FFFFFFF)
-		if n > xdr.MaxItemLen {
-			return nil, fmt.Errorf("rpc: record fragment of %d bytes exceeds limit", n)
+		if len(s.frag)+n > xdr.MaxItemLen {
+			return nil, fmt.Errorf("rpc: record of %d bytes exceeds limit", len(s.frag)+n)
 		}
 		if len(s.buf) < 4+n {
 			return nil, nil

@@ -233,6 +233,27 @@ func TestRecordScannerHostileLength(t *testing.T) {
 	}
 }
 
+// TestRecordScannerBoundsReassembledRecord feeds non-final fragments,
+// each well under the per-fragment limit, until their sum passes 16 MiB:
+// the scanner must give the record up as a framing error rather than
+// grow it for as long as the stream lasts.
+func TestRecordScannerBoundsReassembledRecord(t *testing.T) {
+	const fragLen = 1 << 20
+	frag := make([]byte, 4+fragLen)
+	frag[1] = fragLen >> 16 // header 0x00100000: non-final, 1 MiB
+	var s RecordScanner
+	for i := 0; i < xdr.MaxItemLen/fragLen; i++ {
+		s.Append(frag)
+		if msg, err := s.Next(); msg != nil || err != nil {
+			t.Fatalf("fragment %d: got message %v, error %v; want neither yet", i, msg != nil, err)
+		}
+	}
+	s.Append(frag)
+	if _, err := s.Next(); err == nil {
+		t.Fatal("record past 16 MiB of non-final fragments accepted")
+	}
+}
+
 func TestRecordRoundTripQuick(t *testing.T) {
 	f := func(msg []byte, frag uint8) bool {
 		fragSize := int(frag)%64 + 1

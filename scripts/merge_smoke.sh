@@ -5,7 +5,7 @@
 # same analyses then run three ways — single process over the original
 # file, -partial per piece + -merge, and -coordinator -workers 8 over
 # the piece set. All three renderings must be byte-identical, and the
-# coordinator must actually have fanned out (worker count asserted from
+# coordinator must actually have fanned out (piece count asserted from
 # its stderr banner).
 set -euo pipefail
 
@@ -67,13 +67,13 @@ for analysis in summary runs names; do
         diff "$workdir/single.$analysis" "$workdir/coord.$analysis" || true
         exit 1
     fi
-    workers=$(sed -n 's/^nfsanalyze: coordinator: \([0-9]*\) workers.*/\1/p' \
+    npieces=$(sed -n 's/^nfsanalyze: coordinator: \([0-9]*\) pieces over.*/\1/p' \
         "$workdir/coord.$analysis.err")
-    if [ -z "$workers" ] || [ "$workers" -lt 2 ]; then
+    if [ -z "$npieces" ] || [ "$npieces" -lt 2 ]; then
         echo "FAIL: coordinator did not fan out (banner: $(cat "$workdir/coord.$analysis.err"))"
         exit 1
     fi
-    echo "   coordinator: byte-identical across $workers workers"
+    echo "   coordinator: byte-identical across $npieces pieces"
 done
 
 echo "PASS: distributed analysis is byte-identical to single-process"
