@@ -179,25 +179,38 @@ var staticProcNames = [numStaticProcs]string{
 // register yet another distinct procedure name.
 var ErrProcTableFull = errors.New("core: procedure table full")
 
+// staticProcs maps the fixed vocabulary to its IDs. It is filled at
+// package initialization and never written again, so the decoders read
+// it without a lock: nearly every record of every trace is answered
+// here, and a shared RWMutex's reader count would bounce between their
+// cores once per record.
+var staticProcs = func() map[string]ProcID {
+	m := make(map[string]ProcID, numStaticProcs)
+	for i, name := range staticProcNames {
+		m[name] = ProcID(i)
+	}
+	return m
+}()
+
+// procTable holds the names registered dynamically, after the fixed
+// vocabulary; rev renders every ID, fixed and dynamic.
 var procTable = struct {
 	mu  sync.RWMutex
 	m   map[string]ProcID
 	rev atomic.Pointer[[]string]
-}{}
+}{m: make(map[string]ProcID)}
 
 func init() {
-	procTable.m = make(map[string]ProcID, numStaticProcs)
-	rev := make([]string, numStaticProcs)
-	for i, name := range staticProcNames {
-		procTable.m[name] = ProcID(i)
-		rev[i] = name
-	}
+	rev := staticProcNames[:]
 	procTable.rev.Store(&rev)
 }
 
 // InternProcBytes interns a procedure name given as bytes; the hit path
 // performs no allocation.
 func InternProcBytes(b []byte) (ProcID, error) {
+	if id, ok := staticProcs[string(b)]; ok {
+		return id, nil
+	}
 	procTable.mu.RLock()
 	id, ok := procTable.m[string(b)]
 	procTable.mu.RUnlock()
@@ -209,6 +222,9 @@ func InternProcBytes(b []byte) (ProcID, error) {
 
 // InternProc interns a procedure name.
 func InternProc(s string) (ProcID, error) {
+	if id, ok := staticProcs[s]; ok {
+		return id, nil
+	}
 	procTable.mu.RLock()
 	id, ok := procTable.m[s]
 	procTable.mu.RUnlock()

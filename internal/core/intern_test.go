@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestInternFHRoundTrip: interning any spelling and rendering it back
@@ -102,6 +103,36 @@ func TestInternProcVocabulary(t *testing.T) {
 	}
 	if MustProc("read") != ProcRead {
 		t.Fatal("MustProc disagrees with the constant")
+	}
+}
+
+// TestInternProcVocabularyTakesNoLock: the fixed vocabulary is answered
+// before procTable.mu, so a held write lock (a dynamic registration in
+// progress) does not stall the decoders on names they see every record.
+func TestInternProcVocabularyTakesNoLock(t *testing.T) {
+	procTable.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for id, name := range staticProcNames {
+			if got, err := InternProc(name); err != nil || got != ProcID(id) {
+				t.Errorf("InternProc(%q) = %d, %v; want %d", name, got, err, id)
+			}
+			if got, err := InternProcBytes([]byte(name)); err != nil || got != ProcID(id) {
+				t.Errorf("InternProcBytes(%q) = %d, %v; want %d", name, got, err, id)
+			}
+		}
+	}()
+	stalled := false
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		stalled = true
+	}
+	procTable.mu.Unlock()
+	<-done
+	if stalled {
+		t.Fatal("interning a fixed procedure name waited for procTable.mu")
 	}
 }
 

@@ -62,7 +62,16 @@ func (o *Op) Bytes() uint64 {
 
 // FromPair builds an Op from a call record and optional reply.
 func FromPair(call *Record, reply *Record) *Op {
-	op := &Op{
+	op := new(Op)
+	op.SetPair(call, reply)
+	return op
+}
+
+// SetPair overwrites o with the operation a call record and its
+// optional reply describe. It is FromPair for callers that place their
+// operations themselves, as the streaming joiner does in chunks.
+func (o *Op) SetPair(call *Record, reply *Record) {
+	*o = Op{
 		T:       call.Time,
 		Client:  call.Client,
 		Port:    call.Port,
@@ -81,18 +90,17 @@ func FromPair(call *Record, reply *Record) *Op {
 		HasSet:  call.HasSet,
 	}
 	if reply != nil {
-		op.Replied = true
-		op.RT = reply.Time
-		op.Status = reply.Status
-		op.RCount = reply.RCount
-		op.Size = reply.Size
-		op.PreSize = reply.PreSize
-		op.HasPre = reply.HasPre
-		op.FileID = reply.FileID
-		op.NewFH = reply.NewFH
-		op.EOF = reply.EOF
+		o.Replied = true
+		o.RT = reply.Time
+		o.Status = reply.Status
+		o.RCount = reply.RCount
+		o.Size = reply.Size
+		o.PreSize = reply.PreSize
+		o.HasPre = reply.HasPre
+		o.FileID = reply.FileID
+		o.NewFH = reply.NewFH
+		o.EOF = reply.EOF
 	}
-	return op
 }
 
 // JoinStats reports what Join saw, feeding the §4.1.4 loss estimate.

@@ -46,47 +46,53 @@ func BenchmarkEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkRouter isolates the sequential routing stage — the Amdahl
-// ceiling on shard scaling.
-func BenchmarkRouter(b *testing.B) {
-	ops, _ := benchTrace(b)
+// perUnit times b.N passes over a trace of n records or operations and
+// reports what one of them costs, in time and in allocations, rather
+// than what a pass costs.
+func perUnit(b *testing.B, unit string, n int, pass func()) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	total := float64(n) * float64(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/"+unit)
+	b.ReportMetric(float64(ms.Mallocs-before)/total, "allocs/"+unit)
+}
+
+// BenchmarkRouter isolates the sequential routing stage.
+func BenchmarkRouter(b *testing.B) {
+	ops, _ := benchTrace(b)
+	perUnit(b, "routed", len(ops), func() {
 		rt := newRouter(8)
 		for _, op := range ops {
 			rt.shard(op)
 		}
-	}
-	b.SetBytes(int64(len(ops)))
+	})
 }
 
-// BenchmarkJoiner measures streaming join throughput against the
+// BenchmarkJoiner measures the streaming join in its pull form
+// (nfsanalyze, nfsworker) and its push form (nfsmond) against the
 // materializing core.Join.
 func BenchmarkJoiner(b *testing.B) {
 	records := genRecords(b, 0.5)
-	b.Run("streaming", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			j := NewJoiner(&core.SliceSource{Records: records})
-			n := 0
-			for {
-				if _, err := j.Next(); err != nil {
-					break
+	form := func(name string, join func([]*core.Record) core.JoinStats) {
+		b.Run(name, func(b *testing.B) {
+			perUnit(b, "rec", len(records), func() {
+				if join(records).Matched == 0 {
+					b.Fatal("no ops")
 				}
-				n++
-			}
-			if n == 0 {
-				b.Fatal("no ops")
-			}
-		}
-		b.SetBytes(int64(len(records)))
-	})
-	b.Run("materialized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ops, _ := core.Join(records)
-			if len(ops) == 0 {
-				b.Fatal("no ops")
-			}
-		}
-		b.SetBytes(int64(len(records)))
+			})
+		})
+	}
+	form("streaming", pullJoin)
+	form("push", pushJoin)
+	form("materialized", func(records []*core.Record) core.JoinStats {
+		_, stats := core.Join(records)
+		return stats
 	})
 }
