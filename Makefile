@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: help build test race race-server bench fuzz cover vet fmt-check staticcheck check nfsbench-smoke mond-smoke merge-smoke dist-smoke perf perf-check loc
+.PHONY: help build test race race-server bench fuzz cover vet fmt-check staticcheck check nfsbench-smoke mond-smoke merge-smoke dist-smoke examples-smoke perf perf-check loc
 
 help: ## list targets
 	@grep -E '^[a-z-]+:.*##' $(MAKEFILE_LIST) | awk -F':.*## ' '{printf "  %-10s %s\n", $$1, $$2}'
@@ -43,6 +43,10 @@ merge-smoke: ## generate, split, and analyze a trace distributed three ways; ass
 
 dist-smoke: ## remote dispatch over TCP with crash and hang fault injection; assert byte-identical tables and re-dispatch (CI, gating)
 	bash scripts/dist_smoke.sh
+
+examples-smoke: ## build and run the library walkthroughs that have no test of their own (CI, gating)
+	$(GO) run ./examples/quickstart >/dev/null
+	$(GO) run ./examples/multiarray >/dev/null
 
 perf: ## run the repo's benchmark (BENCHMARK.json; results under tools/perf/out)
 	bash tools/perf/run.sh

@@ -152,8 +152,7 @@ func BenchmarkAblationWindow(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var randomPct float64
 			for i := 0; i < b.N; i++ {
-				tab := analysis.Tabulate(analysis.DetectRuns(campus.Ops,
-					analysis.RunConfig{ReorderWindow: winMS / 1000, IdleGap: 30, JumpBlocks: 10}))
+				tab := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.RunConfig{ReorderWindow: winMS / 1000, IdleGap: 30, JumpBlocks: 10}), campus.Ops).Runs())
 				randomPct = tab.Read[analysis.PatternRandom]
 			}
 			b.ReportMetric(randomPct, "%random-reads")
@@ -170,8 +169,7 @@ func BenchmarkAblationK(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var randomPct float64
 			for i := 0; i < b.N; i++ {
-				tab := analysis.Tabulate(analysis.DetectRuns(campus.Ops,
-					analysis.RunConfig{ReorderWindow: 0.010, IdleGap: 30, JumpBlocks: k}))
+				tab := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.RunConfig{ReorderWindow: 0.010, IdleGap: 30, JumpBlocks: k}), campus.Ops).Runs())
 				randomPct = tab.Write[analysis.PatternRandom]
 			}
 			b.ReportMetric(randomPct, "%random-writes")
@@ -188,8 +186,7 @@ func BenchmarkAblationBreak(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var runs int
 			for i := 0; i < b.N; i++ {
-				rs := analysis.DetectRuns(campus.Ops,
-					analysis.RunConfig{ReorderWindow: 0.010, IdleGap: gap, JumpBlocks: 10})
+				rs := addAll(analysis.NewRunDetector(analysis.RunConfig{ReorderWindow: 0.010, IdleGap: gap, JumpBlocks: 10}), campus.Ops).Runs()
 				runs = len(rs)
 			}
 			b.ReportMetric(float64(runs), "runs")
@@ -283,21 +280,6 @@ func BenchmarkPipelineWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkJoin measures call/reply matching throughput.
-func BenchmarkJoin(b *testing.B) {
-	s := SmallScale()
-	s.Days = 0.2
-	records := GenerateCampusRecords(s)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ops, _ := core.Join(records)
-		if len(ops) == 0 {
-			b.Fatal("no ops")
-		}
-	}
-	b.SetBytes(int64(len(records)))
-}
-
 // BenchmarkRecordMarshal measures trace-format serialization.
 func BenchmarkRecordMarshal(b *testing.B) {
 	rec := &core.Record{
@@ -372,7 +354,7 @@ func BenchmarkNfsiodPool(b *testing.B) {
 // BenchmarkSortWindow measures the §4.2 reorder-window sort.
 func BenchmarkSortWindow(b *testing.B) {
 	campus, _ := benchTraces(b)
-	files := analysis.FileAccesses(campus.Ops)
+	files := addAll(make(analysis.AccessMap), campus.Ops)
 	var biggest []analysis.Access
 	for _, accs := range files {
 		if len(accs) > len(biggest) {
@@ -393,7 +375,7 @@ func BenchmarkHourly(b *testing.B) {
 	campus, _ := benchTraces(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.Hourly(campus.Ops, campus.Days*workload.Day)
+		addAll(analysis.NewHourly(campus.Days*workload.Day), campus.Ops)
 	}
 	b.SetBytes(int64(len(campus.Ops)))
 }

@@ -25,7 +25,7 @@ func splitQuiescent(t *testing.T, path string, n int, dir string, gz bool) []str
 		t.Fatal(err)
 	}
 	defer f.Close()
-	records, err := core.ReadAll(f)
+	records, err := core.MergeAll(core.NewReader(f))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,69 +13,82 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro"
 )
 
-func main() {
-	users := flag.Int("users", 12, "CAMPUS user count")
-	clients := flag.Int("clients", 4, "EECS workstation count")
-	days := flag.Float64("days", 7, "trace window in days")
-	seed := flag.Int64("seed", 20011021, "random seed")
-	table := flag.Int("table", 0, "regenerate only this table (1-5)")
-	figure := flag.Int("figure", 0, "regenerate only this figure (1-5)")
-	exp := flag.String("exp", "", "side experiment: nfsiod, names, readahead, loss, hierarchy, nvram, quiet")
-	procs := flag.Bool("procs", false, "also print procedure mixes")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and streams passed in, so that the
+// golden test drives exactly what the binary does.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nfsrepro", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	users := fs.Int("users", 12, "CAMPUS user count")
+	clients := fs.Int("clients", 4, "EECS workstation count")
+	days := fs.Float64("days", 7, "trace window in days")
+	seed := fs.Int64("seed", 20011021, "random seed")
+	table := fs.Int("table", 0, "regenerate only this table (1-5)")
+	figure := fs.Int("figure", 0, "regenerate only this figure (1-5)")
+	exp := fs.String("exp", "", "side experiment: nfsiod, names, readahead, loss, hierarchy, nvram, quiet")
+	procs := fs.Bool("procs", false, "also print procedure mixes")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	scale := repro.Scale{CampusUsers: *users, EECSClients: *clients, Days: *days, Seed: *seed}
 
 	// Experiments that do not need the full traces run immediately.
 	switch *exp {
 	case "nfsiod":
-		fmt.Print(repro.ExpNfsiod())
-		return
+		fmt.Fprint(stdout, repro.ExpNfsiod())
+		return 0
 	case "readahead":
-		fmt.Print(repro.ExpReadahead())
-		return
+		fmt.Fprint(stdout, repro.ExpReadahead())
+		return 0
 	case "loss":
 		small := scale
 		if small.Days > 1 {
 			small.Days = 1
 		}
-		fmt.Print(repro.ExpLoss(small))
-		return
+		fmt.Fprint(stdout, repro.ExpLoss(small))
+		return 0
 	}
 
-	fmt.Fprintf(os.Stderr, "nfsrepro: generating CAMPUS (%d users) and EECS (%d clients), %.1f days...\n",
+	fmt.Fprintf(stderr, "nfsrepro: generating CAMPUS (%d users) and EECS (%d clients), %.1f days...\n",
 		*users, *clients, *days)
 	start := time.Now()
 	campus := repro.GenerateCampus(scale)
 	eecs := repro.GenerateEECS(scale)
-	fmt.Fprintf(os.Stderr, "nfsrepro: %d + %d ops in %v\n",
+	fmt.Fprintf(stderr, "nfsrepro: %d + %d ops in %v\n",
 		len(campus.Ops), len(eecs.Ops), time.Since(start).Round(time.Millisecond))
 
 	switch *exp {
 	case "names":
-		fmt.Print(repro.ExpNames(campus))
-		return
+		fmt.Fprint(stdout, repro.ExpNames(campus))
+		return 0
 	case "nvram":
-		fmt.Print(repro.ExpNVRAM(campus, eecs))
-		return
+		fmt.Fprint(stdout, repro.ExpNVRAM(campus, eecs))
+		return 0
 	case "quiet":
-		fmt.Print(repro.ExpQuiet(campus, eecs))
-		return
+		fmt.Fprint(stdout, repro.ExpQuiet(campus, eecs))
+		return 0
 	case "hierarchy":
-		fmt.Print(repro.ExpHierarchy(campus))
-		return
+		fmt.Fprint(stdout, repro.ExpHierarchy(campus))
+		return 0
 	case "":
 	default:
-		fmt.Fprintf(os.Stderr, "nfsrepro: unknown experiment %q\n", *exp)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "nfsrepro: unknown experiment %q\n", *exp)
+		return 2
 	}
 
 	tables := []func(*repro.Trace, *repro.Trace) string{
@@ -87,35 +100,36 @@ func main() {
 
 	if *table != 0 {
 		if *table < 1 || *table > 5 {
-			fmt.Fprintln(os.Stderr, "nfsrepro: -table must be 1-5")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "nfsrepro: -table must be 1-5")
+			return 2
 		}
-		fmt.Print(tables[*table-1](campus, eecs))
-		return
+		fmt.Fprint(stdout, tables[*table-1](campus, eecs))
+		return 0
 	}
 	if *figure != 0 {
 		if *figure < 1 || *figure > 5 {
-			fmt.Fprintln(os.Stderr, "nfsrepro: -figure must be 1-5")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "nfsrepro: -figure must be 1-5")
+			return 2
 		}
-		fmt.Print(figures[*figure-1](campus, eecs))
-		return
+		fmt.Fprint(stdout, figures[*figure-1](campus, eecs))
+		return 0
 	}
 
 	if *procs {
-		fmt.Println(repro.TopProcs(campus))
-		fmt.Println(repro.TopProcs(eecs))
+		fmt.Fprintln(stdout, repro.TopProcs(campus))
+		fmt.Fprintln(stdout, repro.TopProcs(eecs))
 	}
 	for _, fn := range tables {
-		fmt.Println(fn(campus, eecs))
+		fmt.Fprintln(stdout, fn(campus, eecs))
 	}
 	for _, fn := range figures {
-		fmt.Println(fn(campus, eecs))
+		fmt.Fprintln(stdout, fn(campus, eecs))
 	}
-	fmt.Println(repro.ExpNfsiod())
-	fmt.Println(repro.ExpNames(campus))
-	fmt.Println(repro.ExpReadahead())
-	fmt.Println(repro.ExpHierarchy(campus))
-	fmt.Println(repro.ExpNVRAM(campus, eecs))
-	fmt.Println(repro.ExpQuiet(campus, eecs))
+	fmt.Fprintln(stdout, repro.ExpNfsiod())
+	fmt.Fprintln(stdout, repro.ExpNames(campus))
+	fmt.Fprintln(stdout, repro.ExpReadahead())
+	fmt.Fprintln(stdout, repro.ExpHierarchy(campus))
+	fmt.Fprintln(stdout, repro.ExpNVRAM(campus, eecs))
+	fmt.Fprintln(stdout, repro.ExpQuiet(campus, eecs))
+	return 0
 }

@@ -14,9 +14,9 @@ import (
 	"io"
 
 	"repro"
-	"repro/internal/analysis"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
 
@@ -63,11 +63,16 @@ func main() {
 	}
 	fmt.Printf("merged: %d records in global time order\n\n", len(merged))
 
-	// Cross-array analysis over the merged stream.
-	ops, stats := core.Join(merged)
-	fmt.Printf("joined %d operations (%d calls matched)\n", len(ops), stats.Matched)
-	s := analysis.Summarize(ops, 1.5)
-	fmt.Printf("both arrays: %s\n\n", s)
+	// Cross-array analysis over the merged stream: the streaming joiner
+	// feeds the sharded engine directly.
+	joiner := pipeline.NewJoiner(&core.SliceSource{Records: merged})
+	sum := &pipeline.SummaryAnalyzer{Days: 1.5}
+	run, err := pipeline.Run(pipeline.Config{}, joiner, sum)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("joined %d operations (%d calls matched)\n", run.Ops, joiner.Stats().Matched)
+	fmt.Printf("both arrays: %s\n\n", sum.Result)
 
 	// The per-array view survives the merge: records carry the virtual
 	// host each array exposed.
@@ -92,5 +97,5 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("\ntext round trip: %d ops preserved (%v)\n",
-		len(tr.Ops), len(tr.Ops) == len(ops))
+		len(tr.Ops), int64(len(tr.Ops)) == run.Ops)
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro"
 	"repro/internal/analysis"
+	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
 
@@ -20,23 +21,27 @@ func main() {
 	fmt.Printf("  %d operations (%d calls matched to replies)\n\n",
 		len(campus.Ops), campus.Join.Matched)
 
+	// One pass of the sharded engine feeds all three reducers.
+	sum := &pipeline.SummaryAnalyzer{Days: campus.Days}
+	// Run detection with the paper's 10ms reorder window.
+	runs := &pipeline.RunsAnalyzer{Config: analysis.DefaultRunConfig(10)}
+	// Block lifetimes over the Monday window.
+	life := &pipeline.BlockLifeAnalyzer{
+		Start: workload.Day + 9*workload.Hour, Phase: 6 * workload.Hour, Margin: 6 * workload.Hour}
+	pipeline.RunSlice(campus.Pipeline, campus.Ops, sum, runs, life)
+
 	// Table-2-style summary.
-	s := analysis.Summarize(campus.Ops, campus.Days)
-	fmt.Printf("daily activity: %s\n\n", s)
+	fmt.Printf("daily activity: %s\n\n", sum.Result)
 
 	// The workload's signature: almost everything is email.
 	fmt.Println(repro.TopProcs(campus))
 
-	// Run detection with the paper's 10ms reorder window.
-	runs := analysis.DetectRuns(campus.Ops, analysis.DefaultRunConfig(10))
-	tab := analysis.Tabulate(runs)
+	tab := runs.Table()
 	fmt.Printf("runs: %d total — reads %.0f%% (entire %.0f%%), writes %.0f%% (seq %.0f%%)\n\n",
 		tab.TotalRuns, tab.ReadPct, tab.Read[analysis.PatternEntire],
 		tab.WritePct, tab.Write[analysis.PatternSequential])
 
-	// Block lifetimes over the Monday window.
-	bl := analysis.BlockLife(campus.Ops,
-		workload.Day+9*workload.Hour, 6*workload.Hour, 6*workload.Hour)
+	bl := life.Result
 	fmt.Printf("block lifetimes (Mon 9am, 6h+6h): %d births, %d deaths, median life %.0fs\n",
 		bl.Births, bl.Deaths, bl.Lifetimes.Median())
 	fmt.Printf("  deaths: %.1f%% overwrite, %.1f%% truncate, %.1f%% delete\n",

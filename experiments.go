@@ -3,12 +3,12 @@ package repro
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/netem"
 	"repro/internal/pipeline"
 	"repro/internal/server"
@@ -23,10 +23,11 @@ import (
 // EXPERIMENTS.md); ratios, mixes, distributions, and orderings are the
 // reproduction targets.
 //
-// Every analysis runs through the internal/pipeline engine: one
-// streaming pass per trace per experiment, sharded across
-// Trace.Pipeline workers, with merges that make the rendered output
-// byte-identical at any worker count.
+// Every analysis that reads a trace does so through (*Trace).analyze,
+// that is, the internal/pipeline engine: one streaming pass per trace
+// per experiment, sharded across Trace.Pipeline workers, with merges
+// that make the rendered output byte-identical at any worker count.
+// (ExpNfsiod and ExpReadahead simulate and read no trace.)
 
 // Table1 contrasts the two workloads qualitatively, computing each
 // claim from the traces.
@@ -244,19 +245,11 @@ func Figure1(campus, eecs *Trace) string {
 	// The paper uses Wednesday 9am-12pm.
 	from := 3*workload.Day + 9*workload.Hour
 	to := from + 3*workload.Hour
-	cOps := core.FilterOps(campus.Ops, from, to)
-	eOps := core.FilterOps(eecs.Ops, from, to)
-	if len(cOps) == 0 {
-		cOps = campus.Ops
-	}
-	if len(eOps) == 0 {
-		eOps = eecs.Ops
-	}
 	windows := []float64{0, 1, 2, 3, 5, 8, 10, 15, 20, 30, 40, 50}
 	cSweep := &pipeline.ReorderSweepAnalyzer{WindowsMS: windows}
-	pipeline.RunSlice(campus.Pipeline, cOps, cSweep)
+	campus.window(from, to).analyze(cSweep)
 	eSweep := &pipeline.ReorderSweepAnalyzer{WindowsMS: windows}
-	pipeline.RunSlice(eecs.Pipeline, eOps, eSweep)
+	eecs.window(from, to).analyze(eSweep)
 	cPts, ePts := cSweep.Result, eSweep.Result
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 1: %% of accesses swapped vs reorder window (Wed 9am-12pm)\n")
@@ -412,7 +405,9 @@ func ExpNfsiod() string {
 // ExpNames reproduces §6.3: filename categories predict size, lifetime,
 // and pattern.
 func ExpNames(campus *Trace) string {
-	rep := analysis.AnalyzeNames(campus.Ops, campus.Days*workload.Day)
+	names := &pipeline.NamesAnalyzer{}
+	campus.analyze(names)
+	rep := names.ReportAt(campus.Days * workload.Day)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Experiment §6.3: filename-based prediction (CAMPUS)\n")
 	fmt.Fprintf(&b, "%-10s %8s %8s %12s %12s %12s\n",
@@ -541,8 +536,14 @@ func ExpNVRAM(campus, eecs *Trace) string {
 	if campus.Days >= 3 {
 		start, phase = workload.Day+9*workload.Hour, workload.Day
 	}
-	cPts := analysis.WriteAbsorption(campus.Ops, start, phase, delays)
-	ePts := analysis.WriteAbsorption(eecs.Ops, start, phase, delays)
+	// One block-life pass per trace, its margin covering the largest
+	// delay so that every lifetime up to it is observed.
+	absorbed := func(tr *Trace) []analysis.AbsorptionPoint {
+		life := &pipeline.BlockLifeAnalyzer{Start: start, Phase: phase, Margin: slices.Max(delays)}
+		tr.analyze(life)
+		return analysis.WriteAbsorption(life.Result, delays)
+	}
+	cPts, ePts := absorbed(campus), absorbed(eecs)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension (§7): NVRAM write-behind absorption\n")
 	fmt.Fprintf(&b, "%10s %12s %12s\n", "delay", "CAMPUS", "EECS")
@@ -561,8 +562,9 @@ func ExpQuiet(campus, eecs *Trace) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension (§7): schedulable quiet periods (<10%% of peak load, ≥4h)\n")
 	for _, tr := range []*Trace{campus, eecs} {
-		h := analysis.Hourly(tr.Ops, tr.Days*workload.Day)
-		ps := analysis.QuietPeriods(h, 0.10, 4)
+		hourly := &pipeline.HourlyAnalyzer{Span: tr.Days * workload.Day}
+		tr.analyze(hourly)
+		ps := analysis.QuietPeriods(hourly.Result, 0.10, 4)
 		fmt.Fprintf(&b, "%s: %d periods, %d hours total\n",
 			tr.Name, len(ps), analysis.QuietHoursTotal(ps))
 		for i, p := range ps {

@@ -20,37 +20,42 @@ import (
 // every table and figure must render byte-identically to the serial
 // single-file path.
 
-// renderedExperiments renders Table1–Figure5 for a campus/eecs pair.
+// renderedExperiments renders Table1–Figure5 and the side experiments
+// that read a trace for a campus/eecs pair: everything that goes
+// through (*Trace).analyze.
 func renderedExperiments(campus, eecs *Trace) map[string]string {
 	experiments := map[string]func(*Trace, *Trace) string{
 		"Table1": Table1, "Table2": Table2, "Table3": Table3,
 		"Table4": Table4, "Table5": Table5,
 		"Figure1": Figure1, "Figure2": Figure2, "Figure3": Figure3,
 		"Figure4": Figure4, "Figure5": Figure5,
+		"ExpNVRAM": ExpNVRAM, "ExpQuiet": ExpQuiet,
 	}
-	out := make(map[string]string, len(experiments))
+	out := make(map[string]string, len(experiments)+2)
 	for name, fn := range experiments {
 		out[name] = fn(campus, eecs)
 	}
+	out["ExpNames"], out["ExpHierarchy"] = ExpNames(campus), ExpHierarchy(campus)
 	return out
 }
 
-// ingestTrace drains a record source into a Trace, as nfsanalyze does.
+// ingestTrace joins a record source into a Trace, as nfsanalyze does.
 func ingestTrace(t *testing.T, src core.RecordSource, name string, days float64, reorderMS float64) *Trace {
 	t.Helper()
-	var records []*core.Record
+	tr := &Trace{Name: name, Days: days, ReorderWindowMS: reorderMS}
+	j := pipeline.NewJoiner(src)
 	for {
-		rec, err := src.Next()
+		op, err := j.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		records = append(records, rec)
+		tr.Ops = append(tr.Ops, op)
 	}
-	ops, join := core.Join(records)
-	return &Trace{Name: name, Ops: ops, Days: days, Join: join, ReorderWindowMS: reorderMS}
+	tr.Join = j.Stats()
+	return tr
 }
 
 func writeFile(t *testing.T, path string, data []byte) string {

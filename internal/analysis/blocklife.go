@@ -90,8 +90,8 @@ type nameBinding struct {
 	name string
 }
 
-// BlockLifeStream is the incremental form of BlockLife: feed it
-// time-ordered operations with Add and read the analysis with Result.
+// BlockLifeStream is the block-lifetime reducer: feed it time-ordered
+// operations with Add and read the analysis with Result.
 // The sharded pipeline runs one stream per shard (the per-file state
 // partitions cleanly by handle) and merges their states before
 // finishing. It is a sequential reducer: phases are positions in the
@@ -188,19 +188,6 @@ func (s *BlockLifeStream) Merge(src *BlockLifeStream, f Filter) {
 			s.st.names[nb] = fh
 		}
 	}
-}
-
-// BlockLife runs the create-based analysis over a materialized op
-// slice. See NewBlockLifeStream for the windowing semantics.
-func BlockLife(ops []*core.Op, start, phase, margin float64) *BlockLifeResult {
-	s := NewBlockLifeStream(start, phase, margin)
-	for _, op := range ops {
-		if op.T >= s.end {
-			break
-		}
-		s.Add(op)
-	}
-	return s.Result()
 }
 
 // trackNames maintains the (dir, name) → file mapping from lookups and

@@ -17,7 +17,7 @@ func TestBlockLifeBirthsByWrite(t *testing.T) {
 	ops := []*core.Op{
 		wr(1, "f", 0, 16384, 0, 16384), // two fresh blocks
 	}
-	res := BlockLife(ops, 0, 100, 100)
+	res := addAll(NewBlockLifeStream(0, 100, 100), ops).Result()
 	if res.Births != 2 || res.BirthCause[BirthWrite] != 2 {
 		t.Fatalf("births: %+v", res)
 	}
@@ -31,7 +31,7 @@ func TestBlockLifeOverwriteDeath(t *testing.T) {
 		wr(1, "f", 0, 8192, 0, 8192),
 		wr(31, "f", 0, 8192, 8192, 8192), // overwrites block 0
 	}
-	res := BlockLife(ops, 0, 100, 100)
+	res := addAll(NewBlockLifeStream(0, 100, 100), ops).Result()
 	if res.Births != 2 {
 		t.Fatalf("births %d", res.Births)
 	}
@@ -53,7 +53,7 @@ func TestBlockLifeExtensionBirths(t *testing.T) {
 		wr(1, "f", 0, 8192, 0, 8192),
 		wr(2, "f", 65536, 8192, 8192, 73728),
 	}
-	res := BlockLife(ops, 0, 100, 100)
+	res := addAll(NewBlockLifeStream(0, 100, 100), ops).Result()
 	if res.BirthCause[BirthExtension] != 7 {
 		t.Fatalf("extension births %d, want 7", res.BirthCause[BirthExtension])
 	}
@@ -68,7 +68,7 @@ func TestBlockLifeTruncateDeath(t *testing.T) {
 		{T: 10, Replied: true, Proc: core.MustProc("setattr"), FH: core.InternFH("f"),
 			SetSize: 8192, HasSet: true, PreSize: 32768, HasPre: true, Size: 8192},
 	}
-	res := BlockLife(ops, 0, 100, 100)
+	res := addAll(NewBlockLifeStream(0, 100, 100), ops).Result()
 	if res.DeathCause[DeathTruncate] != 3 {
 		t.Fatalf("truncate deaths %d, want 3", res.DeathCause[DeathTruncate])
 	}
@@ -80,7 +80,7 @@ func TestBlockLifeDeleteDeath(t *testing.T) {
 		wr(1, "f", 0, 24576, 0, 24576),
 		{T: 5, Replied: true, Proc: core.MustProc("remove"), FH: core.InternFH("dir"), Name: "tmp"},
 	}
-	res := BlockLife(ops, 0, 100, 100)
+	res := addAll(NewBlockLifeStream(0, 100, 100), ops).Result()
 	if res.DeathCause[DeathDelete] != 3 {
 		t.Fatalf("delete deaths %d, want 3 (%+v)", res.DeathCause[DeathDelete], res)
 	}
@@ -96,7 +96,7 @@ func TestBlockLifeRenameTracksName(t *testing.T) {
 		{T: 2, Replied: true, Proc: core.MustProc("rename"), FH: core.InternFH("dir"), Name: "a", FH2: core.InternFH("dir2"), Name2: "b"},
 		{T: 3, Replied: true, Proc: core.MustProc("remove"), FH: core.InternFH("dir2"), Name: "b"},
 	}
-	res := BlockLife(ops, 0, 100, 100)
+	res := addAll(NewBlockLifeStream(0, 100, 100), ops).Result()
 	if res.DeathCause[DeathDelete] != 1 {
 		t.Fatalf("rename lost the file: %+v", res)
 	}
@@ -108,7 +108,7 @@ func TestBlockLifePhase2DeathsOnly(t *testing.T) {
 		wr(150, "f", 8192, 8192, 8192, 16384), // phase 2: birth NOT counted
 		wr(160, "f", 0, 8192, 16384, 16384),   // phase 2 death (life 80 < margin)
 	}
-	res := BlockLife(ops, 0, 100, 100)
+	res := addAll(NewBlockLifeStream(0, 100, 100), ops).Result()
 	if res.Births != 1 {
 		t.Fatalf("births %d, want 1 (phase 2 births ignored)", res.Births)
 	}
@@ -122,7 +122,7 @@ func TestBlockLifeMarginDiscardsLongLives(t *testing.T) {
 		wr(1, "f", 0, 8192, 0, 8192),
 		wr(190, "f", 0, 8192, 8192, 8192), // lives 189s; margin is 100
 	}
-	res := BlockLife(ops, 0, 100, 100)
+	res := addAll(NewBlockLifeStream(0, 100, 100), ops).Result()
 	if res.Deaths != 0 {
 		t.Fatalf("overlong death counted: %+v", res)
 	}
@@ -135,7 +135,7 @@ func TestBlockLifeWindowOffsets(t *testing.T) {
 		wr(2, "f", 0, 8192, 0, 8192), // before window: no birth
 		wr(20, "f", 0, 8192, 8192, 8192),
 	}
-	res := BlockLife(ops, 10, 50, 50)
+	res := addAll(NewBlockLifeStream(10, 50, 50), ops).Result()
 	if res.Births != 1 {
 		t.Fatalf("births %d, want 1", res.Births)
 	}
@@ -152,7 +152,7 @@ func TestBlockLifeFailedOpsIgnored(t *testing.T) {
 			Offset: 0, Count: 8192, RCount: 0},
 		{T: 2, Replied: false, Proc: core.MustProc("write"), FH: core.InternFH("f"), Offset: 0, Count: 8192},
 	}
-	res := BlockLife(ops, 0, 100, 100)
+	res := addAll(NewBlockLifeStream(0, 100, 100), ops).Result()
 	if res.Births != 0 {
 		t.Fatalf("failed/unreplied writes created births: %+v", res)
 	}
@@ -163,7 +163,7 @@ func TestBlockLifePercentHelpers(t *testing.T) {
 		wr(1, "f", 0, 8192, 0, 8192),
 		wr(2, "f", 0, 8192, 8192, 8192),
 	}
-	res := BlockLife(ops, 0, 100, 100)
+	res := addAll(NewBlockLifeStream(0, 100, 100), ops).Result()
 	if res.BirthPct(BirthWrite) != 100 {
 		t.Fatalf("birth pct %v", res.BirthPct(BirthWrite))
 	}

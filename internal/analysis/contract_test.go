@@ -125,11 +125,12 @@ var contractCases = []contractCase{
 func contractStreams(t *testing.T) map[string][]*core.Op {
 	t.Helper()
 	gen := func(run func(client.Sink)) []*core.Op {
-		sink := &client.SliceSink{}
-		sorter := client.NewSortingSink(sink)
+		j := pipeline.NewPushJoiner()
+		var ops []*core.Op
+		sorter := client.NewSortingSink(client.FuncSink(func(r *core.Record, _ int) { ops = j.Push(r, ops) }))
 		run(sorter)
 		sorter.Flush()
-		ops, _ := core.Join(sink.Records)
+		ops = j.Drain(ops)
 		if len(ops) < 1000 {
 			t.Fatalf("stream has only %d ops", len(ops))
 		}

@@ -204,13 +204,3 @@ func (c *HierarchyCoverage) Coverage() float64 {
 	}
 	return float64(c.resolvable) / float64(c.total)
 }
-
-// CoverageAfterWarmup runs the reconstruction over ops, ignoring the
-// first warmup seconds, and returns the post-warmup coverage.
-func CoverageAfterWarmup(ops []*core.Op, warmup float64) float64 {
-	c := NewHierarchyCoverage(warmup)
-	for _, op := range ops {
-		c.Add(op)
-	}
-	return c.Coverage()
-}

@@ -85,15 +85,6 @@ func (h *HourlySeries) Merge(other *HourlySeries, f Filter) {
 	h.BytesWrite.Merge(other.BytesWrite)
 }
 
-// Hourly buckets every op into hours over [0, span).
-func Hourly(ops []*core.Op, span float64) *HourlySeries {
-	h := NewHourly(span)
-	for _, op := range ops {
-		h.Add(op)
-	}
-	return h
-}
-
 // RWRatios returns the per-hour read/write op ratio series (Figure 4,
 // lower panel). Hours with no writes report 0.
 func (h *HourlySeries) RWRatios() []float64 {

@@ -38,7 +38,7 @@ func randomOps(seed int64, n int) []*core.Op {
 func TestRunsPartitionAccesses(t *testing.T) {
 	f := func(seed int64) bool {
 		ops := randomOps(seed, 300)
-		runs := DetectRuns(ops, DefaultRunConfig(10))
+		runs := addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
 		var total int
 		var bytes uint64
 		for _, r := range runs {
@@ -78,7 +78,7 @@ func TestRunsPartitionAccesses(t *testing.T) {
 func TestMetricBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		ops := randomOps(seed, 200)
-		runs := DetectRuns(ops, DefaultRunConfig(10))
+		runs := addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
 		for _, r := range runs {
 			if r.Metric < 0 || r.Metric > 1 || r.MetricK1 < 0 || r.MetricK1 > 1 {
 				return false
@@ -99,7 +99,7 @@ func TestMetricBounds(t *testing.T) {
 func TestTabulatePercentagesSum(t *testing.T) {
 	f := func(seed int64) bool {
 		ops := randomOps(seed, 250)
-		tab := Tabulate(DetectRuns(ops, DefaultRunConfig(10)))
+		tab := Tabulate(addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs())
 		if tab.TotalRuns == 0 {
 			return true
 		}
@@ -189,7 +189,7 @@ func TestBlockLifeConservation(t *testing.T) {
 					PreSize: pre, HasPre: true, Size: newSize})
 			}
 		}
-		res := BlockLife(ops, 0, tm/2, tm/2+1)
+		res := addAll(NewBlockLifeStream(0, tm/2, tm/2+1), ops).Result()
 		if res.Deaths > res.Births {
 			return false
 		}
@@ -217,7 +217,7 @@ func TestHourlyConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		ops := randomOps(seed, 400)
 		span := ops[len(ops)-1].T + 1
-		h := Hourly(ops, span)
+		h := addAll(NewHourly(span), ops)
 		var sum float64
 		for i := 0; i < h.Ops.NumBuckets(); i++ {
 			sum += h.Ops.Bucket(i)

@@ -15,7 +15,7 @@ func TestSummarize(t *testing.T) {
 		{Proc: core.MustProc("getattr"), Replied: true},
 		{Proc: core.MustProc("lookup"), Replied: true},
 	}
-	s := Summarize(ops, 2)
+	s := addAll(NewSummary(2), ops)
 	if s.TotalOps != 6 || s.ReadOps != 3 || s.WriteOps != 1 || s.MetadataOps != 2 {
 		t.Fatalf("summary: %+v", s)
 	}
@@ -59,7 +59,7 @@ func TestHourlyAndVariance(t *testing.T) {
 			}
 		}
 	}
-	h := Hourly(ops, 7*day)
+	h := addAll(NewHourly(7*day), ops)
 	if h.Ops.NumBuckets() != 168 {
 		t.Fatalf("buckets %d", h.Ops.NumBuckets())
 	}
@@ -139,7 +139,7 @@ func TestAnalyzeNames(t *testing.T) {
 		&core.Op{T: 300, Replied: true, Proc: core.MustProc("create"), FH: core.InternFH("dir"), Name: "inbox", NewFH: core.InternFH("mbox"), Size: 0},
 		&core.Op{T: 301, Replied: true, Proc: core.MustProc("write"), FH: core.InternFH("mbox"), Offset: 0, Count: 8192, RCount: 8192, Size: 3 << 20},
 	)
-	rep := AnalyzeNames(ops, 1000)
+	rep := addAll(NewNamesStream(), ops).Report(1000)
 
 	locks := rep.PerCategory[CatLock]
 	if locks.Created != 10 || locks.Deleted != 10 {
@@ -164,18 +164,6 @@ func TestAnalyzeNames(t *testing.T) {
 	// Categories predict classes perfectly in this toy set.
 	if rep.SizeAccuracy < 0.99 || rep.LifeAccuracy < 0.99 {
 		t.Fatalf("accuracy: size=%v life=%v", rep.SizeAccuracy, rep.LifeAccuracy)
-	}
-}
-
-func TestTopNames(t *testing.T) {
-	ops := []*core.Op{
-		{Name: "inbox.lock"}, {Name: "inbox.lock"}, {Name: "inbox.lock"},
-		{Name: "inbox"}, {Name: "inbox"},
-		{Name: ".pinerc"},
-	}
-	top := TopNames(ops, 2)
-	if len(top) != 2 || top[0] != "inbox.lock" || top[1] != "inbox" {
-		t.Fatalf("top: %v", top)
 	}
 }
 
@@ -257,7 +245,7 @@ func TestHierarchyCoverageGrows(t *testing.T) {
 		fh := "file" + string(rune('A'+i%26)) + string(rune('a'+(i/26)%2))
 		ops = append(ops, &core.Op{T: 50 + float64(i), Proc: core.MustProc("read"), FH: core.InternFH(fh), Replied: true})
 	}
-	cov := CoverageAfterWarmup(ops, 50)
+	cov := addAll(NewHierarchyCoverage(50), ops).Coverage()
 	if cov < 0.99 {
 		t.Fatalf("coverage %v", cov)
 	}

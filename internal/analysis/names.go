@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -137,8 +136,8 @@ func lifeClass(life float64) int {
 	}
 }
 
-// NamesStream is the incremental form of AnalyzeNames: feed it
-// time-ordered operations with Add, then build the report with Report
+// NamesStream is the §6.3 filename reducer: feed it time-ordered
+// operations with Add, then build the report with Report
 // once the window end is known. Finished instances fold into
 // per-category aggregates as they die, so the live state is just the
 // open instances and the name map — which is what makes the stream's
@@ -153,8 +152,8 @@ type NamesStream struct {
 // namesAgg accumulates the per-category reductions over finished
 // instances. Every field is a sum, a histogram, or a CDF sample
 // multiset, so folding instances one at a time (or merging a resumed
-// aggregate) reproduces exactly what AnalyzeNames computes over the
-// full done list.
+// aggregate) reproduces exactly what one pass over the full list of
+// finished instances computes.
 type namesAgg struct {
 	created   [numCategories]int64
 	deleted   [numCategories]int64
@@ -354,16 +353,6 @@ func (n *NamesStream) Report(windowEnd float64) *NameReport {
 	return rep
 }
 
-// AnalyzeNames builds the §6.3 report from a joined op stream. It is
-// the one-shot form of NamesStream.
-func AnalyzeNames(ops []*core.Op, windowEnd float64) *NameReport {
-	n := NewNamesStream()
-	for _, op := range ops {
-		n.Add(op)
-	}
-	return n.Report(windowEnd)
-}
-
 func modal(hist []int64) (idx int, total int64) {
 	for i, v := range hist {
 		total += v
@@ -372,29 +361,4 @@ func modal(hist []int64) (idx int, total int64) {
 		}
 	}
 	return idx, total
-}
-
-// TopNames returns the most frequently referenced filenames in the op
-// stream — useful for inspecting what dominates a workload.
-func TopNames(ops []*core.Op, n int) []string {
-	counts := make(map[string]int64)
-	for _, op := range ops {
-		if op.Name != "" {
-			counts[op.Name]++
-		}
-	}
-	names := make([]string, 0, len(counts))
-	for name := range counts {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if counts[names[i]] != counts[names[j]] {
-			return counts[names[i]] > counts[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	if len(names) > n {
-		names = names[:n]
-	}
-	return names
 }

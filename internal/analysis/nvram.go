@@ -1,9 +1,5 @@
 package analysis
 
-import (
-	"repro/internal/core"
-)
-
 // The paper's conclusions (§7) propose two server-side optimizations
 // that follow directly from the measurements. This file implements the
 // analyses that quantify them.
@@ -28,18 +24,10 @@ type AbsorptionPoint struct {
 // WriteAbsorption replays the trace against an idealized NVRAM
 // write-behind buffer of unbounded size: every block write is buffered,
 // and a disk write is saved whenever the block dies again within the
-// delay. It reuses the block-lifetime machinery: a block write is
-// absorbed iff the block's lifetime is shorter than the delay.
-func WriteAbsorption(ops []*core.Op, start, phase float64, delays []float64) []AbsorptionPoint {
-	// Run one block-life pass with a margin covering the largest delay
-	// so lifetimes up to max(delays) are observed.
-	maxDelay := 0.0
-	for _, d := range delays {
-		if d > maxDelay {
-			maxDelay = d
-		}
-	}
-	res := BlockLife(ops, start, phase, maxDelay)
+// delay. It reads the block-lifetime result: a block write is absorbed
+// iff the block's lifetime is shorter than the delay, so res must come
+// from a pass whose end margin covers the largest delay.
+func WriteAbsorption(res *BlockLifeResult, delays []float64) []AbsorptionPoint {
 	out := make([]AbsorptionPoint, 0, len(delays))
 	for _, d := range delays {
 		if res.Births == 0 {

@@ -15,7 +15,7 @@ func TestWriteAbsorption(t *testing.T) {
 		wr(103, "f", 8192, 8192, 16384, 16384),  // block 1 died at 100s
 		wr(104, "f", 16384, 8192, 16384, 24576), // block 2 immortal
 	}
-	pts := WriteAbsorption(ops, 0, 200, []float64{10, 1000})
+	pts := WriteAbsorption(addAll(NewBlockLifeStream(0, 200, 1000), ops).Result(), []float64{10, 1000})
 	if len(pts) != 2 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -33,7 +33,7 @@ func TestWriteAbsorption(t *testing.T) {
 }
 
 func TestWriteAbsorptionEmpty(t *testing.T) {
-	pts := WriteAbsorption(nil, 0, 10, []float64{1})
+	pts := WriteAbsorption(NewBlockLifeStream(0, 10, 1).Result(), []float64{1})
 	if len(pts) != 1 || pts[0].AbsorbedPct != 0 {
 		t.Fatalf("empty absorption: %+v", pts)
 	}
@@ -53,7 +53,7 @@ func TestQuietPeriods(t *testing.T) {
 			}
 		}
 	}
-	h := Hourly(ops, 7*day)
+	h := addAll(NewHourly(7*day), ops)
 	ps := QuietPeriods(h, 0.1, 6)
 	if len(ps) == 0 {
 		t.Fatal("no quiet periods in a workload with dead nights")
@@ -79,7 +79,7 @@ func TestQuietPeriodsNoneWhenFlat(t *testing.T) {
 			ops = append(ops, &core.Op{T: float64(h)*3600 + float64(i)})
 		}
 	}
-	h := Hourly(ops, 168*3600)
+	h := addAll(NewHourly(168*3600), ops)
 	if ps := QuietPeriods(h, 0.5, 3); len(ps) != 0 {
 		t.Fatalf("flat load yielded quiet periods: %+v", ps)
 	}

@@ -36,9 +36,9 @@ func (a Access) endBlock() int64 {
 
 func (a Access) startBlock() int64 { return int64(a.Offset / BlockSize) }
 
-// AccessMap groups data accesses by file handle, in trace order. It is
-// the incremental form of FileAccesses: shards of the pipeline each
-// accumulate one AccessMap for the files they own. Keys are interned
+// AccessMap groups data accesses by file handle, in trace order:
+// shards of the pipeline each accumulate one AccessMap for the files
+// they own. Keys are interned
 // handle IDs, so the per-op map update hashes one integer instead of a
 // hex string.
 type AccessMap map[core.FH][]Access
@@ -79,15 +79,6 @@ func (m AccessMap) merge(src AccessMap, f Filter) AccessMap {
 		} else {
 			m[fh] = accs[:len(accs):len(accs)]
 		}
-	}
-	return m
-}
-
-// FileAccesses groups every data access by file handle, in trace order.
-func FileAccesses(ops []*core.Op) map[core.FH][]Access {
-	m := make(AccessMap)
-	for _, op := range ops {
-		m.Add(op)
 	}
 	return m
 }
@@ -144,12 +135,6 @@ func sweepFiles(files AccessMap, windowsMS []float64) []ReorderSweepPoint {
 		out = append(out, ReorderSweepPoint{WindowMS: wms, SwappedPct: pct})
 	}
 	return out
-}
-
-// ReorderSweep measures, for each window size, what fraction of
-// accesses the sorting pass moves (Figure 1).
-func ReorderSweep(ops []*core.Op, windowsMS []float64) []ReorderSweepPoint {
-	return sweepFiles(FileAccesses(ops), windowsMS)
 }
 
 // ReorderSweeper is the Figure 1 reducer: per-file access lists under a
@@ -277,12 +262,6 @@ func (r *RunDetector) Merge(src *RunDetector, f Filter) { r.files = r.files.merg
 
 // Runs detects and classifies the runs in everything added so far.
 func (r *RunDetector) Runs() []Run { return DetectRunsInFiles(r.files, r.cfg) }
-
-// DetectRuns splits every file's accesses into runs and classifies
-// them.
-func DetectRuns(ops []*core.Op, cfg RunConfig) []Run {
-	return DetectRunsInFiles(FileAccesses(ops), cfg)
-}
 
 // splitRuns applies the §4.2 run-break rules: a new run begins after an
 // access that referenced end-of-file, or after an idle gap.

@@ -7,6 +7,14 @@ import (
 	"repro/internal/core"
 )
 
+// addAll feeds ops to a reducer in order and returns it.
+func addAll[R interface{ Add(*core.Op) }](r R, ops []*core.Op) R {
+	for _, op := range ops {
+		r.Add(op)
+	}
+	return r
+}
+
 // mkOp builds a read or write op on a file.
 func mkOp(t float64, fh string, write bool, off uint64, count uint32, size uint64, eof bool) *core.Op {
 	proc := core.ProcRead
@@ -36,7 +44,7 @@ func seqReadOps(fh string, size uint64, t0 float64) []*core.Op {
 
 func TestDetectRunsEntireRead(t *testing.T) {
 	ops := seqReadOps("f1", 64*1024, 1.0)
-	runs := DetectRuns(ops, DefaultRunConfig(10))
+	runs := addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
 	if len(runs) != 1 {
 		t.Fatalf("%d runs", len(runs))
 	}
@@ -59,7 +67,7 @@ func TestDetectRunsSequentialPartial(t *testing.T) {
 		ops = append(ops, mkOp(1.0+float64(i)*0.001, "f", false,
 			8192*uint64(i+2), 8192, 1<<20, false))
 	}
-	runs := DetectRuns(ops, DefaultRunConfig(10))
+	runs := addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
 	if len(runs) != 1 || runs[0].Pattern != PatternSequential {
 		t.Fatalf("runs: %+v", runs)
 	}
@@ -71,7 +79,7 @@ func TestDetectRunsRandom(t *testing.T) {
 	for i, off := range offsets {
 		ops = append(ops, mkOp(1.0+float64(i)*0.001, "f", false, off, 8192, 1<<20, false))
 	}
-	runs := DetectRuns(ops, DefaultRunConfig(10))
+	runs := addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
 	if len(runs) != 1 || runs[0].Pattern != PatternRandom {
 		t.Fatalf("runs: %+v", runs)
 	}
@@ -89,19 +97,19 @@ func TestSmallForwardJumpStaysSequential(t *testing.T) {
 		mkOp(1.002, "f", false, 16384, 7168, 1<<20, false),
 		mkOp(1.003, "f", false, 24576, 8192, 1<<20, false),
 	}
-	runs := DetectRuns(ops, DefaultRunConfig(10))
+	runs := addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
 	if len(runs) != 1 || runs[0].Pattern != PatternSequential {
 		t.Fatalf("runs: %+v", runs)
 	}
 	// A 5-block forward jump is fine with k=10 but not with k=1.
 	ops = append(ops, mkOp(1.004, "f", false, 8192*9, 8192, 1<<20, false))
-	runs = DetectRuns(ops, DefaultRunConfig(10))
+	runs = addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
 	if runs[0].Pattern != PatternSequential {
 		t.Fatalf("k=10 jump broke the run: %+v", runs[0])
 	}
 	cfg := DefaultRunConfig(10)
 	cfg.JumpBlocks = 1
-	runs = DetectRuns(ops, cfg)
+	runs = addAll(NewRunDetector(cfg), ops).Runs()
 	if runs[0].Pattern != PatternRandom {
 		t.Fatalf("k=1 did not break the run: %+v", runs[0])
 	}
@@ -113,7 +121,7 @@ func TestBackwardSeekBreaksSequential(t *testing.T) {
 		mkOp(1.001, "f", false, 16384, 8192, 1<<20, false),
 		mkOp(1.002, "f", false, 0, 8192, 1<<20, false), // back
 	}
-	runs := DetectRuns(ops, RunConfig{IdleGap: 30, JumpBlocks: 10})
+	runs := addAll(NewRunDetector(RunConfig{IdleGap: 30, JumpBlocks: 10}), ops).Runs()
 	if len(runs) != 1 || runs[0].Pattern != PatternRandom {
 		t.Fatalf("runs: %+v", runs)
 	}
@@ -130,7 +138,7 @@ func TestRunBreaksOnEOFAndIdle(t *testing.T) {
 	// Idle gap: third run starts 100s later without EOF before it.
 	ops = append(ops, mkOp(100.0, "f", false, 0, 8192, 16384, false))
 	ops = append(ops, mkOp(200.0, "f", false, 8192, 8192, 16384, false))
-	runs := DetectRuns(ops, DefaultRunConfig(0))
+	runs := addAll(NewRunDetector(DefaultRunConfig(0)), ops).Runs()
 	if len(runs) != 4 {
 		t.Fatalf("%d runs, want 4 (two EOF-terminated, two idle-split)", len(runs))
 	}
@@ -140,7 +148,7 @@ func TestSingletonClassification(t *testing.T) {
 	// Partial singleton → sequential; whole-file singleton → entire.
 	part := []*core.Op{mkOp(1, "a", true, 8192, 8192, 1<<20, false)}
 	whole := []*core.Op{mkOp(1, "b", false, 0, 4096, 4096, true)}
-	runs := DetectRuns(append(part, whole...), DefaultRunConfig(10))
+	runs := addAll(NewRunDetector(DefaultRunConfig(10)), append(part, whole...)).Runs()
 	if len(runs) != 2 {
 		t.Fatalf("%d runs", len(runs))
 	}
@@ -163,7 +171,7 @@ func TestReadWriteRun(t *testing.T) {
 		mkOp(1.0, "f", false, 0, 8192, 1<<20, false),
 		mkOp(1.1, "f", true, 8192, 8192, 1<<20, false),
 	}
-	runs := DetectRuns(ops, DefaultRunConfig(10))
+	runs := addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
 	if len(runs) != 1 || runs[0].Kind != RunReadWrite {
 		t.Fatalf("runs: %+v", runs)
 	}
@@ -178,12 +186,12 @@ func TestSortWindowRepairsReordering(t *testing.T) {
 		mkOp(1.003, "f", false, 24576, 8192, 1<<20, false),
 	}
 	// Without sorting: random.
-	raw := DetectRuns(ops, RunConfig{IdleGap: 30, JumpBlocks: 1})
+	raw := addAll(NewRunDetector(RunConfig{IdleGap: 30, JumpBlocks: 1}), ops).Runs()
 	if raw[0].Pattern != PatternRandom {
 		t.Fatalf("raw: %+v", raw[0])
 	}
 	// With a 5ms window: sequential again.
-	sorted := DetectRuns(ops, RunConfig{ReorderWindow: 0.005, IdleGap: 30, JumpBlocks: 1})
+	sorted := addAll(NewRunDetector(RunConfig{ReorderWindow: 0.005, IdleGap: 30, JumpBlocks: 1}), ops).Runs()
 	if sorted[0].Pattern != PatternEntire && sorted[0].Pattern != PatternSequential {
 		t.Fatalf("sorted: %+v", sorted[0])
 	}
@@ -198,7 +206,7 @@ func TestSortWindowDoesNotMaskTrueRandomness(t *testing.T) {
 		ops = append(ops, mkOp(float64(i), "f", false,
 			uint64(rng.Intn(1000))*8192, 8192, 100<<20, false))
 	}
-	runs := DetectRuns(ops, RunConfig{ReorderWindow: 0.010, IdleGap: 30, JumpBlocks: 10})
+	runs := addAll(NewRunDetector(RunConfig{ReorderWindow: 0.010, IdleGap: 30, JumpBlocks: 10}), ops).Runs()
 	for _, r := range runs {
 		if len(r.Accesses) > 3 && r.Pattern != PatternRandom {
 			t.Fatalf("random stream classified %v", r.Pattern)
@@ -222,7 +230,7 @@ func TestReorderSweepShape(t *testing.T) {
 			ops[i], ops[i+1] = ops[i+1], ops[i]
 		}
 	}
-	pts := ReorderSweep(ops, []float64{0, 1, 5, 10, 50})
+	pts := addAll(NewReorderSweeper([]float64{0, 1, 5, 10, 50}), ops).Points()
 	if pts[0].SwappedPct != 0 {
 		t.Fatalf("window 0 swapped %v%%", pts[0].SwappedPct)
 	}
@@ -246,7 +254,7 @@ func TestTabulate(t *testing.T) {
 	ops = append(ops, seqReadOps("r1", 32768, 1)...)
 	ops = append(ops, seqReadOps("r2", 32768, 2)...)
 	ops = append(ops, mkOp(3, "w1", true, 0, 8192, 8192, false))
-	tab := Tabulate(DetectRuns(ops, DefaultRunConfig(10)))
+	tab := Tabulate(addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs())
 	if tab.TotalRuns != 3 {
 		t.Fatalf("runs %d", tab.TotalRuns)
 	}
@@ -263,7 +271,7 @@ func TestSizeProfile(t *testing.T) {
 	// 10 KB of bytes from a small file, 4 MB from a big one.
 	ops = append(ops, mkOp(1, "small", false, 0, 10240, 10240, true))
 	ops = append(ops, seqReadOps("big", 4<<20, 2)...)
-	pts := SizeProfile(DetectRuns(ops, DefaultRunConfig(10)))
+	pts := SizeProfile(addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs())
 	if len(pts) == 0 {
 		t.Fatal("no profile")
 	}
@@ -303,7 +311,7 @@ func TestSequentialityProfile(t *testing.T) {
 			off += 8192
 		}
 	}
-	runs := DetectRuns(ops, RunConfig{IdleGap: 30, JumpBlocks: 10})
+	runs := addAll(NewRunDetector(RunConfig{IdleGap: 30, JumpBlocks: 10}), ops).Runs()
 	pts := SequentialityProfile(runs)
 	var readAt4M, writeAt4M float64 = -1, -1
 	for _, p := range pts {

@@ -78,15 +78,6 @@ func (s *Summary) Merge(other *Summary, f Filter) {
 	}
 }
 
-// Summarize computes totals over ops spanning the given number of days.
-func Summarize(ops []*core.Op, days float64) *Summary {
-	s := NewSummary(days)
-	for _, op := range ops {
-		s.Add(op)
-	}
-	return s
-}
-
 // Daily scales a count to a per-day average.
 func (s *Summary) Daily(v float64) float64 {
 	if s.Days <= 0 {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mount"
 	"repro/internal/nfs"
+	"repro/internal/pipeline"
 	"repro/internal/rpc"
 	"repro/internal/wire"
 	"repro/internal/xdr"
@@ -73,13 +74,14 @@ func TestSnifferMountThenNFSJoins(t *testing.T) {
 	// The mount handshake followed by a GETATTR on the returned root:
 	// joined ops should carry both.
 	callPkt, replyPkt := buildMountExchange(t, "/home/u001", nfs.MakeFH(2))
-	var records []*core.Record
-	s := NewSniffer(func(r *core.Record) { records = append(records, r) })
+	j := pipeline.NewPushJoiner()
+	var ops []*core.Op
+	s := NewSniffer(func(r *core.Record) { ops = j.Push(r, ops) })
 	s.HandlePacket(1.0, callPkt)
 	s.HandlePacket(1.001, replyPkt)
 
-	ops, stats := core.Join(records)
-	if stats.Matched != 1 {
+	ops = j.Drain(ops)
+	if stats := j.Stats(); stats.Matched != 1 {
 		t.Fatalf("join: %+v", stats)
 	}
 	if ops[0].Proc != core.MustProc("mnt") || ops[0].NewFH == core.InternFH("") {

@@ -142,55 +142,64 @@ func (c *Client) translate(proc uint32, args any) (uint32, uint32, any) {
 	if c.Version == nfs.V3 {
 		return nfs.V3, proc, args
 	}
+	proc, args = translateV2(proc, args)
+	return nfs.V2, proc, args
+}
+
+// translateV2 narrows a v3 procedure and its args to the v2 equivalent,
+// for the simulated Client and the socket NetClient alike. A procedure
+// v2 has no counterpart for (and READLINK, which nothing here issues)
+// becomes a NULL call.
+func translateV2(proc uint32, args any) (uint32, any) {
 	switch proc {
 	case nfs.V3Getattr:
-		return nfs.V2, nfs.V2Getattr, args
+		return nfs.V2Getattr, args
 	case nfs.V3Setattr:
 		a := args.(*nfs.SetattrArgs3)
-		return nfs.V2, nfs.V2Setattr, &nfs.SetattrArgs2{FH: a.FH, Attr: a.Attr}
+		return nfs.V2Setattr, &nfs.SetattrArgs2{FH: a.FH, Attr: a.Attr}
 	case nfs.V3Lookup:
-		return nfs.V2, nfs.V2Lookup, args
+		return nfs.V2Lookup, args
 	case nfs.V3Access:
 		// No ACCESS in v2: clients use GETATTR for permission checks.
 		a := args.(*nfs.AccessArgs3)
-		return nfs.V2, nfs.V2Getattr, &nfs.GetattrArgs3{FH: a.FH}
+		return nfs.V2Getattr, &nfs.GetattrArgs3{FH: a.FH}
 	case nfs.V3Read:
 		a := args.(*nfs.ReadArgs3)
-		return nfs.V2, nfs.V2Read, &nfs.ReadArgs2{FH: a.FH, Offset: uint32(a.Offset),
+		return nfs.V2Read, &nfs.ReadArgs2{FH: a.FH, Offset: uint32(a.Offset),
 			Count: a.Count, TotalCount: a.Count}
 	case nfs.V3Write:
 		a := args.(*nfs.WriteArgs3)
-		return nfs.V2, nfs.V2Write, &nfs.WriteArgs2{FH: a.FH, Offset: uint32(a.Offset),
+		return nfs.V2Write, &nfs.WriteArgs2{FH: a.FH, Offset: uint32(a.Offset),
 			Data: server.Filler(int(a.Count))}
 	case nfs.V3Create:
 		a := args.(*nfs.CreateArgs3)
-		return nfs.V2, nfs.V2Create, &nfs.CreateArgs2{Where: a.Where, Attr: a.Attr}
+		return nfs.V2Create, &nfs.CreateArgs2{Where: a.Where, Attr: a.Attr}
 	case nfs.V3Mkdir:
 		a := args.(*nfs.MkdirArgs3)
-		return nfs.V2, nfs.V2Mkdir, &nfs.CreateArgs2{Where: a.Where, Attr: a.Attr}
+		return nfs.V2Mkdir, &nfs.CreateArgs2{Where: a.Where, Attr: a.Attr}
 	case nfs.V3Remove:
-		return nfs.V2, nfs.V2Remove, args
+		return nfs.V2Remove, args
 	case nfs.V3Rmdir:
-		return nfs.V2, nfs.V2Rmdir, args
+		return nfs.V2Rmdir, args
 	case nfs.V3Rename:
-		return nfs.V2, nfs.V2Rename, args
+		return nfs.V2Rename, args
 	case nfs.V3Link:
-		return nfs.V2, nfs.V2Link, args
+		return nfs.V2Link, args
 	case nfs.V3Symlink:
-		return nfs.V2, nfs.V2Symlink, args
+		return nfs.V2Symlink, args
 	case nfs.V3Readdir:
 		a := args.(*nfs.ReaddirArgs3)
-		return nfs.V2, nfs.V2Readdir, &nfs.ReaddirArgs2{Dir: a.Dir,
+		return nfs.V2Readdir, &nfs.ReaddirArgs2{Dir: a.Dir,
 			Cookie: uint32(a.Cookie), Count: a.MaxCount}
 	case nfs.V3Fsstat:
-		return nfs.V2, nfs.V2Statfs, args
+		return nfs.V2Statfs, args
 	case nfs.V3Commit:
 		// No COMMIT in v2 (writes are synchronous); issue a GETATTR to
 		// keep the call visible, as some clients did.
 		a := args.(*nfs.CommitArgs3)
-		return nfs.V2, nfs.V2Getattr, &nfs.GetattrArgs3{FH: a.FH}
+		return nfs.V2Getattr, &nfs.GetattrArgs3{FH: a.FH}
 	default:
-		return nfs.V2, nfs.V2Null, nil
+		return nfs.V2Null, nil
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/nfs"
 	"repro/internal/server"
 	"repro/internal/vfs"
+	"repro/internal/xdr"
 )
 
 func newRig(version uint32) (*Client, *SliceSink, *server.Server) {
@@ -328,5 +329,61 @@ func TestReadRangePipelinedTimesCanSwap(t *testing.T) {
 	}
 	if swaps == 0 {
 		t.Fatal("no wire-time inversions in a 512-read pipeline with 8 nfsiods")
+	}
+}
+
+// TestTranslateV2 walks every v3 procedure number through the one
+// v3→v2 narrowing both clients use: each lands on the expected v2
+// procedure with args the v2 encoder accepts, which is what the socket
+// path needs.
+func TestTranslateV2(t *testing.T) {
+	fh := nfs.MakeFH(7)
+	where := nfs.DirOpArgs3{Dir: fh, Name: "n"}
+	cases := []struct {
+		v3   uint32
+		args any
+		v2   uint32
+	}{
+		{nfs.V3Null, nil, nfs.V2Null},
+		{nfs.V3Getattr, &nfs.GetattrArgs3{FH: fh}, nfs.V2Getattr},
+		{nfs.V3Setattr, &nfs.SetattrArgs3{FH: fh}, nfs.V2Setattr},
+		{nfs.V3Lookup, &nfs.LookupArgs3{Dir: fh, Name: "n"}, nfs.V2Lookup},
+		{nfs.V3Access, &nfs.AccessArgs3{FH: fh, Access: 0x3F}, nfs.V2Getattr},
+		{nfs.V3Readlink, &nfs.GetattrArgs3{FH: fh}, nfs.V2Null},
+		{nfs.V3Read, &nfs.ReadArgs3{FH: fh, Offset: 8192, Count: 4096}, nfs.V2Read},
+		{nfs.V3Write, &nfs.WriteArgs3{FH: fh, Offset: 8192, Count: 4096}, nfs.V2Write},
+		{nfs.V3Create, &nfs.CreateArgs3{Where: where}, nfs.V2Create},
+		{nfs.V3Mkdir, &nfs.MkdirArgs3{Where: where}, nfs.V2Mkdir},
+		{nfs.V3Symlink, &nfs.SymlinkArgs3{Where: where, Target: "t"}, nfs.V2Symlink},
+		{nfs.V3Mknod, nil, nfs.V2Null},
+		{nfs.V3Remove, &nfs.DirOpArgs3{Dir: fh, Name: "n"}, nfs.V2Remove},
+		{nfs.V3Rmdir, &nfs.DirOpArgs3{Dir: fh, Name: "n"}, nfs.V2Rmdir},
+		{nfs.V3Rename, &nfs.RenameArgs3{From: where, To: where}, nfs.V2Rename},
+		{nfs.V3Link, &nfs.LinkArgs3{FH: fh, To: where}, nfs.V2Link},
+		{nfs.V3Readdir, &nfs.ReaddirArgs3{Dir: fh, Cookie: 3, MaxCount: 4096}, nfs.V2Readdir},
+		{nfs.V3Readdirplus, &nfs.ReaddirArgs3{Dir: fh, MaxCount: 4096}, nfs.V2Null},
+		{nfs.V3Fsstat, &nfs.GetattrArgs3{FH: fh}, nfs.V2Statfs},
+		{nfs.V3Fsinfo, &nfs.GetattrArgs3{FH: fh}, nfs.V2Null},
+		{nfs.V3Pathconf, &nfs.GetattrArgs3{FH: fh}, nfs.V2Null},
+		{nfs.V3Commit, &nfs.CommitArgs3{FH: fh, Count: 4096}, nfs.V2Getattr},
+	}
+	for i, c := range cases {
+		if c.v3 != uint32(i) {
+			t.Fatalf("case %d is v3 procedure %d: the table must cover every number in order", i, c.v3)
+		}
+		proc, args := translateV2(c.v3, c.args)
+		if proc != c.v2 {
+			t.Errorf("v3 proc %d: v2 proc %d, want %d", c.v3, proc, c.v2)
+		}
+		if err := nfs.EncodeArgs2(xdr.NewEncoder(64), proc, args); err != nil {
+			t.Errorf("v3 proc %d: v2 proc %d does not encode: %v", c.v3, proc, err)
+		}
+		// The simulated client narrows through the same function.
+		if v, p, _ := (&Client{Version: nfs.V2}).translate(c.v3, c.args); v != nfs.V2 || p != c.v2 {
+			t.Errorf("v3 proc %d: Client.translate gives v%d proc %d", c.v3, v, p)
+		}
+	}
+	if v, p, a := (&Client{Version: nfs.V3}).translate(nfs.V3Commit, cases[nfs.V3Commit].args); v != nfs.V3 || p != nfs.V3Commit || a != cases[nfs.V3Commit].args {
+		t.Errorf("v3 client must pass through, got v%d proc %d", v, p)
 	}
 }

@@ -208,38 +208,6 @@ func (c *NetClient) callV3(v3proc uint32, v3args any) (any, error) {
 	return c.Call(proc, args)
 }
 
-// translateV2 narrows a v3 procedure + args to the v2 equivalents used
-// by the benchmark ops (reads, writes, and metadata).
-func translateV2(proc uint32, args any) (uint32, any) {
-	switch proc {
-	case nfs.V3Getattr:
-		return nfs.V2Getattr, args
-	case nfs.V3Access:
-		a := args.(*nfs.AccessArgs3)
-		return nfs.V2Getattr, &nfs.GetattrArgs3{FH: a.FH}
-	case nfs.V3Lookup:
-		return nfs.V2Lookup, args
-	case nfs.V3Read:
-		a := args.(*nfs.ReadArgs3)
-		return nfs.V2Read, &nfs.ReadArgs2{FH: a.FH, Offset: uint32(a.Offset),
-			Count: a.Count, TotalCount: a.Count}
-	case nfs.V3Write:
-		a := args.(*nfs.WriteArgs3)
-		return nfs.V2Write, &nfs.WriteArgs2{FH: a.FH, Offset: uint32(a.Offset),
-			Data: server.Filler(int(a.Count))}
-	case nfs.V3Create:
-		a := args.(*nfs.CreateArgs3)
-		return nfs.V2Create, &nfs.CreateArgs2{Where: a.Where, Attr: a.Attr}
-	case nfs.V3Setattr:
-		a := args.(*nfs.SetattrArgs3)
-		return nfs.V2Setattr, &nfs.SetattrArgs2{FH: a.FH, Attr: a.Attr}
-	case nfs.V3Remove:
-		return nfs.V2Remove, args
-	default:
-		return nfs.V2Null, nil
-	}
-}
-
 // StatusOf extracts the NFS status from any decoded result struct; nil
 // results (NULL) report OK.
 func StatusOf(res any) uint32 {

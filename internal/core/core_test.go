@@ -144,7 +144,7 @@ func TestWriterReader(t *testing.T) {
 
 	// Inject comments and blanks.
 	text := "# trace header\n\n" + buf.String() + "\n# trailer\n"
-	got, err := ReadAll(strings.NewReader(text))
+	got, err := MergeAll(NewReader(strings.NewReader(text)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestWriteAllReadAll(t *testing.T) {
 	if err := WriteAll(&buf, records); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(&buf)
+	got, err := MergeAll(NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,119 +180,29 @@ func TestWriteAllReadAll(t *testing.T) {
 	}
 }
 
-func TestJoinMatchesCallReply(t *testing.T) {
+func TestFromPair(t *testing.T) {
 	call, reply := sampleCall(), sampleReply()
-	ops, stats := Join([]*Record{call, reply})
-	if len(ops) != 1 {
-		t.Fatalf("%d ops", len(ops))
-	}
-	op := ops[0]
-	if !op.Replied || op.RT != reply.Time || op.RCount != 8192 || op.Size != 2<<20 {
+	op := FromPair(call, reply)
+	if !op.Replied || op.T != call.Time || op.RT != reply.Time || op.RCount != 8192 || op.Size != 2<<20 {
 		t.Fatalf("op: %+v", op)
-	}
-	if stats.Matched != 1 || stats.UnmatchedCalls != 0 || stats.OrphanReplies != 0 {
-		t.Fatalf("stats: %+v", stats)
 	}
 	if op.Bytes() != 8192 || !op.IsRead() || op.IsMetadata() {
 		t.Fatalf("derived: %+v", op)
 	}
-}
-
-func TestJoinLostReply(t *testing.T) {
-	call := sampleCall()
-	ops, stats := Join([]*Record{call})
-	if len(ops) != 1 || ops[0].Replied {
-		t.Fatalf("ops: %+v", ops)
-	}
-	if stats.UnmatchedCalls != 1 {
-		t.Fatalf("stats: %+v", stats)
-	}
-	// Lost reply still counts requested bytes.
-	if ops[0].Bytes() != 8192 {
-		t.Fatalf("bytes = %d", ops[0].Bytes())
+	// A lost reply still counts the requested bytes.
+	if lost := FromPair(call, nil); lost.Replied || lost.OK() || lost.Bytes() != 8192 {
+		t.Fatalf("unreplied op: %+v", lost)
 	}
 }
 
-func TestJoinOrphanReply(t *testing.T) {
-	reply := sampleReply()
-	ops, stats := Join([]*Record{reply})
-	if len(ops) != 0 {
-		t.Fatalf("ops from orphan: %d", len(ops))
+func TestLossEstimate(t *testing.T) {
+	if est := (JoinStats{}).LossEstimate(); est != 0 {
+		t.Fatalf("empty trace: %v", est)
 	}
-	if stats.OrphanReplies != 1 {
-		t.Fatalf("stats: %+v", stats)
-	}
-	if stats.LossEstimate() <= 0 {
-		t.Fatal("loss estimate zero with orphan present")
-	}
-}
-
-func TestJoinRetransmittedCall(t *testing.T) {
-	call1 := sampleCall()
-	call2 := sampleCall()
-	call2.Time += 1.0 // retransmission
-	reply := sampleReply()
-	reply.Time += 1.1
-	ops, stats := Join([]*Record{call1, call2, reply})
-	if len(ops) != 1 {
-		t.Fatalf("%d ops", len(ops))
-	}
-	if ops[0].T != call1.Time {
-		t.Fatalf("kept duplicate's time %v", ops[0].T)
-	}
-	if stats.Calls != 2 || stats.Matched != 1 {
-		t.Fatalf("stats: %+v", stats)
-	}
-}
-
-func TestJoinDistinguishesClients(t *testing.T) {
-	// Same xid from two clients must not cross-match.
-	c1, c2 := sampleCall(), sampleCall()
-	c2.Client = 0x0a000006
-	r1 := sampleReply() // for c1
-	ops, stats := Join([]*Record{c1, c2, r1})
-	if stats.Matched != 1 || stats.UnmatchedCalls != 1 {
-		t.Fatalf("stats: %+v", stats)
-	}
-	matched := 0
-	for _, op := range ops {
-		if op.Replied {
-			matched++
-			if op.Client != c1.Client {
-				t.Fatal("reply matched to wrong client")
-			}
-		}
-	}
-	if matched != 1 {
-		t.Fatalf("matched ops = %d", matched)
-	}
-}
-
-func TestJoinOutputSorted(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var records []*Record
-	for i := 0; i < 300; i++ {
-		c := sampleCall()
-		c.XID = uint32(i)
-		c.Time = float64(rng.Intn(1000)) * 0.01
-		records = append(records, c)
-	}
-	ops, _ := Join(records)
-	for i := 1; i < len(ops); i++ {
-		if ops[i-1].T > ops[i].T {
-			t.Fatalf("unsorted at %d: %v > %v", i, ops[i-1].T, ops[i].T)
-		}
-	}
-}
-
-func TestFilterOps(t *testing.T) {
-	var ops []*Op
-	for i := 0; i < 10; i++ {
-		ops = append(ops, &Op{T: float64(i)})
-	}
-	got := FilterOps(ops, 3, 7)
-	if len(got) != 4 || got[0].T != 3 || got[3].T != 6 {
-		t.Fatalf("filtered: %+v", got)
+	// One reply in ten lost its call and one call in ten its reply.
+	s := JoinStats{Calls: 9, Replies: 9, Matched: 8, UnmatchedCalls: 1, OrphanReplies: 1}
+	if est := s.LossEstimate(); est < 0.1 || est > 0.11 {
+		t.Fatalf("loss estimate %v, want 2 of 19", est)
 	}
 }
 

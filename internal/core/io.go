@@ -78,22 +78,6 @@ func (tr *Reader) Next() (*Record, error) {
 // shared pool.
 func (tr *Reader) Recycle(r *Record) { FreeRecord(r) }
 
-// ReadAll slurps every record from r.
-func ReadAll(r io.Reader) ([]*Record, error) {
-	tr := NewReader(r)
-	var out []*Record
-	for {
-		rec, err := tr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-}
-
 // WriteAll writes every record to w.
 func WriteAll(w io.Writer, records []*Record) error {
 	tw := NewWriter(w)
@@ -103,18 +87,6 @@ func WriteAll(w io.Writer, records []*Record) error {
 		}
 	}
 	return tw.Flush()
-}
-
-// FilterOps returns the ops within [from, to) seconds, preserving order.
-// Used to cut analysis windows (peak hours, single days) from a trace.
-func FilterOps(ops []*Op, from, to float64) []*Op {
-	var out []*Op
-	for _, op := range ops {
-		if op.T >= from && op.T < to {
-			out = append(out, op)
-		}
-	}
-	return out
 }
 
 // sniffReader wraps r for ingest: gzip-compressed input (archived

@@ -69,7 +69,7 @@ func FromPair(call *Record, reply *Record) *Op {
 
 // SetPair overwrites o with the operation a call record and its
 // optional reply describe. It is FromPair for callers that place their
-// operations themselves, as the streaming joiner does in chunks.
+// operations themselves, as the joiner does in chunks.
 func (o *Op) SetPair(call *Record, reply *Record) {
 	*o = Op{
 		T:       call.Time,
@@ -103,7 +103,8 @@ func (o *Op) SetPair(call *Record, reply *Record) {
 	}
 }
 
-// JoinStats reports what Join saw, feeding the §4.1.4 loss estimate.
+// JoinStats reports what the call/reply join (pipeline.Joiner) saw,
+// feeding the §4.1.4 loss estimate.
 type JoinStats struct {
 	Calls          int64
 	Replies        int64
@@ -133,76 +134,4 @@ func (s JoinStats) LossEstimate() float64 {
 	}
 	lost := s.OrphanReplies + s.UnmatchedCalls
 	return float64(lost) / float64(total+s.OrphanReplies)
-}
-
-// Join matches call records to reply records by (client, port, xid) and
-// returns operations in call-time order. Records must be supplied in
-// trace order. A reply matches the most recent unmatched call with its
-// key; retransmitted calls reuse the earliest pending time, as the
-// paper's tracer did.
-func Join(records []*Record) ([]*Op, JoinStats) {
-	type key struct {
-		client uint32
-		port   uint16
-		xid    uint32
-	}
-	var stats JoinStats
-	pending := make(map[key]*Record)
-	var ops []*Op
-	flush := func(call *Record, reply *Record) {
-		ops = append(ops, FromPair(call, reply))
-	}
-	for _, r := range records {
-		k := key{r.Client, r.Port, r.XID}
-		switch r.Kind {
-		case KindCall:
-			stats.Calls++
-			if old, ok := pending[k]; ok {
-				// Duplicate xid (retransmission): keep the original
-				// call time; drop the duplicate.
-				_ = old
-				continue
-			}
-			pending[k] = r
-		case KindReply:
-			stats.Replies++
-			call, ok := pending[k]
-			if !ok {
-				stats.OrphanReplies++
-				continue
-			}
-			delete(pending, k)
-			stats.Matched++
-			flush(call, r)
-		}
-	}
-	for _, call := range pending {
-		stats.UnmatchedCalls++
-		flush(call, nil)
-	}
-	sortOpsByTime(ops)
-	return ops, stats
-}
-
-func sortOpsByTime(ops []*Op) {
-	// Insertion-friendly: records arrive nearly sorted, so a simple
-	// binary-insertion pass beats full sort in the common case. Fall
-	// back to library sort when disorder is large.
-	for i := 1; i < len(ops); i++ {
-		if ops[i-1].T <= ops[i].T {
-			continue
-		}
-		lo, hi := 0, i
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if ops[mid].T <= ops[i].T {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		op := ops[i]
-		copy(ops[lo+1:i+1], ops[lo:i])
-		ops[lo] = op
-	}
 }

@@ -128,7 +128,7 @@ func (s *sharded[R]) decodeState(d *state.Decoder) {
 // be merged independently and must be chained with resume.
 func IsSequential(a Analyzer) bool { return a.adapter().sequential() }
 
-// SummaryAnalyzer computes analysis.Summarize over the stream
+// SummaryAnalyzer computes the analysis.Summary of the stream
 // (Tables 1 and 2).
 type SummaryAnalyzer struct {
 	// Days scales per-day averages; it may also be set on the Result
@@ -147,7 +147,7 @@ func (a *SummaryAnalyzer) adapter() adapter {
 		func() Analyzer { return &SummaryAnalyzer{Days: a.Days} })
 }
 
-// HourlyAnalyzer computes analysis.Hourly over the stream (Table 5,
+// HourlyAnalyzer buckets the stream by hour (Table 5,
 // Figure 4). Span > 0 fixes the hour buckets at construction; Span == 0
 // accumulates open-ended buckets — fold the Result with FixedTo once
 // the span is known (it is identical to having fixed it up front,

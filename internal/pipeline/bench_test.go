@@ -76,8 +76,7 @@ func BenchmarkRouter(b *testing.B) {
 }
 
 // BenchmarkJoiner measures the streaming join in its pull form
-// (nfsanalyze, nfsworker) and its push form (nfsmond) against the
-// materializing core.Join.
+// (nfsanalyze, nfsworker) and its push form (nfsmond, repro.Generate*).
 func BenchmarkJoiner(b *testing.B) {
 	records := genRecords(b, 0.5)
 	form := func(name string, join func([]*core.Record) core.JoinStats) {
@@ -91,8 +90,4 @@ func BenchmarkJoiner(b *testing.B) {
 	}
 	form("streaming", pullJoin)
 	form("push", pushJoin)
-	form("materialized", func(records []*core.Record) core.JoinStats {
-		_, stats := core.Join(records)
-		return stats
-	})
 }

@@ -1,11 +1,9 @@
 // Package pipeline is the streaming, sharded trace-processing engine.
 //
 // The paper's analyses were designed for multi-day, multi-million-record
-// traces that could never fit in one pass of one core's cache, and the
-// original slice-based flow here (materialize every joined operation,
-// then run each analysis over the full slice) mirrored the paper's
-// presentation rather than its scale. This package replaces that flow
-// with a pipeline:
+// traces that could never fit in one pass of one core's cache. This
+// package is the one way from trace records to an analysis result —
+// the CLI tools, the daemons and package repro's tables all run it:
 //
 //	records ──► Joiner ──► router ──► shard workers ──► merge
 //	            (streaming             (hash by file      (per-shard

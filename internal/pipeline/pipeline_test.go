@@ -26,8 +26,17 @@ func genRecords(tb testing.TB, days float64) []*core.Record {
 
 func genOps(tb testing.TB, days float64) []*core.Op {
 	tb.Helper()
-	ops, _ := core.Join(genRecords(tb, days))
+	ops, _ := pullAll(tb, genRecords(tb, days), 0)
 	return ops
+}
+
+// addAll feeds ops to a reducer in order and returns it: the
+// sequential analysis the sharded engine is held against.
+func addAll[R interface{ Add(*core.Op) }](r R, ops []*core.Op) R {
+	for _, op := range ops {
+		r.Add(op)
+	}
+	return r
 }
 
 // analyzerSet builds one of every sharded analyzer plus the global
@@ -76,17 +85,16 @@ func TestShardMergeMatchesSequential(t *testing.T) {
 	span := ops[len(ops)-1].T - ops[0].T
 	days := span / workload.Day
 
-	wantSummary := analysis.Summarize(ops, days)
-	wantHourly := analysis.Hourly(ops, span)
-	wantRaw := analysis.Tabulate(analysis.DetectRuns(ops,
-		analysis.RunConfig{IdleGap: 30, JumpBlocks: 1}))
-	wantProcRuns := analysis.DetectRuns(ops, analysis.DefaultRunConfig(10))
+	wantSummary := addAll(analysis.NewSummary(days), ops)
+	wantHourly := addAll(analysis.NewHourly(span), ops)
+	wantRaw := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.RunConfig{IdleGap: 30, JumpBlocks: 1}), ops).Runs())
+	wantProcRuns := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), ops).Runs()
 	wantProc := analysis.Tabulate(wantProcRuns)
 	wantSize := analysis.SizeProfile(wantProcRuns)
 	wantSeq := analysis.SequentialityProfile(wantProcRuns)
-	wantLife := analysis.BlockLife(ops, 0, span/2, span/2)
-	wantSweep := analysis.ReorderSweep(ops, sweepWindows)
-	wantCov := analysis.CoverageAfterWarmup(ops, 600)
+	wantLife := addAll(analysis.NewBlockLifeStream(0, span/2, span/2), ops).Result()
+	wantSweep := addAll(analysis.NewReorderSweeper(sweepWindows), ops).Points()
+	wantCov := addAll(analysis.NewHierarchyCoverage(600), ops).Coverage()
 
 	for _, workers := range []int{1, 2, 3, 8} {
 		for _, batch := range []int{0, 7} {
@@ -180,50 +188,44 @@ func TestPeakAndMailboxStableAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestJoinerMatchesJoin checks the streaming join against the
-// materializing core.Join, op for op, on both clean and lossy traces.
+// TestJoinerMatchesJoin checks the streaming join, in its pull and push
+// forms, against the materializing oracle: the same operations in the
+// same order and all five JoinStats fields, on a clean CAMPUS stream
+// and on one seen through the §4.1.4 mirror port, where calls lose
+// their replies and replies their calls.
 func TestJoinerMatchesJoin(t *testing.T) {
-	clean := genRecords(t, 0.25)
-
 	lossySink := &client.SliceSink{}
 	port := netem.NewMirrorPort()
 	port.Rate = 120e3
 	lossy := &client.LossySink{Next: client.NewSortingSink(lossySink), Port: port}
-	gen := workload.NewCampus(workload.DefaultCampusConfig(3, 0.25, 20011021), lossy)
+	gen := workload.NewCampus(workload.DefaultCampusConfig(3, 0.5, 20011021), lossy)
 	gen.Run()
 	lossy.Next.(*client.SortingSink).Flush()
 
 	for name, records := range map[string][]*core.Record{
-		"clean": clean, "lossy": lossySink.Records,
+		"clean": genRecords(t, 0.25), "lossy": lossySink.Records,
 	} {
-		wantOps, wantStats := core.Join(records)
-
-		j := NewJoiner(&core.SliceSource{Records: records})
-		var gotOps []*core.Op
-		for {
-			op, err := j.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("%s: joiner error: %v", name, err)
-			}
-			gotOps = append(gotOps, op)
+		wantOps, wantStats := joinOracle(records)
+		if lost := wantStats.UnmatchedCalls > 0 && wantStats.OrphanReplies > 0; lost != (name == "lossy") {
+			t.Fatalf("%s: stats %+v", name, wantStats)
 		}
 
-		if j.Stats() != wantStats {
-			t.Errorf("%s: stats %+v, want %+v", name, j.Stats(), wantStats)
+		gotOps, gotStats := pullAll(t, records, 0)
+		if gotStats != wantStats {
+			t.Errorf("%s: stats %+v, want %+v", name, gotStats, wantStats)
 		}
-		if len(gotOps) != len(wantOps) {
-			t.Fatalf("%s: %d ops, want %d", name, len(gotOps), len(wantOps))
+		sameOps(t, name+" pull", gotOps, wantOps)
+
+		pj := NewPushJoiner()
+		var pushed []*core.Op
+		for _, r := range records {
+			pushed = pj.Push(r, pushed)
 		}
-		for i := range gotOps {
-			g, w := gotOps[i], wantOps[i]
-			if g.T != w.T || g.Proc != w.Proc || g.FH != w.FH || g.Replied != w.Replied ||
-				g.RT != w.RT || g.Offset != w.Offset {
-				t.Fatalf("%s: op %d differs:\n got %+v\nwant %+v", name, i, g, w)
-			}
+		pushed = pj.Drain(pushed)
+		if pj.Stats() != wantStats {
+			t.Errorf("%s: push stats %+v, want %+v", name, pj.Stats(), wantStats)
 		}
+		sameOps(t, name+" push", pushed, wantOps)
 	}
 }
 
@@ -231,9 +233,9 @@ func TestJoinerMatchesJoin(t *testing.T) {
 // Joiner → sharded engine, against the slice path.
 func TestJoinerThroughEngine(t *testing.T) {
 	records := genRecords(t, 0.25)
-	ops, _ := core.Join(records)
+	ops, _ := pullAll(t, records, 0)
 	span := ops[len(ops)-1].T - ops[0].T
-	want := analysis.Summarize(ops, 0)
+	want := addAll(analysis.NewSummary(0), ops)
 
 	sum := &SummaryAnalyzer{}
 	stats, err := Run(Config{Workers: 4}, NewJoiner(&core.SliceSource{Records: records}), sum)

@@ -7,9 +7,11 @@ import (
 	"repro/internal/core"
 )
 
-// Joiner matches call records to reply records incrementally and emits
-// joined operations in call-time order, replacing the
-// materialize-then-sort core.Join for streaming sources.
+// Joiner matches call records to reply records by (client, port, xid),
+// incrementally, and emits joined operations in call-time order. It is
+// the library's only call/reply matcher. A reply matches the pending
+// call with its key; a retransmitted call is dropped and the first
+// one's time stands, as the paper's tracer did.
 //
 // An operation's time is its call's time, but the operation is only
 // complete when the reply arrives, so completions surface out of order
@@ -31,8 +33,8 @@ import (
 // an unmatched operation right away instead of at end of stream.
 // Memory is therefore bounded by the in-flight window plus one
 // MaxCallAge of unmatched calls. The §4.1.4 loss statistics are
-// unchanged; the only divergence from core.Join is a reply arriving
-// more than MaxCallAge after its call, which then counts as an orphan.
+// those of a join holding the whole trace, except that a reply arriving
+// more than MaxCallAge after its call counts as an orphan.
 //
 // Records should arrive in capture-time order. One that does not — its
 // time is earlier than a record before it, as in a hand-edited or
@@ -41,7 +43,7 @@ import (
 // late call is moved down the ring to its place in time order (cheap
 // for the few slots of an in-flight window, linear in the ring for
 // each such call otherwise), every Op keeps its record's own time, no
-// operation is lost and the statistics are still core.Join's. The
+// operation is lost and the statistics are what sorted input gives. The
 // horizon follows the latest record, backwards too, so what is then
 // guaranteed about order is this: with the operations built from late
 // calls set aside, the output is non-decreasing in T; a late call's
@@ -72,8 +74,8 @@ type Joiner struct {
 
 	// MaxCallAge is how long a call may wait for its reply before it
 	// is given up as unmatched; 0 selects DefaultMaxCallAge. Real RPC
-	// latencies are milliseconds, so the default diverges from
-	// core.Join only on pathological traces.
+	// latencies are milliseconds, so the default changes the outcome
+	// only on pathological traces.
 	MaxCallAge float64
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/nfs"
+	"repro/internal/pipeline"
 )
 
 func TestSimOrdersEvents(t *testing.T) {
@@ -138,32 +139,40 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 }
 
-// generate runs a small CAMPUS window and joins the records.
-func generateCampus(t *testing.T, users int, days float64) ([]*core.Op, *Campus) {
+// joined runs a generator's records through the streaming joiner, as
+// every tool that reads its trace does.
+func joined(t *testing.T, run func(client.Sink)) []*core.Op {
 	t.Helper()
-	sink := &client.SliceSink{}
-	sorter := client.NewSortingSink(sink)
-	camp := NewCampus(DefaultCampusConfig(users, days, 12345), sorter)
-	camp.Run()
+	j := pipeline.NewPushJoiner()
+	var ops []*core.Op
+	sorter := client.NewSortingSink(client.FuncSink(func(r *core.Record, _ int) { ops = j.Push(r, ops) }))
+	run(sorter)
 	sorter.Flush()
-	ops, stats := core.Join(sink.Records)
-	if stats.OrphanReplies != 0 {
+	ops = j.Drain(ops)
+	if stats := j.Stats(); stats.OrphanReplies != 0 {
 		t.Fatalf("orphan replies in lossless run: %+v", stats)
 	}
+	return ops
+}
+
+// generateCampus runs a small CAMPUS window and joins the records.
+func generateCampus(t *testing.T, users int, days float64) ([]*core.Op, *Campus) {
+	t.Helper()
+	var camp *Campus
+	ops := joined(t, func(sink client.Sink) {
+		camp = NewCampus(DefaultCampusConfig(users, days, 12345), sink)
+		camp.Run()
+	})
 	return ops, camp
 }
 
 func generateEECS(t *testing.T, clients int, days float64) ([]*core.Op, *EECS) {
 	t.Helper()
-	sink := &client.SliceSink{}
-	sorter := client.NewSortingSink(sink)
-	sys := NewEECS(DefaultEECSConfig(clients, days, 54321), sorter)
-	sys.Run()
-	sorter.Flush()
-	ops, stats := core.Join(sink.Records)
-	if stats.OrphanReplies != 0 {
-		t.Fatalf("orphan replies in lossless run: %+v", stats)
-	}
+	var sys *EECS
+	ops := joined(t, func(sink client.Sink) {
+		sys = NewEECS(DefaultEECSConfig(clients, days, 54321), sink)
+		sys.Run()
+	})
 	return ops, sys
 }
 

@@ -15,35 +15,20 @@ func TestTablesByteIdenticalAcrossWorkers(t *testing.T) {
 	campus := GenerateCampus(scale)
 	eecs := GenerateEECS(scale)
 
-	experiments := map[string]func(*Trace, *Trace) string{
-		"Table1": Table1, "Table2": Table2, "Table3": Table3,
-		"Table4": Table4, "Table5": Table5,
-		"Figure1": Figure1, "Figure2": Figure2, "Figure3": Figure3,
-		"Figure4": Figure4, "Figure5": Figure5,
-	}
-
 	render := func(workers int) map[string]string {
 		campus.Pipeline = pipeline.Config{Workers: workers}
 		eecs.Pipeline = pipeline.Config{Workers: workers}
-		out := make(map[string]string, len(experiments)+1)
-		for name, fn := range experiments {
-			out[name] = fn(campus, eecs)
-		}
-		out["ExpHierarchy"] = ExpHierarchy(campus)
-		return out
+		return renderedExperiments(campus, eecs)
 	}
 
 	want := render(1)
 	for _, workers := range []int{2, 8} {
 		got := render(workers)
-		for name := range experiments {
+		for name := range want {
 			if got[name] != want[name] {
 				t.Errorf("%s differs between 1 and %d workers:\n--- 1 worker ---\n%s\n--- %d workers ---\n%s",
 					name, workers, want[name], workers, got[name])
 			}
-		}
-		if got["ExpHierarchy"] != want["ExpHierarchy"] {
-			t.Errorf("ExpHierarchy differs between 1 and %d workers", workers)
 		}
 	}
 }

@@ -23,7 +23,9 @@
 package repro
 
 import (
+	"cmp"
 	"io"
+	"slices"
 
 	"repro/internal/anon"
 	"repro/internal/capture"
@@ -39,7 +41,10 @@ import (
 type Trace struct {
 	// Name identifies the system ("CAMPUS" or "EECS").
 	Name string
-	// Ops is the joined call/reply stream in time order.
+	// Ops is the joined call/reply stream in call-time order. It is held
+	// rather than regenerated because the tables and figures make some
+	// fifteen passes over each trace and simulating one costs far more
+	// than a pass.
 	Ops []*core.Op
 	// Days is the window length.
 	Days float64
@@ -52,19 +57,20 @@ type Trace struct {
 	// figures run on. The zero value uses one worker per CPU; every
 	// worker count produces byte-identical output.
 	Pipeline pipeline.Config
-	// Pieces > 1 runs every analysis as a chain of that many serialized
-	// partial states (pipeline.RunPartitioned) instead of one pass —
-	// output is byte-identical at any piece count, which the state
-	// equivalence tests pin down against this knob.
-	Pieces int
+
+	// pieces > 1 runs every analysis as a chain of that many serialized
+	// partial states (pipeline.RunPartitioned) instead of one pass; the
+	// state equivalence tests set it.
+	pieces int
 }
 
 // analyze streams the trace's operations through the sharded pipeline,
-// feeding every analyzer in one pass — or, when Pieces > 1, as a
-// resume chain of serialized partial states.
+// feeding every analyzer in one pass — or, when pieces > 1, as a
+// resume chain of serialized partial states. Every table, figure and
+// side experiment reads the trace through here.
 func (tr *Trace) analyze(analyzers ...pipeline.Analyzer) {
-	if tr.Pieces > 1 {
-		_, err := pipeline.RunPartitioned(tr.Pipeline, splitOps(tr.Ops, tr.Pieces), analyzers...)
+	if tr.pieces > 1 {
+		_, err := pipeline.RunPartitioned(tr.Pipeline, splitOps(tr.Ops, tr.pieces), analyzers...)
 		if err != nil {
 			// Every analyzer this package registers supports partial
 			// state; a failure here is a programming error.
@@ -73,6 +79,18 @@ func (tr *Trace) analyze(analyzers ...pipeline.Analyzer) {
 		return
 	}
 	pipeline.RunSlice(tr.Pipeline, tr.Ops, analyzers...)
+}
+
+// window returns the trace cut to the operations in [from, to) seconds,
+// or the whole trace when it has none there (a window shorter than the
+// one the paper's figure names).
+func (tr *Trace) window(from, to float64) *Trace {
+	cut := *tr
+	cut.Ops = slices.DeleteFunc(slices.Clone(tr.Ops), func(op *core.Op) bool { return op.T < from || op.T >= to })
+	if len(cut.Ops) == 0 {
+		return tr
+	}
+	return &cut
 }
 
 // splitOps cuts ops into n contiguous pieces of near-equal length.
@@ -90,6 +108,18 @@ func splitOps(ops []*core.Op, n int) [][]*core.Op {
 		pieces = append(pieces, ops[lo:hi])
 	}
 	return pieces
+}
+
+// finish ends a trace whose records have all been pushed into j. The
+// joiner releases an operation whose call came late — the generators'
+// sorting window is outrun now and then, ROADMAP item 1a — after later
+// ones; the order-sensitive analyses (runs, reorder, block life) need
+// the time order Trace.Ops promises, so those few are put in place.
+func (tr *Trace) finish(j *pipeline.Joiner) *Trace {
+	tr.Ops = j.Drain(tr.Ops)
+	slices.SortStableFunc(tr.Ops, func(x, y *core.Op) int { return cmp.Compare(x.T, y.T) })
+	tr.Join = j.Stats()
+	return tr
 }
 
 // Scale selects the simulated population size. The real systems were
@@ -116,66 +146,68 @@ func SmallScale() Scale {
 	return Scale{CampusUsers: 3, EECSClients: 2, Days: 1, Seed: 20011021}
 }
 
+// campus and eecs run the Scale's simulation of either system into sink.
+func (s Scale) campus(sink client.Sink) {
+	workload.NewCampus(workload.DefaultCampusConfig(s.CampusUsers, s.Days, s.Seed), sink).Run()
+}
+
+func (s Scale) eecs(sink client.Sink) {
+	workload.NewEECS(workload.DefaultEECSConfig(s.EECSClients, s.Days, s.Seed), sink).Run()
+}
+
+// sorted runs a simulation with its records put into capture order —
+// behind the mirror port when there is one — and delivered to next.
+func sorted(run func(client.Sink), port *netem.MirrorPort, next client.Sink) {
+	sorter := client.NewSortingSink(next)
+	run(&client.LossySink{Next: sorter, Port: port})
+	sorter.Flush()
+}
+
+// generate simulates a system into a joined trace: each record goes
+// from the sorting window straight into the streaming joiner — the
+// matcher nfsanalyze, nfsworker and nfsmond run — and only the
+// operations it releases are kept.
+func generate(tr *Trace, run func(client.Sink), port *netem.MirrorPort) *Trace {
+	j := pipeline.NewPushJoiner()
+	sorted(run, port, client.FuncSink(func(rec *core.Record, _ int) { tr.Ops = j.Push(rec, tr.Ops) }))
+	return tr.finish(j)
+}
+
+// rawRecords simulates a system into its raw (unjoined) records.
+func rawRecords(run func(client.Sink)) []*core.Record {
+	sink := &client.SliceSink{}
+	sorted(run, nil, sink)
+	return sink.Records
+}
+
 // GenerateCampus produces the CAMPUS email workload trace.
 func GenerateCampus(s Scale) *Trace {
-	sink := &client.SliceSink{}
-	sorter := client.NewSortingSink(sink)
-	gen := workload.NewCampus(workload.DefaultCampusConfig(s.CampusUsers, s.Days, s.Seed), sorter)
-	gen.Run()
-	sorter.Flush()
-	ops, join := core.Join(sink.Records)
-	return &Trace{Name: "CAMPUS", Ops: ops, Days: s.Days, Join: join, ReorderWindowMS: 10}
+	return generate(&Trace{Name: "CAMPUS", Days: s.Days, ReorderWindowMS: 10}, s.campus, nil)
 }
 
 // GenerateEECS produces the EECS research workload trace.
 func GenerateEECS(s Scale) *Trace {
-	sink := &client.SliceSink{}
-	sorter := client.NewSortingSink(sink)
-	gen := workload.NewEECS(workload.DefaultEECSConfig(s.EECSClients, s.Days, s.Seed), sorter)
-	gen.Run()
-	sorter.Flush()
-	ops, join := core.Join(sink.Records)
-	return &Trace{Name: "EECS", Ops: ops, Days: s.Days, Join: join, ReorderWindowMS: 5}
+	return generate(&Trace{Name: "EECS", Days: s.Days, ReorderWindowMS: 5}, s.eecs, nil)
 }
 
 // GenerateCampusLossy produces a CAMPUS trace observed through an
 // overloaded mirror port (§4.1.4): some records never reach the tracer,
 // so calls lose replies and replies lose calls.
 func GenerateCampusLossy(s Scale, portRate float64) (*Trace, *netem.MirrorPort) {
-	sink := &client.SliceSink{}
 	port := netem.NewMirrorPort()
 	if portRate > 0 {
 		port.Rate = portRate
 	}
-	lossy := &client.LossySink{Next: client.NewSortingSink(sink), Port: port}
-	gen := workload.NewCampus(workload.DefaultCampusConfig(s.CampusUsers, s.Days, s.Seed), lossy)
-	gen.Run()
-	lossy.Next.(*client.SortingSink).Flush()
-	ops, join := core.Join(sink.Records)
-	return &Trace{Name: "CAMPUS(lossy)", Ops: ops, Days: s.Days, Join: join, ReorderWindowMS: 10}, port
+	return generate(&Trace{Name: "CAMPUS(lossy)", Days: s.Days, ReorderWindowMS: 10}, s.campus, port), port
 }
 
 // GenerateCampusRecords returns raw (unjoined) records, for the
 // anonymizer and trace-file tools.
-func GenerateCampusRecords(s Scale) []*core.Record {
-	sink := &client.SliceSink{}
-	sorter := client.NewSortingSink(sink)
-	gen := workload.NewCampus(workload.DefaultCampusConfig(s.CampusUsers, s.Days, s.Seed), sorter)
-	gen.Run()
-	sorter.Flush()
-	return sink.Records
-}
+func GenerateCampusRecords(s Scale) []*core.Record { return rawRecords(s.campus) }
 
 // GenerateEECSRecords returns raw (unjoined) EECS records, mirroring
 // GenerateCampusRecords for the anonymizer and trace-file tools.
-func GenerateEECSRecords(s Scale) []*core.Record {
-	sink := &client.SliceSink{}
-	sorter := client.NewSortingSink(sink)
-	gen := workload.NewEECS(workload.DefaultEECSConfig(s.EECSClients, s.Days, s.Seed), sorter)
-	gen.Run()
-	sorter.Flush()
-	return sink.Records
-}
+func GenerateEECSRecords(s Scale) []*core.Record { return rawRecords(s.eecs) }
 
 // WriteTrace writes records in the text trace format.
 func WriteTrace(w io.Writer, records []*core.Record) error {
@@ -184,16 +216,22 @@ func WriteTrace(w io.Writer, records []*core.Record) error {
 
 // ReadTrace reads a text trace and joins it into operations.
 func ReadTrace(r io.Reader) (*Trace, error) {
-	records, err := core.ReadAll(r)
-	if err != nil {
-		return nil, err
+	tr, j := &Trace{Name: "trace", ReorderWindowMS: 10}, pipeline.NewPushJoiner()
+	for src := core.NewReader(r); ; {
+		rec, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		tr.Ops = j.Push(rec, tr.Ops)
 	}
-	ops, join := core.Join(records)
-	days := 0.0
-	if len(ops) > 0 {
-		days = (ops[len(ops)-1].T - ops[0].T) / workload.Day
+	tr.finish(j)
+	if n := len(tr.Ops); n > 0 {
+		tr.Days = (tr.Ops[n-1].T - tr.Ops[0].T) / workload.Day
 	}
-	return &Trace{Name: "trace", Ops: ops, Days: days, Join: join, ReorderWindowMS: 10}, nil
+	return tr, nil
 }
 
 // Sniff decodes a pcap stream into trace records, optionally

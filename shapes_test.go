@@ -10,13 +10,23 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
+// addAll feeds ops to a reducer in order and returns it, for the tests
+// and benchmarks that look at one reducer's result directly.
+func addAll[R interface{ Add(*core.Op) }](r R, ops []*core.Op) R {
+	for _, op := range ops {
+		r.Add(op)
+	}
+	return r
+}
+
 func TestShapeTable2Ratios(t *testing.T) {
 	campus, eecs := traces(t)
-	cs := analysis.Summarize(campus.Ops, campus.Days)
-	es := analysis.Summarize(eecs.Ops, eecs.Days)
+	cs := addAll(analysis.NewSummary(campus.Days), campus.Ops)
+	es := addAll(analysis.NewSummary(eecs.Days), eecs.Ops)
 
 	// CAMPUS reads dominate (paper 2.68 bytes / 3.01 ops).
 	if r := cs.ReadWriteByteRatio(); r < 1.5 || r > 4.5 {
@@ -46,8 +56,8 @@ func TestShapeTable2Ratios(t *testing.T) {
 func TestShapeBlockLifetimes(t *testing.T) {
 	campus, eecs := traces(t)
 	span := campus.Days * workload.Day
-	cb := analysis.BlockLife(campus.Ops, 0, span/2, span/2)
-	eb := analysis.BlockLife(eecs.Ops, 0, span/2, span/2)
+	cb := addAll(analysis.NewBlockLifeStream(0, span/2, span/2), campus.Ops).Result()
+	eb := addAll(analysis.NewBlockLifeStream(0, span/2, span/2), eecs.Ops).Result()
 
 	// EECS: most blocks die in under a second (paper >50%).
 	if f := eb.Lifetimes.At(1.0); f < 0.35 {
@@ -79,8 +89,8 @@ func TestShapeBlockLifetimes(t *testing.T) {
 
 func TestShapeRunMix(t *testing.T) {
 	campus, eecs := traces(t)
-	ct := analysis.Tabulate(analysis.DetectRuns(campus.Ops, analysis.DefaultRunConfig(10)))
-	et := analysis.Tabulate(analysis.DetectRuns(eecs.Ops, analysis.DefaultRunConfig(5)))
+	ct := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), campus.Ops).Runs())
+	et := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(5)), eecs.Ops).Runs())
 
 	// EECS is utterly write-run dominated (paper 82.3%).
 	if et.WritePct < 65 {
@@ -108,7 +118,7 @@ func TestShapeRunMix(t *testing.T) {
 
 func TestShapeFigure1Knee(t *testing.T) {
 	campus, _ := traces(t)
-	pts := analysis.ReorderSweep(campus.Ops, []float64{0, 5, 10, 50})
+	pts := addAll(analysis.NewReorderSweeper([]float64{0, 5, 10, 50}), campus.Ops).Points()
 	if pts[0].SwappedPct != 0 {
 		t.Fatalf("zero window swapped %.2f%%", pts[0].SwappedPct)
 	}
@@ -124,7 +134,7 @@ func TestShapeFigure1Knee(t *testing.T) {
 
 func TestShapeFigure2SizeMass(t *testing.T) {
 	campus, _ := traces(t)
-	runs := analysis.DetectRuns(campus.Ops, analysis.DefaultRunConfig(10))
+	runs := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), campus.Ops).Runs()
 	pts := analysis.SizeProfile(runs)
 	var at1M float64
 	for _, p := range pts {
@@ -154,7 +164,7 @@ func TestShapeFigure2SizeMass(t *testing.T) {
 
 func TestShapeFigure5Sequentiality(t *testing.T) {
 	campus, _ := traces(t)
-	runs := analysis.DetectRuns(campus.Ops, analysis.DefaultRunConfig(10))
+	runs := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), campus.Ops).Runs()
 	pts := analysis.SequentialityProfile(runs)
 	// Long CAMPUS reads are highly sequential.
 	for _, p := range pts {
@@ -166,7 +176,7 @@ func TestShapeFigure5Sequentiality(t *testing.T) {
 
 func TestShapeNamePrediction(t *testing.T) {
 	campus, _ := traces(t)
-	rep := analysis.AnalyzeNames(campus.Ops, campus.Days*workload.Day)
+	rep := addAll(analysis.NewNamesStream(), campus.Ops).Report(campus.Days * workload.Day)
 	// Locks dominate created-and-deleted files (paper 96%).
 	if rep.LockFracOfDeleted < 0.8 {
 		t.Errorf("locks %.2f of deleted files, want ≈0.96", rep.LockFracOfDeleted)
@@ -195,14 +205,14 @@ func TestShapeNamePrediction(t *testing.T) {
 
 func TestShapeHierarchyCoverage(t *testing.T) {
 	campus, _ := traces(t)
-	if cov := analysis.CoverageAfterWarmup(campus.Ops, 600); cov < 0.95 {
+	if cov := addAll(analysis.NewHierarchyCoverage(600), campus.Ops).Coverage(); cov < 0.95 {
 		t.Errorf("hierarchy coverage %.3f, want ≈1", cov)
 	}
 }
 
 func TestShapeDiurnalVariance(t *testing.T) {
 	campus, _ := traces(t)
-	h := analysis.Hourly(campus.Ops, campus.Days*workload.Day)
+	h := addAll(analysis.NewHourly(campus.Days*workload.Day), campus.Ops)
 	all := h.VarianceTable(false)
 	peak := h.VarianceTable(true)
 	for i := range all {

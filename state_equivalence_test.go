@@ -8,7 +8,7 @@ import (
 // partial state, mirroring pipeline_equivalence_test.go one axis out:
 // every table and figure must render byte-identically whether each
 // analysis runs as one pass or as a chain of serialized partial states
-// (Trace.Pieces), at any piece count × worker count combination. Each
+// (Trace.pieces), at any piece count × worker count combination. Each
 // piece boundary exercises the full encode → decode → resume surface of
 // every analyzer, so this is the golden grid for nfsanalyze
 // -partial/-resume/-merge semantics at the experiments level (the CLI
@@ -23,7 +23,7 @@ func TestPartialStateByteIdenticalTables(t *testing.T) {
 
 	for _, pieces := range []int{1, 2, 8} {
 		for _, workers := range []int{1, 8} {
-			campus.Pieces, eecs.Pieces = pieces, pieces
+			campus.pieces, eecs.pieces = pieces, pieces
 			campus.Pipeline.Workers, eecs.Pipeline.Workers = workers, workers
 			got := renderedExperiments(campus, eecs)
 			for name, w := range want {
@@ -34,6 +34,6 @@ func TestPartialStateByteIdenticalTables(t *testing.T) {
 			}
 		}
 	}
-	campus.Pieces, eecs.Pieces = 0, 0
+	campus.pieces, eecs.pieces = 0, 0
 	campus.Pipeline.Workers, eecs.Pipeline.Workers = 0, 0
 }
