@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -19,10 +20,12 @@ import (
 // Coordinator mode: cut the trace set's files into pieces, turn every
 // piece into a serialized partial state, then merge the states and
 // render — byte-identical to one process reading everything. There is
-// one way to run a piece, jobspec.RunTask, and two places to run it: a
-// pool of remote nfsworker daemons reached over TCP via
-// internal/dispatch (-remote host:port,...), which are sent the trace
-// bytes so no shared filesystem is needed, and this process. The pool
+// one way to run a piece (jobspec.RunTask over files, which is
+// jobspec.RunStream over readers) and two places to run it: a pool of
+// remote nfsworker daemons reached over TCP via internal/dispatch
+// (-remote host:port,...), which are sent the trace bytes so no shared
+// filesystem is needed and analyse them as they arrive, and this
+// process. The pool
 // goes first and may be empty; whatever it leaves without a state —
 // every piece when there is no -remote, the pieces it gave up on when
 // its workers died — runs here. Order-independent analyses run their
@@ -40,10 +43,10 @@ type coordConfig struct {
 	remote   []string
 }
 
-// partitionFiles cuts paths into at most n contiguous groups of
-// near-equal byte size (contiguous so a lexically sorted set of daily
+// partitionFiles cuts paths into min(n, len(paths)) contiguous groups
+// of near-equal byte size (contiguous so a lexically sorted set of daily
 // files stays in time order for the chained analyses). Every group
-// gets at least one file.
+// gets at least one file, so n = len(paths) makes every file a piece.
 func partitionFiles(paths []string, n int) [][]string {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -66,7 +69,7 @@ func partitionFiles(paths []string, n int) [][]string {
 		remFiles := len(paths) - i
 		remGroups := n - gi
 		if len(groups[gi]) > 0 && gi < n-1 &&
-			(cum >= (int64(gi)+1)*total/int64(n) || remFiles == remGroups) {
+			(cum >= (int64(gi)+1)*total/int64(n) || remFiles <= remGroups) {
 			groups = append(groups, nil)
 			gi++
 		}
@@ -102,13 +105,29 @@ func runCoordinator(cc coordConfig, stdout, stderr io.Writer) error {
 	logf("coordinator: %d pieces over %d files, %d remote workers (%s)",
 		len(groups), len(cc.paths), len(cc.remote), strings.Join(cc.remote, ","))
 
+	// A remote state is decoded once: vetting it means decoding it, which
+	// happens on the goroutine of the connection it arrived on while the
+	// other workers are still busy, and the merge takes what that left in
+	// vetted instead of decoding the bytes again.
 	kind := cc.set.Spec.Kind
+	type decoded struct {
+		state []byte
+		p     *pipeline.Partial
+	}
+	var vetMu sync.Mutex
+	vetted := make(map[int]decoded)
 	dcfg := dispatch.Config{
 		Addrs:         cc.remote,
 		AssignTimeout: cc.timeout,
-		Validate: func(_ dispatch.Task, state []byte) error {
-			_, err := jobspec.DecodeState(kind, state)
-			return err
+		Validate: func(t dispatch.Task, state []byte) error {
+			p, err := jobspec.DecodeState(kind, state)
+			if err != nil {
+				return err
+			}
+			vetMu.Lock()
+			vetted[t.ID] = decoded{state, p}
+			vetMu.Unlock()
+			return nil
 		},
 		Logf: logf,
 	}
@@ -118,6 +137,7 @@ func runCoordinator(cc coordConfig, stdout, stderr io.Writer) error {
 	// retry/deadline/failover/speculation treatment, and every piece it
 	// could not finish then runs in this process.
 	states := make([][]byte, len(groups))
+	partials := make([]*pipeline.Partial, len(groups))
 	runPieces := func(tasks []dispatch.Task) error {
 		if len(cc.remote) > 0 {
 			results, rs, err := dispatch.Run(context.Background(), dcfg, tasks)
@@ -128,6 +148,11 @@ func runCoordinator(cc coordConfig, stdout, stderr io.Writer) error {
 				rs.Completed, len(tasks), rs.Dispatched, rs.Retries, rs.Speculations, rs.Duplicates)
 			for _, res := range results {
 				states[res.TaskID] = res.State
+				// A duplicate attempt may have been vetted after the
+				// winner; only the winner's own decode stands in for it.
+				if d := vetted[res.TaskID]; bytes.Equal(d.state, res.State) {
+					partials[res.TaskID] = d.p
+				}
 			}
 		}
 		errs := make([]error, len(tasks))
@@ -173,8 +198,10 @@ func runCoordinator(cc coordConfig, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	partials := make([]*pipeline.Partial, len(states))
 	for i, blob := range states {
+		if partials[i] != nil {
+			continue
+		}
 		p, err := jobspec.DecodeState(kind, blob)
 		if err != nil {
 			return fmt.Errorf("coordinator: piece %d state: %w", i, err)

@@ -18,7 +18,7 @@ import (
 // so the tests control fault injection directly.
 func startAnalysisWorker(t *testing.T, w *dispatch.Worker) string {
 	t.Helper()
-	w.Runner = jobspec.RunTask
+	w.Stream = jobspec.RunStream
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -126,32 +126,50 @@ func TestRemoteCoordinatorFallsBackWhenPoolDead(t *testing.T) {
 	}
 }
 
-// TestPartitionFiles pins the partitioner: contiguous groups, every
-// group non-empty, order preserved.
+// TestPartitionFiles pins the partitioner over size patterns and every
+// group count: exactly min(n, len(paths)) groups, contiguous, none
+// empty, order preserved — so n = len(paths) makes every file its own
+// piece, whatever the sizes (a first file just under the mean used to
+// swallow its neighbour and leave the run one piece short).
 func TestPartitionFiles(t *testing.T) {
-	dir := t.TempDir()
-	var paths []string
-	for i := 0; i < 5; i++ {
-		p := filepath.Join(dir, fmt.Sprintf("f%d", i))
-		if err := os.WriteFile(p, bytes.Repeat([]byte("x"), (i+1)*100), 0o600); err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, p)
+	patterns := map[string][]int{
+		"rising":           {100, 200, 300, 400, 500},
+		"equal":            {100, 100, 100, 100, 100, 100, 100, 100},
+		"small first":      {90, 100, 100, 100, 100, 100, 100, 110},
+		"one giant":        {1, 1, 5000, 1, 1, 1},
+		"giant last":       {1, 1, 1, 1, 5000},
+		"empty files":      {0, 0, 0, 0},
+		"single":           {100},
+		"tracesplit sizes": {2134, 2170, 2166, 2163, 2170, 2157, 2166, 2190},
 	}
-	for _, n := range []int{1, 2, 3, 5, 9} {
-		groups := partitionFiles(paths, n)
-		if len(groups) > n || len(groups) > len(paths) {
-			t.Fatalf("n=%d: %d groups", n, len(groups))
-		}
-		var flat []string
-		for _, g := range groups {
-			if len(g) == 0 {
-				t.Fatalf("n=%d: empty group", n)
+	for name, sizes := range patterns {
+		dir := t.TempDir()
+		var paths []string
+		for i, size := range sizes {
+			p := filepath.Join(dir, fmt.Sprintf("f%d", i))
+			if err := os.WriteFile(p, bytes.Repeat([]byte("x"), size), 0o600); err != nil {
+				t.Fatal(err)
 			}
-			flat = append(flat, g...)
+			paths = append(paths, p)
 		}
-		if strings.Join(flat, ",") != strings.Join(paths, ",") {
-			t.Fatalf("n=%d: groups reorder or drop files: %v", n, groups)
+		for n := 1; n <= len(paths)+2; n++ {
+			groups := partitionFiles(paths, n)
+			if want := min(n, len(paths)); len(groups) != want {
+				t.Errorf("%s, n=%d: %d groups, want %d: %v", name, n, len(groups), want, groups)
+			}
+			var flat []string
+			for _, g := range groups {
+				if len(g) == 0 {
+					t.Errorf("%s, n=%d: empty group in %v", name, n, groups)
+				}
+				if n >= len(paths) && len(g) != 1 {
+					t.Errorf("%s, n=%d: a piece of %d files when every file can be its own", name, n, len(g))
+				}
+				flat = append(flat, g...)
+			}
+			if strings.Join(flat, ",") != strings.Join(paths, ",") {
+				t.Errorf("%s, n=%d: groups reorder or drop files: %v", name, n, groups)
+			}
 		}
 	}
 }

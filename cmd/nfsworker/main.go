@@ -2,8 +2,11 @@
 // port, accepts piece assignments from an `nfsanalyze -coordinator
 // -remote` process, runs the requested analysis over trace bytes the
 // coordinator streams to it (no shared filesystem needed), and streams
-// the serialized partial state back. SIGTERM drains gracefully: the
-// in-flight assignment finishes and flushes before the process exits.
+// the serialized partial state back. A piece is decoded, joined and
+// reduced while it arrives: nothing is reassembled or written to disk,
+// and what is buffered is bounded by the sizes the assignment announced.
+// SIGTERM drains gracefully: the in-flight assignment finishes and
+// flushes before the process exits.
 //
 // The -flaky flag injects deterministic faults for testing the
 // coordinator's supervision: crash (die mid-result-stream), hang (stop
@@ -36,7 +39,7 @@ func run(args []string, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	listen := fs.String("listen", "127.0.0.1:0", "address to serve assignments on")
 	flaky := fs.String("flaky", "", "deterministic fault schedule: comma-separated fault[:N] entries, where fault is crash|hang|corrupt and N is the 1-based assignment number it fires on (no :N = every assignment), e.g. crash:1,corrupt:3")
-	tempdir := fs.String("tempdir", "", "spool directory for received trace pieces (default: system temp)")
+	fs.String("tempdir", "", "no-op, accepted for old command lines: pieces are analysed as they arrive and never spooled")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -66,14 +69,14 @@ func run(args []string, stderr io.Writer) int {
 	// scrape it to learn the port.
 	logf("listening on %s (pid %d)", lis.Addr(), os.Getpid())
 
-	// jobspec.RunTask is the same call nfsanalyze makes for a piece it
-	// runs itself, so worker output is bit-compatible with local
+	// jobspec.RunStream is jobspec.RunTask — the call nfsanalyze makes
+	// for a piece it runs itself — over the connection's readers in place
+	// of opened files, so worker output is bit-compatible with local
 	// execution.
 	w := &dispatch.Worker{
-		Runner:   jobspec.RunTask,
+		Stream:   jobspec.RunStream,
 		Logf:     logf,
 		FaultFor: faultFor,
-		TempDir:  *tempdir,
 	}
 
 	sigs := make(chan os.Signal, 1)

@@ -3,9 +3,12 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -16,8 +19,10 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/jobspec"
+	"repro/internal/pipeline"
 )
 
 func TestParseFlaky(t *testing.T) {
@@ -175,5 +180,132 @@ func TestServeAndDrain(t *testing.T) {
 	log := logw.String()
 	if !strings.Contains(log, "draining") || !strings.Contains(log, "drained, exiting") {
 		t.Fatalf("drain not logged:\n%s", log)
+	}
+}
+
+// rendered decodes serialized states (one, or a resume chain in order)
+// and renders them the way the coordinator's merge tail would: metadata,
+// join statistics and tables. State bytes themselves are not canonical
+// (the router's binding map is written in map order), so states are
+// compared through this.
+func rendered(t *testing.T, spec jobspec.Spec, states ...[]byte) string {
+	t.Helper()
+	set, err := jobspec.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var partials []*pipeline.Partial
+	for _, state := range states {
+		if state == nil {
+			continue
+		}
+		p, err := jobspec.DecodeState(spec.Kind, state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		partials = append(partials, p)
+	}
+	stats, join, err := pipeline.MergePartials(set.Analyzers, partials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	fmt.Fprintf(&out, "%+v\n%+v\n", stats, join)
+	set.Render(&out, stats, join)
+	return out.String()
+}
+
+// TestStreamedPieceEqualsRunFiles: a piece analysed by a worker while it
+// arrives yields the state jobspec.RunFiles computes from the same files
+// on disk — same length, same rendering — for a two-file piece (a k-way
+// merge fed by two queues, the second filling only after the first is
+// through), a gzip piece, a binary piece, and a chained analysis
+// resuming from a parent state that travels with the assignment.
+func TestStreamedPieceEqualsRunFiles(t *testing.T) {
+	dir := t.TempDir()
+	scale := repro.SmallScale()
+	scale.Days = 0.5
+	records := repro.GenerateCampusRecords(scale)
+	half := len(records) / 2
+	write := func(name string, recs []*core.Record, binary, gz bool) string {
+		t.Helper()
+		var buf bytes.Buffer
+		var out io.Writer = &buf
+		var zw *gzip.Writer
+		if gz {
+			zw = gzip.NewWriter(&buf)
+			out = zw
+		}
+		w := core.NewFormatWriter(out, binary)
+		for _, r := range recs {
+			if err := w.Write(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if gz {
+			if err := zw.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	first, second := write("a.trace", records[:half], false, false), write("b.trace", records[half:], false, false)
+	zipped, binary := write("all.trace.gz", records, false, true), write("all.btrace", records, true, false)
+
+	ctx := context.Background()
+	chainSpec := jobspec.Default("blocklife")
+	parentState, err := jobspec.RunFiles(ctx, chainSpec, []string{first}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		spec   jobspec.Spec
+		files  []string
+		parent []byte
+	}{
+		{"two files", jobspec.Default("runs"), []string{first, second}, nil},
+		{"gzip", jobspec.Default("summary"), []string{zipped}, nil},
+		{"binary", jobspec.Default("names"), []string{binary}, nil},
+		{"chained with parent", chainSpec, []string{second}, parentState},
+	}
+	tasks := make([]dispatch.Task, len(cases))
+	for i, tc := range cases {
+		specJSON, err := json.Marshal(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks[i] = dispatch.Task{ID: i, Spec: specJSON, Decoders: 2, Files: tc.files, Parent: tc.parent}
+	}
+
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &dispatch.Worker{Stream: jobspec.RunStream}
+	go w.Serve(lis)
+	t.Cleanup(w.Drain)
+	results, stats, err := dispatch.Run(ctx, dispatch.Config{Addrs: []string{lis.Addr().String()}}, tasks)
+	if err != nil || len(results) != len(cases) || stats.Retries != 0 {
+		t.Fatalf("dispatch: %v, %d results, %+v", err, len(results), stats)
+	}
+	for _, res := range results {
+		tc := cases[res.TaskID]
+		want, err := jobspec.RunTask(ctx, tasks[res.TaskID].Spec, tc.parent, tc.files, 2)
+		if err != nil {
+			t.Fatalf("%s: RunTask: %v", tc.name, err)
+		}
+		got, ref := rendered(t, tc.spec, tc.parent, res.State), rendered(t, tc.spec, tc.parent, want)
+		if len(res.State) != len(want) || got != ref {
+			t.Errorf("%s: streamed state (%d bytes) differs from the state computed from the files (%d bytes):\n--- streamed ---\n%s--- files ---\n%s",
+				tc.name, len(res.State), len(want), got, ref)
+		}
 	}
 }

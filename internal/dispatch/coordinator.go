@@ -95,7 +95,10 @@ type Config struct {
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
 	// Validate vets a result blob beyond the transport digest; a
 	// non-nil error rejects the attempt as if it had failed. nil
-	// accepts any blob.
+	// accepts any blob. It runs on the goroutine of the connection the
+	// blob arrived on, concurrently with other connections', and state
+	// is the slice that becomes Result.State — a hook that has to decode
+	// the state to vet it can keep what it decoded.
 	Validate func(t Task, state []byte) error
 	// Logf receives supervision events; nil discards them. It must be
 	// safe for concurrent use.
@@ -379,7 +382,7 @@ func (r *run) serveConn(ctx context.Context, addr string, conn net.Conn, fails *
 		if !ok {
 			continue
 		}
-		err := r.runAssignment(ctx, addr, fr, frames, readErr, st, attempt)
+		err := r.runAssignment(ctx, addr, conn, fr, frames, readErr, st, attempt)
 		if err != nil {
 			r.fail(addr, st, attempt, err)
 			return err
@@ -410,7 +413,7 @@ func (r *run) claim(id int) (*taskState, int, bool) {
 // and rejected blobs are handled here (attempt failed, connection
 // healthy, nil return… ); transport-level trouble returns an error so
 // the caller tears the connection down.
-func (r *run) runAssignment(ctx context.Context, addr string, fr *frameRW, frames chan frame, readErr chan error, st *taskState, attempt int) error {
+func (r *run) runAssignment(ctx context.Context, addr string, conn net.Conn, fr *frameRW, frames chan frame, readErr chan error, st *taskState, attempt int) error {
 	t := st.task
 	files := make([]fileMeta, len(t.Files))
 	for i, p := range t.Files {
@@ -431,23 +434,32 @@ func (r *run) runAssignment(ctx context.Context, addr string, fr *frameRW, frame
 		HeartbeatMS: r.cfg.HeartbeatInterval.Milliseconds(),
 	}
 	r.cfg.Logf("dispatch: worker %s: piece %d attempt %d dispatched (%d files)", addr, t.ID, attempt, len(t.Files))
-	if err := fr.sendJSON(frameAssign, ah); err != nil {
-		return err
-	}
-	if len(t.Parent) > 0 {
-		if err := fr.sendBlob(t.Parent); err != nil {
-			return err
+
+	// The piece goes out from its own goroutine: a write to a worker that
+	// has stopped reading blocks, and only the select below can give up
+	// on it. Abandoning a transfer closes the connection, which is what
+	// unblocks the write.
+	sent := make(chan error, 1)
+	go func() { sent <- sendPiece(fr, ah, t) }()
+	sending := true
+	defer func() {
+		if sending {
+			conn.Close()
+			<-sent
 		}
-	}
-	for _, p := range t.Files {
-		if err := sendFileBlob(fr, p); err != nil {
-			return err
+	}()
+	sendDone := func(err error) error {
+		sending = false
+		if err != nil {
+			return fmt.Errorf("sending piece %d: %w", t.ID, err)
 		}
+		return nil
 	}
 
 	deadline := r.cfg.Clock.After(r.cfg.AssignTimeout)
 	watchdog := r.cfg.Clock.After(r.cfg.HeartbeatTimeout)
 	start := r.cfg.Clock.Now()
+	var written int64
 	var blob []byte
 	collecting := false
 	for {
@@ -467,6 +479,12 @@ func (r *run) runAssignment(ctx context.Context, addr string, fr *frameRW, frame
 		if !gotFrame {
 			select {
 			case f = <-frames:
+			case err := <-sent:
+				if err := sendDone(err); err != nil {
+					return err
+				}
+				watchdog = r.cfg.Clock.After(r.cfg.HeartbeatTimeout)
+				continue
 			case err := <-readErr:
 				if err == io.EOF {
 					err = io.ErrUnexpectedEOF
@@ -475,7 +493,35 @@ func (r *run) runAssignment(ctx context.Context, addr string, fr *frameRW, frame
 			case <-deadline:
 				return fmt.Errorf("deadline: piece %d attempt %d exceeded %s", t.ID, attempt, r.cfg.AssignTimeout)
 			case <-watchdog:
-				return fmt.Errorf("heartbeat: worker silent for %s during piece %d", r.cfg.HeartbeatTimeout, t.ID)
+				if !sending {
+					return fmt.Errorf("heartbeat: worker silent for %s during piece %d", r.cfg.HeartbeatTimeout, t.ID)
+				}
+				// While the piece is going out, liveness is the worker
+				// taking bytes; its heartbeats say nothing about that.
+				if n := fr.written.Load(); n != written {
+					written = n
+					watchdog = r.cfg.Clock.After(r.cfg.HeartbeatTimeout)
+					continue
+				}
+				return fmt.Errorf("transfer: worker took no bytes of piece %d for %s", t.ID, r.cfg.HeartbeatTimeout)
+			case <-ctx.Done():
+				return errConnDone
+			}
+		}
+		if sending {
+			// Only heartbeats are due before the transfer is over; the
+			// sender may just not have reported yet, so give it until the
+			// watchdog.
+			if f.t == frameHeartbeat {
+				continue
+			}
+			select {
+			case err := <-sent:
+				if err := sendDone(err); err != nil {
+					return err
+				}
+			case <-watchdog:
+				return fmt.Errorf("frame 0x%02x before piece %d was sent", f.t, t.ID)
 			case <-ctx.Done():
 				return errConnDone
 			}
@@ -500,7 +546,8 @@ func (r *run) runAssignment(ctx context.Context, addr string, fr *frameRW, frame
 				return fmt.Errorf("result for piece %d while awaiting %d", rh.ID, t.ID)
 			}
 			collecting = true
-			blob = blob[:0]
+			// Sized from the header, but only so far on its word.
+			blob = make([]byte, 0, min(max(rh.Size, 0), 16*chunkSize))
 		case frameChunk:
 			if !collecting {
 				return fmt.Errorf("chunk outside result blob")
@@ -515,7 +562,7 @@ func (r *run) runAssignment(ctx context.Context, addr string, fr *frameRW, frame
 			}
 			res := &Result{
 				TaskID:  t.ID,
-				State:   append([]byte(nil), blob...),
+				State:   blob,
 				Digest:  sha256.Sum256(blob),
 				Worker:  addr,
 				Attempt: attempt,
@@ -658,6 +705,25 @@ func (r *run) stragglerThresholdLocked() time.Duration {
 		th = r.cfg.StragglerMin
 	}
 	return th
+}
+
+// sendPiece writes one whole assignment: the header, the parent state
+// if the piece has one, and every file.
+func sendPiece(fr *frameRW, ah assignHeader, t Task) error {
+	if err := fr.sendJSON(frameAssign, ah); err != nil {
+		return err
+	}
+	if len(t.Parent) > 0 {
+		if err := fr.sendBlob(t.Parent); err != nil {
+			return err
+		}
+	}
+	for _, p := range t.Files {
+		if err := sendFileBlob(fr, p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sendFileBlob streams one file's bytes as a blob without loading it

@@ -41,8 +41,8 @@ func (l *testLog) String() string {
 
 // stubRunner computes a deterministic state from everything the worker
 // received, optionally sleeping first (to play the straggler).
-func stubRunner(delay time.Duration) Runner {
-	return func(ctx context.Context, spec, parent []byte, files []string, decoders int) ([]byte, error) {
+func stubRunner(delay time.Duration) StreamRunner {
+	return func(ctx context.Context, spec, parent []byte, files []io.Reader, decoders int) ([]byte, error) {
 		if delay > 0 {
 			select {
 			case <-time.After(delay):
@@ -50,19 +50,22 @@ func stubRunner(delay time.Duration) Runner {
 				return nil, ctx.Err()
 			}
 		}
-		return stubState(spec, parent, files), nil
+		return stubState(spec, parent, files)
 	}
 }
 
-func stubState(spec, parent []byte, files []string) []byte {
+// stubState hashes the assignment; a file that does not arrive whole is
+// an error, as it must be for any real runner.
+func stubState(spec, parent []byte, files []io.Reader) ([]byte, error) {
 	h := sha256.New()
 	h.Write(spec)
 	h.Write(parent)
 	for _, f := range files {
-		b, _ := os.ReadFile(f)
-		h.Write(b)
+		if _, err := io.Copy(h, f); err != nil {
+			return nil, err
+		}
 	}
-	return append([]byte("state:"), h.Sum(nil)...)
+	return append([]byte("state:"), h.Sum(nil)...), nil
 }
 
 // startWorker serves w on a loopback listener and returns its address.
@@ -80,13 +83,19 @@ func startWorker(t *testing.T, w *Worker) string {
 // makeTasks writes n small trace files and builds one task per file.
 // expected maps task ID to the state a faithful worker must return.
 func makeTasks(t *testing.T, n int) (tasks []Task, expected map[int][]byte) {
+	return makeSizedTasks(t, n, 1000)
+}
+
+// makeSizedTasks is makeTasks with files of at least size bytes, for
+// transfers that span several chunk frames.
+func makeSizedTasks(t *testing.T, n, size int) (tasks []Task, expected map[int][]byte) {
 	t.Helper()
 	dir := t.TempDir()
 	spec := json.RawMessage(`{"kind":"stub"}`)
 	expected = make(map[int][]byte)
 	for i := 0; i < n; i++ {
 		path := filepath.Join(dir, fmt.Sprintf("piece-%d.trace", i))
-		content := bytes.Repeat([]byte(fmt.Sprintf("op %d;", i)), 200)
+		content := bytes.Repeat([]byte(fmt.Sprintf("op %d;", i)), size/5+1)
 		if err := os.WriteFile(path, content, 0o600); err != nil {
 			t.Fatal(err)
 		}
@@ -130,8 +139,8 @@ func checkResults(t *testing.T, results []Result, expected map[int][]byte) {
 
 func TestDispatchHappyPath(t *testing.T) {
 	lg := &testLog{}
-	a1 := startWorker(t, &Worker{Runner: stubRunner(0), Logf: lg.logf})
-	a2 := startWorker(t, &Worker{Runner: stubRunner(0), Logf: lg.logf})
+	a1 := startWorker(t, &Worker{Stream: stubRunner(0), Logf: lg.logf})
+	a2 := startWorker(t, &Worker{Stream: stubRunner(0), Logf: lg.logf})
 	tasks, expected := makeTasks(t, 5)
 	results, stats, err := Run(context.Background(), fastCfg(lg, a1, a2), tasks)
 	if err != nil {
@@ -149,7 +158,7 @@ func TestDispatchCrashMidStreamRetries(t *testing.T) {
 	// connection is torn down; the process survives so the retry has a
 	// worker to land on — real process death is exercised by dist-smoke).
 	w := &Worker{
-		Runner:   stubRunner(0),
+		Stream:   stubRunner(0),
 		Logf:     lg.logf,
 		Exit:     func(int) {},
 		FaultFor: func(seq int) Fault { return map[int]Fault{1: FaultCrash}[seq] },
@@ -174,7 +183,7 @@ func TestDispatchHungWorkerWatchdog(t *testing.T) {
 	// First assignment hangs: no heartbeats, connection open. The
 	// heartbeat watchdog must declare it dead and re-dispatch.
 	w := &Worker{
-		Runner:   stubRunner(0),
+		Stream:   stubRunner(0),
 		Logf:     lg.logf,
 		FaultFor: func(seq int) Fault { return map[int]Fault{1: FaultHang}[seq] },
 	}
@@ -201,7 +210,7 @@ func TestDispatchHungWorkerWatchdog(t *testing.T) {
 func TestDispatchCorruptStateRejected(t *testing.T) {
 	lg := &testLog{}
 	w := &Worker{
-		Runner:   stubRunner(0),
+		Stream:   stubRunner(0),
 		Logf:     lg.logf,
 		FaultFor: func(seq int) Fault { return map[int]Fault{1: FaultCorrupt}[seq] },
 	}
@@ -230,13 +239,13 @@ func TestDispatchCorruptStateRejected(t *testing.T) {
 func TestDispatchAnalysisErrorReportedInBand(t *testing.T) {
 	lg := &testLog{}
 	var calls atomic.Int64
-	runner := func(ctx context.Context, spec, parent []byte, files []string, decoders int) ([]byte, error) {
+	runner := func(ctx context.Context, spec, parent []byte, files []io.Reader, decoders int) ([]byte, error) {
 		if calls.Add(1) == 1 {
 			return nil, errors.New("synthetic analysis failure")
 		}
-		return stubState(spec, parent, files), nil
+		return stubState(spec, parent, files)
 	}
-	addr := startWorker(t, &Worker{Runner: runner, Logf: lg.logf})
+	addr := startWorker(t, &Worker{Stream: runner, Logf: lg.logf})
 	tasks, expected := makeTasks(t, 2)
 	results, stats, err := Run(context.Background(), fastCfg(lg, addr), tasks)
 	if err != nil {
@@ -250,8 +259,10 @@ func TestDispatchAnalysisErrorReportedInBand(t *testing.T) {
 
 func TestDispatchStragglerSpeculation(t *testing.T) {
 	lg := &testLog{}
-	fast := startWorker(t, &Worker{Runner: stubRunner(0), Logf: lg.logf})
-	slow := startWorker(t, &Worker{Runner: stubRunner(2 * time.Second), Logf: lg.logf})
+	// The fast worker is not instant, or it could finish every piece
+	// before the slow one has registered and there would be no straggler.
+	fast := startWorker(t, &Worker{Stream: stubRunner(30 * time.Millisecond), Logf: lg.logf})
+	slow := startWorker(t, &Worker{Stream: stubRunner(2 * time.Second), Logf: lg.logf})
 	tasks, expected := makeTasks(t, 4)
 	cfg := fastCfg(lg, fast, slow)
 	cfg.StragglerMin = 50 * time.Millisecond
@@ -303,13 +314,27 @@ func TestDispatchNoAddrs(t *testing.T) {
 	}
 }
 
+// TestDispatchNetemCutMidAssignmentRetries severs the link two and a half
+// chunks into a four-chunk file. The runner is already reading by then:
+// its read must end in io.ErrUnexpectedEOF (never a clean EOF on the
+// prefix), the worker must send no result for that attempt, and the retry
+// over a merely slow link must deliver the same state.
 func TestDispatchNetemCutMidAssignmentRetries(t *testing.T) {
 	lg := &testLog{}
-	addr := startWorker(t, &Worker{Runner: stubRunner(0), Logf: lg.logf})
-	tasks, expected := makeTasks(t, 2)
+	var cutReads, clean atomic.Int64
+	runner := func(ctx context.Context, spec, parent []byte, files []io.Reader, decoders int) ([]byte, error) {
+		state, err := stubState(spec, parent, files)
+		switch {
+		case errors.Is(err, io.ErrUnexpectedEOF):
+			cutReads.Add(1)
+		case err == nil:
+			clean.Add(1)
+		}
+		return state, err
+	}
+	addr := startWorker(t, &Worker{Stream: runner, Logf: lg.logf})
+	tasks, expected := makeSizedTasks(t, 2, 4*chunkSize-100)
 	cfg := fastCfg(lg, addr)
-	// First dial: the link dies after 600 bytes — mid file-transfer.
-	// Later dials are merely slow and jittery.
 	var dials atomic.Int64
 	cfg.Dial = func(ctx context.Context, a string) (net.Conn, error) {
 		d := net.Dialer{Timeout: time.Second}
@@ -318,7 +343,7 @@ func TestDispatchNetemCutMidAssignmentRetries(t *testing.T) {
 			return nil, err
 		}
 		if dials.Add(1) == 1 {
-			return netem.WrapConn(conn, netem.ConnConfig{CutAfterBytes: 600, Seed: 1}), nil
+			return netem.WrapConn(conn, netem.ConnConfig{CutAfterBytes: 2*chunkSize + chunkSize/2, Seed: 1}), nil
 		}
 		return netem.WrapConn(conn, netem.ConnConfig{
 			Latency: 2 * time.Millisecond,
@@ -336,6 +361,12 @@ func TestDispatchNetemCutMidAssignmentRetries(t *testing.T) {
 	}
 	if dials.Load() < 2 {
 		t.Fatalf("no reconnect after the cut (%d dials)", dials.Load())
+	}
+	if cutReads.Load() != 1 || clean.Load() != 2 {
+		t.Fatalf("runner saw %d cut reads and %d whole pieces, want 1 and 2\n%s", cutReads.Load(), clean.Load(), lg)
+	}
+	if n := strings.Count(lg.String(), "worker: piece"); n != 2 || !strings.Contains(lg.String(), "unexpected EOF") {
+		t.Fatalf("worker reported %d pieces (want 2: none for the cut attempt) or no cut:\n%s", n, lg)
 	}
 }
 
@@ -402,12 +433,12 @@ func TestWorkerDrainFinishesInFlight(t *testing.T) {
 	lg := &testLog{}
 	release := make(chan struct{})
 	started := make(chan struct{})
-	runner := func(ctx context.Context, spec, parent []byte, files []string, decoders int) ([]byte, error) {
+	runner := func(ctx context.Context, spec, parent []byte, files []io.Reader, decoders int) ([]byte, error) {
 		close(started)
 		<-release
-		return stubState(spec, parent, files), nil
+		return stubState(spec, parent, files)
 	}
-	w := &Worker{Runner: runner, Logf: lg.logf}
+	w := &Worker{Stream: runner, Logf: lg.logf}
 	addr := startWorker(t, w)
 	tasks, expected := makeTasks(t, 1)
 	done := make(chan struct{})

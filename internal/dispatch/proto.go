@@ -16,12 +16,36 @@
 //	coord → worker   assign {id, attempt, spec, files, deadline}
 //	coord → worker   [parent-state blob]   (chained analyses only)
 //	coord → worker   one blob per input file
-//	worker → coord   heartbeat … heartbeat (while analyzing)
+//	worker → coord   heartbeat … heartbeat (from the runner's start on)
 //	worker → coord   result {id, size} + state blob   (or error {id, msg})
 //
 // A blob is a sequence of chunk frames closed by a blob-end frame, so
 // a connection cut mid-transfer surfaces immediately as a protocol
 // error rather than a short file.
+//
+// The worker is a stream, not a spool. Its runner starts as soon as the
+// assign header and the parent blob are in, and is handed one io.Reader
+// per announced file; the connection's receive loop queues each chunk
+// payload on the file it belongs to and the runner reads the queue, so
+// transfer, decode and reduce overlap and no trace byte is reassembled
+// or written to disk. The receive loop never waits for the runner — a
+// two-file piece sends file 2 only after file 1, and a runner merging
+// the two needs a record of each before it can consume either — so what
+// bounds a worker's memory is what the header announced: a blob longer
+// than its announced size, a chunk after the last announced file, or an
+// announced size beyond maxBlobLen ends the assignment. A file's reader
+// returns io.EOF only after that file's blob-end frame; a cut anywhere
+// earlier makes every unfinished reader fail with io.ErrUnexpectedEOF,
+// the runner's error is discarded with the connection, and no result
+// frame is sent: a truncated piece cannot produce a state. The result
+// is sent only after the last blob-end, so the coordinator never sees
+// one while it is still sending.
+//
+// The coordinator sends a piece from its own goroutine and supervises
+// the transfer with the same deadline and watchdog as the execution:
+// while the piece is going out, only bytes the worker accepts count as
+// liveness, so a worker that stops reading is abandoned after
+// HeartbeatTimeout like one that stops heartbeating.
 package dispatch
 
 import (
@@ -29,6 +53,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/wire"
 )
@@ -66,11 +91,12 @@ type hello struct {
 
 // fileMeta names one input blob of an assignment.
 type fileMeta struct {
-	// Name is the base name the worker should give its spooled copy;
-	// the ingest layer sniffs format from content, but a .gz suffix
-	// keeps intent readable in worker temp dirs.
+	// Name is the file's base name, which the worker's errors and logs
+	// call it by; the ingest layer sniffs format from content.
 	Name string `json:"name"`
-	Size int64  `json:"size"`
+	// Size is the most the blob may hold: the worker buffers what its
+	// runner has not consumed yet, and rejects a blob that outgrows this.
+	Size int64 `json:"size"`
 }
 
 // assignHeader announces one piece assignment; the parent blob (when
@@ -117,20 +143,26 @@ type errorMsg struct {
 type frameRW struct {
 	rc  *wire.RecordConn
 	wmu sync.Mutex
+	tag [1]byte // the type byte of the frame being written; under wmu
+	// written counts the bytes of completed frame writes: what the peer
+	// has accepted, which is how a sender's supervisor sees progress.
+	written atomic.Int64
 }
 
 func newFrameRW(rw io.ReadWriter) *frameRW {
 	return &frameRW{rc: wire.NewRecordConn(rw)}
 }
 
-// send writes one frame: type byte + payload.
+// send writes one frame: type byte + payload, the payload uncopied.
 func (f *frameRW) send(t byte, payload []byte) error {
 	f.wmu.Lock()
 	defer f.wmu.Unlock()
-	buf := make([]byte, 1+len(payload))
-	buf[0] = t
-	copy(buf[1:], payload)
-	return f.rc.WriteRecord(buf)
+	f.tag[0] = t
+	err := f.rc.WriteRecordParts(f.tag[:], payload)
+	if err == nil {
+		f.written.Add(int64(1 + len(payload)))
+	}
+	return err
 }
 
 // sendJSON marshals v as the payload of a t frame.
@@ -171,8 +203,9 @@ func (f *frameRW) sendBlob(data []byte) error {
 }
 
 // recvBlob reassembles one blob sent by sendBlob, bounding its total
-// size. Heartbeat frames arriving interleaved are delivered to onBeat
-// (which may be nil) rather than treated as protocol errors.
+// size — for blobs that are needed whole (a parent state). Heartbeat
+// frames arriving interleaved are delivered to onBeat (which may be
+// nil) rather than treated as protocol errors.
 func (f *frameRW) recvBlob(limit int64, onBeat func([]byte)) ([]byte, error) {
 	var buf []byte
 	for {

@@ -213,11 +213,29 @@ func (s *Set) State(lv *pipeline.Live, join core.JoinStats, parent *pipeline.Par
 // RunFiles analyzes one piece — the trace files at paths, resumed from
 // parent when the piece is a link in a chain — and returns its state.
 func RunFiles(ctx context.Context, spec Spec, paths []string, decoders int, parent *pipeline.Partial) ([]byte, error) {
+	return run(ctx, spec, parent, func() (*pipeline.TraceSet, error) {
+		return pipeline.OpenTraceSet(paths, core.IngestConfig{Decoders: decoders})
+	})
+}
+
+// RunReaders is RunFiles over streams that are already open, one per
+// trace file in trace-set order. It reads them as they produce bytes, so
+// a piece still arriving over a connection is decoded, joined and
+// reduced while it arrives; any read error (a cut stream's
+// io.ErrUnexpectedEOF included) fails the run, never shortens it.
+func RunReaders(ctx context.Context, spec Spec, files []io.Reader, decoders int, parent *pipeline.Partial) ([]byte, error) {
+	return run(ctx, spec, parent, func() (*pipeline.TraceSet, error) {
+		return pipeline.OpenTraceReaders(files, core.IngestConfig{Decoders: decoders})
+	})
+}
+
+// run is the one piece execution: build, open, ingest, serialize.
+func run(ctx context.Context, spec Spec, parent *pipeline.Partial, open func() (*pipeline.TraceSet, error)) ([]byte, error) {
 	set, err := Build(spec)
 	if err != nil {
 		return nil, err
 	}
-	ts, err := pipeline.OpenTraceSet(paths, core.IngestConfig{Decoders: decoders})
+	ts, err := open()
 	if err != nil {
 		return nil, err
 	}
@@ -229,24 +247,43 @@ func RunFiles(ctx context.Context, spec Spec, paths []string, decoders int, pare
 	return set.State(lv, join, parent)
 }
 
-// RunTask is RunFiles for a piece that arrives as bytes — the spec as
-// JSON, the parent as a serialized state — which is how a dispatch
-// assignment carries it. It is the dispatch.Runner of nfsworker and what
-// the coordinator calls for the pieces it runs in its own process.
-func RunTask(ctx context.Context, specJSON, parent []byte, files []string, decoders int) ([]byte, error) {
+// decodeTask parses what a dispatch assignment carries as bytes: the
+// spec as JSON and, for a link in a chain, the parent's serialized state.
+func decodeTask(specJSON, parent []byte) (Spec, *pipeline.Partial, error) {
 	var spec Spec
 	if err := json.Unmarshal(specJSON, &spec); err != nil {
-		return nil, fmt.Errorf("decoding analysis spec: %w", err)
+		return spec, nil, fmt.Errorf("decoding analysis spec: %w", err)
 	}
-	var pp *pipeline.Partial
-	if len(parent) > 0 {
-		p, err := DecodeState(spec.Kind, parent)
-		if err != nil {
-			return nil, fmt.Errorf("decoding parent state: %w", err)
-		}
-		pp = p
+	if len(parent) == 0 {
+		return spec, nil, nil
+	}
+	p, err := DecodeState(spec.Kind, parent)
+	if err != nil {
+		return spec, nil, fmt.Errorf("decoding parent state: %w", err)
+	}
+	return spec, p, nil
+}
+
+// RunTask is RunFiles for a piece described in bytes, which is how a
+// dispatch.Task carries it: what the coordinator calls for the pieces it
+// runs in its own process.
+func RunTask(ctx context.Context, specJSON, parent []byte, files []string, decoders int) ([]byte, error) {
+	spec, pp, err := decodeTask(specJSON, parent)
+	if err != nil {
+		return nil, err
 	}
 	return RunFiles(ctx, spec, files, decoders, pp)
+}
+
+// RunStream is RunReaders for a piece described in bytes: the
+// dispatch.StreamRunner of nfsworker, handed the piece's files as the
+// connection delivers them.
+func RunStream(ctx context.Context, specJSON, parent []byte, files []io.Reader, decoders int) ([]byte, error) {
+	spec, pp, err := decodeTask(specJSON, parent)
+	if err != nil {
+		return nil, err
+	}
+	return RunReaders(ctx, spec, files, decoders, pp)
 }
 
 // DecodeState parses a serialized partial state and checks that it

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro"
 	"repro/internal/core"
@@ -209,4 +213,75 @@ func TestRunFilesErrors(t *testing.T) {
 	if _, err := RunFiles(ctx, Default("summary"), []string{path}, 1, nil); err == nil {
 		t.Fatal("cancelled context did not abort")
 	}
+}
+
+// cutReader yields the first n bytes of data and then fails the way a
+// severed connection does.
+func cutReader(data []byte, n int) io.Reader {
+	return io.MultiReader(bytes.NewReader(data[:n]), iotest.ErrReader(io.ErrUnexpectedEOF))
+}
+
+// TestRunStreamOverReaders: the reader form is the path form — a piece
+// read from streams that trickle (one byte per Read) renders what the
+// same bytes render from a file, with and without a parent state — and a
+// stream cut anywhere fails the run instead of yielding a state for the
+// prefix.
+func TestRunStreamOverReaders(t *testing.T) {
+	path := writeTrace(t, t.TempDir())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, kind := range []string{"runs", "blocklife"} {
+		spec := Default(kind)
+		specJSON, _ := json.Marshal(spec)
+		var parent []byte
+		if seqKinds[kind] {
+			if parent, err = RunTask(ctx, specJSON, nil, []string{path}, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := RunTask(ctx, specJSON, parent, []string{path}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunStream(ctx, specJSON, parent, []io.Reader{iotest.OneByteReader(bytes.NewReader(data))}, 2)
+		if err != nil {
+			t.Fatalf("%s: RunStream: %v", kind, err)
+		}
+		if a, b := decodeMeta(t, kind, got), decodeMeta(t, kind, want); a != b {
+			t.Errorf("%s: streamed state %s, state from the file %s", kind, a, b)
+		}
+	}
+
+	// A cut between two lines is the dangerous one: every byte that did
+	// arrive parses. Inside a line the parser may object first.
+	summary, _ := json.Marshal(Default("summary"))
+	boundary := bytes.IndexByte(data[len(data)/2:], '\n') + len(data)/2 + 1
+	for _, n := range []int{0, 1, boundary, boundary + 5, len(data) - 1} {
+		state, err := RunStream(ctx, summary, nil, []io.Reader{cutReader(data, n)}, 1)
+		if err == nil || state != nil {
+			t.Errorf("stream cut after %d of %d bytes produced a state (err %v)", n, len(data), err)
+		}
+		if (n == 0 || n == boundary) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("stream cut after %d of %d bytes: err = %v, want io.ErrUnexpectedEOF", n, len(data), err)
+		}
+	}
+	if _, err := RunStream(ctx, []byte("{"), nil, []io.Reader{bytes.NewReader(data)}, 1); err == nil {
+		t.Error("spec that is not JSON accepted")
+	}
+	if _, err := RunReaders(ctx, Default("summary"), nil, 1, nil); err == nil {
+		t.Error("a piece of no files produced a state")
+	}
+}
+
+// decodeMeta summarizes a state by what a merge reads from it first.
+func decodeMeta(t *testing.T, kind string, state []byte) string {
+	t.Helper()
+	p, err := DecodeState(kind, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%s %+v %+v in %d bytes", p.Label, p.Stats, p.Join, len(state))
 }

@@ -119,3 +119,63 @@ func TestConnDropProbabilityRespectsSeed(t *testing.T) {
 		t.Fatalf("sever points %d vs %d not deterministic", first, second)
 	}
 }
+
+func TestConnHoldUntilReleased(t *testing.T) {
+	release := make(chan struct{})
+	a, b := net.Pipe()
+	t.Cleanup(func() { a.Close(); b.Close() })
+	c := WrapConn(a, ConnConfig{HoldAfterBytes: 4, Release: release, Seed: 1})
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := c.Write([]byte("abcdef"))
+		wrote <- err
+	}()
+	// The prefix up to the budget arrives; the rest is held.
+	head := make([]byte, 4)
+	if _, err := io.ReadFull(b, head); err != nil || string(head) != "abcd" {
+		t.Fatalf("prefix: %q err %v", head, err)
+	}
+	select {
+	case err := <-wrote:
+		t.Fatalf("write returned (%v) while held", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	tail := make([]byte, 2)
+	if _, err := io.ReadFull(b, tail); err != nil || string(tail) != "ef" {
+		t.Fatalf("tail after release: %q err %v", tail, err)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatalf("held write: %v", err)
+	}
+	// Once released the hold is spent: later writes pass straight through.
+	go c.Write([]byte("gh"))
+	if _, err := io.ReadFull(b, tail); err != nil || string(tail) != "gh" {
+		t.Fatalf("write after release: %q err %v", tail, err)
+	}
+}
+
+func TestConnStallEndsAtClose(t *testing.T) {
+	// No Release: the peer has stopped reading for good, and only closing
+	// the connection gets the writer back.
+	c, got := pipeEcho(t, ConnConfig{HoldAfterBytes: 2, Seed: 1})
+	wrote := make(chan error, 1)
+	var n int
+	go func() {
+		var err error
+		n, err = c.Write([]byte("abcd"))
+		wrote <- err
+	}()
+	select {
+	case err := <-wrote:
+		t.Fatalf("stalled write returned: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	c.Close()
+	if err := <-wrote; !errors.Is(err, net.ErrClosed) || n != 2 {
+		t.Fatalf("stalled write after close: n=%d err=%v", n, err)
+	}
+	if string(<-got) != "ab" {
+		t.Fatal("peer did not receive exactly the pre-stall prefix")
+	}
+}

@@ -119,23 +119,48 @@ type TraceSet struct {
 
 // OpenTraceSet opens every path with the given ingest configuration.
 func OpenTraceSet(paths []string, cfg core.IngestConfig) (*TraceSet, error) {
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("pipeline: empty trace set")
-	}
-	ts := &TraceSet{}
+	files := make([]*os.File, 0, len(paths))
+	inputs := make([]io.Reader, 0, len(paths))
 	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
-			ts.Close()
+			closeFiles(files)
 			return nil, err
 		}
-		ts.files = append(ts.files, f)
-		pr, err := core.NewParallelReader(f, cfg)
+		files = append(files, f)
+		inputs = append(inputs, f)
+	}
+	ts, err := OpenTraceReaders(inputs, cfg)
+	if err != nil {
+		closeFiles(files)
+		return nil, err
+	}
+	ts.files = files
+	return ts, nil
+}
+
+// OpenTraceReaders is OpenTraceSet over streams that are already open —
+// a piece arriving over a connection, say — in the order given. An
+// input with a Name method (an *os.File has one) is called that in
+// errors and Stats. Opening sniffs each input's format, so it blocks
+// until every input has produced its first bytes; the caller still owns
+// the inputs, and Close does not close them.
+func OpenTraceReaders(inputs []io.Reader, cfg core.IngestConfig) (*TraceSet, error) {
+	if len(inputs) == 0 {
+		return nil, fmt.Errorf("pipeline: empty trace set")
+	}
+	ts := &TraceSet{}
+	for i, in := range inputs {
+		name := fmt.Sprintf("input %d", i)
+		if n, ok := in.(interface{ Name() string }); ok {
+			name = n.Name()
+		}
+		pr, err := core.NewParallelReader(in, cfg)
 		if err != nil {
 			ts.Close()
-			return nil, fmt.Errorf("%s: %w", path, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		ts.sources = append(ts.sources, &fileSource{path: path, pr: pr})
+		ts.sources = append(ts.sources, &fileSource{path: name, pr: pr})
 	}
 	if len(ts.sources) == 1 {
 		ts.src = ts.sources[0]
@@ -166,13 +191,18 @@ func (ts *TraceSet) Stats() []FileStat {
 	return stats
 }
 
-// Close stops every file's decoder goroutines and closes the files.
+// Close stops every input's decoder goroutines and closes the files
+// OpenTraceSet opened.
 func (ts *TraceSet) Close() error {
 	for _, s := range ts.sources {
 		s.pr.Stop()
 	}
+	return closeFiles(ts.files)
+}
+
+func closeFiles(files []*os.File) error {
 	var first error
-	for _, f := range ts.files {
+	for _, f := range files {
 		if err := f.Close(); err != nil && first == nil {
 			first = err
 		}

@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/core"
 )
@@ -216,5 +218,87 @@ func TestTraceSetCloseMidStream(t *testing.T) {
 	}
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// named gives a stream the Name method an *os.File has.
+type named struct {
+	io.Reader
+	name string
+}
+
+func (n named) Name() string { return n.name }
+
+// TestOpenTraceReaders: a trace set over open streams merges like the
+// same bytes opened from files, labels each input by its Name method (or
+// its position), fails on a stream's read error rather than ending early,
+// and leaves the streams open.
+func TestOpenTraceReaders(t *testing.T) {
+	dir := t.TempDir()
+	p1, p2 := filepath.Join(dir, "a.trace"), filepath.Join(dir, "b.trace.gz")
+	writeTextFile(t, p1, setRecords(300, 1, 1000), false)
+	writeTextFile(t, p2, setRecords(200, 2, 1000.5), true)
+	drain := func(ts *TraceSet) (times []float64, err error) {
+		defer ts.Close()
+		for {
+			rec, err := ts.Next()
+			if err == io.EOF {
+				return times, nil
+			}
+			if err != nil {
+				return times, err
+			}
+			times = append(times, rec.Time)
+		}
+	}
+	fromFiles, err := OpenTraceSet([]string{p1, p2}, core.IngestConfig{Decoders: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := drain(fromFiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	f1, err := os.Open(p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f1.Close()
+	b2, err := os.ReadFile(p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := OpenTraceReaders([]io.Reader{f1, bytes.NewReader(b2)}, core.IngestConfig{Decoders: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := drain(ts)
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("streams gave %d records (err %v), files %d", len(got), err, len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("record %d at %v from streams, %v from files", i, got[i], want[i])
+		}
+	}
+	if st := ts.Stats(); st[0].Path != p1 || st[1].Path != "input 1" || st[0].Records != 300 || st[1].Records != 200 {
+		t.Fatalf("stats %+v", st)
+	}
+	if _, err := f1.Seek(0, io.SeekStart); err != nil {
+		t.Fatalf("Close closed a stream it does not own: %v", err)
+	}
+
+	b1, _ := os.ReadFile(p1)
+	cut := named{io.MultiReader(bytes.NewReader(b1[:len(b1)/2]), iotest.ErrReader(io.ErrUnexpectedEOF)), "piece-7"}
+	ts, err = OpenTraceReaders([]io.Reader{cut}, core.IngestConfig{Decoders: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := drain(ts); err == nil || !strings.Contains(err.Error(), "piece-7: ") {
+		t.Fatalf("cut stream: err = %v, want one naming piece-7", err)
+	}
+	if _, err := OpenTraceReaders(nil, core.IngestConfig{}); err == nil {
+		t.Fatal("empty trace set opened")
 	}
 }

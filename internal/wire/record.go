@@ -36,21 +36,36 @@ func NewRecordConn(rw io.ReadWriter) *RecordConn {
 
 // WriteRecord sends msg as a single final fragment and flushes.
 func (c *RecordConn) WriteRecord(msg []byte) error {
-	if len(msg) > MaxRecordLen {
-		return fmt.Errorf("wire: record of %d bytes exceeds limit", len(msg))
+	return c.WriteRecordParts(msg)
+}
+
+// WriteRecordParts sends the concatenation of parts as a single final
+// fragment and flushes — the bytes WriteRecord would put on the wire for
+// the joined message, without the caller joining it first (a one-byte
+// tag in front of a large payload, say).
+func (c *RecordConn) WriteRecordParts(parts ...[]byte) error {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
 	}
-	binary.BigEndian.PutUint32(c.whdr[:], uint32(len(msg))|0x80000000)
+	if n > MaxRecordLen {
+		return fmt.Errorf("wire: record of %d bytes exceeds limit", n)
+	}
+	binary.BigEndian.PutUint32(c.whdr[:], uint32(n)|0x80000000)
 	if _, err := c.w.Write(c.whdr[:]); err != nil {
 		return err
 	}
-	if _, err := c.w.Write(msg); err != nil {
-		return err
+	for _, p := range parts {
+		if _, err := c.w.Write(p); err != nil {
+			return err
+		}
 	}
 	return c.w.Flush()
 }
 
 // ReadRecord reads one complete record, reassembling fragments. The
-// returned slice is freshly allocated and owned by the caller.
+// returned slice is freshly allocated and owned by the caller; the
+// first fragment — normally the only one — is read straight into it.
 //
 // A stream that ends exactly on a record boundary returns io.EOF. A
 // stream cut anywhere inside a record — mid-header, mid-body, or
@@ -77,7 +92,11 @@ func (c *RecordConn) ReadRecord() ([]byte, error) {
 			return nil, fmt.Errorf("wire: record fragment of %d bytes exceeds limit", n)
 		}
 		off := len(msg)
-		msg = append(msg, make([]byte, n)...)
+		if off == 0 {
+			msg = make([]byte, n)
+		} else {
+			msg = append(msg, make([]byte, n)...)
+		}
 		if _, err := io.ReadFull(c.r, msg[off:]); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF

@@ -192,3 +192,41 @@ func TestRecordConnFullDuplex(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestWriteRecordPartsMatchesWriteRecord: a record written as parts is
+// byte for byte the record WriteRecord writes for the joined message,
+// and the size bound applies to the sum.
+func TestWriteRecordPartsMatchesWriteRecord(t *testing.T) {
+	tag, payload := []byte{0x03}, bytes.Repeat([]byte("chunk"), 9000) // larger than the bufio buffer
+	var joined, parts bytes.Buffer
+	if err := NewRecordConn(&rwBuffer{r: &bytes.Buffer{}, w: &joined}).WriteRecord(append(tag[:1:1], payload...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewRecordConn(&rwBuffer{r: &bytes.Buffer{}, w: &parts}).WriteRecordParts(tag, nil, payload); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(joined.Bytes(), parts.Bytes()) {
+		t.Fatal("WriteRecordParts framing differs from WriteRecord of the joined message")
+	}
+	send := NewRecordConn(&rwBuffer{r: &bytes.Buffer{}, w: &bytes.Buffer{}})
+	if err := send.WriteRecordParts(tag, make([]byte, MaxRecordLen)); err == nil {
+		t.Fatal("oversized parts accepted")
+	}
+}
+
+// TestReadRecordAllocatesOnce pins the receive path's cost: a
+// single-fragment record is read straight into the slice it is returned
+// in — one allocation, no reassembly copy.
+func TestReadRecordAllocatesOnce(t *testing.T) {
+	const runs = 50
+	one := rpc.MarkRecord(bytes.Repeat([]byte("payload "), 4096))
+	rc := NewRecordConn(&rwBuffer{r: bytes.NewBuffer(bytes.Repeat(one, runs+1)), w: &bytes.Buffer{}})
+	allocs := testing.AllocsPerRun(runs, func() {
+		if rec, err := rc.ReadRecord(); err != nil || len(rec) != 8*4096 {
+			t.Fatalf("ReadRecord: %d bytes, err %v", len(rec), err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("ReadRecord of a single-fragment record: %.1f allocations, want 1", allocs)
+	}
+}
