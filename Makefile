@@ -21,14 +21,14 @@ race-server: ## hammer the concurrent serving stack under -race (torture tests, 
 #   make bench BENCH_COUNT=10 > new.txt && benchstat old.txt new.txt
 BENCH_COUNT ?= 5
 
-bench: ## run the pipeline scaling, ingest, analysis and dispatch-transport benchmarks (benchstat-friendly)
-	$(GO) test -run xxx -bench 'BenchmarkPipelineWorkers' -benchmem -count $(BENCH_COUNT) .
+bench: ## run the pipeline scaling, run-finish, ingest, analysis and dispatch-transport benchmarks (benchstat-friendly)
+	$(GO) test -run xxx -bench 'BenchmarkPipelineWorkers|BenchmarkSortWindow|BenchmarkRunsFinish|BenchmarkReorderSweep' -benchmem -count $(BENCH_COUNT) .
 	$(GO) test -run xxx -bench . -benchmem -count $(BENCH_COUNT) ./internal/pipeline
 	$(GO) test -run xxx -bench 'BenchmarkIngest|BenchmarkUnmarshalRecordBytes|BenchmarkAppendMarshal|BenchmarkInternFH' -benchmem -count $(BENCH_COUNT) ./internal/core
 	$(GO) test -run xxx -bench 'BenchmarkDispatchLoopback' -benchmem -count $(BENCH_COUNT) ./internal/dispatch
 
-bench-smoke: ## run the ingest, pipeline and dispatch benchmarks once (CI regression visibility, not gating)
-	$(GO) test -run xxx -bench 'BenchmarkPipelineWorkers' -benchmem -benchtime 3x .
+bench-smoke: ## run the ingest, pipeline, run-finish and dispatch benchmarks once (CI regression visibility, not gating)
+	$(GO) test -run xxx -bench 'BenchmarkPipelineWorkers|BenchmarkSortWindow|BenchmarkRunsFinish|BenchmarkReorderSweep' -benchmem -benchtime 3x .
 	$(GO) test -run xxx -bench . -benchmem -benchtime 3x ./internal/pipeline
 	$(GO) test -run xxx -bench 'BenchmarkIngest|BenchmarkUnmarshalRecordBytes|BenchmarkAppendMarshal|BenchmarkInternFH' -benchmem -benchtime 3x ./internal/core
 	$(GO) test -run xxx -bench 'BenchmarkDispatchLoopback' -benchmem -benchtime 3x ./internal/dispatch
@@ -68,6 +68,7 @@ fuzz: ## run each native fuzz target for 10s
 	$(GO) test -run xxx -fuzz FuzzStateDecode -fuzztime 10s ./internal/pipeline
 	$(GO) test -run xxx -fuzz FuzzJoinerEquivalence -fuzztime 10s ./internal/pipeline
 	$(GO) test -run xxx -fuzz FuzzWorkerAssignment -fuzztime 10s ./internal/dispatch
+	$(GO) test -run xxx -fuzz FuzzSortWindowEquivalence -fuzztime 10s ./internal/analysis
 
 cover: ## run the suite with coverage and enforce the committed floor
 	$(GO) test -coverprofile=cover.out ./...

@@ -351,23 +351,95 @@ func BenchmarkNfsiodPool(b *testing.B) {
 	}
 }
 
-// BenchmarkSortWindow measures the §4.2 reorder-window sort.
-func BenchmarkSortWindow(b *testing.B) {
-	campus, _ := benchTraces(b)
-	files := addAll(make(analysis.AccessMap), campus.Ops)
-	var biggest []analysis.Access
-	for _, accs := range files {
-		if len(accs) > len(biggest) {
-			biggest = accs
-		}
-	}
-	cp := make([]analysis.Access, len(biggest))
+// finishTraces are the traces the finish benchmarks run over: CAMPUS at
+// the benchmark's analyze_dist scale (100 users, half a day: ≈ 80 k
+// accesses on ≈ 270 files, mailbox reads ≈ 85 µs apart) and EECS at
+// analyze_binary's (4 clients, 1.5 days: many small files).
+var (
+	finishOnce   sync.Once
+	finishCampus *Trace
+	finishEECS   *Trace
+)
+
+func finishTraces(b *testing.B) (*Trace, *Trace) {
+	b.Helper()
+	finishOnce.Do(func() {
+		finishCampus = GenerateCampus(Scale{CampusUsers: 100, Days: 0.5, Seed: 101})
+		finishEECS = GenerateEECS(Scale{EECSClients: 4, Days: 1.5, Seed: 101})
+	})
+	return finishCampus, finishEECS
+}
+
+// perAccess reports a finish benchmark's cost per access: time and heap
+// allocations, measured over the whole timed loop.
+func perAccess(b *testing.B, accesses int, run func()) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(cp, biggest)
-		analysis.SortWindow(cp, 0.010)
+		run()
 	}
-	b.SetBytes(int64(len(biggest)))
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N) * float64(accesses)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/access")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/access")
+}
+
+// BenchmarkSortWindow measures the §4.2 reorder-window sort over every
+// file of a trace: CAMPUS at 1, 10 and 50 ms, EECS at its 5 ms.
+func BenchmarkSortWindow(b *testing.B) {
+	campus, eecs := finishTraces(b)
+	for _, c := range []struct {
+		name string
+		tr   *Trace
+		wms  float64
+	}{{"campus-1ms", campus, 1}, {"campus-10ms", campus, 10}, {"campus-50ms", campus, 50}, {"eecs-5ms", eecs, 5}} {
+		b.Run(c.name, func(b *testing.B) {
+			files := addAll(make(analysis.AccessMap), c.tr.Ops)
+			total := 0
+			for _, accs := range files {
+				total += len(accs)
+			}
+			cp := make([]analysis.Access, 0, total)
+			perAccess(b, total, func() {
+				for _, accs := range files {
+					cp = append(cp[:0], accs...)
+					analysis.SortWindow(cp, c.wms/1000)
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkRunsFinish measures RunDetector.Runs — sort, split and
+// classify — over a whole access map under the trace's own window: the
+// finish the coordinator runs after the last piece returns and nfsmond
+// runs on every scrape.
+func BenchmarkRunsFinish(b *testing.B) {
+	campus, eecs := finishTraces(b)
+	for _, tr := range []*Trace{campus, eecs} {
+		b.Run(tr.Name, func(b *testing.B) {
+			r := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(tr.ReorderWindowMS)), tr.Ops)
+			accesses := 0
+			for _, run := range r.Runs() {
+				accesses += len(run.Accesses)
+			}
+			perAccess(b, accesses, func() { r.Runs() })
+		})
+	}
+}
+
+// BenchmarkReorderSweep measures the Figure 1 sweep at the seven windows
+// an nfsmond scrape reports.
+func BenchmarkReorderSweep(b *testing.B) {
+	campus, _ := finishTraces(b)
+	r := addAll(analysis.NewReorderSweeper([]float64{0, 1, 2, 5, 10, 20, 50}), campus.Ops)
+	accesses := 0
+	for _, accs := range addAll(make(analysis.AccessMap), campus.Ops) {
+		accesses += len(accs)
+	}
+	perAccess(b, accesses, func() { r.Points() })
 }
 
 // BenchmarkHourly measures the Figure 4 bucketing pass.

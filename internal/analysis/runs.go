@@ -9,7 +9,12 @@
 package analysis
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -66,8 +71,10 @@ func (m AccessMap) Add(op *core.Op) {
 // costs O(files), not O(accesses), and an append on either side
 // reallocates instead of writing into the other's view. That is safe
 // because access lists are append-only: nothing mutates an element in
-// place, and every consumer that sorts (DetectRunsInFiles, sweepFiles)
-// copies first.
+// place. The finish never writes them either: DetectRunsInFiles and
+// sweepFiles sort copies, and the runs DetectRunsInFiles returns without
+// a reorder window are capped views of these lists, which a later Add
+// appends past.
 func (m AccessMap) merge(src AccessMap, f Filter) AccessMap {
 	m = roomFor(m, src, f.Owns)
 	for fh, accs := range src {
@@ -87,22 +94,163 @@ func (m AccessMap) merge(src AccessMap, f Filter) AccessMap {
 // temporal window of w seconds (§4.2's "reorder window"), undoing
 // nfsiod reordering without masking true randomness. It returns the
 // number of swaps performed.
+//
+// The pass is the linear scan the paper describes: for each position i,
+// the window is every later access j up to the first one failing
+// accs[j].T-accs[i].T <= w (NaN fails), with accs[i] as it stands after
+// earlier swaps; the leftmost smallest offset in it is swapped into i if
+// it is smaller than accs[i]'s. Scanning that window element by element
+// costs a comparison per access in it, which on a mailbox read every
+// ≈ 85 µs is a hundred per access at 10 ms.
+//
+// So the list is cut into blocks of sortBlock accesses, each summarized
+// by its largest T, its leftmost smallest offset and whether all its T
+// are finite. The scan steps element by element up to the next block
+// boundary, then reads whole blocks through their summaries, and steps
+// element by element again inside the block the window ends in. A block
+// whose T are all finite lies wholly inside the window exactly when its
+// largest T passes the stop test: subtracting accs[i].T is monotone over
+// finite values, and maps all of them alike when accs[i].T is infinite
+// or NaN. Taking its summary's minimum only where it is strictly smaller
+// keeps the leftmost one, so the scan picks the same access and stops at
+// the same place; a block holding an infinite or NaN T is always stepped
+// through. A summary is built the first time its block is read whole —
+// never, when the window ends at the block's first access — and a swap
+// discards only the summary of the block it moved an access into: the
+// block holding i is behind every later scan. The swaps, their order and
+// the result are the linear scan's, which FuzzSortWindowEquivalence
+// checks against a copy of it.
 func SortWindow(accs []Access, w float64) int {
+	n := len(accs)
+	var blocks []blockSummary // built on first use, one block at a time
 	swaps := 0
-	for i := 0; i < len(accs); i++ {
-		// Find the in-window access with the smallest offset.
-		best := i
-		for j := i + 1; j < len(accs) && accs[j].T-accs[i].T <= w; j++ {
-			if accs[j].Offset < accs[best].Offset {
-				best = j
+	for i := 0; i < n; i++ {
+		t := accs[i].T
+		best, bestOff := i, accs[i].Offset
+		j, stop := i+1, min(n, (i/sortBlock+1)*sortBlock)
+	scan:
+		for {
+			// Element by element up to the next block boundary...
+			for ; j < stop; j++ {
+				if !(accs[j].T-t <= w) {
+					break scan
+				}
+				if accs[j].Offset < bestOff {
+					best, bestOff = j, accs[j].Offset
+				}
 			}
+			// ...whole blocks while they lie inside the window...
+			for ; j < n; j += sortBlock {
+				if !(accs[j].T-t <= w) {
+					break scan
+				}
+				if blocks == nil {
+					blocks = make([]blockSummary, (n+sortBlock-1)/sortBlock)
+				}
+				s := &blocks[j/sortBlock]
+				if !s.valid {
+					*s = summarize(accs, j)
+				}
+				if !s.finite || !(s.maxT-t <= w) {
+					break
+				}
+				if s.minOff < bestOff {
+					best, bestOff = s.minIdx, s.minOff
+				}
+			}
+			if j >= n {
+				break
+			}
+			// ...then through the block the window ends in.
+			stop = min(n, j+sortBlock)
 		}
-		if best != i && accs[best].Offset < accs[i].Offset {
+		if best != i {
 			accs[i], accs[best] = accs[best], accs[i]
 			swaps++
+			if blocks != nil {
+				blocks[best/sortBlock].valid = false
+			}
 		}
 	}
 	return swaps
+}
+
+// sortBlock is the number of accesses a SortWindow block summarizes.
+const sortBlock = 16
+
+// blockSummary is what SortWindow reads of a block it takes whole.
+type blockSummary struct {
+	maxT   float64 // largest T; meaningful only when finite
+	minOff uint64  // smallest offset
+	minIdx int     // leftmost index holding minOff
+	finite bool    // every T in the block is finite
+	valid  bool    // the summary describes the block as it is now
+}
+
+// summarize describes the block of accs starting at start.
+func summarize(accs []Access, start int) blockSummary {
+	end := min(start+sortBlock, len(accs))
+	s := blockSummary{maxT: math.Inf(-1), minOff: accs[start].Offset, minIdx: start, finite: true, valid: true}
+	for k := start; k < end; k++ {
+		a := &accs[k]
+		if a.T-a.T != 0 { // ±Inf or NaN
+			s.finite = false
+		} else if a.T > s.maxT {
+			s.maxT = a.T
+		}
+		if a.Offset < s.minOff {
+			s.minOff, s.minIdx = a.Offset, k
+		}
+	}
+	return s
+}
+
+// fan spreads n independent tasks across up to GOMAXPROCS goroutines,
+// handing out the largest first so that one big file is not what the
+// others wait for. The schedule is computed once and can run several
+// passes over the same tasks.
+type fan struct {
+	n, width int
+	order    []int // task indexes, largest first; nil when width is 1
+}
+
+func newFan(n int, size func(k int) int) fan {
+	f := fan{n: n, width: min(runtime.GOMAXPROCS(0), n)}
+	if f.width > 1 {
+		f.order = make([]int, n)
+		for k := range f.order {
+			f.order[k] = k
+		}
+		slices.SortFunc(f.order, func(a, b int) int { return size(b) - size(a) })
+	}
+	return f
+}
+
+// run calls task k for every k. newWorker is called once per goroutine
+// and returns that goroutine's task function, so a worker can keep
+// scratch space across its tasks. Tasks must write only their own
+// result slots.
+func (f fan) run(newWorker func() func(k int)) {
+	if f.width <= 1 {
+		do := newWorker()
+		for k := 0; k < f.n; k++ {
+			do(k)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < f.width; g++ {
+		wg.Add(1)
+		do := newWorker()
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; k < f.n; k = int(next.Add(1)) - 1 {
+				do(f.order[k])
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // ReorderSweepPoint is one point of Figure 1.
@@ -114,23 +262,34 @@ type ReorderSweepPoint struct {
 }
 
 // sweepFiles measures, for each window size, what percentage of the
-// files' accesses the sorting pass moves. Each sweep sorts a fresh copy.
+// files' accesses the sorting pass moves. Every file × window sorts its
+// own copy, fanned across cores; swap counts are integers, so the sum
+// does not depend on the order the tasks finish in.
 func sweepFiles(files AccessMap, windowsMS []float64) []ReorderSweepPoint {
+	lists := make([][]Access, 0, len(files))
 	total := 0
 	for _, accs := range files {
+		lists = append(lists, accs)
 		total += len(accs)
 	}
-	out := make([]ReorderSweepPoint, 0, len(windowsMS))
-	for _, wms := range windowsMS {
-		swaps := 0
-		for _, accs := range files {
-			cp := make([]Access, len(accs))
-			copy(cp, accs)
-			swaps += SortWindow(cp, wms/1000)
+	nw := len(windowsMS)
+	swaps := make([]int, len(lists)*nw)
+	newFan(len(swaps), func(k int) int { return len(lists[k/nw]) }).run(func() func(int) {
+		var cp []Access
+		return func(k int) {
+			cp = append(cp[:0], lists[k/nw]...)
+			swaps[k] = SortWindow(cp, windowsMS[k%nw]/1000)
+		}
+	})
+	out := make([]ReorderSweepPoint, 0, nw)
+	for wi, wms := range windowsMS {
+		n := 0
+		for f := range lists {
+			n += swaps[f*nw+wi]
 		}
 		pct := 0.0
 		if total > 0 {
-			pct = 100 * float64(swaps) / float64(total)
+			pct = 100 * float64(n) / float64(total)
 		}
 		out = append(out, ReorderSweepPoint{WindowMS: wms, SwappedPct: pct})
 	}
@@ -216,28 +375,69 @@ func DefaultRunConfig(windowMS float64) RunConfig {
 }
 
 // DetectRunsInFiles splits each file's accesses into runs and
-// classifies them, iterating files in sorted-handle order so the run
-// list is reproducible. The sort is by the rendered handle spelling,
-// not the interned ID — ID numbering depends on decode interleaving,
-// spellings don't.
+// classifies them. Files are worked on in parallel and their runs laid
+// out in sorted-handle order, so the run list is reproducible. The sort
+// is by the rendered handle spelling, not the interned ID — ID numbering
+// depends on decode interleaving, spellings don't.
+//
+// With a reorder window each file is sorted in a copy, all of them
+// carved from one allocation; without one, runs are capped views of
+// files' own lists. Either way a run's Accesses share a backing array
+// with its neighbours, capped at its length, so appending to one
+// reallocates instead of writing into the next, and files is never
+// written.
 func DetectRunsInFiles(files map[core.FH][]Access, cfg RunConfig) []Run {
-	fhs := make([]core.FH, 0, len(files))
-	for fh := range files {
-		fhs = append(fhs, fh)
+	type file struct {
+		fh    core.FH
+		spell string
+		accs  []Access
+		runs  []Run
 	}
-	sort.Slice(fhs, func(i, j int) bool { return fhs[i].String() < fhs[j].String() })
+	order := make([]file, 0, len(files))
+	total := 0
+	for fh, accs := range files {
+		order = append(order, file{fh: fh, spell: fh.String(), accs: accs})
+		total += len(accs)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i].spell < order[j].spell })
+	perFile := newFan(len(order), func(k int) int { return len(order[k].accs) })
 
-	var runs []Run
-	for _, fh := range fhs {
-		accs := files[fh]
-		if cfg.ReorderWindow > 0 {
-			cp := make([]Access, len(accs))
-			copy(cp, accs)
-			SortWindow(cp, cfg.ReorderWindow)
-			accs = cp
+	if cfg.ReorderWindow > 0 {
+		sorted := make([]Access, total)
+		for k := range order {
+			n := copy(sorted, order[k].accs)
+			order[k].accs, sorted = sorted[:n:n], sorted[n:]
 		}
-		runs = append(runs, splitRuns(fh, accs, cfg)...)
 	}
+	// Sort and count each file's runs, so that one slice holds them all;
+	// then classify each file's runs into its stretch of it.
+	counts := make([]int, len(order))
+	perFile.run(func() func(int) {
+		return func(k int) {
+			if cfg.ReorderWindow > 0 {
+				SortWindow(order[k].accs, cfg.ReorderWindow)
+			}
+			counts[k] = countRuns(order[k].accs, cfg)
+		}
+	})
+	nruns := 0
+	for _, c := range counts {
+		nruns += c
+	}
+	if nruns == 0 {
+		return nil
+	}
+	runs := make([]Run, nruns)
+	rest := runs
+	for k := range order {
+		order[k].runs, rest = rest[:0:counts[k]], rest[counts[k]:]
+	}
+	perFile.run(func() func(int) {
+		return func(k int) {
+			f := &order[k]
+			splitRuns(f.runs, f.fh, f.accs, cfg)
+		}
+	})
 	return runs
 }
 
@@ -263,29 +463,37 @@ func (r *RunDetector) Merge(src *RunDetector, f Filter) { r.files = r.files.merg
 // Runs detects and classifies the runs in everything added so far.
 func (r *RunDetector) Runs() []Run { return DetectRunsInFiles(r.files, r.cfg) }
 
-// splitRuns applies the §4.2 run-break rules: a new run begins after an
+// breaksRun applies the §4.2 run-break rules: a new run begins after an
 // access that referenced end-of-file, or after an idle gap.
-func splitRuns(fh core.FH, accs []Access, cfg RunConfig) []Run {
-	var runs []Run
-	var cur []Access
-	flush := func() {
-		if len(cur) > 0 {
-			runs = append(runs, classifyRun(fh, cur, cfg))
-			cur = nil
+func breaksRun(prev, next *Access, cfg RunConfig) bool {
+	return prev.EOF || (cfg.IdleGap > 0 && next.T-prev.T > cfg.IdleGap)
+}
+
+// countRuns reports how many runs splitRuns cuts accs into.
+func countRuns(accs []Access, cfg RunConfig) int {
+	if len(accs) == 0 {
+		return 0
+	}
+	n := 1
+	for i := 1; i < len(accs); i++ {
+		if breaksRun(&accs[i-1], &accs[i], cfg) {
+			n++
 		}
 	}
-	for i, a := range accs {
-		if len(cur) > 0 {
-			prev := cur[len(cur)-1]
-			if prev.EOF || (cfg.IdleGap > 0 && a.T-prev.T > cfg.IdleGap) {
-				flush()
-			}
+	return n
+}
+
+// splitRuns appends the classified runs of accs to dst and returns it.
+// Each run's Accesses is a capped sub-slice of accs.
+func splitRuns(dst []Run, fh core.FH, accs []Access, cfg RunConfig) []Run {
+	start := 0
+	for i := 1; i <= len(accs); i++ {
+		if i == len(accs) || breaksRun(&accs[i-1], &accs[i], cfg) {
+			dst = append(dst, classifyRun(fh, accs[start:i:i], cfg))
+			start = i
 		}
-		cur = append(cur, a)
-		_ = i
 	}
-	flush()
-	return runs
+	return dst
 }
 
 func classifyRun(fh core.FH, accs []Access, cfg RunConfig) Run {

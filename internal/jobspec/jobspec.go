@@ -287,9 +287,10 @@ func RunStream(ctx context.Context, specJSON, parent []byte, files []io.Reader, 
 }
 
 // DecodeState parses a serialized partial state and checks that it
-// holds the kind analysis.
+// holds the kind analysis. The Partial keeps views into data, which
+// must not change while it is in use.
 func DecodeState(kind string, data []byte) (*pipeline.Partial, error) {
-	p, err := pipeline.ReadPartial(bytes.NewReader(data))
+	p, err := pipeline.ParsePartial(data)
 	if err != nil {
 		return nil, err
 	}

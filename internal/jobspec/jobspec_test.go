@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -52,8 +53,13 @@ func TestDefaultCarriesKind(t *testing.T) {
 
 func writeTrace(t *testing.T, dir string) string {
 	t.Helper()
+	return writeTraceDays(t, dir, 0.25)
+}
+
+func writeTraceDays(t *testing.T, dir string, days float64) string {
+	t.Helper()
 	scale := repro.SmallScale()
-	scale.Days = 0.25
+	scale.Days = days
 	records := repro.GenerateCampusRecords(scale)
 	var buf bytes.Buffer
 	if err := repro.WriteTrace(&buf, records); err != nil {
@@ -158,6 +164,37 @@ func TestRenderEveryKind(t *testing.T) {
 		merged.Render(&got, stats, mjoin)
 		if got.String() != want.String() {
 			t.Fatalf("%s: rendering from state differs:\n--- direct ---\n%s--- from state ---\n%s", tc.kind, want.String(), got.String())
+		}
+	}
+}
+
+// TestDecodeStateDoesNotCopyTheState: the coordinator decodes every
+// piece's state from the bytes it received. Parsing works on views into
+// those bytes, so decoding a state whose size is its access lists
+// allocates less than one copy of it — reading it through an io.Reader
+// used to allocate two.
+func TestDecodeStateDoesNotCopyTheState(t *testing.T) {
+	path := writeTraceDays(t, t.TempDir(), 1)
+	for _, kind := range []string{"runs", "reorder"} {
+		specJSON, _ := json.Marshal(Default(kind))
+		blob, err := RunTask(context.Background(), specJSON, nil, []string{path}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The least of a few tries, so a background allocation cannot
+		// fail the test.
+		least := ^uint64(0)
+		for try := 0; try < 5; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := DecodeState(kind, blob); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least >= uint64(len(blob)) {
+			t.Errorf("%s: DecodeState allocated %d bytes for a %d-byte state", kind, least, len(blob))
 		}
 	}
 }

@@ -94,15 +94,22 @@ func WritePartial(w io.Writer, lv *Live, label string, join core.JoinStats, pare
 	return e.Flush(w)
 }
 
-// ReadPartial parses a state file and its metadata. Sections beyond the
-// metadata are validated lazily, when Resume or MergePartials decodes
-// them against concrete analyzers.
+// ReadPartial reads a whole state file from r and parses it with
+// ParsePartial.
 func ReadPartial(r io.Reader) (*Partial, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	f, err := state.ReadFile(bytes.NewReader(data))
+	return ParsePartial(data)
+}
+
+// ParsePartial parses a state file and its metadata. Sections beyond the
+// metadata are validated lazily, when Resume or MergePartials decodes
+// them against concrete analyzers. The Partial keeps views into data, so
+// data must not change while the Partial is in use.
+func ParsePartial(data []byte) (*Partial, error) {
+	f, err := state.Parse(data)
 	if err != nil {
 		return nil, err
 	}

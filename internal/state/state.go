@@ -216,6 +216,13 @@ func ReadFile(r io.Reader) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
+	return Parse(data)
+}
+
+// Parse parses a complete state file held in data. The File keeps views
+// into data instead of copying it, so data must not change while the
+// File is in use.
+func Parse(data []byte) (*File, error) {
 	const headerLen = len(magic) + 2 + sha256.Size
 	if len(data) < headerLen {
 		return nil, corruptf("file too short for header (%d bytes)", len(data))
@@ -235,6 +242,7 @@ func ReadFile(r io.Reader) (*File, error) {
 	d := &Decoder{name: "header", b: data, off: headerLen}
 
 	f := &File{}
+	var err error
 	f.fhSpell, err = d.stringList("file-handle dictionary")
 	if err != nil {
 		return nil, err
