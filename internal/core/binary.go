@@ -291,56 +291,73 @@ func (br *BinaryReader) Next() (*Record, error) {
 // shared pool.
 func (br *BinaryReader) Recycle(r *Record) { FreeRecord(r) }
 
+// byteCursor reads a record payload under the error rule xdr.Decoder
+// follows: the first failure is kept in err and ends the input, so every
+// later read returns the zero value, and a decode checks err once.
 type byteCursor struct {
 	b   []byte
 	off int
+	err error
 }
 
-func (c *byteCursor) uvarint() (uint64, error) {
+var (
+	errBadVarint     = errors.New("core: bad varint in binary record")
+	errStringOverrun = errors.New("core: string overruns binary record")
+	errRecordShort   = errors.New("core: binary record too short")
+)
+
+func (c *byteCursor) fail(err error) {
+	if c.err == nil {
+		c.err = err
+		c.off = len(c.b)
+	}
+}
+
+func (c *byteCursor) uvarint() uint64 {
 	v, n := binary.Uvarint(c.b[c.off:])
 	if n <= 0 {
-		return 0, errors.New("core: bad varint in binary record")
+		c.fail(errBadVarint)
+		return 0
 	}
 	c.off += n
-	return v, nil
+	return v
 }
 
-func (c *byteCursor) str() (string, error) {
-	b, err := c.strBytes()
-	return string(b), err
-}
+func (c *byteCursor) str() string { return string(c.strBytes()) }
 
 // strBytes returns a view of the next length-prefixed string; the view
 // aliases the record buffer and must not be retained.
-func (c *byteCursor) strBytes() ([]byte, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return nil, err
+func (c *byteCursor) strBytes() []byte {
+	n := c.uvarint()
+	if n > uint64(len(c.b)-c.off) {
+		c.fail(errStringOverrun)
 	}
-	if c.off+int(n) > len(c.b) {
-		return nil, errors.New("core: string overruns binary record")
+	if c.err != nil {
+		return nil
 	}
 	b := c.b[c.off : c.off+int(n)]
 	c.off += int(n)
-	return b, nil
+	return b
 }
 
-// fh interns the next length-prefixed handle spelling in place.
-func (c *byteCursor) fh() (FH, error) {
-	b, err := c.strBytes()
-	if err != nil {
-		return 0, err
+// fh interns the next length-prefixed handle spelling in place. Nothing
+// is interned once the record has failed.
+func (c *byteCursor) fh() FH {
+	b := c.strBytes()
+	if c.err != nil {
+		return 0
 	}
-	return InternFHBytes(b), nil
+	return InternFHBytes(b)
 }
 
-func (c *byteCursor) byte() (byte, error) {
+func (c *byteCursor) byte() byte {
 	if c.off >= len(c.b) {
-		return 0, errors.New("core: binary record too short")
+		c.fail(errRecordShort)
+		return 0
 	}
 	v := c.b[c.off]
 	c.off++
-	return v, nil
+	return v
 }
 
 // recordTimeDelta reads just the presence bitmap and zigzag time delta
@@ -348,14 +365,9 @@ func (c *byteCursor) byte() (byte, error) {
 // absolute-time base into each batch so batches decode independently.
 func recordTimeDelta(payload []byte) (int64, error) {
 	c := &byteCursor{b: payload}
-	if _, err := c.uvarint(); err != nil {
-		return 0, err
-	}
-	zz, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return int64(zz>>1) ^ -int64(zz&1), nil
+	c.uvarint() // presence bitmap
+	zz := c.uvarint()
+	return int64(zz>>1) ^ -int64(zz&1), c.err
 }
 
 // decodeRecord decodes one record payload into r (which is
@@ -364,145 +376,79 @@ func recordTimeDelta(payload []byte) (int64, error) {
 // is advanced to this record's time.
 func decodeRecord(buf []byte, lastUsec *int64, r *Record) error {
 	c := &byteCursor{b: buf}
-	bits64, err := c.uvarint()
-	if err != nil {
-		return err
-	}
-	bits := uint32(bits64)
-	zz, err := c.uvarint()
-	if err != nil {
-		return err
-	}
-	delta := int64(zz>>1) ^ -int64(zz&1)
-	*lastUsec += delta
+	bits := uint32(c.uvarint())
+	zz := c.uvarint()
+	*lastUsec += int64(zz>>1) ^ -int64(zz&1)
 
 	r.Time = float64(*lastUsec) / 1e6
-	if r.Kind, err = c.byte(); err != nil {
-		return err
-	}
-	if r.Proto, err = c.byte(); err != nil {
-		return err
-	}
-	get32 := func(dst *uint32) error {
-		v, err := c.uvarint()
-		*dst = uint32(v)
-		return err
-	}
-	if err = get32(&r.Client); err != nil {
-		return err
-	}
-	port, err := c.uvarint()
-	if err != nil {
-		return err
-	}
-	r.Port = uint16(port)
-	if err = get32(&r.Server); err != nil {
-		return err
-	}
-	if err = get32(&r.XID); err != nil {
-		return err
-	}
-	if err = get32(&r.Version); err != nil {
-		return err
-	}
+	r.Kind = c.byte()
+	r.Proto = c.byte()
+	r.Client = uint32(c.uvarint())
+	r.Port = uint16(c.uvarint())
+	r.Server = uint32(c.uvarint())
+	r.XID = uint32(c.uvarint())
+	r.Version = uint32(c.uvarint())
 	// Interning is deferred to the end of the decode so a record whose
 	// later fields are corrupt does not register a garbage name in the
 	// bounded process-global proc table.
-	procB, err := c.strBytes()
-	if err != nil {
-		return err
-	}
+	procB := c.strBytes()
 
 	if bits&bfFH != 0 {
-		if r.FH, err = c.fh(); err != nil {
-			return err
-		}
+		r.FH = c.fh()
 	}
 	if bits&bfName != 0 {
-		if r.Name, err = c.str(); err != nil {
-			return err
-		}
+		r.Name = c.str()
 	}
 	if bits&bfFH2 != 0 {
-		if r.FH2, err = c.fh(); err != nil {
-			return err
-		}
+		r.FH2 = c.fh()
 	}
 	if bits&bfName2 != 0 {
-		if r.Name2, err = c.str(); err != nil {
-			return err
-		}
+		r.Name2 = c.str()
 	}
 	if bits&bfOffset != 0 {
-		if r.Offset, err = c.uvarint(); err != nil {
-			return err
-		}
+		r.Offset = c.uvarint()
 	}
 	if bits&bfCount != 0 {
-		if err = get32(&r.Count); err != nil {
-			return err
-		}
+		r.Count = uint32(c.uvarint())
 	}
 	if bits&bfStable != 0 {
-		if err = get32(&r.Stable); err != nil {
-			return err
-		}
+		r.Stable = uint32(c.uvarint())
 	}
 	if bits&bfSetSize != 0 {
-		if r.SetSize, err = c.uvarint(); err != nil {
-			return err
-		}
+		r.SetSize = c.uvarint()
 		r.HasSet = true
 	}
 	if bits&bfStatus != 0 {
-		if err = get32(&r.Status); err != nil {
-			return err
-		}
+		r.Status = uint32(c.uvarint())
 	}
 	if bits&bfRCount != 0 {
-		if err = get32(&r.RCount); err != nil {
-			return err
-		}
+		r.RCount = uint32(c.uvarint())
 	}
 	if bits&bfSize != 0 {
-		if r.Size, err = c.uvarint(); err != nil {
-			return err
-		}
+		r.Size = c.uvarint()
 	}
 	if bits&bfFileID != 0 {
-		if r.FileID, err = c.uvarint(); err != nil {
-			return err
-		}
+		r.FileID = c.uvarint()
 	}
 	if bits&bfMtime != 0 {
-		m, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		r.Mtime = float64(m) / 1e6
+		r.Mtime = float64(c.uvarint()) / 1e6
 	}
 	if bits&bfPreSize != 0 {
-		if r.PreSize, err = c.uvarint(); err != nil {
-			return err
-		}
+		r.PreSize = c.uvarint()
 		r.HasPre = true
 	}
 	if bits&bfNewFH != 0 {
-		if r.NewFH, err = c.fh(); err != nil {
-			return err
-		}
+		r.NewFH = c.fh()
 	}
 	r.EOF = bits&bfEOF != 0
 	if bits&bfUIDGID != 0 {
-		if err = get32(&r.UID); err != nil {
-			return err
-		}
-		if err = get32(&r.GID); err != nil {
-			return err
-		}
+		r.UID = uint32(c.uvarint())
+		r.GID = uint32(c.uvarint())
 	}
-	if r.Proc, err = InternProcBytes(procB); err != nil {
-		return err
+	if c.err != nil {
+		return c.err
 	}
-	return nil
+	var err error
+	r.Proc, err = InternProcBytes(procB)
+	return err
 }

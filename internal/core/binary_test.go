@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -132,6 +135,19 @@ func TestBinaryTruncated(t *testing.T) {
 	}
 	if _, err := br.Next(); err == nil {
 		t.Fatal("truncated record accepted")
+	}
+}
+
+// TestBinaryHugeStringLength: a string length prefix of 2^64-1 used to
+// wrap negative in the bounds check and panic slicing the record; it is
+// an overrun like any other.
+func TestBinaryHugeStringLength(t *testing.T) {
+	payload := []byte{0, 0, KindCall, ProtoUDP, 0, 0, 0, 0, 0}
+	payload = binary.AppendUvarint(payload, math.MaxUint64) // procedure name length
+	trace := append(binaryMagic[:], byte(len(payload)))
+	br := NewBinaryReader(bytes.NewReader(append(trace, payload...)))
+	if _, err := br.Next(); err == nil || !strings.Contains(err.Error(), "overruns") {
+		t.Fatalf("huge string length: err = %v, want an overrun", err)
 	}
 }
 

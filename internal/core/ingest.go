@@ -411,13 +411,9 @@ func decodeBinaryBatch(b batch) result {
 	c := &byteCursor{b: b.data}
 	lastUsec := b.baseUsec
 	for c.off < len(c.b) {
-		recLen, err := c.uvarint()
-		if err != nil {
-			res.err = err
-			return res
-		}
-		payload := c.b[c.off : c.off+int(recLen)]
-		c.off += int(recLen)
+		// The splitter wrote these length prefixes; should one ever be
+		// bad, the nil payload fails decodeRecord below.
+		payload := c.strBytes()
 		rec := NewRecord()
 		if err := decodeRecord(payload, &lastUsec, rec); err != nil {
 			FreeRecord(rec)

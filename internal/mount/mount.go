@@ -58,11 +58,11 @@ func EncodeMntArgs(e *xdr.Encoder, a *MntArgs) {
 // DecodeMntArgs parses the argument body.
 func DecodeMntArgs(body []byte) (*MntArgs, error) {
 	d := xdr.NewDecoder(body)
-	p, err := d.String()
-	if err != nil {
+	a := &MntArgs{DirPath: d.String()}
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	return &MntArgs{DirPath: p}, nil
+	return a, nil
 }
 
 // MntRes is the MNT result: status, and on success the filesystem root
@@ -88,32 +88,20 @@ func EncodeMntRes(e *xdr.Encoder, r *MntRes) {
 // DecodeMntRes parses the result body.
 func DecodeMntRes(body []byte) (*MntRes, error) {
 	d := xdr.NewDecoder(body)
-	status, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	r := &MntRes{Status: status}
-	if status != OK {
-		return r, nil
-	}
-	fh, err := d.Opaque()
-	if err != nil {
-		return nil, err
-	}
-	r.FH = append(nfs.FH(nil), fh...)
-	n, err := d.Count()
-	if err != nil {
-		return nil, err
-	}
-	if n > 16 {
-		return nil, fmt.Errorf("mount: %d auth flavors", n)
-	}
-	for i := 0; i < n; i++ {
-		f, err := d.Uint32()
-		if err != nil {
-			return nil, err
+	r := &MntRes{Status: d.Uint32()}
+	if r.Status == OK {
+		r.FH = append(nfs.FH(nil), d.Opaque()...)
+		n := d.Count()
+		if n > 16 {
+			d.Fail(fmt.Errorf("mount: %d auth flavors", n))
+		} else {
+			for i := 0; i < n; i++ {
+				r.Flavors = append(r.Flavors, d.Uint32())
+			}
 		}
-		r.Flavors = append(r.Flavors, f)
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }

@@ -95,8 +95,9 @@ func TestFattr3RoundTrip(t *testing.T) {
 	a := sampleAttr()
 	e := xdr.NewEncoder(128)
 	EncodeFattr3(e, a)
-	got, err := DecodeFattr3(xdr.NewDecoder(e.Bytes()))
-	if err != nil {
+	d := xdr.NewDecoder(e.Bytes())
+	got := DecodeFattr3(d)
+	if err := d.Err(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if *got != *a {
@@ -111,8 +112,9 @@ func TestFattr2RoundTrip(t *testing.T) {
 	a.Ctime.Nsec = 125000
 	e := xdr.NewEncoder(128)
 	EncodeFattr2(e, a)
-	got, err := DecodeFattr2(xdr.NewDecoder(e.Bytes()))
-	if err != nil {
+	d := xdr.NewDecoder(e.Bytes())
+	got := DecodeFattr2(d)
+	if err := d.Err(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if got.Size != a.Size || got.FileID != a.FileID || got.UID != a.UID ||
@@ -473,8 +475,9 @@ func TestSattr3RoundTrip(t *testing.T) {
 	s := &Sattr{Mode: &mode, Size: &size, Atime: &at}
 	e := xdr.NewEncoder(128)
 	encodeSattr3(e, s)
-	got, err := decodeSattr3(xdr.NewDecoder(e.Bytes()))
-	if err != nil {
+	d := xdr.NewDecoder(e.Bytes())
+	got := decodeSattr3(d)
+	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if got.Mode == nil || *got.Mode != mode {

@@ -6,10 +6,11 @@ import (
 	"repro/internal/xdr"
 )
 
-// NFSv2 wire codecs (RFC 1094). NFSv2 file handles are a fixed 32 bytes;
-// the simulator's 8-byte handles are zero-padded on encode, and decode
-// trims the zero padding back off so both protocol versions yield the
-// same FH for the same file. Sizes and offsets are 32-bit in v2.
+// NFSv2 wire codecs (RFC 1094), decoding through the sticky xdr.Decoder
+// the way v3.go does. NFSv2 file handles are a fixed 32 bytes; the
+// simulator's 8-byte handles are zero-padded on encode, and decode trims
+// the zero padding back off so both protocol versions yield the same FH
+// for the same file. Sizes and offsets are 32-bit in v2.
 
 func encodeFH2(e *xdr.Encoder, fh FH) {
 	var buf [V2FHSize]byte
@@ -17,10 +18,10 @@ func encodeFH2(e *xdr.Encoder, fh FH) {
 	e.PutFixedOpaque(buf[:])
 }
 
-func decodeFH2(d *xdr.Decoder) (FH, error) {
-	b, err := d.FixedOpaque(V2FHSize)
-	if err != nil {
-		return nil, err
+func decodeFH2(d *xdr.Decoder) FH {
+	b := d.FixedOpaque(V2FHSize)
+	if b == nil {
+		return nil
 	}
 	// Trim simulator zero padding: if bytes 8.. are zero, this is an
 	// 8-byte simulator handle.
@@ -37,7 +38,12 @@ func decodeFH2(d *xdr.Decoder) (FH, error) {
 	}
 	out := make(FH, n)
 	copy(out, b[:n])
-	return out, nil
+	return out
+}
+
+// decodeDirOp2 reads v2 diropargs: a directory handle and a name.
+func decodeDirOp2(d *xdr.Decoder) DirOpArgs3 {
+	return DirOpArgs3{Dir: decodeFH2(d), Name: d.String()}
 }
 
 func encodeTime2(e *xdr.Encoder, t Time) {
@@ -45,19 +51,12 @@ func encodeTime2(e *xdr.Encoder, t Time) {
 	e.PutUint32(t.Nsec / 1000) // v2 carries microseconds
 }
 
-func decodeTime2(d *xdr.Decoder) (Time, error) {
-	sec, err := d.Uint32()
-	if err != nil {
-		return Time{}, err
-	}
-	usec, err := d.Uint32()
-	if err != nil {
-		return Time{}, err
-	}
+func decodeTime2(d *xdr.Decoder) Time {
+	sec, usec := d.Uint32(), d.Uint32()
 	if usec == 0xFFFFFFFF { // "don't set" marker in sattr
-		return Time{Sec: sec, Nsec: 0xFFFFFFFF}, nil
+		return Time{Sec: sec, Nsec: 0xFFFFFFFF}
 	}
-	return Time{Sec: sec, Nsec: usec * 1000}, nil
+	return Time{Sec: sec, Nsec: usec * 1000}
 }
 
 // EncodeFattr2 writes a v2 fattr block, narrowing 64-bit fields.
@@ -79,60 +78,19 @@ func EncodeFattr2(e *xdr.Encoder, a *Fattr) {
 }
 
 // DecodeFattr2 parses a v2 fattr block into the version-neutral form.
-func DecodeFattr2(d *xdr.Decoder) (*Fattr, error) {
-	var a Fattr
-	var err error
-	if a.Type, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	if a.Mode, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	if a.Nlink, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	if a.UID, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	if a.GID, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	size, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	a.Size = uint64(size)
-	if _, err = d.Uint32(); err != nil { // blocksize
-		return nil, err
-	}
-	if _, err = d.Uint32(); err != nil { // rdev
-		return nil, err
-	}
-	blocks, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	a.Used = uint64(blocks) * 512
-	fsid, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	a.FSID = uint64(fsid)
-	fileid, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	a.FileID = uint64(fileid)
-	if a.Atime, err = decodeTime2(d); err != nil {
-		return nil, err
-	}
-	if a.Mtime, err = decodeTime2(d); err != nil {
-		return nil, err
-	}
-	if a.Ctime, err = decodeTime2(d); err != nil {
-		return nil, err
-	}
-	return &a, nil
+// After a short read the result is meaningless and d.Err reports it.
+func DecodeFattr2(d *xdr.Decoder) *Fattr {
+	a := &Fattr{Type: d.Uint32(), Mode: d.Uint32(), Nlink: d.Uint32(), UID: d.Uint32(), GID: d.Uint32()}
+	a.Size = uint64(d.Uint32())
+	d.Uint32()                        // blocksize
+	d.Uint32()                        // rdev
+	a.Used = uint64(d.Uint32()) * 512 // blocks
+	a.FSID = uint64(d.Uint32())
+	a.FileID = uint64(d.Uint32())
+	a.Atime = decodeTime2(d)
+	a.Mtime = decodeTime2(d)
+	a.Ctime = decodeTime2(d)
+	return a
 }
 
 const v2NoValue = 0xFFFFFFFF
@@ -165,54 +123,30 @@ func encodeSattr2(e *xdr.Encoder, s *Sattr) {
 	putTime(s.Mtime)
 }
 
-func decodeSattr2(d *xdr.Decoder) (*Sattr, error) {
-	var s Sattr
-	get := func() (*uint32, error) {
-		v, err := d.Uint32()
-		if err != nil || v == v2NoValue {
-			return nil, err
+func decodeSattr2(d *xdr.Decoder) Sattr {
+	opt := func() *uint32 {
+		v := d.Uint32()
+		if v == v2NoValue {
+			return nil
 		}
-		return &v, nil
+		return &v
 	}
-	var err error
-	if s.Mode, err = get(); err != nil {
-		return nil, err
-	}
-	if s.UID, err = get(); err != nil {
-		return nil, err
-	}
-	if s.GID, err = get(); err != nil {
-		return nil, err
-	}
-	sz, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if sz != v2NoValue {
-		v := uint64(sz)
-		s.Size = &v
-	}
-	getTime := func() (*Time, error) {
-		sec, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		usec, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
+	optTime := func() *Time {
+		sec, usec := d.Uint32(), d.Uint32()
 		if sec == v2NoValue && usec == v2NoValue {
-			return nil, nil
+			return nil
 		}
-		return &Time{Sec: sec, Nsec: usec * 1000}, nil
+		return &Time{Sec: sec, Nsec: usec * 1000}
 	}
-	if s.Atime, err = getTime(); err != nil {
-		return nil, err
+	s := Sattr{Mode: opt(), UID: opt(), GID: opt()}
+	sz := d.Uint32()
+	if sz != v2NoValue {
+		size := uint64(sz)
+		s.Size = &size
 	}
-	if s.Mtime, err = getTime(); err != nil {
-		return nil, err
-	}
-	return &s, nil
+	s.Atime = optTime()
+	s.Mtime = optTime()
+	return s
 }
 
 // --- v2 argument structs (reusing v3 shapes where the fields match) ---
@@ -362,157 +296,42 @@ func EncodeArgs2(e *xdr.Encoder, proc uint32, args any) error {
 // DecodeArgs2 parses the v2 argument body for proc.
 func DecodeArgs2(proc uint32, body []byte) (any, error) {
 	d := xdr.NewDecoder(body)
+	var args any
 	switch proc {
 	case V2Null, V2Root, V2Writecache:
-		return nil, nil
 	case V2Getattr, V2Readlink, V2Statfs:
-		fh, err := decodeFH2(d)
-		if err != nil {
-			return nil, err
-		}
-		return &GetattrArgs3{FH: fh}, nil
+		args = &GetattrArgs3{FH: decodeFH2(d)}
 	case V2Setattr:
-		fh, err := decodeFH2(d)
-		if err != nil {
-			return nil, err
-		}
-		s, err := decodeSattr2(d)
-		if err != nil {
-			return nil, err
-		}
-		return &SetattrArgs2{FH: fh, Attr: *s}, nil
+		args = &SetattrArgs2{FH: decodeFH2(d), Attr: decodeSattr2(d)}
 	case V2Lookup, V2Remove, V2Rmdir:
-		fh, err := decodeFH2(d)
-		if err != nil {
-			return nil, err
-		}
-		name, err := d.String()
-		if err != nil {
-			return nil, err
-		}
-		return &DirOpArgs3{Dir: fh, Name: name}, nil
+		where := decodeDirOp2(d)
+		args = &where
 	case V2Read:
-		fh, err := decodeFH2(d)
-		if err != nil {
-			return nil, err
-		}
-		off, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		count, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		tc, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		return &ReadArgs2{FH: fh, Offset: off, Count: count, TotalCount: tc}, nil
+		args = &ReadArgs2{FH: decodeFH2(d), Offset: d.Uint32(), Count: d.Uint32(), TotalCount: d.Uint32()}
 	case V2Write:
-		fh, err := decodeFH2(d)
-		if err != nil {
-			return nil, err
-		}
-		if _, err = d.Uint32(); err != nil { // beginoffset
-			return nil, err
-		}
-		off, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		if _, err = d.Uint32(); err != nil { // totalcount
-			return nil, err
-		}
-		data, err := d.Opaque()
-		if err != nil {
-			return nil, err
-		}
-		return &WriteArgs2{FH: fh, Offset: off, Data: data}, nil
+		a := &WriteArgs2{FH: decodeFH2(d)}
+		d.Uint32() // beginoffset
+		a.Offset = d.Uint32()
+		d.Uint32() // totalcount
+		a.Data = d.Opaque()
+		args = a
 	case V2Create, V2Mkdir:
-		fh, err := decodeFH2(d)
-		if err != nil {
-			return nil, err
-		}
-		name, err := d.String()
-		if err != nil {
-			return nil, err
-		}
-		s, err := decodeSattr2(d)
-		if err != nil {
-			return nil, err
-		}
-		return &CreateArgs2{Where: DirOpArgs3{Dir: fh, Name: name}, Attr: *s}, nil
+		args = &CreateArgs2{Where: decodeDirOp2(d), Attr: decodeSattr2(d)}
 	case V2Rename:
-		ffh, err := decodeFH2(d)
-		if err != nil {
-			return nil, err
-		}
-		fname, err := d.String()
-		if err != nil {
-			return nil, err
-		}
-		tfh, err := decodeFH2(d)
-		if err != nil {
-			return nil, err
-		}
-		tname, err := d.String()
-		if err != nil {
-			return nil, err
-		}
-		return &RenameArgs3{
-			From: DirOpArgs3{Dir: ffh, Name: fname},
-			To:   DirOpArgs3{Dir: tfh, Name: tname},
-		}, nil
+		args = &RenameArgs3{From: decodeDirOp2(d), To: decodeDirOp2(d)}
 	case V2Link:
-		fh, err := decodeFH2(d)
-		if err != nil {
-			return nil, err
-		}
-		tfh, err := decodeFH2(d)
-		if err != nil {
-			return nil, err
-		}
-		tname, err := d.String()
-		if err != nil {
-			return nil, err
-		}
-		return &LinkArgs3{FH: fh, To: DirOpArgs3{Dir: tfh, Name: tname}}, nil
+		args = &LinkArgs3{FH: decodeFH2(d), To: decodeDirOp2(d)}
 	case V2Symlink:
-		fh, err := decodeFH2(d)
-		if err != nil {
-			return nil, err
-		}
-		name, err := d.String()
-		if err != nil {
-			return nil, err
-		}
-		target, err := d.String()
-		if err != nil {
-			return nil, err
-		}
-		s, err := decodeSattr2(d)
-		if err != nil {
-			return nil, err
-		}
-		return &SymlinkArgs3{Where: DirOpArgs3{Dir: fh, Name: name}, Attr: *s, Target: target}, nil
+		args = &SymlinkArgs3{Where: decodeDirOp2(d), Target: d.String(), Attr: decodeSattr2(d)}
 	case V2Readdir:
-		fh, err := decodeFH2(d)
-		if err != nil {
-			return nil, err
-		}
-		cookie, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		count, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		return &ReaddirArgs2{Dir: fh, Cookie: cookie, Count: count}, nil
+		args = &ReaddirArgs2{Dir: decodeFH2(d), Cookie: d.Uint32(), Count: d.Uint32()}
 	default:
-		return nil, fmt.Errorf("%w: v2 proc %d", ErrBadProc, proc)
+		d.Fail(fmt.Errorf("%w: v2 proc %d", ErrBadProc, proc))
 	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return args, nil
 }
 
 // EncodeRes2 writes the v2 result body for proc.
@@ -581,108 +400,65 @@ func EncodeRes2(e *xdr.Encoder, proc uint32, res any) error {
 // DecodeRes2 parses the v2 result body for proc.
 func DecodeRes2(proc uint32, body []byte) (any, error) {
 	d := xdr.NewDecoder(body)
-	status := uint32(OK)
-	var err error
+	var status uint32
 	if proc != V2Null && proc != V2Root && proc != V2Writecache {
-		if status, err = d.Uint32(); err != nil {
-			return nil, err
-		}
+		status = d.Uint32()
 	}
+	ok := status == OK
+	var res any
 	switch proc {
 	case V2Null, V2Root, V2Writecache:
-		return nil, nil
 	case V2Getattr, V2Setattr, V2Write:
 		r := &AttrStatRes2{Status: status}
-		if status == OK {
-			if r.Attr, err = DecodeFattr2(d); err != nil {
-				return nil, err
-			}
+		if ok {
+			r.Attr = DecodeFattr2(d)
 		}
-		return r, nil
+		res = r
 	case V2Lookup, V2Create, V2Mkdir:
 		r := &DirOpRes2{Status: status}
-		if status == OK {
-			if r.FH, err = decodeFH2(d); err != nil {
-				return nil, err
-			}
-			if r.Attr, err = DecodeFattr2(d); err != nil {
-				return nil, err
-			}
+		if ok {
+			r.FH = decodeFH2(d)
+			r.Attr = DecodeFattr2(d)
 		}
-		return r, nil
+		res = r
 	case V2Readlink:
-		if status == OK {
-			if _, err = d.String(); err != nil {
-				return nil, err
-			}
+		if ok {
+			d.Opaque() // target path, not modeled
 		}
-		return &StatusRes2{Status: status}, nil
+		res = &StatusRes2{Status: status}
 	case V2Read:
 		r := &ReadRes2{Status: status}
-		if status == OK {
-			if r.Attr, err = DecodeFattr2(d); err != nil {
-				return nil, err
-			}
-			if r.Data, err = d.Opaque(); err != nil {
-				return nil, err
-			}
+		if ok {
+			r.Attr = DecodeFattr2(d)
+			r.Data = d.Opaque()
 		}
-		return r, nil
+		res = r
 	case V2Remove, V2Rename, V2Link, V2Symlink, V2Rmdir:
-		return &StatusRes2{Status: status}, nil
+		res = &StatusRes2{Status: status}
 	case V2Readdir:
 		r := &ReaddirRes2{Status: status}
-		if status == OK {
-			for {
-				more, err := d.Bool()
-				if err != nil {
-					return nil, err
-				}
-				if !more {
-					break
-				}
-				var ent DirEntry
-				id, err := d.Uint32()
-				if err != nil {
-					return nil, err
-				}
-				ent.FileID = uint64(id)
-				if ent.Name, err = d.String(); err != nil {
-					return nil, err
-				}
-				cookie, err := d.Uint32()
-				if err != nil {
-					return nil, err
-				}
-				ent.Cookie = uint64(cookie)
-				r.Entries = append(r.Entries, ent)
+		if ok {
+			for d.Bool() {
+				r.Entries = append(r.Entries, DirEntry{FileID: uint64(d.Uint32()), Name: d.String(), Cookie: uint64(d.Uint32())})
 			}
-			if r.EOF, err = d.Bool(); err != nil {
-				return nil, err
-			}
+			r.EOF = d.Bool()
 		}
-		return r, nil
+		res = r
 	case V2Statfs:
 		r := &StatfsRes2{Status: status}
-		if status == OK {
-			if r.Tsize, err = d.Uint32(); err != nil {
-				return nil, err
-			}
-			if r.Bsize, err = d.Uint32(); err != nil {
-				return nil, err
-			}
-			if r.Blocks, err = d.Uint32(); err != nil {
-				return nil, err
-			}
-			if r.Bfree, err = d.Uint32(); err != nil {
-				return nil, err
-			}
-			if r.Bavail, err = d.Uint32(); err != nil {
-				return nil, err
-			}
+		if ok {
+			r.Tsize = d.Uint32()
+			r.Bsize = d.Uint32()
+			r.Blocks = d.Uint32()
+			r.Bfree = d.Uint32()
+			r.Bavail = d.Uint32()
 		}
-		return r, nil
+		res = r
 	default:
-		return nil, fmt.Errorf("%w: v2 proc %d", ErrBadProc, proc)
+		d.Fail(fmt.Errorf("%w: v2 proc %d", ErrBadProc, proc))
 	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }

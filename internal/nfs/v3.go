@@ -7,21 +7,23 @@ import (
 )
 
 // NFSv3 wire codecs (RFC 1813). Encoders write the argument or result
-// body that follows the RPC header; decoders parse the same.
+// body that follows the RPC header; decoders parse the same. Decoders
+// read through the sticky xdr.Decoder: helpers return values only, and
+// each exported Decode function checks d.Err once before returning.
+// Composite literals list their fields in wire order: Go makes the calls
+// in an expression from left to right, so each reads the next field.
 
 func encodeFH3(e *xdr.Encoder, fh FH) { e.PutOpaque(fh) }
 
-func decodeFH3(d *xdr.Decoder) (FH, error) {
-	b, err := d.Opaque()
-	if err != nil {
-		return nil, err
-	}
+func decodeFH3(d *xdr.Decoder) FH {
+	b := d.Opaque()
 	if len(b) > V3MaxFHSize {
-		return nil, fmt.Errorf("%w: fh of %d bytes", ErrDecode, len(b))
+		d.Fail(fmt.Errorf("%w: fh of %d bytes", ErrDecode, len(b)))
+		return nil
 	}
 	out := make(FH, len(b))
 	copy(out, b)
-	return out, nil
+	return out
 }
 
 func encodeTime3(e *xdr.Encoder, t Time) {
@@ -29,16 +31,8 @@ func encodeTime3(e *xdr.Encoder, t Time) {
 	e.PutUint32(t.Nsec)
 }
 
-func decodeTime3(d *xdr.Decoder) (Time, error) {
-	sec, err := d.Uint32()
-	if err != nil {
-		return Time{}, err
-	}
-	nsec, err := d.Uint32()
-	if err != nil {
-		return Time{}, err
-	}
-	return Time{Sec: sec, Nsec: nsec}, nil
+func decodeTime3(d *xdr.Decoder) Time {
+	return Time{Sec: d.Uint32(), Nsec: d.Uint32()}
 }
 
 // EncodeFattr3 writes a fattr3 block.
@@ -59,53 +53,19 @@ func EncodeFattr3(e *xdr.Encoder, a *Fattr) {
 	encodeTime3(e, a.Ctime)
 }
 
-// DecodeFattr3 parses a fattr3 block.
-func DecodeFattr3(d *xdr.Decoder) (*Fattr, error) {
-	var a Fattr
-	var err error
-	if a.Type, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	if a.Mode, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	if a.Nlink, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	if a.UID, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	if a.GID, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	if a.Size, err = d.Uint64(); err != nil {
-		return nil, err
-	}
-	if a.Used, err = d.Uint64(); err != nil {
-		return nil, err
-	}
-	if _, err = d.Uint32(); err != nil { // rdev major
-		return nil, err
-	}
-	if _, err = d.Uint32(); err != nil { // rdev minor
-		return nil, err
-	}
-	if a.FSID, err = d.Uint64(); err != nil {
-		return nil, err
-	}
-	if a.FileID, err = d.Uint64(); err != nil {
-		return nil, err
-	}
-	if a.Atime, err = decodeTime3(d); err != nil {
-		return nil, err
-	}
-	if a.Mtime, err = decodeTime3(d); err != nil {
-		return nil, err
-	}
-	if a.Ctime, err = decodeTime3(d); err != nil {
-		return nil, err
-	}
-	return &a, nil
+// DecodeFattr3 parses a fattr3 block. After a short or malformed read
+// the result is meaningless and d.Err reports the failure.
+func DecodeFattr3(d *xdr.Decoder) *Fattr {
+	a := &Fattr{Type: d.Uint32(), Mode: d.Uint32(), Nlink: d.Uint32(), UID: d.Uint32(), GID: d.Uint32()}
+	a.Size = d.Uint64()
+	a.Used = d.Uint64()
+	d.Uint64() // rdev (specdata3: major, minor)
+	a.FSID = d.Uint64()
+	a.FileID = d.Uint64()
+	a.Atime = decodeTime3(d)
+	a.Mtime = decodeTime3(d)
+	a.Ctime = decodeTime3(d)
+	return a
 }
 
 // encodePostOpAttr writes a post_op_attr (optional fattr3).
@@ -118,13 +78,9 @@ func encodePostOpAttr(e *xdr.Encoder, a *Fattr) {
 	EncodeFattr3(e, a)
 }
 
-func decodePostOpAttr(d *xdr.Decoder) (*Fattr, error) {
-	present, err := d.Bool()
-	if err != nil {
-		return nil, err
-	}
-	if !present {
-		return nil, nil
+func decodePostOpAttr(d *xdr.Decoder) *Fattr {
+	if !d.Bool() {
+		return nil
 	}
 	return DecodeFattr3(d)
 }
@@ -160,29 +116,13 @@ func encodeWccData(e *xdr.Encoder, w *WccData) {
 	encodePostOpAttr(e, w.After)
 }
 
-func decodeWccData(d *xdr.Decoder) (*WccData, error) {
+func decodeWccData(d *xdr.Decoder) *WccData {
 	var w WccData
-	present, err := d.Bool()
-	if err != nil {
-		return nil, err
+	if d.Bool() {
+		w.Before = &WccAttr{Size: d.Uint64(), Mtime: decodeTime3(d), Ctime: decodeTime3(d)}
 	}
-	if present {
-		var b WccAttr
-		if b.Size, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		if b.Mtime, err = decodeTime3(d); err != nil {
-			return nil, err
-		}
-		if b.Ctime, err = decodeTime3(d); err != nil {
-			return nil, err
-		}
-		w.Before = &b
-	}
-	if w.After, err = decodePostOpAttr(d); err != nil {
-		return nil, err
-	}
-	return &w, nil
+	w.After = decodePostOpAttr(d)
+	return &w
 }
 
 func encodeSattr3(e *xdr.Encoder, s *Sattr) {
@@ -215,67 +155,37 @@ func encodeSattr3(e *xdr.Encoder, s *Sattr) {
 	putOptTime(s.Mtime)
 }
 
-func decodeSattr3(d *xdr.Decoder) (*Sattr, error) {
-	var s Sattr
-	getOpt32 := func() (*uint32, error) {
-		present, err := d.Bool()
-		if err != nil || !present {
-			return nil, err
+func decodeSattr3(d *xdr.Decoder) Sattr {
+	opt32 := func() *uint32 {
+		if !d.Bool() {
+			return nil
 		}
-		v, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		return &v, nil
+		v := d.Uint32()
+		return &v
 	}
-	var err error
-	if s.Mode, err = getOpt32(); err != nil {
-		return nil, err
-	}
-	if s.UID, err = getOpt32(); err != nil {
-		return nil, err
-	}
-	if s.GID, err = getOpt32(); err != nil {
-		return nil, err
-	}
-	present, err := d.Bool()
-	if err != nil {
-		return nil, err
-	}
-	if present {
-		v, err := d.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		s.Size = &v
-	}
-	getOptTime := func() (*Time, error) {
-		how, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
+	optTime := func() *Time {
+		how := d.Uint32()
 		switch how {
 		case 0: // DONT_CHANGE
-			return nil, nil
+			return nil
 		case 1: // SET_TO_SERVER_TIME
-			return &Time{}, nil
-		case 2:
-			t, err := decodeTime3(d)
-			if err != nil {
-				return nil, err
-			}
-			return &t, nil
+			return &Time{}
+		case 2: // SET_TO_CLIENT_TIME
+			t := decodeTime3(d)
+			return &t
 		default:
-			return nil, fmt.Errorf("%w: time_how %d", ErrDecode, how)
+			d.Fail(fmt.Errorf("%w: time_how %d", ErrDecode, how))
+			return nil
 		}
 	}
-	if s.Atime, err = getOptTime(); err != nil {
-		return nil, err
+	s := Sattr{Mode: opt32(), UID: opt32(), GID: opt32()}
+	if d.Bool() {
+		size := d.Uint64()
+		s.Size = &size
 	}
-	if s.Mtime, err = getOptTime(); err != nil {
-		return nil, err
-	}
-	return &s, nil
+	s.Atime = optTime()
+	s.Mtime = optTime()
+	return s
 }
 
 // DirOpArgs3 is the (dir handle, name) pair used by LOOKUP, CREATE,
@@ -290,16 +200,8 @@ func encodeDirOp(e *xdr.Encoder, a *DirOpArgs3) {
 	e.PutString(a.Name)
 }
 
-func decodeDirOp(d *xdr.Decoder) (*DirOpArgs3, error) {
-	fh, err := decodeFH3(d)
-	if err != nil {
-		return nil, err
-	}
-	name, err := d.String()
-	if err != nil {
-		return nil, err
-	}
-	return &DirOpArgs3{Dir: fh, Name: name}, nil
+func decodeDirOp(d *xdr.Decoder) DirOpArgs3 {
+	return DirOpArgs3{Dir: decodeFH3(d), Name: d.String()}
 }
 
 // --- Procedure argument structs ---
@@ -570,174 +472,53 @@ func EncodeArgs3(e *xdr.Encoder, proc uint32, args any) error {
 // *Args3 struct (nil for NULL).
 func DecodeArgs3(proc uint32, body []byte) (any, error) {
 	d := xdr.NewDecoder(body)
+	var args any
 	switch proc {
 	case V3Null:
-		return nil, nil
 	case V3Getattr, V3Readlink, V3Fsstat, V3Fsinfo, V3Pathconf:
-		fh, err := decodeFH3(d)
-		if err != nil {
-			return nil, err
-		}
-		return &GetattrArgs3{FH: fh}, nil
+		args = &GetattrArgs3{FH: decodeFH3(d)}
 	case V3Setattr:
-		fh, err := decodeFH3(d)
-		if err != nil {
-			return nil, err
-		}
-		s, err := decodeSattr3(d)
-		if err != nil {
-			return nil, err
-		}
-		return &SetattrArgs3{FH: fh, Attr: *s}, nil
+		args = &SetattrArgs3{FH: decodeFH3(d), Attr: decodeSattr3(d)}
 	case V3Lookup, V3Remove, V3Rmdir:
-		return decodeDirOp(d)
+		where := decodeDirOp(d)
+		args = &where
 	case V3Access:
-		fh, err := decodeFH3(d)
-		if err != nil {
-			return nil, err
-		}
-		acc, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		return &AccessArgs3{FH: fh, Access: acc}, nil
+		args = &AccessArgs3{FH: decodeFH3(d), Access: d.Uint32()}
 	case V3Read:
-		fh, err := decodeFH3(d)
-		if err != nil {
-			return nil, err
-		}
-		off, err := d.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		count, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		return &ReadArgs3{FH: fh, Offset: off, Count: count}, nil
+		args = &ReadArgs3{FH: decodeFH3(d), Offset: d.Uint64(), Count: d.Uint32()}
 	case V3Write:
-		fh, err := decodeFH3(d)
-		if err != nil {
-			return nil, err
-		}
-		off, err := d.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		count, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		stable, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		data, err := d.Opaque()
-		if err != nil {
-			return nil, err
-		}
-		return &WriteArgs3{FH: fh, Offset: off, Count: count, Stable: stable, Data: data}, nil
+		args = &WriteArgs3{FH: decodeFH3(d), Offset: d.Uint64(), Count: d.Uint32(), Stable: d.Uint32(), Data: d.Opaque()}
 	case V3Create:
-		where, err := decodeDirOp(d)
-		if err != nil {
-			return nil, err
+		a := &CreateArgs3{Where: decodeDirOp(d)}
+		if d.Uint32() != 2 { // EXCLUSIVE carries a verf instead of sattr
+			a.Attr = decodeSattr3(d)
 		}
-		mode, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		a := &CreateArgs3{Where: *where}
-		if mode != 2 { // EXCLUSIVE carries a verf instead of sattr
-			s, err := decodeSattr3(d)
-			if err != nil {
-				return nil, err
-			}
-			a.Attr = *s
-		}
-		return a, nil
+		args = a
 	case V3Mkdir:
-		where, err := decodeDirOp(d)
-		if err != nil {
-			return nil, err
-		}
-		s, err := decodeSattr3(d)
-		if err != nil {
-			return nil, err
-		}
-		return &MkdirArgs3{Where: *where, Attr: *s}, nil
+		args = &MkdirArgs3{Where: decodeDirOp(d), Attr: decodeSattr3(d)}
 	case V3Symlink:
-		where, err := decodeDirOp(d)
-		if err != nil {
-			return nil, err
-		}
-		s, err := decodeSattr3(d)
-		if err != nil {
-			return nil, err
-		}
-		target, err := d.String()
-		if err != nil {
-			return nil, err
-		}
-		return &SymlinkArgs3{Where: *where, Attr: *s, Target: target}, nil
+		args = &SymlinkArgs3{Where: decodeDirOp(d), Attr: decodeSattr3(d), Target: d.String()}
 	case V3Rename:
-		from, err := decodeDirOp(d)
-		if err != nil {
-			return nil, err
-		}
-		to, err := decodeDirOp(d)
-		if err != nil {
-			return nil, err
-		}
-		return &RenameArgs3{From: *from, To: *to}, nil
+		args = &RenameArgs3{From: decodeDirOp(d), To: decodeDirOp(d)}
 	case V3Link:
-		fh, err := decodeFH3(d)
-		if err != nil {
-			return nil, err
-		}
-		to, err := decodeDirOp(d)
-		if err != nil {
-			return nil, err
-		}
-		return &LinkArgs3{FH: fh, To: *to}, nil
+		args = &LinkArgs3{FH: decodeFH3(d), To: decodeDirOp(d)}
 	case V3Readdir, V3Readdirplus:
-		fh, err := decodeFH3(d)
-		if err != nil {
-			return nil, err
-		}
-		cookie, err := d.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		if _, err = d.Uint64(); err != nil { // cookieverf
-			return nil, err
-		}
-		count, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
+		a := &ReaddirArgs3{Dir: decodeFH3(d), Cookie: d.Uint64()}
+		d.Uint64() // cookieverf
+		a.MaxCount = d.Uint32()
 		if proc == V3Readdirplus {
-			if _, err = d.Uint32(); err != nil { // maxcount
-				return nil, err
-			}
+			d.Uint32() // maxcount
 		}
-		return &ReaddirArgs3{Dir: fh, Cookie: cookie, MaxCount: count}, nil
+		args = a
 	case V3Commit:
-		fh, err := decodeFH3(d)
-		if err != nil {
-			return nil, err
-		}
-		off, err := d.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		count, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		return &CommitArgs3{FH: fh, Offset: off, Count: count}, nil
+		args = &CommitArgs3{FH: decodeFH3(d), Offset: d.Uint64(), Count: d.Uint32()}
 	default:
-		return nil, fmt.Errorf("%w: v3 proc %d", ErrBadProc, proc)
+		d.Fail(fmt.Errorf("%w: v3 proc %d", ErrBadProc, proc))
 	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return args, nil
 }
 
 // --- Result codecs ---
@@ -897,222 +678,108 @@ func EncodeRes3(e *xdr.Encoder, proc uint32, res any) error {
 // DecodeRes3 parses the result body for proc.
 func DecodeRes3(proc uint32, body []byte) (any, error) {
 	d := xdr.NewDecoder(body)
-	status := uint32(OK)
-	var err error
+	var status uint32
 	if proc != V3Null {
-		if status, err = d.Uint32(); err != nil {
-			return nil, err
-		}
+		status = d.Uint32()
 	}
+	ok := status == OK
+	var res any
 	switch proc {
 	case V3Null:
-		return nil, nil
 	case V3Getattr:
 		r := &GetattrRes3{Status: status}
-		if status == OK {
-			if r.Attr, err = DecodeFattr3(d); err != nil {
-				return nil, err
-			}
+		if ok {
+			r.Attr = DecodeFattr3(d)
 		}
-		return r, nil
+		res = r
 	case V3Setattr:
-		r := &SetattrRes3{Status: status}
-		if r.Wcc, err = decodeWccData(d); err != nil {
-			return nil, err
-		}
-		return r, nil
+		res = &SetattrRes3{Status: status, Wcc: decodeWccData(d)}
 	case V3Lookup:
 		r := &LookupRes3{Status: status}
-		if status == OK {
-			if r.FH, err = decodeFH3(d); err != nil {
-				return nil, err
-			}
-			if r.Attr, err = decodePostOpAttr(d); err != nil {
-				return nil, err
-			}
+		if ok {
+			r.FH = decodeFH3(d)
+			r.Attr = decodePostOpAttr(d)
 		}
-		if r.DirAttr, err = decodePostOpAttr(d); err != nil {
-			return nil, err
-		}
-		return r, nil
+		r.DirAttr = decodePostOpAttr(d)
+		res = r
 	case V3Access:
-		r := &AccessRes3{Status: status}
-		if r.Attr, err = decodePostOpAttr(d); err != nil {
-			return nil, err
+		r := &AccessRes3{Status: status, Attr: decodePostOpAttr(d)}
+		if ok {
+			r.Access = d.Uint32()
 		}
-		if status == OK {
-			if r.Access, err = d.Uint32(); err != nil {
-				return nil, err
-			}
-		}
-		return r, nil
+		res = r
 	case V3Readlink:
-		r := &LookupRes3{Status: status}
-		if r.Attr, err = decodePostOpAttr(d); err != nil {
-			return nil, err
+		r := &LookupRes3{Status: status, Attr: decodePostOpAttr(d)}
+		if ok {
+			d.Opaque() // target path, not modeled
 		}
-		if status == OK {
-			if _, err = d.String(); err != nil {
-				return nil, err
-			}
-		}
-		return r, nil
+		res = r
 	case V3Read:
-		r := &ReadRes3{Status: status}
-		if r.Attr, err = decodePostOpAttr(d); err != nil {
-			return nil, err
+		r := &ReadRes3{Status: status, Attr: decodePostOpAttr(d)}
+		if ok {
+			r.Count = d.Uint32()
+			r.EOF = d.Bool()
+			r.Data = d.Opaque()
 		}
-		if status == OK {
-			if r.Count, err = d.Uint32(); err != nil {
-				return nil, err
-			}
-			if r.EOF, err = d.Bool(); err != nil {
-				return nil, err
-			}
-			if r.Data, err = d.Opaque(); err != nil {
-				return nil, err
-			}
-		}
-		return r, nil
+		res = r
 	case V3Write:
-		r := &WriteRes3{Status: status}
-		if r.Wcc, err = decodeWccData(d); err != nil {
-			return nil, err
+		r := &WriteRes3{Status: status, Wcc: decodeWccData(d)}
+		if ok {
+			r.Count = d.Uint32()
+			r.Committed = d.Uint32()
+			d.Uint64() // writeverf
 		}
-		if status == OK {
-			if r.Count, err = d.Uint32(); err != nil {
-				return nil, err
-			}
-			if r.Committed, err = d.Uint32(); err != nil {
-				return nil, err
-			}
-			if _, err = d.Uint64(); err != nil { // writeverf
-				return nil, err
-			}
-		}
-		return r, nil
+		res = r
 	case V3Create, V3Mkdir, V3Symlink, V3Mknod:
 		r := &CreateRes3{Status: status}
-		if status == OK {
-			present, err := d.Bool()
-			if err != nil {
-				return nil, err
+		if ok {
+			if d.Bool() {
+				r.FH = decodeFH3(d)
 			}
-			if present {
-				if r.FH, err = decodeFH3(d); err != nil {
-					return nil, err
-				}
-			}
-			if r.Attr, err = decodePostOpAttr(d); err != nil {
-				return nil, err
-			}
+			r.Attr = decodePostOpAttr(d)
 		}
-		if r.Wcc, err = decodeWccData(d); err != nil {
-			return nil, err
-		}
-		return r, nil
+		r.Wcc = decodeWccData(d)
+		res = r
 	case V3Remove, V3Rmdir:
-		r := &RemoveRes3{Status: status}
-		if r.Wcc, err = decodeWccData(d); err != nil {
-			return nil, err
-		}
-		return r, nil
+		res = &RemoveRes3{Status: status, Wcc: decodeWccData(d)}
 	case V3Rename:
-		r := &RenameRes3{Status: status}
-		if r.FromWcc, err = decodeWccData(d); err != nil {
-			return nil, err
-		}
-		if r.ToWcc, err = decodeWccData(d); err != nil {
-			return nil, err
-		}
-		return r, nil
+		res = &RenameRes3{Status: status, FromWcc: decodeWccData(d), ToWcc: decodeWccData(d)}
 	case V3Link:
-		r := &RemoveRes3{Status: status}
-		if _, err = decodePostOpAttr(d); err != nil {
-			return nil, err
-		}
-		if r.Wcc, err = decodeWccData(d); err != nil {
-			return nil, err
-		}
-		return r, nil
+		decodePostOpAttr(d) // the linked file's attributes, not modeled
+		res = &RemoveRes3{Status: status, Wcc: decodeWccData(d)}
 	case V3Readdir, V3Readdirplus:
-		r := &ReaddirRes3{Status: status}
-		if r.DirAttr, err = decodePostOpAttr(d); err != nil {
-			return nil, err
-		}
-		if status == OK {
-			if _, err = d.Uint64(); err != nil { // cookieverf
-				return nil, err
-			}
-			for {
-				more, err := d.Bool()
-				if err != nil {
-					return nil, err
-				}
-				if !more {
-					break
-				}
-				var ent DirEntry
-				if ent.FileID, err = d.Uint64(); err != nil {
-					return nil, err
-				}
-				if ent.Name, err = d.String(); err != nil {
-					return nil, err
-				}
-				if ent.Cookie, err = d.Uint64(); err != nil {
-					return nil, err
-				}
+		r := &ReaddirRes3{Status: status, DirAttr: decodePostOpAttr(d)}
+		if ok {
+			d.Uint64() // cookieverf
+			for d.Bool() {
+				r.Entries = append(r.Entries, DirEntry{FileID: d.Uint64(), Name: d.String(), Cookie: d.Uint64()})
 				if proc == V3Readdirplus {
-					if _, err = decodePostOpAttr(d); err != nil {
-						return nil, err
-					}
-					fhPresent, err := d.Bool()
-					if err != nil {
-						return nil, err
-					}
-					if fhPresent {
-						if _, err = decodeFH3(d); err != nil {
-							return nil, err
-						}
+					decodePostOpAttr(d)
+					if d.Bool() {
+						decodeFH3(d)
 					}
 				}
-				r.Entries = append(r.Entries, ent)
 			}
-			if r.EOF, err = d.Bool(); err != nil {
-				return nil, err
-			}
+			r.EOF = d.Bool()
 		}
-		return r, nil
+		res = r
 	case V3Fsstat:
-		r := &FsstatRes3{Status: status}
-		if r.Attr, err = decodePostOpAttr(d); err != nil {
-			return nil, err
+		r := &FsstatRes3{Status: status, Attr: decodePostOpAttr(d)}
+		if ok {
+			r.Tbytes = d.Uint64()
+			r.Fbytes = d.Uint64()
+			r.Abytes = d.Uint64()
 		}
-		if status == OK {
-			if r.Tbytes, err = d.Uint64(); err != nil {
-				return nil, err
-			}
-			if r.Fbytes, err = d.Uint64(); err != nil {
-				return nil, err
-			}
-			if r.Abytes, err = d.Uint64(); err != nil {
-				return nil, err
-			}
-		}
-		return r, nil
+		res = r
 	case V3Fsinfo, V3Pathconf:
-		r := &GetattrRes3{Status: status}
-		if r.Attr, err = decodePostOpAttr(d); err != nil {
-			return nil, err
-		}
-		return r, nil
+		res = &GetattrRes3{Status: status, Attr: decodePostOpAttr(d)}
 	case V3Commit:
-		r := &CommitRes3{Status: status}
-		if r.Wcc, err = decodeWccData(d); err != nil {
-			return nil, err
-		}
-		return r, nil
+		res = &CommitRes3{Status: status, Wcc: decodeWccData(d)}
 	default:
-		return nil, fmt.Errorf("%w: v3 proc %d", ErrBadProc, proc)
+		d.Fail(fmt.Errorf("%w: v3 proc %d", ErrBadProc, proc))
 	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }

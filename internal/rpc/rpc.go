@@ -87,35 +87,19 @@ func (a *AuthSysBody) Encode(e *xdr.Encoder) {
 // DecodeAuthSys parses an AUTH_SYS credential body.
 func DecodeAuthSys(body []byte) (*AuthSysBody, error) {
 	d := xdr.NewDecoder(body)
-	var a AuthSysBody
-	var err error
-	if a.Stamp, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	if a.MachineName, err = d.String(); err != nil {
-		return nil, err
-	}
-	if a.UID, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	if a.GID, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	n, err := d.Count()
-	if err != nil {
-		return nil, err
-	}
+	a := &AuthSysBody{Stamp: d.Uint32(), MachineName: d.String(), UID: d.Uint32(), GID: d.Uint32()}
+	n := d.Count()
 	if n > 16 { // RFC 1831 limits auth_sys gids to 16
-		return nil, fmt.Errorf("rpc: %d gids exceeds AUTH_SYS limit", n)
-	}
-	for i := 0; i < n; i++ {
-		g, err := d.Uint32()
-		if err != nil {
-			return nil, err
+		d.Fail(fmt.Errorf("rpc: %d gids exceeds AUTH_SYS limit", n))
+	} else {
+		for i := 0; i < n; i++ {
+			a.GIDs = append(a.GIDs, d.Uint32())
 		}
-		a.GIDs = append(a.GIDs, g)
 	}
-	return &a, nil
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // CallHeader is a decoded RPC call header. Args holds the procedure
@@ -184,81 +168,47 @@ type Decoded struct {
 }
 
 // Decode parses one RPC message from a datagram or reassembled record.
+// A message too short for its header is bare ErrNotRPC; a header field
+// with an impossible value is ErrNotRPC wrapped with that value.
 func Decode(b []byte) (*Decoded, error) {
 	d := xdr.NewDecoder(b)
-	xid, err := d.Uint32()
-	if err != nil {
-		return nil, ErrNotRPC
-	}
-	mtype, err := d.Uint32()
-	if err != nil {
-		return nil, ErrNotRPC
-	}
-	switch mtype {
+	m := &Decoded{}
+	xid := d.Uint32()
+	m.Type = d.Uint32()
+	switch m.Type {
 	case Call:
-		return decodeCall(d, xid, b)
+		h := &CallHeader{XID: xid}
+		vers := d.Uint32()
+		if vers != RPCVersion {
+			d.Fail(fmt.Errorf("%w: rpc version %d", ErrNotRPC, vers))
+		}
+		h.Program = d.Uint32()
+		h.Version = d.Uint32()
+		h.Proc = d.Uint32()
+		h.Cred = OpaqueAuth{Flavor: d.Uint32(), Body: d.Opaque()}
+		h.Verf = OpaqueAuth{Flavor: d.Uint32(), Body: d.Opaque()}
+		h.Args = b[d.Offset():]
+		m.Call = h
 	case Reply:
-		return decodeReply(d, xid, b)
+		h := &ReplyHeader{XID: xid, ReplyStat: d.Uint32()}
+		if h.ReplyStat == MsgAccepted {
+			h.Verf = OpaqueAuth{Flavor: d.Uint32(), Body: d.Opaque()}
+			h.AcceptStat = d.Uint32()
+			if h.AcceptStat == Success {
+				h.Results = b[d.Offset():]
+			}
+		}
+		m.Reply = h
 	default:
-		return nil, fmt.Errorf("%w: message type %d", ErrNotRPC, mtype)
+		d.Fail(fmt.Errorf("%w: message type %d", ErrNotRPC, m.Type))
 	}
-}
-
-func decodeCall(d *xdr.Decoder, xid uint32, b []byte) (*Decoded, error) {
-	h := &CallHeader{XID: xid}
-	vers, err := d.Uint32()
-	if err != nil {
-		return nil, ErrNotRPC
-	}
-	if vers != RPCVersion {
-		return nil, fmt.Errorf("%w: rpc version %d", ErrNotRPC, vers)
-	}
-	if h.Program, err = d.Uint32(); err != nil {
-		return nil, ErrNotRPC
-	}
-	if h.Version, err = d.Uint32(); err != nil {
-		return nil, ErrNotRPC
-	}
-	if h.Proc, err = d.Uint32(); err != nil {
-		return nil, ErrNotRPC
-	}
-	if h.Cred.Flavor, err = d.Uint32(); err != nil {
-		return nil, ErrNotRPC
-	}
-	if h.Cred.Body, err = d.Opaque(); err != nil {
-		return nil, ErrNotRPC
-	}
-	if h.Verf.Flavor, err = d.Uint32(); err != nil {
-		return nil, ErrNotRPC
-	}
-	if h.Verf.Body, err = d.Opaque(); err != nil {
-		return nil, ErrNotRPC
-	}
-	h.Args = b[d.Offset():]
-	return &Decoded{Type: Call, Call: h}, nil
-}
-
-func decodeReply(d *xdr.Decoder, xid uint32, b []byte) (*Decoded, error) {
-	h := &ReplyHeader{XID: xid}
-	var err error
-	if h.ReplyStat, err = d.Uint32(); err != nil {
-		return nil, ErrNotRPC
-	}
-	if h.ReplyStat == MsgAccepted {
-		if h.Verf.Flavor, err = d.Uint32(); err != nil {
-			return nil, ErrNotRPC
+	if err := d.Err(); err != nil {
+		if !errors.Is(err, ErrNotRPC) {
+			err = ErrNotRPC
 		}
-		if h.Verf.Body, err = d.Opaque(); err != nil {
-			return nil, ErrNotRPC
-		}
-		if h.AcceptStat, err = d.Uint32(); err != nil {
-			return nil, ErrNotRPC
-		}
-		if h.AcceptStat == Success {
-			h.Results = b[d.Offset():]
-		}
+		return nil, err
 	}
-	return &Decoded{Type: Reply, Reply: h}, nil
+	return m, nil
 }
 
 // Record marking (RFC 1831 §10): each RPC message sent over TCP is
@@ -343,6 +293,9 @@ func (s *RecordScanner) Next() ([]byte, error) {
 		if last {
 			msg := s.frag
 			s.frag = nil
+			if msg == nil {
+				msg = []byte{} // an empty record is a message, not "need more bytes"
+			}
 			return msg, nil
 		}
 	}

@@ -225,6 +225,24 @@ func TestRecordScannerMultipleMessages(t *testing.T) {
 	}
 }
 
+// TestRecordScannerEmptyRecord: a zero-length record is delivered as an
+// empty message, and the records buffered behind it come out of the same
+// Append instead of waiting for more stream bytes.
+func TestRecordScannerEmptyRecord(t *testing.T) {
+	call, _ := encodedCall(t)
+	var s RecordScanner
+	s.Append(append(MarkRecord(nil), MarkRecord(call)...))
+	for i, want := range [][]byte{{}, call} {
+		got, err := s.Next()
+		if err != nil || got == nil || !bytes.Equal(got, want) {
+			t.Fatalf("message %d: got %x (nil=%v), err %v; want %x", i, got, got == nil, err, want)
+		}
+	}
+	if got, err := s.Next(); got != nil || err != nil {
+		t.Fatalf("after both records: got %x, err %v", got, err)
+	}
+}
+
 func TestRecordScannerHostileLength(t *testing.T) {
 	var s RecordScanner
 	s.Append([]byte{0x7F, 0xFF, 0xFF, 0xFF}) // 2GB non-final fragment

@@ -24,17 +24,8 @@ func BenchmarkDecoderPrimitives(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d := NewDecoder(buf)
-		if _, err := d.Uint32(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := d.Uint64(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := d.Bool(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := d.String(); err != nil {
-			b.Fatal(err)
+		if d.Uint32() != 7 || d.Uint64() != 1<<40 || !d.Bool() || d.String() != "inbox.lock" {
+			b.Fatal(d.Err())
 		}
 	}
 }
@@ -47,8 +38,7 @@ func BenchmarkOpaque8K(b *testing.B) {
 		e.Reset()
 		e.PutOpaque(payload)
 		d := NewDecoder(e.Bytes())
-		got, err := d.Opaque()
-		if err != nil || len(got) != 8192 {
+		if got := d.Opaque(); d.Err() != nil || len(got) != 8192 {
 			b.Fatal("round trip failed")
 		}
 	}

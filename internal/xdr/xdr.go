@@ -7,9 +7,18 @@
 // slice without copying. Both are deliberately simple — NFS packet
 // decoding is the hot path of the sniffer, and all decoding works on
 // sub-slices of a single packet buffer.
+//
+// Every byte decoder in this repository follows one error rule, which
+// the Decoder implements: the first short read or rejected field is
+// kept as a sticky error, every later read returns the zero value
+// without advancing, and the caller checks Err once when the structure
+// is read. The NFS, RPC and MOUNT codecs read through this Decoder;
+// state.Decoder (serialized analysis state) and core's binary-trace
+// cursor apply the same rule to their own formats.
 package xdr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -95,16 +104,34 @@ func (e *Encoder) PutString(s string) {
 	}
 }
 
-// Decoder consumes XDR data from a byte slice. Methods return
-// ErrShortBuffer once the input is exhausted.
+// Decoder consumes XDR data from a byte slice with a sticky error. A
+// read that fails records the first error (read it back with Err),
+// moves the cursor to the end and returns the zero value; every later
+// read then fails the same way, so a decoder reads a whole structure
+// field by field and checks Err once at the end. Reads never panic and
+// never advance past a failure.
 type Decoder struct {
 	buf []byte
 	off int
+	err error
 }
 
 // NewDecoder returns a decoder reading from b. The decoder aliases b;
 // opaque and string results share its backing array.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
+
+// Err returns the first failure, or nil if every read so far succeeded.
+func (d *Decoder) Err() error { return d.err }
+
+// Fail records err as the decoder's failure unless one is already
+// recorded, and ends the input. Decoders call it for a field that reads
+// fine but carries a value they reject.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil {
+		d.err = err
+		d.off = len(d.buf)
+	}
+}
 
 // Remaining reports the number of unconsumed bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
@@ -113,97 +140,62 @@ func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 func (d *Decoder) Offset() int { return d.off }
 
 // Uint32 decodes a big-endian 32-bit unsigned integer.
-func (d *Decoder) Uint32() (uint32, error) {
+func (d *Decoder) Uint32() uint32 {
 	if d.Remaining() < 4 {
-		return 0, ErrShortBuffer
+		d.Fail(ErrShortBuffer)
+		return 0
 	}
-	b := d.buf[d.off:]
-	v := uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+	v := binary.BigEndian.Uint32(d.buf[d.off:])
 	d.off += 4
-	return v, nil
-}
-
-// Int32 decodes a big-endian 32-bit signed integer.
-func (d *Decoder) Int32() (int32, error) {
-	v, err := d.Uint32()
-	return int32(v), err
+	return v
 }
 
 // Uint64 decodes a big-endian 64-bit unsigned integer.
-func (d *Decoder) Uint64() (uint64, error) {
-	hi, err := d.Uint32()
-	if err != nil {
-		return 0, err
+func (d *Decoder) Uint64() uint64 {
+	if d.Remaining() < 8 {
+		d.Fail(ErrShortBuffer)
+		return 0
 	}
-	lo, err := d.Uint32()
-	if err != nil {
-		return 0, err
-	}
-	return uint64(hi)<<32 | uint64(lo), nil
+	v := binary.BigEndian.Uint64(d.buf[d.off:])
+	d.off += 8
+	return v
 }
 
 // Bool decodes an XDR boolean. Any nonzero value is true, matching the
 // liberal decoding used by real NFS implementations.
-func (d *Decoder) Bool() (bool, error) {
-	v, err := d.Uint32()
-	return v != 0, err
-}
+func (d *Decoder) Bool() bool { return d.Uint32() != 0 }
 
 // FixedOpaque decodes n bytes of fixed-length opaque data plus padding.
-// The returned slice aliases the decoder's buffer.
-func (d *Decoder) FixedOpaque(n int) ([]byte, error) {
+// The returned slice aliases the decoder's buffer; it is nil after a
+// failure.
+func (d *Decoder) FixedOpaque(n int) []byte {
 	if n < 0 || n > MaxItemLen {
-		return nil, ErrTooLong
+		d.Fail(ErrTooLong)
+		return nil
 	}
 	total := n + pad(n)
-	if d.Remaining() < total {
-		return nil, ErrShortBuffer
+	if d.err != nil || d.Remaining() < total {
+		d.Fail(ErrShortBuffer)
+		return nil
 	}
 	b := d.buf[d.off : d.off+n]
 	d.off += total
-	return b, nil
+	return b
 }
 
 // Opaque decodes variable-length opaque data. The returned slice aliases
 // the decoder's buffer.
-func (d *Decoder) Opaque() ([]byte, error) {
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > MaxItemLen {
-		return nil, ErrTooLong
-	}
-	return d.FixedOpaque(int(n))
-}
+func (d *Decoder) Opaque() []byte { return d.FixedOpaque(int(d.Uint32())) }
 
 // String decodes an XDR string as a Go string (copying the bytes).
-func (d *Decoder) String() (string, error) {
-	b, err := d.Opaque()
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// Skip advances past n bytes plus XDR padding.
-func (d *Decoder) Skip(n int) error {
-	total := n + pad(n)
-	if d.Remaining() < total {
-		return ErrShortBuffer
-	}
-	d.off += total
-	return nil
-}
+func (d *Decoder) String() string { return string(d.Opaque()) }
 
 // Count decodes an array count, validating it against MaxItemLen.
-func (d *Decoder) Count() (int, error) {
-	n, err := d.Uint32()
-	if err != nil {
-		return 0, err
-	}
+func (d *Decoder) Count() int {
+	n := d.Uint32()
 	if n > MaxItemLen {
-		return 0, fmt.Errorf("%w: count %d", ErrTooLong, n)
+		d.Fail(fmt.Errorf("%w: count %d", ErrTooLong, n))
+		return 0
 	}
-	return int(n), nil
+	return int(n)
 }

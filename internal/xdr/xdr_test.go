@@ -2,6 +2,7 @@ package xdr
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -11,8 +12,8 @@ func TestUint32RoundTrip(t *testing.T) {
 		e := NewEncoder(8)
 		e.PutUint32(v)
 		d := NewDecoder(e.Bytes())
-		got, err := d.Uint32()
-		return err == nil && got == v && d.Remaining() == 0
+		got := d.Uint32()
+		return d.Err() == nil && got == v && d.Remaining() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -24,22 +25,11 @@ func TestUint64RoundTrip(t *testing.T) {
 		e := NewEncoder(8)
 		e.PutUint64(v)
 		d := NewDecoder(e.Bytes())
-		got, err := d.Uint64()
-		return err == nil && got == v
+		got := d.Uint64()
+		return d.Err() == nil && got == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestInt32RoundTrip(t *testing.T) {
-	for _, v := range []int32{0, -1, 1, -2147483648, 2147483647} {
-		e := NewEncoder(4)
-		e.PutInt32(v)
-		got, err := NewDecoder(e.Bytes()).Int32()
-		if err != nil || got != v {
-			t.Errorf("round trip %d → %d, err=%v", v, got, err)
-		}
 	}
 }
 
@@ -48,6 +38,11 @@ func TestBigEndianLayout(t *testing.T) {
 	e.PutUint32(0x01020304)
 	if !bytes.Equal(e.Bytes(), []byte{1, 2, 3, 4}) {
 		t.Fatalf("layout = %x, want 01020304", e.Bytes())
+	}
+	e.Reset()
+	e.PutInt32(-2)
+	if !bytes.Equal(e.Bytes(), []byte{0xFF, 0xFF, 0xFF, 0xFE}) {
+		t.Fatalf("PutInt32(-2) = %x, want fffffffe", e.Bytes())
 	}
 }
 
@@ -64,8 +59,8 @@ func TestOpaquePadding(t *testing.T) {
 			t.Errorf("len(%d): encoded %d bytes, want %d", n, e.Len(), want)
 		}
 		d := NewDecoder(e.Bytes())
-		got, err := d.Opaque()
-		if err != nil {
+		got := d.Opaque()
+		if err := d.Err(); err != nil {
 			t.Fatalf("len(%d): decode: %v", n, err)
 		}
 		if !bytes.Equal(got, data) {
@@ -81,8 +76,9 @@ func TestOpaqueRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
 		e := NewEncoder(len(data) + 8)
 		e.PutOpaque(data)
-		got, err := NewDecoder(e.Bytes()).Opaque()
-		return err == nil && bytes.Equal(got, data)
+		d := NewDecoder(e.Bytes())
+		got := d.Opaque()
+		return d.Err() == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -93,8 +89,9 @@ func TestStringRoundTrip(t *testing.T) {
 	f := func(s string) bool {
 		e := NewEncoder(len(s) + 8)
 		e.PutString(s)
-		got, err := NewDecoder(e.Bytes()).String()
-		return err == nil && got == s
+		d := NewDecoder(e.Bytes())
+		got := d.String()
+		return d.Err() == nil && got == s
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -106,55 +103,106 @@ func TestBool(t *testing.T) {
 	e.PutBool(true)
 	e.PutBool(false)
 	d := NewDecoder(e.Bytes())
-	b1, err1 := d.Bool()
-	b2, err2 := d.Bool()
-	if err1 != nil || err2 != nil || !b1 || b2 {
-		t.Fatalf("bool round trip: %v %v %v %v", b1, err1, b2, err2)
+	b1, b2 := d.Bool(), d.Bool()
+	if d.Err() != nil || !b1 || b2 {
+		t.Fatalf("bool round trip: %v %v %v", b1, b2, d.Err())
 	}
 }
 
 func TestShortBuffer(t *testing.T) {
 	d := NewDecoder([]byte{0, 0})
-	if _, err := d.Uint32(); err != ErrShortBuffer {
-		t.Errorf("Uint32 on short buffer: %v", err)
+	if v := d.Uint32(); v != 0 || d.Err() != ErrShortBuffer {
+		t.Errorf("Uint32 on short buffer: %d, %v", v, d.Err())
 	}
 	d = NewDecoder([]byte{0, 0, 0, 8, 1, 2}) // claims 8 bytes, has 2
-	if _, err := d.Opaque(); err != ErrShortBuffer {
-		t.Errorf("Opaque on short buffer: %v", err)
+	if b := d.Opaque(); b != nil || d.Err() != ErrShortBuffer {
+		t.Errorf("Opaque on short buffer: %x, %v", b, d.Err())
 	}
 	d = NewDecoder([]byte{0, 0, 0, 1})
-	if _, err := d.Uint64(); err != ErrShortBuffer {
-		t.Errorf("Uint64 on short buffer: %v", err)
+	if v := d.Uint64(); v != 0 || d.Err() != ErrShortBuffer {
+		t.Errorf("Uint64 on short buffer: %d, %v", v, d.Err())
+	}
+}
+
+// TestStickyFirstError: the first failure is the one Err reports, a
+// value-level Fail after it does not replace it, and a failure ends the
+// input so later reads return zero without advancing.
+func TestStickyFirstError(t *testing.T) {
+	e := NewEncoder(16)
+	e.PutUint32(7)
+	e.PutUint32(0xFFFFFFFF) // hostile opaque length
+	e.PutUint32(9)
+	d := NewDecoder(e.Bytes())
+	if v := d.Uint32(); v != 7 || d.Err() != nil {
+		t.Fatalf("first read: %d, %v", v, d.Err())
+	}
+	if b := d.Opaque(); b != nil || d.Err() != ErrTooLong {
+		t.Fatalf("hostile opaque: %x, %v", b, d.Err())
+	}
+	d.Fail(errors.New("later"))
+	if d.Err() != ErrTooLong {
+		t.Fatalf("Fail replaced the first error: %v", d.Err())
+	}
+	if d.Remaining() != 0 {
+		t.Fatalf("failure left %d bytes to read", d.Remaining())
+	}
+	off := d.Offset()
+	if d.Uint32() != 0 || d.Uint64() != 0 || d.Bool() || d.Count() != 0 ||
+		d.String() != "" || d.Opaque() != nil || d.FixedOpaque(0) != nil {
+		t.Fatal("a read after the failure returned a nonzero value")
+	}
+	if d.Offset() != off || d.Err() != ErrTooLong {
+		t.Fatalf("reads after the failure moved the cursor to %d (from %d) or changed the error to %v", d.Offset(), off, d.Err())
+	}
+}
+
+// TestFailEndsInput: a value-level failure is sticky like a short read.
+func TestFailEndsInput(t *testing.T) {
+	bad := errors.New("bad field")
+	d := NewDecoder([]byte{0, 0, 0, 1, 0, 0, 0, 2})
+	d.Uint32()
+	d.Fail(bad)
+	if v := d.Uint32(); v != 0 || d.Err() != bad {
+		t.Fatalf("read after Fail: %d, %v", v, d.Err())
 	}
 }
 
 func TestHostileLength(t *testing.T) {
 	// A length field of 0xFFFFFFFF must not cause a huge allocation.
 	d := NewDecoder([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
-	if _, err := d.Opaque(); err != ErrTooLong {
-		t.Errorf("hostile length: err = %v, want ErrTooLong", err)
+	if b := d.Opaque(); b != nil || d.Err() != ErrTooLong {
+		t.Errorf("hostile length: %x, err = %v, want ErrTooLong", b, d.Err())
 	}
 	d = NewDecoder([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := d.Count(); err == nil {
-		t.Error("hostile count accepted")
+	if n := d.Count(); n != 0 || !errors.Is(d.Err(), ErrTooLong) {
+		t.Errorf("hostile count: %d, err = %v, want ErrTooLong", n, d.Err())
 	}
 }
 
-func TestSkip(t *testing.T) {
-	e := NewEncoder(16)
-	e.PutOpaque([]byte("abcde")) // 4 + 5 + 3 pad
-	e.PutUint32(7)
-	d := NewDecoder(e.Bytes())
-	n, err := d.Count()
-	if err != nil || n != 5 {
-		t.Fatalf("count: %d %v", n, err)
-	}
-	if err := d.Skip(n); err != nil {
-		t.Fatalf("skip: %v", err)
-	}
-	v, err := d.Uint32()
-	if err != nil || v != 7 {
-		t.Fatalf("after skip: %d %v", v, err)
+// TestNeverPanicsPastEnd reads every kind of field from every prefix of
+// a short buffer; none may panic, and a failed read returns zero.
+func TestNeverPanicsPastEnd(t *testing.T) {
+	buf := []byte{0, 0, 0, 3, 'a', 'b', 'c', 0, 0, 0, 0, 1}
+	for n := 0; n <= len(buf); n++ {
+		for _, read := range []func(*Decoder) bool{
+			func(d *Decoder) bool { return d.Uint32() == 0 },
+			func(d *Decoder) bool { return d.Uint64() == 0 },
+			func(d *Decoder) bool { return !d.Bool() },
+			func(d *Decoder) bool { return d.FixedOpaque(5) == nil },
+			func(d *Decoder) bool { return d.Opaque() == nil },
+			func(d *Decoder) bool { return d.String() == "" },
+			func(d *Decoder) bool { return d.Count() == 0 },
+		} {
+			d := NewDecoder(buf[:n])
+			for i := 0; i < 5; i++ {
+				if zero := read(d); d.Err() != nil && !zero {
+					t.Fatalf("prefix %d: failed read returned a value", n)
+				}
+			}
+			if d.Remaining() < 0 || d.Offset() > n {
+				t.Fatalf("prefix %d: cursor at %d", n, d.Offset())
+			}
+		}
 	}
 }
 
@@ -166,8 +214,7 @@ func TestEncoderReset(t *testing.T) {
 		t.Fatalf("len after reset = %d", e.Len())
 	}
 	e.PutUint32(2)
-	v, _ := NewDecoder(e.Bytes()).Uint32()
-	if v != 2 {
+	if v := NewDecoder(e.Bytes()).Uint32(); v != 2 {
 		t.Fatalf("after reset round trip = %d", v)
 	}
 }
@@ -179,12 +226,13 @@ func TestFixedOpaque(t *testing.T) {
 		t.Fatalf("fixed opaque len = %d, want 4 (3+1 pad)", e.Len())
 	}
 	d := NewDecoder(e.Bytes())
-	b, err := d.FixedOpaque(3)
-	if err != nil || !bytes.Equal(b, []byte{1, 2, 3}) || d.Remaining() != 0 {
-		t.Fatalf("fixed opaque round trip: %x %v rem=%d", b, err, d.Remaining())
+	b := d.FixedOpaque(3)
+	if d.Err() != nil || !bytes.Equal(b, []byte{1, 2, 3}) || d.Remaining() != 0 {
+		t.Fatalf("fixed opaque round trip: %x %v rem=%d", b, d.Err(), d.Remaining())
 	}
-	if _, err := NewDecoder(nil).FixedOpaque(-1); err != ErrTooLong {
-		t.Errorf("negative length: %v", err)
+	d = NewDecoder(nil)
+	if b := d.FixedOpaque(-1); b != nil || d.Err() != ErrTooLong {
+		t.Errorf("negative length: %x, %v", b, d.Err())
 	}
 }
 
@@ -196,22 +244,22 @@ func TestMixedSequence(t *testing.T) {
 	e.PutBool(true)
 	e.PutOpaque([]byte{9, 9})
 	d := NewDecoder(e.Bytes())
-	if v, _ := d.Uint32(); v != 0xdeadbeef {
+	if v := d.Uint32(); v != 0xdeadbeef {
 		t.Fatal("u32")
 	}
-	if s, _ := d.String(); s != "hello" {
+	if s := d.String(); s != "hello" {
 		t.Fatal("string")
 	}
-	if v, _ := d.Uint64(); v != 1<<40 {
+	if v := d.Uint64(); v != 1<<40 {
 		t.Fatal("u64")
 	}
-	if b, _ := d.Bool(); !b {
+	if !d.Bool() {
 		t.Fatal("bool")
 	}
-	if o, _ := d.Opaque(); !bytes.Equal(o, []byte{9, 9}) {
+	if o := d.Opaque(); !bytes.Equal(o, []byte{9, 9}) {
 		t.Fatal("opaque")
 	}
-	if d.Remaining() != 0 {
-		t.Fatalf("remaining = %d", d.Remaining())
+	if d.Remaining() != 0 || d.Err() != nil {
+		t.Fatalf("remaining = %d, err = %v", d.Remaining(), d.Err())
 	}
 }
