@@ -185,9 +185,9 @@ func TestServeAndDrain(t *testing.T) {
 
 // rendered decodes serialized states (one, or a resume chain in order)
 // and renders them the way the coordinator's merge tail would: metadata,
-// join statistics and tables. State bytes themselves are not canonical
-// (the router's binding map is written in map order), so states are
-// compared through this.
+// join statistics and tables. State bytes are canonical — the same input
+// at the same shard count writes the same bytes in any process — so
+// states compare byte for byte, and this shows what differs.
 func rendered(t *testing.T, spec jobspec.Spec, states ...[]byte) string {
 	t.Helper()
 	set, err := jobspec.Build(spec)
@@ -217,7 +217,7 @@ func rendered(t *testing.T, spec jobspec.Spec, states ...[]byte) string {
 
 // TestStreamedPieceEqualsRunFiles: a piece analysed by a worker while it
 // arrives yields the state jobspec.RunFiles computes from the same files
-// on disk — same length, same rendering — for a two-file piece (a k-way
+// on disk — byte for byte — for a two-file piece (a k-way
 // merge fed by two queues, the second filling only after the first is
 // through), a gzip piece, a binary piece, and a chained analysis
 // resuming from a parent state that travels with the assignment.
@@ -303,7 +303,7 @@ func TestStreamedPieceEqualsRunFiles(t *testing.T) {
 			t.Fatalf("%s: RunTask: %v", tc.name, err)
 		}
 		got, ref := rendered(t, tc.spec, tc.parent, res.State), rendered(t, tc.spec, tc.parent, want)
-		if len(res.State) != len(want) || got != ref {
+		if !bytes.Equal(res.State, want) || got != ref {
 			t.Errorf("%s: streamed state (%d bytes) differs from the state computed from the files (%d bytes):\n--- streamed ---\n%s--- files ---\n%s",
 				tc.name, len(res.State), len(want), got, ref)
 		}

@@ -15,14 +15,14 @@ import (
 
 // This file is the one harness for the analysis.Reducer contract. Every
 // reducer is driven through the pipeline's sharded adapter — the only
-// caller of Merge/Encode/Decode — on seeded CAMPUS and EECS streams at
+// caller of Merge/State — on seeded CAMPUS and EECS streams at
 // 1, 2 and 8 shards, and every property compares the rendered result
 // with a single one-shard pass:
 //
 //	(a) split anywhere + Merge = single pass    (parallel-exact reducers)
-//	(b) a resume chain through Encode/Decode = single pass
+//	(b) a resume chain through serialized states = single pass
 //	(c) a clone and its original never affect each other
-//	(d) Encode → Decode into fresh → finish = finish
+//	(d) encode → decode into fresh → finish = finish
 //	(e) decode, re-shard at N, feed the rest = single pass
 //
 // A new reducer gets all of it by adding one line to contractCases.

@@ -8,13 +8,13 @@ import (
 // Reducer is the one contract every analysis state in this package
 // implements. It is all internal/pipeline needs to shard a reduction,
 // merge the shards, snapshot it mid-stream, serialize it, and resume it
-// in another process — each of those is a composition of the four
+// in another process — each of those is a composition of the three
 // methods, written once in pipeline's sharded adapter:
 //
 //	close     merge every shard into a fresh reducer, finish once
 //	clone     fresh reducer + Merge
-//	serialize merge every shard into a fresh reducer, Encode
-//	resume    Decode into a fresh reducer, Merge the share each shard owns
+//	serialize merge every shard into a fresh reducer, State with an encoding codec
+//	resume    State with a decoding codec into a fresh reducer, Merge the share each shard owns
 //
 // Add folds one operation in; operations arrive in trace-time order.
 //
@@ -39,15 +39,16 @@ import (
 // (block lifetimes, hierarchy, names) is only ever merged into a fresh
 // receiver; its partials compose as a resume chain instead.
 //
-// Encode writes the state; Decode folds a serialized state into the
-// receiver as Merge would fold the live one, and first validates that
-// it was written under the receiver's configuration: a mismatch fails
-// the decoder (state.ErrCorrupt) before the receiver is touched.
+// State is the reducer's serialized layout, written once for both
+// directions: it hands every field to the codec, which writes it when
+// encoding and overwrites it with what it reads when decoding. Decoding
+// fills a freshly constructed reducer. It first codes the configuration
+// and checks it against the receiver's: a mismatch fails the codec
+// (state.ErrCorrupt) before the receiver is touched.
 type Reducer[R any] interface {
 	Add(op *core.Op)
 	Merge(src R, f Filter)
-	Encode(e *state.Encoder)
-	Decode(d *state.Decoder)
+	State(c *state.Codec)
 }
 
 // Filter selects the share of a source partial that a Merge folds in.

@@ -11,7 +11,7 @@ import (
 // engine does with it — open one reducer per shard, merge them at the
 // end, clone them for a snapshot, serialize them, re-shard a serialized
 // state — is written once, in sharded, as a composition of the
-// reducer's Add/Merge/Encode/Decode. Every analyzer here is exact: its
+// reducer's Add/Merge/State. Every analyzer here is exact: its
 // merged result is identical to a single sequential pass, either
 // because its state partitions by file handle (the router guarantees a
 // file's full history lands on one shard), or because it is an integer
@@ -38,12 +38,13 @@ type adapter interface {
 	// newLike returns a fresh unopened analyzer with the same
 	// configuration.
 	newLike() Analyzer
-	// encodeState writes the union of every shard's state. It runs after
-	// Quiesce; rt arbitrates name bindings that differ between shards.
-	encodeState(e *state.Encoder, rt *router)
+	// encodeState writes the union of every shard's state to an encoding
+	// codec. It runs after Quiesce; rt arbitrates name bindings that
+	// differ between shards.
+	encodeState(c *state.Codec, rt *router)
 	// decodeState folds one serialized state into the open shards, each
 	// taking the files it owns. It runs after open, before any Feed.
-	decodeState(d *state.Decoder)
+	decodeState(c *state.Codec)
 }
 
 // sharded runs one analysis.Reducer per shard. A global analysis is the
@@ -106,14 +107,13 @@ func (s *sharded[R]) newLike() Analyzer { return s.like() }
 // has since rebound or removed, because the superseding op was routed
 // to another shard. The router sees every binding event in order, so
 // what it still agrees with is exactly the map a one-shard run holds.
-func (s *sharded[R]) encodeState(e *state.Encoder, rt *router) {
-	s.merged(analysis.Filter{Binding: rt.bound}).Encode(e)
+func (s *sharded[R]) encodeState(c *state.Codec, rt *router) {
+	s.merged(analysis.Filter{Binding: rt.bound}).State(c)
 }
 
-func (s *sharded[R]) decodeState(d *state.Decoder) {
+func (s *sharded[R]) decodeState(c *state.Codec) {
 	tmp := s.mk()
-	tmp.Decode(d)
-	if d.Err() != nil {
+	if tmp.State(c); c.Err() != nil {
 		return
 	}
 	n := len(s.parts)

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -90,4 +91,47 @@ func BenchmarkJoiner(b *testing.B) {
 	}
 	form("streaming", pullJoin)
 	form("push", pushJoin)
+}
+
+// BenchmarkPartialRoundTrip measures the state codec over every reducer
+// kind on the CAMPUS generator stream: write serializes a quiesced
+// two-shard Live (WritePartial, a worker's share of a distributed run),
+// read parses the bytes and decodes them into fresh two-shard analyzers
+// (ParsePartial plus the decode and re-shard that Resume and
+// MergePartials run before any finish).
+func BenchmarkPartialRoundTrip(b *testing.B) {
+	ops, span := benchTrace(b)
+	lv := quiesced(ops, everyKind(span)...)
+	var buf bytes.Buffer
+	write := func() {
+		buf.Reset()
+		if err := WritePartial(&buf, lv, "all", core.JoinStats{}, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	write()
+	data := append([]byte(nil), buf.Bytes()...)
+	b.Run("write", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			write()
+		}
+		b.ReportMetric(float64(len(data)), "B/state")
+	})
+	b.Run("read", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p, err := ParsePartial(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			analyzers := everyKind(span)
+			for _, a := range analyzers {
+				a.adapter().open(2)
+			}
+			if err := p.decodeInto(analyzers); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

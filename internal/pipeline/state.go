@@ -59,40 +59,56 @@ func WritePartial(w io.Writer, lv *Live, label string, join core.JoinStats, pare
 	if !lv.done {
 		return fmt.Errorf("pipeline: WritePartial needs a quiesced Live")
 	}
-	e := state.NewEncoder()
-	e.Section(metaSection)
-	e.String(label)
-	e.Varint(lv.stats.Ops)
-	e.F64(lv.stats.MinT)
-	e.F64(lv.stats.MaxT)
-	e.Varint(join.Calls)
-	e.Varint(join.Replies)
-	e.Varint(join.Matched)
-	e.Varint(join.UnmatchedCalls)
-	e.Varint(join.OrphanReplies)
+	meta := &Partial{Label: label, Stats: lv.stats, Join: join}
 	if parent != nil {
-		e.Bytes(parent.Digest)
-	} else {
-		e.Bytes(nil)
+		meta.ParentDigest = parent.Digest
 	}
-
+	e := state.NewEncoder()
+	c := e.Codec()
+	e.Section(metaSection)
+	meta.meta(c)
 	// The router's binding map travels with the state: a resumed run
 	// must resolve removes and renames of files bound before the cut.
 	e.Section(routerSection)
-	e.Uvarint(uint64(len(lv.rt.names)))
-	for b, fh := range lv.rt.names {
-		e.FH(b.dir)
-		e.String(b.name)
-		e.FH(fh)
-	}
-
+	lv.rt.state(c)
 	for i, a := range lv.analyzers {
 		ad := a.adapter()
 		e.Section(sectionName(i, ad.stateKey()))
-		ad.encodeState(e, lv.rt)
+		ad.encodeState(c, lv.rt)
 	}
 	return e.Flush(w)
 }
+
+// meta codes the metadata section: the one layout WritePartial writes
+// and ParsePartial reads.
+func (p *Partial) meta(c *state.Codec) {
+	c.String(&p.Label, "analysis label")
+	c.Varint(&p.Stats.Ops)
+	c.F64(&p.Stats.MinT)
+	c.F64(&p.Stats.MaxT)
+	c.Varint(&p.Join.Calls)
+	c.Varint(&p.Join.Replies)
+	c.Varint(&p.Join.Matched)
+	c.Varint(&p.Join.UnmatchedCalls)
+	c.Varint(&p.Join.OrphanReplies)
+	c.Bytes(&p.ParentDigest)
+	if p.Stats.Ops < 0 {
+		c.Failf("state claims %d ops", p.Stats.Ops)
+	} else if n := len(p.ParentDigest); n != 0 && n != sha256.Size {
+		c.Failf("parent digest is %d bytes, want %d", n, sha256.Size)
+	}
+}
+
+// state codes the router's binding map.
+func (rt *router) state(c *state.Codec) {
+	state.Map(c, &rt.names, "router binding count", binding.compare, func(b *binding, fh *core.FH) {
+		c.FH(&b.dir)
+		c.String(&b.name, "binding name")
+		c.FH(fh)
+	})
+}
+
+func (a binding) compare(b binding) int { return state.CompareBinding(a.dir, a.name, b.dir, b.name) }
 
 // ReadPartial reads a whole state file from r and parses it with
 // ParsePartial.
@@ -120,27 +136,9 @@ func ParsePartial(data []byte) (*Partial, error) {
 	if !ok {
 		return nil, fmt.Errorf("pipeline: state file has no %q section: %w", metaSection, state.ErrCorrupt)
 	}
-	p.Label = d.String("analysis label")
-	p.Stats.Ops = d.Varint()
-	p.Stats.MinT = d.F64()
-	p.Stats.MaxT = d.F64()
-	p.Join.Calls = d.Varint()
-	p.Join.Replies = d.Varint()
-	p.Join.Matched = d.Varint()
-	p.Join.UnmatchedCalls = d.Varint()
-	p.Join.OrphanReplies = d.Varint()
-	parent := d.Bytes()
+	p.meta(d.Codec())
 	if err := d.Finish(); err != nil {
 		return nil, err
-	}
-	if p.Stats.Ops < 0 {
-		return nil, fmt.Errorf("pipeline: state file claims %d ops: %w", p.Stats.Ops, state.ErrCorrupt)
-	}
-	if len(parent) > 0 {
-		if len(parent) != sha256.Size {
-			return nil, fmt.Errorf("pipeline: parent digest is %d bytes, want %d: %w", len(parent), sha256.Size, state.ErrCorrupt)
-		}
-		p.ParentDigest = append([]byte(nil), parent...)
 	}
 	return p, nil
 }
@@ -155,7 +153,7 @@ func (p *Partial) decodeInto(analyzers []Analyzer) error {
 		if !found {
 			return fmt.Errorf("pipeline: state file has no section %q — written by a different analysis?: %w", name, state.ErrCorrupt)
 		}
-		ad.decodeState(d)
+		ad.decodeState(d.Codec())
 		if err := d.Finish(); err != nil {
 			return err
 		}
@@ -179,15 +177,7 @@ func (p *Partial) Resume(lv *Live) error {
 	if !ok {
 		return fmt.Errorf("pipeline: state file has no %q section: %w", routerSection, state.ErrCorrupt)
 	}
-	n := d.Count("router binding count")
-	for i := 0; i < n && d.Err() == nil; i++ {
-		dir := d.FH()
-		name := d.String("binding name")
-		fh := d.FH()
-		if d.Err() == nil {
-			lv.rt.names[binding{dir, name}] = fh
-		}
-	}
+	lv.rt.state(d.Codec())
 	if err := d.Finish(); err != nil {
 		return err
 	}

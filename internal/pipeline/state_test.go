@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -73,6 +74,85 @@ func TestRunPartitionedEmptyPieces(t *testing.T) {
 	want := render([][]*core.Op{ops})
 	if got := render([][]*core.Op{nil, ops[:mid], nil, ops[mid:], nil}); got != want {
 		t.Errorf("empty pieces changed the result:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+}
+
+// everyKind is one analyzer of every reducer kind (two run detectors,
+// as Table 3 runs them) over a stream of the given span.
+func everyKind(span float64) []Analyzer {
+	return append(newAnalyzerSet(span).analyzers(), &NamesAnalyzer{})
+}
+
+// quiesced feeds ops through a two-shard Live over analyzers and
+// quiesces it.
+func quiesced(ops []*core.Op, analyzers ...Analyzer) *Live {
+	lv := NewLive(Config{Workers: 2}, analyzers...)
+	for _, op := range ops {
+		lv.Feed(op)
+	}
+	lv.Quiesce()
+	return lv
+}
+
+// TestWritePartialIsCanonical: one quiesced Live written again and again
+// gives the same bytes — map entries, the router's bindings included, go
+// out in spelling order, never in Go's randomized iteration order.
+func TestWritePartialIsCanonical(t *testing.T) {
+	ops := genOps(t, 0.25)
+	lv := quiesced(ops, everyKind(ops[len(ops)-1].T-ops[0].T)...)
+	if len(lv.rt.names) < 3 {
+		t.Fatalf("stream binds only %d names", len(lv.rt.names))
+	}
+	write := func() []byte {
+		var buf bytes.Buffer
+		if err := WritePartial(&buf, lv, "all", core.JoinStats{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := write()
+	for i := 0; i < 3; i++ {
+		if !bytes.Equal(write(), first) {
+			t.Fatalf("write %d of the same state differs from the first", i+2)
+		}
+	}
+}
+
+// TestParsePartialRejectsBadMeta: metadata that parses but cannot be
+// true — a negative op count, a parent digest of the wrong length — is
+// corrupt.
+func TestParsePartialRejectsBadMeta(t *testing.T) {
+	for name, tc := range map[string]struct {
+		ops    int64
+		parent []byte
+		want   string
+	}{
+		"negative ops":  {-1, nil, "claims -1 ops"},
+		"short parent":  {1, make([]byte, sha256.Size-1), "parent digest is 31 bytes"},
+		"parent intact": {1, make([]byte, sha256.Size), ""},
+	} {
+		e := state.NewEncoder()
+		e.Section(metaSection)
+		e.String("summary")
+		e.Varint(tc.ops)
+		e.F64(0) // MinT
+		e.F64(1) // MaxT
+		for i := 0; i < 5; i++ {
+			e.Varint(0) // join statistics
+		}
+		e.Bytes(tc.parent)
+		var buf bytes.Buffer
+		if err := e.Flush(&buf); err != nil {
+			t.Fatal(err)
+		}
+		p, err := ParsePartial(buf.Bytes())
+		if tc.want == "" {
+			if err != nil || len(p.ParentDigest) != sha256.Size {
+				t.Errorf("%s: %v", name, err)
+			}
+		} else if !errors.Is(err, state.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an ErrCorrupt naming %q", name, err, tc.want)
+		}
 	}
 }
 

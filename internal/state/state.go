@@ -79,6 +79,8 @@ type Encoder struct {
 	fhs     []core.FH
 	procIDs map[core.ProcID]uint64
 	procs   []core.ProcID
+
+	err error // first validation failure a Codec recorded; Flush reports it
 }
 
 // NewEncoder returns an empty encoder.
@@ -161,8 +163,13 @@ func (e *Encoder) Proc(p core.ProcID) {
 }
 
 // Flush writes the complete file: header, body checksum, dictionaries,
-// then every section in the order they were declared.
+// then every section in the order they were declared. If a Codec
+// recorded a failure while encoding, Flush writes nothing and returns
+// it: a state that would not read back is not written either.
 func (e *Encoder) Flush(w io.Writer) error {
+	if e.err != nil {
+		return e.err
+	}
 	e.closeSection()
 	var body []byte
 	body = binary.AppendUvarint(body, uint64(len(e.fhs)))
@@ -208,15 +215,6 @@ type File struct {
 
 	names    []string
 	payloads [][]byte
-}
-
-// ReadFile parses a complete state file from r.
-func ReadFile(r io.Reader) (*File, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return Parse(data)
 }
 
 // Parse parses a complete state file held in data. The File keeps views
@@ -289,9 +287,6 @@ func (d *Decoder) stringList(what string) ([]string, error) {
 	return out, nil
 }
 
-// Sections lists the section names in file order (duplicates allowed).
-func (f *File) Sections() []string { return append([]string(nil), f.names...) }
-
 // Section returns a decoder over the first section with the given name,
 // or ok=false if the file has none.
 func (f *File) Section(name string) (*Decoder, bool) {
@@ -317,9 +312,6 @@ type Decoder struct {
 
 // Err reports the first decode failure, or nil.
 func (d *Decoder) Err() error { return d.err }
-
-// Remaining reports the unread bytes left in the section.
-func (d *Decoder) Remaining() int { return len(d.b) - d.off }
 
 // Failf records a semantic decode failure — a value that parsed but is
 // invalid (config mismatch, out-of-range index). It wraps ErrCorrupt

@@ -46,11 +46,11 @@ func encodeSample(t *testing.T) []byte {
 
 func TestRoundTrip(t *testing.T) {
 	data := encodeSample(t)
-	f, err := ReadFile(bytes.NewReader(data))
+	f, err := Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Sections(); len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
+	if got := f.names; len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
 		t.Fatalf("sections = %v", got)
 	}
 	d, ok := f.Section("alpha")
@@ -114,7 +114,7 @@ func TestChecksumCatchesBitFlip(t *testing.T) {
 	for off := headerLen; off < len(data); off++ {
 		bad := append([]byte(nil), data...)
 		bad[off] ^= 0x10
-		_, err := ReadFile(bytes.NewReader(bad))
+		_, err := Parse(bad)
 		if err == nil {
 			t.Fatalf("bit flip at %d accepted", off)
 		}
@@ -127,7 +127,7 @@ func TestChecksumCatchesBitFlip(t *testing.T) {
 func TestTruncation(t *testing.T) {
 	data := encodeSample(t)
 	for n := 0; n < len(data); n += 7 {
-		_, err := ReadFile(bytes.NewReader(data[:n]))
+		_, err := Parse(data[:n])
 		if err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
@@ -141,7 +141,7 @@ func TestBadMagic(t *testing.T) {
 	data := encodeSample(t)
 	bad := append([]byte(nil), data...)
 	bad[0] = 'X'
-	_, err := ReadFile(bytes.NewReader(bad))
+	_, err := Parse(bad)
 	if err == nil || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestVersionSkew(t *testing.T) {
 	data := encodeSample(t)
 	future := append([]byte(nil), data...)
 	binary.LittleEndian.PutUint16(future[len(magic):], Version+1)
-	_, err := ReadFile(bytes.NewReader(future))
+	_, err := Parse(future)
 	if err == nil {
 		t.Fatal("future version accepted")
 	}
@@ -172,7 +172,7 @@ func TestVersionSkew(t *testing.T) {
 
 func TestFinishRejectsTrailingBytes(t *testing.T) {
 	data := encodeSample(t)
-	f, err := ReadFile(bytes.NewReader(data))
+	f, err := Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestDictionaryIndexOutOfRange(t *testing.T) {
 	if err := e.Flush(&buf); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadFile(&buf)
+	f, err := Parse(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,12 +238,12 @@ func TestEmptyFileRoundTrip(t *testing.T) {
 	if err := e.Flush(&buf); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadFile(&buf)
+	f, err := Parse(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Sections()) != 0 {
-		t.Fatalf("sections = %v", f.Sections())
+	if len(f.names) != 0 {
+		t.Fatalf("sections = %v", f.names)
 	}
 	if _, ok := f.Section("nope"); ok {
 		t.Fatal("found a section in an empty file")
