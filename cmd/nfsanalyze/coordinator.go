@@ -35,12 +35,11 @@ import (
 
 // coordConfig carries everything the coordinator needs.
 type coordConfig struct {
-	set      *jobspec.Set
-	paths    []string
-	workers  int
-	decoders int
-	timeout  time.Duration
-	remote   []string
+	set     *jobspec.Set
+	paths   []string
+	workers int
+	timeout time.Duration
+	remote  []string
 }
 
 // partitionFiles cuts paths into min(n, len(paths)) contiguous groups
@@ -144,9 +143,12 @@ func runCoordinator(cc coordConfig, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			logf("coordinator: dispatch finished: %d/%d pieces remote (dispatched %d, retries %d, speculations %d, duplicates %d)",
-				rs.Completed, len(tasks), rs.Dispatched, rs.Retries, rs.Speculations, rs.Duplicates)
+			logf("coordinator: dispatch finished: %d/%d pieces remote (dispatched %d, retries %d, speculations %d, duplicates %d, divergent %d)",
+				rs.Completed, len(tasks), rs.Dispatched, rs.Retries, rs.Speculations, rs.Duplicates, rs.Divergent)
 			for _, res := range results {
+				if res.Divergent {
+					return fmt.Errorf("coordinator: piece %d: two attempts returned different states", res.TaskID)
+				}
 				states[res.TaskID] = res.State
 				// A duplicate attempt may have been vetted after the
 				// winner; only the winner's own decode stands in for it.
@@ -181,7 +183,7 @@ func runCoordinator(cc coordConfig, stdout, stderr io.Writer) error {
 
 	tasks := make([]dispatch.Task, len(groups))
 	for i, g := range groups {
-		tasks[i] = dispatch.Task{ID: i, Spec: specJSON, Decoders: cc.decoders, Files: g}
+		tasks[i] = dispatch.Task{ID: i, Spec: specJSON, Files: g}
 	}
 	if cc.set.Sequential() {
 		// A resume chain: piece i+1 needs piece i's state, so the pieces
@@ -225,7 +227,7 @@ func runPiece(timeout time.Duration, t dispatch.Task) ([]byte, error) {
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	state, err := jobspec.RunTask(ctx, t.Spec, t.Parent, t.Files, t.Decoders)
+	state, err := jobspec.RunTask(ctx, t.Spec, t.Parent, t.Files)
 	if err != nil {
 		return nil, fmt.Errorf("coordinator: piece %d (files %s): %w", t.ID, strings.Join(t.Files, ", "), err)
 	}

@@ -5,8 +5,8 @@
 // merged by timestamp, so a multi-day capture split into daily files
 // analyzes in one run.
 //
-// Records stream through the sharded pipeline: each file is decoded by
-// -decoders parallel goroutines, calls and replies are joined
+// Records stream through the sharded pipeline: each file is decoded on
+// a read-ahead goroutine of its own, calls and replies are joined
 // incrementally, and the analysis reducers run across -workers shards.
 // Memory depends on the reducer, not the record count: summary,
 // hierarchy, and names hold per-file or constant-size state, blocklife
@@ -31,7 +31,7 @@
 //	nfsanalyze -i campus.trace -analysis blocklife -start 118800 -phase 86400 -margin 86400
 //	nfsanalyze -analysis summary 'week/day*.trace.gz'
 //	nfsanalyze -analysis hourly traces/
-//	nfsanalyze -i campus.trace -analysis summary -workers 8 -decoders 4
+//	nfsanalyze -i campus.trace -analysis summary -workers 8
 //	nfsanalyze -i day1.trace -analysis summary -partial day1.state
 //	nfsanalyze -analysis summary -merge day1.state day2.state
 //	nfsanalyze -analysis summary -coordinator -workers 8 traces/
@@ -87,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	phase := fs.Float64("phase", workload.Day, "blocklife phase-1 length (seconds)")
 	margin := fs.Float64("margin", workload.Day, "blocklife end margin (seconds)")
 	workers := fs.Int("workers", 0, "pipeline shard count; with -coordinator, the number of pieces the input files are cut into (0 = one per CPU, or two per -remote worker)")
-	decoders := fs.Int("decoders", 0, "parallel decode goroutines per input file (0 = one per CPU)")
+	fs.Int("decoders", 0, "ignored: each input file is decoded on one read-ahead goroutine (still parsed so existing scripts keep working)")
 	partialOut := fs.String("partial", "", "serialize partial analysis state to this file instead of rendering tables")
 	resumeIn := fs.String("resume", "", "seed the analysis from this state file before reading input")
 	mergeMode := fs.Bool("merge", false, "inputs are state files: merge them and render the tables")
@@ -170,11 +170,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		cc := coordConfig{
-			set:      set,
-			paths:    paths,
-			workers:  *workers,
-			decoders: *decoders,
-			timeout:  *workerTimeout,
+			set:     set,
+			paths:   paths,
+			workers: *workers,
+			timeout: *workerTimeout,
 		}
 		if *remote != "" {
 			for _, addr := range strings.Split(*remote, ",") {
@@ -188,22 +187,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return runCoordinator(cc, stdout, stderr)
 	}
 
-	icfg := core.IngestConfig{Decoders: *decoders}
 	var src core.RecordSource
 	var ts *pipeline.TraceSet
 	if len(inputs) == 0 {
-		pr, err := core.NewParallelReader(os.Stdin, icfg)
+		ra, err := core.NewReadAhead(os.Stdin)
 		if err != nil {
 			return err
 		}
-		defer pr.Stop()
-		src = pr
+		defer ra.Stop()
+		src = ra
 	} else {
 		paths, err := pipeline.ExpandInputs(inputs)
 		if err != nil {
 			return err
 		}
-		ts, err = pipeline.OpenTraceSet(paths, icfg)
+		ts, err = pipeline.OpenTraceSet(paths, core.IngestConfig{})
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,7 @@
 // nfsconvert converts and merges trace files. Inputs may be files,
 // glob patterns, or directories; each file may be in the text or
-// binary format (auto-detected, gzip-transparent) and is decoded by a
-// pool of -decoders goroutines. All inputs are k-way merged by
+// binary format (auto-detected, gzip-transparent) and is decoded on a
+// read-ahead goroutine of its own. All inputs are k-way merged by
 // timestamp — the CAMPUS deployment captured one trace per virtual
 // disk array, and cross-array analyses need them interleaved.
 //
@@ -44,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	out := fs.String("o", "", "output file (default stdout)")
 	asBinary := fs.Bool("binary", false, "write the compact binary format")
-	decoders := fs.Int("decoders", 0, "parallel decode goroutines per input file (0 = one per CPU)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return nil
@@ -59,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	set, err := pipeline.OpenTraceSet(paths, core.IngestConfig{Decoders: *decoders})
+	set, err := pipeline.OpenTraceSet(paths, core.IngestConfig{})
 	if err != nil {
 		return err
 	}

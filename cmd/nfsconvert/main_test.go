@@ -64,8 +64,8 @@ func TestConvertRoundTrip(t *testing.T) {
 	text2 := filepath.Join(dir, "pass2.trace")
 
 	steps := [][]string{
-		{"-binary", "-decoders", "2", "-o", bin1, text},
-		{"-decoders", "2", "-o", text1, bin1},
+		{"-binary", "-o", bin1, text},
+		{"-o", text1, bin1},
 		{"-binary", "-o", bin2, text1},
 		{"-o", text2, bin2},
 	}
@@ -150,11 +150,15 @@ func TestConvertErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}, &out, &errb); err == nil {
 		t.Fatal("bad flag accepted")
 	}
+	// Every input is decoded on one read-ahead; there is no decoder count.
+	if err := run([]string{"-decoders", "2", filepath.Join(t.TempDir(), "x.trace")}, &out, &errb); err == nil {
+		t.Fatal("-decoders accepted")
+	}
 	errb.Reset()
 	if err := run([]string{"-h"}, &out, &errb); err != nil {
 		t.Fatalf("-h: %v", err)
 	}
-	if !strings.Contains(errb.String(), "-decoders") {
+	if !strings.Contains(errb.String(), "-binary") {
 		t.Fatalf("-h usage missing flags: %s", errb.String())
 	}
 }

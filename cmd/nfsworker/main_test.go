@@ -153,7 +153,7 @@ func TestServeAndDrain(t *testing.T) {
 	specJSON, _ := json.Marshal(spec)
 	results, stats, err := dispatch.Run(context.Background(), dispatch.Config{
 		Addrs: []string{addr},
-	}, []dispatch.Task{{ID: 0, Spec: specJSON, Decoders: 1, Files: []string{trace}}})
+	}, []dispatch.Task{{ID: 0, Spec: specJSON, Files: []string{trace}}})
 	if err != nil || len(results) != 1 {
 		t.Fatalf("dispatch against daemon: %v (%d results)\n%s", err, len(results), logw)
 	}
@@ -282,7 +282,7 @@ func TestStreamedPieceEqualsRunFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tasks[i] = dispatch.Task{ID: i, Spec: specJSON, Decoders: 2, Files: tc.files, Parent: tc.parent}
+		tasks[i] = dispatch.Task{ID: i, Spec: specJSON, Files: tc.files, Parent: tc.parent}
 	}
 
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -298,7 +298,7 @@ func TestStreamedPieceEqualsRunFiles(t *testing.T) {
 	}
 	for _, res := range results {
 		tc := cases[res.TaskID]
-		want, err := jobspec.RunTask(ctx, tasks[res.TaskID].Spec, tc.parent, tc.files, 2)
+		want, err := jobspec.RunTask(ctx, tasks[res.TaskID].Spec, tc.parent, tc.files)
 		if err != nil {
 			t.Fatalf("%s: RunTask: %v", tc.name, err)
 		}

@@ -13,12 +13,12 @@ import (
 	"repro/internal/pipeline"
 )
 
-// This file is the end-to-end determinism guarantee for the parallel
-// ingest front end, mirroring pipeline_equivalence_test.go one layer
-// down: whatever the decoder count, however the trace set is cut into
-// files, and whichever on-disk format (text, binary, gzip) carries it,
-// every table and figure must render byte-identically to the serial
-// single-file path.
+// This file is the end-to-end determinism guarantee for the ingest
+// front end, mirroring pipeline_equivalence_test.go one layer down:
+// through the per-file read-ahead of a trace set, however the trace set
+// is cut into files, and whichever on-disk format (text, binary, gzip)
+// carries it, every table and figure must render byte-identically to the
+// serial single-file path.
 
 // renderedExperiments renders Table1–Figure5 and the side experiments
 // that read a trace for a campus/eecs pair: everything that goes
@@ -88,10 +88,10 @@ func gzBytes(t *testing.T, data []byte) []byte {
 	return buf.Bytes()
 }
 
-// openSet ingests a trace set into a Trace via the parallel front end.
-func openSet(t *testing.T, paths []string, cfg core.IngestConfig, name string, days, reorderMS float64) *Trace {
+// openSet ingests a trace set into a Trace via the read-ahead front end.
+func openSet(t *testing.T, paths []string, name string, days, reorderMS float64) *Trace {
 	t.Helper()
-	ts, err := pipeline.OpenTraceSet(paths, cfg)
+	ts, err := pipeline.OpenTraceSet(paths, core.IngestConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,22 +133,17 @@ func TestParallelIngestByteIdenticalTables(t *testing.T) {
 		}
 	}
 
-	// Parallel ingest across the full decoder × worker grid, small
-	// batches to force many splits: the rendered tables must be
-	// byte-identical to the serial single-worker reference at every
-	// combination, which pins down both the resequencer and the
-	// ID-keyed reducers (handle intern IDs vary with decode
-	// interleaving; output must not).
-	for _, decoders := range []int{1, 2, 8} {
-		for _, workers := range []int{1, 2, 8} {
-			cfg := core.IngestConfig{Decoders: decoders, BatchBytes: 8 << 10}
-			campusTr := openSet(t, []string{campusPath}, cfg, "CAMPUS", scale.Days, 10)
-			eecsTr := openSet(t, []string{eecsPath}, cfg, "EECS", scale.Days, 5)
-			campusTr.Pipeline = pipeline.Config{Workers: workers}
-			eecsTr.Pipeline = pipeline.Config{Workers: workers}
-			got := renderedExperiments(campusTr, eecsTr)
-			compare(fmt.Sprintf("decoders=%d workers=%d", decoders, workers), got)
-		}
+	// Read-ahead ingest across the worker grid: the rendered tables must
+	// be byte-identical to the serial single-worker reference at every
+	// worker count, which pins down the ID-keyed reducers (handle intern
+	// IDs vary with decode interleaving; output must not).
+	for _, workers := range []int{1, 2, 8} {
+		campusTr := openSet(t, []string{campusPath}, "CAMPUS", scale.Days, 10)
+		eecsTr := openSet(t, []string{eecsPath}, "EECS", scale.Days, 5)
+		campusTr.Pipeline = pipeline.Config{Workers: workers}
+		eecsTr.Pipeline = pipeline.Config{Workers: workers}
+		got := renderedExperiments(campusTr, eecsTr)
+		compare(fmt.Sprintf("workers=%d", workers), got)
 	}
 
 	// Multi-file trace set: the campus trace cut at its time midpoint
@@ -162,10 +157,9 @@ func TestParallelIngestByteIdenticalTables(t *testing.T) {
 	partA := writeFile(t, filepath.Join(dir, "campus-day1.trace"), textBytes(t, campusRecs[:cut]))
 	partB := writeFile(t, filepath.Join(dir, "campus-day2.trace.gz"),
 		gzBytes(t, textBytes(t, campusRecs[cut:])))
-	cfg := core.IngestConfig{Decoders: 2, BatchBytes: 8 << 10}
 	got := renderedExperiments(
-		openSet(t, []string{partA, partB}, cfg, "CAMPUS", scale.Days, 10),
-		openSet(t, []string{eecsPath}, cfg, "EECS", scale.Days, 5))
+		openSet(t, []string{partA, partB}, "CAMPUS", scale.Days, 10),
+		openSet(t, []string{eecsPath}, "EECS", scale.Days, 5))
 	compare("multi-file set", got)
 }
 
@@ -209,10 +203,9 @@ func TestParallelIngestBinaryByteIdentical(t *testing.T) {
 		serial(campusBin, "CAMPUS", 10),
 		serial(eecsBin, "EECS", 5))
 
-	cfg := core.IngestConfig{Decoders: 4, BatchRecords: 256}
 	got := renderedExperiments(
-		openSet(t, []string{campusPath}, cfg, "CAMPUS", scale.Days, 10),
-		openSet(t, []string{eecsPath}, cfg, "EECS", scale.Days, 5))
+		openSet(t, []string{campusPath}, "CAMPUS", scale.Days, 10),
+		openSet(t, []string{eecsPath}, "EECS", scale.Days, 5))
 	for name, w := range want {
 		if got[name] != w {
 			t.Errorf("binary ingest: %s differs from the serial binary path", name)

@@ -360,16 +360,6 @@ func (c *byteCursor) byte() byte {
 	return v
 }
 
-// recordTimeDelta reads just the presence bitmap and zigzag time delta
-// that lead every record payload. The splitter uses it to carry an
-// absolute-time base into each batch so batches decode independently.
-func recordTimeDelta(payload []byte) (int64, error) {
-	c := &byteCursor{b: payload}
-	c.uvarint() // presence bitmap
-	zz := c.uvarint()
-	return int64(zz>>1) ^ -int64(zz&1), c.err
-}
-
 // decodeRecord decodes one record payload into r (which is
 // overwritten; pass a zeroed or pooled Record). lastUsec carries the
 // absolute time of the previous record (the format stores deltas) and

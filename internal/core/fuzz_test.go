@@ -4,14 +4,15 @@ package core
 // part of the system that eats untrusted bytes — archived traces from
 // other tools, damaged disks, truncated transfers — so the contract
 // under fuzzing is: malformed input returns an error, never a panic,
-// and the parallel front end is indistinguishable from the serial one
-// on every input, good or bad.
+// and the read-ahead front end is indistinguishable from the serial
+// reader on every input, good or bad.
 
 import (
 	"bytes"
 	"io"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // FuzzTextRecord fuzzes the text-format line parser: arbitrary lines
@@ -193,8 +194,10 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 }
 
 // FuzzIngestEquivalence is the differential target: on any input —
-// text, binary, gzip, or garbage — the parallel reader must yield
-// exactly the records, order, and terminal error of the serial path.
+// text, binary, gzip, or garbage — the read-ahead must yield exactly the
+// records, order, and terminal error of the serial reader DetectSource
+// picks. A second read-ahead over the same input is stopped at a record
+// index derived from the input, and must then end promptly.
 func FuzzIngestEquivalence(f *testing.F) {
 	rng := rand.New(rand.NewSource(13))
 	records := make([]*Record, 0, 40)
@@ -232,28 +235,54 @@ func FuzzIngestEquivalence(f *testing.F) {
 			t.Skip()
 		}
 		serialSrc, serialOpenErr := DetectSource(bytes.NewReader(data))
-		pr, parOpenErr := NewParallelReader(bytes.NewReader(data), IngestConfig{Decoders: 3, BatchBytes: 97, BatchRecords: 3})
-		if (serialOpenErr == nil) != (parOpenErr == nil) {
-			t.Fatalf("open: serial err %v, parallel err %v", serialOpenErr, parOpenErr)
+		ra, raOpenErr := NewReadAhead(bytes.NewReader(data))
+		if (serialOpenErr == nil) != (raOpenErr == nil) {
+			t.Fatalf("open: serial err %v, read-ahead err %v", serialOpenErr, raOpenErr)
 		}
 		if serialOpenErr != nil {
-			if serialOpenErr.Error() != parOpenErr.Error() {
-				t.Fatalf("open errors differ: %v vs %v", serialOpenErr, parOpenErr)
+			if serialOpenErr.Error() != raOpenErr.Error() {
+				t.Fatalf("open errors differ: %v vs %v", serialOpenErr, raOpenErr)
 			}
 			return
 		}
 		want, wantErr := drain(serialSrc)
-		got, gotErr := drain(pr)
+		got, gotErr := drain(ra)
 		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
-			t.Fatalf("terminal error: parallel %v vs serial %v", gotErr, wantErr)
+			t.Fatalf("terminal error: read-ahead %v vs serial %v", gotErr, wantErr)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("parallel yielded %d records, serial %d", len(got), len(want))
+			t.Fatalf("read-ahead yielded %d records, serial %d", len(got), len(want))
 		}
 		for i := range want {
 			if *got[i] != *want[i] {
 				t.Fatalf("record %d:\n got %+v\nwant %+v", i, got[i], want[i])
 			}
+		}
+
+		stopAt := len(data) % (len(want) + 1)
+		ra, _ = NewReadAhead(bytes.NewReader(data))
+		for i := 0; i < stopAt; i++ {
+			if _, err := ra.Next(); err != nil {
+				t.Fatalf("record %d before Stop: %v", i, err)
+			}
+		}
+		ra.Stop()
+		ended := make(chan error, 1)
+		go func() {
+			for {
+				if _, err := ra.Next(); err != nil {
+					ended <- err
+					return
+				}
+			}
+		}()
+		select {
+		case err := <-ended:
+			if err != ErrReaderStopped && err != io.EOF && (wantErr == nil || err.Error() != wantErr.Error()) {
+				t.Fatalf("after Stop at record %d: %v", stopAt, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Next did not end after Stop at record %d", stopAt)
 		}
 	})
 }

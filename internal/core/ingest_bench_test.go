@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// benchIngest drains one full pass over data through either front end
+// benchIngest drains one full pass over data through a front end
 // and reports bytes/sec of trace input. Records are recycled the way
 // the streaming Joiner recycles them, so the pool is exercised as it is
 // in production.
@@ -100,13 +100,7 @@ func BenchmarkIngestText(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		benchIngest(b, data, func(r io.Reader) (RecordSource, error) { return NewReader(r), nil })
 	})
-	for _, decoders := range []int{1, 2, 4} {
-		b.Run(benchName("decoders", decoders), func(b *testing.B) {
-			benchIngest(b, data, func(r io.Reader) (RecordSource, error) {
-				return NewParallelReader(r, IngestConfig{Decoders: decoders})
-			})
-		})
-	}
+	b.Run("readahead", func(b *testing.B) { benchIngest(b, data, openReadAhead) })
 }
 
 func BenchmarkIngestBinary(b *testing.B) {
@@ -122,15 +116,7 @@ func BenchmarkIngestBinary(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		benchIngest(b, data, func(r io.Reader) (RecordSource, error) { return NewBinaryReader(r), nil })
 	})
-	for _, decoders := range []int{1, 2, 4} {
-		b.Run(benchName("decoders", decoders), func(b *testing.B) {
-			benchIngest(b, data, func(r io.Reader) (RecordSource, error) {
-				return NewParallelReader(r, IngestConfig{Decoders: decoders})
-			})
-		})
-	}
+	b.Run("readahead", func(b *testing.B) { benchIngest(b, data, openReadAhead) })
 }
 
-func benchName(prefix string, n int) string {
-	return prefix + "-" + string(rune('0'+n))
-}
+func openReadAhead(r io.Reader) (RecordSource, error) { return NewReadAhead(r) }

@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // ingestRecords builds a time-ordered record stream with the mix of
@@ -100,24 +102,31 @@ func requireSameStream(t *testing.T, label string, wantRecs, gotRecs []*Record, 
 	}
 }
 
+// requireReadAheadMatches opens data through the read-ahead and through
+// the serial reader DetectSource picks, drains both, and requires the
+// same records and the same terminal error. It returns the read-ahead,
+// drained, for further checks.
+func requireReadAheadMatches(t *testing.T, label string, data []byte) *ReadAhead {
+	t.Helper()
+	src, err := DetectSource(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("%s: DetectSource: %v", label, err)
+	}
+	want, wantErr := drain(src)
+	ra, err := NewReadAhead(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("%s: NewReadAhead: %v", label, err)
+	}
+	got, gotErr := drain(ra)
+	requireSameStream(t, label, want, got, wantErr, gotErr)
+	return ra
+}
+
+// The Parallel tests hold the read-ahead, which decodes on a goroutine
+// of its own, to the serial reader on streams many batches long.
+
 func TestParallelTextMatchesSerial(t *testing.T) {
-	data := noisyText(ingestRecords(5000))
-	want, wantErr := drain(NewReader(bytes.NewReader(data)))
-	if wantErr != nil {
-		t.Fatal(wantErr)
-	}
-	for _, decoders := range []int{1, 2, 8} {
-		for _, batchBytes := range []int{512, 64 << 10, 1 << 22} {
-			label := fmt.Sprintf("decoders=%d batch=%d", decoders, batchBytes)
-			pr, err := NewParallelReader(bytes.NewReader(data),
-				IngestConfig{Decoders: decoders, BatchBytes: batchBytes})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			got, gotErr := drain(pr)
-			requireSameStream(t, label, want, got, nil, gotErr)
-		}
-	}
+	requireReadAheadMatches(t, "text", noisyText(ingestRecords(5000)))
 }
 
 func TestParallelBinaryMatchesSerial(t *testing.T) {
@@ -126,23 +135,7 @@ func TestParallelBinaryMatchesSerial(t *testing.T) {
 	// batch boundaries.
 	records[100].Time = records[99].Time - 0.004
 	records[2000].Time = records[1999].Time - 1.5
-	data := binaryTrace(t, records)
-	want, wantErr := drain(NewBinaryReader(bytes.NewReader(data)))
-	if wantErr != nil {
-		t.Fatal(wantErr)
-	}
-	for _, decoders := range []int{1, 2, 8} {
-		for _, batchRecords := range []int{1, 7, 512} {
-			label := fmt.Sprintf("decoders=%d batch=%d", decoders, batchRecords)
-			pr, err := NewParallelReader(bytes.NewReader(data),
-				IngestConfig{Decoders: decoders, BatchRecords: batchRecords})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			got, gotErr := drain(pr)
-			requireSameStream(t, label, want, got, nil, gotErr)
-		}
-	}
+	requireReadAheadMatches(t, "binary", binaryTrace(t, records))
 }
 
 func TestParallelGzipTransparent(t *testing.T) {
@@ -160,19 +153,12 @@ func TestParallelGzipTransparent(t *testing.T) {
 		{"text.gz", gzipBytes(t, text), want},
 		{"binary.gz", gzipBytes(t, bin), wantBin},
 	} {
-		pr, err := NewParallelReader(bytes.NewReader(tc.data), IngestConfig{Decoders: 3, BatchBytes: 4096, BatchRecords: 64})
+		ra, err := NewReadAhead(bytes.NewReader(tc.data))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		got, gotErr := drain(pr)
-		requireSameStream(t, "parallel "+tc.name, tc.want, got, nil, gotErr)
-
-		src, err := DetectSource(bytes.NewReader(tc.data))
-		if err != nil {
-			t.Fatalf("DetectSource %s: %v", tc.name, err)
-		}
-		got, gotErr = drain(src)
-		requireSameStream(t, "DetectSource "+tc.name, tc.want, got, nil, gotErr)
+		got, gotErr := drain(ra)
+		requireSameStream(t, tc.name, tc.want, got, nil, gotErr)
 	}
 }
 
@@ -186,33 +172,20 @@ func TestParallelTextErrorMatchesSerial(t *testing.T) {
 		buf.WriteString(r.Marshal())
 		buf.WriteByte('\n')
 	}
-	data := buf.Bytes()
-	want, wantErr := drain(NewReader(bytes.NewReader(data)))
-	if wantErr == nil {
-		t.Fatal("serial reader accepted the garbage line")
+	want, wantErr := drain(NewReader(bytes.NewReader(buf.Bytes())))
+	if wantErr == nil || len(want) != 700 {
+		t.Fatalf("serial reader: %d records, err %v", len(want), wantErr)
 	}
-	if len(want) != 700 {
-		t.Fatalf("serial stopped after %d records", len(want))
-	}
-	for _, decoders := range []int{1, 4} {
-		pr, err := NewParallelReader(bytes.NewReader(data), IngestConfig{Decoders: decoders, BatchBytes: 997})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotErr := drain(pr)
-		requireSameStream(t, fmt.Sprintf("decoders=%d", decoders), want, got, wantErr, gotErr)
-		// The error is sticky.
-		if _, err := pr.Next(); err == nil || err.Error() != wantErr.Error() {
-			t.Fatalf("error not sticky: %v", err)
-		}
+	ra := requireReadAheadMatches(t, "text error", buf.Bytes())
+	// The error is sticky.
+	if _, err := ra.Next(); err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("error not sticky: %v", err)
 	}
 }
 
 func TestParallelBinaryTruncationErrors(t *testing.T) {
-	records := ingestRecords(50)
-	data := binaryTrace(t, records)
-
-	cases := []struct {
+	data := binaryTrace(t, ingestRecords(50))
+	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
@@ -221,18 +194,11 @@ func TestParallelBinaryTruncationErrors(t *testing.T) {
 		// A dangling varint continuation byte where the next record
 		// length should be: must error, not silently stop.
 		{"length varint", append(append([]byte{}, data...), 0x80)},
-	}
-	for _, tc := range cases {
-		want, wantErr := drain(NewBinaryReader(bytes.NewReader(tc.data)))
-		if wantErr == nil {
+	} {
+		if _, err := drain(NewBinaryReader(bytes.NewReader(tc.data))); err == nil {
 			t.Fatalf("%s: serial reader silently accepted truncation", tc.name)
 		}
-		pr, err := NewParallelReader(bytes.NewReader(tc.data), IngestConfig{Decoders: 2, BatchRecords: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotErr := drain(pr)
-		requireSameStream(t, tc.name, want, got, wantErr, gotErr)
+		requireReadAheadMatches(t, tc.name, tc.data)
 	}
 }
 
@@ -294,30 +260,16 @@ func TestReaderSurfacesScannerErrors(t *testing.T) {
 		if !errors.Is(err, bufio.ErrTooLong) {
 			t.Fatalf("err = %v, want bufio.ErrTooLong", err)
 		}
-
-		// The parallel path reports the same failure.
-		pr, perr := NewParallelReader(bytes.NewReader(buf.Bytes()), IngestConfig{Decoders: 2, BatchBytes: 4096})
-		if perr != nil {
-			t.Fatal(perr)
-		}
-		pgot, perr2 := drain(pr)
-		requireSameStream(t, "parallel", got, pgot, err, perr2)
 	})
 	t.Run("scanner buffer boundary", func(t *testing.T) {
-		// A final unterminated line of exactly the scanner's buffer
-		// size fails serially (the scanner has no headroom left to
-		// attempt the read that would report EOF); one byte shorter
-		// parses. The parallel path must agree on both sides of the
-		// edge.
+		// A final unterminated line of exactly maxLineBytes fails (the
+		// scanner has no headroom left to attempt the read that would
+		// report EOF); one byte shorter is read, and fails to parse.
 		for _, n := range []int{maxLineBytes, maxLineBytes - 1} {
-			data := strings.Repeat("x", n)
-			want, wantErr := drain(NewReader(strings.NewReader(data)))
-			pr, err := NewParallelReader(strings.NewReader(data), IngestConfig{Decoders: 2})
-			if err != nil {
-				t.Fatal(err)
+			_, err := drain(NewReader(strings.NewReader(strings.Repeat("x", n))))
+			if tooLong := errors.Is(err, bufio.ErrTooLong); err == nil || tooLong != (n == maxLineBytes) {
+				t.Fatalf("len=%d: err = %v", n, err)
 			}
-			got, gotErr := drain(pr)
-			requireSameStream(t, fmt.Sprintf("len=%d", n), want, got, wantErr, gotErr)
 		}
 	})
 	t.Run("read error propagates", func(t *testing.T) {
@@ -330,54 +282,45 @@ func TestReaderSurfacesScannerErrors(t *testing.T) {
 		if !errors.Is(err, boom) {
 			t.Fatalf("err = %v, want the read error", err)
 		}
-		pr, perr := NewParallelReader(&errAfter{r: strings.NewReader(text), err: boom}, IngestConfig{Decoders: 2})
-		if perr != nil {
-			t.Fatal(perr)
-		}
-		pgot, perr2 := drain(pr)
-		requireSameStream(t, "parallel", got, pgot, err, perr2)
 	})
 }
 
-func TestParallelReaderStop(t *testing.T) {
-	data := noisyText(ingestRecords(20000))
-	pr, err := NewParallelReader(bytes.NewReader(data), IngestConfig{Decoders: 4, BatchBytes: 512})
+// TestReadAheadStop abandons a read-ahead mid-stream: Stop is
+// idempotent, Next ends instead of hanging, and the decode goroutine
+// exits.
+func TestReadAheadStop(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	ra, err := NewReadAhead(bytes.NewReader(noisyText(ingestRecords(20000))))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := pr.Next(); err != nil {
+		if _, err := ra.Next(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pr.Stop()
-	pr.Stop() // idempotent
-	// The reader may still drain results that were already queued, but
-	// must terminate rather than hang.
-	for i := 0; i < 1000; i++ {
-		if _, err := pr.Next(); err != nil {
-			return
+	ra.Stop()
+	ra.Stop() // idempotent
+	// Next finishes the batch it is in, then ends.
+	for n := 10; ; n++ {
+		_, err := ra.Next()
+		if err == ErrReaderStopped {
+			break
+		}
+		if err != nil || n >= readAheadBatch {
+			t.Fatalf("record %d after Stop: err %v", n, err)
 		}
 	}
-	t.Fatal("reader kept yielding long after Stop")
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Stop, %d before the reader", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestParallelEmptyAndTinyInputs(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		data string
-	}{
-		{"empty", ""},
-		{"blank", "\n\n"},
-		{"comment only", "# nothing here\n"},
-		{"tiny garbage", "zz"},
-	} {
-		pr, err := NewParallelReader(strings.NewReader(tc.data), IngestConfig{Decoders: 2})
-		if err != nil {
-			t.Fatalf("%s: open: %v", tc.name, err)
-		}
-		want, wantErr := drain(NewReader(strings.NewReader(tc.data)))
-		got, gotErr := drain(pr)
-		requireSameStream(t, tc.name, want, got, wantErr, gotErr)
+	for _, data := range []string{"", "\n\n", "# nothing here\n", "zz"} {
+		requireReadAheadMatches(t, fmt.Sprintf("%q", data), []byte(data))
 	}
 }

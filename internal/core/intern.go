@@ -20,11 +20,11 @@ package core
 //     in foreign traces are registered dynamically, preserving the text
 //     format's round-trip, up to the 256-entry capacity of a byte.
 //
-// Interning is concurrency-safe (the parallel ingest decoders intern
-// from many goroutines) and monotone: an ID, once assigned, never
-// changes or disappears, which is what makes IDs stable across the
-// files of a multi-file trace set and across serial/parallel decode of
-// the same input. ID numbering does depend on arrival order, so IDs
+// Interning is concurrency-safe (each file of a trace set is decoded on
+// its own read-ahead goroutine) and monotone: an ID, once assigned,
+// never changes or disappears, which is what makes IDs stable across the
+// files of a multi-file trace set and across any decode of the same
+// input. ID numbering does depend on arrival order, so IDs
 // never appear in rendered output — handles are printed through
 // FH.String, and anything sorted for presentation sorts by the rendered
 // spelling, not the ID.
@@ -180,10 +180,10 @@ var staticProcNames = [numStaticProcs]string{
 var ErrProcTableFull = errors.New("core: procedure table full")
 
 // staticProcs maps the fixed vocabulary to its IDs. It is filled at
-// package initialization and never written again, so the decoders read
-// it without a lock: nearly every record of every trace is answered
-// here, and a shared RWMutex's reader count would bounce between their
-// cores once per record.
+// package initialization and never written again, so decoders read it
+// without a lock: nearly every record of every trace is answered here,
+// and a shared RWMutex's reader count would bounce between the cores of
+// concurrent decoders once per record.
 var staticProcs = func() map[string]ProcID {
 	m := make(map[string]ProcID, numStaticProcs)
 	for i, name := range staticProcNames {

@@ -155,9 +155,10 @@ func TestInternProcDynamic(t *testing.T) {
 }
 
 // TestInternIDStableAcrossMerges decodes two trace files that share
-// handles — serially, in parallel, and merged — and requires the same
-// handle spelling to resolve to the same ID everywhere, which is what
-// lets multi-file trace sets feed ID-keyed reducers directly.
+// handles — serially, on two concurrent read-aheads, and merged — and
+// requires the same handle spelling to resolve to the same ID
+// everywhere, which is what lets multi-file trace sets feed ID-keyed
+// reducers directly.
 func TestInternIDStableAcrossMerges(t *testing.T) {
 	mkTrace := func(seed int64) []byte {
 		rng := rand.New(rand.NewSource(seed))
@@ -204,15 +205,15 @@ func TestInternIDStableAcrossMerges(t *testing.T) {
 	}
 
 	serial := collect(NewReader(bytes.NewReader(fileA)), NewReader(bytes.NewReader(fileB)))
-	prA, err := NewParallelReader(bytes.NewReader(fileA), IngestConfig{Decoders: 3, BatchBytes: 512})
+	raA, err := NewReadAhead(bytes.NewReader(fileA))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prB, err := NewParallelReader(bytes.NewReader(fileB), IngestConfig{Decoders: 3, BatchBytes: 512})
+	raB, err := NewReadAhead(bytes.NewReader(fileB))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel := collect(prA, prB)
+	parallel := collect(raA, raB)
 
 	if len(serial) == 0 || len(parallel) != len(serial) {
 		t.Fatalf("handle sets differ: serial %d, parallel %d", len(serial), len(parallel))

@@ -44,11 +44,16 @@ type Reader struct {
 	line int64
 }
 
-// NewReader wraps r. Lines up to 1 MB are supported (anonymized names
-// are bounded, but raw traces may carry long paths).
+// maxLineBytes caps one text line (anonymized names are bounded, but raw
+// traces may carry long paths). The Reader's scanner needs headroom past
+// the line itself, so a line of maxLineBytes already fails there with
+// bufio.ErrTooLong.
+const maxLineBytes = 1 << 20
+
+// NewReader wraps r.
 func NewReader(r io.Reader) *Reader {
 	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	s.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	return &Reader{s: s}
 }
 

@@ -20,11 +20,10 @@ import (
 // state to resume from. Files are coordinator-local paths; their bytes
 // are streamed to the worker, so workers need no shared filesystem.
 type Task struct {
-	ID       int
-	Spec     json.RawMessage
-	Decoders int
-	Files    []string
-	Parent   []byte
+	ID     int
+	Spec   json.RawMessage
+	Files  []string
+	Parent []byte
 }
 
 // Result is one completed task: the serialized partial state plus the
@@ -36,6 +35,10 @@ type Result struct {
 	Worker  string
 	Attempt int
 	Elapsed time.Duration
+	// Divergent reports that another valid attempt at the task returned
+	// different state bytes. State bytes are canonical, so that is a
+	// determinism bug, and the caller must not trust State.
+	Divergent bool
 }
 
 // RunStats counts what the supervision machinery did during one Run —
@@ -55,6 +58,9 @@ type RunStats struct {
 	// Duplicates counts valid results discarded because another
 	// attempt won the task first.
 	Duplicates int
+	// Divergent counts the duplicates whose digest differs from the
+	// winner's (see Result.Divergent).
+	Divergent int
 	// Completed counts tasks that finished with a valid result.
 	Completed int
 }
@@ -427,7 +433,6 @@ func (r *run) runAssignment(ctx context.Context, addr string, conn net.Conn, fr 
 		ID:          t.ID,
 		Attempt:     attempt,
 		Spec:        t.Spec,
-		Decoders:    t.Decoders,
 		HasParent:   len(t.Parent) > 0,
 		Files:       files,
 		DeadlineMS:  r.cfg.AssignTimeout.Milliseconds(),
@@ -623,17 +628,24 @@ func (r *run) fail(addr string, st *taskState, attempt int, cause error) {
 }
 
 // complete records a winning result; later valid results for the same
-// task are counted and discarded — first valid result wins, duplicates
-// detected by state digest.
+// task are counted and discarded — first valid result wins. A duplicate
+// whose digest differs marks the winner Divergent.
 func (r *run) complete(addr string, st *taskState, res *Result) {
 	r.mu.Lock()
 	st.inflight--
 	if st.done {
 		r.stats.Duplicates++
-		same := st.result != nil && st.result.Digest == res.Digest
+		if st.result.Digest == res.Digest {
+			r.mu.Unlock()
+			r.cfg.Logf("dispatch: piece %d: identical duplicate result from %s discarded", st.task.ID, addr)
+			return
+		}
+		r.stats.Divergent++
+		st.result.Divergent = true
+		winner := st.result.Digest
 		r.mu.Unlock()
-		r.cfg.Logf("dispatch: piece %d: duplicate result from %s discarded (digest %x, identical=%v)",
-			st.task.ID, addr, res.Digest[:8], same)
+		r.cfg.Logf("dispatch: piece %d: DIVERGENT duplicate result from %s (digest %x, winner %x)",
+			st.task.ID, addr, res.Digest[:8], winner[:8])
 		return
 	}
 	st.done = true

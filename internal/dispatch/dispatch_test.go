@@ -42,7 +42,7 @@ func (l *testLog) String() string {
 // stubRunner computes a deterministic state from everything the worker
 // received, optionally sleeping first (to play the straggler).
 func stubRunner(delay time.Duration) StreamRunner {
-	return func(ctx context.Context, spec, parent []byte, files []io.Reader, decoders int) ([]byte, error) {
+	return func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
 		if delay > 0 {
 			select {
 			case <-time.After(delay):
@@ -239,7 +239,7 @@ func TestDispatchCorruptStateRejected(t *testing.T) {
 func TestDispatchAnalysisErrorReportedInBand(t *testing.T) {
 	lg := &testLog{}
 	var calls atomic.Int64
-	runner := func(ctx context.Context, spec, parent []byte, files []io.Reader, decoders int) ([]byte, error) {
+	runner := func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
 		if calls.Add(1) == 1 {
 			return nil, errors.New("synthetic analysis failure")
 		}
@@ -258,29 +258,122 @@ func TestDispatchAnalysisErrorReportedInBand(t *testing.T) {
 }
 
 func TestDispatchStragglerSpeculation(t *testing.T) {
-	lg := &testLog{}
-	// The fast worker is not instant, or it could finish every piece
-	// before the slow one has registered and there would be no straggler.
-	fast := startWorker(t, &Worker{Stream: stubRunner(30 * time.Millisecond), Logf: lg.logf})
-	slow := startWorker(t, &Worker{Stream: stubRunner(2 * time.Second), Logf: lg.logf})
-	tasks, expected := makeTasks(t, 4)
-	cfg := fastCfg(lg, fast, slow)
-	cfg.StragglerMin = 50 * time.Millisecond
-	cfg.StragglerFactor = 2
-	// The slow worker heartbeats fine, so only speculation (never the
-	// watchdog) can rescue its piece quickly.
-	start := time.Now()
-	results, stats, err := Run(context.Background(), cfg, tasks)
-	if err != nil {
-		t.Fatalf("Run: %v\n%s", err, lg)
-	}
-	checkResults(t, results, expected)
-	if stats.Speculations == 0 {
-		t.Fatalf("no speculation launched: %+v\n%s", stats, lg)
-	}
-	if elapsed := time.Since(start); elapsed >= 2*time.Second {
-		t.Fatalf("run waited %v for the straggler; speculation did not win", elapsed)
-	}
+	t.Run("identical", func(t *testing.T) {
+		lg := &testLog{}
+		// The fast worker is not instant, or it could finish every piece
+		// before the slow one has registered and there would be no
+		// straggler.
+		fast := startWorker(t, &Worker{Stream: stubRunner(30 * time.Millisecond), Logf: lg.logf})
+		slow := startWorker(t, &Worker{Stream: stubRunner(2 * time.Second), Logf: lg.logf})
+		tasks, expected := makeTasks(t, 4)
+		cfg := fastCfg(lg, fast, slow)
+		cfg.StragglerMin = 50 * time.Millisecond
+		cfg.StragglerFactor = 2
+		// The slow worker heartbeats fine, so only speculation (never the
+		// watchdog) can rescue its piece quickly.
+		start := time.Now()
+		results, stats, err := Run(context.Background(), cfg, tasks)
+		if err != nil {
+			t.Fatalf("Run: %v\n%s", err, lg)
+		}
+		checkResults(t, results, expected)
+		if stats.Speculations == 0 || stats.Divergent != 0 {
+			t.Fatalf("want a speculation and no divergence: %+v\n%s", stats, lg)
+		}
+		if elapsed := time.Since(start); elapsed >= 2*time.Second {
+			t.Fatalf("run waited %v for the straggler; speculation did not win", elapsed)
+		}
+	})
+
+	// Every attempt at a piece appends its own attempt number to the
+	// state. The slow worker's attempt is held until the speculative one
+	// has started, and Validate holds each of the two results until both
+	// are in, so both reach the coordinator before the run can end.
+	t.Run("divergent", func(t *testing.T) {
+		lg := &testLog{}
+		var (
+			mu          sync.Mutex
+			starts      = make(map[string]int) // attempts started, by piece
+			straggler   string                 // the piece the slow worker took
+			vetted      int                    // straggler results validated
+			bothStarted = make(chan struct{})
+			bothVetted  = make(chan struct{})
+		)
+		runner := func(slow bool) StreamRunner {
+			return func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
+				state, err := stubState(spec, parent, files)
+				if err != nil {
+					return nil, err
+				}
+				piece := string(state)
+				mu.Lock()
+				attempt := starts[piece]
+				starts[piece]++
+				if slow && straggler == "" {
+					straggler = piece
+				}
+				if piece == straggler && starts[piece] == 2 {
+					close(bothStarted)
+				}
+				mu.Unlock()
+				if !slow {
+					time.Sleep(30 * time.Millisecond)
+					return append(state, byte(attempt)), nil
+				}
+				select {
+				case <-bothStarted:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+				return append(state, byte(attempt)), nil
+			}
+		}
+		fast := startWorker(t, &Worker{Stream: runner(false), Logf: lg.logf})
+		slow := startWorker(t, &Worker{Stream: runner(true), Logf: lg.logf})
+		tasks, expected := makeTasks(t, 4)
+		cfg := fastCfg(lg, fast, slow)
+		cfg.StragglerMin = 50 * time.Millisecond
+		cfg.StragglerFactor = 2
+		cfg.Validate = func(task Task, state []byte) error {
+			mu.Lock()
+			held := string(state[:len(state)-1]) == straggler
+			if held {
+				if vetted++; vetted == 2 {
+					close(bothVetted)
+				}
+			}
+			mu.Unlock()
+			if held {
+				select {
+				case <-bothVetted:
+				case <-time.After(5 * time.Second):
+				}
+			}
+			return nil
+		}
+		results, stats, err := Run(context.Background(), cfg, tasks)
+		if err != nil {
+			t.Fatalf("Run: %v\n%s", err, lg)
+		}
+		if len(results) != len(expected) {
+			t.Fatalf("got %d results, want %d", len(results), len(expected))
+		}
+		flagged := 0
+		for _, res := range results {
+			if !bytes.Equal(res.State[:len(res.State)-1], expected[res.TaskID]) {
+				t.Fatalf("task %d state mismatch", res.TaskID)
+			}
+			if res.Divergent {
+				flagged++
+			}
+		}
+		if stats.Duplicates != 1 || stats.Divergent != 1 || flagged != 1 {
+			t.Fatalf("want one divergent duplicate, flagged on its result (%d flagged): %+v\n%s", flagged, stats, lg)
+		}
+		if !strings.Contains(lg.String(), "DIVERGENT duplicate") {
+			t.Fatalf("divergence not logged:\n%s", lg)
+		}
+	})
 }
 
 func TestDispatchPoolDeathReturnsPartial(t *testing.T) {
@@ -322,7 +415,7 @@ func TestDispatchNoAddrs(t *testing.T) {
 func TestDispatchNetemCutMidAssignmentRetries(t *testing.T) {
 	lg := &testLog{}
 	var cutReads, clean atomic.Int64
-	runner := func(ctx context.Context, spec, parent []byte, files []io.Reader, decoders int) ([]byte, error) {
+	runner := func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
 		state, err := stubState(spec, parent, files)
 		switch {
 		case errors.Is(err, io.ErrUnexpectedEOF):
@@ -433,7 +526,7 @@ func TestWorkerDrainFinishesInFlight(t *testing.T) {
 	lg := &testLog{}
 	release := make(chan struct{})
 	started := make(chan struct{})
-	runner := func(ctx context.Context, spec, parent []byte, files []io.Reader, decoders int) ([]byte, error) {
+	runner := func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
 		close(started)
 		<-release
 		return stubState(spec, parent, files)

@@ -105,7 +105,6 @@ type assignHeader struct {
 	ID        int             `json:"id"`
 	Attempt   int             `json:"attempt"`
 	Spec      json.RawMessage `json:"spec"`
-	Decoders  int             `json:"decoders"`
 	HasParent bool            `json:"has_parent"`
 	Files     []fileMeta      `json:"files"`
 	// DeadlineMS is the worker-side execution budget in milliseconds;

@@ -38,7 +38,7 @@ func dialThrough(cfg *Config, first netem.ConnConfig) {
 func TestWorkerStreamsWhileReceiving(t *testing.T) {
 	lg := &testLog{}
 	first := make(chan struct{})
-	runner := func(ctx context.Context, spec, parent []byte, files []io.Reader, decoders int) ([]byte, error) {
+	runner := func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
 		head := make([]byte, 64)
 		if _, err := io.ReadFull(files[0], head); err != nil {
 			return nil, err
@@ -198,7 +198,7 @@ func TestWorkerBoundsWhatItBuffers(t *testing.T) {
 	for _, tc := range cases {
 		lg := &testLog{}
 		var sawEOF atomic.Bool
-		w := &Worker{Logf: lg.logf, Stream: func(ctx context.Context, spec, parent []byte, files []io.Reader, decoders int) ([]byte, error) {
+		w := &Worker{Logf: lg.logf, Stream: func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
 			state, err := stubState(spec, parent, files)
 			sawEOF.Store(err == nil)
 			return state, err
@@ -219,6 +219,47 @@ func TestWorkerBoundsWhatItBuffers(t *testing.T) {
 		if sawEOF.Load() != tc.whole {
 			t.Errorf("%s: runner read its files to a clean EOF: %v, want %v", tc.name, sawEOF.Load(), tc.whole)
 		}
+	}
+}
+
+// TestWorkerIgnoresDecodersField: coordinators of the same protocol
+// version that predate the read-ahead still send a decoder count in the
+// assign header. The worker must ignore it and run the piece as usual.
+func TestWorkerIgnoresDecodersField(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	w := &Worker{Stream: stubRunner(0)}
+	go func() {
+		w.handleConn(b)
+		b.Close()
+	}()
+	fr := newFrameRW(a)
+	if typ, _, err := fr.recv(); err != nil || typ != frameHello {
+		t.Fatalf("hello: frame 0x%02x, err %v", typ, err)
+	}
+	spec, content := []byte(`{"kind":"stub"}`), []byte("op 0;")
+	header := `{"id":7,"attempt":0,"spec":` + string(spec) + `,"decoders":4,"has_parent":false,"files":[{"name":"a","size":5}]}`
+	if err := fr.send(frameAssign, []byte(header)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.sendBlob(content); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := fr.recv()
+	if err != nil || typ != frameResult {
+		t.Fatalf("got frame 0x%02x %s, err %v; want a result", typ, payload, err)
+	}
+	var rh resultHeader
+	if err := json.Unmarshal(payload, &rh); err != nil || rh.ID != 7 {
+		t.Fatalf("result header %s: %v", payload, err)
+	}
+	state, err := fr.recvBlob(maxBlobLen, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := stubState(spec, nil, []io.Reader{bytes.NewReader(content)})
+	if !bytes.Equal(state, want) {
+		t.Fatalf("state %x, want %x", state, want)
 	}
 }
 
@@ -264,7 +305,7 @@ func FuzzWorkerAssignment(f *testing.F) {
 
 		// The whole connection handler, with a runner that reads.
 		var running atomic.Int64
-		w := &Worker{Stream: func(ctx context.Context, spec, parent []byte, files []io.Reader, decoders int) ([]byte, error) {
+		w := &Worker{Stream: func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
 			running.Add(1)
 			defer running.Add(-1)
 			for i, r := range files {
@@ -336,7 +377,7 @@ func BenchmarkDispatchLoopback(b *testing.B) {
 		}
 		tasks[i] = Task{ID: i, Spec: json.RawMessage(`{}`), Files: []string{path}}
 	}
-	drain := func(ctx context.Context, spec, parent []byte, files []io.Reader, decoders int) ([]byte, error) {
+	drain := func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
 		for _, r := range files {
 			if _, err := io.Copy(io.Discard, r); err != nil {
 				return nil, err

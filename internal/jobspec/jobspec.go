@@ -212,9 +212,12 @@ func (s *Set) State(lv *pipeline.Live, join core.JoinStats, parent *pipeline.Par
 
 // RunFiles analyzes one piece — the trace files at paths, resumed from
 // parent when the piece is a link in a chain — and returns its state.
-func RunFiles(ctx context.Context, spec Spec, paths []string, decoders int, parent *pipeline.Partial) ([]byte, error) {
+// The ignored decoders parameter remains only because the benchmark's
+// layer tracer (tools/perf/layers/dist.go) passes one, and goes when a
+// benchmark change drops it.
+func RunFiles(ctx context.Context, spec Spec, paths []string, _ int, parent *pipeline.Partial) ([]byte, error) {
 	return run(ctx, spec, parent, func() (*pipeline.TraceSet, error) {
-		return pipeline.OpenTraceSet(paths, core.IngestConfig{Decoders: decoders})
+		return pipeline.OpenTraceSet(paths, core.IngestConfig{})
 	})
 }
 
@@ -223,9 +226,9 @@ func RunFiles(ctx context.Context, spec Spec, paths []string, decoders int, pare
 // a piece still arriving over a connection is decoded, joined and
 // reduced while it arrives; any read error (a cut stream's
 // io.ErrUnexpectedEOF included) fails the run, never shortens it.
-func RunReaders(ctx context.Context, spec Spec, files []io.Reader, decoders int, parent *pipeline.Partial) ([]byte, error) {
+func RunReaders(ctx context.Context, spec Spec, files []io.Reader, parent *pipeline.Partial) ([]byte, error) {
 	return run(ctx, spec, parent, func() (*pipeline.TraceSet, error) {
-		return pipeline.OpenTraceReaders(files, core.IngestConfig{Decoders: decoders})
+		return pipeline.OpenTraceReaders(files)
 	})
 }
 
@@ -267,23 +270,23 @@ func decodeTask(specJSON, parent []byte) (Spec, *pipeline.Partial, error) {
 // RunTask is RunFiles for a piece described in bytes, which is how a
 // dispatch.Task carries it: what the coordinator calls for the pieces it
 // runs in its own process.
-func RunTask(ctx context.Context, specJSON, parent []byte, files []string, decoders int) ([]byte, error) {
+func RunTask(ctx context.Context, specJSON, parent []byte, files []string) ([]byte, error) {
 	spec, pp, err := decodeTask(specJSON, parent)
 	if err != nil {
 		return nil, err
 	}
-	return RunFiles(ctx, spec, files, decoders, pp)
+	return RunFiles(ctx, spec, files, 0, pp)
 }
 
 // RunStream is RunReaders for a piece described in bytes: the
 // dispatch.StreamRunner of nfsworker, handed the piece's files as the
 // connection delivers them.
-func RunStream(ctx context.Context, specJSON, parent []byte, files []io.Reader, decoders int) ([]byte, error) {
+func RunStream(ctx context.Context, specJSON, parent []byte, files []io.Reader) ([]byte, error) {
 	spec, pp, err := decodeTask(specJSON, parent)
 	if err != nil {
 		return nil, err
 	}
-	return RunReaders(ctx, spec, files, decoders, pp)
+	return RunReaders(ctx, spec, files, pp)
 }
 
 // DecodeState parses a serialized partial state and checks that it

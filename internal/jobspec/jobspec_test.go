@@ -122,7 +122,7 @@ func TestRenderEveryKind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts, err := pipeline.OpenTraceSet([]string{path}, core.IngestConfig{Decoders: 1})
+		ts, err := pipeline.OpenTraceSet([]string{path}, core.IngestConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestRenderEveryKind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := RunTask(context.Background(), specJSON, nil, []string{path}, 1)
+		blob, err := RunTask(context.Background(), specJSON, nil, []string{path})
 		if err != nil {
 			t.Fatalf("%s: RunTask: %v", tc.kind, err)
 		}
@@ -177,7 +177,7 @@ func TestDecodeStateDoesNotCopyTheState(t *testing.T) {
 	path := writeTraceDays(t, t.TempDir(), 1)
 	for _, kind := range []string{"runs", "reorder"} {
 		specJSON, _ := json.Marshal(Default(kind))
-		blob, err := RunTask(context.Background(), specJSON, nil, []string{path}, 1)
+		blob, err := RunTask(context.Background(), specJSON, nil, []string{path})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestRunTaskRejectsBadBytes(t *testing.T) {
 	ctx := context.Background()
 	names, _ := json.Marshal(Default("names"))
 	summary, _ := json.Marshal(Default("summary"))
-	state, err := RunTask(ctx, summary, nil, []string{path}, 1)
+	state, err := RunTask(ctx, summary, nil, []string{path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestRunTaskRejectsBadBytes(t *testing.T) {
 		{"parent truncated", summary, state[:len(state)/2], "decoding parent state"},
 		{"parent of another analysis", names, state, `holds a "summary" analysis, not "names"`},
 	} {
-		_, err := RunTask(ctx, tc.spec, tc.parent, []string{path}, 1)
+		_, err := RunTask(ctx, tc.spec, tc.parent, []string{path})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want an error mentioning %q", tc.name, err, tc.want)
 		}
@@ -275,15 +275,15 @@ func TestRunStreamOverReaders(t *testing.T) {
 		specJSON, _ := json.Marshal(spec)
 		var parent []byte
 		if seqKinds[kind] {
-			if parent, err = RunTask(ctx, specJSON, nil, []string{path}, 1); err != nil {
+			if parent, err = RunTask(ctx, specJSON, nil, []string{path}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		want, err := RunTask(ctx, specJSON, parent, []string{path}, 1)
+		want, err := RunTask(ctx, specJSON, parent, []string{path})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunStream(ctx, specJSON, parent, []io.Reader{iotest.OneByteReader(bytes.NewReader(data))}, 2)
+		got, err := RunStream(ctx, specJSON, parent, []io.Reader{iotest.OneByteReader(bytes.NewReader(data))})
 		if err != nil {
 			t.Fatalf("%s: RunStream: %v", kind, err)
 		}
@@ -297,7 +297,7 @@ func TestRunStreamOverReaders(t *testing.T) {
 	summary, _ := json.Marshal(Default("summary"))
 	boundary := bytes.IndexByte(data[len(data)/2:], '\n') + len(data)/2 + 1
 	for _, n := range []int{0, 1, boundary, boundary + 5, len(data) - 1} {
-		state, err := RunStream(ctx, summary, nil, []io.Reader{cutReader(data, n)}, 1)
+		state, err := RunStream(ctx, summary, nil, []io.Reader{cutReader(data, n)})
 		if err == nil || state != nil {
 			t.Errorf("stream cut after %d of %d bytes produced a state (err %v)", n, len(data), err)
 		}
@@ -305,10 +305,10 @@ func TestRunStreamOverReaders(t *testing.T) {
 			t.Errorf("stream cut after %d of %d bytes: err = %v, want io.ErrUnexpectedEOF", n, len(data), err)
 		}
 	}
-	if _, err := RunStream(ctx, []byte("{"), nil, []io.Reader{bytes.NewReader(data)}, 1); err == nil {
+	if _, err := RunStream(ctx, []byte("{"), nil, []io.Reader{bytes.NewReader(data)}); err == nil {
 		t.Error("spec that is not JSON accepted")
 	}
-	if _, err := RunReaders(ctx, Default("summary"), nil, 1, nil); err == nil {
+	if _, err := RunReaders(ctx, Default("summary"), nil, nil); err == nil {
 		t.Error("a piece of no files produced a state")
 	}
 }

@@ -3,8 +3,8 @@ package pipeline
 // Trace sets: the paper's deployments produced one capture per day and
 // per disk array, so a real analysis run starts from a directory of
 // files, not one file. A TraceSet opens many trace files (text or
-// binary, gzip-transparent), decodes each with its own parallel ingest
-// front end, and k-way merges the record streams back into global time
+// binary, gzip-transparent), decodes each on its own read-ahead
+// goroutine, and k-way merges the record streams back into global time
 // order — so a multi-day EECS- or CAMPUS-style trace set feeds
 // pipeline.Run in one pass, with files decoding concurrently.
 
@@ -91,12 +91,12 @@ type FileStat struct {
 // a bad file in a multi-week set is identifiable.
 type fileSource struct {
 	path string
-	pr   *core.ParallelReader
+	ra   *core.ReadAhead
 	n    int64
 }
 
 func (f *fileSource) Next() (*core.Record, error) {
-	rec, err := f.pr.Next()
+	rec, err := f.ra.Next()
 	if err == nil {
 		f.n++
 		return rec, nil
@@ -108,17 +108,19 @@ func (f *fileSource) Next() (*core.Record, error) {
 }
 
 // TraceSet is a core.RecordSource over one or more trace files. Each
-// file gets its own parallel decode front end; multiple files are
-// k-way merged by timestamp. Close releases the decoder goroutines and
-// file handles (safe mid-stream, e.g. after a pipeline error).
+// file gets its own read-ahead; multiple files are k-way merged by
+// timestamp. Close releases the read-ahead goroutines and file handles
+// (safe mid-stream, e.g. after a pipeline error).
 type TraceSet struct {
 	files   []*os.File
 	sources []*fileSource
 	src     core.RecordSource
 }
 
-// OpenTraceSet opens every path with the given ingest configuration.
-func OpenTraceSet(paths []string, cfg core.IngestConfig) (*TraceSet, error) {
+// OpenTraceSet opens every path. The empty cfg remains only because the
+// benchmark's layer tracer (tools/perf/layers) passes one, and goes when
+// a benchmark change drops it.
+func OpenTraceSet(paths []string, _ core.IngestConfig) (*TraceSet, error) {
 	files := make([]*os.File, 0, len(paths))
 	inputs := make([]io.Reader, 0, len(paths))
 	for _, path := range paths {
@@ -130,7 +132,7 @@ func OpenTraceSet(paths []string, cfg core.IngestConfig) (*TraceSet, error) {
 		files = append(files, f)
 		inputs = append(inputs, f)
 	}
-	ts, err := OpenTraceReaders(inputs, cfg)
+	ts, err := OpenTraceReaders(inputs)
 	if err != nil {
 		closeFiles(files)
 		return nil, err
@@ -145,7 +147,7 @@ func OpenTraceSet(paths []string, cfg core.IngestConfig) (*TraceSet, error) {
 // errors and Stats. Opening sniffs each input's format, so it blocks
 // until every input has produced its first bytes; the caller still owns
 // the inputs, and Close does not close them.
-func OpenTraceReaders(inputs []io.Reader, cfg core.IngestConfig) (*TraceSet, error) {
+func OpenTraceReaders(inputs []io.Reader) (*TraceSet, error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("pipeline: empty trace set")
 	}
@@ -155,12 +157,12 @@ func OpenTraceReaders(inputs []io.Reader, cfg core.IngestConfig) (*TraceSet, err
 		if n, ok := in.(interface{ Name() string }); ok {
 			name = n.Name()
 		}
-		pr, err := core.NewParallelReader(in, cfg)
+		ra, err := core.NewReadAhead(in)
 		if err != nil {
 			ts.Close()
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		ts.sources = append(ts.sources, &fileSource{path: name, pr: pr})
+		ts.sources = append(ts.sources, &fileSource{path: name, ra: ra})
 	}
 	if len(ts.sources) == 1 {
 		ts.src = ts.sources[0]
@@ -177,7 +179,7 @@ func OpenTraceReaders(inputs []io.Reader, cfg core.IngestConfig) (*TraceSet, err
 // Next implements core.RecordSource over the merged set.
 func (ts *TraceSet) Next() (*core.Record, error) { return ts.src.Next() }
 
-// Recycle implements core.RecordRecycler: every file's parallel reader
+// Recycle implements core.RecordRecycler: every file's read-ahead
 // allocates from the shared core pool, so dead records go back there.
 func (ts *TraceSet) Recycle(r *core.Record) { core.FreeRecord(r) }
 
@@ -191,11 +193,11 @@ func (ts *TraceSet) Stats() []FileStat {
 	return stats
 }
 
-// Close stops every input's decoder goroutines and closes the files
-// OpenTraceSet opened.
+// Close stops every input's read-ahead and closes the files OpenTraceSet
+// opened.
 func (ts *TraceSet) Close() error {
 	for _, s := range ts.sources {
-		s.pr.Stop()
+		s.ra.Stop()
 	}
 	return closeFiles(ts.files)
 }

@@ -7,9 +7,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"repro/internal/core"
 )
@@ -119,7 +121,7 @@ func TestTraceSetMergesByTime(t *testing.T) {
 	writeTextFile(t, p2, r2, true)
 	writeTextFile(t, p3, r3, false)
 
-	ts, err := OpenTraceSet([]string{p1, p2, p3}, core.IngestConfig{Decoders: 2, BatchBytes: 512})
+	ts, err := OpenTraceSet([]string{p1, p2, p3}, core.IngestConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestTraceSetSingleFile(t *testing.T) {
 	recs := setRecords(100, 4, 0)
 	p := filepath.Join(dir, "one.trace")
 	writeTextFile(t, p, recs, false)
-	ts, err := OpenTraceSet([]string{p}, core.IngestConfig{Decoders: 2})
+	ts, err := OpenTraceSet([]string{p}, core.IngestConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +186,7 @@ func TestTraceSetErrorNamesFile(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("not a trace line\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ts, err := OpenTraceSet([]string{good, bad}, core.IngestConfig{Decoders: 2})
+	ts, err := OpenTraceSet([]string{good, bad}, core.IngestConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +209,8 @@ func TestTraceSetCloseMidStream(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "big.trace")
 	writeTextFile(t, p, setRecords(20000, 6, 0), false)
-	ts, err := OpenTraceSet([]string{p}, core.IngestConfig{Decoders: 4, BatchBytes: 512})
+	baseline := runtime.NumGoroutine()
+	ts, err := OpenTraceSet([]string{p}, core.IngestConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,6 +221,13 @@ func TestTraceSetCloseMidStream(t *testing.T) {
 	}
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// The read-ahead goroutine exits.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before Open", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -251,7 +261,7 @@ func TestOpenTraceReaders(t *testing.T) {
 			times = append(times, rec.Time)
 		}
 	}
-	fromFiles, err := OpenTraceSet([]string{p1, p2}, core.IngestConfig{Decoders: 2})
+	fromFiles, err := OpenTraceSet([]string{p1, p2}, core.IngestConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +279,7 @@ func TestOpenTraceReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := OpenTraceReaders([]io.Reader{f1, bytes.NewReader(b2)}, core.IngestConfig{Decoders: 2})
+	ts, err := OpenTraceReaders([]io.Reader{f1, bytes.NewReader(b2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,14 +301,14 @@ func TestOpenTraceReaders(t *testing.T) {
 
 	b1, _ := os.ReadFile(p1)
 	cut := named{io.MultiReader(bytes.NewReader(b1[:len(b1)/2]), iotest.ErrReader(io.ErrUnexpectedEOF)), "piece-7"}
-	ts, err = OpenTraceReaders([]io.Reader{cut}, core.IngestConfig{Decoders: 1})
+	ts, err = OpenTraceReaders([]io.Reader{cut})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := drain(ts); err == nil || !strings.Contains(err.Error(), "piece-7: ") {
 		t.Fatalf("cut stream: err = %v, want one naming piece-7", err)
 	}
-	if _, err := OpenTraceReaders(nil, core.IngestConfig{}); err == nil {
+	if _, err := OpenTraceReaders(nil); err == nil {
 		t.Fatal("empty trace set opened")
 	}
 }

@@ -9,6 +9,7 @@
 package rpc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -212,19 +213,42 @@ func Decode(b []byte) (*Decoded, error) {
 }
 
 // Record marking (RFC 1831 §10): each RPC message sent over TCP is
-// prefixed with a 4-byte header whose top bit marks the final fragment
-// and whose low 31 bits give the fragment length.
+// carried as one or more fragments, each prefixed with a 4-byte header
+// whose top bit marks the record's final fragment and whose low 31 bits
+// give the fragment length. This is the one statement of that rule: the
+// offline RecordScanner below and the live wire.RecordConn both use it.
+
+// MaxRecordLen bounds a reassembled record (and so any one fragment),
+// protecting a receiver from hostile or corrupt length prefixes.
+const MaxRecordLen = 1 << 24
+
+const lastFragment = 1 << 31
+
+// AppendFragmentHeader appends the header of an n-byte fragment.
+func AppendFragmentHeader(b []byte, n int, last bool) []byte {
+	h := uint32(n)
+	if last {
+		h |= lastFragment
+	}
+	return binary.BigEndian.AppendUint32(b, h)
+}
+
+// ParseFragmentHeader decodes the 4-byte fragment header at the front of
+// hdr for a record that already holds have bytes: the fragment's length
+// and whether it ends the record. It fails when the fragment would take
+// the record past MaxRecordLen.
+func ParseFragmentHeader(hdr []byte, have int) (n int, last bool, err error) {
+	h := binary.BigEndian.Uint32(hdr)
+	n, last = int(h&^lastFragment), h&lastFragment != 0
+	if have+n > MaxRecordLen {
+		return 0, false, fmt.Errorf("rpc: record of %d bytes exceeds limit", have+n)
+	}
+	return n, last, nil
+}
 
 // MarkRecord frames msg as a single final record-marked fragment.
 func MarkRecord(msg []byte) []byte {
-	out := make([]byte, 4+len(msg))
-	n := uint32(len(msg)) | 0x80000000
-	out[0] = byte(n >> 24)
-	out[1] = byte(n >> 16)
-	out[2] = byte(n >> 8)
-	out[3] = byte(n)
-	copy(out[4:], msg)
-	return out
+	return append(AppendFragmentHeader(make([]byte, 0, 4+len(msg)), len(msg), true), msg...)
 }
 
 // MarkRecordFragmented frames msg as multiple record-marking fragments of
@@ -235,18 +259,9 @@ func MarkRecordFragmented(msg []byte, fragSize int) []byte {
 	}
 	var out []byte
 	for off := 0; ; off += fragSize {
-		end := off + fragSize
-		last := false
-		if end >= len(msg) {
-			end = len(msg)
-			last = true
-		}
-		n := uint32(end - off)
-		if last {
-			n |= 0x80000000
-		}
-		out = append(out, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-		out = append(out, msg[off:end]...)
+		end := min(off+fragSize, len(msg))
+		last := end == len(msg)
+		out = append(AppendFragmentHeader(out, end-off, last), msg[off:end]...)
 		if last {
 			return out
 		}
@@ -270,20 +285,17 @@ func (s *RecordScanner) Append(b []byte) {
 func (s *RecordScanner) Pending() int { return len(s.buf) }
 
 // Next returns the next complete RPC message, or nil if more stream
-// bytes are needed. It returns an error if a fragment header is invalid
-// or the fragments of one record add up to more than xdr.MaxItemLen
-// (16 MiB, the bound wire.RecordConn enforces too) — without the second
-// check a stream of non-final fragments would grow the record forever.
+// bytes are needed. It returns an error once the fragments of one record
+// add up to more than MaxRecordLen — without that check a stream of
+// non-final fragments would grow the record forever.
 func (s *RecordScanner) Next() ([]byte, error) {
 	for {
 		if len(s.buf) < 4 {
 			return nil, nil
 		}
-		hdr := uint32(s.buf[0])<<24 | uint32(s.buf[1])<<16 | uint32(s.buf[2])<<8 | uint32(s.buf[3])
-		last := hdr&0x80000000 != 0
-		n := int(hdr & 0x7FFFFFFF)
-		if len(s.frag)+n > xdr.MaxItemLen {
-			return nil, fmt.Errorf("rpc: record of %d bytes exceeds limit", len(s.frag)+n)
+		n, last, err := ParseFragmentHeader(s.buf, len(s.frag))
+		if err != nil {
+			return nil, err
 		}
 		if len(s.buf) < 4+n {
 			return nil, nil

@@ -2,20 +2,18 @@ package wire
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
+
+	"repro/internal/rpc"
 )
 
-// RFC 1831 §10 record marking: each RPC message sent over a byte stream
-// is carried as one or more fragments, each prefixed by a 4-byte header
-// whose top bit marks the final fragment and whose low 31 bits give the
-// fragment length. This is the framing layer between TCP and RPC — the
-// live transport twin of the offline record scanner in internal/rpc.
+// RFC 1831 §10 record marking over a live byte stream: the framing layer
+// between TCP and RPC. The fragment rule and its bound are rpc's, shared
+// with the offline rpc.RecordScanner.
 
-// MaxRecordLen bounds a reassembled record (and any single fragment),
-// protecting the receiver from hostile or corrupt length prefixes.
-const MaxRecordLen = 1 << 24
+// MaxRecordLen bounds a reassembled record: rpc.MaxRecordLen.
+const MaxRecordLen = rpc.MaxRecordLen
 
 // RecordConn frames RPC messages over a byte stream using record
 // marking. Reads and writes are independently safe to use from one
@@ -51,8 +49,7 @@ func (c *RecordConn) WriteRecordParts(parts ...[]byte) error {
 	if n > MaxRecordLen {
 		return fmt.Errorf("wire: record of %d bytes exceeds limit", n)
 	}
-	binary.BigEndian.PutUint32(c.whdr[:], uint32(n)|0x80000000)
-	if _, err := c.w.Write(c.whdr[:]); err != nil {
+	if _, err := c.w.Write(rpc.AppendFragmentHeader(c.whdr[:0], n, true)); err != nil {
 		return err
 	}
 	for _, p := range parts {
@@ -85,11 +82,9 @@ func (c *RecordConn) ReadRecord() ([]byte, error) {
 			return nil, err
 		}
 		started = true
-		hdr := binary.BigEndian.Uint32(c.rhdr[:])
-		last := hdr&0x80000000 != 0
-		n := int(hdr & 0x7FFFFFFF)
-		if n > MaxRecordLen || len(msg)+n > MaxRecordLen {
-			return nil, fmt.Errorf("wire: record fragment of %d bytes exceeds limit", n)
+		n, last, err := rpc.ParseFragmentHeader(c.rhdr[:], len(msg))
+		if err != nil {
+			return nil, err
 		}
 		off := len(msg)
 		if off == 0 {

@@ -7,7 +7,8 @@
 # assignment (the process dies; the coordinator must re-dispatch), and
 # one that hangs past the per-assignment deadline without heartbeating.
 # The rendered tables must be byte-identical to the single-process run,
-# and the re-dispatch machinery must be visible in the coordinator log.
+# the re-dispatch machinery must be visible in the coordinator log, and
+# no speculative duplicate may diverge from the attempt it lost to.
 set -euo pipefail
 
 workdir=$(mktemp -d)
@@ -104,5 +105,15 @@ if ! log_all | grep -Eq "connection lost mid-assignment|heartbeat: worker silent
     exit 1
 fi
 echo "   faults fired and were re-dispatched"
+
+# State bytes are canonical, so a speculative duplicate must equal the
+# attempt it lost to: every dispatch reports divergent 0.
+banners=$(log_all | grep "dispatch finished" || true)
+if [ -z "$banners" ] || echo "$banners" | grep -qv "divergent 0)"; then
+    echo "FAIL: a dispatch banner is missing or reports divergent duplicates"
+    log_all
+    exit 1
+fi
+echo "   no divergent duplicates"
 
 echo "PASS: remote dispatch with crash and hang faults is byte-identical to single-process"
