@@ -18,6 +18,11 @@
 // two runs issue byte-identical call sequences, so op counts in the
 // JSON report are bit-reproducible (latencies, of course, are not).
 //
+// Every reply is checked, not only counted: READ counts and payloads,
+// WRITE counts and LOOKUP handles (see runner.execute), and every reply
+// must match an outstanding call exactly once. A failed check is an
+// error in the report.
+//
 // Usage:
 //
 //	nfsbench -T 8 -c 4 -n 100000 -files 256 -s 1.2 -seed 1
@@ -26,6 +31,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -73,6 +79,11 @@ type config struct {
 	maxInflight int
 	rootIno     uint64
 	tracePath   string
+
+	// checkData compares READ payloads with server.Filler, the content
+	// the in-process server serves; an external server's data is its
+	// own. Not a flag: run sets it when -addr is empty.
+	checkData bool
 }
 
 // Operation kinds drawn by the workload mix. The metadata class cycles
@@ -101,6 +112,17 @@ type op struct {
 }
 
 func run(args []string, stdout, stderr io.Writer) error {
+	cfg, err := parseFlags(args, stderr)
+	if err != nil || cfg == nil {
+		return err
+	}
+	cfg.checkData = cfg.addr == ""
+	return bench(cfg, stdout, stderr)
+}
+
+// parseFlags parses and validates the command line; a nil config with
+// a nil error means -help was asked for.
+func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	var cfg config
 	fs := flag.NewFlagSet("nfsbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -125,26 +147,30 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.StringVar(&cfg.tracePath, "trace", "", "append a passive text trace of the in-process server's traffic to this file (for nfsmond/nfsanalyze; requires empty -addr)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
-			return nil
+			return nil, nil
 		}
-		return err
+		return nil, err
 	}
 	if cfg.T < 1 || cfg.outstanding < 1 || cfg.n < 1 || cfg.files < 1 {
-		return fmt.Errorf("need -T, -c, -n, -files ≥ 1")
+		return nil, fmt.Errorf("need -T, -c, -n, -files ≥ 1")
 	}
 	if cfg.readPct < 0 || cfg.writePct < 0 || cfg.readPct+cfg.writePct > 100 {
-		return fmt.Errorf("-read + -write must lie in [0,100]")
+		return nil, fmt.Errorf("-read + -write must lie in [0,100]")
 	}
 	if cfg.version != 2 && cfg.version != 3 {
-		return fmt.Errorf("-version must be 2 or 3")
+		return nil, fmt.Errorf("-version must be 2 or 3")
 	}
 	if cfg.xfer == 0 || cfg.filesize == 0 {
-		return fmt.Errorf("-xfer and -filesize must be positive")
+		return nil, fmt.Errorf("-xfer and -filesize must be positive")
 	}
 	if cfg.maxInflight < 1 {
 		cfg.maxInflight = 1
 	}
+	return &cfg, nil
+}
 
+// bench runs the benchmark cfg describes and writes its report.
+func bench(cfg *config, stdout, stderr io.Writer) error {
 	// Start the in-process server unless we were pointed at one.
 	addr := cfg.addr
 	if addr == "" {
@@ -169,7 +195,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	// Populate the benchmark namespace through the wire, so external
 	// servers work identically to the in-process one.
-	fhs, err := setupFiles(addr, &cfg)
+	fhs, err := setupFiles(addr, cfg)
 	if err != nil {
 		return fmt.Errorf("populating %d files: %w", cfg.files, err)
 	}
@@ -202,6 +228,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// draws come from its own seeded rng, so the aggregate op stream is
 	// a pure function of the flags.
 	var wg sync.WaitGroup
+	var firstFailure atomic.Pointer[error]
+	clients := make([]*client.NetClient, cfg.T)
 	clientCounts := make([]map[string]int64, cfg.T)
 	clientErrs := make([]error, cfg.T)
 	for i := 0; i < cfg.T; i++ {
@@ -210,14 +238,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("dialing client %d: %w", i, err)
 		}
 		defer cl.Close()
+		clients[i] = cl
 		wg.Add(1)
 		go func(i int, cl *client.NetClient) {
 			defer wg.Done()
 			r := runner{
-				cfg: &cfg, client: cl, clientIdx: i,
+				cfg: cfg, client: cl, clientIdx: i,
 				fhs: fhs, zipfFile: zipfFile, zipfBlock: zipfBlock,
 				collector: collector, completed: &completed,
-				counts: make(map[string]int64),
+				firstFailure: &firstFailure,
+				counts:       make(map[string]int64),
 			}
 			if cfg.rate > 0 {
 				clientErrs[i] = r.openLoop()
@@ -237,7 +267,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	rep := buildReport(&cfg, elapsed, collector, clientCounts)
+	// A reply no call was waiting for is a reply the server sent twice
+	// or for a call never made: a failure like any other.
+	var unmatched int64
+	for _, cl := range clients {
+		unmatched += cl.Unmatched.Load()
+	}
+	rep := buildReport(cfg, elapsed, collector, clientCounts, unmatched)
 	out := stdout
 	if cfg.jsonPath != "" {
 		f, err := os.Create(cfg.jsonPath)
@@ -256,6 +292,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "nfsbench: %d ops in %.2fs = %.0f ops/s; p50 %.0fµs p90 %.0fµs p99 %.0fµs p999 %.0fµs; %d errors\n",
 		rep.TotalOps, rep.ElapsedSec, rep.ThroughputOpsPerSec,
 		all.P50Us, all.P90Us, all.P99Us, all.P999Us, rep.Errors)
+	if err := firstFailure.Load(); err != nil {
+		fmt.Fprintln(stderr, "nfsbench: first failure:", *err)
+	}
 	return nil
 }
 
@@ -324,6 +363,10 @@ type runner struct {
 	collector *stats.Collector
 	completed *atomic.Int64
 	counts    map[string]int64
+
+	// firstFailure keeps the first error any runner saw, for the
+	// closing summary line.
+	firstFailure *atomic.Pointer[error]
 }
 
 // rng builds the deterministic generator for one draw stream of this
@@ -355,22 +398,50 @@ func (r *runner) draw(rng *rand.Rand) op {
 }
 
 // execute performs one operation on the wire and returns the NFS
-// status.
+// status. A reply that fails a check is an error, like a transport
+// failure: a READ must carry as many bytes as its count says (and, from
+// the in-process server, exactly server.Filler's), a WRITE must report
+// all -xfer bytes written, and a LOOKUP must return the handle set-up
+// recorded for the name.
 func (r *runner) execute(o op) (uint32, error) {
 	fh := r.fhs[o.file]
+	xfer := uint32(r.cfg.xfer)
 	switch o.kind {
 	case kindRead:
-		return r.client.NetRead(fh, o.off, uint32(r.cfg.xfer))
+		n, data, status, err := r.client.NetReadData(fh, o.off, xfer)
+		if err == nil && status == nfs.OK {
+			err = r.checkRead(o, n, data)
+		}
+		return status, err
 	case kindWrite:
-		return r.client.NetWrite(fh, o.off, uint32(r.cfg.xfer))
+		n, status, err := r.client.NetWriteCount(fh, o.off, xfer)
+		if err == nil && status == nfs.OK && n != xfer {
+			err = fmt.Errorf("WRITE of %d bytes at %d: reply count %d", xfer, o.off, n)
+		}
+		return status, err
 	case kindGetattr:
 		return r.client.NetGetattr(fh)
 	case kindLookup:
-		_, status, err := r.client.NetLookup(nfs.MakeFH(r.cfg.rootIno), benchFileName(o.file))
+		name := benchFileName(o.file)
+		got, status, err := r.client.NetLookup(nfs.MakeFH(r.cfg.rootIno), name)
+		if err == nil && status == nfs.OK && !got.Equal(fh) {
+			err = fmt.Errorf("LOOKUP %s: handle %s, set-up recorded %s", name, got, fh)
+		}
 		return status, err
 	default:
 		return r.client.NetAccess(fh)
 	}
+}
+
+// checkRead validates one successful READ reply.
+func (r *runner) checkRead(o op, n uint32, data []byte) error {
+	if int(n) != len(data) {
+		return fmt.Errorf("READ at %d: reply count %d, %d data bytes", o.off, n, len(data))
+	}
+	if r.cfg.checkData && !bytes.Equal(data, server.Filler(len(data))) {
+		return fmt.Errorf("READ at %d: %d data bytes differ from the server's content", o.off, n)
+	}
+	return nil
 }
 
 // measure runs one operation, charging latency from issueAt (wall time
@@ -378,8 +449,12 @@ func (r *runner) execute(o op) (uint32, error) {
 func (r *runner) measure(shard *stats.LatencyShard, o op, issueAt time.Time) {
 	class := kindClass[o.kind]
 	status, err := r.execute(o)
-	if err != nil || status != nfs.OK {
+	if err == nil && status != nfs.OK {
+		err = fmt.Errorf("%s: status %d", kindName[o.kind], status)
+	}
+	if err != nil {
 		shard.RecordError(class)
+		r.firstFailure.CompareAndSwap(nil, &err)
 	} else {
 		shard.Record(class, time.Since(issueAt).Seconds())
 	}
@@ -483,11 +558,14 @@ func livePrinter(w io.Writer, interval time.Duration, completed *atomic.Int64, s
 
 // Report is the machine-readable result. With a fixed seed, TotalOps
 // and OpCounts are bit-reproducible across runs; timing fields are not.
+// Errors counts failed operations, replies that failed a check, and
+// Unmatched: replies whose xid matched no outstanding call.
 type Report struct {
 	Config              ReportConfig           `json:"config"`
 	ElapsedSec          float64                `json:"elapsed_sec"`
 	TotalOps            int64                  `json:"total_ops"`
 	Errors              int64                  `json:"errors"`
+	Unmatched           int64                  `json:"unmatched"`
 	ThroughputOpsPerSec float64                `json:"throughput_ops_per_sec"`
 	OpCounts            map[string]int64       `json:"op_counts"`
 	Classes             map[string]ClassReport `json:"classes"`
@@ -553,7 +631,7 @@ func classReport(h *stats.LatencyHist, errs int64) ClassReport {
 	return rep
 }
 
-func buildReport(cfg *config, elapsed time.Duration, col *stats.Collector, clientCounts []map[string]int64) *Report {
+func buildReport(cfg *config, elapsed time.Duration, col *stats.Collector, clientCounts []map[string]int64, unmatched int64) *Report {
 	mode := "closed"
 	if cfg.rate > 0 {
 		mode = "open"
@@ -570,7 +648,8 @@ func buildReport(cfg *config, elapsed time.Duration, col *stats.Collector, clien
 		},
 		ElapsedSec:          elapsed.Seconds(),
 		TotalOps:            int64(cfg.n),
-		Errors:              col.TotalErrors(),
+		Errors:              col.TotalErrors() + unmatched,
+		Unmatched:           unmatched,
 		ThroughputOpsPerSec: float64(total.Count()) / elapsed.Seconds(),
 		OpCounts:            make(map[string]int64),
 		Classes: map[string]ClassReport{

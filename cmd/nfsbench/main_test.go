@@ -3,8 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net"
 	"reflect"
 	"testing"
+
+	"repro/internal/nfs"
+	"repro/internal/rpc"
+	"repro/internal/server"
+	"repro/internal/vfs"
+	"repro/internal/wire"
+	"repro/internal/xdr"
 )
 
 // benchRun invokes run() with a tiny deterministic workload and parses
@@ -129,5 +137,136 @@ func TestBenchBadFlags(t *testing.T) {
 		if err := run(args, &out, &out); err == nil {
 			t.Errorf("run(%v) accepted invalid flags", args)
 		}
+	}
+}
+
+// tamperingServer serves NFSv3 from a fresh in-process server on
+// loopback and passes every result through tamper before encoding it.
+// With stray set it also sends, ahead of each WRITE reply, a copy under
+// an xid no call carries. It stands in for a server with a buffer-reuse
+// bug: replies that are well-formed but wrong.
+func tamperingServer(t *testing.T, tamper func(proc uint32, res any), stray bool) string {
+	t.Helper()
+	srv := server.New(vfs.New())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				rc := wire.NewRecordConn(conn)
+				for {
+					msg, err := rc.ReadRecord()
+					if err != nil {
+						return
+					}
+					dec, err := rpc.Decode(msg)
+					if err != nil {
+						return
+					}
+					h := dec.Call
+					args, err := nfs.DecodeArgs3(h.Proc, h.Args)
+					if err != nil {
+						return
+					}
+					res := srv.HandleV3(h.Proc, args)
+					if tamper != nil {
+						tamper(h.Proc, res)
+					}
+					body := xdr.NewEncoder(256)
+					if err := nfs.EncodeRes3(body, h.Proc, res); err != nil {
+						return
+					}
+					reply := func(xid uint32) error {
+						e := xdr.NewEncoder(256 + body.Len())
+						rpc.EncodeReply(e, &rpc.ReplyHeader{XID: xid, ReplyStat: rpc.MsgAccepted,
+							AcceptStat: rpc.Success, Results: body.Bytes()})
+						return rc.WriteRecord(e.Bytes())
+					}
+					if stray && h.Proc == nfs.V3Write && reply(h.XID^1<<31) != nil {
+						return
+					}
+					if reply(h.XID) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestBenchChecksReplies points the harness, with the in-process data
+// check on, at servers that each get one kind of reply wrong, and
+// expects every such reply in the report's errors.
+func TestBenchChecksReplies(t *testing.T) {
+	cases := []struct {
+		name   string
+		tamper func(proc uint32, res any)
+		stray  bool
+		// wrong returns how many errors the report must show.
+		wrong func(rep *Report) int64
+	}{
+		{name: "honest", wrong: func(*Report) int64 { return 0 }},
+		{name: "read payload", tamper: func(proc uint32, res any) {
+			if r, ok := res.(*nfs.ReadRes3); ok && len(r.Data) > 0 {
+				r.Data = bytes.Clone(r.Data) // Filler is shared storage
+				r.Data[len(r.Data)/2] ^= 0x20
+			}
+		}, wrong: func(rep *Report) int64 { return rep.OpCounts["READ"] }},
+		{name: "read count", tamper: func(proc uint32, res any) {
+			if r, ok := res.(*nfs.ReadRes3); ok {
+				r.Count++
+			}
+		}, wrong: func(rep *Report) int64 { return rep.OpCounts["READ"] }},
+		{name: "write count", tamper: func(proc uint32, res any) {
+			if r, ok := res.(*nfs.WriteRes3); ok {
+				r.Count--
+			}
+		}, wrong: func(rep *Report) int64 { return rep.OpCounts["WRITE"] }},
+		{name: "lookup handle", tamper: func(proc uint32, res any) {
+			if r, ok := res.(*nfs.LookupRes3); ok && r.Status == nfs.OK {
+				r.FH = nfs.MakeFH(1 << 40)
+			}
+		}, wrong: func(rep *Report) int64 { return rep.OpCounts["LOOKUP"] }},
+		{name: "stray reply", stray: true, wrong: func(rep *Report) int64 { return rep.OpCounts["WRITE"] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := parseFlags([]string{
+				"-addr", tamperingServer(t, tc.tamper, tc.stray),
+				"-seed", "3", "-n", "300", "-T", "2", "-c", "2",
+				"-files", "8", "-filesize", "8192", "-xfer", "1024", "-interval", "0",
+			}, &bytes.Buffer{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.checkData = true
+			var stdout, stderr bytes.Buffer
+			if err := bench(cfg, &stdout, &stderr); err != nil {
+				t.Fatalf("bench: %v\n%s", err, stderr.String())
+			}
+			var rep Report
+			if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
+				t.Fatal(err)
+			}
+			want := tc.wrong(&rep)
+			if tc.name != "honest" && want == 0 {
+				t.Fatalf("op stream has no operation to get wrong: %v", rep.OpCounts)
+			}
+			if rep.Errors != want {
+				t.Fatalf("report errors %d (unmatched %d), want %d\n%s", rep.Errors, rep.Unmatched, want, stderr.String())
+			}
+			if tc.stray && rep.Unmatched != want {
+				t.Fatalf("unmatched %d, want %d", rep.Unmatched, want)
+			}
+		})
 	}
 }

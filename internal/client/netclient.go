@@ -292,22 +292,54 @@ func (c *NetClient) NetLookup(dir nfs.FH, name string) (nfs.FH, uint32, error) {
 
 // NetRead reads count bytes at offset and returns the status.
 func (c *NetClient) NetRead(fh nfs.FH, offset uint64, count uint32) (uint32, error) {
+	_, _, status, err := c.NetReadData(fh, offset, count)
+	return status, err
+}
+
+// NetReadData is NetRead that also returns the reply's byte count and
+// data. The data aliases the reply record, which the client never
+// reuses. A v2 reply carries no separate count, so n is then the data
+// length.
+func (c *NetClient) NetReadData(fh nfs.FH, offset uint64, count uint32) (n uint32, data []byte, status uint32, err error) {
 	res, err := c.callV3(nfs.V3Read, &nfs.ReadArgs3{FH: fh, Offset: offset, Count: count})
 	if err != nil {
-		return 0, err
+		return 0, nil, 0, err
 	}
-	return StatusOf(res), nil
+	switch r := res.(type) {
+	case *nfs.ReadRes3:
+		return r.Count, r.Data, r.Status, nil
+	case *nfs.ReadRes2:
+		return uint32(len(r.Data)), r.Data, r.Status, nil
+	}
+	return 0, nil, nfs.ErrIO, nil
 }
 
 // NetWrite writes count filler bytes at offset and returns the status.
 func (c *NetClient) NetWrite(fh nfs.FH, offset uint64, count uint32) (uint32, error) {
+	_, status, err := c.NetWriteCount(fh, offset, count)
+	return status, err
+}
+
+// NetWriteCount is NetWrite that also returns the byte count the server
+// reports written. A v2 reply carries no count: a successful v2 WRITE
+// writes all of its data, so n is then count.
+func (c *NetClient) NetWriteCount(fh nfs.FH, offset uint64, count uint32) (n uint32, status uint32, err error) {
 	res, err := c.callV3(nfs.V3Write, &nfs.WriteArgs3{
 		FH: fh, Offset: offset, Count: count, Stable: nfs.FileSync,
 		Data: server.Filler(int(count))})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return StatusOf(res), nil
+	switch r := res.(type) {
+	case *nfs.WriteRes3:
+		return r.Count, r.Status, nil
+	case *nfs.AttrStatRes2:
+		if r.Status == nfs.OK {
+			n = count
+		}
+		return n, r.Status, nil
+	}
+	return 0, nfs.ErrIO, nil
 }
 
 // NetCreate makes name in dir, returning the new handle.
