@@ -11,6 +11,7 @@ import (
 	"repro/internal/rpc"
 	"repro/internal/server"
 	"repro/internal/wire"
+	"repro/internal/wire/sock"
 	"repro/internal/xdr"
 )
 
@@ -30,7 +31,10 @@ type NetClient struct {
 	conn net.Conn
 	rc   *wire.RecordConn
 
-	wmu sync.Mutex // serializes record writes
+	// wmu serializes record writes and guards the encoders each call
+	// is built in: the call header, then the args, in one encoder.
+	wmu        sync.Mutex
+	call, cred xdr.Encoder
 
 	mu       sync.Mutex // guards xid, inflight, err
 	xid      uint32
@@ -70,7 +74,7 @@ func DialNFS(addr string, version uint32, uid, gid uint32) (*NetClient, error) {
 		UID:      uid,
 		GID:      gid,
 		conn:     conn,
-		rc:       wire.NewRecordConn(conn),
+		rc:       sock.NewRecordConn(conn),
 		inflight: make(map[uint32]*netCall),
 	}
 	go c.readLoop()
@@ -147,55 +151,74 @@ func decodeReply(version, proc uint32, h *rpc.ReplyHeader) netReply {
 // Call issues one procedure in the client's own version vocabulary and
 // blocks until the reply arrives. It is safe to call from many
 // goroutines; concurrent calls pipeline on the shared connection.
+//
+// Each reply is read into a fresh record that the decoded results
+// alias and that callers keep (nfsbench holds LOOKUP and CREATE handles
+// for a whole run), so replies are never read into a reused buffer.
 func (c *NetClient) Call(proc uint32, args any) (any, error) {
-	argEnc := xdr.NewEncoder(256)
-	var err error
-	if c.Version == nfs.V3 {
-		err = nfs.EncodeArgs3(argEnc, proc, args)
-	} else {
-		err = nfs.EncodeArgs2(argEnc, proc, args)
-	}
+	call := &netCall{version: c.Version, proc: proc, done: make(chan netReply, 1)}
+	c.wmu.Lock()
+	err := c.send(call, args)
+	c.wmu.Unlock()
 	if err != nil {
 		return nil, err
 	}
+	r := <-call.done
+	return r.res, r.err
+}
 
-	call := &netCall{version: c.Version, proc: proc, done: make(chan netReply, 1)}
+// send registers call under a fresh xid and writes it. The caller holds
+// wmu.
+func (c *NetClient) send(call *netCall, args any) error {
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return nil, err
+		return err
 	}
 	c.xid++
 	xid := c.xid
 	c.inflight[xid] = call
 	c.mu.Unlock()
 
-	cred := xdr.NewEncoder(64)
-	(&rpc.AuthSysBody{MachineName: "nfsbench", UID: c.UID, GID: c.GID}).Encode(cred)
-	e := xdr.NewEncoder(128 + argEnc.Len())
+	c.cred.Reset()
+	(&rpc.AuthSysBody{MachineName: "nfsbench", UID: c.UID, GID: c.GID}).Encode(&c.cred)
+	e := &c.call
+	e.Reset()
 	rpc.EncodeCall(e, &rpc.CallHeader{
 		XID:     xid,
 		Program: rpc.ProgramNFS,
-		Version: c.Version,
-		Proc:    proc,
-		Cred:    rpc.OpaqueAuth{Flavor: rpc.AuthSys, Body: cred.Bytes()},
+		Version: call.version,
+		Proc:    call.proc,
+		Cred:    rpc.OpaqueAuth{Flavor: rpc.AuthSys, Body: c.cred.Bytes()},
 		Verf:    rpc.OpaqueAuth{Flavor: rpc.AuthNone},
-		Args:    argEnc.Bytes(),
 	})
-
-	c.wmu.Lock()
-	werr := c.rc.WriteRecord(e.Bytes())
-	c.wmu.Unlock()
-	if werr != nil {
-		c.mu.Lock()
-		delete(c.inflight, xid)
-		c.mu.Unlock()
-		c.fail(werr)
-		return nil, werr
+	var err error
+	if call.version == nfs.V3 {
+		err = nfs.EncodeArgs3(e, call.proc, args)
+	} else {
+		err = nfs.EncodeArgs2(e, call.proc, args)
 	}
-	r := <-call.done
-	return r.res, r.err
+	if err != nil {
+		c.forget(xid)
+		return err
+	}
+	err = c.rc.WriteRecord(e.Bytes())
+	if cap(e.Bytes()) > wire.MaxReuse {
+		*e = xdr.Encoder{}
+	}
+	if err != nil {
+		c.forget(xid)
+		c.fail(err)
+	}
+	return err
+}
+
+// forget drops a call that never reached the wire.
+func (c *NetClient) forget(xid uint32) {
+	c.mu.Lock()
+	delete(c.inflight, xid)
+	c.mu.Unlock()
 }
 
 // callV3 issues a call expressed in v3 vocabulary, translating args for

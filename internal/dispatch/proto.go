@@ -52,10 +52,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/wire"
+	"repro/internal/wire/sock"
 )
 
 // ProtocolVersion gates coordinator/worker compatibility: a worker
@@ -148,8 +150,8 @@ type frameRW struct {
 	written atomic.Int64
 }
 
-func newFrameRW(rw io.ReadWriter) *frameRW {
-	return &frameRW{rc: wire.NewRecordConn(rw)}
+func newFrameRW(conn net.Conn) *frameRW {
+	return &frameRW{rc: sock.NewRecordConn(conn)}
 }
 
 // send writes one frame: type byte + payload, the payload uncopied.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/nfs"
 	"repro/internal/rpc"
 	"repro/internal/wire"
+	"repro/internal/wire/sock"
 	"repro/internal/xdr"
 )
 
@@ -121,40 +122,58 @@ func (ns *NetServer) serveConn(conn net.Conn) {
 		ns.connMu.Unlock()
 		conn.Close()
 	}()
-	rc := wire.NewRecordConn(conn)
 	var id connID
 	if ns.trace != nil {
 		id = newConnID(conn)
 	}
+	ns.serve(sock.NewRecordConn(conn), id, &connBuffers{})
+}
+
+// connBuffers is what one connection reuses from call to call: the
+// buffer each call record is read into and the encoder each reply is
+// built in. A call's decoded args alias the call buffer and are dead
+// once its reply is written; neither vfs nor the trace tap keeps them
+// (names are copied into strings, handles interned from FH.String).
+type connBuffers struct {
+	call  []byte
+	reply xdr.Encoder
+}
+
+// serve answers calls in order until the stream ends or goes bad.
+func (ns *NetServer) serve(rc *wire.RecordConn, id connID, bufs *connBuffers) {
 	for {
-		msg, err := rc.ReadRecord()
+		msg, err := rc.ReadRecordInto(bufs.call)
 		if err != nil {
 			return // EOF or peer gone
 		}
-		reply, err := ns.handle(msg, id)
-		if err != nil {
+		bufs.reply.Reset()
+		if err := ns.handle(&bufs.reply, msg, id); err != nil {
 			ns.badRPC.Add(1)
 			return // garbage stream: drop the connection
 		}
-		if err := rc.WriteRecord(reply); err != nil {
+		if err := rc.WriteRecord(bufs.reply.Bytes()); err != nil {
 			return
+		}
+		bufs.call = wire.Recycle(msg)
+		if cap(bufs.reply.Bytes()) > wire.MaxReuse {
+			bufs.reply = xdr.Encoder{}
 		}
 	}
 }
 
-// handle executes one RPC call message and returns the encoded reply.
-// A non-nil error means the message was not a well-formed call and the
-// connection cannot be trusted to stay in sync.
-func (ns *NetServer) handle(msg []byte, id connID) ([]byte, error) {
+// handle executes one RPC call message and encodes the reply into e,
+// which must be empty. A non-nil error means the message was not a
+// well-formed call and the connection cannot be trusted to stay in sync.
+func (ns *NetServer) handle(e *xdr.Encoder, msg []byte, id connID) error {
 	dec, err := rpc.Decode(msg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if dec.Type != rpc.Call {
-		return nil, fmt.Errorf("server: unexpected reply message on server socket")
+		return fmt.Errorf("server: unexpected reply message on server socket")
 	}
 	h := dec.Call
-	reply := &rpc.ReplyHeader{XID: h.XID, ReplyStat: rpc.MsgAccepted}
+	reply := rpc.ReplyHeader{XID: h.XID, ReplyStat: rpc.MsgAccepted}
 	switch {
 	case h.Program != rpc.ProgramNFS:
 		reply.AcceptStat = rpc.ProgUnavail
@@ -177,26 +196,29 @@ func (ns *NetServer) handle(msg []byte, id connID) ([]byte, error) {
 			res = ns.srv.HandleV2(h.Proc, args)
 		}
 		ns.calls.Add(1)
-		body := xdr.NewEncoder(256)
-		if err := encodeRes(h.Version, h.Proc, body, res); err != nil {
+		// The results follow the success header in the same encoder;
+		// if they fail to encode, start over with SystemErr.
+		reply.AcceptStat = rpc.Success
+		rpc.EncodeReply(e, &reply)
+		hdrLen := e.Len()
+		if err := encodeRes(h.Version, h.Proc, e, res); err != nil {
+			e.Reset()
 			reply.AcceptStat = rpc.SystemErr
 			break
 		}
-		reply.AcceptStat = rpc.Success
-		reply.Results = body.Bytes()
 		// The tap emits the pair together so no call ever surfaces
 		// without its reply (an unmatched call would read as packet
 		// loss to the analyses).
 		if callRec != nil {
 			ns.trace(callRec)
-			if rr := traceReply(traceNow(), id, h, reply.Results); rr != nil {
+			if rr := traceReply(traceNow(), id, h, e.Bytes()[hdrLen:]); rr != nil {
 				ns.trace(rr)
 			}
 		}
+		return nil
 	}
-	e := xdr.NewEncoder(256 + len(reply.Results))
-	rpc.EncodeReply(e, reply)
-	return e.Bytes(), nil
+	rpc.EncodeReply(e, &reply)
+	return nil
 }
 
 func decodeArgs(version, proc uint32, body []byte) (any, error) {

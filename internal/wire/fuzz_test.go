@@ -9,7 +9,8 @@ import (
 )
 
 // FuzzRecordFraming runs the two RFC 1831 record-marking readers over
-// the same stream: RecordConn reading it whole, and rpc.RecordScanner
+// the same stream: RecordConn reading it whole (into fresh slices, and
+// again into one reused buffer), and rpc.RecordScanner
 // fed slices whose sizes cycle through sizes, as TCP segments would
 // arrive. They must deliver the same messages in the same order, and
 // one reports a framing error exactly when the other does. A stream cut
@@ -34,6 +35,24 @@ func FuzzRecordFraming(f *testing.F) {
 			}
 		}
 		connFraming := connErr != io.EOF && connErr != io.ErrUnexpectedEOF
+
+		// The same stream read through one reused buffer must give the
+		// same records and end the same way.
+		reuse := NewRecordConn(&rwBuffer{r: bytes.NewBuffer(stream), w: &bytes.Buffer{}})
+		var buf []byte
+		for i := 0; ; i++ {
+			msg, err := reuse.ReadRecordInto(buf)
+			if err != nil {
+				if err.Error() != connErr.Error() || i != len(want) {
+					t.Fatalf("reused buffer ended with %v after %d records, RecordConn with %v after %d", err, i, connErr, len(want))
+				}
+				break
+			}
+			if i >= len(want) || !bytes.Equal(msg, want[i]) {
+				t.Fatalf("reused buffer record %d: %x", i, msg)
+			}
+			buf = msg
+		}
 
 		var got [][]byte
 		var sc rpc.RecordScanner
