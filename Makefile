@@ -21,7 +21,7 @@ race-server: ## hammer the concurrent serving stack under -race (torture tests, 
 #   make bench BENCH_COUNT=10 > new.txt && benchstat old.txt new.txt
 BENCH_COUNT ?= 5
 
-bench: ## run the pipeline scaling, run-finish, ingest, analysis, partial-state round-trip, dispatch-transport, wire-codec and loopback-serving benchmarks (benchstat-friendly)
+bench: ## run the pipeline scaling, run-finish, ingest, analysis, partial-state round-trip, dispatch-transport, wire-codec, loopback-serving and pcap-capture benchmarks (benchstat-friendly)
 	$(GO) test -run xxx -bench 'BenchmarkPipelineWorkers|BenchmarkSortWindow|BenchmarkRunsFinish|BenchmarkReorderSweep' -benchmem -count $(BENCH_COUNT) .
 	$(GO) test -run xxx -bench . -benchmem -count $(BENCH_COUNT) ./internal/pipeline
 	$(GO) test -run xxx -bench 'BenchmarkIngest|BenchmarkUnmarshalRecordBytes|BenchmarkAppendMarshal|BenchmarkInternFH' -benchmem -count $(BENCH_COUNT) ./internal/core
@@ -29,8 +29,9 @@ bench: ## run the pipeline scaling, run-finish, ingest, analysis, partial-state 
 	$(GO) test -run xxx -bench 'BenchmarkDecodeRes3|BenchmarkDecodeReadArgs3|BenchmarkParseCallSemantic' -benchmem -count $(BENCH_COUNT) ./internal/nfs
 	$(GO) test -run xxx -bench . -benchmem -count $(BENCH_COUNT) ./internal/xdr
 	$(GO) test -run xxx -bench 'BenchmarkNetLoopback' -benchmem -count $(BENCH_COUNT) ./internal/server
+	$(GO) test -run xxx -bench 'BenchmarkReadPcap' -benchmem -count $(BENCH_COUNT) ./internal/capture
 
-bench-smoke: ## run the ingest, pipeline (partial-state round trip included), run-finish, dispatch, wire-codec and loopback-serving benchmarks once (CI regression visibility, not gating)
+bench-smoke: ## run the ingest, pipeline (partial-state round trip included), run-finish, dispatch, wire-codec, loopback-serving and pcap-capture benchmarks once (CI regression visibility, not gating)
 	$(GO) test -run xxx -bench 'BenchmarkPipelineWorkers|BenchmarkSortWindow|BenchmarkRunsFinish|BenchmarkReorderSweep' -benchmem -benchtime 3x .
 	$(GO) test -run xxx -bench . -benchmem -benchtime 3x ./internal/pipeline
 	$(GO) test -run xxx -bench 'BenchmarkIngest|BenchmarkUnmarshalRecordBytes|BenchmarkAppendMarshal|BenchmarkInternFH' -benchmem -benchtime 3x ./internal/core
@@ -38,6 +39,7 @@ bench-smoke: ## run the ingest, pipeline (partial-state round trip included), ru
 	$(GO) test -run xxx -bench 'BenchmarkDecodeRes3|BenchmarkDecodeReadArgs3|BenchmarkParseCallSemantic' -benchmem -benchtime 3x ./internal/nfs
 	$(GO) test -run xxx -bench . -benchmem -benchtime 3x ./internal/xdr
 	$(GO) test -run xxx -bench 'BenchmarkNetLoopback' -benchmem -benchtime 3x ./internal/server
+	$(GO) test -run xxx -bench 'BenchmarkReadPcap' -benchmem -benchtime 3x ./internal/capture
 
 nfsbench-smoke: ## drive the socket stack once with the load harness, closed and open loop (CI regression visibility, not gating)
 	$(GO) run ./cmd/nfsbench -seed 1 -n 5000 -T 2 -c 2 -files 32 -filesize 65536 -interval 0 -json /dev/null
@@ -67,6 +69,8 @@ perf-check: ## vet and test the benchmark module, including the tracer's smoke r
 loc: ## non-test, non-blank, non-comment Go lines per package (tools/perf excluded); the number simplicity PRs quote
 	@bash scripts/loc.sh
 
+# FuzzCapture's seeds are whole captures of a few KiB; without a short
+# -fuzzminimizetime the fuzzer spends its budget minimizing them.
 fuzz: ## run each native fuzz target for 10s
 	$(GO) test -run xxx -fuzz FuzzTextRecord -fuzztime 10s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s ./internal/core
@@ -79,6 +83,8 @@ fuzz: ## run each native fuzz target for 10s
 	$(GO) test -run xxx -fuzz FuzzNFSDecode -fuzztime 10s ./internal/nfs
 	$(GO) test -run xxx -fuzz FuzzRPCDecode -fuzztime 10s ./internal/rpc
 	$(GO) test -run xxx -fuzz FuzzRecordFraming -fuzztime 10s ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzCapture -fuzztime 10s -fuzzminimizetime 2s ./internal/capture
+	$(GO) test -run xxx -fuzz FuzzAppendSeconds -fuzztime 10s ./internal/core
 
 cover: ## run the suite with coverage and enforce the committed floor
 	$(GO) test -coverprofile=cover.out ./...

@@ -376,7 +376,7 @@ func (a *Anonymizer) Load(r io.Reader) error {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Fields(line)
+		fields := mapFields(line)
 		if len(fields) != 3 {
 			return fmt.Errorf("anon: line %d: want 3 fields, got %d", lineNo, len(fields))
 		}
@@ -415,4 +415,21 @@ func (a *Anonymizer) Load(r io.Reader) error {
 		}
 	}
 	return s.Err()
+}
+
+// mapFields splits a table line into its fields. A quoted string is one
+// field even when it holds spaces, as Save quotes names.
+func mapFields(line string) []string {
+	var fields []string
+	for line = strings.TrimLeft(line, " \t"); line != ""; line = strings.TrimLeft(line, " \t") {
+		n := strings.IndexAny(line, " \t")
+		if q, err := strconv.QuotedPrefix(line); err == nil {
+			n = len(q)
+		} else if n < 0 {
+			n = len(line)
+		}
+		fields = append(fields, line[:n])
+		line = line[n:]
+	}
+	return fields
 }

@@ -188,7 +188,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	a := newAnon()
-	inputs := []string{"alpha.c", "beta.tex", "gamma~", "#delta", "plain"}
+	inputs := []string{"alpha.c", "beta.tex", "gamma~", "#delta", "plain", "to do=now.txt", "two  spaces", "tab\tname", `q"uote`}
 	want := map[string]string{}
 	for _, n := range inputs {
 		want[n] = a.Name(n)

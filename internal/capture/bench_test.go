@@ -1,6 +1,8 @@
 package capture
 
 import (
+	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/client"
@@ -46,6 +48,27 @@ func BenchmarkSnifferTCPStream(b *testing.B) {
 			b.Fatalf("decoded %d, want %d", got, want)
 		}
 	}
+}
+
+// BenchmarkReadPcap measures nfstrace's loop, pcap bytes to text lines,
+// over an EECS capture (UDP, standard MTU), reporting the bytes and
+// allocations per packet besides the time.
+func BenchmarkReadPcap(b *testing.B) {
+	capture := eecsPcap(b, 2, 0.5)
+	b.SetBytes(int64(len(capture)))
+	traceCapture(b, capture, io.Discard)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	var pkts int64
+	for i := 0; i < b.N; i++ {
+		pkts += traceCapture(b, capture, io.Discard)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pkts), "ns/pkt")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(pkts), "B/pkt")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(pkts), "allocs/pkt")
 }
 
 var _ = client.SliceSink{} // keep the import for the rig helper

@@ -9,6 +9,7 @@
 package capture
 
 import (
+	"encoding/hex"
 	"io"
 
 	"repro/internal/anon"
@@ -33,6 +34,10 @@ type Stats struct {
 	OrphanReplies  int64 // replies with no pending call (call lost)
 	DecodeErrors   int64 // NFS bodies that failed to parse
 	EvictedPending int64 // pending calls dropped by timeout
+	// DroppedDatagrams counts incomplete UDP datagrams whose fragments
+	// were given up: restarted by a reused IPID, or dropped oldest first
+	// once the defragmenter's cap on open reassemblies was reached.
+	DroppedDatagrams int64
 }
 
 // LossEstimate mirrors core.JoinStats: orphan replies imply lost calls.
@@ -69,6 +74,7 @@ type Sniffer struct {
 
 	Stats Stats
 
+	frame   wire.Frame // the packet being handled
 	defrag  *wire.Defragmenter
 	asm     *tcpasm.Assembler
 	scan    map[wire.FlowKey]*rpc.RecordScanner
@@ -90,19 +96,21 @@ func NewSniffer(emit func(*core.Record)) *Sniffer {
 	}
 }
 
-// HandlePacket processes one captured frame at capture time t.
+// HandlePacket processes one captured frame at capture time t. It keeps
+// no reference to data after it returns.
 func (s *Sniffer) HandlePacket(t float64, data []byte) {
 	s.Stats.Packets++
 	s.lastT = t
-	f, err := wire.Decode(data)
-	if err != nil {
+	f := &s.frame
+	if err := wire.DecodeInto(f, data); err != nil {
 		s.Stats.NonIP++
 		return
 	}
 	if f.IsFragment {
 		s.Stats.Fragments++
-		f = s.defrag.Add(f)
-		if f == nil {
+		whole := s.defrag.Reassemble(f)
+		s.Stats.DroppedDatagrams = s.defrag.Dropped()
+		if !whole {
 			return
 		}
 	}
@@ -165,8 +173,8 @@ func (s *Sniffer) handleMessage(t float64, f *wire.Frame, msg []byte) {
 				Client: f.SrcIP.Uint32(), Port: f.SrcPort,
 				Server: f.DstIP.Uint32(), Proto: proto,
 				XID: ch.XID, Version: ch.Version, Proc: core.MustProc(info.Name),
-				FH: core.InternFH(info.FH.String()), Name: info.FName,
-				FH2: core.InternFH(info.FH2.String()), Name2: info.FName2,
+				FH: internFH(info.FH), Name: info.FName,
+				FH2: internFH(info.FH2), Name2: info.FName2,
 				Offset: info.Offset, Count: info.Count, Stable: info.Stable,
 			}
 			if info.SetSize != nil {
@@ -243,7 +251,7 @@ func (s *Sniffer) handleMessage(t float64, f *wire.Frame, msg []byte) {
 					return
 				}
 				rec.Status = res.Status
-				rec.NewFH = core.InternFH(res.FH.String())
+				rec.NewFH = internFH(res.FH)
 			}
 			s.Stats.Replies++
 			s.deliver(rec)
@@ -261,7 +269,7 @@ func (s *Sniffer) handleMessage(t float64, f *wire.Frame, msg []byte) {
 			Server: f.SrcIP.Uint32(), Proto: proto,
 			XID: rh.XID, Version: call.version, Proc: core.MustProc(info.Name),
 			Status: info.Status, RCount: info.Count, EOF: info.EOF,
-			NewFH: core.InternFH(info.NewFH.String()),
+			NewFH: internFH(info.NewFH),
 		}
 		if info.Attr != nil {
 			rec.Size = info.Attr.Size
@@ -273,6 +281,17 @@ func (s *Sniffer) handleMessage(t float64, f *wire.Frame, msg []byte) {
 		}
 		s.deliver(rec)
 	}
+}
+
+// internFH interns a handle by its hex spelling, rendered into a stack
+// buffer rather than a string: the spelling is only looked up, and
+// copied only the first time the table sees it.
+func internFH(fh []byte) core.FH {
+	var spelling [2 * nfs.V3MaxFHSize]byte
+	if len(fh) > nfs.V3MaxFHSize {
+		return core.InternFH(hex.EncodeToString(fh))
+	}
+	return core.InternFHBytes(spelling[:hex.Encode(spelling[:], fh)])
 }
 
 // internProc interns the procedure name of a decoded RPC. Out-of-range
@@ -322,10 +341,12 @@ func (s *Sniffer) evictOld(now float64) {
 // PendingCalls reports calls still awaiting replies.
 func (s *Sniffer) PendingCalls() int { return len(s.pending) }
 
-// ReadPcap drains an entire pcap stream through the sniffer.
+// ReadPcap drains an entire pcap stream through the sniffer, reading
+// every packet into the one buffer the Reader reuses.
 func (s *Sniffer) ReadPcap(r *pcap.Reader) error {
+	var p pcap.Packet
 	for {
-		p, err := r.Next()
+		err := r.ReadPacket(&p)
 		if err == io.EOF {
 			return nil
 		}

@@ -73,9 +73,16 @@ func snif(pkts *packetBuf) ([]*core.Record, *Sniffer) {
 	return got, s
 }
 
-// keyFields extracts the comparison view of a record (ignoring
-// FH2/Name2 emptiness quirks).
+// assertRecordsMatch compares the sniffed records with the ground
+// truth on their key fields (ignoring FH2/Name2 emptiness quirks).
 func assertRecordsMatch(t *testing.T, want, got []*core.Record) {
+	t.Helper()
+	assertRecordsMatchWithin(t, want, got, 0)
+}
+
+// assertRecordsMatchWithin is assertRecordsMatch with times allowed to
+// drift by tol seconds, as a pcap file's timestamps round them.
+func assertRecordsMatchWithin(t *testing.T, want, got []*core.Record, tol float64) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("sniffed %d records, ground truth %d", len(got), len(want))
@@ -89,7 +96,7 @@ func assertRecordsMatch(t *testing.T, want, got []*core.Record) {
 			w.UID != g.UID || w.GID != g.GID {
 			t.Fatalf("record %d mismatch:\nwant %+v\n got %+v", i, w, g)
 		}
-		if w.Time != g.Time {
+		if d := w.Time - g.Time; d > tol || d < -tol {
 			t.Fatalf("record %d time drift: %v vs %v", i, w.Time, g.Time)
 		}
 	}
@@ -139,19 +146,7 @@ func TestSnifferThroughPcapFile(t *testing.T) {
 	c, records, pkts, srv := rig(nfs.V3, core.ProtoUDP, wire.StandardMTU)
 	driveWorkload(c, srv)
 
-	var buf bytes.Buffer
-	w, err := pcap.NewWriter(&buf, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pkts.packets {
-		if err := w.WritePacket(p.t, p.data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Flush()
-
-	r, err := pcap.NewReader(&buf)
+	r, err := pcap.NewReader(bytes.NewReader(pcapBytes(t, pkts)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,15 +155,10 @@ func TestSnifferThroughPcapFile(t *testing.T) {
 	if err := s.ReadPcap(r); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(records.Records) {
-		t.Fatalf("pcap path: %d vs %d records", len(got), len(records.Records))
-	}
-	// pcap nano timestamps keep ~1ns precision; compare loosely.
-	for i := range got {
-		d := got[i].Time - records.Records[i].Time
-		if d > 1e-6 || d < -1e-6 {
-			t.Fatalf("record %d time drift %v", i, d)
-		}
+	// pcap nano timestamps keep ~1ns precision; compare times loosely.
+	assertRecordsMatchWithin(t, records.Records, got, 1e-6)
+	if s.Stats.Fragments == 0 {
+		t.Fatal("8k writes at MTU 1500 should fragment")
 	}
 }
 
@@ -253,5 +243,24 @@ func TestSnifferEvictsStalePending(t *testing.T) {
 	s.HandlePacket(100.0, pkts2.packets[0].data)
 	if s.Stats.EvictedPending != 1 {
 		t.Fatalf("evicted = %d", s.Stats.EvictedPending)
+	}
+}
+
+// TestSnifferCountsDroppedDatagrams: UDP datagrams that each lost their
+// last fragment are not held forever; the ones given up are counted.
+func TestSnifferCountsDroppedDatagrams(t *testing.T) {
+	s := NewSniffer(nil)
+	payload := make([]byte, 3000)
+	for i := 0; i < 1000; i++ {
+		frames := wire.FragmentUDP(wire.IP{10, 0, 0, 1}, wire.IP{10, 0, 0, 5}, 2049, 700, uint16(i), payload, wire.StandardMTU)
+		for _, f := range frames[:len(frames)-1] {
+			s.HandlePacket(float64(i), f)
+		}
+	}
+	if d := s.Stats.DroppedDatagrams; d < 500 || d >= 1000 {
+		t.Fatalf("dropped %d of 1000 incomplete datagrams, want all but the defragmenter's cap", d)
+	}
+	if s.Stats.Calls+s.Stats.Replies+s.Stats.NonRPC != 0 {
+		t.Fatalf("an incomplete datagram was decoded: %+v", s.Stats)
 	}
 }

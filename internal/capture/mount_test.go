@@ -104,3 +104,20 @@ func TestSnifferStillIgnoresForeignPrograms(t *testing.T) {
 		t.Fatalf("stats: %+v", s.Stats)
 	}
 }
+
+// TestSnifferMountLongHandle: a MNT reply's handle is not bounded by
+// NFSv3's 64 bytes, and a longer one still interns its full spelling.
+func TestSnifferMountLongHandle(t *testing.T) {
+	long := make(nfs.FH, 100)
+	for i := range long {
+		long[i] = byte(i)
+	}
+	callPkt, replyPkt := buildMountExchange(t, "/export", long)
+	var got []*core.Record
+	s := NewSniffer(func(r *core.Record) { got = append(got, r) })
+	s.HandlePacket(1.0, callPkt)
+	s.HandlePacket(1.001, replyPkt)
+	if len(got) != 2 || got[1].NewFH.String() != long.String() {
+		t.Fatalf("records %+v", got)
+	}
+}

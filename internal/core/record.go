@@ -82,7 +82,7 @@ func ipString(v uint32) string { return strconv.FormatUint(uint64(v), 16) }
 // nfsconvert and nfsgen, so it is append-style throughout: no fmt, no
 // intermediate strings.
 func (r *Record) AppendMarshal(dst []byte) []byte {
-	dst = strconv.AppendFloat(dst, r.Time, 'f', 6, 64)
+	dst = appendSeconds(dst, r.Time)
 	// Kind and Proto are single bytes on the wire; appending them as
 	// bytes (never runes) keeps values ≥ 0x80 one byte, which the
 	// parser requires of a tag.
@@ -151,7 +151,7 @@ func (r *Record) AppendMarshal(dst []byte) []byte {
 	}
 	if r.Mtime != 0 {
 		dst = append(dst, " mtime="...)
-		dst = strconv.AppendFloat(dst, r.Mtime, 'f', 6, 64)
+		dst = appendSeconds(dst, r.Mtime)
 	}
 	if r.HasPre {
 		kvu("presize", r.PreSize)

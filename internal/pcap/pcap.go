@@ -110,6 +110,9 @@ type Reader struct {
 	nano    bool
 	snapLen uint32
 	link    uint32
+
+	hdr [packetHeaderLen]byte // packet header scratch; a local would escape through io.ReadFull
+	buf []byte                // packet body storage ReadPacket reuses
 }
 
 // NewReader validates the file header of r and returns a Reader.
@@ -146,25 +149,45 @@ func (r *Reader) LinkType() uint32 { return r.link }
 // Nano reports whether timestamps carry nanosecond resolution.
 func (r *Reader) Nano() bool { return r.nano }
 
-// Next returns the next packet, or io.EOF at end of file.
+// ReadPacket reads the next packet into p, or returns io.EOF at end of
+// file. p.Data points into a buffer the Reader reuses: it is valid until
+// the next ReadPacket call, so a caller that keeps bytes past that copies
+// them.
+func (r *Reader) ReadPacket(p *Packet) error { return r.read(p, &r.buf) }
+
+// Next returns the next packet in storage of its own, or io.EOF at end
+// of file.
 func (r *Reader) Next() (*Packet, error) {
-	var hdr [packetHeaderLen]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, io.EOF // truncated trailer: treat as clean end
-		}
+	p := new(Packet)
+	var fresh []byte
+	if err := r.read(p, &fresh); err != nil {
 		return nil, err
 	}
-	sec := r.order.Uint32(hdr[0:4])
-	sub := r.order.Uint32(hdr[4:8])
-	capLen := r.order.Uint32(hdr[8:12])
-	origLen := r.order.Uint32(hdr[12:16])
-	if capLen > 10*DefaultSnapLen {
-		return nil, fmt.Errorf("pcap: implausible capture length %d", capLen)
+	return p, nil
+}
+
+// read fills p with the next packet, its body read into *buf's storage,
+// which it replaces with a larger slice when the body does not fit.
+func (r *Reader) read(p *Packet, buf *[]byte) error {
+	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			return io.EOF // truncated trailer: treat as clean end
+		}
+		return err
 	}
-	data := make([]byte, capLen)
-	if _, err := io.ReadFull(r.r, data); err != nil {
-		return nil, fmt.Errorf("pcap: reading packet body: %w", err)
+	sec := r.order.Uint32(r.hdr[0:4])
+	sub := r.order.Uint32(r.hdr[4:8])
+	capLen := r.order.Uint32(r.hdr[8:12])
+	origLen := r.order.Uint32(r.hdr[12:16])
+	if capLen > 10*DefaultSnapLen {
+		return fmt.Errorf("pcap: implausible capture length %d", capLen)
+	}
+	if uint32(cap(*buf)) < capLen {
+		*buf = make([]byte, capLen)
+	}
+	p.Data = (*buf)[:capLen]
+	if _, err := io.ReadFull(r.r, p.Data); err != nil {
+		return fmt.Errorf("pcap: reading packet body: %w", err)
 	}
 	t := float64(sec)
 	if r.nano {
@@ -172,5 +195,6 @@ func (r *Reader) Next() (*Packet, error) {
 	} else {
 		t += float64(sub) / 1e6
 	}
-	return &Packet{Time: t, Data: data, OrigLen: int(origLen)}, nil
+	p.Time, p.OrigLen = t, int(origLen)
+	return nil
 }

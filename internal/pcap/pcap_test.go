@@ -127,3 +127,71 @@ func TestImplausibleLength(t *testing.T) {
 		t.Fatal("implausible length accepted")
 	}
 }
+
+// TestReadPacketReusesBuffer: ReadPacket reads every body into the one
+// buffer the Reader keeps, growing it only for a larger packet, while
+// Next hands out storage of the packet's own.
+func TestReadPacketReusesBuffer(t *testing.T) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf, true)
+	bodies := [][]byte{
+		bytes.Repeat([]byte{1}, 1500), bytes.Repeat([]byte{2}, 60),
+		bytes.Repeat([]byte{3}, 9000), bytes.Repeat([]byte{4}, 1500), {},
+	}
+	for i, b := range bodies {
+		w.WritePacket(float64(i)+0.5, b)
+	}
+	w.Flush()
+	capture := buf.Bytes()
+
+	r, _ := NewReader(bytes.NewReader(capture))
+	var p Packet
+	var first *byte
+	for i, want := range bodies {
+		if err := r.ReadPacket(&p); err != nil {
+			t.Fatalf("packet %d: %v", i, err)
+		}
+		if !bytes.Equal(p.Data, want) || p.Time != float64(i)+0.5 || p.OrigLen != len(want) {
+			t.Fatalf("packet %d: %d bytes at %v", i, len(p.Data), p.Time)
+		}
+		switch {
+		case i == 0:
+			first = &p.Data[:1][0]
+		case i == 1 && &p.Data[:1][0] != first:
+			t.Fatal("a smaller packet did not reuse the read buffer")
+		}
+	}
+	if err := r.ReadPacket(&p); err != io.EOF {
+		t.Fatalf("want EOF, got %v", err)
+	}
+	// Reading 200 more packets costs no allocation beyond the reader's own.
+	for i := 0; i < 200; i++ {
+		w.WritePacket(float64(i), bodies[0])
+	}
+	w.Flush()
+	passAllocs := func(capture []byte) float64 {
+		return testing.AllocsPerRun(10, func() {
+			r, _ := NewReader(bytes.NewReader(capture))
+			for r.ReadPacket(&p) == nil {
+			}
+		})
+	}
+	if short, long := passAllocs(capture), passAllocs(buf.Bytes()); long > short {
+		t.Errorf("%v allocations per pass of %d packets, %v of %d", long, len(bodies)+200, short, len(bodies))
+	}
+
+	r, _ = NewReader(bytes.NewReader(capture))
+	var kept []*Packet
+	for {
+		q, err := r.Next()
+		if err != nil {
+			break
+		}
+		kept = append(kept, q)
+	}
+	for i, q := range kept {
+		if !bytes.Equal(q.Data, bodies[i]) {
+			t.Fatalf("Next packet %d changed after later reads", i)
+		}
+	}
+}

@@ -82,6 +82,11 @@ type Frame struct {
 	MoreFrags  bool
 	IsFragment bool // FragOffset > 0 || MoreFrags
 
+	// UDPLen is the UDP header's length field (header included), valid
+	// when Proto == ProtoUDP and the frame is not a non-first fragment.
+	// A first fragment's UDPLen sizes the reassembled datagram.
+	UDPLen uint16
+
 	// TCP state (valid when Proto == ProtoTCP).
 	Seq   uint32
 	Ack   uint32
@@ -202,31 +207,42 @@ func buildIPv4(buf []byte, src, dst IP, proto uint8, ipid uint16, fragOff uint16
 	binary.BigEndian.PutUint16(buf[10:12], checksum(buf[:IPv4HeaderLen]))
 }
 
-// Decode parses an Ethernet frame down to its transport payload.
+// Decode parses an Ethernet frame down to its transport payload, into a
+// Frame of its own.
 func Decode(b []byte) (*Frame, error) {
-	if len(b) < EthernetHeaderLen {
-		return nil, ErrTruncated
+	f := new(Frame)
+	if err := DecodeInto(f, b); err != nil {
+		return nil, err
 	}
-	var f Frame
+	return f, nil
+}
+
+// DecodeInto parses an Ethernet frame down to its transport payload into
+// f, overwriting every field. f.Payload aliases b.
+func DecodeInto(f *Frame, b []byte) error {
+	*f = Frame{}
+	if len(b) < EthernetHeaderLen {
+		return ErrTruncated
+	}
 	copy(f.DstMAC[:], b[0:6])
 	copy(f.SrcMAC[:], b[6:12])
 	if binary.BigEndian.Uint16(b[12:14]) != EtherTypeIPv4 {
-		return nil, fmt.Errorf("wire: not IPv4 (ethertype %#04x)", binary.BigEndian.Uint16(b[12:14]))
+		return fmt.Errorf("wire: not IPv4 (ethertype %#04x)", binary.BigEndian.Uint16(b[12:14]))
 	}
 	ip := b[EthernetHeaderLen:]
 	if len(ip) < IPv4HeaderLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if ip[0]>>4 != 4 {
-		return nil, fmt.Errorf("wire: IP version %d", ip[0]>>4)
+		return fmt.Errorf("wire: IP version %d", ip[0]>>4)
 	}
 	ihl := int(ip[0]&0x0F) * 4
 	if ihl < IPv4HeaderLen || len(ip) < ihl {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	totalLen := int(binary.BigEndian.Uint16(ip[2:4]))
-	if totalLen > len(ip) {
-		return nil, ErrTruncated
+	if totalLen > len(ip) || totalLen < ihl {
+		return ErrTruncated
 	}
 	f.IPID = binary.BigEndian.Uint16(ip[4:6])
 	frag := binary.BigEndian.Uint16(ip[6:8])
@@ -241,20 +257,21 @@ func Decode(b []byte) (*Frame, error) {
 	if f.IsFragment && f.FragOffset > 0 {
 		// Non-first fragment: no transport header to parse.
 		f.Payload = payload
-		return &f, nil
+		return nil
 	}
 
 	switch f.Proto {
 	case ProtoUDP:
 		if len(payload) < UDPHeaderLen {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		f.SrcPort = binary.BigEndian.Uint16(payload[0:2])
 		f.DstPort = binary.BigEndian.Uint16(payload[2:4])
+		f.UDPLen = binary.BigEndian.Uint16(payload[4:6])
 		f.Payload = payload[UDPHeaderLen:]
 	case ProtoTCP:
 		if len(payload) < TCPHeaderLen {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		f.SrcPort = binary.BigEndian.Uint16(payload[0:2])
 		f.DstPort = binary.BigEndian.Uint16(payload[2:4])
@@ -262,14 +279,14 @@ func Decode(b []byte) (*Frame, error) {
 		f.Ack = binary.BigEndian.Uint32(payload[8:12])
 		dataOff := int(payload[12]>>4) * 4
 		if dataOff < TCPHeaderLen || len(payload) < dataOff {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		f.Flags = payload[13]
 		f.Payload = payload[dataOff:]
 	default:
-		return nil, fmt.Errorf("wire: unsupported IP protocol %d", f.Proto)
+		return fmt.Errorf("wire: unsupported IP protocol %d", f.Proto)
 	}
-	return &f, nil
+	return nil
 }
 
 // FlowKey identifies one direction of one transport flow.
@@ -289,6 +306,15 @@ func (k FlowKey) Reverse() FlowKey {
 	return FlowKey{SrcIP: k.DstIP, DstIP: k.SrcIP, SrcPort: k.DstPort, DstPort: k.SrcPort, Proto: k.Proto}
 }
 
+// maxReassemblies caps the datagrams a Defragmenter holds open at once.
+// A datagram that lost a fragment never completes; without a cap every
+// such loss would be held for the rest of the capture, and a reused IPID
+// could later merge its stale fragments into a new datagram. When the
+// cap is reached the oldest open datagram is dropped. The generated
+// EECS capture never holds more than one open; the rest is room for a
+// busy mirror port's interleaving.
+const maxReassemblies = 256
+
 // fragKey identifies an in-progress IP reassembly.
 type fragKey struct {
 	src, dst IP
@@ -296,90 +322,190 @@ type fragKey struct {
 	proto    uint8
 }
 
-type fragState struct {
-	chunks   map[uint16][]byte // offset → bytes
-	haveLast bool
-	lastEnd  int
+// span is a covered byte range [start, end) of a datagram.
+type span struct{ start, end int }
+
+// reassembly is one datagram in progress. Fragments are copied into buf
+// at their offsets on arrival, so the caller's packet bytes are never
+// retained, and a byte that arrives twice keeps its later copy.
+type reassembly struct {
+	key       fragKey
+	buf       []byte  // the datagram, UDP header included, by offset
+	covered   []span  // sorted, disjoint, non-touching ranges of buf
+	spans     [8]span // covered's first storage
+	haveFirst bool
+	haveLast  bool
+	end       int    // datagram length, once the last fragment is in
+	seq       uint64 // order of creation, to drop the oldest at the cap
+}
+
+// grow extends buf to at least need bytes and returns it. A new backing
+// array gets capacity for hint bytes if that is more.
+func (r *reassembly) grow(need, hint int) []byte {
+	if need > cap(r.buf) {
+		b := make([]byte, need, max(need, hint))
+		copy(b, r.buf)
+		r.buf = b
+	}
+	if need > len(r.buf) {
+		r.buf = r.buf[:need]
+	}
+	return r.buf
+}
+
+// cover records [start, end) as received, merging it with the ranges it
+// overlaps or touches.
+func (r *reassembly) cover(start, end int) {
+	if start >= end {
+		return
+	}
+	c := r.covered
+	i := 0
+	for i < len(c) && c[i].end < start {
+		i++
+	}
+	j := i
+	for j < len(c) && c[j].start <= end {
+		start, end = min(start, c[j].start), max(end, c[j].end)
+		j++
+	}
+	if i == j {
+		c = append(c, span{})
+		copy(c[i+1:], c[i:])
+	} else {
+		c = append(c[:i+1], c[j:]...)
+	}
+	c[i] = span{start, end}
+	r.covered = c
+}
+
+// complete reports whether every byte of the datagram has arrived.
+func (r *reassembly) complete() bool {
+	return r.haveLast && len(r.covered) > 0 && r.covered[0].start == 0 && r.covered[0].end >= r.end
 }
 
 // Defragmenter reassembles fragmented IPv4 datagrams. Feed it every
-// decoded frame; it returns a synthesized unfragmented Frame when a
-// datagram completes, or nil.
+// decoded fragment; it hands back the datagram when the last missing
+// piece arrives. At most maxReassemblies datagrams are open at once.
 type Defragmenter struct {
-	pending map[fragKey]*fragState
+	pending map[fragKey]*reassembly
+	opened  uint64
+	dropped int64
 }
 
 // NewDefragmenter returns an empty reassembler.
 func NewDefragmenter() *Defragmenter {
-	return &Defragmenter{pending: make(map[fragKey]*fragState)}
+	return &Defragmenter{pending: make(map[fragKey]*reassembly)}
 }
 
 // Pending reports the number of incomplete datagrams held.
 func (df *Defragmenter) Pending() int { return len(df.pending) }
 
+// Dropped reports the incomplete datagrams given up so far: restarted by
+// a second first fragment under the same key, or dropped oldest first
+// to stay within the cap. Evict's datagrams are not counted.
+func (df *Defragmenter) Dropped() int64 { return df.dropped }
+
 // Add processes one frame. Unfragmented frames are returned unchanged.
-// Fragments are buffered; when all pieces of a datagram have arrived the
-// reassembled frame is returned (with transport header parsed).
+// Fragments are copied and buffered; when all pieces of a datagram have
+// arrived a new Frame holding it is returned (with transport header
+// parsed), else nil. The returned Frame and its Payload belong to the
+// caller.
 func (df *Defragmenter) Add(f *Frame) *Frame {
 	if !f.IsFragment {
 		return f
 	}
-	key := fragKey{src: f.SrcIP, dst: f.DstIP, id: f.IPID, proto: f.Proto}
-	st := df.pending[key]
-	if st == nil {
-		st = &fragState{chunks: make(map[uint16][]byte)}
-		df.pending[key] = st
+	out := *f
+	if !df.Reassemble(&out) {
+		return nil
 	}
-	var raw []byte
-	if f.FragOffset == 0 {
+	return &out
+}
+
+// Reassemble is Add without a new Frame: it copies fragment f into its
+// datagram and reports whether f is now a whole datagram. A fragment
+// that completes one is rewritten in place as the reassembled datagram,
+// whose Payload then belongs to the caller; an unfragmented frame is
+// whole already.
+func (df *Defragmenter) Reassemble(f *Frame) bool {
+	if !f.IsFragment {
+		return true
+	}
+	key := fragKey{src: f.SrcIP, dst: f.DstIP, id: f.IPID, proto: f.Proto}
+	r := df.pending[key]
+	if r != nil && f.FragOffset == 0 && r.haveFirst {
+		// A second first fragment: the IPID has been reused, so what is
+		// held belongs to an older datagram.
+		df.drop(r)
+		r = nil
+	}
+	if r == nil {
+		r = df.open(key)
+	}
+	start := int(f.FragOffset)
+	var end int
+	if start == 0 {
 		// First fragment: restore the UDP header so reassembly yields
 		// the original datagram. (TCP is never fragmented by our nets.)
-		raw = make([]byte, UDPHeaderLen+len(f.Payload))
-		binary.BigEndian.PutUint16(raw[0:2], f.SrcPort)
-		binary.BigEndian.PutUint16(raw[2:4], f.DstPort)
-		copy(raw[UDPHeaderLen:], f.Payload)
+		r.haveFirst = true
+		end = UDPHeaderLen + len(f.Payload)
+		b := r.grow(end, int(f.UDPLen))
+		binary.BigEndian.PutUint16(b[0:2], f.SrcPort)
+		binary.BigEndian.PutUint16(b[2:4], f.DstPort)
+		binary.BigEndian.PutUint16(b[4:6], f.UDPLen)
+		binary.BigEndian.PutUint16(b[6:8], 0)
+		copy(b[UDPHeaderLen:], f.Payload)
 	} else {
-		raw = f.Payload
+		end = start + len(f.Payload)
+		copy(r.grow(end, 0)[start:], f.Payload)
 	}
-	st.chunks[f.FragOffset] = raw
+	r.cover(start, end)
 	if !f.MoreFrags {
-		st.haveLast = true
-		st.lastEnd = int(f.FragOffset) + len(raw)
+		r.haveLast, r.end = true, end
 	}
-	if !st.haveLast {
-		return nil
-	}
-	// Check contiguity.
-	datagram := make([]byte, st.lastEnd)
-	covered := 0
-	for off, chunk := range st.chunks {
-		if int(off)+len(chunk) > st.lastEnd {
-			continue
-		}
-		copy(datagram[off:], chunk)
-		covered += len(chunk)
-	}
-	if covered < st.lastEnd {
-		return nil // holes remain
+	if !r.complete() {
+		return false
 	}
 	delete(df.pending, key)
-	if len(datagram) < UDPHeaderLen {
-		return nil
+	d := r.buf[:r.end]
+	f.IsFragment, f.MoreFrags, f.FragOffset = false, false, 0
+	f.SrcPort = binary.BigEndian.Uint16(d[0:2])
+	f.DstPort = binary.BigEndian.Uint16(d[2:4])
+	f.UDPLen = binary.BigEndian.Uint16(d[4:6])
+	f.Payload = d[UDPHeaderLen:]
+	return true
+}
+
+// open starts a reassembly for key, first dropping the oldest one if
+// the cap is reached. The scan for it runs only at the cap, that is
+// only after fragments were lost.
+func (df *Defragmenter) open(key fragKey) *reassembly {
+	if len(df.pending) >= maxReassemblies {
+		var oldest *reassembly
+		for _, r := range df.pending {
+			if oldest == nil || r.seq < oldest.seq {
+				oldest = r
+			}
+		}
+		df.drop(oldest)
 	}
-	out := *f
-	out.IsFragment = false
-	out.MoreFrags = false
-	out.FragOffset = 0
-	out.SrcPort = binary.BigEndian.Uint16(datagram[0:2])
-	out.DstPort = binary.BigEndian.Uint16(datagram[2:4])
-	out.Payload = datagram[UDPHeaderLen:]
-	return &out
+	df.opened++
+	r := &reassembly{key: key, seq: df.opened}
+	r.covered = r.spans[:0]
+	df.pending[key] = r
+	return r
+}
+
+// drop gives up on an incomplete datagram.
+func (df *Defragmenter) drop(r *reassembly) {
+	delete(df.pending, r.key)
+	df.dropped++
 }
 
 // Evict drops all pending reassemblies, modeling timeout of lost
 // fragments, and reports how many datagrams were abandoned.
 func (df *Defragmenter) Evict() int {
 	n := len(df.pending)
-	df.pending = make(map[fragKey]*fragState)
+	df.pending = make(map[fragKey]*reassembly)
 	return n
 }
