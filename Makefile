@@ -54,9 +54,12 @@ merge-smoke: ## generate, split, and analyze a trace distributed three ways; ass
 dist-smoke: ## remote dispatch over TCP with crash and hang fault injection; assert byte-identical tables and re-dispatch (CI, gating)
 	bash scripts/dist_smoke.sh
 
-examples-smoke: ## build and run the library walkthroughs that have no test of their own (CI, gating)
+examples-smoke: ## build and run the library walkthroughs, which have no tests of their own; sniffer checks the tap → pcap → sniffer path against ground truth (CI, gating)
 	$(GO) run ./examples/quickstart >/dev/null
 	$(GO) run ./examples/multiarray >/dev/null
+	$(GO) run ./examples/sniffer >/dev/null
+	$(GO) run ./examples/anonymizer >/dev/null
+	$(GO) run ./examples/readahead >/dev/null
 
 perf: ## run the repo's benchmark (BENCHMARK.json; results under tools/perf/out)
 	bash tools/perf/run.sh

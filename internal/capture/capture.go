@@ -9,7 +9,6 @@
 package capture
 
 import (
-	"encoding/hex"
 	"io"
 
 	"repro/internal/anon"
@@ -160,34 +159,23 @@ func (s *Sniffer) handleMessage(t float64, f *wire.Frame, msg []byte) {
 	switch dec.Type {
 	case rpc.Call:
 		ch := dec.Call
-		var rec *core.Record
-		switch ch.Program {
-		case rpc.ProgramNFS:
-			info, err := nfs.ParseCall(ch.Version, ch.Proc, ch.Args)
-			if err != nil {
+		if ch.Program != rpc.ProgramNFS && ch.Program != rpc.ProgramMount {
+			s.Stats.NonNFS++
+			return
+		}
+		rec := &core.Record{
+			Time: t, Kind: core.KindCall,
+			Client: f.SrcIP.Uint32(), Port: f.SrcPort,
+			Server: f.DstIP.Uint32(), Proto: proto,
+			XID: ch.XID, Version: ch.Version,
+		}
+		if ch.Program == rpc.ProgramNFS {
+			if nfs.CallRecord(rec, ch.Version, ch.Proc, ch.Args) != nil {
 				s.Stats.DecodeErrors++
 				return
 			}
-			rec = &core.Record{
-				Time: t, Kind: core.KindCall,
-				Client: f.SrcIP.Uint32(), Port: f.SrcPort,
-				Server: f.DstIP.Uint32(), Proto: proto,
-				XID: ch.XID, Version: ch.Version, Proc: core.MustProc(info.Name),
-				FH: internFH(info.FH), Name: info.FName,
-				FH2: internFH(info.FH2), Name2: info.FName2,
-				Offset: info.Offset, Count: info.Count, Stable: info.Stable,
-			}
-			if info.SetSize != nil {
-				rec.SetSize, rec.HasSet = *info.SetSize, true
-			}
-		case rpc.ProgramMount:
-			rec = &core.Record{
-				Time: t, Kind: core.KindCall,
-				Client: f.SrcIP.Uint32(), Port: f.SrcPort,
-				Server: f.DstIP.Uint32(), Proto: proto,
-				XID: ch.XID, Version: ch.Version,
-				Proc: internProc(ch.Proc, rpc.ProgramMount, ch.Version),
-			}
+		} else {
+			rec.Proc = internProc(ch.Proc, rpc.ProgramMount, ch.Version)
 			if ch.Proc == mount.ProcMnt || ch.Proc == mount.ProcUmnt {
 				args, err := mount.DecodeMntArgs(ch.Args)
 				if err != nil {
@@ -196,9 +184,6 @@ func (s *Sniffer) handleMessage(t float64, f *wire.Frame, msg []byte) {
 				}
 				rec.Name = args.DirPath
 			}
-		default:
-			s.Stats.NonNFS++
-			return
 		}
 		s.Stats.Calls++
 		if ch.Cred.Flavor == rpc.AuthSys {
@@ -223,75 +208,36 @@ func (s *Sniffer) handleMessage(t float64, f *wire.Frame, msg []byte) {
 			return
 		}
 		delete(s.pending, key)
-		if rh.ReplyStat != rpc.MsgAccepted || rh.AcceptStat != rpc.Success {
-			// Rejected RPCs carry no NFS body; emit a bare error reply.
-			s.Stats.Replies++
-			s.deliver(&core.Record{
-				Time: t, Kind: core.KindReply,
-				Client: f.DstIP.Uint32(), Port: f.DstPort,
-				Server: f.SrcIP.Uint32(), Proto: proto,
-				XID: rh.XID, Version: call.version,
-				Proc:   internProc(call.proc, call.program, call.version),
-				Status: nfs.ErrIO,
-			})
-			return
+		rec := &core.Record{
+			Time: t, Kind: core.KindReply,
+			Client: f.DstIP.Uint32(), Port: f.DstPort,
+			Server: f.SrcIP.Uint32(), Proto: proto,
+			XID: rh.XID, Version: call.version,
 		}
-		if call.program == rpc.ProgramMount {
-			rec := &core.Record{
-				Time: t, Kind: core.KindReply,
-				Client: f.DstIP.Uint32(), Port: f.DstPort,
-				Server: f.SrcIP.Uint32(), Proto: proto,
-				XID: rh.XID, Version: call.version,
-				Proc: internProc(call.proc, call.program, call.version),
-			}
+		switch {
+		case rh.ReplyStat != rpc.MsgAccepted || rh.AcceptStat != rpc.Success:
+			// Rejected RPCs carry no NFS body; emit a bare error reply.
+			rec.Proc = internProc(call.proc, call.program, call.version)
+			rec.Status = nfs.ErrIO
+		case call.program == rpc.ProgramMount:
+			rec.Proc = internProc(call.proc, call.program, call.version)
 			if call.proc == mount.ProcMnt {
 				res, err := mount.DecodeMntRes(rh.Results)
 				if err != nil {
 					s.Stats.DecodeErrors++
 					return
 				}
-				rec.Status = res.Status
-				rec.NewFH = internFH(res.FH)
+				rec.Status, rec.NewFH = res.Status, res.FH.Intern()
 			}
-			s.Stats.Replies++
-			s.deliver(rec)
-			return
-		}
-		info, err := nfs.ParseReply(call.version, call.proc, rh.Results)
-		if err != nil {
-			s.Stats.DecodeErrors++
-			return
+		default:
+			if nfs.ReplyRecord(rec, call.version, call.proc, rh.Results) != nil {
+				s.Stats.DecodeErrors++
+				return
+			}
 		}
 		s.Stats.Replies++
-		rec := &core.Record{
-			Time: t, Kind: core.KindReply,
-			Client: f.DstIP.Uint32(), Port: f.DstPort,
-			Server: f.SrcIP.Uint32(), Proto: proto,
-			XID: rh.XID, Version: call.version, Proc: core.MustProc(info.Name),
-			Status: info.Status, RCount: info.Count, EOF: info.EOF,
-			NewFH: internFH(info.NewFH),
-		}
-		if info.Attr != nil {
-			rec.Size = info.Attr.Size
-			rec.FileID = info.Attr.FileID
-			rec.Mtime = info.Attr.Mtime.Seconds()
-		}
-		if info.Pre != nil {
-			rec.PreSize, rec.HasPre = info.Pre.Size, true
-		}
 		s.deliver(rec)
 	}
-}
-
-// internFH interns a handle by its hex spelling, rendered into a stack
-// buffer rather than a string: the spelling is only looked up, and
-// copied only the first time the table sees it.
-func internFH(fh []byte) core.FH {
-	var spelling [2 * nfs.V3MaxFHSize]byte
-	if len(fh) > nfs.V3MaxFHSize {
-		return core.InternFH(hex.EncodeToString(fh))
-	}
-	return core.InternFHBytes(spelling[:hex.Encode(spelling[:], fh)])
 }
 
 // internProc interns the procedure name of a decoded RPC. Out-of-range

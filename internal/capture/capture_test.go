@@ -74,7 +74,7 @@ func snif(pkts *packetBuf) ([]*core.Record, *Sniffer) {
 }
 
 // assertRecordsMatch compares the sniffed records with the ground
-// truth on their key fields (ignoring FH2/Name2 emptiness quirks).
+// truth field by field, through their marshaled form.
 func assertRecordsMatch(t *testing.T, want, got []*core.Record) {
 	t.Helper()
 	assertRecordsMatchWithin(t, want, got, 0)
@@ -88,16 +88,13 @@ func assertRecordsMatchWithin(t *testing.T, want, got []*core.Record, tol float6
 		t.Fatalf("sniffed %d records, ground truth %d", len(got), len(want))
 	}
 	for i := range want {
-		w, g := want[i], got[i]
-		if w.Kind != g.Kind || w.Proc != g.Proc || w.XID != g.XID ||
-			w.Version != g.Version || w.Offset != g.Offset || w.Count != g.Count ||
-			w.FH != g.FH || w.Name != g.Name || w.Status != g.Status ||
-			w.RCount != g.RCount || w.Size != g.Size || w.NewFH != g.NewFH ||
-			w.UID != g.UID || w.GID != g.GID {
-			t.Fatalf("record %d mismatch:\nwant %+v\n got %+v", i, w, g)
-		}
+		w, g := want[i], *got[i]
 		if d := w.Time - g.Time; d > tol || d < -tol {
 			t.Fatalf("record %d time drift: %v vs %v", i, w.Time, g.Time)
+		}
+		g.Time = w.Time
+		if wm, gm := w.Marshal(), g.Marshal(); wm != gm {
+			t.Fatalf("record %d mismatch:\nwant %s\n got %s", i, wm, gm)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/nfs"
 	"repro/internal/server"
+	"repro/internal/xdr"
 )
 
 // Client simulates one NFS client host: it turns file-level operations
@@ -41,6 +42,7 @@ type Client struct {
 	rng *rand.Rand
 	xid uint32
 	tap *WireTap
+	msg xdr.Encoder // the call or reply being sent, reused
 
 	attrs map[string]*attrEntry
 	data  map[string]float64 // fh key → mtime of cached contents
@@ -111,28 +113,16 @@ func New(cfg Config, srv *server.Server, serverIP uint32, sink Sink) *Client {
 }
 
 // roundTrip performs one wire call: dispatch through the nfsiod pool,
-// execute on the server, and emit both records. It returns the decoded
-// result and the client-observed completion time.
+// execute on the server, and emit both records (and packets, with a
+// tap). It returns the result and the client-observed completion time.
 func (c *Client) roundTrip(t float64, v3proc uint32, v3args any) (any, float64) {
 	c.xid++
 	wireT := c.Pool.Dispatch(t)
-
 	version, proc, args := c.translate(v3proc, v3args)
-	callRec, callSize := buildCallRecord(wireT, c.IP, c.Port, c.ServerIP,
-		c.Proto, c.xid, version, proc, c.UID, c.GID, args)
-	c.Sink.Record(callRec, callSize)
-
-	var res any
-	if version == nfs.V3 {
-		res = c.Server.HandleV3(proc, args)
-	} else {
-		res = c.Server.HandleV2(proc, args)
-	}
+	c.sendCall(wireT, version, proc, args)
+	res := c.Server.Handle(version, proc, args)
 	replyT := wireT + c.RTT + c.rng.ExpFloat64()*0.0002
-	replyRec, replySize := buildReplyRecord(replyT, c.IP, c.Port, c.ServerIP,
-		c.Proto, c.xid, version, proc, res)
-	c.Sink.Record(replyRec, replySize)
-	c.emitWire(wireT, replyT, version, proc, args, res, c.xid)
+	c.sendReply(replyT, version, proc, res)
 	return res, replyT
 }
 

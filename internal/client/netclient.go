@@ -135,13 +135,7 @@ func decodeReply(version, proc uint32, h *rpc.ReplyHeader) netReply {
 	if h.AcceptStat != rpc.Success {
 		return netReply{err: fmt.Errorf("client: rpc accept stat %d", h.AcceptStat)}
 	}
-	var res any
-	var err error
-	if version == nfs.V3 {
-		res, err = nfs.DecodeRes3(proc, h.Results)
-	} else {
-		res, err = nfs.DecodeRes2(proc, h.Results)
-	}
+	res, err := nfs.DecodeRes(version, proc, h.Results)
 	if err != nil {
 		return netReply{err: fmt.Errorf("client: decoding results: %w", err)}
 	}
@@ -193,17 +187,11 @@ func (c *NetClient) send(call *netCall, args any) error {
 		Cred:    rpc.OpaqueAuth{Flavor: rpc.AuthSys, Body: c.cred.Bytes()},
 		Verf:    rpc.OpaqueAuth{Flavor: rpc.AuthNone},
 	})
-	var err error
-	if call.version == nfs.V3 {
-		err = nfs.EncodeArgs3(e, call.proc, args)
-	} else {
-		err = nfs.EncodeArgs2(e, call.proc, args)
-	}
-	if err != nil {
+	if err := nfs.EncodeArgs(call.version, e, call.proc, args); err != nil {
 		c.forget(xid)
 		return err
 	}
-	err = c.rc.WriteRecord(e.Bytes())
+	err := c.rc.WriteRecord(e.Bytes())
 	if cap(e.Bytes()) > wire.MaxReuse {
 		*e = xdr.Encoder{}
 	}

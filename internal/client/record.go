@@ -3,82 +3,61 @@ package client
 import (
 	"repro/internal/core"
 	"repro/internal/nfs"
-	"repro/internal/xdr"
 )
 
-// Record construction: the client encodes its calls (and the server's
-// replies) through the real wire codecs and re-parses them with the
-// semantic layer, so the records it emits are exactly what a sniffer
-// would extract from the packets. This keeps the fast record-level
+// Record construction: the client encodes each call and each reply
+// once through the real wire codecs. nfs.CallRecord and nfs.ReplyRecord
+// build the records from those bytes, the same builders the sniffer
+// runs on captured packets, and an attached WireTap frames the same
+// bytes. So the records the client emits are exactly what a sniffer
+// would extract from its packets, which keeps the fast record-level
 // pipeline byte-faithful to the wire-level one.
 
-// buildCallRecord encodes args and parses them back into a call record.
-func buildCallRecord(t float64, clientIP uint32, port uint16, serverIP uint32,
-	proto byte, xid, version, proc uint32, uid, gid uint32, args any) (*core.Record, int) {
-
-	e := xdr.NewEncoder(256)
-	var err error
-	if version == nfs.V3 {
-		err = nfs.EncodeArgs3(e, proc, args)
-	} else {
-		err = nfs.EncodeArgs2(e, proc, args)
-	}
-	if err != nil {
+// sendCall encodes args, emits the call record and frames the call on
+// the tap.
+func (c *Client) sendCall(t float64, version, proc uint32, args any) {
+	e := &c.msg
+	e.Reset()
+	if err := nfs.EncodeArgs(version, e, proc, args); err != nil {
 		panic("client: encoding own call failed: " + err.Error())
 	}
-	info, err := nfs.ParseCall(version, proc, e.Bytes())
-	if err != nil {
+	rec := c.envelope(t, core.KindCall, version)
+	rec.UID, rec.GID = c.UID, c.GID
+	if err := nfs.CallRecord(rec, version, proc, e.Bytes()); err != nil {
 		panic("client: re-parsing own call failed: " + err.Error())
-	}
-	rec := &core.Record{
-		Time: t, Kind: core.KindCall,
-		Client: clientIP, Port: port, Server: serverIP, Proto: proto,
-		XID: xid, Version: version, Proc: core.MustProc(info.Name),
-		UID: uid, GID: gid,
-		FH: core.InternFH(info.FH.String()), Name: info.FName,
-		FH2: core.InternFH(info.FH2.String()), Name2: info.FName2,
-		Offset: info.Offset, Count: info.Count, Stable: info.Stable,
-	}
-	if info.SetSize != nil {
-		rec.SetSize, rec.HasSet = *info.SetSize, true
 	}
 	// Wire size estimate: eth+ip+transport+rpc header ≈ 150 bytes plus
 	// the encoded body (write data rides in the body already).
-	return rec, 150 + e.Len()
+	c.Sink.Record(rec, 150+e.Len())
+	if c.tap != nil {
+		c.tap.emitCall(t, c.Proto, c.Port, c.xid, version, proc, c.UID, c.GID, e.Bytes())
+	}
 }
 
-// buildReplyRecord encodes res and parses it back into a reply record.
-func buildReplyRecord(t float64, clientIP uint32, port uint16, serverIP uint32,
-	proto byte, xid, version, proc uint32, res any) (*core.Record, int) {
-
-	e := xdr.NewEncoder(256)
-	var err error
-	if version == nfs.V3 {
-		err = nfs.EncodeRes3(e, proc, res)
-	} else {
-		err = nfs.EncodeRes2(e, proc, res)
-	}
-	if err != nil {
+// sendReply encodes res, emits the reply record and frames the reply on
+// the tap.
+func (c *Client) sendReply(t float64, version, proc uint32, res any) {
+	e := &c.msg
+	e.Reset()
+	if err := nfs.EncodeRes(version, e, proc, res); err != nil {
 		panic("client: encoding reply failed: " + err.Error())
 	}
-	info, err := nfs.ParseReply(version, proc, e.Bytes())
-	if err != nil {
+	rec := c.envelope(t, core.KindReply, version)
+	if err := nfs.ReplyRecord(rec, version, proc, e.Bytes()); err != nil {
 		panic("client: re-parsing reply failed: " + err.Error())
 	}
-	rec := &core.Record{
-		Time: t, Kind: core.KindReply,
-		Client: clientIP, Port: port, Server: serverIP, Proto: proto,
-		XID: xid, Version: version, Proc: core.MustProc(info.Name),
-		Status: info.Status, RCount: info.Count, EOF: info.EOF,
-		NewFH: core.InternFH(info.NewFH.String()),
+	c.Sink.Record(rec, 150+e.Len())
+	if c.tap != nil {
+		c.tap.emitReply(t, c.Proto, c.Port, c.xid, e.Bytes())
 	}
-	if info.Attr != nil {
-		rec.Size = info.Attr.Size
-		rec.FileID = info.Attr.FileID
-		rec.Mtime = info.Attr.Mtime.Seconds()
+}
+
+// envelope starts a record of the current xid between this client and
+// its server.
+func (c *Client) envelope(t float64, kind byte, version uint32) *core.Record {
+	return &core.Record{
+		Time: t, Kind: kind,
+		Client: c.IP, Port: c.Port, Server: c.ServerIP, Proto: c.Proto,
+		XID: c.xid, Version: version,
 	}
-	if info.Pre != nil {
-		rec.PreSize, rec.HasPre = info.Pre.Size, true
-	}
-	return rec, 150 + e.Len()
 }

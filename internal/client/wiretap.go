@@ -2,7 +2,6 @@ package client
 
 import (
 	"repro/internal/core"
-	"repro/internal/nfs"
 	"repro/internal/rpc"
 	"repro/internal/wire"
 	"repro/internal/xdr"
@@ -127,33 +126,4 @@ func (w *WireTap) send(t float64, proto byte, fromClient bool, port uint16, msg 
 // to flow to its Sink, and packets flow to the tap.
 func (c *Client) EnableWireTap(tap *WireTap) {
 	c.tap = tap
-}
-
-// emitWire is called from roundTrip when a tap is attached.
-func (c *Client) emitWire(callT, replyT float64, version, proc uint32, args, res any, xid uint32) {
-	if c.tap == nil {
-		return
-	}
-	ea := xdr.NewEncoder(256)
-	if version == nfs.V3 {
-		if err := nfs.EncodeArgs3(ea, proc, args); err != nil {
-			return
-		}
-	} else {
-		if err := nfs.EncodeArgs2(ea, proc, args); err != nil {
-			return
-		}
-	}
-	c.tap.emitCall(callT, c.Proto, c.Port, xid, version, proc, c.UID, c.GID, ea.Bytes())
-	er := xdr.NewEncoder(256)
-	if version == nfs.V3 {
-		if err := nfs.EncodeRes3(er, proc, res); err != nil {
-			return
-		}
-	} else {
-		if err := nfs.EncodeRes2(er, proc, res); err != nil {
-			return
-		}
-	}
-	c.tap.emitReply(replyT, c.Proto, c.Port, xid, er.Bytes())
 }

@@ -4,14 +4,17 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/xdr"
 )
 
 // FuzzNFSDecode feeds arbitrary bodies to every argument and result
 // decoder of both protocol versions. A decoder must return a value or
-// an error, never panic; the semantic layer must accept exactly the
-// bodies the typed decoder accepts; and for v3, whatever a decoder
-// accepts must encode to a body that decodes to the same value.
+// an error, never panic; the semantic layer and the record builders
+// must accept exactly the bodies the typed decoder accepts, and the
+// builders must intern the handles the semantic layer saw; and for v3,
+// whatever a decoder accepts must encode to a body that decodes to the
+// same value.
 func FuzzNFSDecode(f *testing.F) {
 	for _, v := range []struct {
 		version, procs  uint32
@@ -48,23 +51,33 @@ func FuzzNFSDecode(f *testing.F) {
 		v := uint32(V2 + version%2)
 		p := uint32(proc)
 		var decoded any
-		var err, semErr error
-		switch {
-		case v == V2 && reply:
-			decoded, err = DecodeRes2(p, body)
-			_, semErr = ParseReply(v, p, body)
-		case v == V2:
-			decoded, err = DecodeArgs2(p, body)
-			_, semErr = ParseCall(v, p, body)
-		case reply:
-			decoded, err = DecodeRes3(p, body)
-			_, semErr = ParseReply(v, p, body)
-		default:
-			decoded, err = DecodeArgs3(p, body)
-			_, semErr = ParseCall(v, p, body)
+		var err, semErr, recErr error
+		var rec core.Record
+		var got, want []core.FH
+		if reply {
+			decoded, err = DecodeRes(v, p, body)
+			var info *ReplyInfo
+			info, semErr = ParseReply(v, p, body)
+			recErr = ReplyRecord(&rec, v, p, body)
+			if info != nil {
+				got, want = []core.FH{rec.NewFH}, []core.FH{core.InternFH(info.NewFH.String())}
+			}
+		} else {
+			decoded, err = DecodeArgs(v, p, body)
+			var info *CallInfo
+			info, semErr = ParseCall(v, p, body)
+			recErr = CallRecord(&rec, v, p, body)
+			if info != nil {
+				got = []core.FH{rec.FH, rec.FH2}
+				want = []core.FH{core.InternFH(info.FH.String()), core.InternFH(info.FH2.String())}
+			}
 		}
-		if (err == nil) != (semErr == nil) {
-			t.Fatalf("v%d proc %d reply=%v: typed decode error %v, semantic error %v", v, p, reply, err, semErr)
+		if (err == nil) != (semErr == nil) || (err == nil) != (recErr == nil) {
+			t.Fatalf("v%d proc %d reply=%v: typed decode error %v, semantic error %v, record error %v",
+				v, p, reply, err, semErr, recErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("v%d proc %d reply=%v: record handles %v, semantic handles %v", v, p, reply, got, want)
 		}
 		if err != nil || v != V3 || decoded == nil {
 			return

@@ -4,17 +4,23 @@
 //
 // Two layers are provided. The typed layer (v2.go, v3.go) gives exact
 // per-procedure structs with Encode/Decode, used by the client and
-// server simulators to produce byte-faithful traffic. The semantic layer
-// (semantic.go) decodes either version into a version-neutral Event used
-// by the sniffer, which is what the paper's tracer emits: one record per
-// call or reply with the fields the analyses need (handle, name, offset,
-// count, attributes, status).
+// server simulators to produce byte-faithful traffic; EncodeArgs,
+// DecodeArgs, EncodeRes and DecodeRes pick the version's codec. The
+// semantic layer (semantic.go) decodes either version into version-
+// neutral CallInfo/ReplyInfo and, through CallRecord and ReplyRecord,
+// into the NFS fields of a core.Record: what the paper's tracer emits,
+// one record per call or reply with the fields the analyses need
+// (handle, name, offset, count, attributes, status). The sniffer, the
+// server's trace tap and the simulated client all build records there.
 package nfs
 
 import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+
+	"repro/internal/core"
+	"repro/internal/xdr"
 )
 
 // Protocol versions.
@@ -122,6 +128,58 @@ var (
 	ErrDecode = errors.New("nfs: malformed message body")
 )
 
+// EncodeArgs writes the argument body of proc in the given version,
+// through EncodeArgs3 or EncodeArgs2.
+func EncodeArgs(version uint32, e *xdr.Encoder, proc uint32, args any) error {
+	switch version {
+	case V3:
+		return EncodeArgs3(e, proc, args)
+	case V2:
+		return EncodeArgs2(e, proc, args)
+	}
+	return ErrBadProc
+}
+
+// DecodeArgs parses the argument body of proc in the given version,
+// through DecodeArgs3 or DecodeArgs2.
+func DecodeArgs(version, proc uint32, body []byte) (any, error) {
+	switch version {
+	case V3:
+		return DecodeArgs3(proc, body)
+	case V2:
+		return DecodeArgs2(proc, body)
+	}
+	return nil, ErrBadProc
+}
+
+// EncodeRes writes the result body of proc in the given version,
+// through EncodeRes3 or EncodeRes2. A nil result (NULL, and v2's void
+// procedures) writes nothing.
+func EncodeRes(version uint32, e *xdr.Encoder, proc uint32, res any) error {
+	if res == nil {
+		return nil
+	}
+	switch version {
+	case V3:
+		return EncodeRes3(e, proc, res)
+	case V2:
+		return EncodeRes2(e, proc, res)
+	}
+	return ErrBadProc
+}
+
+// DecodeRes parses the result body of proc in the given version,
+// through DecodeRes3 or DecodeRes2.
+func DecodeRes(version, proc uint32, body []byte) (any, error) {
+	switch version {
+	case V3:
+		return DecodeRes3(proc, body)
+	case V2:
+		return DecodeRes2(proc, body)
+	}
+	return nil, ErrBadProc
+}
+
 // v3ProcNames are the lower-case procedure names as they appear in
 // nfsdump-style trace records.
 var v3ProcNames = [V3NumProcs]string{
@@ -172,6 +230,19 @@ type FH []byte
 // String renders the handle as lowercase hex, the form used in trace
 // records.
 func (fh FH) String() string { return hex.EncodeToString(fh) }
+
+// Intern returns the trace-record handle for fh: its hex spelling,
+// interned. The spelling is rendered into a stack buffer rather than a
+// string, since it is only looked up and copied only the first time the
+// table sees it; a handle longer than any protocol allows (the MOUNT
+// reply's, from a hostile capture) takes the string path instead.
+func (fh FH) Intern() core.FH {
+	if len(fh) > V3MaxFHSize {
+		return core.InternFH(fh.String())
+	}
+	var spelling [2 * V3MaxFHSize]byte
+	return core.InternFHBytes(spelling[:hex.Encode(spelling[:], fh)])
+}
 
 // Equal reports whether two handles are byte-equal.
 func (fh FH) Equal(other FH) bool {

@@ -206,9 +206,6 @@ func TestV3ReadArgsPreserved(t *testing.T) {
 	if !ok || id != 9 {
 		t.Fatalf("fh id=%d ok=%v", id, ok)
 	}
-	if !info.IsRead() || info.IsWrite() || info.IsMetadata() {
-		t.Fatal("classification wrong for read")
-	}
 }
 
 func TestV3WriteDataRoundTrip(t *testing.T) {
@@ -508,14 +505,15 @@ func TestReaddirEntriesRoundTrip(t *testing.T) {
 	if err := EncodeRes3(e, V3Readdir, &ReaddirRes3{Status: OK, Entries: entries, EOF: true}); err != nil {
 		t.Fatal(err)
 	}
-	info, err := ParseReply(V3, V3Readdir, e.Bytes())
+	got, err := DecodeRes3(V3Readdir, e.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(info.Entries) != 4 || !info.EOF {
-		t.Fatalf("entries=%d eof=%v", len(info.Entries), info.EOF)
+	r := got.(*ReaddirRes3)
+	if len(r.Entries) != 4 || !r.EOF {
+		t.Fatalf("entries=%d eof=%v", len(r.Entries), r.EOF)
 	}
-	for i, ent := range info.Entries {
+	for i, ent := range r.Entries {
 		if ent != entries[i] {
 			t.Errorf("entry %d: %+v want %+v", i, ent, entries[i])
 		}

@@ -1,9 +1,12 @@
 package nfs
 
+import "repro/internal/core"
+
 // The semantic layer decodes either protocol version into the compact,
 // version-neutral view the sniffer records: which object, which name,
 // what range. This is the NFS-level content of one nfsdump-style trace
-// record.
+// record, and CallRecord and ReplyRecord are the one place that maps it
+// onto a core.Record.
 
 // CallInfo is the semantic content of an NFS call.
 type CallInfo struct {
@@ -29,13 +32,12 @@ type ReplyInfo struct {
 	Proc    uint32
 	Name    string
 
-	Status  uint32
-	Attr    *Fattr // attributes of the primary object, when present
-	NewFH   FH     // handle returned by LOOKUP/CREATE/MKDIR
-	Count   uint32 // bytes moved by READ/WRITE
-	EOF     bool   // READ hit end-of-file
-	Pre     *WccAttr
-	Entries []DirEntry // READDIR contents
+	Status uint32
+	Attr   *Fattr // attributes of the primary object, when present
+	NewFH  FH     // handle returned by LOOKUP/CREATE/MKDIR
+	Count  uint32 // bytes moved by READ/WRITE
+	EOF    bool   // READ hit end-of-file
+	Pre    *WccAttr
 }
 
 // ParseCall decodes the argument body of an NFS call into semantic form.
@@ -49,6 +51,50 @@ func ParseCall(version, proc uint32, body []byte) (*CallInfo, error) {
 	default:
 		return nil, ErrBadProc
 	}
+}
+
+// CallRecord runs ParseCall on the argument body of an NFS call and
+// fills the NFS fields of rec: the procedure, handles, names, range,
+// stability and truncation target. It leaves rec untouched on error.
+// The caller fills the envelope: time, kind, endpoints, xid, version
+// and credentials.
+func CallRecord(rec *core.Record, version, proc uint32, body []byte) error {
+	info, err := ParseCall(version, proc, body)
+	if err != nil {
+		return err
+	}
+	rec.Proc = core.MustProc(info.Name)
+	rec.FH, rec.Name = info.FH.Intern(), info.FName
+	rec.FH2, rec.Name2 = info.FH2.Intern(), info.FName2
+	rec.Offset, rec.Count, rec.Stable = info.Offset, info.Count, info.Stable
+	if info.SetSize != nil {
+		rec.SetSize, rec.HasSet = *info.SetSize, true
+	}
+	return nil
+}
+
+// ReplyRecord runs ParseReply on the result body of an NFS reply to
+// proc and fills the NFS fields of rec: the procedure, status, bytes
+// moved, EOF, the new handle and the attributes before and after. It
+// leaves rec untouched on error; the caller fills the envelope as for
+// CallRecord.
+func ReplyRecord(rec *core.Record, version, proc uint32, body []byte) error {
+	info, err := ParseReply(version, proc, body)
+	if err != nil {
+		return err
+	}
+	rec.Proc = core.MustProc(info.Name)
+	rec.Status, rec.RCount, rec.EOF = info.Status, info.Count, info.EOF
+	rec.NewFH = info.NewFH.Intern()
+	if info.Attr != nil {
+		rec.Size = info.Attr.Size
+		rec.FileID = info.Attr.FileID
+		rec.Mtime = info.Attr.Mtime.Seconds()
+	}
+	if info.Pre != nil {
+		rec.PreSize, rec.HasPre = info.Pre.Size, true
+	}
+	return nil
 }
 
 func parseCall3(info *CallInfo, proc uint32, body []byte) (*CallInfo, error) {
@@ -220,7 +266,6 @@ func parseReply3(info *ReplyInfo, proc uint32, body []byte) (*ReplyInfo, error) 
 		info.Status = r.Status
 		info.Attr = r.DirAttr
 		info.EOF = r.EOF
-		info.Entries = r.Entries
 	case *FsstatRes3:
 		info.Status = r.Status
 		info.Attr = r.Attr
@@ -241,14 +286,11 @@ func parseReply2(info *ReplyInfo, proc uint32, body []byte) (*ReplyInfo, error) 
 	switch r := res.(type) {
 	case nil:
 	case *AttrStatRes2:
+		// A v2 WRITE reply carries no count: its attributes confirm the
+		// whole request landed, so Count stays zero and a joined op
+		// counts the call's bytes instead.
 		info.Status = r.Status
 		info.Attr = r.Attr
-		if proc == V2Write && r.Attr != nil {
-			// v2 write replies don't carry a count; the attrs confirm
-			// the whole request landed, and the sniffer uses the call's
-			// count instead. Leave Count zero here.
-			info.Count = 0
-		}
 	case *DirOpRes2:
 		info.Status = r.Status
 		info.NewFH = r.FH
@@ -265,26 +307,8 @@ func parseReply2(info *ReplyInfo, proc uint32, body []byte) (*ReplyInfo, error) 
 	case *ReaddirRes2:
 		info.Status = r.Status
 		info.EOF = r.EOF
-		info.Entries = r.Entries
 	case *StatfsRes2:
 		info.Status = r.Status
 	}
 	return info, nil
-}
-
-// IsRead reports whether proc moves data from server to client.
-func (c *CallInfo) IsRead() bool {
-	return (c.Version == V3 && c.Proc == V3Read) || (c.Version == V2 && c.Proc == V2Read)
-}
-
-// IsWrite reports whether proc moves data from client to server.
-func (c *CallInfo) IsWrite() bool {
-	return (c.Version == V3 && c.Proc == V3Write) || (c.Version == V2 && c.Proc == V2Write)
-}
-
-// IsMetadata reports whether the call is an attribute/name operation
-// rather than a data transfer. The paper's "most NFS calls are for
-// metadata" EECS observation counts these.
-func (c *CallInfo) IsMetadata() bool {
-	return !c.IsRead() && !c.IsWrite()
 }

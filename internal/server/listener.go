@@ -180,7 +180,7 @@ func (ns *NetServer) handle(e *xdr.Encoder, msg []byte, id connID) error {
 	case h.Version != nfs.V2 && h.Version != nfs.V3:
 		reply.AcceptStat = rpc.ProgMismatch
 	default:
-		args, err := decodeArgs(h.Version, h.Proc, h.Args)
+		args, err := nfs.DecodeArgs(h.Version, h.Proc, h.Args)
 		if err != nil {
 			reply.AcceptStat = rpc.GarbageArgs
 			break
@@ -189,19 +189,14 @@ func (ns *NetServer) handle(e *xdr.Encoder, msg []byte, id connID) error {
 		if ns.trace != nil {
 			callRec = traceCall(traceNow(), id, h)
 		}
-		var res any
-		if h.Version == nfs.V3 {
-			res = ns.srv.HandleV3(h.Proc, args)
-		} else {
-			res = ns.srv.HandleV2(h.Proc, args)
-		}
+		res := ns.srv.Handle(h.Version, h.Proc, args)
 		ns.calls.Add(1)
 		// The results follow the success header in the same encoder;
 		// if they fail to encode, start over with SystemErr.
 		reply.AcceptStat = rpc.Success
 		rpc.EncodeReply(e, &reply)
 		hdrLen := e.Len()
-		if err := encodeRes(h.Version, h.Proc, e, res); err != nil {
+		if err := nfs.EncodeRes(h.Version, e, h.Proc, res); err != nil {
 			e.Reset()
 			reply.AcceptStat = rpc.SystemErr
 			break
@@ -219,21 +214,4 @@ func (ns *NetServer) handle(e *xdr.Encoder, msg []byte, id connID) error {
 	}
 	rpc.EncodeReply(e, &reply)
 	return nil
-}
-
-func decodeArgs(version, proc uint32, body []byte) (any, error) {
-	if version == nfs.V3 {
-		return nfs.DecodeArgs3(proc, body)
-	}
-	return nfs.DecodeArgs2(proc, body)
-}
-
-func encodeRes(version, proc uint32, e *xdr.Encoder, res any) error {
-	if res == nil {
-		return nil // NULL and v2 void results
-	}
-	if version == nfs.V3 {
-		return nfs.EncodeRes3(e, proc, res)
-	}
-	return nfs.EncodeRes2(e, proc, res)
 }

@@ -122,6 +122,15 @@ func (s *Server) attrFH(fh nfs.FH) *nfs.Fattr {
 	return s.FS.Attr(ino)
 }
 
+// Handle executes one procedure of the given protocol version (nfs.V2
+// or nfs.V3) through HandleV3 or HandleV2.
+func (s *Server) Handle(version, proc uint32, args any) any {
+	if version == nfs.V3 {
+		return s.HandleV3(proc, args)
+	}
+	return s.HandleV2(proc, args)
+}
+
 // HandleV3 executes one NFSv3 procedure and returns the matching *Res3
 // struct (nil for NULL).
 func (s *Server) HandleV3(proc uint32, args any) any {

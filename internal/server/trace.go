@@ -12,11 +12,12 @@ import (
 
 // Passive trace tap: when a NetServer is given a trace callback, every
 // successfully dispatched NFS procedure emits one call record and one
-// reply record, built exactly the way internal/capture builds them from
-// sniffed packets — same semantic parse (nfs.ParseCall/ParseReply over
-// the raw XDR bodies), same interning, same field conventions. The
-// server is its own mirror port: nfsbench traffic becomes a live trace
-// that cmd/nfsmond can tail, reproducing the paper's passive-tracing
+// reply record. nfs.CallRecord and nfs.ReplyRecord fill their NFS
+// fields from the raw XDR bodies, the same builders internal/capture
+// runs on sniffed packets; this file adds only the envelope (times,
+// connection endpoints, xid, version, credentials). The server is its
+// own mirror port: nfsbench traffic becomes a live trace that
+// cmd/nfsmond can tail, reproducing the paper's passive-tracing
 // deployment shape without a pcap in the loop.
 //
 // The callback runs on per-connection goroutines, so it must be safe
@@ -57,25 +58,18 @@ func addrIPPort(a net.Addr) (uint32, uint16) {
 // traceNow stamps a record with wall-clock seconds.
 func traceNow() float64 { return float64(time.Now().UnixNano()) / 1e9 }
 
-// traceCall builds the call record for one decoded RPC call, mirroring
-// capture.handleMessage. It returns nil when the call body does not
-// parse (the dispatch path already rejected it).
+// traceCall builds the call record for one decoded RPC call. It
+// returns nil when the call body does not parse (the dispatch path
+// already rejected it).
 func traceCall(t float64, id connID, h *rpc.CallHeader) *core.Record {
-	info, err := nfs.ParseCall(h.Version, h.Proc, h.Args)
-	if err != nil {
-		return nil
-	}
 	rec := &core.Record{
 		Time: t, Kind: core.KindCall,
 		Client: id.client, Port: id.port,
 		Server: id.server, Proto: core.ProtoTCP,
-		XID: h.XID, Version: h.Version, Proc: core.MustProc(info.Name),
-		FH: core.InternFH(info.FH.String()), Name: info.FName,
-		FH2: core.InternFH(info.FH2.String()), Name2: info.FName2,
-		Offset: info.Offset, Count: info.Count, Stable: info.Stable,
+		XID: h.XID, Version: h.Version,
 	}
-	if info.SetSize != nil {
-		rec.SetSize, rec.HasSet = *info.SetSize, true
+	if nfs.CallRecord(rec, h.Version, h.Proc, h.Args) != nil {
+		return nil
 	}
 	if h.Cred.Flavor == rpc.AuthSys {
 		if auth, err := rpc.DecodeAuthSys(h.Cred.Body); err == nil {
@@ -85,28 +79,16 @@ func traceCall(t float64, id connID, h *rpc.CallHeader) *core.Record {
 	return rec
 }
 
-// traceReply builds the reply record for one encoded result body,
-// mirroring capture.handleMessage's reply path.
+// traceReply builds the reply record for one encoded result body.
 func traceReply(t float64, id connID, h *rpc.CallHeader, results []byte) *core.Record {
-	info, err := nfs.ParseReply(h.Version, h.Proc, results)
-	if err != nil {
-		return nil
-	}
 	rec := &core.Record{
 		Time: t, Kind: core.KindReply,
 		Client: id.client, Port: id.port,
 		Server: id.server, Proto: core.ProtoTCP,
-		XID: h.XID, Version: h.Version, Proc: core.MustProc(info.Name),
-		Status: info.Status, RCount: info.Count, EOF: info.EOF,
-		NewFH: core.InternFH(info.NewFH.String()),
+		XID: h.XID, Version: h.Version,
 	}
-	if info.Attr != nil {
-		rec.Size = info.Attr.Size
-		rec.FileID = info.Attr.FileID
-		rec.Mtime = info.Attr.Mtime.Seconds()
-	}
-	if info.Pre != nil {
-		rec.PreSize, rec.HasPre = info.Pre.Size, true
+	if nfs.ReplyRecord(rec, h.Version, h.Proc, results) != nil {
+		return nil
 	}
 	return rec
 }
