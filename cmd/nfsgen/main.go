@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	days := fs.Float64("days", 7, "trace window in days (0 = Sunday 00:00)")
 	seed := fs.Int64("seed", 20011021, "random seed")
 	out := fs.String("o", "", "output file (default stdout)")
-	asPcap := fs.Bool("pcap", false, "emit a pcap capture instead of a text trace (slow; use short windows)")
+	asPcap := fs.Bool("pcap", false, "emit a pcap capture instead of a text trace")
 	asBinary := fs.Bool("binary", false, "emit the compact binary trace format")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -61,33 +61,35 @@ func run(args []string, stdout, stderr io.Writer) error {
 		w = f
 	}
 
-	if *asPcap {
-		return generatePcap(w, stderr, *system, *users, *clients, *days, *seed)
-	}
-
-	tw := core.NewFormatWriter(w, *asBinary)
+	// The generator hands its sink the records in capture order; with
+	// -pcap it frames them into packets instead and the records go.
+	var sink client.Sink = client.FuncSink(func(*core.Record, int) {})
+	var tw core.RecordWriter
 	var written int64
 	var writeErr error
-	sink := client.FuncSink(func(rec *core.Record, _ int) {
-		if writeErr != nil {
-			return
-		}
-		if err := tw.Write(rec); err != nil {
-			writeErr = err
-			return
-		}
-		written++
-	})
-	sorter := client.NewSortingSink(sink)
+	if !*asPcap {
+		tw = core.NewFormatWriter(w, *asBinary)
+		sink = client.FuncSink(func(rec *core.Record, _ int) {
+			if writeErr == nil {
+				writeErr = tw.Write(rec)
+				written++
+			}
+		})
+	}
+	var gen generator
+	var mtu int
 	switch *system {
 	case "campus":
-		workload.NewCampus(workload.DefaultCampusConfig(*users, *days, *seed), sorter).Run()
+		gen, mtu = workload.NewCampus(workload.DefaultCampusConfig(*users, *days, *seed), sink), wire.JumboMTU
 	case "eecs":
-		workload.NewEECS(workload.DefaultEECSConfig(*clients, *days, *seed), sorter).Run()
+		gen, mtu = workload.NewEECS(workload.DefaultEECSConfig(*clients, *days, *seed), sink), wire.StandardMTU
 	default:
 		return fmt.Errorf("unknown system %q", *system)
 	}
-	sorter.Flush()
+	if *asPcap {
+		return writePcap(w, stderr, gen, mtu)
+	}
+	gen.Run()
 	if writeErr != nil {
 		return writeErr
 	}
@@ -98,70 +100,41 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// pcapSink adapts a pcap writer to the client's packet tap. Packets are
-// buffered and sorted because nfsiod jitter makes emission times
-// locally out of order.
-type pcapSink struct {
-	packets []pkt
+// generator is what nfsgen needs of a workload: CAMPUS and EECS alike.
+type generator interface {
+	Capture(sink client.PacketSink, mtu int)
+	Run()
 }
 
-type pkt struct {
-	t    float64
-	data []byte
+// packetWriter streams a capture into a pcap file, keeping the first
+// write error.
+type packetWriter struct {
+	pw  *pcap.Writer
+	err error
 }
 
-func (s *pcapSink) Packet(t float64, frame []byte) {
-	cp := make([]byte, len(frame))
-	copy(cp, frame)
-	s.packets = append(s.packets, pkt{t, cp})
-}
-
-func generatePcap(w io.Writer, stderr io.Writer, system string, users, clients int, days float64, seed int64) error {
-	records := &client.SliceSink{}
-	ps := &pcapSink{}
-	switch system {
-	case "campus":
-		cfg := workload.DefaultCampusConfig(users, days, seed)
-		gen := workload.NewCampus(cfg, records)
-		for _, cl := range gen.Clients() {
-			cl.EnableWireTap(client.NewWireTap(ps, cl.IP, workload.ServerIPCampus, wire.JumboMTU))
-		}
-		gen.Run()
-	case "eecs":
-		cfg := workload.DefaultEECSConfig(clients, days, seed)
-		gen := workload.NewEECS(cfg, records)
-		for _, cl := range gen.Clients() {
-			cl.EnableWireTap(client.NewWireTap(ps, cl.IP, workload.ServerIPEECS, wire.StandardMTU))
-		}
-		gen.Run()
-	default:
-		return fmt.Errorf("unknown system %q", system)
+func (p *packetWriter) Packet(t float64, frame []byte) {
+	if p.err == nil {
+		p.err = p.pw.WritePacket(t, frame)
 	}
-	// Sort packets by time and write.
-	sortPackets(ps.packets)
+}
+
+// writePcap runs gen with a capture attached and writes its packets,
+// which leave the generator in capture order, as they come.
+func writePcap(w, stderr io.Writer, gen generator, mtu int) error {
 	pw, err := pcap.NewWriter(w, true)
 	if err != nil {
 		return err
 	}
-	for _, p := range ps.packets {
-		if err := pw.WritePacket(p.t, p.data); err != nil {
-			return err
-		}
+	out := &packetWriter{pw: pw}
+	gen.Capture(out, mtu)
+	gen.Run()
+	if out.err != nil {
+		return out.err
 	}
 	if err := pw.Flush(); err != nil {
 		return err
 	}
 	fmt.Fprintf(stderr, "nfsgen: wrote %d packets (NFSv%d-era capture)\n", pw.Count(), nfs.V3)
 	return nil
-}
-
-func sortPackets(ps []pkt) {
-	// Insertion sort: the stream is nearly sorted.
-	for i := 1; i < len(ps); i++ {
-		j := i
-		for j > 0 && ps[j-1].t > ps[j].t {
-			ps[j-1], ps[j] = ps[j], ps[j-1]
-			j--
-		}
-	}
 }

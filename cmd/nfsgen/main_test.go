@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -47,6 +49,51 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if bytes.Equal(a, gen("8")) {
 		t.Fatal("different-seed traces identical")
+	}
+}
+
+// TestRunCaptureOrder: the trace comes out in capture order, with no
+// backward time step, at scales where sessions emit records far ahead
+// of the simulator clock (CAMPUS at 100 users, up to ~2 000 s) and
+// across EECS's workstations.
+func TestRunCaptureOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates 1.3 M records")
+	}
+	for _, args := range [][]string{
+		{"-system", "campus", "-users", "100", "-days", "1"},
+		{"-system", "eecs", "-clients", "4", "-days", "2"},
+	} {
+		path := filepath.Join(t.TempDir(), "trace")
+		var out, errb bytes.Buffer
+		if err := run(append(args, "-o", path), &out, &errb); err != nil {
+			t.Fatalf("%v: %v (stderr: %s)", args, err, errb.String())
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		lines, back, last := 0, 0, 0.0
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			lines++
+			field, _, _ := strings.Cut(sc.Text(), " ")
+			ts, err := strconv.ParseFloat(field, 64)
+			if err != nil {
+				t.Fatalf("%v: line %d: %v", args, lines, err)
+			}
+			if ts < last {
+				back++
+			}
+			last = ts
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if lines < 100000 || back != 0 {
+			t.Errorf("%v: %d lines, %d backward time steps; want 0", args, lines, back)
+		}
 	}
 }
 

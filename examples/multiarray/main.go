@@ -22,11 +22,9 @@ import (
 
 func generateArray(name string, serverIP uint32, seed int64) *bytes.Buffer {
 	sink := &client.SliceSink{}
-	sorter := client.NewSortingSink(sink)
 	cfg := workload.DefaultCampusConfig(3, 1.5, seed)
 	cfg.ServerIP = serverIP
-	workload.NewCampus(cfg, sorter).Run()
-	sorter.Flush()
+	workload.NewCampus(cfg, sink).Run()
 
 	var buf bytes.Buffer
 	w := core.NewBinaryWriter(&buf)

@@ -127,9 +127,7 @@ func contractStreams(t *testing.T) map[string][]*core.Op {
 	gen := func(run func(client.Sink)) []*core.Op {
 		j := pipeline.NewPushJoiner()
 		var ops []*core.Op
-		sorter := client.NewSortingSink(client.FuncSink(func(r *core.Record, _ int) { ops = j.Push(r, ops) }))
-		run(sorter)
-		sorter.Flush()
+		run(client.FuncSink(func(r *core.Record, _ int) { ops = j.Push(r, ops) }))
 		ops = j.Drain(ops)
 		if len(ops) < 1000 {
 			t.Fatalf("stream has only %d ops", len(ops))

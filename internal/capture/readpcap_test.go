@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"runtime"
-	"sort"
 	"testing"
 
 	"repro/internal/client"
@@ -35,17 +34,59 @@ func pcapBytes(tb testing.TB, pkts *packetBuf) []byte {
 }
 
 // eecsPcap generates an EECS capture the way nfsgen -pcap does: NFSv3
-// over UDP at the standard MTU, packets in time order.
+// over UDP at the standard MTU, packets in capture order.
 func eecsPcap(tb testing.TB, clients int, days float64) []byte {
 	tb.Helper()
 	pkts := &packetBuf{}
 	gen := workload.NewEECS(workload.DefaultEECSConfig(clients, days, 20011021), &client.SliceSink{})
-	for _, cl := range gen.Clients() {
-		cl.EnableWireTap(client.NewWireTap(pkts, cl.IP, workload.ServerIPEECS, wire.StandardMTU))
-	}
+	gen.Capture(pkts, wire.StandardMTU)
 	gen.Run()
-	sort.SliceStable(pkts.packets, func(i, j int) bool { return pkts.packets[i].t < pkts.packets[j].t })
 	return pcapBytes(tb, pkts)
+}
+
+// TestSnifferMatchesGenerator sniffs a generator's own capture, written
+// to a pcap file, and holds what comes out against the records the
+// generator emitted: the same records in the same order, every field
+// equal and times within the pcap's nanosecond rounding. CAMPUS covers
+// TCP at the jumbo MTU, where one message's late framing would misplace
+// sequence numbers; EECS covers UDP with IP fragmentation.
+func TestSnifferMatchesGenerator(t *testing.T) {
+	type generator interface {
+		Capture(client.PacketSink, int)
+		Run()
+	}
+	for _, tc := range []struct {
+		name string
+		gen  func(client.Sink) generator
+		mtu  int
+	}{
+		{"campus", func(s client.Sink) generator {
+			return workload.NewCampus(workload.DefaultCampusConfig(4, 0.3, 5), s)
+		}, wire.JumboMTU},
+		{"eecs", func(s client.Sink) generator {
+			return workload.NewEECS(workload.DefaultEECSConfig(2, 0.3, 5), s)
+		}, wire.StandardMTU},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			records, pkts := &client.SliceSink{}, &packetBuf{}
+			gen := tc.gen(records)
+			gen.Capture(pkts, tc.mtu)
+			gen.Run()
+			if len(records.Records) < 1000 {
+				t.Fatalf("only %d records generated", len(records.Records))
+			}
+			r, err := pcap.NewReader(bytes.NewReader(pcapBytes(t, pkts)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []*core.Record
+			s := NewSniffer(func(rec *core.Record) { got = append(got, rec) })
+			if err := s.ReadPcap(r); err != nil {
+				t.Fatal(err)
+			}
+			assertRecordsMatchWithin(t, records.Records, got, 1e-6)
+		})
+	}
 }
 
 // traceCapture runs nfstrace's loop — ReadPcap into the text writer —

@@ -41,7 +41,7 @@ type Client struct {
 
 	rng *rand.Rand
 	xid uint32
-	tap *WireTap
+	tap Tap
 	msg xdr.Encoder // the call or reply being sent, reused
 
 	attrs map[string]*attrEntry

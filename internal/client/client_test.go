@@ -259,25 +259,6 @@ func TestRemoveInvalidatesCaches(t *testing.T) {
 	}
 }
 
-func TestSortingSinkOrdersRecords(t *testing.T) {
-	var got []*core.Record
-	final := FuncSink(func(r *core.Record, _ int) { got = append(got, r) })
-	s := NewSortingSink(final)
-	times := []float64{10, 11, 10.5, 12, 11.7, 30, 29.5, 40}
-	for _, tm := range times {
-		s.Record(&core.Record{Time: tm}, 100)
-	}
-	s.Flush()
-	if len(got) != len(times) {
-		t.Fatalf("%d records out", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1].Time > got[i].Time {
-			t.Fatalf("unsorted output at %d", i)
-		}
-	}
-}
-
 func TestLossySinkDropsUnderOverload(t *testing.T) {
 	var kept int
 	final := FuncSink(func(r *core.Record, _ int) { kept++ })

@@ -8,13 +8,13 @@ import (
 // Record construction: the client encodes each call and each reply
 // once through the real wire codecs. nfs.CallRecord and nfs.ReplyRecord
 // build the records from those bytes, the same builders the sniffer
-// runs on captured packets, and an attached WireTap frames the same
-// bytes. So the records the client emits are exactly what a sniffer
-// would extract from its packets, which keeps the fast record-level
-// pipeline byte-faithful to the wire-level one.
+// runs on captured packets, and an attached Tap receives the same bytes
+// inside their RPC message. So the records the client emits are exactly
+// what a sniffer would extract from its packets, which keeps the fast
+// record-level pipeline byte-faithful to the wire-level one.
 
-// sendCall encodes args, emits the call record and frames the call on
-// the tap.
+// sendCall encodes args, emits the call record and hands the call
+// message to the tap.
 func (c *Client) sendCall(t float64, version, proc uint32, args any) {
 	e := &c.msg
 	e.Reset()
@@ -30,12 +30,12 @@ func (c *Client) sendCall(t float64, version, proc uint32, args any) {
 	// the encoded body (write data rides in the body already).
 	c.Sink.Record(rec, 150+e.Len())
 	if c.tap != nil {
-		c.tap.emitCall(t, c.Proto, c.Port, c.xid, version, proc, c.UID, c.GID, e.Bytes())
+		c.tap.Message(t, c.Proto, c.Port, true, callMessage(t, c.xid, version, proc, c.UID, c.GID, e.Bytes()))
 	}
 }
 
-// sendReply encodes res, emits the reply record and frames the reply on
-// the tap.
+// sendReply encodes res, emits the reply record and hands the reply
+// message to the tap.
 func (c *Client) sendReply(t float64, version, proc uint32, res any) {
 	e := &c.msg
 	e.Reset()
@@ -48,7 +48,7 @@ func (c *Client) sendReply(t float64, version, proc uint32, res any) {
 	}
 	c.Sink.Record(rec, 150+e.Len())
 	if c.tap != nil {
-		c.tap.emitReply(t, c.Proto, c.Port, c.xid, e.Bytes())
+		c.tap.Message(t, c.Proto, c.Port, false, replyMessage(c.xid, e.Bytes()))
 	}
 }
 

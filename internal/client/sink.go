@@ -1,8 +1,6 @@
 package client
 
 import (
-	"container/heap"
-
 	"repro/internal/core"
 	"repro/internal/netem"
 )
@@ -30,62 +28,9 @@ type FuncSink func(rec *core.Record, wireSize int)
 // Record implements Sink.
 func (f FuncSink) Record(rec *core.Record, wireSize int) { f(rec, wireSize) }
 
-// recordHeap orders records by time.
-type recordHeap []*core.Record
-
-func (h recordHeap) Len() int           { return len(h) }
-func (h recordHeap) Less(i, j int) bool { return h[i].Time < h[j].Time }
-func (h recordHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *recordHeap) Push(x any)        { *h = append(*h, x.(*core.Record)) }
-func (h *recordHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// SortingSink reorders records into global time order before passing
-// them on. The simulation emits each operation's call and reply
-// together, but wire times interleave across operations: nfsiod jitter
-// moves calls by up to a second, and in-session activities (message
-// views, builds) emit their records inline ahead of other actors'
-// scheduled events. A bounded look-ahead window restores capture order;
-// it must exceed the longest inline think-time stretch any workload
-// activity produces (bounded well under five minutes).
-type SortingSink struct {
-	Next   Sink
-	Window float64
-
-	h recordHeap
-}
-
-// NewSortingSink wraps next with a five-minute reordering window.
-func NewSortingSink(next Sink) *SortingSink {
-	return &SortingSink{Next: next, Window: 300.0}
-}
-
-// Record implements Sink.
-func (s *SortingSink) Record(rec *core.Record, wireSize int) {
-	heap.Push(&s.h, rec)
-	for s.h.Len() > 0 && s.h[0].Time < rec.Time-s.Window {
-		s.Next.Record(heap.Pop(&s.h).(*core.Record), 0)
-	}
-}
-
-// Flush drains all buffered records in time order.
-func (s *SortingSink) Flush() {
-	for s.h.Len() > 0 {
-		rec := heap.Pop(&s.h).(*core.Record)
-		s.Next.Record(rec, 0)
-	}
-}
-
-// LossySink drops records whose packets the mirror port misses. Apply
-// this *before* sorting, in emission order, since the port model is
-// stateful in time. Note the port sees packets in wire-time order only
-// approximately; the small local disorder underestimates loss slightly,
-// which matches the paper's own uncertainty.
+// LossySink drops records whose packets the mirror port misses. The
+// port model is stateful in time, so it must see records in capture
+// order, which is how the workload generators deliver them.
 type LossySink struct {
 	Next Sink
 	Port *netem.MirrorPort

@@ -7,6 +7,14 @@ import (
 	"repro/internal/xdr"
 )
 
+// Tap receives each RPC message a client exchanges with its server,
+// encoded and without record marking, with its wire time, the client's
+// transport and port, and its direction. A WireTap frames every message
+// as it arrives.
+type Tap interface {
+	Message(t float64, proto byte, port uint16, fromClient bool, msg []byte)
+}
+
 // PacketSink receives fully framed packets with their wire times — the
 // input a real sniffer would see. Wire together with pcap.Writer to
 // produce capture files.
@@ -48,34 +56,34 @@ func NewWireTap(sink PacketSink, clientIP, serverIP uint32, mtu int) *WireTap {
 // NFSPort is the well-known NFS server port.
 const NFSPort = 2049
 
-// emitCall frames one RPC call message.
-func (w *WireTap) emitCall(t float64, proto byte, port uint16, xid, version, proc uint32,
-	uid, gid uint32, argsBytes []byte) {
-
+// callMessage encodes the RPC call message carrying args.
+func callMessage(t float64, xid, version, proc, uid, gid uint32, args []byte) []byte {
 	cred := xdr.NewEncoder(64)
 	(&rpc.AuthSysBody{Stamp: uint32(t), MachineName: "client",
 		UID: uid, GID: gid, GIDs: []uint32{gid}}).Encode(cred)
-	e := xdr.NewEncoder(len(argsBytes) + 128)
+	e := xdr.NewEncoder(len(args) + 128)
 	rpc.EncodeCall(e, &rpc.CallHeader{
 		XID: xid, Program: rpc.ProgramNFS, Version: version, Proc: proc,
 		Cred: rpc.OpaqueAuth{Flavor: rpc.AuthSys, Body: cred.Bytes()},
 		Verf: rpc.OpaqueAuth{Flavor: rpc.AuthNone},
-		Args: argsBytes,
+		Args: args,
 	})
-	w.send(t, proto, true, port, e.Bytes())
+	return e.Bytes()
 }
 
-// emitReply frames one RPC accepted/success reply message.
-func (w *WireTap) emitReply(t float64, proto byte, port uint16, xid uint32, resBytes []byte) {
-	e := xdr.NewEncoder(len(resBytes) + 64)
+// replyMessage encodes the RPC accepted/success reply message carrying
+// res.
+func replyMessage(xid uint32, res []byte) []byte {
+	e := xdr.NewEncoder(len(res) + 64)
 	rpc.EncodeReply(e, &rpc.ReplyHeader{
 		XID: xid, ReplyStat: rpc.MsgAccepted, AcceptStat: rpc.Success,
-		Verf: rpc.OpaqueAuth{Flavor: rpc.AuthNone}, Results: resBytes,
+		Verf: rpc.OpaqueAuth{Flavor: rpc.AuthNone}, Results: res,
 	})
-	w.send(t, proto, false, port, e.Bytes())
+	return e.Bytes()
 }
 
-func (w *WireTap) send(t float64, proto byte, fromClient bool, port uint16, msg []byte) {
+// Message implements Tap: it frames msg into packets at once.
+func (w *WireTap) Message(t float64, proto byte, port uint16, fromClient bool, msg []byte) {
 	src, dst := w.clientIP, w.serverIP
 	sport, dport := port, uint16(NFSPort)
 	if !fromClient {
@@ -122,8 +130,8 @@ func (w *WireTap) send(t float64, proto byte, fromClient bool, port uint16, msg 
 	}
 }
 
-// EnableWireTap attaches packet emission to the client: records continue
-// to flow to its Sink, and packets flow to the tap.
-func (c *Client) EnableWireTap(tap *WireTap) {
+// EnableWireTap attaches a tap to the client: records continue to flow
+// to its Sink, and the encoded messages flow to the tap.
+func (c *Client) EnableWireTap(tap Tap) {
 	c.tap = tap
 }

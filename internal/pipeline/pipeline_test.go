@@ -17,10 +17,7 @@ import (
 func genRecords(tb testing.TB, days float64) []*core.Record {
 	tb.Helper()
 	sink := &client.SliceSink{}
-	sorter := client.NewSortingSink(sink)
-	gen := workload.NewCampus(workload.DefaultCampusConfig(3, days, 20011021), sorter)
-	gen.Run()
-	sorter.Flush()
+	workload.NewCampus(workload.DefaultCampusConfig(3, days, 20011021), sink).Run()
 	return sink.Records
 }
 
@@ -197,10 +194,8 @@ func TestJoinerMatchesJoin(t *testing.T) {
 	lossySink := &client.SliceSink{}
 	port := netem.NewMirrorPort()
 	port.Rate = 120e3
-	lossy := &client.LossySink{Next: client.NewSortingSink(lossySink), Port: port}
-	gen := workload.NewCampus(workload.DefaultCampusConfig(3, 0.5, 20011021), lossy)
-	gen.Run()
-	lossy.Next.(*client.SortingSink).Flush()
+	lossy := &client.LossySink{Next: lossySink, Port: port}
+	workload.NewCampus(workload.DefaultCampusConfig(3, 0.5, 20011021), lossy).Run()
 
 	for name, records := range map[string][]*core.Record{
 		"clean": genRecords(t, 0.25), "lossy": lossySink.Records,

@@ -37,9 +37,8 @@ import (
 // more than MaxCallAge after its call counts as an orphan.
 //
 // Records should arrive in capture-time order. One that does not — its
-// time is earlier than a record before it, as in a hand-edited or
-// clock-skewed trace, or in nfsgen's CAMPUS output where a session
-// outruns the generator's sorting window — is joined all the same: a
+// time is earlier than a record before it, as in a hand-edited,
+// clock-skewed or foreign trace — is joined all the same: a
 // late call is moved down the ring to its place in time order (cheap
 // for the few slots of an in-flight window, linear in the ring for
 // each such call otherwise), every Op keeps its record's own time, no

@@ -89,7 +89,7 @@ type Campus struct {
 const ServerIPCampus = 0x0a010001
 
 // NewCampus builds the filesystem, hosts, and users. Records flow to
-// sink.
+// sink in capture order.
 func NewCampus(cfg CampusConfig, sink client.Sink) *Campus {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	fs := vfs.New()
@@ -101,7 +101,7 @@ func NewCampus(cfg CampusConfig, sink client.Sink) *Campus {
 	c := &Campus{
 		cfg:   cfg,
 		rng:   rng,
-		sim:   &Sim{End: cfg.Days * Day},
+		sim:   newSim(cfg.Days*Day, sink),
 		curve: NewDiurnalCurve(0.25),
 		srv:   srv,
 		root:  fs.RootFH(),
@@ -115,10 +115,10 @@ func NewCampus(cfg CampusConfig, sink client.Sink) *Campus {
 		serverIP = ServerIPCampus
 	}
 	mk := func(ip uint32, seed int64) *client.Client {
-		cl := client.New(client.Config{
+		cl := c.sim.newHost(client.Config{
 			IP: ip, UID: 0, GID: 0, Version: nfs.V3, Proto: core.ProtoTCP,
 			Daemons: 6, Seed: seed,
-		}, srv, serverIP, sink)
+		}, srv, serverIP)
 		cl.AttrTimeout = 30
 		return cl
 	}
@@ -133,11 +133,10 @@ func NewCampus(cfg CampusConfig, sink client.Sink) *Campus {
 // Server exposes the simulated NFS server (for inspection in tests).
 func (c *Campus) Server() *server.Server { return c.srv }
 
-// Clients returns the three NFS client hosts (SMTP, POP, login), so
-// callers can attach wire taps.
-func (c *Campus) Clients() []*client.Client {
-	return []*client.Client{c.smtp, c.pop, c.login}
-}
+// Capture frames the traffic of the three client hosts (SMTP, POP,
+// login) into packets at mtu for sink, in capture order, as Run
+// releases it.
+func (c *Campus) Capture(sink client.PacketSink, mtu int) { c.sim.capture(sink, mtu) }
 
 // populate creates home directories, dot files, and pre-aged inboxes
 // directly in the filesystem (setup happens before the trace window and

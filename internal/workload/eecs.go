@@ -103,6 +103,7 @@ type EECS struct {
 const ServerIPEECS = 0x0a020001
 
 // NewEECS builds the filer, workstations, and home directories.
+// Records flow to sink in capture order.
 func NewEECS(cfg EECSConfig, sink client.Sink) *EECS {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	fs := vfs.New() // no quotas on EECS (§3.1)
@@ -110,7 +111,7 @@ func NewEECS(cfg EECSConfig, sink client.Sink) *EECS {
 	e := &EECS{
 		cfg:   cfg,
 		rng:   rng,
-		sim:   &Sim{End: cfg.Days * Day},
+		sim:   newSim(cfg.Days*Day, sink),
 		curve: NewDiurnalCurve(0.55), // research happens on weekends too
 		srv:   srv,
 	}
@@ -125,7 +126,7 @@ func NewEECS(cfg EECSConfig, sink client.Sink) *EECS {
 	e.night = &night
 
 	for i := 0; i < cfg.Clients; i++ {
-		e.hosts = append(e.hosts, e.populateHost(fs, i, sink))
+		e.hosts = append(e.hosts, e.populateHost(fs, i))
 	}
 	return e
 }
@@ -133,17 +134,11 @@ func NewEECS(cfg EECSConfig, sink client.Sink) *EECS {
 // Server exposes the simulated filer.
 func (e *EECS) Server() *server.Server { return e.srv }
 
-// Clients returns every workstation's NFS client, so callers can attach
-// wire taps.
-func (e *EECS) Clients() []*client.Client {
-	out := make([]*client.Client, len(e.hosts))
-	for i, h := range e.hosts {
-		out[i] = h.cl
-	}
-	return out
-}
+// Capture frames every workstation's traffic into packets at mtu for
+// sink, in capture order, as Run releases it.
+func (e *EECS) Capture(sink client.PacketSink, mtu int) { e.sim.capture(sink, mtu) }
 
-func (e *EECS) populateHost(fs *vfs.FS, i int, sink client.Sink) *eecsHost {
+func (e *EECS) populateHost(fs *vfs.FS, i int) *eecsHost {
 	uid := uint32(3000 + i)
 	gid := uint32(300)
 	// Most clients speak NFSv3; a sizable minority still run v2. All
@@ -152,11 +147,11 @@ func (e *EECS) populateHost(fs *vfs.FS, i int, sink client.Sink) *eecsHost {
 	if i%3 == 1 {
 		version = nfs.V2
 	}
-	cl := client.New(client.Config{
+	cl := e.sim.newHost(client.Config{
 		IP: 0x0a020100 + uint32(i), UID: uid, GID: gid,
 		Version: version, Proto: core.ProtoUDP,
 		Daemons: 4, Seed: e.cfg.Seed ^ int64(i)*7919,
-	}, e.srv, ServerIPEECS, sink)
+	}, e.srv, ServerIPEECS)
 	cl.AttrTimeout = 30
 	if version == nfs.V3 {
 		cl.XferSize = 32768 // fast v3 workstations; v2 is capped at 8 KB

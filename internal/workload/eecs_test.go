@@ -158,9 +158,7 @@ func TestCampusTCPJumboOnly(t *testing.T) {
 		t.Skip("workload generation")
 	}
 	sink := &client.SliceSink{}
-	sorter := client.NewSortingSink(sink)
-	NewCampus(DefaultCampusConfig(2, 0.2, 5), sorter).Run()
-	sorter.Flush()
+	NewCampus(DefaultCampusConfig(2, 0.2, 5), sink).Run()
 	for _, r := range sink.Records {
 		if r.Proto != core.ProtoTCP {
 			t.Fatal("CAMPUS record not over TCP")
@@ -176,9 +174,7 @@ func TestEECSUDPOnly(t *testing.T) {
 		t.Skip("workload generation")
 	}
 	sink := &client.SliceSink{}
-	sorter := client.NewSortingSink(sink)
-	NewEECS(DefaultEECSConfig(3, 0.2, 5), sorter).Run()
-	sorter.Flush()
+	NewEECS(DefaultEECSConfig(3, 0.2, 5), sink).Run()
 	for _, r := range sink.Records {
 		if r.Proto != core.ProtoUDP {
 			t.Fatal("EECS record not over UDP")

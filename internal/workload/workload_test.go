@@ -51,6 +51,59 @@ func TestSimDeterministicTieBreak(t *testing.T) {
 	}
 }
 
+// TestSimReleasesInCaptureOrder checks the capture-order queue: an
+// item leaves once the clock passes its time, equal times leave in
+// emission order, wire sizes reach the sink, the end of Run releases
+// the rest (past the horizon too), and an emit below what has been
+// released panics.
+func TestSimReleasesInCaptureOrder(t *testing.T) {
+	type out struct {
+		t    float64
+		xid  uint32
+		size int
+	}
+	var got []out
+	s := newSim(100, client.FuncSink(func(r *core.Record, size int) {
+		got = append(got, out{r.Time, r.XID, size})
+	}))
+	emit := func(t float64, xid uint32) { s.out.Record(&core.Record{Time: t, XID: xid}, 100+int(xid)) }
+	s.At(1, func(float64) {
+		emit(5, 1)
+		emit(2, 2)
+		emit(5, 3)
+		emit(2, 4)
+		emit(1, 5) // at the clock: held until it passes
+	})
+	s.At(3, func(float64) {
+		if len(got) != 3 || got[0].xid != 5 || got[1].xid != 2 || got[2].xid != 4 {
+			t.Errorf("released by t=3: %+v, want xids 5, 2, 4", got)
+		}
+		emit(3, 6)
+		emit(150, 7)
+	})
+	s.At(5, func(float64) { emit(5, 8) })
+	s.Run()
+	want := []out{{1, 5, 105}, {2, 2, 102}, {2, 4, 104}, {3, 6, 106}, {5, 1, 101}, {5, 3, 103}, {5, 8, 108}, {150, 7, 107}}
+	if len(got) != len(want) {
+		t.Fatalf("got %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got %+v, want %+v", got, want)
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an emit below the released watermark did not panic")
+		}
+	}()
+	late := newSim(100, client.FuncSink(func(*core.Record, int) {}))
+	late.At(1, func(float64) { late.out.Record(&core.Record{Time: 4}, 0) })
+	late.At(6, func(float64) { late.out.Record(&core.Record{Time: 3.5}, 0) })
+	late.Run()
+}
+
 func TestHourOfWeekAndPeak(t *testing.T) {
 	if HourOfWeek(0) != 0 {
 		t.Fatal("epoch not hour 0")
@@ -145,9 +198,7 @@ func joined(t *testing.T, run func(client.Sink)) []*core.Op {
 	t.Helper()
 	j := pipeline.NewPushJoiner()
 	var ops []*core.Op
-	sorter := client.NewSortingSink(client.FuncSink(func(r *core.Record, _ int) { ops = j.Push(r, ops) }))
-	run(sorter)
-	sorter.Flush()
+	run(client.FuncSink(func(r *core.Record, _ int) { ops = j.Push(r, ops) }))
 	ops = j.Drain(ops)
 	if stats := j.Stats(); stats.OrphanReplies != 0 {
 		t.Fatalf("orphan replies in lossless run: %+v", stats)
@@ -394,10 +445,7 @@ func TestGenerationDeterministic(t *testing.T) {
 	}
 	gen := func() []*core.Record {
 		sink := &client.SliceSink{}
-		sorter := client.NewSortingSink(sink)
-		c := NewCampus(DefaultCampusConfig(2, 0.25, 777), sorter)
-		c.Run()
-		sorter.Flush()
+		NewCampus(DefaultCampusConfig(2, 0.25, 777), sink).Run()
 		return sink.Records
 	}
 	a, b := gen(), gen()

@@ -23,7 +23,6 @@
 package repro
 
 import (
-	"cmp"
 	"io"
 	"slices"
 
@@ -110,14 +109,9 @@ func splitOps(ops []*core.Op, n int) [][]*core.Op {
 	return pieces
 }
 
-// finish ends a trace whose records have all been pushed into j. The
-// joiner releases an operation whose call came late — the generators'
-// sorting window is outrun now and then, ROADMAP item 1a — after later
-// ones; the order-sensitive analyses (runs, reorder, block life) need
-// the time order Trace.Ops promises, so those few are put in place.
+// finish ends a trace whose records have all been pushed into j.
 func (tr *Trace) finish(j *pipeline.Joiner) *Trace {
 	tr.Ops = j.Drain(tr.Ops)
-	slices.SortStableFunc(tr.Ops, func(x, y *core.Op) int { return cmp.Compare(x.T, y.T) })
 	tr.Join = j.Stats()
 	return tr
 }
@@ -155,28 +149,21 @@ func (s Scale) eecs(sink client.Sink) {
 	workload.NewEECS(workload.DefaultEECSConfig(s.EECSClients, s.Days, s.Seed), sink).Run()
 }
 
-// sorted runs a simulation with its records put into capture order —
-// behind the mirror port when there is one — and delivered to next.
-func sorted(run func(client.Sink), port *netem.MirrorPort, next client.Sink) {
-	sorter := client.NewSortingSink(next)
-	run(&client.LossySink{Next: sorter, Port: port})
-	sorter.Flush()
-}
-
-// generate simulates a system into a joined trace: each record goes
-// from the sorting window straight into the streaming joiner — the
-// matcher nfsanalyze, nfsworker and nfsmond run — and only the
-// operations it releases are kept.
+// generate simulates a system into a joined trace: each record leaves
+// the simulation in capture order, passes the mirror port when there
+// is one, and goes straight into the streaming joiner — the matcher
+// nfsanalyze, nfsworker and nfsmond run — and only the operations it
+// releases are kept.
 func generate(tr *Trace, run func(client.Sink), port *netem.MirrorPort) *Trace {
 	j := pipeline.NewPushJoiner()
-	sorted(run, port, client.FuncSink(func(rec *core.Record, _ int) { tr.Ops = j.Push(rec, tr.Ops) }))
+	run(&client.LossySink{Port: port, Next: client.FuncSink(func(rec *core.Record, _ int) { tr.Ops = j.Push(rec, tr.Ops) })})
 	return tr.finish(j)
 }
 
 // rawRecords simulates a system into its raw (unjoined) records.
 func rawRecords(run func(client.Sink)) []*core.Record {
 	sink := &client.SliceSink{}
-	sorted(run, nil, sink)
+	run(sink)
 	return sink.Records
 }
 
@@ -214,7 +201,11 @@ func WriteTrace(w io.Writer, records []*core.Record) error {
 	return core.WriteAll(w, records)
 }
 
-// ReadTrace reads a text trace and joins it into operations.
+// ReadTrace reads a text trace and joins it into operations. Like
+// nfsanalyze, it takes its input in capture order, as nfsgen and
+// nfstrace write it. A record out of that order is joined all the
+// same, but the operation of a late call may then follow later ones in
+// Trace.Ops (see pipeline.Joiner).
 func ReadTrace(r io.Reader) (*Trace, error) {
 	tr, j := &Trace{Name: "trace", ReorderWindowMS: 10}, pipeline.NewPushJoiner()
 	for src := core.NewReader(r); ; {

@@ -2,9 +2,14 @@ package repro
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // Shared small traces: generated once per test binary.
@@ -101,7 +106,7 @@ func TestTraceRoundTripThroughTextFormat(t *testing.T) {
 		t.Skip("trace generation")
 	}
 	s := SmallScale()
-	s.Days = 0.2
+	s.Days = 0.5
 	records := GenerateCampusRecords(s)
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, records); err != nil {
@@ -114,10 +119,53 @@ func TestTraceRoundTripThroughTextFormat(t *testing.T) {
 	if len(tr.Ops) == 0 {
 		t.Fatal("no ops after round trip")
 	}
-	// Joining the original records must agree with the round-tripped.
+	// Joining the original records must agree with the round-tripped,
+	// op for op. The text format keeps every field but rounds times to
+	// the microsecond, and the joiner releases operations with equal
+	// call times in completion order, so two calls that share a
+	// microsecond may come back swapped. Both streams must be in
+	// call-time order; with the direct one's times rounded as the text
+	// rounds them, both are put in (call, reply, client, port) order
+	// and compared.
 	direct := GenerateCampus(s)
+	if tr.Join != direct.Join {
+		t.Fatalf("join stats %+v, direct %+v", tr.Join, direct.Join)
+	}
 	if len(tr.Ops) != len(direct.Ops) {
 		t.Fatalf("op counts differ: %d vs %d", len(tr.Ops), len(direct.Ops))
+	}
+	micros := func(x float64) float64 {
+		v, _ := strconv.ParseFloat(strconv.FormatFloat(x, 'f', 6, 64), 64)
+		return v
+	}
+	canonical := func(ops []*core.Op) []core.Op {
+		out := make([]core.Op, len(ops))
+		for i, op := range ops {
+			out[i] = *op
+			out[i].T, out[i].RT = micros(op.T), micros(op.RT)
+		}
+		if !slices.IsSortedFunc(ops, func(a, b *core.Op) int { return cmp.Compare(a.T, b.T) }) {
+			t.Fatal("ops not in call-time order")
+		}
+		slices.SortStableFunc(out, func(a, b core.Op) int {
+			if c := cmp.Compare(a.T, b.T); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.RT, b.RT); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.Client, b.Client); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Port, b.Port)
+		})
+		return out
+	}
+	got, want := canonical(tr.Ops), canonical(direct.Ops)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("op %d differs:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # merge_smoke.sh — end-to-end smoke test of the distributed analysis
 # path, with no checked-in traces: nfsgen generates a CAMPUS trace,
-# tracesplit cuts it into gzip pieces at quiescent boundaries, and the
-# same analyses then run three ways — single process over the original
+# which must be in capture order (no backward time step), tracesplit
+# cuts it into gzip pieces at quiescent boundaries, and the same
+# analyses then run three ways — single process over the original
 # file, -partial per piece + -merge, and -coordinator -workers 8 over
 # the piece set. All three renderings must be byte-identical, and the
 # coordinator must actually have fanned out (piece count asserted from
@@ -17,6 +18,9 @@ go build -o "$workdir" ./cmd/nfsanalyze ./cmd/nfsgen ./tools/tracesplit
 
 echo "== generating trace"
 "$workdir/nfsgen" -system campus -users 3 -days 1 -o "$workdir/campus.trace"
+
+echo "== checking the trace is in capture order"
+LC_ALL=C sort -s -n -k1,1 -c "$workdir/campus.trace"
 
 echo "== splitting into 8 gzip pieces at quiescent boundaries"
 "$workdir/tracesplit" -n 8 -gzip -o "$workdir/piece" "$workdir/campus.trace"
