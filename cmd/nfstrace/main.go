@@ -6,6 +6,16 @@
 // TCP (reassembling streams and RPC record marking), matches replies to
 // calls by transaction id, and can anonymize on the fly.
 //
+// A capture may miss packets, as the paper's CAMPUS mirror port did
+// under load. A TCP segment lost to the capture costs the records it
+// carried: the stream skips the hole once the other side acknowledges
+// bytes past it, and a record held behind the hole is written with the
+// time of the packet that released it. The statistics line on stderr
+// counts the inputs of the §4.1.4 loss estimate: replies whose call was
+// never seen (orphans) and calls whose reply was never seen (unmatched:
+// given up after 300 s, or still waiting when the capture ends). The
+// estimate is the one nfsanalyze prints for its join.
+//
 // Usage:
 //
 //	nfstrace -r capture.pcap -o trace.txt
@@ -54,8 +64,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stderr,
-		"nfstrace: %d packets, %d calls, %d replies, %d orphan replies (loss est %.2f%%), %d decode errors\n",
-		st.Packets, st.Calls, st.Replies, st.OrphanReplies, 100*st.LossEstimate(), st.DecodeErrors)
+		"nfstrace: %d packets, %d calls, %d replies, %d orphan replies (loss est %.2f%%), %d decode errors, %d unmatched calls\n",
+		st.Packets, st.Calls, st.Replies, st.OrphanReplies, 100*st.LossEstimate(), st.DecodeErrors, st.UnmatchedCalls)
 	return 0
 }
 

@@ -108,9 +108,10 @@ func runTrace(t *testing.T, args ...string) string {
 }
 
 // The golden files pin nfstrace's output, records and statistics line,
-// in absolute terms. They were cut with the binary of commit f1e08f1,
-// before the capture path reused its read buffer, over the captures
-// writeCapture writes:
+// in absolute terms. Their records were cut with the binary of commit
+// f1e08f1, before the capture path reused its read buffer, and the
+// statistics line has since gained its count of unmatched calls, over
+// the captures writeCapture writes:
 //
 //	nfstrace -r udp.pcap > udp.golden 2>&1
 //	nfstrace -r tcp.pcap > tcp.golden 2>&1

@@ -72,8 +72,8 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("sniffer: %d calls, %d replies, loss estimate %.2f%%\n",
-		stats.Calls, stats.Replies, 100*stats.LossEstimate())
+	fmt.Printf("sniffer: %d calls, %d replies, %d orphan replies, %d unmatched calls, loss estimate %.2f%%\n",
+		stats.Calls, stats.Replies, stats.OrphanReplies, stats.UnmatchedCalls, 100*stats.LossEstimate())
 
 	fmt.Println("\nfirst records as the tracer writes them:")
 	for i, rec := range sniffed {

@@ -1,11 +1,12 @@
 // Package capture is the sniffer: it turns captured packets back into
 // timestamped NFS trace records, reproducing the paper's tcpdump-derived
 // tracing software (§2). It handles NFSv2 and NFSv3 over both UDP (with
-// IP defragmentation) and TCP (with stream reassembly, RPC record
-// marking, and packet coalescing), matches replies to calls by xid to
-// recover each reply's procedure, decodes AUTH_SYS credentials for
-// UID/GID, optionally anonymizes on the fly, and estimates capture loss
-// the way §4.1.4 describes.
+// IP defragmentation) and TCP (with stream reassembly that skips the
+// holes a lossy capture leaves, RPC record marking, and packet
+// coalescing), matches replies to calls by xid to recover each reply's
+// procedure, decodes AUTH_SYS credentials for UID/GID, optionally
+// anonymizes on the fly, and estimates capture loss the way §4.1.4
+// describes.
 package capture
 
 import (
@@ -21,31 +22,22 @@ import (
 	"repro/internal/wire"
 )
 
-// Stats counts what the sniffer saw.
+// Stats counts what the sniffer saw. Its join counts give the §4.1.4
+// loss estimate, LossEstimate: Replies counts the replies that matched
+// a call, and UnmatchedCalls the calls given up after
+// core.DefaultMaxCallAge or still pending when ReadPcap ends.
 type Stats struct {
-	Packets        int64 // frames presented
-	Fragments      int64 // IP fragments buffered
-	NonIP          int64 // undecodable or non-IPv4 frames
-	NonRPC         int64 // transport payloads that are not RPC
-	NonNFS         int64 // RPC calls for other programs
-	Calls          int64 // NFS calls decoded
-	Replies        int64 // NFS replies decoded
-	OrphanReplies  int64 // replies with no pending call (call lost)
-	DecodeErrors   int64 // NFS bodies that failed to parse
-	EvictedPending int64 // pending calls dropped by timeout
+	core.JoinStats
+	Packets      int64 // frames presented
+	Fragments    int64 // IP fragments buffered
+	NonIP        int64 // undecodable or non-IPv4 frames
+	NonRPC       int64 // transport payloads that are not RPC
+	NonNFS       int64 // RPC calls for other programs
+	DecodeErrors int64 // NFS bodies that failed to parse
 	// DroppedDatagrams counts incomplete UDP datagrams whose fragments
 	// were given up: restarted by a reused IPID, or dropped oldest first
 	// once the defragmenter's cap on open reassemblies was reached.
 	DroppedDatagrams int64
-}
-
-// LossEstimate mirrors core.JoinStats: orphan replies imply lost calls.
-func (s Stats) LossEstimate() float64 {
-	total := s.Calls + s.Replies + s.OrphanReplies
-	if total == 0 {
-		return 0
-	}
-	return float64(s.OrphanReplies) / float64(total)
 }
 
 type pendingKey struct {
@@ -67,31 +59,24 @@ type Sniffer struct {
 	Anon *anon.Anonymizer
 	// Emit receives each decoded record in capture order.
 	Emit func(*core.Record)
-	// PendingTimeout bounds how long a call waits for its reply before
-	// its table entry is evicted (seconds).
-	PendingTimeout float64
 
 	Stats Stats
 
 	frame   wire.Frame // the packet being handled
 	defrag  *wire.Defragmenter
 	asm     *tcpasm.Assembler
-	scan    map[wire.FlowKey]*rpc.RecordScanner
 	pending map[pendingKey]pendingCall
 	// evictq tracks insertion order for timeout eviction.
 	evictq []pendingKey
-	lastT  float64
 }
 
 // NewSniffer builds a sniffer delivering records to emit.
 func NewSniffer(emit func(*core.Record)) *Sniffer {
 	return &Sniffer{
-		Emit:           emit,
-		PendingTimeout: 60,
-		defrag:         wire.NewDefragmenter(),
-		asm:            tcpasm.NewAssembler(),
-		scan:           make(map[wire.FlowKey]*rpc.RecordScanner),
-		pending:        make(map[pendingKey]pendingCall),
+		Emit:    emit,
+		defrag:  wire.NewDefragmenter(),
+		asm:     tcpasm.NewAssembler(),
+		pending: make(map[pendingKey]pendingCall),
 	}
 }
 
@@ -99,7 +84,6 @@ func NewSniffer(emit func(*core.Record)) *Sniffer {
 // no reference to data after it returns.
 func (s *Sniffer) HandlePacket(t float64, data []byte) {
 	s.Stats.Packets++
-	s.lastT = t
 	f := &s.frame
 	if err := wire.DecodeInto(f, data); err != nil {
 		s.Stats.NonIP++
@@ -115,45 +99,42 @@ func (s *Sniffer) HandlePacket(t float64, data []byte) {
 	}
 	switch f.Proto {
 	case wire.ProtoUDP:
-		s.handleMessage(t, f, f.Payload)
+		s.handleMessage(t, f.Flow(), f.Payload)
 	case wire.ProtoTCP:
-		data, _ := s.asm.Add(f)
-		if len(data) == 0 {
-			return
-		}
-		key := f.Flow()
-		sc := s.scan[key]
-		if sc == nil {
-			sc = &rpc.RecordScanner{}
-			s.scan[key] = sc
-		}
-		sc.Append(data)
-		for {
-			msg, err := sc.Next()
-			if err != nil {
-				// Framing lost (e.g. after capture loss): reset the
-				// scanner; it resynchronizes at the next connection.
-				s.scan[key] = &rpc.RecordScanner{}
-				s.Stats.NonRPC++
-				return
-			}
-			if msg == nil {
-				return
-			}
-			s.handleMessage(t, f, msg)
-		}
+		// The ACK can release what the other direction held behind a hole.
+		s.records(t, s.asm.Ack(f))
+		_, st := s.asm.Add(f)
+		s.records(t, st)
 	}
 }
 
-// handleMessage decodes one RPC message (a full datagram or record).
-func (s *Sniffer) handleMessage(t float64, f *wire.Frame, msg []byte) {
+// records handles the RPC records a TCP stream has completed.
+func (s *Sniffer) records(t float64, st *tcpasm.Stream) {
+	if st == nil {
+		return
+	}
+	for {
+		msg, err := st.Next()
+		if err != nil {
+			s.Stats.NonRPC++
+		}
+		if msg == nil {
+			return
+		}
+		s.handleMessage(t, st.Flow, msg)
+	}
+}
+
+// handleMessage decodes one RPC message (a full datagram or record)
+// carried by the flow direction k.
+func (s *Sniffer) handleMessage(t float64, k wire.FlowKey, msg []byte) {
 	dec, err := rpc.Decode(msg)
 	if err != nil {
 		s.Stats.NonRPC++
 		return
 	}
 	proto := byte(core.ProtoUDP)
-	if f.Proto == wire.ProtoTCP {
+	if k.Proto == wire.ProtoTCP {
 		proto = core.ProtoTCP
 	}
 	switch dec.Type {
@@ -165,8 +146,8 @@ func (s *Sniffer) handleMessage(t float64, f *wire.Frame, msg []byte) {
 		}
 		rec := &core.Record{
 			Time: t, Kind: core.KindCall,
-			Client: f.SrcIP.Uint32(), Port: f.SrcPort,
-			Server: f.DstIP.Uint32(), Proto: proto,
+			Client: k.SrcIP.Uint32(), Port: k.SrcPort,
+			Server: k.DstIP.Uint32(), Proto: proto,
 			XID: ch.XID, Version: ch.Version,
 		}
 		if ch.Program == rpc.ProgramNFS {
@@ -201,7 +182,7 @@ func (s *Sniffer) handleMessage(t float64, f *wire.Frame, msg []byte) {
 	case rpc.Reply:
 		rh := dec.Reply
 		// The reply's client is the packet's destination.
-		key := pendingKey{f.DstIP.Uint32(), f.DstPort, rh.XID}
+		key := pendingKey{k.DstIP.Uint32(), k.DstPort, rh.XID}
 		call, ok := s.pending[key]
 		if !ok {
 			s.Stats.OrphanReplies++
@@ -210,8 +191,8 @@ func (s *Sniffer) handleMessage(t float64, f *wire.Frame, msg []byte) {
 		delete(s.pending, key)
 		rec := &core.Record{
 			Time: t, Kind: core.KindReply,
-			Client: f.DstIP.Uint32(), Port: f.DstPort,
-			Server: f.SrcIP.Uint32(), Proto: proto,
+			Client: k.DstIP.Uint32(), Port: k.DstPort,
+			Server: k.SrcIP.Uint32(), Proto: proto,
 			XID: rh.XID, Version: call.version,
 		}
 		switch {
@@ -236,6 +217,7 @@ func (s *Sniffer) handleMessage(t float64, f *wire.Frame, msg []byte) {
 			}
 		}
 		s.Stats.Replies++
+		s.Stats.Matched++
 		s.deliver(rec)
 	}
 }
@@ -265,8 +247,8 @@ func (s *Sniffer) deliver(rec *core.Record) {
 	}
 }
 
-// evictOld drops pending calls older than the timeout, bounding table
-// growth when replies are lost.
+// evictOld gives up pending calls older than core.DefaultMaxCallAge,
+// bounding table growth when replies are lost.
 func (s *Sniffer) evictOld(now float64) {
 	for len(s.evictq) > 0 {
 		key := s.evictq[0]
@@ -275,12 +257,12 @@ func (s *Sniffer) evictOld(now float64) {
 			s.evictq = s.evictq[1:]
 			continue
 		}
-		if now-call.t < s.PendingTimeout {
+		if now-call.t < core.DefaultMaxCallAge {
 			return
 		}
 		delete(s.pending, key)
 		s.evictq = s.evictq[1:]
-		s.Stats.EvictedPending++
+		s.Stats.UnmatchedCalls++
 	}
 }
 
@@ -288,12 +270,15 @@ func (s *Sniffer) evictOld(now float64) {
 func (s *Sniffer) PendingCalls() int { return len(s.pending) }
 
 // ReadPcap drains an entire pcap stream through the sniffer, reading
-// every packet into the one buffer the Reader reuses.
+// every packet into the one buffer the Reader reuses. The calls still
+// pending at its end count as unmatched.
 func (s *Sniffer) ReadPcap(r *pcap.Reader) error {
 	var p pcap.Packet
 	for {
 		err := r.ReadPacket(&p)
 		if err == io.EOF {
+			s.Stats.UnmatchedCalls += int64(len(s.pending))
+			clear(s.pending)
 			return nil
 		}
 		if err != nil {

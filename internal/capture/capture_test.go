@@ -224,11 +224,13 @@ func TestSnifferIgnoresGarbage(t *testing.T) {
 	}
 }
 
+// TestSnifferEvictsStalePending: a call is given up as unmatched once a
+// later call comes more than core.DefaultMaxCallAge after it, and the
+// calls still pending when ReadPcap ends count as unmatched too.
 func TestSnifferEvictsStalePending(t *testing.T) {
 	c, _, pkts, srv := rig(nfs.V3, core.ProtoUDP, wire.JumboMTU)
 	c.Create(1.0, srv.FS.RootFH(), "a", false)
 	s := NewSniffer(nil)
-	s.PendingTimeout = 10
 	// Deliver only the call.
 	s.HandlePacket(1.0, pkts.packets[0].data)
 	if s.PendingCalls() != 1 {
@@ -236,10 +238,18 @@ func TestSnifferEvictsStalePending(t *testing.T) {
 	}
 	// A later unrelated call triggers eviction.
 	c2, _, pkts2, srv2 := rig(nfs.V3, core.ProtoUDP, wire.JumboMTU)
-	c2.Access(100.0, srv2.FS.RootFH())
-	s.HandlePacket(100.0, pkts2.packets[0].data)
-	if s.Stats.EvictedPending != 1 {
-		t.Fatalf("evicted = %d", s.Stats.EvictedPending)
+	later := 1 + core.DefaultMaxCallAge + 1
+	c2.Access(later, srv2.FS.RootFH())
+	s.HandlePacket(later, pkts2.packets[0].data)
+	if s.Stats.UnmatchedCalls != 1 {
+		t.Fatalf("unmatched = %d", s.Stats.UnmatchedCalls)
+	}
+	r, err := pcap.NewReader(bytes.NewReader(pcapBytes(t, &packetBuf{packets: pkts2.packets[:1]})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReadPcap(r); err != nil || s.Stats.UnmatchedCalls != 2 || s.PendingCalls() != 0 {
+		t.Fatalf("after ReadPcap: %v, %d unmatched, %d pending calls", err, s.Stats.UnmatchedCalls, s.PendingCalls())
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/nfs"
 	"repro/internal/pcap"
+	"repro/internal/tcpasm"
 	"repro/internal/wire"
 )
 
@@ -37,8 +38,10 @@ func sniffReadPcap(capture []byte) sniffResult {
 }
 
 // sniffFresh feeds HandlePacket packets from Next, each in storage of
-// its own that nothing else writes.
-func sniffFresh(capture []byte) sniffResult {
+// its own that nothing else writes, and counts the calls still pending
+// at the end as unmatched, as ReadPcap does. It fails tb when the TCP
+// flows hold more than their cap behind holes after any packet.
+func sniffFresh(tb testing.TB, capture []byte) sniffResult {
 	var res sniffResult
 	r, err := pcap.NewReader(bytes.NewReader(capture))
 	if err != nil {
@@ -47,6 +50,9 @@ func sniffFresh(capture []byte) sniffResult {
 	s := NewSniffer(func(rec *core.Record) { res.lines = append(res.lines, rec.Marshal()) })
 	for {
 		p, err := r.Next()
+		if err == io.EOF {
+			s.Stats.UnmatchedCalls += int64(s.PendingCalls())
+		}
 		if err != nil {
 			if err != io.EOF {
 				res.err = err.Error()
@@ -55,6 +61,9 @@ func sniffFresh(capture []byte) sniffResult {
 		}
 		res.packets++
 		s.HandlePacket(p.Time, p.Data)
+		if flows, held := s.asm.Held(); held > flows*tcpasm.MaxHeldBytes {
+			tb.Fatalf("packet %d: %d flows hold %d bytes", res.packets, flows, held)
+		}
 	}
 	res.stats = s.Stats
 	return res
@@ -76,7 +85,8 @@ func fuzzSeedWorkload(tb testing.TB, version uint32, proto byte, mtu int) []byte
 // FuzzCapture feeds arbitrary packet records, after a valid pcap file
 // header, through the capture path twice: ReadPcap, which reuses one
 // read buffer, and Next + HandlePacket on fresh packets. The two must
-// emit the same records and statistics, and neither may panic. Any
+// emit the same records and statistics, neither may panic, and no TCP
+// flow may hold more than its cap behind a hole after any packet. Any
 // reference the sniffer kept into a packet past HandlePacket would be
 // overwritten by the next read in the first pass and show as a
 // difference. At the standard MTU only data bytes reach non-first
@@ -97,7 +107,7 @@ func FuzzCapture(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		capture := append(append([]byte{}, header...), body...)
-		reused, fresh := sniffReadPcap(capture), sniffFresh(capture)
+		reused, fresh := sniffReadPcap(capture), sniffFresh(t, capture)
 		if !reflect.DeepEqual(reused.lines, fresh.lines) {
 			t.Fatalf("records differ: ReadPcap %d, Next %d", len(reused.lines), len(fresh.lines))
 		}

@@ -103,6 +103,12 @@ func (o *Op) SetPair(call *Record, reply *Record) {
 	}
 }
 
+// DefaultMaxCallAge is how long, in seconds, a call waits for its reply
+// before it is given up as unmatched, by the joiner (unless told
+// otherwise) and by the sniffer: far beyond any NFS client's
+// retransmission schedule.
+const DefaultMaxCallAge = 300.0
+
 // JoinStats reports what the call/reply join (pipeline.Joiner) saw,
 // feeding the §4.1.4 loss estimate.
 type JoinStats struct {

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 const (
@@ -75,16 +76,19 @@ func NewWriter(w io.Writer, nano bool) (*Writer, error) {
 // WritePacket appends one frame with the given timestamp in seconds.
 func (w *Writer) WritePacket(t float64, data []byte) error {
 	var hdr [packetHeaderLen]byte
-	sec := uint32(t)
-	frac := t - float64(sec)
-	var sub uint32
+	scale := 1e6
 	if w.nano {
-		sub = uint32(frac * 1e9)
-	} else {
-		sub = uint32(frac * 1e6)
+		scale = 1e9
 	}
-	binary.LittleEndian.PutUint32(hdr[0:4], sec)
-	binary.LittleEndian.PutUint32(hdr[4:8], sub)
+	// Round the fraction to the nearest tick, carrying into seconds, so
+	// that a Reader's time writes back as the ticks it was read from.
+	sec := math.Floor(t)
+	sub := math.Round((t - sec) * scale)
+	if sub == scale {
+		sec, sub = sec+1, 0
+	}
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(sec))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(sub))
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(data)))
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(data)))
 	if _, err := w.w.Write(hdr[:]); err != nil {

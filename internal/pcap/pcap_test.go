@@ -2,6 +2,7 @@ package pcap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 )
@@ -67,6 +68,58 @@ func testRoundTrip(t *testing.T, nano bool) {
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
+	}
+}
+
+// TestCopyIsByteIdentical: a capture read with a Reader and written back
+// with a Writer is the same file, for every sub-second tick tried. The
+// seconds are an epoch time for the microsecond format and a simulated
+// clock, days long, for the nanosecond one, as nfsgen writes it: a
+// float64 holds a time to the nanosecond only below about 10^6 s.
+func TestCopyIsByteIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		nano  bool
+		sec   uint32
+		ticks uint32
+	}{{false, 1003680000, 1e6}, {true, 86400, 1e9}} {
+		var orig bytes.Buffer
+		w, err := NewWriter(&orig, tc.nano)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Flush()
+		for i := uint32(0); i < 5000; i++ {
+			sub := i * 7919 % tc.ticks
+			if i == 0 {
+				sub = tc.ticks - 1
+			}
+			orig.Write(binary.LittleEndian.AppendUint32(nil, tc.sec+i))
+			orig.Write(binary.LittleEndian.AppendUint32(nil, sub))
+			orig.Write([]byte{1, 0, 0, 0, 1, 0, 0, 0, byte(i)})
+		}
+		r, err := NewReader(bytes.NewReader(orig.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cp bytes.Buffer
+		if w, err = NewWriter(&cp, tc.nano); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			p, err := r.Next()
+			if err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.WritePacket(p.Time, p.Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Flush()
+		if !bytes.Equal(orig.Bytes(), cp.Bytes()) {
+			t.Errorf("nano=%v: the copy differs from the original", tc.nano)
+		}
 	}
 }
 

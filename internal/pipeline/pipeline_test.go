@@ -343,10 +343,10 @@ func TestJoinerExpiresStaleCalls(t *testing.T) {
 	if cs.read == len(records) {
 		t.Fatalf("joiner consumed the whole source (%d records) before emitting: horizon stayed pinned", cs.read)
 	}
-	// The expiry threshold is DefaultMaxCallAge behind the stream, so
+	// The expiry threshold is core.DefaultMaxCallAge behind the stream, so
 	// roughly that many seconds of records should have been read.
-	if got := cs.read; got > 2*int(DefaultMaxCallAge)+10 {
-		t.Errorf("consumed %d records before first op; expiry should trigger near t=%v", got, DefaultMaxCallAge)
+	if got := cs.read; got > 2*int(core.DefaultMaxCallAge)+10 {
+		t.Errorf("consumed %d records before first op; expiry should trigger near t=%v", got, core.DefaultMaxCallAge)
 	}
 
 	n := 1

@@ -72,15 +72,11 @@ type Joiner struct {
 	stats   core.JoinStats
 
 	// MaxCallAge is how long a call may wait for its reply before it
-	// is given up as unmatched; 0 selects DefaultMaxCallAge. Real RPC
+	// is given up as unmatched; 0 selects core.DefaultMaxCallAge. Real RPC
 	// latencies are milliseconds, so the default changes the outcome
 	// only on pathological traces.
 	MaxCallAge float64
 }
-
-// DefaultMaxCallAge is the default reply-wait budget, far beyond any
-// NFS client's retransmission schedule.
-const DefaultMaxCallAge = 300.0
 
 // opChunk is how many Ops the joiner allocates at a time. Nothing
 // downstream keeps an *Op past the call that received it, so a chunk
@@ -132,7 +128,7 @@ func (j *Joiner) maxCallAge() float64 {
 	if j.MaxCallAge > 0 {
 		return j.MaxCallAge
 	}
-	return DefaultMaxCallAge
+	return core.DefaultMaxCallAge
 }
 
 // Stats reports call/reply matching statistics; the §4.1.4 loss

@@ -1,161 +1,143 @@
 // Package tcpasm reassembles unidirectional TCP byte streams from
-// decoded segments, tolerating out-of-order arrival, retransmission, and
-// the segment coalescing the paper's tracing software had to handle
-// (multiple RPC messages, or partial messages, per TCP segment).
+// decoded segments and frames each into RPC records, tolerating
+// out-of-order arrival, retransmission, capture loss, and the segment
+// coalescing the paper's tracing software had to handle (several RPC
+// messages, or part of one, per TCP segment).
 //
-// The output of a Stream is the in-order byte stream, which the caller
-// feeds to an rpc.RecordScanner to recover message boundaries.
+// A segment that arrives past a hole is held, in start order, until the
+// hole fills. The hole is skipped as soon as the opposite direction
+// acknowledges bytes past its start: the endpoint has them, so the
+// capture missed them and no retransmission will come. The record open
+// across the hole is lost, and framing restarts at the held segment.
+// Only a hole with a segment held past it is skipped, so an ACK that a
+// capture shows ahead of the data it acknowledges loses nothing. Input that carries no ACK is bounded by a cap of about one
+// TCP window on what a direction holds. A direction is forgotten once
+// its FIN or RST is in sequence.
 package tcpasm
 
 import (
 	"sort"
 
+	"repro/internal/rpc"
 	"repro/internal/wire"
 )
 
-// Stream reassembles one direction of one TCP connection.
+// A direction holds at most about one TCP window behind a hole; past
+// either cap it skips the hole without waiting for an ACK.
+const (
+	MaxHeldBytes    = 64 << 10
+	maxHeldSegments = 64
+)
+
+// segment is a held segment: its start, a copy of its payload, and
+// whether it ends the direction (FIN or RST).
+type segment struct {
+	seq  uint32
+	data []byte
+	last bool
+}
+
+// Stream reassembles one direction of one TCP connection and frames it
+// into RPC records.
 type Stream struct {
-	established bool
-	nextSeq     uint32
-	// ooo holds out-of-order segments keyed by sequence number.
-	ooo map[uint32][]byte
-	// emitted is the total number of in-order bytes produced.
-	emitted int64
-	// gaps counts the times a hole was skipped (data lost upstream).
-	gaps int
+	// Flow is the direction the stream carries.
+	Flow      wire.FlowKey
+	nextSeq   uint32
+	held      []segment // past a hole, sorted by start
+	heldBytes int
+	closed    bool // a FIN or RST is in sequence
+	scan      rpc.RecordScanner
+	ready     [][]byte // records completed ahead of a skipped hole
 }
-
-// NewStream returns an empty reassembler for one flow direction.
-func NewStream() *Stream {
-	return &Stream{ooo: make(map[uint32][]byte)}
-}
-
-// Emitted reports the number of in-order payload bytes produced so far.
-func (s *Stream) Emitted() int64 { return s.emitted }
-
-// Gaps reports how many sequence holes were skipped over.
-func (s *Stream) Gaps() int { return s.gaps }
-
-// PendingOOO reports buffered out-of-order segments awaiting a hole fill.
-func (s *Stream) PendingOOO() int { return len(s.ooo) }
 
 // seqLess reports a < b in 32-bit sequence space.
 func seqLess(a, b uint32) bool { return int32(a-b) < 0 }
 
-// Add processes one TCP segment and returns any newly contiguous stream
-// bytes (possibly nil). SYN segments establish the initial sequence
-// number; data before establishment is accepted by trusting the first
-// seen segment's sequence.
-func (s *Stream) Add(f *wire.Frame) []byte {
-	if f.Flags&wire.FlagSYN != 0 {
-		s.established = true
+// add processes one segment and returns the bytes that became
+// contiguous. In order, with nothing held, they are the payload itself.
+func (s *Stream) add(f *wire.Frame) []byte {
+	last := f.Flags&(wire.FlagFIN|wire.FlagRST) != 0
+	switch {
+	case f.Flags&wire.FlagSYN != 0:
 		s.nextSeq = f.Seq + 1 // SYN consumes one sequence number
 		return nil
-	}
-	if len(f.Payload) == 0 {
+	case f.Seq == s.nextSeq && len(s.held) == 0:
+		s.nextSeq += uint32(len(f.Payload))
+		s.closed = last
+		s.scan.Append(f.Payload)
+		return f.Payload
+	case len(f.Payload) == 0 && !last:
 		return nil
 	}
-	if !s.established {
-		// Mid-stream capture: sync to the first data segment.
-		s.established = true
-		s.nextSeq = f.Seq
-	}
-	seg := f.Payload
-	seq := f.Seq
+	// Hold a copy (the frame buffer is reused), after any that start at
+	// or before it; drain trims retransmitted bytes.
+	i := sort.Search(len(s.held), func(i int) bool { return seqLess(f.Seq, s.held[i].seq) })
+	s.held = append(s.held, segment{})
+	copy(s.held[i+1:], s.held[i:])
+	s.held[i] = segment{f.Seq, append([]byte(nil), f.Payload...), last}
+	s.heldBytes += len(f.Payload)
+	return s.drain(s.nextSeq)
+}
 
-	// Drop or trim data we already emitted (retransmission overlap).
-	if seqLess(seq, s.nextSeq) {
-		overlap := s.nextSeq - seq
-		if uint32(len(seg)) <= overlap {
-			return nil // full retransmission
+// drain emits the held segments that continue the stream. The hole
+// before the first one is skipped when the peer has acknowledged bytes
+// past its start (ack), or when the direction holds more than a cap.
+func (s *Stream) drain(ack uint32) []byte {
+	var out []byte
+	n := 0
+	for ; n < len(s.held) && !s.closed; n++ {
+		h := s.held[n]
+		if seqLess(s.nextSeq, h.seq) {
+			if !seqLess(s.nextSeq, ack) && s.heldBytes <= MaxHeldBytes && len(s.held)-n <= maxHeldSegments {
+				break
+			}
+			s.skip(h.seq)
 		}
-		seg = seg[overlap:]
-		seq = s.nextSeq
-	}
-
-	if seq != s.nextSeq {
-		// Out of order: buffer a copy (the frame buffer may be reused).
-		cp := make([]byte, len(seg))
-		copy(cp, seg)
-		if old, ok := s.ooo[seq]; !ok || len(cp) > len(old) {
-			s.ooo[seq] = cp
+		s.heldBytes -= len(h.data)
+		if end := h.seq + uint32(len(h.data)); seqLess(s.nextSeq, end) {
+			data := h.data[s.nextSeq-h.seq:]
+			s.scan.Append(data)
+			out = append(out, data...)
+			s.nextSeq = end
 		}
-		return nil
+		s.closed = h.last
 	}
+	s.held = append(s.held[:0], s.held[n:]...)
+	return out
+}
 
-	out := make([]byte, 0, len(seg))
-	out = append(out, seg...)
-	s.nextSeq = seq + uint32(len(seg))
-	// Drain any buffered segments that are now contiguous.
+// skip gives up the hole before seq. The records complete ahead of it
+// stay readable; the one open across it is lost.
+func (s *Stream) skip(seq uint32) {
 	for {
-		next, ok := s.takeAt(s.nextSeq)
-		if !ok {
+		msg, err := s.scan.Next()
+		if msg == nil || err != nil {
 			break
 		}
-		out = append(out, next...)
-		s.nextSeq += uint32(len(next))
+		s.ready = append(s.ready, msg)
 	}
-	s.emitted += int64(len(out))
-	return out
+	s.scan = rpc.RecordScanner{}
+	s.nextSeq = seq
 }
 
-// takeAt removes and returns a buffered segment starting at or
-// overlapping seq.
-func (s *Stream) takeAt(seq uint32) ([]byte, bool) {
-	if seg, ok := s.ooo[seq]; ok {
-		delete(s.ooo, seq)
-		return seg, true
+// Next returns the stream's next complete RPC record, or nil when it
+// needs more bytes. After an error framing is lost: the buffered bytes
+// are dropped and framing restarts with the bytes that follow.
+func (s *Stream) Next() ([]byte, error) {
+	if len(s.ready) > 0 {
+		msg := s.ready[0]
+		s.ready = s.ready[1:]
+		return msg, nil
 	}
-	// Check for overlapping older segments that extend past seq.
-	for start, seg := range s.ooo {
-		end := start + uint32(len(seg))
-		if seqLess(start, seq) && seqLess(seq, end) {
-			delete(s.ooo, start)
-			return seg[seq-start:], true
-		}
+	msg, err := s.scan.Next()
+	if err != nil {
+		s.scan = rpc.RecordScanner{}
 	}
-	return nil, false
+	return msg, err
 }
 
-// SkipGaps force-flushes buffered out-of-order data by jumping over the
-// missing bytes, used when the capture is known lossy (the CAMPUS mirror
-// port dropped packets under load; §4.1.4 of the paper). Returns the
-// flushed bytes in sequence order. Message framing across the hole is
-// lost; the RPC scanner downstream resynchronizes at the next record
-// boundary only by luck, so callers reset the scanner instead.
-func (s *Stream) SkipGaps() []byte {
-	if len(s.ooo) == 0 {
-		return nil
-	}
-	starts := make([]uint32, 0, len(s.ooo))
-	for st := range s.ooo {
-		starts = append(starts, st)
-	}
-	sort.Slice(starts, func(i, j int) bool { return seqLess(starts[i], starts[j]) })
-	var out []byte
-	for _, st := range starts {
-		seg := s.ooo[st]
-		delete(s.ooo, st)
-		if seqLess(st, s.nextSeq) {
-			overlap := s.nextSeq - st
-			if uint32(len(seg)) <= overlap {
-				continue
-			}
-			seg = seg[overlap:]
-			st = s.nextSeq
-		}
-		if st != s.nextSeq {
-			s.gaps++
-		}
-		out = append(out, seg...)
-		s.nextSeq = st + uint32(len(seg))
-	}
-	s.emitted += int64(len(out))
-	return out
-}
-
-// Assembler tracks all flows in a capture, routing each segment to its
-// per-direction Stream.
+// Assembler is a capture's flow table: one Stream per direction of each
+// TCP connection.
 type Assembler struct {
 	streams map[wire.FlowKey]*Stream
 }
@@ -165,20 +147,49 @@ func NewAssembler() *Assembler {
 	return &Assembler{streams: make(map[wire.FlowKey]*Stream)}
 }
 
-// Add routes the segment and returns newly contiguous bytes plus the
-// stream they belong to.
+// Add routes a segment to its direction's stream and returns the bytes
+// that became contiguous, with the stream; Next returns its records. A
+// segment without payload opens no stream unless it is a SYN, and the
+// stream is nil then. A direction whose FIN or RST is in sequence is
+// forgotten, and returned this once with its last bytes.
 func (a *Assembler) Add(f *wire.Frame) ([]byte, *Stream) {
 	key := f.Flow()
-	st := a.streams[key]
-	if st == nil {
-		st = NewStream()
-		a.streams[key] = st
+	s := a.streams[key]
+	if s == nil {
+		if len(f.Payload) == 0 && f.Flags&wire.FlagSYN == 0 {
+			return nil, nil
+		}
+		s = &Stream{Flow: key, nextSeq: f.Seq} // a mid-stream capture syncs to the first segment
+		a.streams[key] = s
 	}
-	return st.Add(f), st
+	return a.done(s, s.add(f))
 }
 
-// Flows reports the number of tracked flow directions.
-func (a *Assembler) Flows() int { return len(a.streams) }
+// Ack hands f's acknowledgment to the opposite direction, which skips a
+// hole the peer acknowledged past, and returns that direction's stream,
+// nil when it holds nothing: an ACK seen ahead of the data it
+// acknowledges skips nothing.
+func (a *Assembler) Ack(f *wire.Frame) *Stream {
+	s := a.streams[f.Flow().Reverse()]
+	if s == nil || len(s.held) == 0 || f.Flags&wire.FlagACK == 0 {
+		return nil
+	}
+	_, s = a.done(s, s.drain(f.Ack))
+	return s
+}
 
-// Stream returns the stream for a flow key, or nil.
-func (a *Assembler) Stream(key wire.FlowKey) *Stream { return a.streams[key] }
+func (a *Assembler) done(s *Stream, data []byte) ([]byte, *Stream) {
+	if s.closed {
+		delete(a.streams, s.Flow)
+	}
+	return data, s
+}
+
+// Held reports the flow directions tracked and the payload bytes they
+// hold behind holes.
+func (a *Assembler) Held() (flows, bytes int) {
+	for _, s := range a.streams {
+		bytes += s.heldBytes
+	}
+	return len(a.streams), bytes
+}
