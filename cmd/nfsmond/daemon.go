@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -40,6 +41,11 @@ type daemon struct {
 	started    time.Time
 	lastScrape time.Time
 	lastOps    int64
+
+	// Snapshot cost, outside mu: reports run on concurrent handlers.
+	snapshots   atomic.Int64
+	forkNanos   atomic.Int64 // ingest stall: Fork and the pending copy under mu
+	finishNanos atomic.Int64 // pending feed and Finish on the copy
 
 	opsBuf []*core.Op
 }
@@ -124,6 +130,7 @@ func (d *daemon) joinStats() core.JoinStats {
 // copy happen under mu.
 func (d *daemon) report() (*pipeline.Snapshot, core.JoinStats, pipeline.Stats, error) {
 	d.mu.Lock()
+	t0 := time.Now()
 	snap, err := d.lv.Fork()
 	if err != nil {
 		d.mu.Unlock()
@@ -134,12 +141,16 @@ func (d *daemon) report() (*pipeline.Snapshot, core.JoinStats, pipeline.Stats, e
 		pend = d.j.PendingOps()
 	}
 	join := d.joinStats()
+	t1 := time.Now()
 	d.mu.Unlock()
 
 	for _, op := range pend {
 		snap.Feed(op)
 	}
 	stats := snap.Finish()
+	d.forkNanos.Add(int64(t1.Sub(t0)))
+	d.finishNanos.Add(int64(time.Since(t1)))
+	d.snapshots.Add(1)
 	return snap, join, stats, nil
 }
 
@@ -277,6 +288,15 @@ func (d *daemon) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# HELP nfsmond_ingest_ops_per_second Joined-op throughput over the last scrape interval.")
 	fmt.Fprintln(w, "# TYPE nfsmond_ingest_ops_per_second gauge")
 	fmt.Fprintf(w, "nfsmond_ingest_ops_per_second %g\n", rate)
+	fmt.Fprintln(w, "# HELP nfsmond_snapshots_total Snapshots taken and finished for the report endpoints.")
+	fmt.Fprintln(w, "# TYPE nfsmond_snapshots_total counter")
+	fmt.Fprintf(w, "nfsmond_snapshots_total %d\n", d.snapshots.Load())
+	fmt.Fprintln(w, "# HELP nfsmond_snapshot_fork_seconds_total Ingest stalled for snapshots: Fork and the pending-op copy.")
+	fmt.Fprintln(w, "# TYPE nfsmond_snapshot_fork_seconds_total counter")
+	fmt.Fprintf(w, "nfsmond_snapshot_fork_seconds_total %g\n", float64(d.forkNanos.Load())/1e9)
+	fmt.Fprintln(w, "# HELP nfsmond_snapshot_finish_seconds_total Time finishing snapshots off the ingest path.")
+	fmt.Fprintln(w, "# TYPE nfsmond_snapshot_finish_seconds_total counter")
+	fmt.Fprintf(w, "nfsmond_snapshot_finish_seconds_total %g\n", float64(d.finishNanos.Load())/1e9)
 	fmt.Fprintln(w, "# HELP nfsmond_uptime_seconds Daemon uptime.")
 	fmt.Fprintln(w, "# TYPE nfsmond_uptime_seconds gauge")
 	fmt.Fprintf(w, "nfsmond_uptime_seconds %g\n", uptime)

@@ -131,7 +131,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		done <- run([]string{
 			"-i", trace, "-follow", "-poll", "5ms",
 			"-listen", "127.0.0.1:0", "-window", "10", "-keep", "8",
-			"-analyses", "summary,hierarchy",
+			"-analyses", "all",
 		}, &stdout, stderr, stop)
 	}()
 	addr := waitServing(t, stderr)
@@ -212,6 +212,31 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	if win.Width != 10 || len(win.Windows) == 0 || len(win.Windows) > 8 {
 		t.Fatalf("windows = %+v", win)
+	}
+
+	// Every report takes one snapshot, and its fork and finish times
+	// add up in their counters.
+	snapCounters := []string{"nfsmond_snapshots_total",
+		"nfsmond_snapshot_fork_seconds_total", "nfsmond_snapshot_finish_seconds_total"}
+	body = httpGet(t, base+"/metrics")
+	var before []float64
+	for _, name := range snapCounters {
+		before = append(before, metricValue(t, body, name))
+	}
+	var analyses map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(httpGet(t, base+"/api/analyses")), &analyses); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"runs", "reorder", "blocklife"} {
+		if analyses[key] == nil {
+			t.Fatalf("/api/analyses has no %q", key)
+		}
+	}
+	body = httpGet(t, base+"/metrics")
+	for i, name := range snapCounters {
+		if after := metricValue(t, body, name); after <= before[i] {
+			t.Fatalf("%s = %v after GET /api/analyses, %v before", name, after, before[i])
+		}
 	}
 
 	// Clean shutdown: the final summary and join line land on stdout.

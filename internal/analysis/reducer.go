@@ -11,7 +11,7 @@ import (
 // in another process — each of those is a composition of the three
 // methods, written once in pipeline's sharded adapter:
 //
-//	close     merge every shard into a fresh reducer, finish once
+//	close     merge every other shard into the first, finish once
 //	clone     fresh reducer + Merge
 //	serialize merge every shard into a fresh reducer, State with an encoding codec
 //	resume    State with a decoding codec into a fresh reducer, Merge the share each shard owns

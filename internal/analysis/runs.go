@@ -71,10 +71,12 @@ func (m AccessMap) Add(op *core.Op) {
 // costs O(files), not O(accesses), and an append on either side
 // reallocates instead of writing into the other's view. That is safe
 // because access lists are append-only: nothing mutates an element in
-// place. The finish never writes them either: DetectRunsInFiles and
-// sweepFiles sort copies, and the runs DetectRunsInFiles returns without
-// a reorder window are capped views of these lists, which a later Add
-// appends past.
+// place. The finish never writes them either: the reorder pass runs on
+// a copy, and a file keeps its sorted copy only when the pass moved
+// something. Every other file's runs are capped views of its list here,
+// which a later Add appends past. A snapshot's finish keeps the sorted
+// copies, and the sweep's swap counts, in the live analyzer's
+// FinishCache, so the next snapshot re-sorts only the files that grew.
 func (m AccessMap) merge(src AccessMap, f Filter) AccessMap {
 	m = roomFor(m, src, f.Owns)
 	for fh, accs := range src {
@@ -261,32 +263,56 @@ type ReorderSweepPoint struct {
 	SwappedPct float64
 }
 
-// sweepFiles measures, for each window size, what percentage of the
-// files' accesses the sorting pass moves. Every file × window sorts its
-// own copy, fanned across cores; swap counts are integers, so the sum
-// does not depend on the order the tasks finish in.
-func sweepFiles(files AccessMap, windowsMS []float64) []ReorderSweepPoint {
-	lists := make([][]Access, 0, len(files))
-	total := 0
-	for _, accs := range files {
-		lists = append(lists, accs)
-		total += len(accs)
+// sweep measures, for each window size, what percentage of the files'
+// accesses the sorting pass moves. A file the cache holds a fresh entry
+// for adds the swap counts it recorded; every other file × window sorts
+// its own copy, fanned across cores. Swap counts are integers, so the
+// sum does not depend on the order the tasks finish in.
+func (l *accessLists) sweep(windowsMS []float64) []ReorderSweepPoint {
+	type file struct {
+		fh   core.FH
+		accs []Access
 	}
 	nw := len(windowsMS)
-	swaps := make([]int, len(lists)*nw)
-	newFan(len(swaps), func(k int) int { return len(lists[k/nw]) }).run(func() func(int) {
+	sums := make([]int, nw)
+	var stale []file
+	total := 0
+	l.cache.lock()
+	for fh, accs := range l.files {
+		total += len(accs)
+		if e, ok := l.cache.get(fh); ok && l.fresh(fh, accs, e) {
+			for wi, n := range e.swaps {
+				sums[wi] += n
+			}
+			continue
+		}
+		stale = append(stale, file{fh, accs})
+	}
+	l.cache.unlock()
+
+	swaps := make([]int, len(stale)*nw)
+	newFan(len(swaps), func(k int) int { return len(stale[k/nw].accs) }).run(func() func(int) {
 		var cp []Access
 		return func(k int) {
-			cp = append(cp[:0], lists[k/nw]...)
+			cp = append(cp[:0], stale[k/nw].accs...)
 			swaps[k] = SortWindow(cp, windowsMS[k%nw]/1000)
 		}
 	})
+	l.cache.lock()
+	for f, sf := range stale {
+		counts := swaps[f*nw : (f+1)*nw]
+		for wi, n := range counts {
+			sums[wi] += n
+		}
+		if l.cache != nil && !l.fed[sf.fh] {
+			l.cache.put(sf.fh, finishEntry{n: len(sf.accs), swaps: slices.Clone(counts)})
+		}
+	}
+	l.cache.unlock()
+
 	out := make([]ReorderSweepPoint, 0, nw)
 	for wi, wms := range windowsMS {
-		n := 0
-		for f := range lists {
-			n += swaps[f*nw+wi]
-		}
+		n := sums[wi]
 		pct := 0.0
 		if total > 0 {
 			pct = 100 * float64(n) / float64(total)
@@ -301,23 +327,23 @@ func sweepFiles(files AccessMap, windowsMS []float64) []ReorderSweepPoint {
 // lists partition by handle.
 type ReorderSweeper struct {
 	windowsMS []float64
-	files     AccessMap
+	accessLists
 }
 
 // NewReorderSweeper returns an empty sweep over the given window sizes
 // (milliseconds).
 func NewReorderSweeper(windowsMS []float64) *ReorderSweeper {
-	return &ReorderSweeper{windowsMS: windowsMS, files: make(AccessMap)}
+	return &ReorderSweeper{windowsMS: windowsMS, accessLists: accessLists{files: make(AccessMap)}}
 }
 
 // Add implements Reducer.
-func (r *ReorderSweeper) Add(op *core.Op) { r.files.Add(op) }
+func (r *ReorderSweeper) Add(op *core.Op) { r.add(op) }
 
 // Merge implements Reducer.
-func (r *ReorderSweeper) Merge(src *ReorderSweeper, f Filter) { r.files = r.files.merge(src.files, f) }
+func (r *ReorderSweeper) Merge(src *ReorderSweeper, f Filter) { r.merge(&src.accessLists, f) }
 
 // Points runs the sweep over everything added so far.
-func (r *ReorderSweeper) Points() []ReorderSweepPoint { return sweepFiles(r.files, r.windowsMS) }
+func (r *ReorderSweeper) Points() []ReorderSweepPoint { return r.sweep(r.windowsMS) }
 
 // Run kinds.
 type RunKind int
@@ -380,46 +406,73 @@ func DefaultRunConfig(windowMS float64) RunConfig {
 // is by the rendered handle spelling, not the interned ID — ID numbering
 // depends on decode interleaving, spellings don't.
 //
-// With a reorder window each file is sorted in a copy, all of them
-// carved from one allocation; without one, runs are capped views of
-// files' own lists. Either way a run's Accesses share a backing array
-// with its neighbours, capped at its length, so appending to one
-// reallocates instead of writing into the next, and files is never
-// written.
+// With a reorder window each file is sorted in a copy, and only a file
+// the pass reorders keeps its copy; every other file's runs, and all of
+// them without a window, are capped views of the file's own list. A
+// run's Accesses share a backing array with its neighbours, capped at
+// its length, so appending to one reallocates instead of writing into
+// the next, and files is never written. A RunDetector forked from a
+// live engine does the same through its FinishCache, re-sorting only
+// the files whose lists grew since the entry was made.
 func DetectRunsInFiles(files map[core.FH][]Access, cfg RunConfig) []Run {
+	return (&accessLists{files: files}).runs(cfg)
+}
+
+func (l *accessLists) runs(cfg RunConfig) []Run {
 	type file struct {
 		fh    core.FH
 		spell string
-		accs  []Access
+		accs  []Access // in reorder-window order once sorted
+		stale bool     // accs still needs the reorder pass
+		moved bool     // accs is a copy the pass reordered
 		runs  []Run
 	}
-	order := make([]file, 0, len(files))
-	total := 0
-	for fh, accs := range files {
-		order = append(order, file{fh: fh, spell: fh.String(), accs: accs})
-		total += len(accs)
+	order := make([]file, 0, len(l.files))
+	l.cache.lock()
+	for fh, accs := range l.files {
+		f := file{fh: fh, accs: accs[:len(accs):len(accs)], stale: cfg.ReorderWindow > 0}
+		e, ok := l.cache.get(fh)
+		if !ok {
+			e.spell = fh.String()
+		} else if l.fresh(fh, accs, e) {
+			f.stale = false
+			if e.sorted != nil {
+				f.accs, f.moved = e.sorted, true
+			}
+		}
+		f.spell = e.spell
+		order = append(order, f)
 	}
+	l.cache.unlock()
 	sort.Slice(order, func(i, j int) bool { return order[i].spell < order[j].spell })
 	perFile := newFan(len(order), func(k int) int { return len(order[k].accs) })
 
-	if cfg.ReorderWindow > 0 {
-		sorted := make([]Access, total)
-		for k := range order {
-			n := copy(sorted, order[k].accs)
-			order[k].accs, sorted = sorted[:n:n], sorted[n:]
-		}
-	}
 	// Sort and count each file's runs, so that one slice holds them all;
 	// then classify each file's runs into its stretch of it.
 	counts := make([]int, len(order))
 	perFile.run(func() func(int) {
+		var scratch []Access
 		return func(k int) {
-			if cfg.ReorderWindow > 0 {
-				SortWindow(order[k].accs, cfg.ReorderWindow)
+			f := &order[k]
+			if f.stale {
+				f.accs, f.moved, scratch = reorder(f.accs, cfg.ReorderWindow, scratch)
 			}
-			counts[k] = countRuns(order[k].accs, cfg)
+			counts[k] = countRuns(f.accs, cfg)
 		}
 	})
+	if l.cache != nil {
+		l.cache.lock()
+		for _, f := range order {
+			if f.stale && !l.fed[f.fh] {
+				e := finishEntry{n: len(f.accs), spell: f.spell}
+				if f.moved {
+					e.sorted = f.accs
+				}
+				l.cache.put(f.fh, e)
+			}
+		}
+		l.cache.unlock()
+	}
 	nruns := 0
 	for _, c := range counts {
 		nruns += c
@@ -441,27 +494,44 @@ func DetectRunsInFiles(files map[core.FH][]Access, cfg RunConfig) []Run {
 	return runs
 }
 
+// reorder runs the reorder-window pass over a copy of accs made in
+// scratch. It returns accs itself when the pass moved nothing, else the
+// sorted copy (moved), together with the scratch buffer for the next
+// call: the copy takes the buffer over unless an earlier, larger file
+// left the buffer more than twice the copy's size.
+func reorder(accs []Access, w float64, scratch []Access) (sorted []Access, moved bool, rest []Access) {
+	buf := append(scratch[:0], accs...)
+	if SortWindow(buf, w) == 0 {
+		return accs, false, buf
+	}
+	n := len(buf)
+	if cap(buf) > 2*n {
+		return slices.Clip(slices.Clone(buf)), true, buf
+	}
+	return buf[:n:n], true, nil
+}
+
 // RunDetector is the Table 3 / Figure 2 / Figure 5 reducer: per-file
 // access lists under one run-detection configuration. Runs never span
 // files, so the lists partition by handle.
 type RunDetector struct {
-	cfg   RunConfig
-	files AccessMap
+	cfg RunConfig
+	accessLists
 }
 
 // NewRunDetector returns an empty detector.
 func NewRunDetector(cfg RunConfig) *RunDetector {
-	return &RunDetector{cfg: cfg, files: make(AccessMap)}
+	return &RunDetector{cfg: cfg, accessLists: accessLists{files: make(AccessMap)}}
 }
 
 // Add implements Reducer.
-func (r *RunDetector) Add(op *core.Op) { r.files.Add(op) }
+func (r *RunDetector) Add(op *core.Op) { r.add(op) }
 
 // Merge implements Reducer.
-func (r *RunDetector) Merge(src *RunDetector, f Filter) { r.files = r.files.merge(src.files, f) }
+func (r *RunDetector) Merge(src *RunDetector, f Filter) { r.merge(&src.accessLists, f) }
 
 // Runs detects and classifies the runs in everything added so far.
-func (r *RunDetector) Runs() []Run { return DetectRunsInFiles(r.files, r.cfg) }
+func (r *RunDetector) Runs() []Run { return r.runs(r.cfg) }
 
 // breaksRun applies the §4.2 run-break rules: a new run begins after an
 // access that referenced end-of-file, or after an idle gap.

@@ -23,11 +23,13 @@ type adapter interface {
 	// open creates one reducer per shard.
 	open(shards int) []Accumulator
 	// close merges the shards and publishes the result on the analyzer.
+	// It is terminal: the shards' states are spent.
 	close()
 	// fork returns a fresh analyzer holding an independent copy of every
 	// shard's state, plus the copies, so a snapshot can keep feeding
 	// them. Closing it yields what the original would have produced had
-	// the stream ended at the fork.
+	// the stream ended at the fork. Forks of one analyzer share its
+	// finish cache, if its reducer has one.
 	fork() (Analyzer, []Accumulator)
 	// stateKey names the section payload format; the section is written
 	// as "<index>:<key>" so one run can carry two analyzers of a kind.
@@ -56,6 +58,14 @@ type sharded[R analysis.Reducer[R]] struct {
 	finish func(R)         // publishes the merged reducer's result
 	like   func() Analyzer // a fresh analyzer under the same configuration
 	parts  []R
+	// cache is what the finishes of this analyzer's forks share; made
+	// at the first fork, so a run that never forks never fills one.
+	cache *analysis.FinishCache
+}
+
+// cacher is a reducer whose finish can reuse an earlier finish's work.
+type cacher interface {
+	ShareCache(c *analysis.FinishCache)
 }
 
 // bind returns the adapter in *slot, creating it on first use.
@@ -86,7 +96,16 @@ func (s *sharded[R]) merged(f analysis.Filter) R {
 	return m
 }
 
-func (s *sharded[R]) close() { s.finish(s.merged(analysis.Filter{})) }
+// close folds every other shard into the first and finishes that one.
+// Every caller (Live.Finish, Snapshot.Finish, MergePartials) is
+// terminal, so nothing reads the shards again, and merging into the
+// first shard equals merging into a fresh reducer that first took it.
+func (s *sharded[R]) close() {
+	for _, p := range s.parts[1:] {
+		s.parts[0].Merge(p, analysis.Filter{})
+	}
+	s.finish(s.parts[0])
+}
 
 func (s *sharded[R]) fork() (Analyzer, []Accumulator) {
 	a := s.like()
@@ -94,6 +113,12 @@ func (s *sharded[R]) fork() (Analyzer, []Accumulator) {
 	accs := f.open(len(s.parts))
 	for i, p := range s.parts {
 		f.parts[i].Merge(p, analysis.Filter{})
+		if c, ok := any(f.parts[i]).(cacher); ok {
+			if s.cache == nil {
+				s.cache = new(analysis.FinishCache)
+			}
+			c.ShareCache(s.cache)
+		}
 	}
 	return a, accs
 }

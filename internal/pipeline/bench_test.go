@@ -6,8 +6,12 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/analysis"
+	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 var (
@@ -134,4 +138,52 @@ func BenchmarkPartialRoundTrip(b *testing.B) {
 			}
 		}
 	})
+}
+
+// monitorAnalyzers is nfsmond's `-analyses all` set, in its
+// registration order.
+func monitorAnalyzers() []Analyzer {
+	return []Analyzer{
+		&SummaryAnalyzer{},
+		&HierarchyAnalyzer{Warmup: 600},
+		&RunsAnalyzer{Config: analysis.RunConfig{ReorderWindow: 0.01, IdleGap: 30, JumpBlocks: 10}},
+		&BlockLifeAnalyzer{Phase: workload.Day, Margin: workload.Day},
+		&ReorderSweepAnalyzer{WindowsMS: []float64{0, 1, 2, 5, 10, 20, 50}},
+		&PeakHourAnalyzer{From: 9 * workload.Hour, To: 17 * workload.Hour},
+		&MailboxAnalyzer{},
+	}
+}
+
+// BenchmarkLiveScrape measures what a monitor scrape costs the
+// process: a Live with nfsmond's analyzers is fed one day of EECS
+// traffic from two clients, and after every twentieth of it a snapshot
+// is forked and finished. The metric is the mean of Fork plus Finish
+// over the twenty scrapes; feeding is not counted.
+func BenchmarkLiveScrape(b *testing.B) {
+	sink := &client.SliceSink{}
+	workload.NewEECS(workload.DefaultEECSConfig(2, 1, 20011021), sink).Run()
+	ops, _ := pullAll(b, sink.Records, 0)
+	const scrapes = 20
+	var spent time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lv := NewLive(Config{}, monitorAnalyzers()...)
+		fed := 0
+		for k := 1; k <= scrapes; k++ {
+			cut := len(ops) * k / scrapes
+			for _, op := range ops[fed:cut] {
+				lv.Feed(op)
+			}
+			fed = cut
+			t0 := time.Now()
+			snap, err := lv.Fork()
+			if err != nil {
+				b.Fatal(err)
+			}
+			snap.Finish()
+			spent += time.Since(t0)
+		}
+		lv.Abort()
+	}
+	b.ReportMetric(float64(spent.Microseconds())/1000/float64(b.N*scrapes), "ms/scrape")
 }

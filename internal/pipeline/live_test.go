@@ -3,9 +3,13 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 )
 
@@ -165,4 +169,135 @@ func TestFeedFromStops(t *testing.T) {
 	if err := lv.FeedFrom(context.Background(), src); err != io.ErrUnexpectedEOF || lv.Stats().Ops != 9 {
 		t.Fatalf("source error: got %v after %d ops", err, lv.Stats().Ops)
 	}
+}
+
+// TestSnapshotFeedBypassesFinishCache pins the one case in which a
+// file's access list in a snapshot differs from the live engine's list
+// of the same length: the joiner's pending operations, which a snapshot
+// is fed after the fork. The live engine receives such an operation
+// later with its reply fields (EOF here), or finds another operation in
+// its place, so a finish cache entry written from the snapshot's list
+// would be wrong for the next snapshot. File f shows the first case to
+// run detection, file g the second to the reorder sweep; both have
+// their second access reordered by a 10 ms window, so their entries are
+// a sorted copy and a nonzero swap count, not views of the list.
+func TestSnapshotFeedBypassesFinishCache(t *testing.T) {
+	read := func(fh string, at float64, off uint64, replied, eof bool) *core.Op {
+		return &core.Op{T: at, Proc: core.ProcRead, FH: core.InternFH(fh),
+			Offset: off, Count: 8192, Replied: replied, EOF: eof, Size: 3 * 8192}
+	}
+	const f, g = "cafe0001", "cafe0002"
+	prefix := []*core.Op{
+		read(f, 1.000, 8192, true, false), read(f, 1.001, 0, true, false),
+		read(g, 2.000, 8192, true, false), read(g, 2.001, 16384, true, false),
+	}
+	pending := []*core.Op{read(f, 1.002, 16384, false, false), read(g, 2.002, 0, false, false)}
+	later := []*core.Op{read(f, 1.002, 16384, true, true), read(g, 2.0015, 24576, true, false)}
+
+	cfg := Config{Workers: 2}
+	newPair := func() (*RunsAnalyzer, *ReorderSweepAnalyzer) {
+		return &RunsAnalyzer{Config: analysis.DefaultRunConfig(10)}, &ReorderSweepAnalyzer{WindowsMS: []float64{0, 10}}
+	}
+	runs, sweep := newPair()
+	lv := NewLive(cfg, runs, sweep)
+	for _, op := range prefix {
+		lv.Feed(op)
+	}
+	snap, err := lv.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range pending {
+		snap.Feed(op)
+	}
+	snap.Finish()
+
+	for _, op := range later {
+		lv.Feed(op)
+	}
+	snap, err = lv.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Finish()
+	lv.Abort()
+
+	wantRuns, wantSweep := newPair()
+	RunSlice(cfg, append(prefix, later...), wantRuns, wantSweep)
+	if got := snap.Analyzers[0].(*RunsAnalyzer).Result; !reflect.DeepEqual(got, wantRuns.Result) {
+		t.Errorf("runs after a pending feed:\ngot  %+v\nwant %+v", got, wantRuns.Result)
+	}
+	if got := snap.Analyzers[1].(*ReorderSweepAnalyzer).Result; !reflect.DeepEqual(got, wantSweep.Result) {
+		t.Errorf("sweep after a pending feed:\ngot  %+v\nwant %+v", got, wantSweep.Result)
+	}
+}
+
+// TestConcurrentSnapshotFinishes finishes two forks of one Live at once
+// while the live engine keeps ingesting, as two scrapes of a monitor
+// do, then a third fork over everything; each must equal a batch run
+// over its prefix. Run it under -race: the forks share the live
+// analyzers' finish caches and the live engine's access lists.
+func TestConcurrentSnapshotFinishes(t *testing.T) {
+	ops := genOps(t, 0.5)
+	span := ops[len(ops)-1].T - ops[0].T
+	cfg := Config{Workers: 2}
+	analyzers := func() (*RunsAnalyzer, *ReorderSweepAnalyzer, *BlockLifeAnalyzer) {
+		return &RunsAnalyzer{Config: analysis.DefaultRunConfig(10)},
+			&ReorderSweepAnalyzer{WindowsMS: sweepWindows},
+			&BlockLifeAnalyzer{Phase: span / 2, Margin: span / 2}
+	}
+	check := func(name string, snap *Snapshot, prefix []*core.Op) {
+		runs, sweep, bl := analyzers()
+		RunSlice(cfg, prefix, runs, sweep, bl)
+		if got := snap.Analyzers[0].(*RunsAnalyzer).Result; !reflect.DeepEqual(got, runs.Result) {
+			t.Errorf("%s: runs differ from batch over %d ops", name, len(prefix))
+		}
+		if got := snap.Analyzers[1].(*ReorderSweepAnalyzer).Result; !reflect.DeepEqual(got, sweep.Result) {
+			t.Errorf("%s: sweep %+v, batch %+v", name, got, sweep.Result)
+		}
+		if got := snap.Analyzers[2].(*BlockLifeAnalyzer).Result; !reflect.DeepEqual(got, bl.Result) {
+			t.Errorf("%s: block life differs from batch over %d ops", name, len(prefix))
+		}
+	}
+
+	runs, sweep, bl := analyzers()
+	lv := NewLive(cfg, runs, sweep, bl)
+	cuts := []int{len(ops) / 3, len(ops) * 2 / 3}
+	var snaps []*Snapshot
+	fed := 0
+	for _, cut := range cuts {
+		for _, op := range ops[fed:cut] {
+			lv.Feed(op)
+		}
+		fed = cut
+		snap, err := lv.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap)
+	}
+	var wg sync.WaitGroup
+	for _, snap := range snaps {
+		snap := snap
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			snap.Finish()
+		}()
+	}
+	for _, op := range ops[fed:] {
+		lv.Feed(op)
+	}
+	wg.Wait()
+	last, err := lv.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last.Finish()
+	lv.Abort()
+
+	for i, snap := range snaps {
+		check(fmt.Sprintf("fork %d", i), snap, ops[:cuts[i]])
+	}
+	check("last fork", last, ops)
 }

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # mond_smoke.sh — end-to-end smoke test of the live-monitoring path:
 # nfsbench serves real NFS traffic over loopback TCP with its passive
-# trace tap writing a growing trace file; nfsmond tails that file and
-# is scraped while the load runs. Asserts that op counters increase
-# monotonically under load, the window-lag gauge stays bounded by the
-# window width, the JSON summary is coherent, and shutdown is clean.
+# trace tap writing a growing trace file; nfsmond tails that file with
+# every analysis and is scraped while the load runs. Asserts that op
+# counters increase monotonically under load, the window-lag gauge stays
+# bounded by the window width, the JSON summary is coherent, two
+# snapshots of every analysis come back with a non-decreasing op count,
+# and shutdown is clean.
 set -euo pipefail
 
 PORT="${MOND_PORT:-19917}"
@@ -20,9 +22,21 @@ fetch() { curl -fsS "http://127.0.0.1:$PORT$1"; }
 
 metric() { echo "$1" | awk -v m="$2" '$1 == m { print $2 }'; }
 
+# analyses GETs /api/analyses, checks that the run-detection, reorder
+# and block-life tables are in it, and prints its op count.
+analyses() {
+    local body
+    body=$(fetch /api/analyses)
+    for key in runs reorder blocklife; do
+        echo "$body" | grep -q "^  \"$key\": " \
+            || { echo "FAIL: /api/analyses has no $key: $body" >&2; return 1; }
+    done
+    echo "$body" | sed -n 's/^  "ops": \([0-9]*\).*/\1/p'
+}
+
 echo "== starting nfsmond (tailing $workdir/live.trace)"
 "$workdir/nfsmond" -i "$workdir/live.trace" -follow -poll 20ms \
-    -listen "127.0.0.1:$PORT" -window $WINDOW -keep 20 \
+    -listen "127.0.0.1:$PORT" -window $WINDOW -keep 20 -analyses all \
     >"$workdir/mond.out" 2>"$workdir/mond.err" &
 MOND_PID=$!
 
@@ -38,7 +52,9 @@ echo "== starting nfsbench load (open loop, traced)"
     >/dev/null 2>&1 &
 BENCH_PID=$!
 
-sleep 2
+sleep 1
+aops1=$(analyses)
+sleep 1
 m1=$(fetch /metrics)
 ops1=$(metric "$m1" nfsmond_ops_total)
 lag1=$(metric "$m1" nfsmond_window_lag_seconds)
@@ -51,6 +67,10 @@ lag2=$(metric "$m2" nfsmond_window_lag_seconds)
 matched=$(metric "$m2" nfsmond_join_matched_total)
 echo "   scrape 2: ops_total=$ops2 lag=${lag2}s matched=$matched"
 
+aops2=$(analyses)
+echo "   /api/analyses: ops=$aops1 then ops=$aops2"
+awk -v a="$aops1" -v b="$aops2" 'BEGIN { exit !(a ~ /^[0-9]+$/ && b ~ /^[0-9]+$/ && b >= a) }' \
+    || { echo "FAIL: /api/analyses ops went from $aops1 to $aops2"; exit 1; }
 awk -v a="$ops1" -v b="$ops2" 'BEGIN { exit !(b > a && a > 0) }' \
     || { echo "FAIL: op counter not monotonically increasing under load ($ops1 -> $ops2)"; exit 1; }
 for lag in "$lag1" "$lag2"; do

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,7 +16,9 @@ import (
 // taken while the live engine is ingesting, finished with the joiner's
 // pending operations, must render every nfsanalyze table byte-identically
 // to a batch run over the same record prefix — at every worker count —
-// and the fork must not perturb the live run's final results.
+// and the fork must not perturb the live run's final results. Forks of
+// one Live share its run-detection and sweep finish caches, so the runs
+// themselves and the sweep points are compared too, not only the tables.
 
 // snapBundle is one of each streaming analyzer, configured identically
 // on the snapshot and batch sides.
@@ -96,30 +99,44 @@ func renderAnalyses(analyzers []pipeline.Analyzer, join core.JoinStats, stats pi
 
 // batchPrefix runs the batch pipeline (pull joiner, as nfsanalyze does)
 // over the first n records and renders the tables.
-func batchPrefix(cfg pipeline.Config, records []*core.Record, n int, span float64) (string, error) {
+func batchPrefix(cfg pipeline.Config, records []*core.Record, n int, span float64) (string, *snapBundle, error) {
 	b := newSnapBundle(span)
 	j := pipeline.NewJoiner(&core.SliceSource{Records: records[:n]})
 	stats, err := pipeline.Run(cfg, j, b.list()...)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
-	return renderAnalyses(b.list(), j.Stats(), stats), nil
+	return renderAnalyses(b.list(), j.Stats(), stats), b, nil
 }
 
+// TestSnapshotMatchesBatchPrefix runs over CAMPUS, and over EECS, whose
+// many data operations put thousands of accesses into the finish caches
+// between two cuts.
 func TestSnapshotMatchesBatchPrefix(t *testing.T) {
 	scale := SmallScale()
 	scale.Days = 0.5
-	records := GenerateCampusRecords(scale)
+	t.Run("campus", func(t *testing.T) { snapshotMatchesBatchPrefix(t, GenerateCampusRecords(scale)) })
+	t.Run("eecs", func(t *testing.T) { snapshotMatchesBatchPrefix(t, GenerateEECSRecords(scale)) })
+}
+
+func snapshotMatchesBatchPrefix(t *testing.T, records []*core.Record) {
 	if len(records) < 100 {
 		t.Fatalf("only %d records generated", len(records))
 	}
 	span := records[len(records)-1].Time - records[0].Time
 
-	cuts := []int{len(records) / 3, len(records) * 2 / 3}
+	// Twenty evenly spaced cuts, as many as the benchmark's monitor
+	// scrapes: each fork after the first finds the caches filled by the
+	// ones before.
+	const scrapes = 20
+	var cuts []int
+	for k := 1; k <= scrapes; k++ {
+		cuts = append(cuts, len(records)*k/(scrapes+1))
+	}
 
 	// The no-fork reference for the full stream, used to prove forks
 	// don't perturb the live run.
-	fullWant, err := batchPrefix(pipeline.Config{Workers: 1}, records, len(records), span)
+	fullWant, _, err := batchPrefix(pipeline.Config{Workers: 1}, records, len(records), span)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +164,19 @@ func TestSnapshotMatchesBatchPrefix(t *testing.T) {
 				stats := snap.Finish()
 
 				got := renderAnalyses(snap.Analyzers, join, stats)
-				want, err := batchPrefix(cfg, records, i, span)
+				want, wb, err := batchPrefix(cfg, records, i, span)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != want {
 					t.Errorf("workers=%d cut=%d: snapshot differs from batch prefix\n--- snapshot ---\n%s--- batch ---\n%s",
 						workers, i, got, want)
+				}
+				if runs := snap.Analyzers[2].(*pipeline.RunsAnalyzer).Result; !reflect.DeepEqual(runs, wb.runs.Result) {
+					t.Errorf("workers=%d cut=%d: snapshot runs differ from batch prefix", workers, i)
+				}
+				if pts := snap.Analyzers[4].(*pipeline.ReorderSweepAnalyzer).Result; !reflect.DeepEqual(pts, wb.sweep.Result) {
+					t.Errorf("workers=%d cut=%d: snapshot sweep %v, batch %v", workers, i, pts, wb.sweep.Result)
 				}
 				nextCut++
 			}
@@ -207,7 +230,7 @@ func TestSnapshotOfDrainedStream(t *testing.T) {
 	}
 	stats := snap.Finish()
 	got := renderAnalyses(snap.Analyzers, j.Stats(), stats)
-	want, err := batchPrefix(cfg, records, len(records), span)
+	want, _, err := batchPrefix(cfg, records, len(records), span)
 	if err != nil {
 		t.Fatal(err)
 	}
