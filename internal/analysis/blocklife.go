@@ -75,19 +75,9 @@ type blockLifeState struct {
 	// sizes tracks the last known size (in bytes) per fh, from any
 	// attribute-bearing reply.
 	sizes map[core.FH]uint64
-	// names maps (dirFH, name) → fileFH so REMOVE calls can be tied to
-	// the removed file (§4.1.1 hierarchy information).
-	names map[nameBinding]core.FH
 
 	phase1End float64
 	margin    float64
-}
-
-// nameBinding is one (directory, name) edge, the key the reducers
-// resolve removes and renames through.
-type nameBinding struct {
-	dir  core.FH
-	name string
 }
 
 // BlockLifeStream is the block-lifetime reducer: feed it time-ordered
@@ -112,7 +102,6 @@ func NewBlockLifeStream(start, phase, margin float64) *BlockLifeStream {
 		st: blockLifeState{
 			births:    make(map[core.FH]map[int64]float64),
 			sizes:     make(map[core.FH]uint64),
-			names:     make(map[nameBinding]core.FH),
 			phase1End: start + phase,
 			margin:    margin,
 		},
@@ -129,9 +118,8 @@ func (s *BlockLifeStream) Add(op *core.Op) {
 	if s.done || op.T >= s.end {
 		return
 	}
-	// Name tracking must run over the whole stream (including
-	// pre-window ops) so deletions resolve, and size tracking too.
-	s.st.trackNames(op)
+	// Size tracking runs over the whole stream, pre-window ops
+	// included, so deletions and truncations know what they kill.
 	if op.T < s.start {
 		s.st.trackSizes(op)
 		return
@@ -155,8 +143,7 @@ func (s *BlockLifeStream) Result() *BlockLifeResult {
 
 // Merge folds src's mid-stream state into s: result counters and
 // lifetime samples sum, live births and tracked sizes follow their
-// file, and a name binding follows the file it names (the router
-// delivers removes there).
+// file.
 func (s *BlockLifeStream) Merge(src *BlockLifeStream, f Filter) {
 	if f.unkeyed() {
 		dst, from := &s.st.res, &src.st.res
@@ -183,28 +170,6 @@ func (s *BlockLifeStream) Merge(src *BlockLifeStream, f Filter) {
 		}
 	}
 	s.st.sizes = overlay(s.st.sizes, src.st.sizes, f.Owns)
-	for nb, fh := range src.st.names {
-		if f.binding(nb, fh) {
-			s.st.names[nb] = fh
-		}
-	}
-}
-
-// trackNames maintains the (dir, name) → file mapping from lookups and
-// creates, the same on-the-fly reconstruction the paper uses.
-func (st *blockLifeState) trackNames(op *core.Op) {
-	switch op.Proc {
-	case core.ProcLookup, core.ProcCreate, core.ProcMkdir:
-		if op.Name != "" && op.NewFH != 0 {
-			st.names[nameBinding{op.FH, op.Name}] = op.NewFH
-		}
-	case core.ProcRename:
-		key := nameBinding{op.FH, op.Name}
-		if fh, ok := st.names[key]; ok {
-			delete(st.names, key)
-			st.names[nameBinding{op.FH2, op.Name2}] = fh
-		}
-	}
 }
 
 // trackSizes keeps the last observed size per file.
@@ -248,14 +213,12 @@ func (st *blockLifeState) handle(op *core.Op) {
 			}
 		}
 	case core.ProcRemove:
-		fh, ok := st.names[nameBinding{op.FH, op.Name}]
-		if !ok {
-			return
+		// The router resolved the name (§4.1.1); Target is zero when
+		// the trace never bound it, and then no tracked file dies.
+		if fh := op.Target; fh != 0 {
+			st.killRange(fh, 0, blocksOf(st.sizes[fh]), op.T, DeathDelete)
+			delete(st.sizes, fh)
 		}
-		size := st.sizes[fh]
-		st.killRange(fh, 0, blocksOf(size), op.T, DeathDelete)
-		delete(st.sizes, fh)
-		delete(st.names, nameBinding{op.FH, op.Name})
 	}
 }
 

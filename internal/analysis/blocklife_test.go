@@ -78,7 +78,8 @@ func TestBlockLifeDeleteDeath(t *testing.T) {
 	ops := []*core.Op{
 		{T: 0.5, Replied: true, Proc: core.MustProc("create"), FH: core.InternFH("dir"), Name: "tmp", NewFH: core.InternFH("f"), Size: 0},
 		wr(1, "f", 0, 24576, 0, 24576),
-		{T: 5, Replied: true, Proc: core.MustProc("remove"), FH: core.InternFH("dir"), Name: "tmp"},
+		// The pipeline's router resolves (dir, tmp) to the file.
+		{T: 5, Replied: true, Proc: core.MustProc("remove"), FH: core.InternFH("dir"), Name: "tmp", Target: core.InternFH("f")},
 	}
 	res := addAll(NewBlockLifeStream(0, 100, 100), ops).Result()
 	if res.DeathCause[DeathDelete] != 3 {
@@ -86,19 +87,6 @@ func TestBlockLifeDeleteDeath(t *testing.T) {
 	}
 	if res.EndSurplus != 0 {
 		t.Fatalf("surplus %d", res.EndSurplus)
-	}
-}
-
-func TestBlockLifeRenameTracksName(t *testing.T) {
-	ops := []*core.Op{
-		{T: 0.5, Replied: true, Proc: core.MustProc("create"), FH: core.InternFH("dir"), Name: "a", NewFH: core.InternFH("f"), Size: 0},
-		wr(1, "f", 0, 8192, 0, 8192),
-		{T: 2, Replied: true, Proc: core.MustProc("rename"), FH: core.InternFH("dir"), Name: "a", FH2: core.InternFH("dir2"), Name2: "b"},
-		{T: 3, Replied: true, Proc: core.MustProc("remove"), FH: core.InternFH("dir2"), Name: "b"},
-	}
-	res := addAll(NewBlockLifeStream(0, 100, 100), ops).Result()
-	if res.DeathCause[DeathDelete] != 1 {
-		t.Fatalf("rename lost the file: %+v", res)
 	}
 }
 

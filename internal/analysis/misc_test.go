@@ -117,6 +117,7 @@ func TestCategorize(t *testing.T) {
 }
 
 func TestAnalyzeNames(t *testing.T) {
+	// Removes carry the Target the pipeline's router resolves.
 	var ops []*core.Op
 	// 10 locks: created and deleted within 0.2s, zero length.
 	for i := 0; i < 10; i++ {
@@ -125,14 +126,14 @@ func TestAnalyzeNames(t *testing.T) {
 		ops = append(ops,
 			&core.Op{T: t0, Replied: true, Proc: core.MustProc("create"), FH: core.InternFH("dir"),
 				Name: "inbox.lock", NewFH: fh, Size: 0},
-			&core.Op{T: t0 + 0.2, Replied: true, Proc: core.MustProc("remove"), FH: core.InternFH("dir"), Name: "inbox.lock"},
+			&core.Op{T: t0 + 0.2, Replied: true, Proc: core.MustProc("remove"), FH: core.InternFH("dir"), Name: "inbox.lock", Target: fh},
 		)
 	}
 	// One composer file, 4 KB, deleted after 30s.
 	ops = append(ops,
 		&core.Op{T: 200, Replied: true, Proc: core.MustProc("create"), FH: core.InternFH("dir"), Name: "pico.000001", NewFH: core.InternFH("comp"), Size: 0},
 		&core.Op{T: 201, Replied: true, Proc: core.MustProc("write"), FH: core.InternFH("comp"), Offset: 0, Count: 4096, RCount: 4096, Size: 4096},
-		&core.Op{T: 230, Replied: true, Proc: core.MustProc("remove"), FH: core.InternFH("dir"), Name: "pico.000001"},
+		&core.Op{T: 230, Replied: true, Proc: core.MustProc("remove"), FH: core.InternFH("dir"), Name: "pico.000001", Target: core.InternFH("comp")},
 	)
 	// A mailbox that lives on.
 	ops = append(ops,
@@ -164,71 +165,6 @@ func TestAnalyzeNames(t *testing.T) {
 	// Categories predict classes perfectly in this toy set.
 	if rep.SizeAccuracy < 0.99 || rep.LifeAccuracy < 0.99 {
 		t.Fatalf("accuracy: size=%v life=%v", rep.SizeAccuracy, rep.LifeAccuracy)
-	}
-}
-
-func TestHierarchyReconstruction(t *testing.T) {
-	h := NewHierarchy()
-	ops := []*core.Op{
-		{Proc: core.MustProc("lookup"), FH: core.InternFH("root"), Name: "home", NewFH: core.InternFH("home"), Replied: true},
-		{Proc: core.MustProc("lookup"), FH: core.InternFH("home"), Name: "u1", NewFH: core.InternFH("u1dir"), Replied: true},
-		{Proc: core.MustProc("create"), FH: core.InternFH("u1dir"), Name: "inbox", NewFH: core.InternFH("mbox"), Replied: true},
-		{Proc: core.MustProc("read"), FH: core.InternFH("mbox"), Replied: true},
-	}
-	for _, op := range ops {
-		h.Observe(op)
-	}
-	path, ok := h.Path(core.InternFH("mbox"))
-	if !ok || path != "[root]/home/u1/inbox" {
-		t.Fatalf("path = %q ok=%v", path, ok)
-	}
-	if h.Edges() != 3 {
-		t.Fatalf("edges %d", h.Edges())
-	}
-
-	// Rename moves the edge.
-	h.Observe(&core.Op{Proc: core.MustProc("rename"), FH: core.InternFH("u1dir"), Name: "inbox",
-		FH2: core.InternFH("u1dir"), Name2: "mbox-old", Replied: true})
-	path, _ = h.Path(core.InternFH("mbox"))
-	if path != "[root]/home/u1/mbox-old" {
-		t.Fatalf("after rename: %q", path)
-	}
-	// Remove drops it.
-	h.Observe(&core.Op{Proc: core.MustProc("remove"), FH: core.InternFH("u1dir"), Name: "mbox-old", Replied: true})
-	if _, ok := h.Path(core.InternFH("mbox")); ok {
-		if p, _ := h.Path(core.InternFH("mbox")); p == "[root]/home/u1/mbox-old" {
-			t.Fatal("edge survived remove")
-		}
-	}
-}
-
-// TestHierarchyRebindStaleIndex: after a child re-binds under a new
-// edge (hard link or re-lookup following an unobserved rename), acting
-// on its old name must not disturb the child's current placement — the
-// reverse index must not trust a stale entry.
-func TestHierarchyRebindStaleIndex(t *testing.T) {
-	h := NewHierarchy()
-	look := func(dir, name, child string) {
-		h.Observe(&core.Op{Proc: core.ProcLookup, Replied: true,
-			FH: core.InternFH(dir), Name: name, NewFH: core.InternFH(child)})
-	}
-	look("d1", "a", "f-rebind")
-	look("d2", "b", "f-rebind") // f re-binds: its current edge is (d2, b)
-	// Removing the stale (d1, a) name must leave f placed under d2.
-	h.Observe(&core.Op{Proc: core.ProcRemove, Replied: true,
-		FH: core.InternFH("d1"), Name: "a"})
-	path, ok := h.Path(core.InternFH("f-rebind"))
-	if !ok || path != "[d2]/b" {
-		t.Fatalf("path after stale remove: %q ok=%v, want [d2]/b", path, ok)
-	}
-	// Renaming via the stale name must not move f either.
-	look("d1", "a", "f-rebind")
-	look("d2", "c", "f-rebind")
-	h.Observe(&core.Op{Proc: core.ProcRename, Replied: true,
-		FH: core.InternFH("d1"), Name: "a",
-		FH2: core.InternFH("d3"), Name2: "z"})
-	if path, _ := h.Path(core.InternFH("f-rebind")); path != "[d2]/c" {
-		t.Fatalf("path after stale rename: %q, want [d2]/c", path)
 	}
 }
 

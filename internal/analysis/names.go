@@ -140,11 +140,11 @@ func lifeClass(life float64) int {
 // operations with Add, then build the report with Report
 // once the window end is known. Finished instances fold into
 // per-category aggregates as they die, so the live state is just the
-// open instances and the name map — which is what makes the stream's
-// partial state serializable and resumable across process boundaries.
+// open instances — which is what makes the stream's partial state
+// serializable and resumable across process boundaries. An instance
+// is keyed by its handle, so the state partitions by handle.
 type NamesStream struct {
-	lives map[core.FH]*fileLife   // open instances, by NewFH
-	names map[nameBinding]core.FH // (dir,name) → fh
+	lives map[core.FH]*fileLife // open instances, by NewFH
 
 	agg namesAgg
 }
@@ -220,65 +220,50 @@ func (a *namesAgg) fold(fl *fileLife) {
 func NewNamesStream() *NamesStream {
 	return &NamesStream{
 		lives: make(map[core.FH]*fileLife),
-		names: make(map[nameBinding]core.FH),
 		agg:   newNamesAgg(),
 	}
 }
 
-// Merge folds src — the earlier partial — into n: open instances, name
-// bindings, and the per-category aggregate. Bindings and instances span
-// directories arbitrarily, so the state is one unit, not keyed by
-// handle, and the reducer is sequential.
+// Merge folds src — the earlier partial — into n: open instances follow
+// their handle, and the per-category aggregate sums. An instance spans
+// the stream from create to remove, so the reducer is sequential.
 func (n *NamesStream) Merge(src *NamesStream, f Filter) {
-	if !f.unkeyed() {
-		return
-	}
 	for fh, fl := range src.lives {
-		cp := *fl
-		n.lives[fh] = &cp
+		if f.owns(fh) {
+			cp := *fl
+			n.lives[fh] = &cp
+		}
 	}
-	n.names = overlay(n.names, src.names, nil)
-	n.agg.merge(&src.agg)
+	if f.unkeyed() {
+		n.agg.merge(&src.agg)
+	}
 }
 
 // Add folds one operation into the stream. Ops must arrive in time
 // order.
 func (n *NamesStream) Add(op *core.Op) {
-	key := func(dir core.FH, name string) nameBinding { return nameBinding{dir, name} }
 	switch op.Proc {
 	case core.ProcCreate, core.ProcMkdir, core.ProcSymlink:
 		if op.NewFH == 0 {
 			return
 		}
-		// Recreating a name orphans any previous instance.
-		n.names[key(op.FH, op.Name)] = op.NewFH
+		// Recreating a name rebinds it in the router, which orphans
+		// any previous instance: no remove reaches it again.
 		if _, exists := n.lives[op.NewFH]; !exists {
 			n.lives[op.NewFH] = &fileLife{
 				name: op.Name, cat: Categorize(op.Name),
 				born: op.T, maxSize: op.Size, readSeq: true,
 			}
 		}
-	case core.ProcLookup:
-		if op.NewFH != 0 {
-			n.names[key(op.FH, op.Name)] = op.NewFH
-		}
-	case core.ProcRename:
-		k := key(op.FH, op.Name)
-		if fh, ok := n.names[k]; ok {
-			delete(n.names, k)
-			n.names[key(op.FH2, op.Name2)] = fh
-		}
 	case core.ProcRemove:
-		fh, ok := n.names[key(op.FH, op.Name)]
-		if !ok {
-			return
-		}
-		delete(n.names, key(op.FH, op.Name))
-		if fl, ok := n.lives[fh]; ok {
+		// The router resolved the name to op.Target (zero: unbound, and
+		// no instance has handle zero). The request is what kills the
+		// instance, whatever the reply said.
+		if fl, ok := n.lives[op.Target]; ok {
 			fl.died = op.T
 			fl.deleted = true
 			n.agg.fold(fl)
-			delete(n.lives, fh)
+			delete(n.lives, op.Target)
 		}
 	case core.ProcWrite:
 		if fl, ok := n.lives[op.FH]; ok {

@@ -16,7 +16,11 @@ import (
 //	serialize merge every shard into a fresh reducer, State with an encoding codec
 //	resume    State with a decoding codec into a fresh reducer, Merge the share each shard owns
 //
-// Add folds one operation in; operations arrive in trace-time order.
+// Add folds one operation in; operations arrive in trace-time order,
+// as the pipeline's router delivers them. The router is the one
+// (directory, name) → handle table: a REMOVE, RMDIR or RENAME whose
+// name was bound arrives with the bound file in op.Target, on that
+// file's shard, so no reducer keeps name bindings of its own.
 //
 // Merge folds src — a partial over an earlier or disjoint part of the
 // stream — into the receiver, restricted to the share f selects. The
@@ -51,7 +55,8 @@ type Reducer[R any] interface {
 	State(c *state.Codec)
 }
 
-// Filter selects the share of a source partial that a Merge folds in.
+// Filter selects the share of a source partial that a Merge folds in:
+// the pipeline re-shards a decoded state with one Filter per shard.
 // The zero Filter selects everything.
 type Filter struct {
 	// Owns, when set, restricts per-file state to the handles it
@@ -59,21 +64,12 @@ type Filter struct {
 	// wherever handle 0 goes, so of a set of filters that partition the
 	// handles exactly one takes it.
 	Owns func(core.FH) bool
-	// Binding, when set, further restricts (directory, name) → child
-	// bindings. The pipeline passes the router's view here when it
-	// serializes, because a shard can hold a binding that an operation
-	// routed to another shard has since replaced.
-	Binding func(dir core.FH, name string, child core.FH) bool
 }
 
 func (f Filter) owns(fh core.FH) bool { return f.Owns == nil || f.Owns(fh) }
 
 // unkeyed reports whether f takes the state no handle keys.
 func (f Filter) unkeyed() bool { return f.owns(0) }
-
-func (f Filter) binding(nb nameBinding, child core.FH) bool {
-	return f.owns(child) && (f.Binding == nil || f.Binding(nb.dir, nb.name, child))
-}
 
 // roomFor returns dst — or, when dst is still empty and the merge takes
 // all of src (a clone, or a merge into a fresh reducer), an empty map

@@ -28,10 +28,6 @@ import (
 // century of trace.
 const maxBucketIndex = 1 << 20
 
-func (a nameBinding) compare(b nameBinding) int {
-	return state.CompareBinding(a.dir, a.name, b.dir, b.name)
-}
-
 func varintsState(c *state.Codec, vs []int64) {
 	for i := range vs {
 		c.Varint(&vs[i])
@@ -51,15 +47,6 @@ func sizesState(c *state.Codec, m *map[core.FH]uint64, what string) {
 	state.Map(c, m, what, state.CompareFH, func(fh *core.FH, n *uint64) {
 		c.FH(fh)
 		c.Uvarint(n)
-	})
-}
-
-// bindingsState codes a (directory, name) → handle map.
-func bindingsState(c *state.Codec, m *map[nameBinding]core.FH, what string) {
-	state.Map(c, m, what, nameBinding.compare, func(nb *nameBinding, fh *core.FH) {
-		c.FH(&nb.dir)
-		c.String(&nb.name, "name")
-		c.FH(fh)
 	})
 }
 
@@ -183,8 +170,8 @@ func (r *ReorderSweeper) State(c *state.Codec) {
 
 // State codes the full mid-stream block-lifetime state: the window
 // configuration (a partial is only meaningful under the window it was
-// built with), result counters, live Phase-1 births, tracked sizes and
-// name bindings. A finalized stream has counted its end surplus and
+// built with), result counters, live Phase-1 births and tracked sizes.
+// A finalized stream has counted its end surplus and
 // cannot resume, so it is rejected in both directions.
 func (s *BlockLifeStream) State(c *state.Codec) {
 	start, phase1End, margin, done := s.start, s.st.phase1End, s.st.margin, s.done
@@ -218,7 +205,6 @@ func (s *BlockLifeStream) State(c *state.Codec) {
 		})
 	})
 	sizesState(c, &s.st.sizes, "size count")
-	bindingsState(c, &s.st.names, "name binding count")
 }
 
 // State codes the peak-hour window, category map, and instance set.
@@ -245,25 +231,9 @@ func (m *MailboxShare) State(c *state.Codec) {
 	sizesState(c, &m.bytes, "byte entry count")
 }
 
-// state codes the reconstructed namespace: parent edges, the reverse
-// index exactly as it stands (stale entries and all — resolve's repair
-// path depends on the index state, so a faithful copy keeps the resumed
-// run deterministic), the known-handle set, and the coverage counters.
-func (h *Hierarchy) state(c *state.Codec) {
-	state.Map(c, &h.parent, "parent edge count", state.CompareFH, func(fh *core.FH, nb *nameBinding) {
-		c.FH(fh)
-		c.FH(&nb.dir)
-		c.String(&nb.name, "edge name")
-	})
-	bindingsState(c, &h.byEdge, "edge index count")
-	setState(c, &h.known, "known handle count")
-	c.Varint(&h.resolvable)
-	c.Varint(&h.total)
-}
-
 // State codes the warm-up configuration, which must match the
 // receiver's, the warm-up clock, the post-warmup counters, and the
-// namespace.
+// known-handle set.
 func (c *HierarchyCoverage) State(sc *state.Codec) {
 	warmup := c.warmup
 	if sc.F64(&warmup); warmup != c.warmup {
@@ -274,12 +244,12 @@ func (c *HierarchyCoverage) State(sc *state.Codec) {
 	sc.F64(&c.start)
 	sc.Varint(&c.resolvable)
 	sc.Varint(&c.total)
-	c.h.state(sc)
+	setState(sc, &c.known, "known handle count")
 }
 
-// State codes the name-analysis stream: open instances, name bindings,
-// and the folded per-category aggregate, behind the category count this
-// build was compiled with.
+// State codes the name-analysis stream: open instances and the folded
+// per-category aggregate, behind the category count this build was
+// compiled with.
 func (n *NamesStream) State(c *state.Codec) {
 	cats := uint64(numCategories)
 	if c.Uvarint(&cats); cats != uint64(numCategories) {
@@ -303,7 +273,6 @@ func (n *NamesStream) State(c *state.Codec) {
 		c.Varint(&fl.writes)
 		c.Bool(&fl.readSeq)
 	})
-	bindingsState(c, &n.names, "name binding count")
 
 	a := &n.agg
 	for k := 0; k < int(numCategories); k++ {

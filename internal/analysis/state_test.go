@@ -27,8 +27,9 @@ import (
 // that drives every reducer's layout with arbitrary section bytes.
 
 // stateOps is a fixed stream covering the paths the reducers branch
-// on: creates, lookups, reads, writes with wcc sizes, a rename, removes,
-// categorized names (lock, mailbox, temp), and a read hours later.
+// on: creates, lookups, reads, writes with wcc sizes, a rename, removes
+// (with the Target the pipeline's router resolves), categorized names
+// (lock, mailbox, temp), and a read hours later.
 func stateOps() []*core.Op {
 	dir := core.InternFH("d0")
 	mk := func(t float64, proc string, mut func(*core.Op)) *core.Op {
@@ -54,9 +55,15 @@ func stateOps() []*core.Op {
 		)
 	}
 	return append(ops,
-		mk(50, "rename", func(o *core.Op) { o.FH = dir; o.Name = "plain"; o.FH2 = dir; o.Name2 = "renamed" }),
-		mk(55, "remove", func(o *core.Op) { o.FH = dir; o.Name = "file.lock" }),
-		mk(70, "remove", func(o *core.Op) { o.FH = dir; o.Name = "a.tmp" }),
+		mk(50, "rename", func(o *core.Op) {
+			o.FH = dir
+			o.Name = "plain"
+			o.FH2 = dir
+			o.Name2 = "renamed"
+			o.Target = core.InternFH("f4")
+		}),
+		mk(55, "remove", func(o *core.Op) { o.FH = dir; o.Name = "file.lock"; o.Target = core.InternFH("f0") }),
+		mk(70, "remove", func(o *core.Op) { o.FH = dir; o.Name = "a.tmp"; o.Target = core.InternFH("f2") }),
 		mk(7205, "read", func(o *core.Op) { o.FH = core.InternFH("f1"); o.Count = 4096; o.RCount = 4096 }),
 	)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func sampleCall() *Record {
@@ -217,5 +218,14 @@ func TestOpClassification(t *testing.T) {
 		if op.IsRead() != want[0] || op.IsWrite() != want[1] || op.IsMetadata() != want[2] {
 			t.Errorf("%s: classification wrong", proc)
 		}
+	}
+}
+
+// TestOpSize pins the Op layout: Target fills the padding after FH2,
+// so the router's copies and the joiner's chunks cost what they did
+// before it existed.
+func TestOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n != 168 {
+		t.Fatalf("unsafe.Sizeof(Op{}) = %d, want 168", n)
 	}
 }

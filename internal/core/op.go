@@ -4,6 +4,14 @@ package core
 // reply. This is what every analysis in the paper consumes. Unmatched
 // calls — replies lost by the mirror port — have Replied == false, and
 // the analyses count them the way §4.1.4 describes.
+//
+// Target is the one field no trace record carries: the file a REMOVE,
+// RMDIR or RENAME's (FH, Name) was bound to when the operation was
+// issued. The pipeline's router resolves it from the bindings that
+// lookups and creates made and delivers a copy of the op with Target
+// set; a source always yields zero, and so does the router when the
+// name was never bound. It fills the padding after FH2, so an Op stays
+// 168 bytes.
 type Op struct {
 	T       float64 // call time
 	RT      float64 // reply time (0 when unreplied)
@@ -18,6 +26,7 @@ type Op struct {
 	FH      FH // primary handle, interned
 	Name    string
 	FH2     FH
+	Target  FH // the file a bound REMOVE, RMDIR or RENAME names; see below
 	Name2   string
 	Offset  uint64
 	Count   uint32 // requested

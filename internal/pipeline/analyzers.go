@@ -41,9 +41,8 @@ type adapter interface {
 	// configuration.
 	newLike() Analyzer
 	// encodeState writes the union of every shard's state to an encoding
-	// codec. It runs after Quiesce; rt arbitrates name bindings that
-	// differ between shards.
-	encodeState(c *state.Codec, rt *router)
+	// codec. It runs after Quiesce.
+	encodeState(c *state.Codec)
 	// decodeState folds one serialized state into the open shards, each
 	// taking the files it owns. It runs after open, before any Feed.
 	decodeState(c *state.Codec)
@@ -127,13 +126,8 @@ func (s *sharded[R]) stateKey() string  { return s.key }
 func (s *sharded[R]) sequential() bool  { return s.seq }
 func (s *sharded[R]) newLike() Analyzer { return s.like() }
 
-// encodeState drops name bindings the router no longer agrees with. A
-// shard's (dir, name) → file map can hold a binding the global stream
-// has since rebound or removed, because the superseding op was routed
-// to another shard. The router sees every binding event in order, so
-// what it still agrees with is exactly the map a one-shard run holds.
-func (s *sharded[R]) encodeState(c *state.Codec, rt *router) {
-	s.merged(analysis.Filter{Binding: rt.bound}).State(c)
+func (s *sharded[R]) encodeState(c *state.Codec) {
+	s.merged(analysis.Filter{}).State(c)
 }
 
 func (s *sharded[R]) decodeState(c *state.Codec) {
@@ -220,8 +214,9 @@ func (a *RunsAnalyzer) Table() analysis.RunTable { return analysis.Tabulate(a.Re
 
 // BlockLifeAnalyzer runs the create-based block-lifetime analysis
 // (Table 4, Figure 3). Block state is per file, and the router delivers
-// removes and renames to the owning shard, so per-shard streams merge
-// exactly. Phases are positions in the stream, so it is sequential.
+// a remove to the removed file's shard with the file in Target, so
+// per-shard streams merge exactly. Phases are positions in the stream,
+// so it is sequential.
 type BlockLifeAnalyzer struct {
 	Start, Phase, Margin float64
 	// Result is valid after the run.
@@ -288,8 +283,8 @@ func (a *MailboxAnalyzer) adapter() adapter {
 }
 
 // HierarchyAnalyzer measures §4.1.1 namespace-reconstruction coverage.
-// The hierarchy's state is inherently global — a directory becomes
-// "known" through other files' lookups — so this is a GlobalAnalyzer:
+// Its state is inherently global — a directory becomes "known" through
+// lookups of the files in it — so this is a GlobalAnalyzer:
 // it sees the whole ordered stream on its own goroutine, overlapping
 // the sharded work instead of partitioning it. A fork of it is global
 // too, so a snapshot continuation feeds it the full stream as well.
@@ -311,17 +306,14 @@ func (a *HierarchyAnalyzer) adapter() adapter {
 		func() Analyzer { return &HierarchyAnalyzer{Warmup: a.Warmup} })
 }
 
-// NamesAnalyzer runs the §6.3 filename analysis over the stream. Name
-// bindings and file instances span directories arbitrarily, so like the
-// hierarchy it is a GlobalAnalyzer: one ordered pass on a dedicated
-// goroutine, overlapping the sharded analyses.
+// NamesAnalyzer runs the §6.3 filename analysis over the stream. A file
+// instance lives on the shard of its handle: the router routes a create
+// by the new handle and a remove, with Target set, to the removed
+// file's shard. Instances span the stream, so it is sequential.
 type NamesAnalyzer struct {
 	stream *analysis.NamesStream
 	sh     *sharded[*analysis.NamesStream]
 }
-
-// Unsharded marks NamesAnalyzer as global.
-func (a *NamesAnalyzer) Unsharded() {}
 
 func (a *NamesAnalyzer) adapter() adapter {
 	return bind(&a.sh, "names", true,

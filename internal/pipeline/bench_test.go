@@ -75,7 +75,7 @@ func BenchmarkRouter(b *testing.B) {
 	perUnit(b, "routed", len(ops), func() {
 		rt := newRouter(8)
 		for _, op := range ops {
-			rt.shard(op)
+			rt.route(op)
 		}
 	})
 }

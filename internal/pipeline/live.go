@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/core"
@@ -109,11 +110,11 @@ func NewLive(cfg Config, analyzers ...Analyzer) *Live {
 }
 
 // Feed routes one operation into the engine. The op must not be
-// mutated afterwards.
+// mutated afterwards; the engine never writes it.
 func (lv *Live) Feed(op *core.Op) {
 	lv.stats.count(op)
 
-	w := lv.rt.shard(op)
+	op, w := lv.rt.route(op)
 	lv.bufs[w] = append(lv.bufs[w], op)
 	if len(lv.bufs[w]) >= lv.batch {
 		lv.flushShard(w)
@@ -263,7 +264,7 @@ func (lv *Live) Fork() (*Snapshot, error) {
 func (s *Snapshot) Feed(op *core.Op) {
 	s.stats.count(op)
 
-	w := s.rt.shard(op)
+	op, w := s.rt.route(op)
 	for _, acc := range s.perShard[w] {
 		acc.Add(op)
 	}
@@ -288,9 +289,5 @@ func (s *Snapshot) Finish() Stats {
 // continuation resolves removes and renames exactly as the live engine
 // will.
 func (r *router) clone() *router {
-	cp := &router{shards: r.shards, names: make(map[binding]core.FH, len(r.names))}
-	for k, v := range r.names {
-		cp.names[k] = v
-	}
-	return cp
+	return &router{shards: r.shards, names: maps.Clone(r.names)}
 }

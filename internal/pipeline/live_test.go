@@ -301,3 +301,62 @@ func TestConcurrentSnapshotFinishes(t *testing.T) {
 	}
 	check("last fork", last, ops)
 }
+
+// TestLiveNeverWritesItsInput: the router hands a resolved remove or
+// rename to its shard as a copy, so one op slice can feed Lives at
+// several shard counts and a snapshot at once — under -race, a write
+// to a caller's op is a data race here — and every caller op still has
+// Target zero afterwards.
+func TestLiveNeverWritesItsInput(t *testing.T) {
+	ops := genOps(t, 0.25)
+	end := ops[len(ops)-1].T
+	for _, op := range movedFileOps(32) {
+		op.T += end
+		ops = append(ops, op)
+	}
+	half := len(ops) / 2
+	mk := func() []Analyzer {
+		return []Analyzer{&BlockLifeAnalyzer{Phase: 1e9, Margin: 1e9}, &NamesAnalyzer{}, &HierarchyAnalyzer{}}
+	}
+
+	var wg sync.WaitGroup
+	deaths := make([]int64, 4)
+	for i, workers := range []int{1, 2, 8} {
+		wg.Add(1)
+		go func(i, workers int) {
+			defer wg.Done()
+			as := mk()
+			lv := NewLive(Config{Workers: workers, BatchSize: 16}, as...)
+			for _, op := range ops[:half] {
+				lv.Feed(op)
+			}
+			snap, err := lv.Fork()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, op := range ops[half:] {
+				lv.Feed(op)
+				snap.Feed(op)
+			}
+			lv.Finish()
+			snap.Finish()
+			deaths[i] = as[0].(*BlockLifeAnalyzer).Result.DeathCause[analysis.DeathDelete]
+			if i == 0 {
+				deaths[3] = snap.Analyzers[0].(*BlockLifeAnalyzer).Result.DeathCause[analysis.DeathDelete]
+			}
+		}(i, workers)
+	}
+	wg.Wait()
+
+	for i, op := range ops {
+		if op.Target != 0 {
+			t.Fatalf("op %d (%v) has Target %v after the run: the engine wrote its input", i, op.Proc, op.Target)
+		}
+	}
+	for i, d := range deaths {
+		if d < 32 || d != deaths[0] {
+			t.Errorf("run %d: %d delete deaths, want the same ≥ 32 in every run (%v)", i, d, deaths)
+		}
+	}
+}

@@ -13,22 +13,24 @@
 // A Joiner matches calls to replies incrementally and emits operations
 // in call-time order with bounded reordering state. The router hashes
 // each operation to one of N shards by the file handle it concerns —
-// resolving remove and rename through a (directory, name) → handle map
-// so that an operation always lands on the shard that owns the file it
-// affects — and hands workers bounded batches. Each worker feeds its
+// resolving remove and rename through the engine's one (directory,
+// name) → handle map, so that an operation always lands on the shard
+// that owns the file it affects and carries that file in core.Op.Target
+// — and hands workers bounded batches. Each worker feeds its
 // shard's accumulator for every registered Analyzer; when the stream
 // ends, each analyzer folds its per-shard accumulators into one result.
 //
 // Determinism is a design requirement, not an accident: every analyzer
 // shipped here either partitions exactly by file handle (runs, block
-// lifetimes, reorder sweeps, per-file byte accounting) or reduces by
-// integer sums whose value is independent of the partitioning (summary
-// counts, hourly buckets). Table 1 through Table 5 and Figure 1 through
-// Figure 5 therefore produce byte-identical output at any worker count,
-// which the tests enforce. Analyses whose state genuinely spans files —
-// the §4.1.1 namespace hierarchy — implement GlobalAnalyzer and run on
-// a dedicated goroutine over the full ordered stream instead (pipeline
-// parallelism rather than data parallelism).
+// lifetimes, file names, reorder sweeps, per-file byte accounting) or
+// reduces by integer sums whose value is independent of the
+// partitioning (summary counts, hourly buckets). Table 1 through
+// Table 5 and Figure 1 through Figure 5 therefore produce
+// byte-identical output at any worker count, which the tests enforce.
+// Analyses whose state genuinely spans files — §4.1.1 hierarchy
+// coverage — implement GlobalAnalyzer and run on a dedicated goroutine
+// over the full ordered stream instead (pipeline parallelism rather
+// than data parallelism).
 package pipeline
 
 import (
@@ -109,8 +111,8 @@ type Analyzer interface {
 }
 
 // GlobalAnalyzer marks analyses whose state cannot be partitioned by
-// file handle (for example the namespace hierarchy, where a directory's
-// edges are learned from other files' lookups). The engine opens them
+// file handle (hierarchy coverage, where a directory becomes known
+// through lookups routed to the files in it). The engine opens them
 // with one shard and streams every operation to it, in order, on a
 // dedicated goroutine.
 type GlobalAnalyzer interface {
@@ -146,11 +148,14 @@ func (s Stats) Span() float64 {
 	return s.MaxT - s.MinT
 }
 
-// router assigns each op to the shard that owns the file it affects.
-// Operations that create name → handle bindings are routed by the new
-// handle; removes and renames are resolved through the binding map the
-// same way the block-lifetime analysis resolves them, so a shard's
-// reducers always see the complete story of their files.
+// router assigns each op to the shard that owns the file it affects,
+// and it is the engine's one (directory, name) → handle table: the
+// §4.1.1 reconstruction every analysis resolves removes and renames
+// through. Operations that create bindings are routed by the new
+// handle; a REMOVE, RMDIR or RENAME whose name is bound goes to the
+// bound file's shard as a copy carrying that file in core.Op.Target,
+// so a shard's reducers see the complete story of their files without
+// keeping names of their own.
 type router struct {
 	shards uint64
 	names  map[binding]core.FH
@@ -191,69 +196,59 @@ func shardIndex(fh core.FH, n int) int {
 	return int(mix32(uint32(fh)) % uint64(n))
 }
 
-// bound reports whether the router still maps (dir, name) to child.
-func (r *router) bound(dir core.FH, name string, child core.FH) bool {
-	return r.names[binding{dir, name}] == child
-}
-
-func (r *router) shard(op *core.Op) int {
-	fh, byClient := r.key(op)
-	if r.shards == 1 {
-		// Binding maintenance inside key() still ran, so the map stays
-		// bounded and identical whatever the shard count; only the
-		// hash is skipped.
-		return 0
-	}
-	if byClient {
-		return int(mix32(op.Client^0x9e3779b9) % r.shards)
-	}
-	return shardIndex(fh, int(r.shards))
-}
-
-// key computes the routing key and maintains the binding map — the two
-// are inseparable: routing a remove needs the binding, and the binding
-// lifecycle must be identical at every worker count. byClient reports a
-// handleless op that routes by client instead.
-func (r *router) key(op *core.Op) (fh core.FH, byClient bool) {
+// route maintains the binding table and returns the op to deliver with
+// the shard it goes to. Both run at every shard count, so the table and
+// every Target are the same whatever the partitioning. The caller's op
+// is never written: a resolved one is delivered as a copy, because one
+// op may feed several engines (a Live and its snapshots) at once.
+func (r *router) route(op *core.Op) (*core.Op, int) {
+	fh := op.FH
 	switch op.Proc {
 	case core.ProcLookup, core.ProcCreate, core.ProcMkdir, core.ProcSymlink:
 		// The op names a (possibly new) file: bind and route by it.
-		if op.Name != "" && op.NewFH != 0 {
-			r.names[binding{op.FH, op.Name}] = op.NewFH
-		}
 		if op.NewFH != 0 {
-			return op.NewFH, false
+			if op.Name != "" {
+				r.names[binding{op.FH, op.Name}] = op.NewFH
+			}
+			fh = op.NewFH
 		}
 	case core.ProcRename:
-		// The moved file's shard must see the rename so its binding
-		// follows, exactly as blockLifeState.trackNames applies it.
+		// The binding follows the moved file, whatever the reply said,
+		// and the file's shard sees the rename.
 		k := binding{op.FH, op.Name}
-		if fh, ok := r.names[k]; ok {
+		if t, ok := r.names[k]; ok {
 			delete(r.names, k)
-			r.names[binding{op.FH2, op.Name2}] = fh
-			return fh, false
+			r.names[binding{op.FH2, op.Name2}] = t
+			op, fh = targeted(op, t), t
 		}
 	case core.ProcRemove, core.ProcRmdir:
-		// Route the removal to the shard owning the removed object,
-		// dropping the binding only on success — a failed remove
-		// leaves the name in place, mirroring the analyses. (The
-		// per-shard analyses ignore rmdir, so for them the routing
-		// choice is immaterial; resolving it here keeps the binding
-		// map from growing forever on mkdir/rmdir churn.)
+		// Only a successful removal drops the binding: a failed one
+		// leaves the name in place. Resolving rmdir too keeps the table
+		// from growing forever on mkdir/rmdir churn.
 		k := binding{op.FH, op.Name}
-		if fh, ok := r.names[k]; ok {
+		if t, ok := r.names[k]; ok {
 			if op.OK() {
 				delete(r.names, k)
 			}
-			return fh, false
+			op, fh = targeted(op, t), t
 		}
 	}
-	if op.FH != 0 {
-		return op.FH, false
+	switch {
+	case r.shards == 1:
+		return op, 0
+	case fh == 0:
+		// Handleless ops (null, fsstat against the root, ...): spread
+		// by client so no shard becomes a hot spot.
+		return op, int(mix32(op.Client^0x9e3779b9) % r.shards)
 	}
-	// Handleless ops (null, fsstat against the root, ...): spread by
-	// client so no shard becomes a hot spot.
-	return 0, true
+	return op, shardIndex(fh, int(r.shards))
+}
+
+// targeted returns a copy of op naming target.
+func targeted(op *core.Op, target core.FH) *core.Op {
+	cp := *op
+	cp.Target = target
+	return &cp
 }
 
 // cancelCheckEvery is how many operations FeedFrom feeds between looks

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -89,9 +90,13 @@ func TestShardMergeMatchesSequential(t *testing.T) {
 	wantProc := analysis.Tabulate(wantProcRuns)
 	wantSize := analysis.SizeProfile(wantProcRuns)
 	wantSeq := analysis.SequentialityProfile(wantProcRuns)
-	wantLife := addAll(analysis.NewBlockLifeStream(0, span/2, span/2), ops).Result()
 	wantSweep := addAll(analysis.NewReorderSweeper(sweepWindows), ops).Points()
 	wantCov := addAll(analysis.NewHierarchyCoverage(600), ops).Coverage()
+	// Block life resolves removes through the router, so its reference
+	// is the one-shard engine.
+	life := &BlockLifeAnalyzer{Start: 0, Phase: span / 2, Margin: span / 2}
+	RunSlice(Config{Workers: 1}, ops, life)
+	wantLife := life.Result
 
 	for _, workers := range []int{1, 2, 3, 8} {
 		for _, batch := range []int{0, 7} {
@@ -396,5 +401,48 @@ func TestEmptyStream(t *testing.T) {
 	}
 	if set.summary.Result.TotalOps != 0 {
 		t.Errorf("summary counted ops on empty stream")
+	}
+}
+
+// movedFileOps creates a file in one directory, writes a block, renames
+// it into another directory and removes it there — per file, for n
+// files, so the files spread over every shard.
+func movedFileOps(n int) []*core.Op {
+	var ops []*core.Op
+	for i := 0; i < n; i++ {
+		t := float64(i)
+		f := core.InternFH(fmt.Sprintf("moved-%d", i))
+		src, dst := core.InternFH("moved-src"), core.InternFH("moved-dst")
+		a, b := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)
+		ops = append(ops,
+			&core.Op{T: t, Replied: true, Proc: core.ProcCreate, FH: src, Name: a, NewFH: f},
+			&core.Op{T: t + 0.1, Replied: true, Proc: core.ProcWrite, FH: f,
+				Count: 8192, RCount: 8192, HasPre: true, Size: 8192},
+			&core.Op{T: t + 0.2, Replied: true, Proc: core.ProcRename, FH: src, Name: a, FH2: dst, Name2: b},
+			&core.Op{T: t + 0.3, Replied: true, Proc: core.ProcRemove, FH: dst, Name: b},
+		)
+	}
+	return ops
+}
+
+// TestBlockLifeRenameTracksName: the router's binding follows a file
+// across directories, so a remove under its new name kills its blocks
+// on whichever shard owns it.
+func TestBlockLifeRenameTracksName(t *testing.T) {
+	const files = 16
+	ops := movedFileOps(files)
+	for _, workers := range []int{1, 2, 8} {
+		life := &BlockLifeAnalyzer{Start: 0, Phase: 100, Margin: 100}
+		names := &NamesAnalyzer{}
+		RunSlice(Config{Workers: workers}, ops, life, names)
+		if got := life.Result.DeathCause[analysis.DeathDelete]; got != files {
+			t.Errorf("workers=%d: %d delete deaths, want %d (%+v)", workers, got, files, life.Result)
+		}
+		if life.Result.EndSurplus != 0 {
+			t.Errorf("workers=%d: end surplus %d, want 0", workers, life.Result.EndSurplus)
+		}
+		if rep := names.ReportAt(100); rep.CreatedAndDeleted != files {
+			t.Errorf("workers=%d: names saw %d created-and-deleted files, want %d", workers, rep.CreatedAndDeleted, files)
+		}
 	}
 }

@@ -74,7 +74,7 @@ func WritePartial(w io.Writer, lv *Live, label string, join core.JoinStats, pare
 	for i, a := range lv.analyzers {
 		ad := a.adapter()
 		e.Section(sectionName(i, ad.stateKey()))
-		ad.encodeState(c, lv.rt)
+		ad.encodeState(c)
 	}
 	return e.Flush(w)
 }

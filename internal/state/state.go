@@ -23,9 +23,10 @@
 //
 // Decoding is defensive: the body checksum catches any flipped bit up
 // front, every read is bounds-checked, every count is validated against
-// the bytes that remain, and every failure wraps ErrCorrupt (or
-// *VersionError for a future-format file) — hostile input yields a
-// structured error, never a panic and never a silent partial merge.
+// the bytes that remain, and every failure wraps ErrCorrupt (or is a
+// *VersionError, for a file of another format version) — hostile input
+// yields a structured error, never a panic and never a silent partial
+// merge.
 package state
 
 import (
@@ -39,10 +40,12 @@ import (
 	"repro/internal/core"
 )
 
-// Version is the current file format version. A reader rejects any file
-// with a newer version (see VersionError); older versions, when they
-// exist, decode via compatibility paths.
-const Version = 1
+// Version is the file format version. A reader accepts exactly this
+// version and rejects any other with a *VersionError: there are no
+// compatibility paths. Version 2 dropped the (directory, name) bindings
+// the blocklife, hierarchy and names sections carried; the router
+// section is the one binding table.
+const Version = 2
 
 // magic identifies a state file; it is exactly 8 bytes.
 const magic = "nfsstate"
@@ -52,14 +55,14 @@ const magic = "nfsstate"
 // errors.Is.
 var ErrCorrupt = errors.New("corrupt state file")
 
-// VersionError reports a state file written by a newer format than this
-// build supports.
+// VersionError reports a state file written in a format version this
+// build does not read.
 type VersionError struct {
 	Got, Supported uint16
 }
 
 func (e *VersionError) Error() string {
-	return fmt.Sprintf("state file format version %d is newer than supported version %d; upgrade the reader", e.Got, e.Supported)
+	return fmt.Sprintf("state file format version %d is not supported: this build reads version %d only; rerun the analysis that wrote it with a matching build", e.Got, e.Supported)
 }
 
 // corruptf builds an ErrCorrupt-wrapping error.
@@ -229,7 +232,7 @@ func Parse(data []byte) (*File, error) {
 		return nil, corruptf("bad magic %q: not a state file", data[:len(magic)])
 	}
 	version := binary.LittleEndian.Uint16(data[len(magic) : len(magic)+2])
-	if version > Version {
+	if version != Version {
 		return nil, &VersionError{Got: version, Supported: Version}
 	}
 	var want [sha256.Size]byte

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -149,24 +150,27 @@ func TestBadMagic(t *testing.T) {
 
 func TestVersionSkew(t *testing.T) {
 	data := encodeSample(t)
-	future := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint16(future[len(magic):], Version+1)
-	_, err := Parse(future)
-	if err == nil {
-		t.Fatal("future version accepted")
-	}
-	var ve *VersionError
-	if !errors.As(err, &ve) {
-		t.Fatalf("error %T is not *VersionError", err)
-	}
-	if ve.Got != Version+1 || ve.Supported != Version {
-		t.Fatalf("VersionError = %+v", ve)
-	}
-	// The message names both versions, so operators know which side to
-	// upgrade.
-	msg := ve.Error()
-	if !strings.Contains(msg, "version 2") || !strings.Contains(msg, "version 1") {
-		t.Fatalf("message does not name both versions: %q", msg)
+	for _, v := range []uint16{Version - 1, Version + 1} {
+		skewed := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint16(skewed[len(magic):], v)
+		_, err := Parse(skewed)
+		if err == nil {
+			t.Fatalf("version %d accepted", v)
+		}
+		var ve *VersionError
+		if !errors.As(err, &ve) {
+			t.Fatalf("version %d: error %T is not *VersionError", v, err)
+		}
+		if ve.Got != v || ve.Supported != Version {
+			t.Fatalf("version %d: VersionError = %+v", v, ve)
+		}
+		// The message names both versions, so operators know which side
+		// to change, and takes no side on which is newer.
+		msg := ve.Error()
+		if !strings.Contains(msg, fmt.Sprintf("version %d", v)) ||
+			!strings.Contains(msg, fmt.Sprintf("version %d", Version)) || strings.Contains(msg, "newer") {
+			t.Fatalf("version %d: message %q", v, msg)
+		}
 	}
 }
 

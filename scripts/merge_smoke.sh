@@ -30,20 +30,25 @@ if [ "${#pieces[@]}" -lt 2 ]; then
     echo "FAIL: expected at least 2 pieces"; exit 1
 fi
 
-# summary and runs merge independent states; names requires a -resume
-# chain — together they cover both composition modes.
-for analysis in summary runs names; do
+# summary and runs merge independent states; blocklife, hierarchy and
+# names are order-dependent and require a -resume chain — together they
+# cover both composition modes and every state layout that carries
+# per-file state across the router's name bindings.
+for analysis in summary runs blocklife hierarchy names; do
     echo "== analysis: $analysis"
     "$workdir/nfsanalyze" -analysis "$analysis" -i "$workdir/campus.trace" \
         >"$workdir/single.$analysis" 2>/dev/null
 
-    # Map phase: one -partial state per piece (chained for names).
+    # Map phase: one -partial state per piece (chained for the
+    # order-dependent analyses).
+    chained=false
+    case "$analysis" in blocklife | hierarchy | names) chained=true ;; esac
     states=()
     prev=""
     for piece in "${pieces[@]}"; do
         state="$workdir/$(basename "$piece").$analysis.state"
         resume=()
-        if [ "$analysis" = names ] && [ -n "$prev" ]; then
+        if $chained && [ -n "$prev" ]; then
             resume=(-resume "$prev")
         fi
         "$workdir/nfsanalyze" -analysis "$analysis" -i "$piece" \

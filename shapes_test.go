@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
 
@@ -56,8 +57,13 @@ func TestShapeTable2Ratios(t *testing.T) {
 func TestShapeBlockLifetimes(t *testing.T) {
 	campus, eecs := traces(t)
 	span := campus.Days * workload.Day
-	cb := addAll(analysis.NewBlockLifeStream(0, span/2, span/2), campus.Ops).Result()
-	eb := addAll(analysis.NewBlockLifeStream(0, span/2, span/2), eecs.Ops).Result()
+	// Through the pipeline: its router resolves the removes.
+	blockLife := func(tr *Trace) *analysis.BlockLifeResult {
+		a := &pipeline.BlockLifeAnalyzer{Start: 0, Phase: span / 2, Margin: span / 2}
+		pipeline.RunSlice(pipeline.Config{}, tr.Ops, a)
+		return a.Result
+	}
+	cb, eb := blockLife(campus), blockLife(eecs)
 
 	// EECS: most blocks die in under a second (paper >50%).
 	if f := eb.Lifetimes.At(1.0); f < 0.35 {
@@ -176,7 +182,9 @@ func TestShapeFigure5Sequentiality(t *testing.T) {
 
 func TestShapeNamePrediction(t *testing.T) {
 	campus, _ := traces(t)
-	rep := addAll(analysis.NewNamesStream(), campus.Ops).Report(campus.Days * workload.Day)
+	names := &pipeline.NamesAnalyzer{}
+	pipeline.RunSlice(pipeline.Config{}, campus.Ops, names)
+	rep := names.ReportAt(campus.Days * workload.Day)
 	// Locks dominate created-and-deleted files (paper 96%).
 	if rep.LockFracOfDeleted < 0.8 {
 		t.Errorf("locks %.2f of deleted files, want ≈0.96", rep.LockFracOfDeleted)
