@@ -109,12 +109,8 @@ func runCoordinator(cc coordConfig, stdout, stderr io.Writer) error {
 	// other workers are still busy, and the merge takes what that left in
 	// vetted instead of decoding the bytes again.
 	kind := cc.set.Spec.Kind
-	type decoded struct {
-		state []byte
-		p     *pipeline.Partial
-	}
 	var vetMu sync.Mutex
-	vetted := make(map[int]decoded)
+	vetted := make(map[int]*pipeline.Partial)
 	dcfg := dispatch.Config{
 		Addrs:         cc.remote,
 		AssignTimeout: cc.timeout,
@@ -124,7 +120,7 @@ func runCoordinator(cc coordConfig, stdout, stderr io.Writer) error {
 				return err
 			}
 			vetMu.Lock()
-			vetted[t.ID] = decoded{state, p}
+			vetted[t.ID] = p
 			vetMu.Unlock()
 			return nil
 		},
@@ -151,9 +147,10 @@ func runCoordinator(cc coordConfig, stdout, stderr io.Writer) error {
 				}
 				states[res.TaskID] = res.State
 				// A duplicate attempt may have been vetted after the
-				// winner; only the winner's own decode stands in for it.
-				if d := vetted[res.TaskID]; bytes.Equal(d.state, res.State) {
-					partials[res.TaskID] = d.p
+				// winner; only a decode of the winner's bytes stands in
+				// for it, and both digests are SHA-256 over those bytes.
+				if p := vetted[res.TaskID]; bytes.Equal(p.Digest, res.Digest[:]) {
+					partials[res.TaskID] = p
 				}
 			}
 		}

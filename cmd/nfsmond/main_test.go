@@ -137,9 +137,10 @@ func TestDaemonEndToEnd(t *testing.T) {
 	addr := waitServing(t, stderr)
 	base := "http://" + addr
 
-	// Wait until the first burst is ingested. The joiner holds ops
-	// until the release horizon passes, so at least the early ops are
-	// through once records_total reaches 100.
+	// Wait until the first burst is ingested. The joiner holds an op
+	// until a later record arrives and every earlier call is complete,
+	// so at least the early ops are through once records_total reaches
+	// 100.
 	waitMetric := func(name string, want float64) string {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)

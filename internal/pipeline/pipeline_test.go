@@ -267,32 +267,28 @@ func (c *countingSource) Next() (*core.Record, error) {
 	return r, err
 }
 
-// TestJoinerExpiresStaleCalls checks that one lost reply does not pin
-// the release horizon: the joiner must keep streaming (and keep its
-// memory bounded) instead of buffering the rest of the trace until
-// EOF.
 // TestJoinerXIDReuseSameTimestamp: a client reusing an xid at the same
-// quantized timestamp after the first call completed must not unpin the
-// release horizon. With (time, key) alone identifying heap entries, the
-// second call's entry collided with the first's lazily deleted one and
-// was discarded, releasing younger ops ahead of the still-pending call
-// — a time-ordering violation downstream.
+// quantized timestamp after the first call completed must not release
+// younger ops ahead of an older still-pending call. An early joiner
+// that identified pending entries by (time, key) alone let the second
+// call's entry collide with the first's lazily deleted one and did
+// exactly that — a time-ordering violation downstream.
 func TestJoinerXIDReuseSameTimestamp(t *testing.T) {
 	rd := func(tm float64, kind byte, xid uint32) *core.Record {
 		return &core.Record{Time: tm, Kind: kind, Client: 1, Port: 1, XID: xid,
 			Proc: core.ProcRead, FH: core.InternFH("aa")}
 	}
 	records := []*core.Record{
-		// An older call that never gets its reply pins the heap top, so
-		// the lazy deletion below it cannot drain eagerly.
+		// An older call that never gets its reply holds the head, so
+		// everything below waits behind it.
 		rd(4.0, core.KindCall, 9),
 		rd(5.0, core.KindCall, 1),
 		rd(5.0, core.KindReply, 1), // quantized to the call's timestamp
 		rd(5.0, core.KindCall, 1),  // xid reused at the same instant
 		rd(5.0, core.KindReply, 1), // ... and matched at it too
 		// Enough later traffic to push the expiry limit past t=5: with
-		// (time, key) heap entries the second match saturated the single
-		// gone flag, and expiring the ghost entry resolved to a missing
+		// the early joiner's (time, key) entries the second match
+		// saturated the single gone flag, and expiring the ghost entry resolved to a missing
 		// pending call (nil-record crash in FromPair).
 		rd(400.0, core.KindCall, 3),
 		rd(400.5, core.KindReply, 3),
@@ -322,6 +318,10 @@ func TestJoinerXIDReuseSameTimestamp(t *testing.T) {
 	}
 }
 
+// TestJoinerExpiresStaleCalls checks that one lost reply does not hold
+// the head for good: the joiner must keep streaming (and keep its
+// memory bounded) instead of buffering the rest of the trace until
+// EOF.
 func TestJoinerExpiresStaleCalls(t *testing.T) {
 	// A call at t=0 that never gets a reply, then hours of normal
 	// call/reply traffic.
@@ -346,7 +346,7 @@ func TestJoinerExpiresStaleCalls(t *testing.T) {
 		t.Fatalf("first op = %+v, want the expired unmatched call at t=0", op)
 	}
 	if cs.read == len(records) {
-		t.Fatalf("joiner consumed the whole source (%d records) before emitting: horizon stayed pinned", cs.read)
+		t.Fatalf("joiner consumed the whole source (%d records) before emitting: the lost call held the head", cs.read)
 	}
 	// The expiry threshold is core.DefaultMaxCallAge behind the stream, so
 	// roughly that many seconds of records should have been read.

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"io"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -15,21 +17,20 @@ import (
 //
 // An operation's time is its call's time, but the operation is only
 // complete when the reply arrives, so completions surface out of order
-// by up to the RPC latency. The joiner holds completed operations in a
-// heap and releases one as soon as nothing earlier can still appear:
-// the release horizon is the minimum of the latest record's time and
-// the oldest still-pending call.
+// by up to the RPC latency. One ring holds that order: calls are
+// admitted in record-time order, so they sit in a ring sorted by call
+// time, oldest at the head, with a map from (client, port, xid) to ring
+// position. A slot holds its call while the call waits and the joined
+// operation once the reply lands; it then moves ahead of the waiting
+// calls with the same call time, so equal call times leave in
+// completion order. The head is released while it is complete and
+// earlier than the latest record's time: nothing earlier can still
+// appear. In a time-ordered trace every slot is written once and
+// released once.
 //
-// Pending calls are admitted in record-time order, so they need no
-// heap of their own: they sit in one ring sorted by call time, oldest at
-// the head, with a map from (client, port, xid) to ring position. A
-// reply clears its call's slot in place; the head skips cleared slots
-// when the horizon is next computed, so in a time-ordered trace every
-// slot is written once and passed once.
-//
-// A call whose reply was lost would pin that horizon forever — one
+// A call whose reply was lost would hold the head forever — one
 // dropped packet must not buffer the rest of a week-long trace — so a
-// pending call older than MaxCallAge is expired early and surfaces as
+// pending call older than MaxCallAge is expired early and completes as
 // an unmatched operation right away instead of at end of stream.
 // Memory is therefore bounded by the in-flight window plus one
 // MaxCallAge of unmatched calls. The §4.1.4 loss statistics are
@@ -42,12 +43,12 @@ import (
 // late call is moved down the ring to its place in time order (cheap
 // for the few slots of an in-flight window, linear in the ring for
 // each such call otherwise), every Op keeps its record's own time, no
-// operation is lost and the statistics are what sorted input gives. The
-// horizon follows the latest record, backwards too, so what is then
-// guaranteed about order is this: with the operations built from late
-// calls set aside, the output is non-decreasing in T; a late call's
-// operation may follow operations later than itself that were released
-// before its record came.
+// operation is lost and the statistics are what sorted input gives.
+// Release follows the latest record's time, backwards too, so what is
+// then guaranteed about order is this: with the operations built from
+// late calls set aside, the output is non-decreasing in T; a late
+// call's operation may follow operations later than itself that were
+// released before its record came.
 type Joiner struct {
 	src core.RecordSource
 	// rec is the source's recycler when it pools its records; the
@@ -55,18 +56,15 @@ type Joiner struct {
 	// into an Op, so it hands dead records back here.
 	rec core.RecordRecycler
 
-	// ring holds the calls admitted and not yet passed by head, at
-	// positions head..tail-1 modulo its power-of-two length; slot times
-	// never decrease from head to tail. pending maps each call still
-	// awaiting its reply to its position.
-	ring       []pendingCall
+	// ring holds the calls admitted and not yet released, at positions
+	// head..tail-1 modulo its power-of-two length; slot times never
+	// decrease from head to tail. pending maps each call still awaiting
+	// its reply to its position.
+	ring       []slot
 	head, tail uint64
 	pending    map[joinKey]uint64
 
-	ready   readyHeap
-	seq     int64
 	now     float64   // time of the latest record
-	horizon float64   // operations earlier than this are released
 	chunk   []core.Op // unused remainder of the current Op allocation
 	drained bool
 	stats   core.JoinStats
@@ -92,14 +90,15 @@ type joinKey struct {
 	xid    uint32
 }
 
-// pendingCall is one ring slot: a call awaiting its reply, or, once rec
-// is nil, a slot whose call was answered and that head will skip. t is
-// the call's time, kept beside rec so that the slot stays in order after
-// its record is gone.
-type pendingCall struct {
-	rec *core.Record
-	t   float64
-	k   joinKey
+func keyOf(r *core.Record) joinKey { return joinKey{r.Client, r.Port, r.XID} }
+
+// slot is one ring position: a call awaiting its reply, or, once call
+// is nil, its joined operation awaiting release. t is the call's time,
+// kept beside them so that ordering the ring follows no pointer.
+type slot struct {
+	t    float64
+	call *core.Record
+	op   *core.Op
 }
 
 // NewJoiner wraps a time-ordered record source.
@@ -135,26 +134,12 @@ func (j *Joiner) maxCallAge() float64 {
 // estimate is complete once Next has returned io.EOF.
 func (j *Joiner) Stats() core.JoinStats { return j.stats }
 
-// oldest returns the oldest call still awaiting its reply, moving head
-// past the slots of answered calls, or nil when none is pending.
-func (j *Joiner) oldest() *pendingCall {
-	mask := uint64(len(j.ring) - 1)
-	for j.head != j.tail {
-		if pc := &j.ring[j.head&mask]; pc.rec != nil {
-			return pc
-		}
-		j.head++
-	}
-	return nil
-}
-
 // admit places a call in the ring. Nearly always that is the tail; a
 // call earlier than the ones before it is moved down to its place in
-// time order, so the head stays the oldest pending call whatever the
-// input.
+// time order, so the ring stays sorted whatever the input.
 func (j *Joiner) admit(r *core.Record, k joinKey) {
 	if int(j.tail-j.head) == len(j.ring) {
-		grown := make([]pendingCall, max(2*len(j.ring), 64))
+		grown := make([]slot, max(2*len(j.ring), 64))
 		for p := j.head; p != j.tail; p++ {
 			grown[p&uint64(len(grown)-1)] = j.ring[p&uint64(len(j.ring)-1)]
 		}
@@ -163,50 +148,71 @@ func (j *Joiner) admit(r *core.Record, k joinKey) {
 	mask := uint64(len(j.ring) - 1)
 	pos := j.tail
 	for ; pos != j.head && j.ring[(pos-1)&mask].t > r.Time; pos-- {
-		later := j.ring[(pos-1)&mask]
-		j.ring[pos&mask] = later
-		if later.rec != nil {
-			j.pending[later.k] = pos
-		}
+		j.shiftUp(pos - 1)
 	}
-	j.ring[pos&mask] = pendingCall{rec: r, t: r.Time, k: k}
+	j.ring[pos&mask] = slot{t: r.Time, call: r}
 	j.pending[k] = pos
 	j.tail++
 }
 
-// emit joins a call with its reply (nil for a call given up on) and
-// queues the operation for release.
-func (j *Joiner) emit(call, reply *core.Record) {
+// shiftUp moves the slot at pos one position towards the tail, and its
+// call's map entry with it.
+func (j *Joiner) shiftUp(pos uint64) {
+	mask := uint64(len(j.ring) - 1)
+	s := j.ring[pos&mask]
+	j.ring[(pos+1)&mask] = s
+	if s.call != nil {
+		j.pending[keyOf(s.call)] = pos + 1
+	}
+}
+
+// complete joins the waiting call at pos with its reply (nil for a
+// call given up on) and moves the operation ahead of the waiting calls
+// with the same call time, which keeps equal call times in completion
+// order.
+func (j *Joiner) complete(pos uint64, reply *core.Record) {
+	if reply != nil {
+		j.stats.Matched++
+	} else {
+		j.stats.UnmatchedCalls++
+	}
+	mask := uint64(len(j.ring) - 1)
+	call := j.ring[pos&mask].call
+	delete(j.pending, keyOf(call))
 	if len(j.chunk) == 0 {
 		j.chunk = make([]core.Op, opChunk)
 	}
 	op := &j.chunk[0]
 	j.chunk = j.chunk[1:]
 	op.SetPair(call, reply)
-	j.seq++
-	j.ready.push(readyOp{t: op.T, seq: j.seq, op: op})
+	j.free(call)
+	for ; pos != j.head; pos-- {
+		if prev := j.ring[(pos-1)&mask]; prev.call == nil || prev.t != op.T {
+			break
+		}
+		j.shiftUp(pos - 1)
+	}
+	j.ring[pos&mask] = slot{t: op.T, op: op}
 }
 
 // expireStale gives up on calls that have waited longer than
-// MaxCallAge, surfacing them as unmatched operations so they stop
-// pinning the release horizon.
+// MaxCallAge, completing them as unmatched operations so they stop
+// holding the head.
 func (j *Joiner) expireStale() {
 	limit := j.now - j.maxCallAge()
-	for pc := j.oldest(); pc != nil && pc.t <= limit; pc = j.oldest() {
-		delete(j.pending, pc.k)
-		j.stats.UnmatchedCalls++
-		j.emit(pc.rec, nil)
-		j.free(pc.rec)
-		pc.rec = nil
+	mask := uint64(len(j.ring) - 1)
+	for p := j.head; p != j.tail && j.ring[p&mask].t <= limit; p++ {
+		if j.ring[p&mask].call != nil {
+			j.complete(p, nil)
+		}
 	}
 }
 
-// ingest consumes one record, updating pending and ready state and the
-// release horizon.
+// ingest consumes one record.
 func (j *Joiner) ingest(r *core.Record) {
 	j.now = r.Time
 	j.expireStale()
-	k := joinKey{r.Client, r.Port, r.XID}
+	k := keyOf(r)
 	switch r.Kind {
 	case core.KindCall:
 		j.stats.Calls++
@@ -219,36 +225,23 @@ func (j *Joiner) ingest(r *core.Record) {
 		j.admit(r, k)
 	case core.KindReply:
 		j.stats.Replies++
-		pos, ok := j.pending[k]
-		if !ok {
+		if pos, ok := j.pending[k]; ok {
+			j.complete(pos, r)
+		} else {
 			j.stats.OrphanReplies++
-			j.free(r)
-			break
 		}
-		delete(j.pending, k)
-		pc := &j.ring[pos&uint64(len(j.ring)-1)]
-		j.stats.Matched++
-		j.emit(pc.rec, r)
-		j.free(pc.rec)
-		pc.rec = nil
 		j.free(r)
-	}
-	// Nothing earlier than this record, or than the oldest call still
-	// waiting, can appear from here on.
-	j.horizon = j.now
-	if pc := j.oldest(); pc != nil && pc.t < j.now {
-		j.horizon = pc.t
 	}
 }
 
-// unmatched returns the calls still awaiting replies in the order an
-// end-of-stream drain surfaces them: by (time, client, port, xid). drain
-// and PendingOps both use it, which is what keeps a finished snapshot
-// equal to a batch run.
-func (j *Joiner) unmatched() []*core.Record {
+// drain completes the calls that never got replies, in deterministic
+// order — by (time, client, port, xid) — once the stream has ended.
+// Drain and PendingOps both run it, which is what keeps a finished
+// snapshot equal to a batch run.
+func (j *Joiner) drain() {
 	calls := make([]*core.Record, 0, len(j.pending))
 	for _, pos := range j.pending {
-		calls = append(calls, j.ring[pos&uint64(len(j.ring)-1)].rec)
+		calls = append(calls, j.ring[pos&uint64(len(j.ring)-1)].call)
 	}
 	sort.Slice(calls, func(a, b int) bool {
 		x, y := calls[a], calls[b]
@@ -263,27 +256,35 @@ func (j *Joiner) unmatched() []*core.Record {
 		}
 		return x.XID < y.XID
 	})
-	return calls
+	for _, call := range calls {
+		j.complete(j.pending[keyOf(call)], nil)
+	}
+	j.drained = true
 }
 
-// drain flushes the calls that never got replies, in deterministic
-// order, once the source is exhausted.
-func (j *Joiner) drain() {
-	for _, call := range j.unmatched() {
-		j.stats.UnmatchedCalls++
-		j.emit(call, nil)
-		j.free(call)
+// release returns the head's operation and advances past it, or nil
+// while the head waits for its reply or could still be preceded: until
+// the stream has ended, only an operation earlier than the latest
+// record is final.
+func (j *Joiner) release() *core.Op {
+	if j.head == j.tail {
+		return nil
 	}
-	j.pending = nil
-	j.ring = nil
-	j.drained = true
+	s := &j.ring[j.head&uint64(len(j.ring)-1)]
+	if s.op == nil || (!j.drained && s.t >= j.now) {
+		return nil
+	}
+	op := s.op
+	*s = slot{}
+	j.head++
+	return op
 }
 
 // Next implements OpSource.
 func (j *Joiner) Next() (*core.Op, error) {
 	for {
-		if len(j.ready) > 0 && (j.drained || j.ready[0].t < j.horizon) {
-			return j.ready.pop(), nil
+		if op := j.release(); op != nil {
+			return op, nil
 		}
 		if j.drained {
 			return nil, io.EOF
@@ -300,6 +301,14 @@ func (j *Joiner) Next() (*core.Op, error) {
 	}
 }
 
+// releaseAll appends every operation that release yields to out.
+func (j *Joiner) releaseAll(out []*core.Op) []*core.Op {
+	for op := j.release(); op != nil; op = j.release() {
+		out = append(out, op)
+	}
+	return out
+}
+
 // Push ingests one record and appends every operation that becomes
 // releasable to out, returning the extended slice. The release order is
 // exactly the order Next would have yielded: Push and Next are the push
@@ -307,24 +316,17 @@ func (j *Joiner) Next() (*core.Op, error) {
 // Drain.
 func (j *Joiner) Push(r *core.Record, out []*core.Op) []*core.Op {
 	j.ingest(r)
-	for len(j.ready) > 0 && j.ready[0].t < j.horizon {
-		out = append(out, j.ready.pop())
-	}
-	return out
+	return j.releaseAll(out)
 }
 
-// Drain ends the stream: the held ready operations and every
-// still-unmatched call surface, appended to out in the order Next would
-// have emitted them after EOF. The joiner is spent afterwards; its
-// Stats are final.
+// Drain ends the stream: the held operations and every still-unmatched
+// call surface, appended to out in the order Next would have emitted
+// them after EOF. The joiner is spent afterwards; its Stats are final.
 func (j *Joiner) Drain(out []*core.Op) []*core.Op {
 	if !j.drained {
 		j.drain()
 	}
-	for len(j.ready) > 0 {
-		out = append(out, j.ready.pop())
-	}
-	return out
+	return j.releaseAll(out)
 }
 
 // Pending reports the number of calls still awaiting replies.
@@ -341,80 +343,18 @@ func (j *Joiner) StatsIfDrained() core.JoinStats {
 }
 
 // Held reports the number of completed operations held for reordering.
-func (j *Joiner) Held() int { return len(j.ready) }
+func (j *Joiner) Held() int { return int(j.tail-j.head) - len(j.pending) }
 
-// PendingOps simulates Drain without disturbing the joiner: it returns
-// the operations an end-of-stream drain would emit right now — the held
-// ready ops merged with the still-unmatched calls surfaced as
-// unreplied operations — in the exact order Drain would yield them.
-// The joiner's state and statistics are unchanged; unmatched calls
-// produce freshly built ops while held ops are returned as is (they are
-// read-only from here on either way). This is what makes a mid-stream
-// snapshot finishable: snapshot the reducers, feed them PendingOps, and
-// the result equals a batch run over every record pushed so far.
+// PendingOps returns the operations an end-of-stream drain would emit
+// right now, in the order Drain would yield them, without disturbing
+// the joiner: it drains a copy of the ring and map that has no
+// recycler, so the joiner's records stay live and its state and
+// statistics are unchanged. Held operations are returned as is (they
+// are read-only from here on either way); unmatched calls produce
+// freshly built ones. This is what makes a mid-stream snapshot
+// finishable: snapshot the reducers, feed them PendingOps, and the
+// result equals a batch run over every record pushed so far.
 func (j *Joiner) PendingOps() []*core.Op {
-	calls := j.unmatched()
-	sim := make(readyHeap, len(j.ready), len(j.ready)+len(calls))
-	copy(sim, j.ready)
-	seq := j.seq
-	for _, call := range calls {
-		seq++
-		sim.push(readyOp{t: call.Time, seq: seq, op: core.FromPair(call, nil)})
-	}
-	out := make([]*core.Op, 0, len(sim))
-	for len(sim) > 0 {
-		out = append(out, sim.pop())
-	}
-	return out
-}
-
-// readyOp is a completed operation waiting for the horizon to pass its
-// call time t (op.T again, so that sifting the heap does not follow the
-// pointers); the completion sequence breaks ties deterministically.
-type readyOp struct {
-	t   float64
-	seq int64
-	op  *core.Op
-}
-
-func (a readyOp) before(b readyOp) bool {
-	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
-}
-
-// readyHeap is a binary min-heap of readyOp by (t, seq).
-type readyHeap []readyOp
-
-func (h *readyHeap) push(x readyOp) {
-	s := append(*h, x)
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s[i].before(s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-	*h = s
-}
-
-// pop removes and returns the earliest operation; the heap must not be
-// empty.
-func (h *readyHeap) pop() *core.Op {
-	s := *h
-	top, n := s[0].op, len(s)-1
-	s[0], s[n] = s[n], readyOp{}
-	s = s[:n]
-	for i := 0; ; {
-		child := 2*i + 1
-		if child+1 < n && s[child+1].before(s[child]) {
-			child++
-		}
-		if child >= n || !s[child].before(s[i]) {
-			break
-		}
-		s[i], s[child] = s[child], s[i]
-		i = child
-	}
-	*h = s
-	return top
+	c := &Joiner{ring: slices.Clone(j.ring), head: j.head, tail: j.tail, pending: maps.Clone(j.pending)}
+	return c.Drain(make([]*core.Op, 0, c.tail-c.head))
 }

@@ -228,12 +228,22 @@ func checkJoiner(t *testing.T, records []*core.Record, isLate map[uint64]bool, c
 	}
 
 	// With no call expiring the joiner is the oracle: the same
-	// statistics and the same operations (as multisets: the oracle puts
-	// a late call's operation in its place, the joiner cannot).
+	// statistics and the same operations, in the same order — equal call
+	// times in completion order, the lost calls by key — unless a call
+	// is late: the oracle puts its operation in its place, the joiner
+	// cannot, so then they are compared as multisets.
 	want, wantStats := joinOracle(records)
 	got, gotStats := pullAll(t, records, 1e300)
 	if gotStats != wantStats {
 		t.Fatalf("stats without expiry %+v, oracle %+v", gotStats, wantStats)
+	}
+	anyLate := false
+	for _, late := range isLate {
+		anyLate = anyLate || late
+	}
+	if !anyLate {
+		sameOps(t, "joiner without expiry vs oracle", got, want)
+		return
 	}
 	count := make(map[core.Op]int)
 	for _, op := range want {
@@ -367,7 +377,7 @@ func pushJoin(records []*core.Record) core.JoinStats {
 
 // TestJoinerAllocations pins the joiner's steady state: it runs at about
 // one allocation per hundred records (Op chunks and the growth of its
-// ring, map and heap), and 1.1 per record is the budget the benchmark's
+// ring and map), and 1.1 per record is the budget the benchmark's
 // pipeline.join_allocs_per_rec holds it to.
 func TestJoinerAllocations(t *testing.T) {
 	records := genRecords(t, 0.5)

@@ -1,9 +1,9 @@
-// Latency collection for the load harness: log-bucketed histograms in
-// the spirit of LogHist but with sub-octave resolution (8 buckets per
-// power of two, ≤9% relative error at any percentile), plus a sharded
-// concurrency-safe collector so T×c benchmark workers record without
-// contending on shared state. Shards merge exactly, in the same
-// shard/merge style as the pipeline reducers.
+// Latency collection for the load harness: log-bucketed histograms with
+// sub-octave resolution (8 buckets per power of two, ≤9% relative
+// error at any percentile), plus a sharded concurrency-safe collector
+// so T×c benchmark workers record without contending on shared state.
+// Shards merge exactly, in the same shard/merge style as the pipeline
+// reducers.
 package stats
 
 import (

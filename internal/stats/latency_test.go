@@ -59,59 +59,6 @@ func TestCDFMergeEquivalence(t *testing.T) {
 	}
 }
 
-// TestLogHistCumulativeAt pins CumulativeAt against a hand-built
-// distribution: k observations in bucket k for k = 0..4.
-func TestLogHistCumulativeAt(t *testing.T) {
-	var h LogHist
-	total := 0
-	for k := 0; k <= 4; k++ {
-		for i := 0; i < k+1; i++ {
-			h.Add(math.Exp2(float64(k))) // exactly 2^k → bucket k
-			total++
-		}
-	}
-	if h.Total() != int64(total) {
-		t.Fatalf("Total = %d, want %d", h.Total(), total)
-	}
-	cum := 0
-	for k := 0; k <= 5; k++ {
-		want := float64(cum) / float64(total)
-		if got := h.CumulativeAt(k); math.Abs(got-want) > 1e-12 {
-			t.Errorf("CumulativeAt(%d) = %v, want %v", k, got, want)
-		}
-		cum += k + 1
-	}
-	if got := h.CumulativeAt(64); got != 1 {
-		t.Errorf("CumulativeAt(64) = %v, want 1", got)
-	}
-}
-
-// TestLogHistMergeEquivalence checks merged-vs-single-shard equality.
-func TestLogHistMergeEquivalence(t *testing.T) {
-	var single, merged LogHist
-	shards := make([]*LogHist, 3)
-	for i := range shards {
-		shards[i] = &LogHist{}
-	}
-	for i := 0; i < 500; i++ {
-		v := float64(i%97) + 0.5
-		single.Add(v)
-		shards[i%3].Add(v)
-	}
-	for _, s := range shards {
-		merged.Merge(s)
-	}
-	if merged.Total() != single.Total() {
-		t.Fatalf("merged Total = %d, want %d", merged.Total(), single.Total())
-	}
-	for i := 0; i < 10; i++ {
-		if merged.CumulativeAt(i) != single.CumulativeAt(i) {
-			t.Fatalf("CumulativeAt(%d): merged %v != single %v",
-				i, merged.CumulativeAt(i), single.CumulativeAt(i))
-		}
-	}
-}
-
 // maxLatErr is the histogram's bucket-width error bound, 2^(1/8)-1.
 var maxLatErr = math.Exp2(1.0/latSubPerOctave) - 1
 

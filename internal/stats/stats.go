@@ -104,65 +104,6 @@ func (r *Running) Merge(other *Running) {
 	*r = Running{n: n, mean: mean, m2: m2, min: min, max: max}
 }
 
-// LogHist is a base-2 logarithmic histogram over positive values. Bucket i
-// holds values in [2^i, 2^(i+1)). Values below 1 land in bucket 0. The
-// zero value is ready for use.
-type LogHist struct {
-	buckets []int64
-	total   int64
-	sum     float64
-}
-
-// Add records one observation. Non-positive values are counted in the
-// first bucket.
-func (h *LogHist) Add(v float64) {
-	i := 0
-	if v >= 1 {
-		i = int(math.Floor(math.Log2(v)))
-	}
-	for len(h.buckets) <= i {
-		h.buckets = append(h.buckets, 0)
-	}
-	h.buckets[i]++
-	h.total++
-	h.sum += v
-}
-
-// Total reports the number of observations.
-func (h *LogHist) Total() int64 { return h.total }
-
-// Buckets returns the raw bucket counts; bucket i covers [2^i, 2^(i+1)).
-func (h *LogHist) Buckets() []int64 { return h.buckets }
-
-// Merge folds the observations of other into h, as if every observation
-// added to other had been added to h. Bucket counts merge exactly, which
-// is what lets per-client histograms reduce to a global one.
-func (h *LogHist) Merge(other *LogHist) {
-	if other == nil || other.total == 0 {
-		return
-	}
-	for len(h.buckets) < len(other.buckets) {
-		h.buckets = append(h.buckets, 0)
-	}
-	for i, c := range other.buckets {
-		h.buckets[i] += c
-	}
-	h.total += other.total
-	h.sum += other.sum
-}
-
-// CumulativeAt reports the fraction of observations with value < 2^i.
-func (h *LogHist) CumulativeAt(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var c int64
-	for j := 0; j < i && j < len(h.buckets); j++ {
-		c += h.buckets[j]
-	}
-	return float64(c) / float64(h.total)
-}
-
 // CDF is a cumulative distribution built from explicit samples. It is
 // collected unsorted and sorted lazily on first query.
 type CDF struct {

@@ -119,27 +119,6 @@ func TestRunningMergeMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestLogHist(t *testing.T) {
-	var h LogHist
-	for _, v := range []float64{0.5, 1, 2, 3, 4, 1000} {
-		h.Add(v)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total = %d, want 6", h.Total())
-	}
-	b := h.Buckets()
-	// 0.5 → bucket 0; 1 → bucket 0; 2,3 → bucket 1; 4 → bucket 2; 1000 → bucket 9
-	if b[0] != 2 || b[1] != 2 || b[2] != 1 || b[9] != 1 {
-		t.Fatalf("buckets = %v", b)
-	}
-	if got := h.CumulativeAt(2); !almostEqual(got, 4.0/6, 1e-12) {
-		t.Errorf("CumulativeAt(2) = %v, want %v", got, 4.0/6)
-	}
-	if got := h.CumulativeAt(100); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("CumulativeAt(100) = %v, want 1", got)
-	}
-}
-
 func TestCDF(t *testing.T) {
 	var c CDF
 	for _, v := range []float64{5, 1, 3, 2, 4} {
