@@ -21,7 +21,7 @@ race-server: ## hammer the concurrent serving stack under -race (torture tests, 
 #   make bench BENCH_COUNT=10 > new.txt && benchstat old.txt new.txt
 BENCH_COUNT ?= 5
 
-bench: ## run the pipeline scaling, run-finish, ingest, analysis, partial-state round-trip, dispatch-transport, wire-codec, loopback-serving and pcap-capture benchmarks (benchstat-friendly)
+bench: ## run the pipeline scaling, run-finish, ingest, analysis, partial-state round-trip, dispatch-transport, wire-codec, loopback-serving, pcap-capture and percentile benchmarks (benchstat-friendly)
 	$(GO) test -run xxx -bench 'BenchmarkPipelineWorkers|BenchmarkSortWindow|BenchmarkRunsFinish|BenchmarkReorderSweep' -benchmem -count $(BENCH_COUNT) .
 	$(GO) test -run xxx -bench . -benchmem -count $(BENCH_COUNT) ./internal/pipeline
 	$(GO) test -run xxx -bench 'BenchmarkIngest|BenchmarkUnmarshalRecordBytes|BenchmarkAppendMarshal|BenchmarkInternFH' -benchmem -count $(BENCH_COUNT) ./internal/core
@@ -30,8 +30,9 @@ bench: ## run the pipeline scaling, run-finish, ingest, analysis, partial-state 
 	$(GO) test -run xxx -bench . -benchmem -count $(BENCH_COUNT) ./internal/xdr
 	$(GO) test -run xxx -bench 'BenchmarkNetLoopback' -benchmem -count $(BENCH_COUNT) ./internal/server
 	$(GO) test -run xxx -bench 'BenchmarkReadPcap' -benchmem -count $(BENCH_COUNT) ./internal/capture
+	$(GO) test -run xxx -bench . -benchmem -count $(BENCH_COUNT) ./internal/stats
 
-bench-smoke: ## run the ingest, pipeline (partial-state round trip included), run-finish, dispatch, wire-codec, loopback-serving and pcap-capture benchmarks once (CI regression visibility, not gating)
+bench-smoke: ## run the ingest, pipeline (partial-state round trip included), run-finish, dispatch, wire-codec, loopback-serving, pcap-capture and percentile benchmarks once (CI regression visibility, not gating)
 	$(GO) test -run xxx -bench 'BenchmarkPipelineWorkers|BenchmarkSortWindow|BenchmarkRunsFinish|BenchmarkReorderSweep' -benchmem -benchtime 3x .
 	$(GO) test -run xxx -bench . -benchmem -benchtime 3x ./internal/pipeline
 	$(GO) test -run xxx -bench 'BenchmarkIngest|BenchmarkUnmarshalRecordBytes|BenchmarkAppendMarshal|BenchmarkInternFH' -benchmem -benchtime 3x ./internal/core
@@ -40,6 +41,7 @@ bench-smoke: ## run the ingest, pipeline (partial-state round trip included), ru
 	$(GO) test -run xxx -bench . -benchmem -benchtime 3x ./internal/xdr
 	$(GO) test -run xxx -bench 'BenchmarkNetLoopback' -benchmem -benchtime 3x ./internal/server
 	$(GO) test -run xxx -bench 'BenchmarkReadPcap' -benchmem -benchtime 3x ./internal/capture
+	$(GO) test -run xxx -bench . -benchmem -benchtime 3x ./internal/stats
 
 nfsbench-smoke: ## drive the socket stack once with the load harness, closed and open loop (CI regression visibility, not gating)
 	$(GO) run ./cmd/nfsbench -seed 1 -n 5000 -T 2 -c 2 -files 32 -filesize 65536 -interval 0 -json /dev/null

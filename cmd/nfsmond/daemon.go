@@ -61,13 +61,21 @@ func newDaemon(cfg pipeline.Config, width float64, keep, slide int, rebase bool,
 	}
 }
 
-// ingestLoop pulls records until the source ends (EOF on a static file
-// or stdin, Stop on a tail), then drains the joiner so the served
-// state reflects every record read.
-func (d *daemon) ingestLoop(src core.RecordSource) error {
+// ingestLoop opens the source and pulls records until it ends (EOF
+// on a static file or stdin, Stop on any source), then drains the
+// joiner so the served state reflects every record read. The joiner
+// hands the source's records back to it once it is done with them.
+func (d *daemon) ingestLoop(open func() (core.RecordSource, error)) error {
+	src, err := open()
+	if err != nil {
+		return err
+	}
+	d.mu.Lock()
+	d.j.Recycler, _ = src.(core.RecordRecycler)
+	d.mu.Unlock()
 	for {
 		rec, err := src.Next()
-		if err == io.EOF {
+		if err == io.EOF || err == core.ErrReaderStopped {
 			d.mu.Lock()
 			d.drain()
 			d.mu.Unlock()

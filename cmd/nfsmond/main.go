@@ -16,6 +16,11 @@
 //   - stdin (-i -): a socket feed via any relay, e.g.
 //     `nc -l 9099 | nfsmond -i -`.
 //
+// A static file and stdin take any format nfsanalyze reads — text,
+// binary, either one gzip-compressed — and are decoded on a read-ahead
+// goroutine that hands over every record as soon as it is decoded, so
+// a live feed is never held back. -follow tails text only.
+//
 // Endpoints:
 //
 //	/metrics       Prometheus-style text: per-procedure op counters,
@@ -43,6 +48,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -123,14 +129,14 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) error {
 	go func() { httpDone <- srv.Serve(ln) }()
 	fmt.Fprintf(stderr, "nfsmond: serving on http://%s\n", ln.Addr())
 
-	src, closeSrc, err := openSource(cfg)
+	open, closeSrc, err := openSource(cfg)
 	if err != nil {
 		srv.Close()
 		return err
 	}
 
 	ingestDone := make(chan error, 1)
-	go func() { ingestDone <- d.ingestLoop(src) }()
+	go func() { ingestDone <- d.ingestLoop(open) }()
 
 	select {
 	case <-stop:
@@ -156,13 +162,16 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) error {
 	return nil
 }
 
-// openSource opens the configured record source and returns it with a
-// stopper that unblocks a pending Next.
-func openSource(cfg config) (core.RecordSource, func(), error) {
-	if cfg.input == "-" {
-		return core.NewReader(os.Stdin), func() { os.Stdin.Close() }, nil
-	}
-	if cfg.follow {
+// openSource prepares the configured input. It returns an opener,
+// which the ingest goroutine calls, and a stopper, which may run from
+// any goroutine before, during or after the open: it ends a pending
+// open or Next. A file or stdin opens through the read-ahead, as in
+// nfsanalyze: text, binary or gzip, decoded on a goroutine of its own.
+// Opening sniffs the format by reading the first bytes, which on a
+// silent feed blocks until the producer writes, so it is left to the
+// ingest goroutine.
+func openSource(cfg config) (func() (core.RecordSource, error), func(), error) {
+	if cfg.follow && cfg.input != "-" {
 		// tail -F friendliness: the producer may not have created the
 		// file yet, and start order shouldn't matter. An O_APPEND
 		// producer is unaffected by the touch.
@@ -173,13 +182,51 @@ func openSource(cfg config) (core.RecordSource, func(), error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return tr, tr.Stop, nil
+		return func() (core.RecordSource, error) { return tr, nil }, tr.Stop, nil
 	}
-	f, err := os.Open(cfg.input)
+	f := os.Stdin
+	if cfg.input != "-" {
+		var err error
+		if f, err = os.Open(cfg.input); err != nil {
+			return nil, nil, err
+		}
+	}
+	in := &readAheadInput{f: f}
+	return in.open, in.stop, nil
+}
+
+// readAheadInput is a file or stdin read through core.ReadAhead.
+type readAheadInput struct {
+	f       *os.File
+	mu      sync.Mutex
+	ra      *core.ReadAhead
+	stopped bool
+}
+
+func (in *readAheadInput) open() (core.RecordSource, error) {
+	ra, err := core.NewReadAhead(in.f)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return core.NewReader(f), func() { f.Close() }, nil
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.ra = ra
+	if in.stopped {
+		ra.Stop()
+	}
+	return ra, nil
+}
+
+// stop makes Next return core.ErrReaderStopped after the batch in
+// hand, and closes the file to end a read or a sniff in progress.
+func (in *readAheadInput) stop() {
+	in.mu.Lock()
+	in.stopped = true
+	if in.ra != nil {
+		in.ra.Stop()
+	}
+	in.mu.Unlock()
+	in.f.Close()
 }
 
 // buildAnalyzers resolves the -analyses list. Summary is always first:

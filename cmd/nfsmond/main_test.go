@@ -25,6 +25,15 @@ func writeBurst(t *testing.T, path string, from, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	writePairs(t, f, from, n)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writePairs writes n call/reply pairs to f, xids [from, from+n).
+func writePairs(t *testing.T, f io.Writer, from, n int) {
+	t.Helper()
 	w := core.NewWriter(f)
 	for i := from; i < from+n; i++ {
 		call := &core.Record{
@@ -43,9 +52,6 @@ func writeBurst(t *testing.T, path string, from, n int) {
 		w.Write(reply)
 	}
 	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

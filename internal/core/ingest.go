@@ -3,10 +3,12 @@ package core
 // Read-ahead ingest: decoding is the largest stage of an analysis pass,
 // so it runs on a goroutine of its own, overlapped with the join and
 // the reducers behind it. That goroutine runs the very serial reader
-// DetectSource picks and hands its records over in fixed-size batches,
-// so a ReadAhead yields the same records, in the same order, with the
-// same error at the same point as the serial reader — by construction,
-// not by a second implementation of either trace format.
+// DetectSource picks and hands its records over in batches, so a
+// ReadAhead yields the same records, in the same order, with the same
+// error at the same point as the serial reader — by construction, not
+// by a second implementation of either trace format. A batch ends when
+// it is full or when the serial reader next reads the input, so a live
+// feed's records reach the consumer as soon as they are decoded.
 
 import (
 	"errors"
@@ -15,8 +17,8 @@ import (
 )
 
 const (
-	// readAheadBatch is the number of records one hand-off carries:
-	// enough to make the channel operation a rounding error per record.
+	// readAheadBatch is the most records one hand-off carries: enough to
+	// make the channel operation a rounding error per record.
 	readAheadBatch = 512
 	// readAheadDepth is the number of batches decoded ahead of the
 	// consumer: enough to keep decoding through a short consumer stall
@@ -51,32 +53,57 @@ type ReadAhead struct {
 // over the stream's end or error; call Stop to abandon the reader
 // earlier.
 func NewReadAhead(r io.Reader) (*ReadAhead, error) {
-	src, err := DetectSource(r)
+	ra := &ReadAhead{batches: make(chan recordBatch, readAheadDepth), stop: make(chan struct{})}
+	d := &decoder{ra: ra, in: r, recs: make([]*Record, 0, readAheadBatch)}
+	src, err := DetectSource(d)
 	if err != nil {
 		return nil, err
 	}
-	ra := &ReadAhead{batches: make(chan recordBatch, readAheadDepth), stop: make(chan struct{})}
-	go ra.decode(src)
+	go d.run(src)
 	return ra, nil
 }
 
-func (ra *ReadAhead) decode(src RecordSource) {
+// decoder is the decode goroutine's side of a ReadAhead. It sits
+// beneath the serial reader as its input, so it sees every read of the
+// underlying stream: before each one, which on a live feed may block
+// until the producer writes again, it hands over the records decoded so
+// far. A record that has been read never waits for later input; on a
+// file the cut costs one short batch per buffer refill.
+type decoder struct {
+	ra   *ReadAhead
+	in   io.Reader
+	recs []*Record // the batch being filled
+}
+
+// Read implements io.Reader for the serial reader: flush, then read.
+func (d *decoder) Read(p []byte) (int, error) {
+	if len(d.recs) > 0 && !d.send(nil) {
+		return 0, ErrReaderStopped
+	}
+	return d.in.Read(p)
+}
+
+// send hands over the batch being filled, with err on the last one,
+// and starts a new batch. It reports false once Stop was called.
+func (d *decoder) send(err error) bool {
+	select {
+	case d.ra.batches <- recordBatch{recs: d.recs, err: err}:
+	case <-d.ra.stop:
+		return false
+	}
+	d.recs = make([]*Record, 0, readAheadBatch)
+	return true
+}
+
+func (d *decoder) run(src RecordSource) {
 	for {
-		b := recordBatch{recs: make([]*Record, 0, readAheadBatch)}
-		for len(b.recs) < readAheadBatch && b.err == nil {
-			rec, err := src.Next()
-			if err != nil {
-				b.err = err
-			} else {
-				b.recs = append(b.recs, rec)
-			}
-		}
-		select {
-		case ra.batches <- b:
-		case <-ra.stop:
+		rec, err := src.Next()
+		if err != nil {
+			d.send(err)
 			return
 		}
-		if b.err != nil {
+		d.recs = append(d.recs, rec)
+		if len(d.recs) == readAheadBatch && !d.send(nil) {
 			return
 		}
 	}

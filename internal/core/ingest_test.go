@@ -324,3 +324,72 @@ func TestParallelEmptyAndTinyInputs(t *testing.T) {
 		requireReadAheadMatches(t, fmt.Sprintf("%q", data), []byte(data))
 	}
 }
+
+// TestReadAheadLiveFeed feeds the read-ahead through a pipe that stays
+// open: every record written so far must come out of Next although the
+// batch is far from full and the input has not ended, in each format.
+func TestReadAheadLiveFeed(t *testing.T) {
+	records := ingestRecords(30)
+	text := noisyText(records)
+	var zbuf bytes.Buffer
+	zw := gzip.NewWriter(&zbuf)
+	zw.Write(text)
+	if err := zw.Flush(); err != nil { // a sync block, not the stream's end
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"text", text},
+		{"binary", binaryTrace(t, records)},
+		{"gzip", zbuf.Bytes()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The serial reader's records; the unclosed gzip stream
+			// ends in an error after them.
+			src, err := DetectSource(bytes.NewReader(tc.data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := drain(src)
+			if len(want) != len(records) {
+				t.Fatalf("serial reader: %d records, want %d", len(want), len(records))
+			}
+			pr, pw := io.Pipe()
+			go pw.Write(tc.data)
+			ra, err := NewReadAhead(pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make(chan *Record)
+			go func() {
+				for {
+					rec, err := ra.Next()
+					if err != nil {
+						close(got)
+						return
+					}
+					got <- rec
+				}
+			}()
+			for i, want := range want {
+				select {
+				case rec, ok := <-got:
+					if !ok {
+						t.Fatalf("record %d: stream ended", i)
+					}
+					if *rec != *want {
+						t.Fatalf("record %d:\n got %+v\nwant %+v", i, rec, want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("record %d held back while the feed stays open", i)
+				}
+			}
+			pw.Close()
+			if _, ok := <-got; ok {
+				t.Fatal("a record past the end of the feed")
+			}
+		})
+	}
+}

@@ -51,10 +51,6 @@ import (
 // released before its record came.
 type Joiner struct {
 	src core.RecordSource
-	// rec is the source's recycler when it pools its records; the
-	// joiner is the point where a record's last field has been copied
-	// into an Op, so it hands dead records back here.
-	rec core.RecordRecycler
 
 	// ring holds the calls admitted and not yet released, at positions
 	// head..tail-1 modulo its power-of-two length; slot times never
@@ -74,6 +70,14 @@ type Joiner struct {
 	// latencies are milliseconds, so the default changes the outcome
 	// only on pathological traces.
 	MaxCallAge float64
+
+	// Recycler, when set, gets back every record the joiner is done
+	// with: the joiner is the point where a record's last field has
+	// been copied into an Op, so each record it takes is recycled
+	// exactly once, and by the end of Drain all of them are. NewJoiner
+	// sets it to a pooling source; a push-mode caller that owns no
+	// reference to the records it pushes sets it to their source.
+	Recycler core.RecordRecycler
 }
 
 // opChunk is how many Ops the joiner allocates at a time. Nothing
@@ -105,7 +109,7 @@ type slot struct {
 func NewJoiner(src core.RecordSource) *Joiner {
 	j := NewPushJoiner()
 	j.src = src
-	j.rec, _ = src.(core.RecordRecycler)
+	j.Recycler, _ = src.(core.RecordRecycler)
 	return j
 }
 
@@ -118,8 +122,8 @@ func NewPushJoiner() *Joiner {
 
 // free hands a dead record back to a pooling source.
 func (j *Joiner) free(r *core.Record) {
-	if j.rec != nil {
-		j.rec.Recycle(r)
+	if j.Recycler != nil {
+		j.Recycler.Recycle(r)
 	}
 }
 

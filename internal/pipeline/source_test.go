@@ -2,11 +2,14 @@ package pipeline
 
 import (
 	"cmp"
+	"fmt"
 	"io"
 	"slices"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // testCallAge is the MaxCallAge the generated streams are joined with:
@@ -350,6 +353,55 @@ func TestJoinerLateRecords(t *testing.T) {
 				checkJoiner(t, records, isLate, cut)
 			}
 		})
+	}
+}
+
+// countingRecycler counts how often each record comes back, and zeroes
+// it: an operation built from a record the joiner had already recycled
+// would show as a difference.
+type countingRecycler map[*core.Record]int
+
+func (c countingRecycler) Recycle(r *core.Record) {
+	c[r]++
+	*r = core.Record{}
+}
+
+// TestPushJoinerRecycles holds a push joiner that recycles its records
+// to one that does not: the same operations, the same PendingOps
+// mid-stream, and every record back exactly once after Drain.
+func TestPushJoinerRecycles(t *testing.T) {
+	sink := &client.SliceSink{}
+	workload.NewCampus(workload.DefaultCampusConfig(6, 1.5, 20011021), sink).Run()
+	records := sink.Records
+	if len(records) < 30000 {
+		t.Fatalf("%d records, want several PendingOps checkpoints", len(records))
+	}
+	plain, recycling := NewPushJoiner(), NewPushJoiner()
+	back := countingRecycler{}
+	recycling.Recycler = back
+	copies := make([]core.Record, len(records))
+	var want, got []*core.Op
+	for i, r := range records {
+		if i%10000 == 0 {
+			sameOps(t, fmt.Sprintf("PendingOps at record %d", i), recycling.PendingOps(), plain.PendingOps())
+		}
+		want = plain.Push(r, want)
+		copies[i] = *r
+		got = recycling.Push(&copies[i], got)
+	}
+	want = plain.Drain(want)
+	got = recycling.Drain(got)
+	sameOps(t, "recycling vs plain push joiner", got, want)
+	if recycling.Stats() != plain.Stats() {
+		t.Fatalf("stats %+v, want %+v", recycling.Stats(), plain.Stats())
+	}
+	if len(back) != len(records) {
+		t.Fatalf("%d of %d records recycled", len(back), len(records))
+	}
+	for i := range copies {
+		if n := back[&copies[i]]; n != 1 {
+			t.Fatalf("record %d recycled %d times", i, n)
+		}
 	}
 }
 

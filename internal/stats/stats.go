@@ -11,6 +11,8 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -105,7 +107,8 @@ func (r *Running) Merge(other *Running) {
 }
 
 // CDF is a cumulative distribution built from explicit samples. It is
-// collected unsorted and sorted lazily on first query.
+// collected unsorted; At sorts it lazily on first query, Percentile
+// never reorders it.
 type CDF struct {
 	samples []float64
 	sorted  bool
@@ -169,23 +172,79 @@ func (c *CDF) AddSamples(vs []float64) {
 }
 
 // Percentile reports the p-th percentile (p in [0,100]) using
-// nearest-rank. It returns 0 for an empty CDF.
+// nearest-rank. It returns 0 for an empty CDF. On an unsorted CDF the
+// rank is selected in a scratch copy in linear time, so the samples'
+// order — and the state bytes coded from it — never depends on whether
+// a percentile was read.
 func (c *CDF) Percentile(p float64) float64 {
-	if len(c.samples) == 0 {
+	n := len(c.samples)
+	if n == 0 {
 		return 0
 	}
-	c.sort()
-	if p <= 0 {
-		return c.samples[0]
+	k := 0 // the 0-based nearest rank
+	switch {
+	case p >= 100:
+		k = n - 1
+	case p > 0:
+		k = max(int(math.Ceil(p/100*float64(n))), 1) - 1
 	}
-	if p >= 100 {
-		return c.samples[len(c.samples)-1]
+	if c.sorted {
+		return c.samples[k]
 	}
-	rank := int(math.Ceil(p / 100 * float64(len(c.samples))))
-	if rank < 1 {
-		rank = 1
+	return selectKth(slices.Clone(c.samples), k)
+}
+
+// lessFloat is sort.Float64s's order: NaN first, then ascending.
+func lessFloat(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// selectKth partially orders s and returns the value sort.Float64s
+// would put at index k: Hoare's FIND with median-of-three pivots, whose
+// scans stop at values equal to the pivot, so ties split evenly. It
+// sorts what is left of the range if the pivots keep choosing badly.
+func selectKth(s []float64, k int) float64 {
+	lo, hi := 0, len(s)-1
+	for budget := 2 * bits.Len(uint(len(s))); lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(s[lo : hi+1])
+			break
+		}
+		x, y, z := s[lo], s[lo+(hi-lo)/2], s[hi]
+		if lessFloat(y, x) {
+			x, y = y, x
+		}
+		if lessFloat(z, y) {
+			y = z
+			if lessFloat(y, x) {
+				y = x
+			}
+		}
+		pivot := y
+		i, j := lo, hi
+		for i <= j {
+			for lessFloat(s[i], pivot) {
+				i++
+			}
+			for lessFloat(pivot, s[j]) {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo:j+1] <= pivot, s[i:hi+1] >= pivot, and anything
+		// between equals it.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return s[k]
+		}
 	}
-	return c.samples[rank-1]
+	return s[k]
 }
 
 // Median reports the 50th percentile.

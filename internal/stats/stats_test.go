@@ -2,6 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -177,6 +180,77 @@ func TestCDFPercentileMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCDFPercentileSelection holds Percentile, which selects in a
+// scratch copy, to nearest rank on a sorted copy, over tie-heavy
+// samples in several shapes. Percentile must leave the samples as they
+// were, and At must still work afterwards.
+func TestCDFPercentileSelection(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	ps := []float64{0, 0.001, 50, 90, 99, 100}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(3000)
+		distinct := []int{1, 2, 3, 10, 1000}[rng.Intn(5)]
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = float64(rng.Intn(distinct))
+			if rng.Intn(500) == 0 {
+				vals[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+			}
+		}
+		switch trial % 4 {
+		case 1:
+			sort.Float64s(vals)
+		case 2:
+			sort.Sort(sort.Reverse(sort.Float64Slice(vals)))
+		}
+		var c CDF
+		c.AddSamples(vals)
+		sorted := slices.Clone(vals)
+		sort.Float64s(sorted)
+		checkRanks := func(when string) {
+			for _, p := range ps {
+				rank := int(math.Ceil(p / 100 * float64(n)))
+				want := sorted[min(max(rank, 1), n)-1]
+				if got := c.Percentile(p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d (n %d, %d distinct), %s: Percentile(%v) = %v, want %v", trial, n, distinct, when, p, got, want)
+				}
+			}
+		}
+		checkRanks("unsorted")
+		if !slices.EqualFunc(c.Samples(), vals, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			t.Fatalf("trial %d: Percentile reordered the samples", trial)
+		}
+		v := float64(rng.Intn(distinct))
+		le := 0
+		for _, x := range vals {
+			if x <= v || math.IsNaN(x) { // NaN sorts first
+				le++
+			}
+		}
+		if got, want := c.At(v), float64(le)/float64(n); got != want {
+			t.Fatalf("trial %d: At(%v) = %v after Percentile, want %v", trial, v, got, want)
+		}
+		checkRanks("sorted by At")
+	}
+}
+
+// BenchmarkCDFPercentile reads p50 and p90 from an unsorted CDF the
+// size of a live block-life scrape's lifetimes.
+func BenchmarkCDFPercentile(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var c CDF
+	for i := 0; i < 28000; i++ {
+		c.Add(math.Round(rng.ExpFloat64()*3600) / 10)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Percentile(50)
+		c.Percentile(90)
 	}
 }
 
