@@ -24,7 +24,7 @@ BENCH_COUNT ?= 5
 bench: ## run the pipeline scaling, run-finish, ingest, analysis, partial-state round-trip, dispatch-transport, wire-codec, loopback-serving, pcap-capture and percentile benchmarks (benchstat-friendly)
 	$(GO) test -run xxx -bench 'BenchmarkPipelineWorkers|BenchmarkSortWindow|BenchmarkRunsFinish|BenchmarkReorderSweep' -benchmem -count $(BENCH_COUNT) .
 	$(GO) test -run xxx -bench . -benchmem -count $(BENCH_COUNT) ./internal/pipeline
-	$(GO) test -run xxx -bench 'BenchmarkIngest|BenchmarkUnmarshalRecordBytes|BenchmarkAppendMarshal|BenchmarkInternFH' -benchmem -count $(BENCH_COUNT) ./internal/core
+	$(GO) test -run xxx -bench 'BenchmarkIngest|BenchmarkUnmarshalRecordBytes|BenchmarkTextDecodeCorpus|BenchmarkAppendMarshal|BenchmarkInternFH' -benchmem -count $(BENCH_COUNT) ./internal/core
 	$(GO) test -run xxx -bench 'BenchmarkDispatchLoopback' -benchmem -count $(BENCH_COUNT) ./internal/dispatch
 	$(GO) test -run xxx -bench 'BenchmarkDecodeRes3|BenchmarkDecodeReadArgs3|BenchmarkParseCallSemantic' -benchmem -count $(BENCH_COUNT) ./internal/nfs
 	$(GO) test -run xxx -bench . -benchmem -count $(BENCH_COUNT) ./internal/xdr
@@ -35,7 +35,7 @@ bench: ## run the pipeline scaling, run-finish, ingest, analysis, partial-state 
 bench-smoke: ## run the ingest, pipeline (partial-state round trip included), run-finish, dispatch, wire-codec, loopback-serving, pcap-capture and percentile benchmarks once (CI regression visibility, not gating)
 	$(GO) test -run xxx -bench 'BenchmarkPipelineWorkers|BenchmarkSortWindow|BenchmarkRunsFinish|BenchmarkReorderSweep' -benchmem -benchtime 3x .
 	$(GO) test -run xxx -bench . -benchmem -benchtime 3x ./internal/pipeline
-	$(GO) test -run xxx -bench 'BenchmarkIngest|BenchmarkUnmarshalRecordBytes|BenchmarkAppendMarshal|BenchmarkInternFH' -benchmem -benchtime 3x ./internal/core
+	$(GO) test -run xxx -bench 'BenchmarkIngest|BenchmarkUnmarshalRecordBytes|BenchmarkTextDecodeCorpus|BenchmarkAppendMarshal|BenchmarkInternFH' -benchmem -benchtime 3x ./internal/core
 	$(GO) test -run xxx -bench 'BenchmarkDispatchLoopback' -benchmem -benchtime 3x ./internal/dispatch
 	$(GO) test -run xxx -bench 'BenchmarkDecodeRes3|BenchmarkDecodeReadArgs3|BenchmarkParseCallSemantic' -benchmem -benchtime 3x ./internal/nfs
 	$(GO) test -run xxx -bench . -benchmem -benchtime 3x ./internal/xdr
@@ -78,6 +78,8 @@ loc: ## non-test, non-blank, non-comment Go lines per package (tools/perf exclud
 # -fuzzminimizetime the fuzzer spends its budget minimizing them.
 fuzz: ## run each native fuzz target for 10s
 	$(GO) test -run xxx -fuzz FuzzTextRecord -fuzztime 10s ./internal/core
+	$(GO) test -run xxx -fuzz FuzzTextTokenizerOracle -fuzztime 10s ./internal/core
+	$(GO) test -run xxx -fuzz FuzzTextRoundTrip -fuzztime 10s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzIngestEquivalence -fuzztime 10s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzStateDecode -fuzztime 10s ./internal/pipeline

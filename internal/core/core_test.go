@@ -76,6 +76,9 @@ func TestEscaping(t *testing.T) {
 	names := []string{
 		"plain", "with space", "tab\there", "new\nline",
 		"back\\slash", "eq=sign", "mixed \t\\= all",
+		// Separators the tokenizer splits on, and bytes that are not
+		// UTF-8: both must survive byte for byte.
+		"a\rb", "vertical\vtab", "form\ffeed", "\xff b", "\xc3(\x80\x80",
 	}
 	for _, n := range names {
 		r := sampleCall()
@@ -92,7 +95,8 @@ func TestEscaping(t *testing.T) {
 }
 
 func TestEscapeQuick(t *testing.T) {
-	f := func(s string) bool { return unescapeBytes([]byte(escape(s))) == s }
+	// Arbitrary bytes, not strings: quick's strings are valid UTF-8.
+	f := func(b []byte) bool { return unescapeBytes([]byte(escape(string(b)))) == string(b) }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}

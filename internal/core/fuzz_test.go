@@ -9,44 +9,60 @@ package core
 
 import (
 	"bytes"
+	"encoding/hex"
 	"io"
 	"math/rand"
 	"testing"
 	"time"
 )
 
-// FuzzTextRecord fuzzes the text-format line parser: arbitrary lines
-// must parse or error (never panic), and any line it accepts must
-// marshal back to a line it accepts again.
-func FuzzTextRecord(f *testing.F) {
-	// Seed with real trace lines: representative call/reply shapes
-	// from the generator, escaping torture, comments, and near-misses.
+// textRecordSeeds is the seed corpus of the text-line targets: real
+// trace lines (representative call/reply shapes from the generator,
+// escaping torture), comments, and near-misses.
+func textRecordSeeds() []string {
+	var seeds []string
 	rng := rand.New(rand.NewSource(7))
 	tm := 1000.0
 	for i := 0; i < 12; i++ {
 		tm += rng.Float64() * 0.01
-		f.Add(randomRecord(rng, tm).Marshal())
+		seeds = append(seeds, randomRecord(rng, tm).Marshal())
 	}
 	esc := sampleCall()
 	esc.Proc = MustProc("lookup")
 	esc.Name = "spa ced\ttab\\slash=eq\nnl"
-	f.Add(esc.Marshal())
-	f.Add(sampleReply().Marshal())
-	f.Add("# comment line")
-	f.Add("")
-	f.Add("1.0 C 1.2 3 U 5 3 read uid=0 gid=0")
-	f.Add("1.0 Z 1.2 3 U 5 3 read")
-	f.Add("xxx C 1.2 3 U 5 3 read uid=0")
-	// Tokenizer edges: exotic separators, the float fast-path
-	// boundaries and its strconv fallback, saturating kv values, hex
-	// case, and dynamically interned procedure names.
-	f.Add("1.0\tC\t1.2 3\vU\r5 3 read uid=0 gid=0")
-	f.Add("1e5 C 1.2 3 U 5 3 read uid=0 gid=0")
-	f.Add("9007199254740993.5 C 1.2 3 U 5 3 read uid=0 gid=0")
-	f.Add("1.1234567 C 1.2 3 U 5 3 read mtime=2.9999999 uid=0 gid=0")
-	f.Add("1.0 C aB.65535 FFFF U ffffffff 4294967295 read off=99999999999999999999 count=99999999999999999999 uid=0 gid=0")
-	f.Add("1.0 C 1.2 3 U 5 3 some-unseen-proc fh=00ff newfh=00FF name=a\\sb eof=1")
-	f.Add("1.0 C 1.2 3 U 5 3 read = =x x= fh= uid=0 gid=0")
+	seeds = append(seeds, esc.Marshal(), sampleReply().Marshal(),
+		"# comment line",
+		"",
+		"1.0 C 1.2 3 U 5 3 read uid=0 gid=0",
+		"1.0 Z 1.2 3 U 5 3 read",
+		"xxx C 1.2 3 U 5 3 read uid=0",
+		// Tokenizer edges: exotic separators, the float fast-path
+		// boundaries and its strconv fallback, saturating kv values, hex
+		// case, and dynamically interned procedure names.
+		"1.0\tC\t1.2 3\vU\r5 3 read uid=0 gid=0",
+		"1e5 C 1.2 3 U 5 3 read uid=0 gid=0",
+		"9007199254740993.5 C 1.2 3 U 5 3 read uid=0 gid=0",
+		"1.1234567 C 1.2 3 U 5 3 read mtime=2.9999999 uid=0 gid=0",
+		"1.0 C aB.65535 FFFF U ffffffff 4294967295 read off=99999999999999999999 count=99999999999999999999 uid=0 gid=0",
+		"1.0 C 1.2 3 U 5 3 some-unseen-proc fh=00ff newfh=00FF name=a\\sb eof=1",
+		"1.0 C 1.2 3 U 5 3 read = =x x= fh= uid=0 gid=0",
+		"1.0 C 1.2 3 U 5 3 read off=12x count=99999999999x stable= uid=9=9 gid=0",
+		// Each header error, which must quote its field.
+		"1.0 C zz.7 3 U 5 3 read uid=0",
+		"1.0 C 1.x7 3 U 5 3 read uid=0",
+		"1.0 C 1.2 3 UU 5 3 read uid=0",
+		"1.0 C 1.2 3 U 5 3",
+	)
+	return seeds
+}
+
+// FuzzTextRecord fuzzes the text-format line parser: arbitrary lines
+// must parse or error (never panic), and any line it accepts must
+// marshal back to a line it accepts again.
+func FuzzTextRecord(f *testing.F) {
+	for _, line := range textRecordSeeds() {
+		f.Add(line)
+	}
 
 	f.Fuzz(func(t *testing.T, line string) {
 		rec, err := UnmarshalRecord(line)
@@ -63,31 +79,42 @@ func FuzzTextRecord(f *testing.F) {
 	})
 }
 
+// fuzzBytes reads values from fuzz input, little-endian, and zeros
+// once the input is exhausted.
+type fuzzBytes struct {
+	data []byte
+	cur  int
+}
+
+func (f *fuzzBytes) next() byte {
+	if f.cur >= len(f.data) {
+		return 0
+	}
+	b := f.data[f.cur]
+	f.cur++
+	return b
+}
+
+func (f *fuzzBytes) u16() uint16 { return uint16(f.next()) | uint16(f.next())<<8 }
+func (f *fuzzBytes) u32() uint32 { return uint32(f.u16()) | uint32(f.u16())<<16 }
+func (f *fuzzBytes) u64() uint64 { return uint64(f.u32()) | uint64(f.u32())<<32 }
+
+// str reads a string of up to 23 arbitrary bytes.
+func (f *fuzzBytes) str() string {
+	b := make([]byte, int(f.next())%24)
+	for i := range b {
+		b[i] = f.next()
+	}
+	return string(b)
+}
+
 // fuzzRecords derives well-formed records deterministically from fuzz
 // bytes, respecting the writer's field invariants (times are µs-
 // aligned and non-negative; SetSize/PreSize only travel with their
 // presence flags) so a write→read round trip must be exact.
 func fuzzRecords(data []byte) []*Record {
-	cur := 0
-	next := func() byte {
-		if cur >= len(data) {
-			return 0
-		}
-		b := data[cur]
-		cur++
-		return b
-	}
-	u16 := func() uint16 { return uint16(next()) | uint16(next())<<8 }
-	u32 := func() uint32 { return uint32(u16()) | uint32(u16())<<16 }
-	u64 := func() uint64 { return uint64(u32()) | uint64(u32())<<32 }
-	str := func() string {
-		n := int(next()) % 24
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = next()
-		}
-		return string(b)
-	}
+	fb := &fuzzBytes{data: data}
+	next, u16, u32, u64, str := fb.next, fb.u16, fb.u32, fb.u64, fb.str
 	// Proc is an interned byte-sized ID; derive it from the fuzz bytes
 	// through the intern table. Should a long fuzz campaign exhaust the
 	// table's dynamic space, collapse to "null" — the round trip still
@@ -178,6 +205,88 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 			t.Fatalf("flush: %v", err)
 		}
 		rd := NewBinaryReader(bytes.NewReader(buf.Bytes()))
+		for i, want := range records {
+			got, err := rd.Next()
+			if err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
+			if *got != *want {
+				t.Fatalf("record %d:\n got %+v\nwant %+v", i, got, want)
+			}
+		}
+		if _, err := rd.Next(); err != io.EOF {
+			t.Fatalf("after %d records: %v, want EOF", len(records), err)
+		}
+	})
+}
+
+// textFuzzRecords derives records from fuzz bytes, restricted to what
+// the text format carries: hex handle spellings, procedures of the
+// fixed vocabulary, a U or T protocol tag, and only the call or the
+// reply fields, by kind. Names are arbitrary bytes.
+func textFuzzRecords(data []byte) []*Record {
+	fb := &fuzzBytes{data: data}
+	handle := func() FH { return InternFH(hex.EncodeToString([]byte(fb.str()))) }
+	n := int(fb.next())%6 + 1
+	records := make([]*Record, 0, n)
+	for i := 0; i < n; i++ {
+		r := &Record{
+			Time: float64(fb.u32()) / 1e6, Kind: KindCall, Proto: ProtoUDP,
+			Client: fb.u32(), Port: fb.u16(), Server: fb.u32(), XID: fb.u32(),
+			Version: fb.u32(), Proc: ProcID(fb.next() % byte(numStaticProcs)),
+		}
+		flags := fb.next()
+		if flags&1 != 0 {
+			r.Proto = ProtoTCP
+		}
+		if flags&2 == 0 {
+			r.UID, r.GID = fb.u32(), fb.u32()
+			r.FH, r.Name, r.FH2, r.Name2 = handle(), fb.str(), handle(), fb.str()
+			r.Offset, r.Count, r.Stable = fb.u64(), fb.u32(), fb.u32()
+			if flags&4 != 0 {
+				r.HasSet, r.SetSize = true, fb.u64()
+			}
+		} else {
+			r.Kind = KindReply
+			r.Status, r.RCount, r.Size, r.FileID = fb.u32(), fb.u32(), fb.u64(), fb.u64()
+			r.Mtime, r.NewFH, r.EOF = float64(fb.u32())/1e6, handle(), flags&8 != 0
+			if flags&4 != 0 {
+				r.HasPre, r.PreSize = true, fb.u64()
+			}
+		}
+		records = append(records, r)
+	}
+	return records
+}
+
+// FuzzTextRoundTrip is the text twin of FuzzBinaryRoundTrip's round
+// trip: records derived from the bytes, names of any bytes included,
+// must read back exactly as they were written.
+func FuzzTextRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	// One call whose name holds every byte the escapes protect, and
+	// invalid UTF-8: a zero count byte, header and flags, uid and gid,
+	// an empty handle, then the name.
+	name := "a\r\v\f\t\n =\\\xff"
+	seed := append(make([]byte, 1+23+1+8+1), byte(len(name)))
+	f.Add(append(seed, name...))
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 4; i++ {
+		b := make([]byte, 200)
+		rng.Read(b)
+		f.Add(b)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<16 {
+			t.Skip()
+		}
+		records := textFuzzRecords(data)
+		var buf bytes.Buffer
+		if err := WriteAll(&buf, records); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		rd := NewReader(&buf)
 		for i, want := range records {
 			got, err := rd.Next()
 			if err != nil {

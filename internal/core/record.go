@@ -10,6 +10,10 @@
 //	<time> R <client>.<port> <server> <proto> <xid> <vers> <proc> status=<n> k=v ...
 //
 // All integers are decimal except xid and file handles, which are hex.
+// Filenames (name, name2) escape the bytes that would end a field, a
+// line or a key — space as \s, tab \t, newline \n, carriage return \r,
+// vertical tab \v, form feed \f, '=' as \e and the backslash as \\ —
+// and carry every other byte raw, UTF-8 or not.
 // Unknown keys are ignored on read, so the format is extensible.
 //
 // In memory, file handles and procedure names are interned (see
@@ -19,7 +23,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -170,27 +176,34 @@ func (r *Record) Marshal() string {
 	return string(r.AppendMarshal(make([]byte, 0, 160)))
 }
 
-// escape protects spaces and control characters in filenames; the
+// escapes maps each byte a name must not carry raw to the letter that
+// follows its backslash: the field separators, the line break, '=' and
+// the backslash itself.
+var escapes = [256]byte{
+	' ': 's', '\t': 't', '\n': 'n', '\r': 'r', '\v': 'v', '\f': 'f',
+	'=': 'e', '\\': '\\',
+}
+
+// escape protects separators and control characters in filenames; the
 // anonymizer usually removes the need, but raw traces must round-trip.
+// It works byte by byte, so names that are not UTF-8 survive.
 func escape(s string) string {
-	if !strings.ContainsAny(s, " \t\n\\=") {
+	i := 0
+	for i < len(s) && escapes[s[i]] == 0 {
+		i++
+	}
+	if i == len(s) {
 		return s
 	}
 	var b strings.Builder
-	for _, c := range s {
-		switch c {
-		case ' ':
-			b.WriteString("\\s")
-		case '\t':
-			b.WriteString("\\t")
-		case '\n':
-			b.WriteString("\\n")
-		case '\\':
-			b.WriteString("\\\\")
-		case '=':
-			b.WriteString("\\e")
-		default:
-			b.WriteRune(c)
+	b.Grow(len(s) + 8)
+	b.WriteString(s[:i])
+	for ; i < len(s); i++ {
+		if e := escapes[s[i]]; e != 0 {
+			b.WriteByte('\\')
+			b.WriteByte(e)
+		} else {
+			b.WriteByte(s[i])
 		}
 	}
 	return b.String()
@@ -221,6 +234,12 @@ func unescapeBytes(s []byte) string {
 			b = append(b, '\t')
 		case 'n':
 			b = append(b, '\n')
+		case 'r':
+			b = append(b, '\r')
+		case 'v':
+			b = append(b, '\v')
+		case 'f':
+			b = append(b, '\f')
 		case 'e':
 			b = append(b, '=')
 		case '\\':
@@ -232,97 +251,122 @@ func unescapeBytes(s []byte) string {
 	return string(b)
 }
 
-// isFieldSep reports a byte that separates fields within a line.
-func isFieldSep(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r'
-}
+// fieldSep marks the bytes that separate fields within a line.
+var fieldSep = [256]bool{' ': true, '\t': true, '\v': true, '\f': true, '\r': true}
 
-// nextField returns the next whitespace-delimited field of line
-// starting at *pos, advancing *pos past it; ok is false at end of line.
-func nextField(line []byte, pos *int) (field []byte, ok bool) {
-	i := *pos
-	for i < len(line) && isFieldSep(line[i]) {
+// hexVal maps a hex digit to its value and every other byte to 0xff.
+var hexVal = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] = byte(c - '0')
+	}
+	for c := 'a'; c <= 'f'; c++ {
+		t[c] = byte(c-'a') + 10
+		t[c-'a'+'A'] = byte(c-'a') + 10
+	}
+	return t
+}()
+
+// skipSeps returns the index of the first non-separator at or after i.
+func skipSeps(line []byte, i int) int {
+	for i < len(line) && fieldSep[line[i]] {
 		i++
 	}
-	if i >= len(line) {
-		*pos = i
-		return nil, false
-	}
-	start := i
-	for i < len(line) && !isFieldSep(line[i]) {
-		i++
-	}
-	*pos = i
-	return line[start:i], true
+	return i
 }
 
+// fieldEnd returns the index of the first separator at or after i, or
+// len(line).
+func fieldEnd(line []byte, i int) int {
+	for i < len(line) && !fieldSep[line[i]] {
+		i++
+	}
+	return i
+}
+
+// endsField reports whether a field ends at index i.
+func endsField(line []byte, i int) bool { return i == len(line) || fieldSep[line[i]] }
+
+// countFields counts the fields of line, for the short-record error.
 func countFields(line []byte) int {
-	n, pos := 0, 0
-	for {
-		if _, ok := nextField(line, &pos); !ok {
-			return n
-		}
+	n := 0
+	for i := skipSeps(line, 0); i < len(line); i = skipSeps(line, fieldEnd(line, i)) {
 		n++
 	}
+	return n
 }
 
-// parseUintDec parses a decimal field. Syntax errors yield (0, false).
-// Overflow depends on the caller's role: kv values saturate at the bit
-// size's maximum and still report ok (the old
-// strconv-and-ignore-the-error semantics, where ParseUint's ErrRange
-// value was kept), while header fields treat overflow as an error,
-// exactly as the old explicit ParseUint checks did.
-func parseUintDec(b []byte, bits int, saturate bool) (uint64, bool) {
-	max := uint64(1)<<bits - 1
-	if len(b) == 0 {
-		return 0, false
-	}
-	var v uint64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
+// scanHex32 parses the hex digits at line[i:], stopping at the first
+// byte that is not one; end is that byte's index. ok is false when
+// there is no digit or the value overflows 32 bits.
+func scanHex32(line []byte, i int) (v uint32, end int, ok bool) {
+	start := i
+	var x uint64
+	for ; i < len(line); i++ {
+		d := hexVal[line[i]]
+		if d > 15 {
+			break
 		}
-		d := uint64(c - '0')
-		if v > (max-d)/10 {
-			if saturate {
-				return max, true
-			}
-			return 0, false
+		if x > math.MaxUint32>>4 {
+			return 0, i, false
+		}
+		x = x<<4 | uint64(d)
+	}
+	return uint32(x), i, i > start
+}
+
+// scanDec parses the decimal digits at line[i:], stopping at the first
+// byte that is not one; end is that byte's index. A value that would
+// exceed max stops the scan at the digit that overflows: over is true
+// and v is max.
+func scanDec(line []byte, i int, max uint64) (v uint64, end int, over bool) {
+	lim, last := max/10, max%10
+	for ; i < len(line); i++ {
+		d := uint64(line[i] - '0')
+		if d > 9 {
+			break
+		}
+		if v > lim || (v == lim && d > last) {
+			return max, i, true
 		}
 		v = v*10 + d
 	}
-	return v, true
+	return v, i, false
 }
 
-func parseUintSat(b []byte, bits int) (uint64, bool) { return parseUintDec(b, bits, true) }
+// scanUint parses a strict decimal header field at line[i:]: ok is
+// false when it is empty, overflows max, or holds a foreign byte.
+func scanUint(line []byte, i int, max uint64) (v uint64, end int, ok bool) {
+	v, end, over := scanDec(line, i, max)
+	return v, end, !over && end > i && endsField(line, end)
+}
 
-func parseUintStrict(b []byte, bits int) (uint64, bool) { return parseUintDec(b, bits, false) }
+// kvUint parses a numeric k=v value at line[i:] and returns it with the
+// field's end. Values keep the format's lenient reading: digits that
+// overflow max saturate to it whatever follows, and an empty value or
+// one with a foreign byte before any overflow reads as 0.
+func kvUint(line []byte, i int, max uint64) (uint64, int) {
+	v, j, over := scanDec(line, i, max)
+	if !over && !endsField(line, j) {
+		v = 0
+	}
+	return v, fieldEnd(line, j)
+}
 
-// parseHexStrict parses a hex header field; overflow is an error.
-func parseHexStrict(b []byte, bits int) (uint64, bool) {
-	max := uint64(1)<<bits - 1
-	if len(b) == 0 {
-		return 0, false
+// clientError builds the error for the malformed client field at
+// line[i:]; it runs only once the one-pass scan has failed.
+func clientError(line []byte, i int) error {
+	f := line[i:fieldEnd(line, i)]
+	dot := bytes.IndexByte(f, '.')
+	if dot < 0 {
+		return fmt.Errorf("core: bad client %q", f)
 	}
-	var v uint64
-	for _, c := range b {
-		var d uint64
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint64(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			d = uint64(c-'A') + 10
-		default:
-			return 0, false
-		}
-		if v > max>>4 {
-			return 0, false
-		}
-		v = v<<4 | d
+	if _, end, ok := scanHex32(f, 0); !ok || end != dot {
+		return fmt.Errorf("core: bad client ip %q", f[:dot])
 	}
-	return v, true
+	return fmt.Errorf("core: bad client port %q", f[dot+1:])
 }
 
 // parseTime parses a non-negative decimal seconds value. The fast path
@@ -383,91 +427,83 @@ slow:
 // and procedure names are interned, and filename fields are copied. On
 // the hot path — a record with no filename — parsing performs no
 // allocation.
+//
+// The line is read in one pass. Hex and decimal fields are parsed as
+// they are scanned, stopping at a separator and failing on the first
+// foreign byte; a key is scanned once, up to its '='. Only a failed
+// field is scanned again, to quote it in the error.
 func UnmarshalRecordBytes(line []byte, r *Record) error {
 	// The 8 header fields plus at least one kv field are mandatory; a
 	// field that is missing outright surfaces as the short-record
 	// error (the total count is recomputed only on that cold path).
-	pos := 0
 	short := func() error {
 		return fmt.Errorf("core: short record (%d fields)", countFields(line))
 	}
-	f, ok := nextField(line, &pos)
-	if !ok {
+	// Each header field starts at i; e is where its parse stopped.
+	i := skipSeps(line, 0)
+	if i == len(line) {
 		return short()
 	}
-	var tok bool
-	if r.Time, tok = parseTime(f); !tok {
-		return fmt.Errorf("core: bad time %q", f)
+	e := fieldEnd(line, i)
+	var ok bool
+	if r.Time, ok = parseTime(line[i:e]); !ok {
+		return fmt.Errorf("core: bad time %q", line[i:e])
 	}
-	if f, ok = nextField(line, &pos); !ok {
+	if i = skipSeps(line, e); i == len(line) {
 		return short()
 	}
-	if len(f) != 1 || (f[0] != KindCall && f[0] != KindReply) {
-		return fmt.Errorf("core: bad kind %q", f)
+	if c := line[i]; (c != KindCall && c != KindReply) || !endsField(line, i+1) {
+		return fmt.Errorf("core: bad kind %q", line[i:fieldEnd(line, i)])
 	}
-	r.Kind = f[0]
-	if f, ok = nextField(line, &pos); !ok {
+	r.Kind = line[i]
+	if i = skipSeps(line, i+1); i == len(line) {
 		return short()
 	}
-	dot := -1
-	for i, c := range f {
-		if c == '.' {
-			dot = i
-			break
-		}
+	var v uint64
+	if r.Client, e, ok = scanHex32(line, i); !ok || e == len(line) || line[e] != '.' {
+		return clientError(line, i)
 	}
-	if dot < 0 {
-		return fmt.Errorf("core: bad client %q", f)
-	}
-	host, port := f[:dot], f[dot+1:]
-	v, tok := parseHexStrict(host, 32)
-	if !tok {
-		return fmt.Errorf("core: bad client ip %q", host)
-	}
-	r.Client = uint32(v)
-	if v, tok = parseUintStrict(port, 16); !tok {
-		return fmt.Errorf("core: bad client port %q", port)
+	if v, e, ok = scanUint(line, e+1, math.MaxUint16); !ok {
+		return clientError(line, i)
 	}
 	r.Port = uint16(v)
-	if f, ok = nextField(line, &pos); !ok {
+	if i = skipSeps(line, e); i == len(line) {
 		return short()
 	}
-	if v, tok = parseHexStrict(f, 32); !tok {
-		return fmt.Errorf("core: bad server ip %q", f)
+	if r.Server, e, ok = scanHex32(line, i); !ok || !endsField(line, e) {
+		return fmt.Errorf("core: bad server ip %q", line[i:fieldEnd(line, i)])
 	}
-	r.Server = uint32(v)
-	if f, ok = nextField(line, &pos); !ok {
+	if i = skipSeps(line, e); i == len(line) {
 		return short()
 	}
-	if len(f) != 1 {
-		return fmt.Errorf("core: bad proto %q", f)
+	if !endsField(line, i+1) {
+		return fmt.Errorf("core: bad proto %q", line[i:fieldEnd(line, i)])
 	}
-	r.Proto = f[0]
-	if f, ok = nextField(line, &pos); !ok {
+	r.Proto = line[i]
+	if i = skipSeps(line, i+1); i == len(line) {
 		return short()
 	}
-	if v, tok = parseHexStrict(f, 32); !tok {
-		return fmt.Errorf("core: bad xid %q", f)
+	if r.XID, e, ok = scanHex32(line, i); !ok || !endsField(line, e) {
+		return fmt.Errorf("core: bad xid %q", line[i:fieldEnd(line, i)])
 	}
-	r.XID = uint32(v)
-	if f, ok = nextField(line, &pos); !ok {
+	if i = skipSeps(line, e); i == len(line) {
 		return short()
 	}
-	if v, tok = parseUintStrict(f, 32); !tok {
-		return fmt.Errorf("core: bad version %q", f)
+	if v, e, ok = scanUint(line, i, math.MaxUint32); !ok {
+		return fmt.Errorf("core: bad version %q", line[i:fieldEnd(line, i)])
 	}
 	r.Version = uint32(v)
-	if f, ok = nextField(line, &pos); !ok {
+	if i = skipSeps(line, e); i == len(line) {
 		return short()
 	}
 	// Interning is deferred to the end of the parse: a malformed line
 	// must not register its (possibly garbage) proc token in the
 	// process-global table, which holds at most 256 distinct names.
-	procField := f
+	e = fieldEnd(line, i)
+	procField := line[i:e]
 
 	for first := true; ; first = false {
-		f, ok := nextField(line, &pos)
-		if !ok {
+		if i = skipSeps(line, e); i == len(line) {
 			if first {
 				return short() // the 9th field is mandatory
 			}
@@ -478,62 +514,71 @@ func UnmarshalRecordBytes(line []byte, r *Record) error {
 			r.Proc = proc
 			return nil
 		}
-		eq := -1
-		for i, c := range f {
-			if c == '=' {
-				eq = i
-				break
-			}
+		k := i
+		for i < len(line) && line[i] != '=' && !fieldSep[line[i]] {
+			i++
 		}
-		if eq < 0 {
+		if i == len(line) || line[i] != '=' {
+			e = i // no '=': not a kv field
 			continue
 		}
-		k, val := f[:eq], f[eq+1:]
-		switch string(k) { // compiler avoids the conversion in a switch
+		// The value starts after the '='.
+		key := line[k:i]
+		i++
+		switch string(key) { // compiler avoids the conversion in a switch
 		case "fh":
-			r.FH = InternFHBytes(val)
+			e = fieldEnd(line, i)
+			r.FH = InternFHBytes(line[i:e])
 		case "name":
-			r.Name = unescapeBytes(val)
+			e = fieldEnd(line, i)
+			r.Name = unescapeBytes(line[i:e])
 		case "fh2":
-			r.FH2 = InternFHBytes(val)
+			e = fieldEnd(line, i)
+			r.FH2 = InternFHBytes(line[i:e])
 		case "name2":
-			r.Name2 = unescapeBytes(val)
+			e = fieldEnd(line, i)
+			r.Name2 = unescapeBytes(line[i:e])
 		case "off":
-			r.Offset, _ = parseUintSat(val, 64)
+			r.Offset, e = kvUint(line, i, math.MaxUint64)
 		case "count":
-			c, _ := parseUintSat(val, 32)
-			r.Count = uint32(c)
+			v, e = kvUint(line, i, math.MaxUint32)
+			r.Count = uint32(v)
 		case "stable":
-			s, _ := parseUintSat(val, 32)
-			r.Stable = uint32(s)
+			v, e = kvUint(line, i, math.MaxUint32)
+			r.Stable = uint32(v)
 		case "setsize":
-			r.SetSize, _ = parseUintSat(val, 64)
+			r.SetSize, e = kvUint(line, i, math.MaxUint64)
 			r.HasSet = true
 		case "uid":
-			u, _ := parseUintSat(val, 32)
-			r.UID = uint32(u)
+			v, e = kvUint(line, i, math.MaxUint32)
+			r.UID = uint32(v)
 		case "gid":
-			g, _ := parseUintSat(val, 32)
-			r.GID = uint32(g)
+			v, e = kvUint(line, i, math.MaxUint32)
+			r.GID = uint32(v)
 		case "status":
-			s, _ := parseUintSat(val, 32)
-			r.Status = uint32(s)
+			v, e = kvUint(line, i, math.MaxUint32)
+			r.Status = uint32(v)
 		case "rcount":
-			c, _ := parseUintSat(val, 32)
-			r.RCount = uint32(c)
+			v, e = kvUint(line, i, math.MaxUint32)
+			r.RCount = uint32(v)
 		case "size":
-			r.Size, _ = parseUintSat(val, 64)
+			r.Size, e = kvUint(line, i, math.MaxUint64)
 		case "fileid":
-			r.FileID, _ = parseUintSat(val, 64)
+			r.FileID, e = kvUint(line, i, math.MaxUint64)
 		case "mtime":
-			r.Mtime, _ = parseTime(val)
+			e = fieldEnd(line, i)
+			r.Mtime, _ = parseTime(line[i:e])
 		case "presize":
-			r.PreSize, _ = parseUintSat(val, 64)
+			r.PreSize, e = kvUint(line, i, math.MaxUint64)
 			r.HasPre = true
 		case "newfh":
-			r.NewFH = InternFHBytes(val)
+			e = fieldEnd(line, i)
+			r.NewFH = InternFHBytes(line[i:e])
 		case "eof":
-			r.EOF = len(val) == 1 && val[0] == '1'
+			e = fieldEnd(line, i)
+			r.EOF = e == i+1 && line[i] == '1'
+		default:
+			e = fieldEnd(line, i)
 		}
 	}
 }
