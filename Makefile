@@ -21,7 +21,7 @@ race-server: ## hammer the concurrent serving stack under -race (torture tests, 
 #   make bench BENCH_COUNT=10 > new.txt && benchstat old.txt new.txt
 BENCH_COUNT ?= 5
 
-bench: ## run the pipeline scaling, run-finish, ingest, analysis, partial-state round-trip, dispatch-transport, wire-codec, loopback-serving, pcap-capture and percentile benchmarks (benchstat-friendly)
+bench: ## run the pipeline scaling, run-finish, ingest, analysis, partial-state round-trip, dispatch-transport, wire-codec, loopback-serving, pcap-capture, percentile and name-category benchmarks (benchstat-friendly)
 	$(GO) test -run xxx -bench 'BenchmarkPipelineWorkers|BenchmarkSortWindow|BenchmarkRunsFinish|BenchmarkReorderSweep' -benchmem -count $(BENCH_COUNT) .
 	$(GO) test -run xxx -bench . -benchmem -count $(BENCH_COUNT) ./internal/pipeline
 	$(GO) test -run xxx -bench 'BenchmarkIngest|BenchmarkUnmarshalRecordBytes|BenchmarkTextDecodeCorpus|BenchmarkAppendMarshal|BenchmarkInternFH' -benchmem -count $(BENCH_COUNT) ./internal/core
@@ -31,8 +31,9 @@ bench: ## run the pipeline scaling, run-finish, ingest, analysis, partial-state 
 	$(GO) test -run xxx -bench 'BenchmarkNetLoopback' -benchmem -count $(BENCH_COUNT) ./internal/server
 	$(GO) test -run xxx -bench 'BenchmarkReadPcap' -benchmem -count $(BENCH_COUNT) ./internal/capture
 	$(GO) test -run xxx -bench . -benchmem -count $(BENCH_COUNT) ./internal/stats
+	$(GO) test -run xxx -bench 'BenchmarkCategorize' -benchmem -count $(BENCH_COUNT) ./internal/analysis
 
-bench-smoke: ## run the ingest, pipeline (partial-state round trip included), run-finish, dispatch, wire-codec, loopback-serving, pcap-capture and percentile benchmarks once (CI regression visibility, not gating)
+bench-smoke: ## run the ingest, pipeline (partial-state round trip included), run-finish, dispatch, wire-codec, loopback-serving, pcap-capture, percentile and name-category benchmarks once (CI regression visibility, not gating)
 	$(GO) test -run xxx -bench 'BenchmarkPipelineWorkers|BenchmarkSortWindow|BenchmarkRunsFinish|BenchmarkReorderSweep' -benchmem -benchtime 3x .
 	$(GO) test -run xxx -bench . -benchmem -benchtime 3x ./internal/pipeline
 	$(GO) test -run xxx -bench 'BenchmarkIngest|BenchmarkUnmarshalRecordBytes|BenchmarkTextDecodeCorpus|BenchmarkAppendMarshal|BenchmarkInternFH' -benchmem -benchtime 3x ./internal/core
@@ -42,6 +43,7 @@ bench-smoke: ## run the ingest, pipeline (partial-state round trip included), ru
 	$(GO) test -run xxx -bench 'BenchmarkNetLoopback' -benchmem -benchtime 3x ./internal/server
 	$(GO) test -run xxx -bench 'BenchmarkReadPcap' -benchmem -benchtime 3x ./internal/capture
 	$(GO) test -run xxx -bench . -benchmem -benchtime 3x ./internal/stats
+	$(GO) test -run xxx -bench 'BenchmarkCategorize' -benchmem -benchtime 3x ./internal/analysis
 
 nfsbench-smoke: ## drive the socket stack once with the load harness, closed and open loop (CI regression visibility, not gating)
 	$(GO) run ./cmd/nfsbench -seed 1 -n 5000 -T 2 -c 2 -files 32 -filesize 65536 -interval 0 -json /dev/null
@@ -92,6 +94,7 @@ fuzz: ## run each native fuzz target for 10s
 	$(GO) test -run xxx -fuzz FuzzRecordFraming -fuzztime 10s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzCapture -fuzztime 10s -fuzzminimizetime 2s ./internal/capture
 	$(GO) test -run xxx -fuzz FuzzAppendSeconds -fuzztime 10s ./internal/core
+	$(GO) test -run xxx -fuzz FuzzAnonymizeKeepsCategory -fuzztime 10s ./internal/anon
 
 cover: ## run the suite with coverage and enforce the committed floor
 	$(GO) test -coverprofile=cover.out ./...

@@ -1,7 +1,8 @@
 // nfsanon anonymizes an existing text trace: consistent random
 // replacement of UIDs, GIDs, IPs, and filename components, with
-// per-component path handling, separate suffix mapping, and
-// configurable pass-throughs (§2 of the paper).
+// per-component path handling and separate suffix mapping (§2 of the
+// paper). The name features the analyses read are kept, so the
+// anonymized trace analyzes as the raw one does.
 //
 // Usage:
 //

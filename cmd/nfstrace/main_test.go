@@ -110,8 +110,10 @@ func runTrace(t *testing.T, args ...string) string {
 // The golden files pin nfstrace's output, records and statistics line,
 // in absolute terms. Their records were cut with the binary of commit
 // f1e08f1, before the capture path reused its read buffer, and the
-// statistics line has since gained its count of unmatched calls, over
-// the captures writeCapture writes:
+// statistics line has since gained its count of unmatched calls; the
+// anonymized golden was cut again when the anonymizer began keeping the
+// name features the analyses read (done.txt keeps its ".txt"). All are
+// over the captures writeCapture writes:
 //
 //	nfstrace -r udp.pcap > udp.golden 2>&1
 //	nfstrace -r tcp.pcap > tcp.golden 2>&1

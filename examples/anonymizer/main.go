@@ -1,6 +1,7 @@
 // Anonymizer example: demonstrates the §2 anonymization properties on
 // real-looking pathnames — consistent mappings, shared prefixes and
-// suffixes, special markers, pass-throughs, and saved mapping tables.
+// suffixes, and saved mapping tables, with the name features the
+// analyses read (well-known names, markers, extensions) kept.
 //
 //	go run ./examples/anonymizer
 package main
@@ -26,15 +27,15 @@ func main() {
 		fmt.Printf("  %-36s -> %s\n", p, a.Path(p))
 	}
 
-	fmt.Println("\nsuffixes and special markers survive:")
+	fmt.Println("\nother suffixes map consistently; the analyses' extensions and markers survive:")
 	for _, n := range []string{
-		"secret-project.c", "other-project.c", "secret-project.h",
+		"budget.xls", "salaries.xls", "secret-project.c", "secret-project.h",
 		"draft", "draft~", "draft,v", "#draft", "draft.lock",
 	} {
 		fmt.Printf("  %-18s -> %s\n", n, a.Name(n))
 	}
 
-	fmt.Println("\nconfigured pass-throughs stay readable:")
+	fmt.Println("\nwell-known names stay readable:")
 	for _, n := range []string{"CVS", ".pinerc", "inbox", "lock", "Makefile"} {
 		fmt.Printf("  %-10s -> %s\n", n, a.Name(n))
 	}

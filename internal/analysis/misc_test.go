@@ -108,6 +108,13 @@ func TestCategorize(t *testing.T) {
 		"run00001.out":     CatTemp,
 		"cache0A1B2C3D.gz": CatOther,
 		"":                 CatOther,
+		// Markers categorize a name even when they are all of it, and a
+		// name only containing "lock" is no lock file.
+		"#":        CatComposer,
+		"~":        CatTemp,
+		"Applet_":  CatComposer,
+		"pico.":    CatComposer,
+		"lockfile": CatOther,
 	}
 	for name, want := range cases {
 		if got := Categorize(name); got != want {
@@ -115,6 +122,23 @@ func TestCategorize(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCategorize classifies, in turn, one name of each kind that
+// the CAMPUS and EECS generators create.
+func BenchmarkCategorize(b *testing.B) {
+	names := []string{
+		"Applet_17_Extern", "mod03.c", "mod04.h", "mod03.o", "run00042.out",
+		"stage00042.out", "a.out", "paper.tex", "paper.tex~", "notes.txt",
+		"inbox.lock", "inbox", "pico.000123", ".pinerc", "cache9E3779B1.gz",
+		"experiment.log", "experiment.log.0", "trace3.dat",
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		categorySink = Categorize(names[i%len(names)])
+	}
+}
+
+var categorySink NameCategory
 
 func TestAnalyzeNames(t *testing.T) {
 	// Removes carry the Target the pipeline's router resolves.

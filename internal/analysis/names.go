@@ -34,31 +34,70 @@ var categoryNames = [numCategories]string{
 // Name reports the category's display name.
 func (c NameCategory) String() string { return categoryNames[c] }
 
+// FeatureKind says where a name feature sits in a filename.
+type FeatureKind uint8
+
+// Feature kinds.
+const (
+	// Exact features are whole names.
+	Exact FeatureKind = iota
+	// Prefix features are markers a name starts with.
+	Prefix
+	// Suffix features are markers a name ends with.
+	Suffix
+	// Ext features are what follows a name's last dot.
+	Ext
+)
+
+// NameFeature is one row of the name-feature table.
+type NameFeature struct {
+	Kind FeatureKind
+	Text string
+	Cat  NameCategory
+}
+
+// NameFeatures is the one list of the name features that the paper's
+// categories read (§6.3) and its anonymizer keeps (§2). Categorize
+// walks it in order, so row order is category precedence; internal/anon
+// keeps every row's text as it appears, so a name and its anonymized
+// form fall into the same category. The CatOther rows decide nothing
+// here: they are names and markers kept readable in anonymized traces.
+var NameFeatures = []NameFeature{
+	{Suffix, ".lock", CatLock}, {Exact, "lock", CatLock},
+	{Prefix, ".", CatDot},
+	{Prefix, "pico.", CatComposer}, {Prefix, "#", CatComposer}, {Prefix, "Applet_", CatComposer},
+	{Exact, "inbox", CatMailbox}, {Exact, "mbox", CatMailbox}, {Exact, "saved-messages", CatMailbox},
+	{Exact, "sent-mail", CatMailbox}, {Ext, "mbox", CatMailbox},
+	{Suffix, "~", CatTemp}, {Ext, "tmp", CatTemp}, {Ext, "o", CatTemp}, {Ext, "out", CatTemp},
+	{Ext, "c", CatSource}, {Ext, "h", CatSource}, {Ext, "tex", CatSource}, {Ext, "txt", CatSource},
+	{Suffix, ",v", CatOther}, {Exact, "CVS", CatOther}, {Exact, ".inbox", CatOther},
+	{Exact, ".pinerc", CatOther}, {Exact, ".cshrc", CatOther}, {Exact, ".login", CatOther},
+	{Exact, "core", CatOther}, {Exact, "Makefile", CatOther},
+}
+
 // Categorize assigns a filename to its category using only the last
-// pathname component, as the paper does.
+// pathname component, as the paper does: the category of the first
+// NameFeatures row the name matches, CatOther when none does.
 func Categorize(name string) NameCategory {
-	switch {
-	case name == "":
-		return CatOther
-	case strings.HasSuffix(name, ".lock") || name == "lock" || strings.Contains(name, "lock"):
-		return CatLock
-	case strings.HasPrefix(name, "."):
-		return CatDot
-	case strings.HasPrefix(name, "pico.") || strings.HasPrefix(name, "#") ||
-		strings.HasPrefix(name, "Applet_"):
-		return CatComposer
-	case name == "inbox" || name == "mbox" || name == "saved-messages" ||
-		name == "sent-mail" || strings.HasSuffix(name, ".mbox"):
-		return CatMailbox
-	case strings.HasSuffix(name, "~") || strings.HasSuffix(name, ".tmp") ||
-		strings.HasSuffix(name, ".o") || strings.HasSuffix(name, ".out"):
-		return CatTemp
-	case strings.HasSuffix(name, ".c") || strings.HasSuffix(name, ".h") ||
-		strings.HasSuffix(name, ".tex") || strings.HasSuffix(name, ".txt"):
-		return CatSource
-	default:
-		return CatOther
+	for i := range NameFeatures {
+		f := &NameFeatures[i]
+		var match bool
+		switch f.Kind {
+		case Exact:
+			match = name == f.Text
+		case Prefix:
+			match = strings.HasPrefix(name, f.Text)
+		case Suffix:
+			match = strings.HasSuffix(name, f.Text)
+		case Ext:
+			dot := len(name) - len(f.Text) - 1
+			match = dot >= 0 && name[dot] == '.' && name[dot+1:] == f.Text
+		}
+		if match {
+			return f.Cat
+		}
 	}
+	return CatOther
 }
 
 // fileLife tracks one file instance from creation.

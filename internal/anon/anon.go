@@ -11,10 +11,11 @@
 //     prefix share the anonymized prefix.
 //   - Filename suffixes are anonymized separately from the base name,
 //     so all files sharing ".c" share one anonymized suffix.
-//   - The mapping is configurable: well-known names (CVS, .inbox,
-//     .pinerc, lock) and principals (root, daemon) can be passed
-//     through; special prefixes and suffixes (#, ,v, ~) are preserved
-//     so that "mbox~" anonymizes to anon(mbox)+"~".
+//   - The name features the name-based analyses read stay as they are:
+//     every row of analysis.NameFeatures (well-known names such as CVS,
+//     inbox and lock, markers such as #, ~ and ,v, extensions such as
+//     .c and .tex), so "mbox~" anonymizes to anon(mbox)+"~" and a name
+//     keeps its category. Root and daemon (ids 0 and 1) stay too.
 //   - Everything can be omitted entirely (Omit mode) for maximum
 //     privacy at the cost of name-based analyses.
 //
@@ -31,47 +32,48 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 )
 
-// Config controls the anonymizer. The zero value anonymizes everything
-// with no pass-throughs.
+// Config controls the anonymizer.
 type Config struct {
 	// Seed drives the random mappings; traces anonymized with different
 	// seeds are not comparable (by design).
 	Seed int64
 	// Omit removes names, UIDs, GIDs entirely instead of mapping them.
 	Omit bool
-	// PassNames are filename components passed through unchanged.
-	PassNames []string
-	// PassSuffixes are suffixes (without dot) passed through unchanged.
-	PassSuffixes []string
-	// PassUIDs and PassGIDs are principals passed through unchanged.
-	PassUIDs []uint32
-	PassGIDs []uint32
-	// SpecialPrefixes are markers stripped before mapping and
-	// reattached after (default "#").
-	SpecialPrefixes []string
-	// SpecialSuffixes are markers stripped before mapping and
-	// reattached after (default "~", ",v", ".lock").
-	SpecialSuffixes []string
 }
 
-// DefaultConfig mirrors the paper's own configuration: common mail and
-// source-control names stay readable, lock markers are preserved, root
-// and daemon stay identifiable.
-func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed: seed,
-		PassNames: []string{
-			"CVS", ".inbox", ".pinerc", ".cshrc", ".login", "lock",
-			"mbox", "inbox", "core", "Makefile",
-		},
-		PassSuffixes:    []string{"lock", "tmp"},
-		PassUIDs:        []uint32{0, 1}, // root, daemon
-		PassGIDs:        []uint32{0, 1},
-		SpecialPrefixes: []string{"#", "."},
-		SpecialSuffixes: []string{"~", ",v", ".lock"},
+// DefaultConfig returns the paper's configuration for seed: names, ids
+// and addresses mapped, the name features kept.
+func DefaultConfig(seed int64) Config { return Config{Seed: seed} }
+
+// keptIDs is the count of the low ids that pass through unchanged:
+// root and daemon.
+const keptIDs = 2
+
+// The name features of analysis.NameFeatures, by where they sit in a
+// name. Name keeps each as it appears.
+var (
+	keptNames     = map[string]bool{}
+	keptExts      = map[string]bool{}
+	prefixMarkers []string
+	suffixMarkers []string
+)
+
+func init() {
+	for _, f := range analysis.NameFeatures {
+		switch f.Kind {
+		case analysis.Exact:
+			keptNames[f.Text] = true
+		case analysis.Prefix:
+			prefixMarkers = append(prefixMarkers, f.Text)
+		case analysis.Suffix:
+			suffixMarkers = append(suffixMarkers, f.Text)
+		case analysis.Ext:
+			keptExts[f.Text] = true
+		}
 	}
 }
 
@@ -90,44 +92,39 @@ type Anonymizer struct {
 	usedID  map[uint32]bool // collision avoidance for uids/gids
 	usedIP  map[uint32]bool
 	usedTok map[string]bool
-
-	passNames map[string]bool
-	passSufs  map[string]bool
-	passUIDs  map[uint32]bool
-	passGIDs  map[uint32]bool
+	tokLen  map[int]int // used tokens of the alphabet, by length
 }
 
 // New builds an anonymizer from a config.
 func New(cfg Config) *Anonymizer {
 	a := &Anonymizer{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		uids:      make(map[uint32]uint32),
-		gids:      make(map[uint32]uint32),
-		ips:       make(map[uint32]uint32),
-		names:     make(map[string]string),
-		sufs:      make(map[string]string),
-		usedID:    make(map[uint32]bool),
-		usedIP:    make(map[uint32]bool),
-		usedTok:   make(map[string]bool),
-		passNames: make(map[string]bool),
-		passSufs:  make(map[string]bool),
-		passUIDs:  make(map[uint32]bool),
-		passGIDs:  make(map[uint32]bool),
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		uids:    make(map[uint32]uint32),
+		gids:    make(map[uint32]uint32),
+		ips:     make(map[uint32]uint32),
+		names:   make(map[string]string),
+		sufs:    make(map[string]string),
+		usedID:  make(map[uint32]bool),
+		usedIP:  make(map[uint32]bool),
+		usedTok: make(map[string]bool),
+		tokLen:  make(map[int]int),
 	}
-	for _, n := range cfg.PassNames {
-		a.passNames[n] = true
+	for id := uint32(0); id < keptIDs; id++ {
+		a.usedID[id] = true // never map another id onto a kept one
 	}
-	for _, s := range cfg.PassSuffixes {
-		a.passSufs[s] = true
+	// A token equal to a table word would give a name a feature it did
+	// not have: a base mapped to "pico" before an extension reads as
+	// the "pico." marker, an extension mapped to "tex" as a source
+	// file. Tokens are drawn around them.
+	for w := range keptNames {
+		a.useToken(w)
 	}
-	for _, u := range cfg.PassUIDs {
-		a.passUIDs[u] = true
-		a.usedID[u] = true // never map another id onto a passed one
+	for w := range keptExts {
+		a.useToken(w)
 	}
-	for _, g := range cfg.PassGIDs {
-		a.passGIDs[g] = true
-		a.usedID[g] = true
+	for _, p := range prefixMarkers {
+		a.useToken(strings.TrimSuffix(p, "."))
 	}
 	return a
 }
@@ -155,7 +152,12 @@ func (a *Anonymizer) freshIP() uint32 {
 
 const tokenAlphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
 
+// freshToken draws an unused token of n characters, or of the next
+// length that has one left once all of length n are used.
 func (a *Anonymizer) freshToken(n int) string {
+	for a.tokensFull(n) {
+		n++
+	}
 	for {
 		b := make([]byte, n)
 		for i := range b {
@@ -163,15 +165,38 @@ func (a *Anonymizer) freshToken(n int) string {
 		}
 		tok := string(b)
 		if !a.usedTok[tok] {
-			a.usedTok[tok] = true
+			a.useToken(tok)
 			return tok
 		}
 	}
 }
 
+// tokensFull reports whether every token of n characters is used.
+func (a *Anonymizer) tokensFull(n int) bool {
+	pool := 1
+	for i := 0; i < n; i++ {
+		if pool *= len(tokenAlphabet); pool > a.tokLen[n] {
+			return false
+		}
+	}
+	return true
+}
+
+// useToken marks tok used. Only tokens of the alphabet count towards
+// their length's pool: no other can be drawn.
+func (a *Anonymizer) useToken(tok string) {
+	if a.usedTok[tok] {
+		return
+	}
+	a.usedTok[tok] = true
+	if strings.Trim(tok, tokenAlphabet) == "" {
+		a.tokLen[len(tok)]++
+	}
+}
+
 // UID maps a user id.
 func (a *Anonymizer) UID(uid uint32) uint32 {
-	if a.passUIDs[uid] {
+	if uid < keptIDs {
 		return uid
 	}
 	if v, ok := a.uids[uid]; ok {
@@ -184,7 +209,7 @@ func (a *Anonymizer) UID(uid uint32) uint32 {
 
 // GID maps a group id.
 func (a *Anonymizer) GID(gid uint32) uint32 {
-	if a.passGIDs[gid] {
+	if gid < keptIDs {
 		return gid
 	}
 	if v, ok := a.gids[gid]; ok {
@@ -205,90 +230,47 @@ func (a *Anonymizer) IP(ip uint32) uint32 {
 	return v
 }
 
-// Name maps one filename (a single path component). Special prefixes
-// and suffixes are preserved around the mapped base; the extension is
-// mapped separately from the base so suffix-sharing survives.
+// Name maps one filename (a single path component). The name
+// features of analysis.NameFeatures are kept: a table name as a whole,
+// its markers around the mapped middle (even when nothing is left
+// between them) and a table extension. Any other extension is mapped
+// separately from the base, so suffix-sharing survives.
 func (a *Anonymizer) Name(name string) string {
-	if name == "" || a.passNames[name] {
+	if name == "" || keptNames[name] {
 		return name
 	}
-	// Peel special prefixes.
-	var prefix string
-	for changed := true; changed; {
-		changed = false
-		for _, p := range a.cfg.SpecialPrefixes {
-			if p != "" && strings.HasPrefix(name, p) && len(name) > len(p) {
-				prefix += p
-				name = name[len(p):]
-				changed = true
-			}
+	// Peel markers until none is left at either end: "mbox.lock~"
+	// keeps both of its own.
+	var head, tail string
+	for i := 0; i < len(prefixMarkers); i++ {
+		if rest, ok := strings.CutPrefix(name, prefixMarkers[i]); ok {
+			head, name, i = head+prefixMarkers[i], rest, -1
 		}
 	}
-	// Peel special suffixes (repeatedly: "mbox.lock~" keeps both).
-	var suffix string
-	for changed := true; changed; {
-		changed = false
-		for _, sfx := range a.cfg.SpecialSuffixes {
-			if sfx != "" && strings.HasSuffix(name, sfx) && len(name) > len(sfx) {
-				suffix = sfx + suffix
-				name = name[:len(name)-len(sfx)]
-				changed = true
-			}
+	for i := 0; i < len(suffixMarkers); i++ {
+		if rest, ok := strings.CutSuffix(name, suffixMarkers[i]); ok {
+			name, tail, i = rest, suffixMarkers[i]+tail, -1
 		}
 	}
-	if a.passNames[name] {
-		return prefix + name + suffix
-	}
-	// Split the extension at the last dot.
-	base, ext := name, ""
 	if i := strings.LastIndexByte(name, '.'); i > 0 {
-		base, ext = name[:i], name[i+1:]
+		return head + a.mapPart(a.names, keptNames, name[:i], 3, 12) + "." +
+			a.mapPart(a.sufs, keptExts, name[i+1:], 2, 6) + tail
 	}
-	mapped := a.mapBase(base)
-	if ext != "" {
-		mapped += "." + a.mapSuffix(ext)
-	}
-	return prefix + mapped + suffix
+	return head + a.mapPart(a.names, keptNames, name, 3, 12) + tail
 }
 
-func (a *Anonymizer) mapBase(base string) string {
-	if base == "" {
-		return ""
+// mapPart maps a base through a.names or an extension through a.sufs:
+// an empty or kept part stays, a new one gets a fresh token of its
+// length clamped to [lo, hi].
+func (a *Anonymizer) mapPart(m map[string]string, kept map[string]bool, part string, lo, hi int) string {
+	if part == "" || kept[part] {
+		return part
 	}
-	if a.passNames[base] {
-		return base
-	}
-	if v, ok := a.names[base]; ok {
+	if v, ok := m[part]; ok {
 		return v
 	}
-	n := len(base)
-	if n < 3 {
-		n = 3
-	}
-	if n > 12 {
-		n = 12
-	}
-	v := a.freshToken(n)
-	a.names[base] = v
-	return v
-}
-
-func (a *Anonymizer) mapSuffix(ext string) string {
-	if a.passSufs[ext] {
-		return ext
-	}
-	if v, ok := a.sufs[ext]; ok {
-		return v
-	}
-	n := len(ext)
-	if n < 2 {
-		n = 2
-	}
-	if n > 6 {
-		n = 6
-	}
-	v := a.freshToken(n)
-	a.sufs[ext] = v
+	v := a.freshToken(min(max(len(part), lo), hi))
+	m[part] = v
 	return v
 }
 
@@ -409,7 +391,7 @@ func (a *Anonymizer) Load(r io.Reader) error {
 			} else {
 				a.sufs[k] = v
 			}
-			a.usedTok[v] = true
+			a.useToken(v)
 		default:
 			return fmt.Errorf("anon: line %d: unknown kind %q", lineNo, fields[0])
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 )
 
@@ -267,4 +268,68 @@ func TestAnonymizedNameStructure(t *testing.T) {
 	if !strings.HasPrefix(got, "#") || !strings.HasSuffix(got, "~") || !strings.Contains(got, ".") {
 		t.Fatalf("markers lost: %q", got)
 	}
+}
+
+// TestTokenLengthsRunOut maps more two-byte extensions than there are
+// two-character tokens (36² = 1 296), then more short bases than there
+// are three-character ones: once a length is used up the mapping moves
+// to the next, stays one-to-one, and never draws a table word.
+func TestTokenLengthsRunOut(t *testing.T) {
+	const chars = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
+	words := map[string]bool{}
+	for _, f := range analysis.NameFeatures {
+		words[strings.TrimSuffix(f.Text, ".")] = true
+	}
+	a := newAnon()
+	from := map[string]string{}
+	mapName := func(name string) string {
+		got := a.Name(name)
+		if prev, ok := from[got]; ok {
+			t.Fatalf("%q and %q both map to %q", prev, name, got)
+		}
+		from[got] = name
+		return got
+	}
+	for _, x := range chars {
+		for _, y := range chars {
+			got := mapName("f." + string(x) + string(y))
+			if ext := got[strings.LastIndexByte(got, '.')+1:]; words[ext] {
+				t.Fatalf("extension %c%c maps to the table word %q", x, y, ext)
+			}
+		}
+	}
+	// Every base of one and two bytes, then three-byte ones: 50 000 in all.
+	bases := []string{""}
+	for i := 0; len(bases) <= 50000; i++ {
+		for _, c := range chars {
+			bases = append(bases, bases[i]+string(c))
+		}
+	}
+	for _, base := range bases[1:50001] {
+		if got := mapName(base); words[got] && got != base {
+			t.Fatalf("base %q maps to the table word %q", base, got)
+		}
+	}
+}
+
+// FuzzAnonymizeKeepsCategory: a name of any bytes and its anonymized
+// form fall into the same category, so the name analyses (§6.3) read an
+// anonymized trace as they read the raw one.
+func FuzzAnonymizeKeepsCategory(f *testing.F) {
+	for _, name := range []string{
+		"inbox.lock", "lock", ".pinerc", ".cshrc", "pico.000123", "Applet_7_Extern",
+		"#draft", "inbox", "saved-messages", "mod01.c", "paper.tex", "paper.tex~",
+		"mod01.o", "run00001.out", "cache0A1B2C3D.gz", "", "lockfile", "mbox.lock~",
+	} {
+		f.Add(name)
+	}
+	for _, feat := range analysis.NameFeatures {
+		f.Add(feat.Text) // the marker-only names among them
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		got := New(DefaultConfig(1)).Name(name)
+		if c, want := analysis.Categorize(got), analysis.Categorize(name); c != want {
+			t.Fatalf("Name(%q) = %q: category %v, want %v", name, got, c, want)
+		}
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 )
 
@@ -174,31 +175,53 @@ func TestAnonymizeRecords(t *testing.T) {
 		t.Skip("trace generation")
 	}
 	s := SmallScale()
-	s.Days = 0.1
+	s.Days = 0.5 // a window in which users compose mail
 	records := GenerateCampusRecords(s)
-	// Find a private name before anonymization.
-	sawPico := false
-	for _, r := range records {
-		if strings.HasPrefix(r.Name, "pico.") {
-			sawPico = true
+	raw := make([]core.Record, len(records))
+	composers := 0
+	for i, r := range records {
+		raw[i] = *r
+		if analysis.Categorize(r.Name) == analysis.CatComposer {
+			composers++
 		}
+	}
+	if composers == 0 {
+		t.Fatal("the window has no composer files to anonymize")
+	}
+	// A name survives verbatim only when it is a table word, or is one
+	// once stripped of its markers and extension.
+	words := map[string]bool{}
+	for _, f := range analysis.NameFeatures {
+		if f.Kind == analysis.Exact {
+			words[f.Text] = true
+		}
+	}
+	tableWord := func(name string) bool {
+		base := name
+		for _, f := range analysis.NameFeatures {
+			switch f.Kind {
+			case analysis.Prefix:
+				base = strings.TrimPrefix(base, f.Text)
+			case analysis.Suffix:
+				base = strings.TrimSuffix(base, f.Text)
+			}
+		}
+		if i := strings.LastIndexByte(base, '.'); i > 0 {
+			base = base[:i]
+		}
+		return words[name] || words[base]
 	}
 	Anonymize(records, 99)
-	for _, r := range records {
-		if strings.HasPrefix(r.Name, "pico.") && sawPico {
-			// pico.NNN has its base anonymized but the suffix rule may
-			// keep the dot; the exact literal must not survive.
-			t.Fatalf("raw composer name survived: %q", r.Name)
+	for i, r := range records {
+		for _, pair := range [][2]string{{raw[i].Name, r.Name}, {raw[i].Name2, r.Name2}} {
+			before, after := pair[0], pair[1]
+			if before != "" && before == after && !tableWord(before) {
+				t.Fatalf("raw name survived: %q", before)
+			}
+			if analysis.Categorize(after) != analysis.Categorize(before) {
+				t.Fatalf("%q anonymized to %q: category %v, want %v",
+					before, after, analysis.Categorize(after), analysis.Categorize(before))
+			}
 		}
-	}
-	// Well-known names pass through by config.
-	sawInbox := false
-	for _, r := range records {
-		if r.Name == "inbox" || r.Name == "inbox.lock" {
-			sawInbox = true
-		}
-	}
-	if !sawInbox {
-		t.Fatal("pass-through names vanished")
 	}
 }
