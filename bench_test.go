@@ -1,14 +1,14 @@
 package repro
 
-// The benchmark harness: one benchmark per paper table and figure (the
-// regeneration cost over a fixed trace), the side experiments, and the
-// ablations called out in DESIGN.md. Run with:
+// The benchmark harness: trace generation, which is where every table
+// and figure is computed (a Trace renders from results it already
+// holds), the side experiments that simulate their own input, and
+// ablations of the run-detection and anonymization choices. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Benchmarks share one small generated trace pair (build cost excluded
-// from timings via b.ResetTimer; generation itself is measured by
-// BenchmarkGenerateCampus / BenchmarkGenerateEECS).
+// The benchmarks that time one reducer share small replayed op streams
+// (built once, outside the timed loops).
 
 import (
 	"fmt"
@@ -26,57 +26,28 @@ import (
 	"repro/internal/workload"
 )
 
+// benchScale is SmallScale over Sunday and Monday: the scale the
+// generation benchmarks run and benchOps replays.
+func benchScale() Scale {
+	s := SmallScale()
+	s.Days = 2
+	return s
+}
+
 var (
-	benchOnce   sync.Once
-	benchCampus *Trace
-	benchEECS   *Trace
+	benchOnce      sync.Once
+	benchCampusOps []*core.Op
 )
 
-func benchTraces(b *testing.B) (*Trace, *Trace) {
+func benchOps(b *testing.B) []*core.Op {
 	b.Helper()
-	benchOnce.Do(func() {
-		s := SmallScale()
-		s.Days = 2
-		benchCampus = GenerateCampus(s)
-		benchEECS = GenerateEECS(s)
-	})
-	return benchCampus, benchEECS
+	benchOnce.Do(func() { benchCampusOps, _ = replay(joined(benchScale().campus, nil)) })
+	return benchCampusOps
 }
-
-func benchExperiment(b *testing.B, fn func(*Trace, *Trace) string) {
-	campus, eecs := benchTraces(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := fn(campus, eecs); len(out) == 0 {
-			b.Fatal("empty experiment output")
-		}
-	}
-}
-
-func BenchmarkTable1(b *testing.B)  { benchExperiment(b, Table1) }
-func BenchmarkTable2(b *testing.B)  { benchExperiment(b, Table2) }
-func BenchmarkTable3(b *testing.B)  { benchExperiment(b, Table3) }
-func BenchmarkTable4(b *testing.B)  { benchExperiment(b, Table4) }
-func BenchmarkTable5(b *testing.B)  { benchExperiment(b, Table5) }
-func BenchmarkFigure1(b *testing.B) { benchExperiment(b, Figure1) }
-func BenchmarkFigure2(b *testing.B) { benchExperiment(b, Figure2) }
-func BenchmarkFigure3(b *testing.B) { benchExperiment(b, Figure3) }
-func BenchmarkFigure4(b *testing.B) { benchExperiment(b, Figure4) }
-func BenchmarkFigure5(b *testing.B) { benchExperiment(b, Figure5) }
 
 func BenchmarkExpNfsiod(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if out := ExpNfsiod(); len(out) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-func BenchmarkExpNames(b *testing.B) {
-	campus, _ := benchTraces(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := ExpNames(campus); len(out) == 0 {
 			b.Fatal("empty")
 		}
 	}
@@ -90,69 +61,37 @@ func BenchmarkExpReadahead(b *testing.B) {
 	}
 }
 
-// BenchmarkExpLoss times the §4.1.4 loss-estimation report. The lossy
-// and clean traces are generated once, outside the timed loop — the
-// benchmark measures the analysis, not the workload generator.
-func BenchmarkExpLoss(b *testing.B) {
-	s := SmallScale()
-	s.Days = 0.25
-	lossy, port := GenerateCampusLossy(s, 120e3)
-	clean := GenerateCampus(s)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := expLossReport(lossy, port, clean); len(out) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-func BenchmarkExpHierarchy(b *testing.B) {
-	campus, _ := benchTraces(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := ExpHierarchy(campus); len(out) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-// --- Trace generation cost ---
+// --- Trace generation cost: the simulation and every analysis ---
 
 func BenchmarkGenerateCampus(b *testing.B) {
-	s := SmallScale()
-	s.Days = 0.25
-	var ops int
+	var ops int64
 	for i := 0; i < b.N; i++ {
-		tr := GenerateCampus(s)
-		ops = len(tr.Ops)
+		ops = GenerateCampus(benchScale()).Stats.Ops
 	}
 	b.ReportMetric(float64(ops), "ops/trace")
 }
 
 func BenchmarkGenerateEECS(b *testing.B) {
-	s := SmallScale()
-	s.Days = 0.25
-	var ops int
+	var ops int64
 	for i := 0; i < b.N; i++ {
-		tr := GenerateEECS(s)
-		ops = len(tr.Ops)
+		ops = GenerateEECS(benchScale()).Stats.Ops
 	}
 	b.ReportMetric(float64(ops), "ops/trace")
 }
 
-// --- Ablations (DESIGN.md) ---
+// --- Ablations ---
 
 // BenchmarkAblationWindow compares run detection across reorder window
 // sizes; the reported metric is the random-read percentage, which the
 // window exists to repair.
 func BenchmarkAblationWindow(b *testing.B) {
-	campus, _ := benchTraces(b)
+	campus := benchOps(b)
 	for _, winMS := range []float64{0, 5, 10, 50} {
 		name := map[float64]string{0: "w0ms", 5: "w5ms", 10: "w10ms", 50: "w50ms"}[winMS]
 		b.Run(name, func(b *testing.B) {
 			var randomPct float64
 			for i := 0; i < b.N; i++ {
-				tab := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.RunConfig{ReorderWindow: winMS / 1000, IdleGap: 30, JumpBlocks: 10}), campus.Ops).Runs())
+				tab := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.RunConfig{ReorderWindow: winMS / 1000, IdleGap: 30, JumpBlocks: 10}), campus).Runs())
 				randomPct = tab.Read[analysis.PatternRandom]
 			}
 			b.ReportMetric(randomPct, "%random-reads")
@@ -163,13 +102,13 @@ func BenchmarkAblationWindow(b *testing.B) {
 // BenchmarkAblationK compares the k=1 strict and k=10 jump-tolerant
 // classifications.
 func BenchmarkAblationK(b *testing.B) {
-	campus, _ := benchTraces(b)
+	campus := benchOps(b)
 	for _, k := range []int64{1, 10} {
 		name := map[int64]string{1: "k1", 10: "k10"}[k]
 		b.Run(name, func(b *testing.B) {
 			var randomPct float64
 			for i := 0; i < b.N; i++ {
-				tab := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.RunConfig{ReorderWindow: 0.010, IdleGap: 30, JumpBlocks: k}), campus.Ops).Runs())
+				tab := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.RunConfig{ReorderWindow: 0.010, IdleGap: 30, JumpBlocks: k}), campus).Runs())
 				randomPct = tab.Write[analysis.PatternRandom]
 			}
 			b.ReportMetric(randomPct, "%random-writes")
@@ -180,13 +119,13 @@ func BenchmarkAblationK(b *testing.B) {
 // BenchmarkAblationBreak compares run-break idle gaps (5s vs 30s vs
 // none), reporting the run count each rule produces.
 func BenchmarkAblationBreak(b *testing.B) {
-	campus, _ := benchTraces(b)
+	campus := benchOps(b)
 	for _, gap := range []float64{5, 30, 0} {
 		name := map[float64]string{5: "gap5s", 30: "gap30s", 0: "eof-only"}[gap]
 		b.Run(name, func(b *testing.B) {
 			var runs int
 			for i := 0; i < b.N; i++ {
-				rs := addAll(analysis.NewRunDetector(analysis.RunConfig{ReorderWindow: 0.010, IdleGap: gap, JumpBlocks: 10}), campus.Ops).Runs()
+				rs := addAll(analysis.NewRunDetector(analysis.RunConfig{ReorderWindow: 0.010, IdleGap: gap, JumpBlocks: 10}), campus).Runs()
 				runs = len(rs)
 			}
 			b.ReportMetric(float64(runs), "runs")
@@ -250,15 +189,15 @@ func fnvName(s string) uint64 {
 // byte-identical at every worker count (see
 // TestTablesByteIdenticalAcrossWorkers).
 func BenchmarkPipelineWorkers(b *testing.B) {
-	campus, _ := benchTraces(b)
-	span := campus.Days * workload.Day
+	campus := benchOps(b)
+	days := benchScale().Days
 	newSet := func() []pipeline.Analyzer {
 		return []pipeline.Analyzer{
-			&pipeline.SummaryAnalyzer{Days: campus.Days},
-			&pipeline.HourlyAnalyzer{Span: span},
+			&pipeline.SummaryAnalyzer{Days: days},
+			&pipeline.HourlyAnalyzer{Span: days * workload.Day},
 			&pipeline.RunsAnalyzer{Config: analysis.RunConfig{
-				ReorderWindow: campus.ReorderWindowMS / 1000, IdleGap: 30, JumpBlocks: 1}},
-			&pipeline.RunsAnalyzer{Config: analysis.DefaultRunConfig(campus.ReorderWindowMS)},
+				ReorderWindow: 0.010, IdleGap: 30, JumpBlocks: 1}},
+			&pipeline.RunsAnalyzer{Config: analysis.DefaultRunConfig(10)},
 			&pipeline.BlockLifeAnalyzer{Start: workload.Day + 9*workload.Hour,
 				Phase: workload.Day, Margin: workload.Day},
 		}
@@ -272,10 +211,10 @@ func BenchmarkPipelineWorkers(b *testing.B) {
 			cfg := pipeline.Config{Workers: workers}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pipeline.RunSlice(cfg, campus.Ops, newSet()...)
+				pipeline.RunSlice(cfg, campus, newSet()...)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(len(campus.Ops))*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+			b.ReportMetric(float64(len(campus))*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 		})
 	}
 }
@@ -351,21 +290,21 @@ func BenchmarkNfsiodPool(b *testing.B) {
 	}
 }
 
-// finishTraces are the traces the finish benchmarks run over: CAMPUS at
-// the benchmark's analyze_dist scale (100 users, half a day: ≈ 80 k
+// finishOps are the op streams the finish benchmarks run over: CAMPUS
+// at the benchmark's analyze_dist scale (100 users, half a day: ≈ 80 k
 // accesses on ≈ 270 files, mailbox reads ≈ 85 µs apart) and EECS at
 // analyze_binary's (4 clients, 1.5 days: many small files).
 var (
 	finishOnce   sync.Once
-	finishCampus *Trace
-	finishEECS   *Trace
+	finishCampus []*core.Op
+	finishEECS   []*core.Op
 )
 
-func finishTraces(b *testing.B) (*Trace, *Trace) {
+func finishOps(b *testing.B) (campus, eecs []*core.Op) {
 	b.Helper()
 	finishOnce.Do(func() {
-		finishCampus = GenerateCampus(Scale{CampusUsers: 100, Days: 0.5, Seed: 101})
-		finishEECS = GenerateEECS(Scale{EECSClients: 4, Days: 1.5, Seed: 101})
+		finishCampus, _ = replay(joined(Scale{CampusUsers: 100, Days: 0.5, Seed: 101}.campus, nil))
+		finishEECS, _ = replay(joined(Scale{EECSClients: 4, Days: 1.5, Seed: 101}.eecs, nil))
 	})
 	return finishCampus, finishEECS
 }
@@ -389,14 +328,14 @@ func perAccess(b *testing.B, accesses int, run func()) {
 // BenchmarkSortWindow measures the §4.2 reorder-window sort over every
 // file of a trace: CAMPUS at 1, 10 and 50 ms, EECS at its 5 ms.
 func BenchmarkSortWindow(b *testing.B) {
-	campus, eecs := finishTraces(b)
+	campus, eecs := finishOps(b)
 	for _, c := range []struct {
 		name string
-		tr   *Trace
+		ops  []*core.Op
 		wms  float64
 	}{{"campus-1ms", campus, 1}, {"campus-10ms", campus, 10}, {"campus-50ms", campus, 50}, {"eecs-5ms", eecs, 5}} {
 		b.Run(c.name, func(b *testing.B) {
-			files := addAll(make(analysis.AccessMap), c.tr.Ops)
+			files := addAll(make(analysis.AccessMap), c.ops)
 			total := 0
 			for _, accs := range files {
 				total += len(accs)
@@ -417,10 +356,14 @@ func BenchmarkSortWindow(b *testing.B) {
 // finish the coordinator runs after the last piece returns and nfsmond
 // runs on every scrape.
 func BenchmarkRunsFinish(b *testing.B) {
-	campus, eecs := finishTraces(b)
-	for _, tr := range []*Trace{campus, eecs} {
-		b.Run(tr.Name, func(b *testing.B) {
-			r := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(tr.ReorderWindowMS)), tr.Ops)
+	campus, eecs := finishOps(b)
+	for _, c := range []struct {
+		name string
+		ops  []*core.Op
+		wms  float64
+	}{{"CAMPUS", campus, 10}, {"EECS", eecs, 5}} {
+		b.Run(c.name, func(b *testing.B) {
+			r := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(c.wms)), c.ops)
 			accesses := 0
 			for _, run := range r.Runs() {
 				accesses += len(run.Accesses)
@@ -433,10 +376,10 @@ func BenchmarkRunsFinish(b *testing.B) {
 // BenchmarkReorderSweep measures the Figure 1 sweep at the seven windows
 // an nfsmond scrape reports.
 func BenchmarkReorderSweep(b *testing.B) {
-	campus, _ := finishTraces(b)
-	r := addAll(analysis.NewReorderSweeper([]float64{0, 1, 2, 5, 10, 20, 50}), campus.Ops)
+	campus, _ := finishOps(b)
+	r := addAll(analysis.NewReorderSweeper([]float64{0, 1, 2, 5, 10, 20, 50}), campus)
 	accesses := 0
-	for _, accs := range addAll(make(analysis.AccessMap), campus.Ops) {
+	for _, accs := range addAll(make(analysis.AccessMap), campus) {
 		accesses += len(accs)
 	}
 	perAccess(b, accesses, func() { r.Points() })
@@ -444,30 +387,11 @@ func BenchmarkReorderSweep(b *testing.B) {
 
 // BenchmarkHourly measures the Figure 4 bucketing pass.
 func BenchmarkHourly(b *testing.B) {
-	campus, _ := benchTraces(b)
+	campus := benchOps(b)
+	span := benchScale().Days * workload.Day
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		addAll(analysis.NewHourly(campus.Days*workload.Day), campus.Ops)
+		addAll(analysis.NewHourly(span), campus)
 	}
-	b.SetBytes(int64(len(campus.Ops)))
-}
-
-func BenchmarkExpNVRAM(b *testing.B) {
-	campus, eecs := benchTraces(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := ExpNVRAM(campus, eecs); len(out) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-func BenchmarkExpQuiet(b *testing.B) {
-	campus, eecs := benchTraces(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := ExpQuiet(campus, eecs); len(out) == 0 {
-			b.Fatal("empty")
-		}
-	}
+	b.SetBytes(int64(len(campus)))
 }

@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	campus := repro.GenerateCampus(scale)
 	eecs := repro.GenerateEECS(scale)
 	fmt.Fprintf(stderr, "nfsrepro: %d + %d ops in %v\n",
-		len(campus.Ops), len(eecs.Ops), time.Since(start).Round(time.Millisecond))
+		campus.Stats.Ops, eecs.Stats.Ops, time.Since(start).Round(time.Millisecond))
 
 	switch *exp {
 	case "names":

@@ -17,12 +17,20 @@ import (
 //	nfsrepro -users 3 -clients 2 -days 1 -procs        > all.golden
 //	nfsrepro -users 3 -clients 2 -days 1 -exp <name>   > exp_<name>.golden
 //
+// A one-day trace only takes the short-window fallbacks: Figure 1
+// sweeps the whole trace, block life uses the first half of the window,
+// and Table 1's Monday peak hour is empty. days4.golden, cut with the
+// binary of commit 6b610bb, pins the Wednesday-morning and Monday
+// windows:
+//
+//	nfsrepro -users 3 -clients 2 -days 4                > days4.golden
+//
 // Regenerate one only in a change that means to alter the output, and
 // say so there.
 var scale = []string{"-users", "3", "-clients", "2", "-days", "1"}
 
 func TestGolden(t *testing.T) {
-	cases := map[string][]string{"all": {"-procs"}}
+	cases := map[string][]string{"all": {"-procs"}, "days4": {"-days", "4"}}
 	for _, exp := range []string{"nfsiod", "names", "readahead", "loss", "hierarchy", "nvram", "quiet"} {
 		cases["exp_"+exp] = []string{"-exp", exp}
 	}

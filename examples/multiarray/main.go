@@ -11,7 +11,6 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"io"
 
 	"repro"
 	"repro/internal/client"
@@ -90,10 +89,9 @@ func main() {
 	if err := repro.WriteTrace(&text, merged); err != nil {
 		panic(err)
 	}
-	tr, err := repro.ReadTrace(io.Reader(&text))
+	back, err := pipeline.Run(pipeline.Config{}, pipeline.NewJoiner(core.NewReader(&text)))
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("\ntext round trip: %d ops preserved (%v)\n",
-		len(tr.Ops), int64(len(tr.Ops)) == run.Ops)
+	fmt.Printf("\ntext round trip: %d ops preserved (%v)\n", back.Ops, back.Ops == run.Ops)
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro"
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -17,24 +18,31 @@ func main() {
 	// A small Sunday+Monday window: 4 users is plenty to see shape.
 	scale := repro.Scale{CampusUsers: 4, EECSClients: 2, Days: 2, Seed: 1}
 	fmt.Println("generating a 2-day CAMPUS trace...")
-	campus := repro.GenerateCampus(scale)
-	fmt.Printf("  %d operations (%d calls matched to replies)\n\n",
-		len(campus.Ops), campus.Join.Matched)
+	records := repro.GenerateCampusRecords(scale)
 
-	// One pass of the sharded engine feeds all three reducers.
-	sum := &pipeline.SummaryAnalyzer{Days: campus.Days}
+	// One pass of the sharded engine feeds all three reducers, straight
+	// from the streaming call/reply joiner.
+	sum := &pipeline.SummaryAnalyzer{Days: scale.Days}
 	// Run detection with the paper's 10ms reorder window.
 	runs := &pipeline.RunsAnalyzer{Config: analysis.DefaultRunConfig(10)}
 	// Block lifetimes over the Monday window.
 	life := &pipeline.BlockLifeAnalyzer{
 		Start: workload.Day + 9*workload.Hour, Phase: 6 * workload.Hour, Margin: 6 * workload.Hour}
-	pipeline.RunSlice(campus.Pipeline, campus.Ops, sum, runs, life)
+	joiner := pipeline.NewJoiner(&core.SliceSource{Records: records})
+	stats, err := pipeline.Run(pipeline.Config{}, joiner, sum, runs, life)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("  %d records, %d operations (%d calls matched to replies)\n\n",
+		len(records), stats.Ops, joiner.Stats().Matched)
 
 	// Table-2-style summary.
 	fmt.Printf("daily activity: %s\n\n", sum.Result)
 
-	// The workload's signature: almost everything is email.
-	fmt.Println(repro.TopProcs(campus))
+	// The workload's signature: almost everything is email. TopProcs is
+	// one of the renders nfsrepro prints; GenerateCampus runs the same
+	// simulation with every analysis they read.
+	fmt.Println(repro.TopProcs(repro.GenerateCampus(scale)))
 
 	tab := runs.Table()
 	fmt.Printf("runs: %d total — reads %.0f%% (entire %.0f%%), writes %.0f%% (seq %.0f%%)\n\n",

@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/client"
-	"repro/internal/netem"
+	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/server"
 	"repro/internal/workload"
@@ -19,40 +19,137 @@ import (
 // evaluation. Each function returns a plain-text report whose rows
 // mirror the paper's presentation; the "paper:" annotations carry the
 // published values so a reader can compare shape directly. Absolute
-// magnitudes differ by the simulation scale (documented in
-// EXPERIMENTS.md); ratios, mixes, distributions, and orderings are the
-// reproduction targets.
+// magnitudes differ by the simulation scale (cmd/nfsrepro/testdata
+// pins the output at two small scales; README lists what each table
+// and figure reproduces); ratios, mixes, distributions, and orderings
+// are the reproduction targets.
 //
-// Every analysis that reads a trace does so through (*Trace).analyze,
-// that is, the internal/pipeline engine: one streaming pass per trace
-// per experiment, sharded across Trace.Pipeline workers, with merges
-// that make the rendered output byte-identical at any worker count.
+// A trace is analyzed once, while it is generated (newTrace): the
+// analyses below hold one analyzer per distinct configuration the
+// experiments read, and every experiment renders from their results.
 // (ExpNfsiod and ExpReadahead simulate and read no trace.)
 
-// Table1 contrasts the two workloads qualitatively, computing each
-// claim from the traces.
-func Table1(campus, eecs *Trace) string {
-	// One sharded pass over each trace computes every Table 1 claim:
-	// the activity summary, the peak-hour instance mix (Monday
-	// 10:00–11:00), the mailbox byte share, and the block lifetimes
-	// (Monday 9am, 24h+24h, where the window allows).
-	cSum := &pipeline.SummaryAnalyzer{Days: campus.Days}
-	peak := &pipeline.PeakHourAnalyzer{
-		From: workload.Day + 10*workload.Hour,
-		To:   workload.Day + 11*workload.Hour,
+// Figure 1's window is Wednesday 9:00–12:00, as in the paper; a trace
+// with no operation there sweeps its whole span instead.
+var (
+	figure1From = 3*workload.Day + 9*workload.Hour
+	figure1To   = figure1From + 3*workload.Hour
+	figure1MS   = []float64{0, 1, 2, 3, 5, 8, 10, 15, 20, 30, 40, 50}
+)
+
+func onWednesdayMorning(op *core.Op) bool { return op.T >= figure1From && op.T < figure1To }
+
+// sweep is a Figure 1 sweep and the Live that runs it.
+type sweep struct {
+	*pipeline.Live
+	*pipeline.ReorderSweepAnalyzer
+}
+
+func newSweep(cfg pipeline.Config) *sweep {
+	a := &pipeline.ReorderSweepAnalyzer{WindowsMS: figure1MS}
+	return &sweep{pipeline.NewLive(cfg, a), a}
+}
+
+// nvramDelays are ExpNVRAM's write-behind delays in seconds.
+var nvramDelays = []float64{1, 10, 30, 60, 300, 900, 3600}
+
+// analyses are the analyzers of one trace, one per distinct
+// configuration the experiments read, Figure 1's sweep aside (newTrace
+// runs that one).
+type analyses struct {
+	days      float64
+	summary   *pipeline.SummaryAnalyzer   // Tables 1 and 2, TopProcs
+	peakHour  *pipeline.PeakHourAnalyzer  // Table 1
+	mailbox   *pipeline.MailboxAnalyzer   // Table 1
+	life      *pipeline.BlockLifeAnalyzer // Tables 1 and 4, Figure 3
+	nvram     *pipeline.BlockLifeAnalyzer // ExpNVRAM
+	rawRuns   *pipeline.RunsAnalyzer      // Table 3
+	runs      *pipeline.RunsAnalyzer      // Table 3, Figures 2 and 5
+	hourly    *pipeline.HourlyAnalyzer    // Table 5, Figure 4, ExpQuiet
+	names     *pipeline.NamesAnalyzer     // ExpNames
+	hierarchy *pipeline.HierarchyAnalyzer // ExpHierarchy
+}
+
+func newAnalyses(days, reorderMS float64) *analyses {
+	// Block lifetimes follow Monday from 9:00 for a 24h phase when the
+	// trace is long enough, otherwise the first half of its window. The
+	// NVRAM margin covers the largest delay, so that every lifetime up
+	// to it is observed.
+	start, phase := 0.0, days*workload.Day/2
+	if days >= 3 {
+		start, phase = workload.Day+9*workload.Hour, workload.Day
 	}
-	mail := &pipeline.MailboxAnalyzer{}
-	cLife := blockLifeAnalyzer(campus)
-	campus.analyze(cSum, peak, mail, cLife)
+	return &analyses{
+		days:    days,
+		summary: &pipeline.SummaryAnalyzer{Days: days},
+		peakHour: &pipeline.PeakHourAnalyzer{
+			From: workload.Day + 10*workload.Hour,
+			To:   workload.Day + 11*workload.Hour,
+		},
+		mailbox: &pipeline.MailboxAnalyzer{},
+		life:    &pipeline.BlockLifeAnalyzer{Start: start, Phase: phase, Margin: phase},
+		nvram:   &pipeline.BlockLifeAnalyzer{Start: start, Phase: phase, Margin: slices.Max(nvramDelays)},
+		rawRuns: &pipeline.RunsAnalyzer{Config: analysis.RunConfig{
+			ReorderWindow: reorderMS / 1000, IdleGap: 30, JumpBlocks: 1}},
+		runs:      &pipeline.RunsAnalyzer{Config: analysis.DefaultRunConfig(reorderMS)},
+		hourly:    &pipeline.HourlyAnalyzer{Span: days * workload.Day},
+		names:     &pipeline.NamesAnalyzer{},
+		hierarchy: &pipeline.HierarchyAnalyzer{Warmup: 10 * 60},
+	}
+}
 
-	eSum := &pipeline.SummaryAnalyzer{Days: eecs.Days}
-	eLife := blockLifeAnalyzer(eecs)
-	eecs.analyze(eSum, eLife)
+func (a *analyses) list() []pipeline.Analyzer {
+	return []pipeline.Analyzer{a.summary, a.peakHour, a.mailbox, a.life, a.nvram,
+		a.rawRuns, a.runs, a.hourly, a.names, a.hierarchy}
+}
 
-	cs, es := cSum.Result, eSum.Result
-	lockFrac, inboxFrac := peak.Result.LockFrac(), peak.Result.MailboxFrac()
-	mailboxBytes, totalBytes := mail.MailboxBytes, mail.TotalBytes
-	cb, eb := cLife.Result, eLife.Result
+// results is what the experiments read of one trace: the analyzers'
+// outputs without the reducer state behind them, so that a Trace holds
+// no per-file access lists or block maps once its pass is over.
+type results struct {
+	summary                  *analysis.Summary
+	peakHour                 analysis.PeakHourResult
+	mailboxBytes, totalBytes uint64
+	life, nvram              *analysis.BlockLifeResult
+	rawRuns, runs            analysis.RunTable
+	sizes                    []analysis.SizeProfilePoint
+	sequentiality            []analysis.SeqMetricPoint
+	hourly                   *analysis.HourlySeries
+	swept                    []analysis.ReorderSweepPoint
+	names                    *analysis.NameReport
+	coverage                 float64
+}
+
+// results reads the finished analyzers, and swept is Figure 1's sweep.
+func (a *analyses) results(swept []analysis.ReorderSweepPoint) results {
+	return results{
+		summary:       a.summary.Result,
+		peakHour:      a.peakHour.Result,
+		mailboxBytes:  a.mailbox.MailboxBytes,
+		totalBytes:    a.mailbox.TotalBytes,
+		life:          a.life.Result,
+		nvram:         a.nvram.Result,
+		rawRuns:       a.rawRuns.Table(),
+		runs:          a.runs.Table(),
+		sizes:         analysis.SizeProfile(a.runs.Result),
+		sequentiality: analysis.SequentialityProfile(a.runs.Result),
+		hourly:        a.hourly.Result,
+		swept:         swept,
+		names:         a.names.ReportAt(a.days * workload.Day),
+		coverage:      a.hierarchy.Coverage,
+	}
+}
+
+// Table1 contrasts the two workloads qualitatively, computing each
+// claim from the traces: the activity summary, the peak-hour instance
+// mix (Monday 10:00–11:00), the mailbox byte share, and the block
+// lifetimes (Monday 9am, 24h+24h, where the window allows).
+func Table1(campus, eecs *Trace) string {
+	c, e := &campus.res, &eecs.res
+	cs, es := c.summary, e.summary
+	lockFrac, inboxFrac := c.peakHour.LockFrac(), c.peakHour.MailboxFrac()
+	mailboxBytes, totalBytes := c.mailboxBytes, c.totalBytes
+	cb, eb := c.life, e.life
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 1: Characteristics of CAMPUS and EECS\n")
@@ -98,27 +195,9 @@ func fmtDuration(sec float64) string {
 	}
 }
 
-// blockLifeAnalyzer builds the block-lifetime reducer over the trace's
-// weekday window: Monday 9am with a 24h phase and 24h margin when the
-// trace is long enough, otherwise the first half of the window.
-func blockLifeAnalyzer(tr *Trace) *pipeline.BlockLifeAnalyzer {
-	if tr.Days >= 3 {
-		return &pipeline.BlockLifeAnalyzer{
-			Start: workload.Day + 9*workload.Hour,
-			Phase: workload.Day, Margin: workload.Day,
-		}
-	}
-	span := tr.Days * workload.Day
-	return &pipeline.BlockLifeAnalyzer{Start: 0, Phase: span / 2, Margin: span / 2}
-}
-
 // Table2 reports average daily activity for both systems.
 func Table2(campus, eecs *Trace) string {
-	cSum := &pipeline.SummaryAnalyzer{Days: campus.Days}
-	campus.analyze(cSum)
-	eSum := &pipeline.SummaryAnalyzer{Days: eecs.Days}
-	eecs.analyze(eSum)
-	cs, es := cSum.Result, eSum.Result
+	cs, es := campus.res.summary, eecs.res.summary
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 2: Average daily activity (simulated scale)\n")
 	fmt.Fprintf(&b, "%-26s %14s %14s\n", "", "CAMPUS", "EECS")
@@ -146,18 +225,8 @@ func Table3(campus, eecs *Trace) string {
 	fmt.Fprintf(&b, "%-22s %28s %28s\n", "", "CAMPUS", "EECS")
 	fmt.Fprintf(&b, "%-22s %9s %9s %9s %9s %9s %9s\n", "", "raw", "processed", "paper",
 		"raw", "processed", "paper")
-
-	// Raw and processed detection share one pass per trace.
-	rawCA := &pipeline.RunsAnalyzer{Config: analysis.RunConfig{
-		ReorderWindow: campus.ReorderWindowMS / 1000, IdleGap: 30, JumpBlocks: 1}}
-	procCA := &pipeline.RunsAnalyzer{Config: analysis.DefaultRunConfig(campus.ReorderWindowMS)}
-	campus.analyze(rawCA, procCA)
-	rawEA := &pipeline.RunsAnalyzer{Config: analysis.RunConfig{
-		ReorderWindow: eecs.ReorderWindowMS / 1000, IdleGap: 30, JumpBlocks: 1}}
-	procEA := &pipeline.RunsAnalyzer{Config: analysis.DefaultRunConfig(eecs.ReorderWindowMS)}
-	eecs.analyze(rawEA, procEA)
-	rawC, procC := rawCA.Table(), procCA.Table()
-	rawE, procE := rawEA.Table(), procEA.Table()
+	rawC, procC := campus.res.rawRuns, campus.res.runs
+	rawE, procE := eecs.res.rawRuns, eecs.res.runs
 
 	type rowSpec struct {
 		name   string
@@ -188,11 +257,7 @@ func Table3(campus, eecs *Trace) string {
 
 // Table4 reports daily block births and deaths by cause.
 func Table4(campus, eecs *Trace) string {
-	cLife := blockLifeAnalyzer(campus)
-	campus.analyze(cLife)
-	eLife := blockLifeAnalyzer(eecs)
-	eecs.analyze(eLife)
-	cb, eb := cLife.Result, eLife.Result
+	cb, eb := campus.res.life, eecs.res.life
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 4: Daily block life statistics (24h phase + 24h margin)\n")
 	fmt.Fprintf(&b, "%-26s %12s %12s %26s\n", "", "CAMPUS", "EECS", "paper (C / E)")
@@ -212,11 +277,7 @@ func Table4(campus, eecs *Trace) string {
 
 // Table5 reports hourly means and relative stddevs, all hours vs peak.
 func Table5(campus, eecs *Trace) string {
-	cHourly := &pipeline.HourlyAnalyzer{Span: campus.Days * workload.Day}
-	campus.analyze(cHourly)
-	eHourly := &pipeline.HourlyAnalyzer{Span: eecs.Days * workload.Day}
-	eecs.analyze(eHourly)
-	ch, eh := cHourly.Result, eHourly.Result
+	ch, eh := campus.res.hourly, eecs.res.hourly
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 5: Average hourly activity; stddev as %% of mean in parens\n")
 	for _, peak := range []bool{false, true} {
@@ -242,15 +303,8 @@ func Table5(campus, eecs *Trace) string {
 
 // Figure1 sweeps the reorder window size against swapped accesses.
 func Figure1(campus, eecs *Trace) string {
-	// The paper uses Wednesday 9am-12pm.
-	from := 3*workload.Day + 9*workload.Hour
-	to := from + 3*workload.Hour
-	windows := []float64{0, 1, 2, 3, 5, 8, 10, 15, 20, 30, 40, 50}
-	cSweep := &pipeline.ReorderSweepAnalyzer{WindowsMS: windows}
-	campus.window(from, to).analyze(cSweep)
-	eSweep := &pipeline.ReorderSweepAnalyzer{WindowsMS: windows}
-	eecs.window(from, to).analyze(eSweep)
-	cPts, ePts := cSweep.Result, eSweep.Result
+	windows := figure1MS
+	cPts, ePts := campus.res.swept, eecs.res.swept
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 1: %% of accesses swapped vs reorder window (Wed 9am-12pm)\n")
 	fmt.Fprintf(&b, "%10s %12s %12s\n", "window(ms)", "CAMPUS", "EECS")
@@ -267,9 +321,7 @@ func Figure2(campus, eecs *Trace) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 2: cumulative %% of bytes accessed vs file size\n")
 	for _, tr := range []*Trace{campus, eecs} {
-		ra := &pipeline.RunsAnalyzer{Config: analysis.DefaultRunConfig(tr.ReorderWindowMS)}
-		tr.analyze(ra)
-		pts := analysis.SizeProfile(ra.Result)
+		pts := tr.res.sizes
 		fmt.Fprintf(&b, "%s\n%12s %8s %8s %8s %8s\n", tr.Name,
 			"file size", "total", "entire", "seq", "random")
 		for _, p := range pts {
@@ -300,11 +352,7 @@ func fmtSize(n uint64) string {
 
 // Figure3 reports the cumulative block lifetime distribution.
 func Figure3(campus, eecs *Trace) string {
-	cLife := blockLifeAnalyzer(campus)
-	campus.analyze(cLife)
-	eLife := blockLifeAnalyzer(eecs)
-	eecs.analyze(eLife)
-	cb, eb := cLife.Result, eLife.Result
+	cb, eb := campus.res.life, eecs.res.life
 	marks := []struct {
 		label string
 		sec   float64
@@ -328,11 +376,7 @@ func Figure3(campus, eecs *Trace) string {
 // Figure4 reports the hourly op counts and read/write ratios across the
 // week.
 func Figure4(campus, eecs *Trace) string {
-	cHourly := &pipeline.HourlyAnalyzer{Span: campus.Days * workload.Day}
-	campus.analyze(cHourly)
-	eHourly := &pipeline.HourlyAnalyzer{Span: eecs.Days * workload.Day}
-	eecs.analyze(eHourly)
-	ch, eh := cHourly.Result, eHourly.Result
+	ch, eh := campus.res.hourly, eecs.res.hourly
 	cr := ch.RWRatios()
 	er := eh.RWRatios()
 	days := []string{"Sun", "Mon", "Tue", "Wed", "Thu", "Fri", "Sat"}
@@ -365,9 +409,7 @@ func Figure5(campus, eecs *Trace) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 5: average sequentiality metric vs bytes accessed in run\n")
 	for _, tr := range []*Trace{campus, eecs} {
-		ra := &pipeline.RunsAnalyzer{Config: analysis.DefaultRunConfig(tr.ReorderWindowMS)}
-		tr.analyze(ra)
-		pts := analysis.SequentialityProfile(ra.Result)
+		pts := tr.res.sequentiality
 		fmt.Fprintf(&b, "%s\n%10s %9s %9s %9s %9s %9s\n", tr.Name,
 			"run bytes", "readK10", "readK1", "writeK10", "writeK1", "cum runs")
 		for _, p := range pts {
@@ -405,9 +447,7 @@ func ExpNfsiod() string {
 // ExpNames reproduces §6.3: filename categories predict size, lifetime,
 // and pattern.
 func ExpNames(campus *Trace) string {
-	names := &pipeline.NamesAnalyzer{}
-	campus.analyze(names)
-	rep := names.ReportAt(campus.Days * workload.Day)
+	rep := campus.res.names
 	var b strings.Builder
 	fmt.Fprintf(&b, "Experiment §6.3: filename-based prediction (CAMPUS)\n")
 	fmt.Fprintf(&b, "%-10s %8s %8s %12s %12s %12s\n",
@@ -468,19 +508,12 @@ func ExpLoss(scale Scale) string {
 	// Cripple the port so the trace's burst peaks exceed it.
 	lossy, port := GenerateCampusLossy(scale, 120e3)
 	clean := GenerateCampus(scale)
-	return expLossReport(lossy, port, clean)
-}
-
-// expLossReport renders the §4.1.4 comparison for already-generated
-// traces, so benchmarks can time the analysis without regenerating the
-// workload every iteration.
-func expLossReport(lossy *Trace, port *netem.MirrorPort, clean *Trace) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Experiment §4.1.4: mirror-port loss estimation\n")
 	fmt.Fprintf(&b, "  port drop rate (ground truth): %.1f%% of packets\n", 100*port.LossRate())
 	fmt.Fprintf(&b, "  estimated from unmatched calls/replies: %.1f%%\n", 100*lossy.Join.LossEstimate())
-	fmt.Fprintf(&b, "  ops recovered: %d of %d (%.1f%%)\n", len(lossy.Ops), len(clean.Ops),
-		100*float64(len(lossy.Ops))/float64(len(clean.Ops)))
+	fmt.Fprintf(&b, "  ops recovered: %d of %d (%.1f%%)\n", lossy.Stats.Ops, clean.Stats.Ops,
+		100*float64(lossy.Stats.Ops)/float64(clean.Stats.Ops))
 	fmt.Fprintf(&b, "paper: up to ~10%% of packets lost during bursts, estimated the same way\n")
 	return b.String()
 }
@@ -489,9 +522,7 @@ func expLossReport(lossy *Trace, port *netem.MirrorPort, clean *Trace) string {
 // The hierarchy is a global analyzer: the pipeline streams it the full
 // ordered trace on its own goroutine.
 func ExpHierarchy(campus *Trace) string {
-	hier := &pipeline.HierarchyAnalyzer{Warmup: 10 * 60}
-	campus.analyze(hier)
-	cov := hier.Coverage
+	cov := campus.res.coverage
 	var b strings.Builder
 	fmt.Fprintf(&b, "Experiment §4.1.1: hierarchy reconstruction\n")
 	fmt.Fprintf(&b, "  coverage after 10min warmup: %.2f%%\n", 100*cov)
@@ -501,9 +532,7 @@ func ExpHierarchy(campus *Trace) string {
 
 // TopProcs renders the procedure mix for a trace.
 func TopProcs(tr *Trace) string {
-	sum := &pipeline.SummaryAnalyzer{Days: tr.Days}
-	tr.analyze(sum)
-	s := sum.Result
+	s := tr.res.summary
 	type pc struct {
 		name string
 		n    int64
@@ -531,19 +560,9 @@ func TopProcs(tr *Trace) string {
 // fraction of block writes avoided as a function of the write-behind
 // delay.
 func ExpNVRAM(campus, eecs *Trace) string {
-	delays := []float64{1, 10, 30, 60, 300, 900, 3600}
-	start, phase := 0.0, campus.Days*workload.Day/2
-	if campus.Days >= 3 {
-		start, phase = workload.Day+9*workload.Hour, workload.Day
-	}
-	// One block-life pass per trace, its margin covering the largest
-	// delay so that every lifetime up to it is observed.
-	absorbed := func(tr *Trace) []analysis.AbsorptionPoint {
-		life := &pipeline.BlockLifeAnalyzer{Start: start, Phase: phase, Margin: slices.Max(delays)}
-		tr.analyze(life)
-		return analysis.WriteAbsorption(life.Result, delays)
-	}
-	cPts, ePts := absorbed(campus), absorbed(eecs)
+	delays := nvramDelays
+	cPts := analysis.WriteAbsorption(campus.res.nvram, delays)
+	ePts := analysis.WriteAbsorption(eecs.res.nvram, delays)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension (§7): NVRAM write-behind absorption\n")
 	fmt.Fprintf(&b, "%10s %12s %12s\n", "delay", "CAMPUS", "EECS")
@@ -562,9 +581,7 @@ func ExpQuiet(campus, eecs *Trace) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension (§7): schedulable quiet periods (<10%% of peak load, ≥4h)\n")
 	for _, tr := range []*Trace{campus, eecs} {
-		hourly := &pipeline.HourlyAnalyzer{Span: tr.Days * workload.Day}
-		tr.analyze(hourly)
-		ps := analysis.QuietPeriods(hourly.Result, 0.10, 4)
+		ps := analysis.QuietPeriods(tr.res.hourly, 0.10, 4)
 		fmt.Fprintf(&b, "%s: %d periods, %d hours total\n",
 			tr.Name, len(ps), analysis.QuietHoursTotal(ps))
 		for i, p := range ps {

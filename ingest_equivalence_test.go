@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,8 +20,8 @@ import (
 // serial single-file path.
 
 // renderedExperiments renders Table1–Figure5 and the side experiments
-// that read a trace for a campus/eecs pair: everything that goes
-// through (*Trace).analyze.
+// that read a trace for a campus/eecs pair: everything a Trace's
+// analyses feed.
 func renderedExperiments(campus, eecs *Trace) map[string]string {
 	experiments := map[string]func(*Trace, *Trace) string{
 		"Table1": Table1, "Table2": Table2, "Table3": Table3,
@@ -37,25 +36,6 @@ func renderedExperiments(campus, eecs *Trace) map[string]string {
 	}
 	out["ExpNames"], out["ExpHierarchy"] = ExpNames(campus), ExpHierarchy(campus)
 	return out
-}
-
-// ingestTrace joins a record source into a Trace, as nfsanalyze does.
-func ingestTrace(t *testing.T, src core.RecordSource, name string, days float64, reorderMS float64) *Trace {
-	t.Helper()
-	tr := &Trace{Name: name, Days: days, ReorderWindowMS: reorderMS}
-	j := pipeline.NewJoiner(src)
-	for {
-		op, err := j.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr.Ops = append(tr.Ops, op)
-	}
-	tr.Join = j.Stats()
-	return tr
 }
 
 func writeFile(t *testing.T, path string, data []byte) string {
@@ -88,15 +68,15 @@ func gzBytes(t *testing.T, data []byte) []byte {
 	return buf.Bytes()
 }
 
-// openSet ingests a trace set into a Trace via the read-ahead front end.
-func openSet(t *testing.T, paths []string, name string, days, reorderMS float64) *Trace {
+// openSet analyzes a trace set into a Trace via the read-ahead front end.
+func openSet(t *testing.T, cfg pipeline.Config, paths []string, name string, days, reorderMS float64) *Trace {
 	t.Helper()
 	ts, err := pipeline.OpenTraceSet(paths, core.IngestConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ts.Close()
-	return ingestTrace(t, ts, name, days, reorderMS)
+	return newTrace(cfg, name, days, reorderMS, pulled(t, ts))
 }
 
 func TestParallelIngestByteIdenticalTables(t *testing.T) {
@@ -117,7 +97,7 @@ func TestParallelIngestByteIdenticalTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ingestTrace(t, src, name, scale.Days, reorderMS)
+		return newTrace(pipeline.Config{}, name, scale.Days, reorderMS, pulled(t, src))
 	}
 	want := renderedExperiments(
 		serialTrace(campusText, "CAMPUS", 10),
@@ -138,11 +118,10 @@ func TestParallelIngestByteIdenticalTables(t *testing.T) {
 	// worker count, which pins down the ID-keyed reducers (handle intern
 	// IDs vary with decode interleaving; output must not).
 	for _, workers := range []int{1, 2, 8} {
-		campusTr := openSet(t, []string{campusPath}, "CAMPUS", scale.Days, 10)
-		eecsTr := openSet(t, []string{eecsPath}, "EECS", scale.Days, 5)
-		campusTr.Pipeline = pipeline.Config{Workers: workers}
-		eecsTr.Pipeline = pipeline.Config{Workers: workers}
-		got := renderedExperiments(campusTr, eecsTr)
+		cfg := pipeline.Config{Workers: workers}
+		got := renderedExperiments(
+			openSet(t, cfg, []string{campusPath}, "CAMPUS", scale.Days, 10),
+			openSet(t, cfg, []string{eecsPath}, "EECS", scale.Days, 5))
 		compare(fmt.Sprintf("workers=%d", workers), got)
 	}
 
@@ -158,8 +137,8 @@ func TestParallelIngestByteIdenticalTables(t *testing.T) {
 	partB := writeFile(t, filepath.Join(dir, "campus-day2.trace.gz"),
 		gzBytes(t, textBytes(t, campusRecs[cut:])))
 	got := renderedExperiments(
-		openSet(t, []string{partA, partB}, "CAMPUS", scale.Days, 10),
-		openSet(t, []string{eecsPath}, "EECS", scale.Days, 5))
+		openSet(t, pipeline.Config{}, []string{partA, partB}, "CAMPUS", scale.Days, 10),
+		openSet(t, pipeline.Config{}, []string{eecsPath}, "EECS", scale.Days, 5))
 	compare("multi-file set", got)
 }
 
@@ -197,15 +176,15 @@ func TestParallelIngestBinaryByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ingestTrace(t, src, name, scale.Days, reorderMS)
+		return newTrace(pipeline.Config{}, name, scale.Days, reorderMS, pulled(t, src))
 	}
 	want := renderedExperiments(
 		serial(campusBin, "CAMPUS", 10),
 		serial(eecsBin, "EECS", 5))
 
 	got := renderedExperiments(
-		openSet(t, []string{campusPath}, "CAMPUS", scale.Days, 10),
-		openSet(t, []string{eecsPath}, "EECS", scale.Days, 5))
+		openSet(t, pipeline.Config{}, []string{campusPath}, "CAMPUS", scale.Days, 10),
+		openSet(t, pipeline.Config{}, []string{eecsPath}, "EECS", scale.Days, 5))
 	for name, w := range want {
 		if got[name] != w {
 			t.Errorf("binary ingest: %s differs from the serial binary path", name)

@@ -6,19 +6,20 @@ import (
 	"repro/internal/pipeline"
 )
 
+// generatePair generates the Scale's CAMPUS and EECS traces, analyzed
+// on an engine sized by cfg.
+func generatePair(cfg pipeline.Config, s Scale) (campus, eecs *Trace) {
+	return newTrace(cfg, "CAMPUS", s.Days, 10, joined(s.campus, nil)),
+		newTrace(cfg, "EECS", s.Days, 5, joined(s.eecs, nil))
+}
+
 // TestTablesByteIdenticalAcrossWorkers is the end-to-end determinism
 // guarantee for the sharded pipeline: every table and figure renders
 // byte-identically whether the analyses run on one worker (the
 // sequential reference) or many.
 func TestTablesByteIdenticalAcrossWorkers(t *testing.T) {
-	scale := SmallScale()
-	campus := GenerateCampus(scale)
-	eecs := GenerateEECS(scale)
-
 	render := func(workers int) map[string]string {
-		campus.Pipeline = pipeline.Config{Workers: workers}
-		eecs.Pipeline = pipeline.Config{Workers: workers}
-		return renderedExperiments(campus, eecs)
+		return renderedExperiments(generatePair(pipeline.Config{Workers: workers}, SmallScale()))
 	}
 
 	want := render(1)
@@ -33,34 +34,13 @@ func TestTablesByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPipelineDefaultConfig checks that the zero-value Trace runs the
-// tables without explicit pipeline configuration.
-func TestPipelineDefaultConfig(t *testing.T) {
-	scale := SmallScale()
-	scale.Days = 0.25
-	campus := GenerateCampus(scale)
-	eecs := GenerateEECS(scale)
-	for i, fn := range []func(*Trace, *Trace) string{Table2, Table5} {
-		if out := fn(campus, eecs); len(out) == 0 {
-			t.Errorf("experiment %d: empty output with default pipeline config", i)
-		}
-	}
-	if campus.Pipeline != (pipeline.Config{}) {
-		t.Errorf("running tables mutated the trace's pipeline config: %+v", campus.Pipeline)
-	}
-}
-
 // TestPipelineWorkerSweepSmoke exercises odd worker counts end to end.
 func TestPipelineWorkerSweepSmoke(t *testing.T) {
 	scale := SmallScale()
 	scale.Days = 0.25
-	campus := GenerateCampus(scale)
-	eecs := GenerateEECS(scale)
 	var want string
 	for i, workers := range []int{1, 3, 5, 16} {
-		campus.Pipeline.Workers = workers
-		eecs.Pipeline.Workers = workers
-		got := Table3(campus, eecs)
+		got := Table3(generatePair(pipeline.Config{Workers: workers}, scale))
 		if i == 0 {
 			want = got
 		} else if got != want {

@@ -6,25 +6,26 @@
 // sniffer, the anonymizer, the client/server simulators, and the CAMPUS
 // and EECS workload generators — into three things a user needs:
 //
-//   - Trace generation: GenerateCampus and GenerateEECS produce joined
-//     operation streams (and optionally raw records or pcap files) for
-//     the two systems the paper studied, at a configurable scale.
+//   - Trace generation: GenerateCampus and GenerateEECS simulate the two
+//     systems the paper studied, at a configurable scale, and run every
+//     analysis over the joined operation streams; GenerateCampusRecords
+//     and GenerateEECSRecords return the raw records instead.
 //   - Trace processing: Sniff decodes packets into records, Anonymize
 //     rewrites records, and the core text format reads/writes traces.
 //   - Experiments: Table1–Table5 and Figure1–Figure5 regenerate every
 //     table and figure of the paper's evaluation, plus the §4.1.4,
 //     §4.1.5, §6.3, and §6.4 side experiments.
 //
-// The tables and figures run on the internal/pipeline engine: each
-// trace is streamed once per experiment through sharded per-file
-// reducers whose merged results are byte-identical at any worker count.
-// Set Trace.Pipeline to control the sharding; the zero value uses one
-// worker per CPU.
+// Each trace is analyzed in the pass that produces it. Generation
+// pushes every operation the streaming joiner releases into the
+// internal/pipeline engine, which runs every analysis the tables and
+// figures read, sharded by file handle, with results byte-identical at
+// any worker count. A Trace keeps those results, not its operations, so
+// its memory follows the analyses' state rather than the trace's length.
 package repro
 
 import (
 	"io"
-	"slices"
 
 	"repro/internal/anon"
 	"repro/internal/capture"
@@ -36,15 +37,11 @@ import (
 	"repro/internal/workload"
 )
 
-// Trace is a generated or captured operation stream with its metadata.
+// Trace is the analyzed result of one generated operation stream, with
+// its metadata.
 type Trace struct {
 	// Name identifies the system ("CAMPUS" or "EECS").
 	Name string
-	// Ops is the joined call/reply stream in call-time order. It is held
-	// rather than regenerated because the tables and figures make some
-	// fifteen passes over each trace and simulating one costs far more
-	// than a pass.
-	Ops []*core.Op
 	// Days is the window length.
 	Days float64
 	// Join reports call/reply matching statistics (loss estimation).
@@ -52,67 +49,49 @@ type Trace struct {
 	// ReorderWindowMS is the §4.2 sorting window appropriate for this
 	// system (5 for EECS, 10 for CAMPUS).
 	ReorderWindowMS float64
-	// Pipeline configures the sharded analysis engine the tables and
-	// figures run on. The zero value uses one worker per CPU; every
-	// worker count produces byte-identical output.
-	Pipeline pipeline.Config
+	// Stats counts the joined operations and spans their call times.
+	Stats pipeline.Stats
 
-	// pieces > 1 runs every analysis as a chain of that many serialized
-	// partial states (pipeline.RunPartitioned) instead of one pass; the
-	// state equivalence tests set it.
-	pieces int
+	// res is what the experiments read of the trace.
+	res results
 }
 
-// analyze streams the trace's operations through the sharded pipeline,
-// feeding every analyzer in one pass — or, when pieces > 1, as a
-// resume chain of serialized partial states. Every table, figure and
-// side experiment reads the trace through here.
-func (tr *Trace) analyze(analyzers ...pipeline.Analyzer) {
-	if tr.pieces > 1 {
-		_, err := pipeline.RunPartitioned(tr.Pipeline, splitOps(tr.Ops, tr.pieces), analyzers...)
-		if err != nil {
-			// Every analyzer this package registers supports partial
-			// state; a failure here is a programming error.
-			panic(err)
+// opFeed produces a trace: it passes every joined operation to emit,
+// in call-time order, and returns the join statistics.
+type opFeed func(emit func(*core.Op)) core.JoinStats
+
+// newTrace runs the trace's analyses over the operations feed produces,
+// as they come: each goes to one Live holding every analysis but
+// Figure 1's. Figure 1 sweeps its Wednesday-morning window, or the
+// whole trace when the window has no operation, so two more Lives run
+// its sweep over each; the window's first operation ends the
+// whole-trace one. Nothing keeps an operation after the Lives have
+// taken it.
+func newTrace(cfg pipeline.Config, name string, days, reorderMS float64, feed opFeed) *Trace {
+	tr := &Trace{Name: name, Days: days, ReorderWindowMS: reorderMS}
+	a := newAnalyses(days, reorderMS)
+	lv := pipeline.NewLive(cfg, a.list()...)
+	wed, all := newSweep(cfg), newSweep(cfg)
+	tr.Join = feed(func(op *core.Op) {
+		lv.Feed(op)
+		switch {
+		case onWednesdayMorning(op):
+			wed.Feed(op)
+			if all != nil {
+				all.Abort()
+				all = nil
+			}
+		case all != nil:
+			all.Feed(op)
 		}
-		return
+	})
+	tr.Stats = lv.Finish()
+	figure1 := wed
+	if wed.Finish().Ops == 0 {
+		all.Finish()
+		figure1 = all
 	}
-	pipeline.RunSlice(tr.Pipeline, tr.Ops, analyzers...)
-}
-
-// window returns the trace cut to the operations in [from, to) seconds,
-// or the whole trace when it has none there (a window shorter than the
-// one the paper's figure names).
-func (tr *Trace) window(from, to float64) *Trace {
-	cut := *tr
-	cut.Ops = slices.DeleteFunc(slices.Clone(tr.Ops), func(op *core.Op) bool { return op.T < from || op.T >= to })
-	if len(cut.Ops) == 0 {
-		return tr
-	}
-	return &cut
-}
-
-// splitOps cuts ops into n contiguous pieces of near-equal length.
-func splitOps(ops []*core.Op, n int) [][]*core.Op {
-	if n > len(ops) {
-		n = len(ops)
-	}
-	if n < 1 {
-		n = 1
-	}
-	pieces := make([][]*core.Op, 0, n)
-	for i := 0; i < n; i++ {
-		lo := i * len(ops) / n
-		hi := (i + 1) * len(ops) / n
-		pieces = append(pieces, ops[lo:hi])
-	}
-	return pieces
-}
-
-// finish ends a trace whose records have all been pushed into j.
-func (tr *Trace) finish(j *pipeline.Joiner) *Trace {
-	tr.Ops = j.Drain(tr.Ops)
-	tr.Join = j.Stats()
+	tr.res = a.results(figure1.Result)
 	return tr
 }
 
@@ -149,15 +128,25 @@ func (s Scale) eecs(sink client.Sink) {
 	workload.NewEECS(workload.DefaultEECSConfig(s.EECSClients, s.Days, s.Seed), sink).Run()
 }
 
-// generate simulates a system into a joined trace: each record leaves
-// the simulation in capture order, passes the mirror port when there
-// is one, and goes straight into the streaming joiner — the matcher
-// nfsanalyze, nfsworker and nfsmond run — and only the operations it
-// releases are kept.
-func generate(tr *Trace, run func(client.Sink), port *netem.MirrorPort) *Trace {
-	j := pipeline.NewPushJoiner()
-	run(&client.LossySink{Port: port, Next: client.FuncSink(func(rec *core.Record, _ int) { tr.Ops = j.Push(rec, tr.Ops) })})
-	return tr.finish(j)
+// joined is the feed of a simulation: each record leaves it in capture
+// order, passes the mirror port when there is one, and goes straight
+// into the streaming joiner, the matcher nfsanalyze, nfsworker and
+// nfsmond run.
+func joined(run func(client.Sink), port *netem.MirrorPort) opFeed {
+	return func(emit func(*core.Op)) core.JoinStats {
+		j := pipeline.NewPushJoiner()
+		var ops []*core.Op
+		run(&client.LossySink{Port: port, Next: client.FuncSink(func(rec *core.Record, _ int) {
+			ops = j.Push(rec, ops[:0])
+			for _, op := range ops {
+				emit(op)
+			}
+		})})
+		for _, op := range j.Drain(ops[:0]) {
+			emit(op)
+		}
+		return j.Stats()
+	}
 }
 
 // rawRecords simulates a system into its raw (unjoined) records.
@@ -169,12 +158,12 @@ func rawRecords(run func(client.Sink)) []*core.Record {
 
 // GenerateCampus produces the CAMPUS email workload trace.
 func GenerateCampus(s Scale) *Trace {
-	return generate(&Trace{Name: "CAMPUS", Days: s.Days, ReorderWindowMS: 10}, s.campus, nil)
+	return newTrace(pipeline.Config{}, "CAMPUS", s.Days, 10, joined(s.campus, nil))
 }
 
 // GenerateEECS produces the EECS research workload trace.
 func GenerateEECS(s Scale) *Trace {
-	return generate(&Trace{Name: "EECS", Days: s.Days, ReorderWindowMS: 5}, s.eecs, nil)
+	return newTrace(pipeline.Config{}, "EECS", s.Days, 5, joined(s.eecs, nil))
 }
 
 // GenerateCampusLossy produces a CAMPUS trace observed through an
@@ -185,7 +174,7 @@ func GenerateCampusLossy(s Scale, portRate float64) (*Trace, *netem.MirrorPort) 
 	if portRate > 0 {
 		port.Rate = portRate
 	}
-	return generate(&Trace{Name: "CAMPUS(lossy)", Days: s.Days, ReorderWindowMS: 10}, s.campus, port), port
+	return newTrace(pipeline.Config{}, "CAMPUS(lossy)", s.Days, 10, joined(s.campus, port)), port
 }
 
 // GenerateCampusRecords returns raw (unjoined) records, for the
@@ -199,30 +188,6 @@ func GenerateEECSRecords(s Scale) []*core.Record { return rawRecords(s.eecs) }
 // WriteTrace writes records in the text trace format.
 func WriteTrace(w io.Writer, records []*core.Record) error {
 	return core.WriteAll(w, records)
-}
-
-// ReadTrace reads a text trace and joins it into operations. Like
-// nfsanalyze, it takes its input in capture order, as nfsgen and
-// nfstrace write it. A record out of that order is joined all the
-// same, but the operation of a late call may then follow later ones in
-// Trace.Ops (see pipeline.Joiner).
-func ReadTrace(r io.Reader) (*Trace, error) {
-	tr, j := &Trace{Name: "trace", ReorderWindowMS: 10}, pipeline.NewPushJoiner()
-	for src := core.NewReader(r); ; {
-		rec, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		tr.Ops = j.Push(rec, tr.Ops)
-	}
-	tr.finish(j)
-	if n := len(tr.Ops); n > 0 {
-		tr.Days = (tr.Ops[n-1].T - tr.Ops[0].T) / workload.Day
-	}
-	return tr, nil
 }
 
 // Sniff decodes a pcap stream into trace records, optionally

@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"cmp"
+	"io"
 	"slices"
 	"strconv"
 	"strings"
@@ -11,13 +12,27 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/pipeline"
 )
+
+// testScale is the shared traces' scale: Sunday + Monday so peak hours
+// exist, and enough users for stable size distributions.
+func testScale() Scale {
+	s := SmallScale()
+	s.Days = 2
+	s.CampusUsers = 5
+	return s
+}
 
 // Shared small traces: generated once per test binary.
 var (
 	genOnce  sync.Once
 	campusTr *Trace
 	eecsTr   *Trace
+
+	opsOnce   sync.Once
+	campusOps []*core.Op
+	eecsOps   []*core.Op
 )
 
 func traces(t *testing.T) (*Trace, *Trace) {
@@ -26,22 +41,58 @@ func traces(t *testing.T) (*Trace, *Trace) {
 		t.Skip("trace generation")
 	}
 	genOnce.Do(func() {
-		s := SmallScale()
-		s.Days = 2        // Sunday + Monday so peak hours exist
-		s.CampusUsers = 5 // enough users for stable size distributions
-		campusTr = GenerateCampus(s)
-		eecsTr = GenerateEECS(s)
+		campusTr = GenerateCampus(testScale())
+		eecsTr = GenerateEECS(testScale())
 	})
 	return campusTr, eecsTr
 }
 
+// traceOps returns the operations of the shared traces, for the tests
+// that look at one reducer over the raw stream.
+func traceOps(t *testing.T) (campus, eecs []*core.Op) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("trace generation")
+	}
+	opsOnce.Do(func() {
+		campusOps, _ = replay(joined(testScale().campus, nil))
+		eecsOps, _ = replay(joined(testScale().eecs, nil))
+	})
+	return campusOps, eecsOps
+}
+
+// replay collects the operations a feed produces: those a Trace's
+// analyses see, in the order they see them.
+func replay(feed opFeed) ([]*core.Op, core.JoinStats) {
+	var ops []*core.Op
+	join := feed(func(op *core.Op) { ops = append(ops, op) })
+	return ops, join
+}
+
+// pulled is the feed of a record source, joined as nfsanalyze joins it.
+func pulled(t *testing.T, src core.RecordSource) opFeed {
+	return func(emit func(*core.Op)) core.JoinStats {
+		j := pipeline.NewJoiner(src)
+		for {
+			op, err := j.Next()
+			if err == io.EOF {
+				return j.Stats()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			emit(op)
+		}
+	}
+}
+
 func TestGenerateTraces(t *testing.T) {
 	campus, eecs := traces(t)
-	if len(campus.Ops) < 5000 {
-		t.Fatalf("campus ops %d", len(campus.Ops))
+	if campus.Stats.Ops < 5000 {
+		t.Fatalf("campus ops %d", campus.Stats.Ops)
 	}
-	if len(eecs.Ops) < 10000 {
-		t.Fatalf("eecs ops %d", len(eecs.Ops))
+	if eecs.Stats.Ops < 10000 {
+		t.Fatalf("eecs ops %d", eecs.Stats.Ops)
 	}
 	if campus.Join.OrphanReplies != 0 || eecs.Join.OrphanReplies != 0 {
 		t.Fatal("orphan replies in lossless traces")
@@ -113,11 +164,8 @@ func TestTraceRoundTripThroughTextFormat(t *testing.T) {
 	if err := WriteTrace(&buf, records); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Ops) == 0 {
+	ops, join := replay(pulled(t, core.NewReader(&buf)))
+	if len(ops) == 0 {
 		t.Fatal("no ops after round trip")
 	}
 	// Joining the original records must agree with the round-tripped,
@@ -128,12 +176,12 @@ func TestTraceRoundTripThroughTextFormat(t *testing.T) {
 	// call-time order; with the direct one's times rounded as the text
 	// rounds them, both are put in (call, reply, client, port) order
 	// and compared.
-	direct := GenerateCampus(s)
-	if tr.Join != direct.Join {
-		t.Fatalf("join stats %+v, direct %+v", tr.Join, direct.Join)
+	direct, directJoin := replay(joined(s.campus, nil))
+	if join != directJoin {
+		t.Fatalf("join stats %+v, direct %+v", join, directJoin)
 	}
-	if len(tr.Ops) != len(direct.Ops) {
-		t.Fatalf("op counts differ: %d vs %d", len(tr.Ops), len(direct.Ops))
+	if len(ops) != len(direct) {
+		t.Fatalf("op counts differ: %d vs %d", len(ops), len(direct))
 	}
 	micros := func(x float64) float64 {
 		v, _ := strconv.ParseFloat(strconv.FormatFloat(x, 'f', 6, 64), 64)
@@ -162,7 +210,7 @@ func TestTraceRoundTripThroughTextFormat(t *testing.T) {
 		})
 		return out
 	}
-	got, want := canonical(tr.Ops), canonical(direct.Ops)
+	got, want := canonical(ops), canonical(direct)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("op %d differs:\n got %+v\nwant %+v", i, got[i], want[i])

@@ -2,9 +2,10 @@ package repro
 
 // Shape tests: assert that the simulated traces reproduce the paper's
 // qualitative findings. These are the reproduction's acceptance tests —
-// each corresponds to a row of EXPERIMENTS.md. Bands are deliberately
-// loose (small-scale traces are noisy); the point is that every
-// ordering and contrast the paper reports holds.
+// each checks a row or curve that nfsrepro prints (cmd/nfsrepro/testdata
+// pins those outputs; README lists the tables and figures). Bands are
+// deliberately loose (small-scale traces are noisy); the point is that
+// every ordering and contrast the paper reports holds.
 
 import (
 	"testing"
@@ -25,9 +26,10 @@ func addAll[R interface{ Add(*core.Op) }](r R, ops []*core.Op) R {
 }
 
 func TestShapeTable2Ratios(t *testing.T) {
-	campus, eecs := traces(t)
-	cs := addAll(analysis.NewSummary(campus.Days), campus.Ops)
-	es := addAll(analysis.NewSummary(eecs.Days), eecs.Ops)
+	campus, eecs := traceOps(t)
+	days := testScale().Days
+	cs := addAll(analysis.NewSummary(days), campus)
+	es := addAll(analysis.NewSummary(days), eecs)
 
 	// CAMPUS reads dominate (paper 2.68 bytes / 3.01 ops).
 	if r := cs.ReadWriteByteRatio(); r < 1.5 || r > 4.5 {
@@ -55,12 +57,12 @@ func TestShapeTable2Ratios(t *testing.T) {
 }
 
 func TestShapeBlockLifetimes(t *testing.T) {
-	campus, eecs := traces(t)
-	span := campus.Days * workload.Day
+	campus, eecs := traceOps(t)
+	span := testScale().Days * workload.Day
 	// Through the pipeline: its router resolves the removes.
-	blockLife := func(tr *Trace) *analysis.BlockLifeResult {
+	blockLife := func(ops []*core.Op) *analysis.BlockLifeResult {
 		a := &pipeline.BlockLifeAnalyzer{Start: 0, Phase: span / 2, Margin: span / 2}
-		pipeline.RunSlice(pipeline.Config{}, tr.Ops, a)
+		pipeline.RunSlice(pipeline.Config{}, ops, a)
 		return a.Result
 	}
 	cb, eb := blockLife(campus), blockLife(eecs)
@@ -94,9 +96,9 @@ func TestShapeBlockLifetimes(t *testing.T) {
 }
 
 func TestShapeRunMix(t *testing.T) {
-	campus, eecs := traces(t)
-	ct := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), campus.Ops).Runs())
-	et := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(5)), eecs.Ops).Runs())
+	campus, eecs := traceOps(t)
+	ct := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), campus).Runs())
+	et := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(5)), eecs).Runs())
 
 	// EECS is utterly write-run dominated (paper 82.3%).
 	if et.WritePct < 65 {
@@ -123,8 +125,8 @@ func TestShapeRunMix(t *testing.T) {
 }
 
 func TestShapeFigure1Knee(t *testing.T) {
-	campus, _ := traces(t)
-	pts := addAll(analysis.NewReorderSweeper([]float64{0, 5, 10, 50}), campus.Ops).Points()
+	campus, _ := traceOps(t)
+	pts := addAll(analysis.NewReorderSweeper([]float64{0, 5, 10, 50}), campus).Points()
 	if pts[0].SwappedPct != 0 {
 		t.Fatalf("zero window swapped %.2f%%", pts[0].SwappedPct)
 	}
@@ -139,8 +141,8 @@ func TestShapeFigure1Knee(t *testing.T) {
 }
 
 func TestShapeFigure2SizeMass(t *testing.T) {
-	campus, _ := traces(t)
-	runs := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), campus.Ops).Runs()
+	campus, _ := traceOps(t)
+	runs := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), campus).Runs()
 	pts := analysis.SizeProfile(runs)
 	var at1M float64
 	for _, p := range pts {
@@ -149,8 +151,8 @@ func TestShapeFigure2SizeMass(t *testing.T) {
 		}
 	}
 	// CAMPUS bytes come overwhelmingly from files >1MB (mailboxes). At
-	// this small scale the inbox-size draw is noisy (the default-scale
-	// run in EXPERIMENTS.md shows 27% ≤1MB), so the band is loose: a
+	// this small scale the inbox-size draw is noisy (`nfsrepro -figure 2`
+	// at its default scale shows 20% ≤1MB), so the band is loose: a
 	// substantial share must come from >1MB files.
 	if at1M > 70 {
 		t.Errorf("%.1f%% of CAMPUS bytes from files ≤1MB, want well under", at1M)
@@ -169,8 +171,8 @@ func TestShapeFigure2SizeMass(t *testing.T) {
 }
 
 func TestShapeFigure5Sequentiality(t *testing.T) {
-	campus, _ := traces(t)
-	runs := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), campus.Ops).Runs()
+	campus, _ := traceOps(t)
+	runs := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), campus).Runs()
 	pts := analysis.SequentialityProfile(runs)
 	// Long CAMPUS reads are highly sequential.
 	for _, p := range pts {
@@ -181,10 +183,10 @@ func TestShapeFigure5Sequentiality(t *testing.T) {
 }
 
 func TestShapeNamePrediction(t *testing.T) {
-	campus, _ := traces(t)
+	campus, _ := traceOps(t)
 	names := &pipeline.NamesAnalyzer{}
-	pipeline.RunSlice(pipeline.Config{}, campus.Ops, names)
-	rep := names.ReportAt(campus.Days * workload.Day)
+	pipeline.RunSlice(pipeline.Config{}, campus, names)
+	rep := names.ReportAt(testScale().Days * workload.Day)
 	// Locks dominate created-and-deleted files (paper 96%).
 	if rep.LockFracOfDeleted < 0.8 {
 		t.Errorf("locks %.2f of deleted files, want ≈0.96", rep.LockFracOfDeleted)
@@ -212,15 +214,15 @@ func TestShapeNamePrediction(t *testing.T) {
 }
 
 func TestShapeHierarchyCoverage(t *testing.T) {
-	campus, _ := traces(t)
-	if cov := addAll(analysis.NewHierarchyCoverage(600), campus.Ops).Coverage(); cov < 0.95 {
+	campus, _ := traceOps(t)
+	if cov := addAll(analysis.NewHierarchyCoverage(600), campus).Coverage(); cov < 0.95 {
 		t.Errorf("hierarchy coverage %.3f, want ≈1", cov)
 	}
 }
 
 func TestShapeDiurnalVariance(t *testing.T) {
-	campus, _ := traces(t)
-	h := addAll(analysis.NewHourly(campus.Days*workload.Day), campus.Ops)
+	campus, _ := traceOps(t)
+	h := addAll(analysis.NewHourly(testScale().Days*workload.Day), campus)
 	all := h.VarianceTable(false)
 	peak := h.VarianceTable(true)
 	for i := range all {
@@ -251,7 +253,7 @@ func TestShapeLossExperiment(t *testing.T) {
 		t.Error("loss occurred but the estimate is zero")
 	}
 	clean := GenerateCampus(s)
-	if len(lossy.Ops) >= len(clean.Ops) {
+	if lossy.Stats.Ops >= clean.Stats.Ops {
 		t.Error("lossy trace recovered as many ops as the clean one")
 	}
 }
