@@ -24,7 +24,7 @@ import (
 var (
 	anonScale = Scale{CampusUsers: 4, EECSClients: 2, Days: 1, Seed: 20011021}
 	anonSeeds = []int64{7, 42, 2003}
-	anonKinds = []string{"summary", "runs", "blocklife", "hourly", "names", "hierarchy", "reorder"}
+	anonKinds = jobspec.Kinds()
 )
 
 // analyzeAll renders every -analysis kind over a text trace as

@@ -190,11 +190,10 @@ func fnvName(s string) uint64 {
 // TestTablesByteIdenticalAcrossWorkers).
 func BenchmarkPipelineWorkers(b *testing.B) {
 	campus := benchOps(b)
-	days := benchScale().Days
 	newSet := func() []pipeline.Analyzer {
 		return []pipeline.Analyzer{
-			&pipeline.SummaryAnalyzer{Days: days},
-			&pipeline.HourlyAnalyzer{Span: days * workload.Day},
+			&pipeline.SummaryAnalyzer{},
+			&pipeline.HourlyAnalyzer{},
 			&pipeline.RunsAnalyzer{Config: analysis.RunConfig{
 				ReorderWindow: 0.010, IdleGap: 30, JumpBlocks: 1}},
 			&pipeline.RunsAnalyzer{Config: analysis.DefaultRunConfig(10)},
@@ -391,7 +390,7 @@ func BenchmarkHourly(b *testing.B) {
 	span := benchScale().Days * workload.Day
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		addAll(analysis.NewHourly(span), campus)
+		addAll(analysis.NewHourlyOpen(), campus).FixedTo(span)
 	}
 	b.SetBytes(int64(len(campus)))
 }

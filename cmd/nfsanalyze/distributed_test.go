@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/jobspec"
 )
 
 // splitQuiescent cuts the trace file into n pieces at quiescent
@@ -98,7 +99,7 @@ func splitQuiescent(t *testing.T, path string, n int, dir string, gz bool) []str
 	return paths
 }
 
-var allKinds = []string{"summary", "runs", "blocklife", "hourly", "names", "hierarchy", "reorder"}
+var allKinds = jobspec.Kinds()
 
 // seqKinds are the order-dependent analyses: their states only compose
 // as a resume chain, never as an independent merge.

@@ -9,9 +9,10 @@
 // a read-ahead goroutine of its own, calls and replies are joined
 // incrementally, and the analysis reducers run across -workers shards.
 // Memory depends on the reducer, not the record count: summary,
-// hierarchy, and names hold per-file or constant-size state, blocklife
-// holds live-block state, while runs and reorder accumulate one entry
-// per data access (run detection needs each file's full access list).
+// hierarchy, names, peak and mailbox hold per-file or constant-size
+// state, blocklife holds live-block state, while runs and reorder
+// accumulate one entry per data access (run detection needs each
+// file's full access list).
 //
 // Every analysis can also run distributed. -partial serializes the
 // reducers' mid-stream state to a file instead of rendering tables;
@@ -79,8 +80,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("nfsanalyze", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	in := fs.String("i", "", "input trace (default stdin; positional args add files, globs, directories)")
-	kind := fs.String("analysis", "summary",
-		"analysis: summary, runs, blocklife, hourly, names, hierarchy, reorder")
+	kind := fs.String("analysis", "summary", "analysis: "+strings.Join(jobspec.Kinds(), ", "))
 	window := fs.Float64("window", 10, "reorder window in ms (runs)")
 	jump := fs.Int64("k", 10, "jump tolerance in blocks (runs)")
 	start := fs.Float64("start", 0, "blocklife phase-1 start (seconds)")

@@ -33,9 +33,7 @@ func smokeTrace(t *testing.T, dir string) (string, []byte) {
 
 func TestRunEveryAnalysis(t *testing.T) {
 	path, _ := smokeTrace(t, t.TempDir())
-	for _, analysis := range []string{
-		"summary", "runs", "blocklife", "hourly", "names", "hierarchy", "reorder",
-	} {
+	for _, analysis := range allKinds {
 		var out, errb bytes.Buffer
 		err := run([]string{"-i", path, "-analysis", analysis, "-workers", "2", "-decoders", "2"}, &out, &errb)
 		if err != nil {

@@ -19,11 +19,11 @@ func monitor(t *testing.T, records []*core.Record) string {
 	if err := core.WriteAll(&text, records); err != nil {
 		t.Fatal(err)
 	}
-	analyzers, err := buildAnalyzers("peak,mailbox")
+	sets, err := analysisSets("peak,mailbox")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := newDaemon(pipeline.Config{Workers: 2}, 60, 60, 5, false, analyzers)
+	d := newDaemon(pipeline.Config{Workers: 2}, 60, 60, 5, false, sets)
 	defer d.lv.Abort()
 	if err := d.ingestLoop(func() (core.RecordSource, error) {
 		return core.NewReadAhead(bytes.NewReader(text.Bytes()))

@@ -11,11 +11,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/jobspec"
 	"repro/internal/pipeline"
 	"repro/internal/window"
-	"repro/internal/workload"
 )
 
 // daemon owns the live engine and everything the endpoints read. The
@@ -28,6 +27,10 @@ type daemon struct {
 	j    *pipeline.Joiner
 	lv   *pipeline.Live
 	ring *window.Ring
+	// sets are the served analyses, summary first; each one's analyzer
+	// is registered in this order, so a snapshot's i'th analyzer is
+	// sets[i]'s fork.
+	sets []*jobspec.Set
 
 	slide  int
 	rebase bool
@@ -50,11 +53,16 @@ type daemon struct {
 	opsBuf []*core.Op
 }
 
-func newDaemon(cfg pipeline.Config, width float64, keep, slide int, rebase bool, analyzers []pipeline.Analyzer) *daemon {
+func newDaemon(cfg pipeline.Config, width float64, keep, slide int, rebase bool, sets []*jobspec.Set) *daemon {
+	var analyzers []pipeline.Analyzer
+	for _, set := range sets {
+		analyzers = append(analyzers, set.Analyzers...)
+	}
 	return &daemon{
 		j:       pipeline.NewPushJoiner(),
 		lv:      pipeline.NewLive(cfg, analyzers...),
 		ring:    window.NewRing(width, keep),
+		sets:    sets,
 		slide:   slide,
 		rebase:  rebase,
 		started: time.Now(),
@@ -123,14 +131,6 @@ func (d *daemon) drain() {
 	d.drained = true
 }
 
-// joinStats reports the join statistics as if the stream ended now.
-func (d *daemon) joinStats() core.JoinStats {
-	if d.drained {
-		return d.j.Stats()
-	}
-	return d.j.StatsIfDrained()
-}
-
 // report takes a barrier-consistent snapshot and finishes it as if the
 // stream had ended at this instant: the fork is fed the joiner's
 // pending operations (non-destructively), so its results match a batch
@@ -144,11 +144,11 @@ func (d *daemon) report() (*pipeline.Snapshot, core.JoinStats, pipeline.Stats, e
 		d.mu.Unlock()
 		return nil, core.JoinStats{}, pipeline.Stats{}, err
 	}
-	var pend []*core.Op
+	// The join statistics as if the stream ended now.
+	pend, join := []*core.Op(nil), d.j.Stats()
 	if !d.drained {
-		pend = d.j.PendingOps()
+		pend, join = d.j.PendingOps(), d.j.StatsIfDrained()
 	}
-	join := d.joinStats()
 	t1 := time.Now()
 	d.mu.Unlock()
 
@@ -163,7 +163,7 @@ func (d *daemon) report() (*pipeline.Snapshot, core.JoinStats, pipeline.Stats, e
 }
 
 // finalize drains any remaining joiner state and prints the closing
-// summary, mirroring nfsanalyze's batch output.
+// summary through the summary kind's printer, as nfsanalyze does.
 func (d *daemon) finalize(w io.Writer) {
 	d.mu.Lock()
 	d.drain()
@@ -173,29 +173,7 @@ func (d *daemon) finalize(w io.Writer) {
 		fmt.Fprintf(w, "nfsmond: final report: %v\n", err)
 		return
 	}
-	if sum := findSummary(snap); sum != nil {
-		sum.Result.Days = daysOf(stats)
-		fmt.Fprintln(w, sum.Result)
-	}
-	fmt.Fprintf(w, "join: %d calls, %d replies, %d unmatched calls, %d orphan replies (loss est %.2f%%)\n",
-		join.Calls, join.Replies, join.UnmatchedCalls, join.OrphanReplies, 100*join.LossEstimate())
-}
-
-func findSummary(snap *pipeline.Snapshot) *pipeline.SummaryAnalyzer {
-	for _, a := range snap.Analyzers {
-		if s, ok := a.(*pipeline.SummaryAnalyzer); ok {
-			return s
-		}
-	}
-	return nil
-}
-
-func daysOf(stats pipeline.Stats) float64 {
-	days := stats.Span() / workload.Day
-	if days <= 0 {
-		days = 1.0 / 24
-	}
-	return days
+	d.sets[0].Print(w, snap.Analyzers[0], stats, join)
 }
 
 func (d *daemon) handler() http.Handler {
@@ -310,22 +288,6 @@ func (d *daemon) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "nfsmond_uptime_seconds %g\n", uptime)
 }
 
-// summaryJSON flattens a Summary for the wire.
-func summaryJSON(s *analysis.Summary) map[string]any {
-	return map[string]any{
-		"total_ops":     s.TotalOps,
-		"read_ops":      s.ReadOps,
-		"write_ops":     s.WriteOps,
-		"metadata_ops":  s.MetadataOps,
-		"bytes_read":    s.BytesRead,
-		"bytes_written": s.BytesWritten,
-		"rw_byte_ratio": s.ReadWriteByteRatio(),
-		"rw_op_ratio":   s.ReadWriteOpRatio(),
-		"metadata_frac": s.MetadataFraction(),
-		"proc_counts":   s.ProcCounts.ByName(),
-	}
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -339,13 +301,11 @@ func (d *daemon) serveSummary(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	sum := findSummary(snap)
-	sum.Result.Days = daysOf(stats)
 	writeJSON(w, map[string]any{
 		"ops":          stats.Ops,
 		"span_seconds": stats.Span(),
-		"days":         sum.Result.Days,
-		"summary":      summaryJSON(sum.Result),
+		"days":         jobspec.Days(stats),
+		"summary":      d.sets[0].JSON(snap.Analyzers[0]),
 		"join": map[string]any{
 			"calls":           join.Calls,
 			"replies":         join.Replies,
@@ -402,7 +362,7 @@ func (d *daemon) serveSliding(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{
 		"windows":       k,
 		"width_seconds": width,
-		"summary":       summaryJSON(sum),
+		"summary":       jobspec.SummaryJSON(sum),
 	})
 }
 
@@ -419,52 +379,8 @@ func (d *daemon) serveAnalyses(w http.ResponseWriter, r *http.Request) {
 		"span_seconds": stats.Span(),
 		"join_loss":    join.LossEstimate(),
 	}
-	for _, a := range snap.Analyzers {
-		switch a := a.(type) {
-		case *pipeline.SummaryAnalyzer:
-			a.Result.Days = daysOf(stats)
-			out["summary"] = summaryJSON(a.Result)
-		case *pipeline.HierarchyAnalyzer:
-			out["hierarchy"] = map[string]any{"coverage": a.Coverage}
-		case *pipeline.RunsAnalyzer:
-			tab := a.Table()
-			out["runs"] = map[string]any{
-				"total_runs":  tab.TotalRuns,
-				"read_pct":    tab.ReadPct,
-				"write_pct":   tab.WritePct,
-				"read_write":  tab.ReadWritePct,
-				"read_split":  tab.Read,
-				"write_split": tab.Write,
-				"rw_split":    tab.ReadWrite,
-			}
-		case *pipeline.BlockLifeAnalyzer:
-			res := a.Result
-			out["blocklife"] = map[string]any{
-				"births":       res.Births,
-				"deaths":       res.Deaths,
-				"end_surplus":  res.EndSurplusPct(),
-				"lifetime_p50": res.Lifetimes.Percentile(50),
-				"lifetime_p90": res.Lifetimes.Percentile(90),
-			}
-		case *pipeline.ReorderSweepAnalyzer:
-			out["reorder"] = a.Result
-		case *pipeline.PeakHourAnalyzer:
-			out["peak"] = map[string]any{
-				"instances": a.Result.Instances,
-				"locks":     a.Result.Locks,
-				"mailboxes": a.Result.Mailboxes,
-			}
-		case *pipeline.MailboxAnalyzer:
-			frac := 0.0
-			if a.TotalBytes > 0 {
-				frac = float64(a.MailboxBytes) / float64(a.TotalBytes)
-			}
-			out["mailbox"] = map[string]any{
-				"mailbox_bytes": a.MailboxBytes,
-				"total_bytes":   a.TotalBytes,
-				"fraction":      frac,
-			}
-		}
+	for i, set := range d.sets {
+		out[set.Spec.Kind] = set.JSON(snap.Analyzers[i])
 	}
 	writeJSON(w, out)
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/cutgolden"
 	"repro/internal/workload"
 )
 
@@ -82,7 +83,19 @@ func (d *testDaemon) shutdown(t *testing.T) string {
 
 // TestDaemonReadsEveryFormat feeds one generated trace as text, binary
 // and gzip-compressed text: -i reads all three, as nfsanalyze does, and
-// each gives the same drained /api/analyses body and final report.
+// each gives the same drained /api/analyses body and final report. The
+// text form's bodies and report are also pinned in absolute terms by
+// goldens in testdata, cut with the binary of commit b563859, before
+// the analysis kinds moved into internal/jobspec:
+//
+//	nfsmond -i t.trace -analyses all -workers 2
+//	curl /api/analyses > analyses.golden
+//	curl /api/summary > summary.golden
+//	curl '/api/sliding?k=2' > sliding.golden
+//	stdout at shutdown > report.golden
+//
+// A missing golden is written and the test fails, so delete one and run
+// the test once to cut it again.
 func TestDaemonReadsEveryFormat(t *testing.T) {
 	sink := &client.SliceSink{}
 	workload.NewCampus(workload.DefaultCampusConfig(4, 1.5, 20011021), sink).Run()
@@ -115,11 +128,17 @@ func TestDaemonReadsEveryFormat(t *testing.T) {
 		if err := os.WriteFile(path, form.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		d := startDaemon(t, "-i", path, "-analyses", "all")
+		d := startDaemon(t, "-i", path, "-analyses", "all", "-workers", "2")
 		d.waitDrained(t)
 		body := httpGet(t, d.base+"/api/analyses")
+		summary := httpGet(t, d.base+"/api/summary")
+		sliding := httpGet(t, d.base+"/api/sliding?k=2")
 		report := d.shutdown(t)
 		if i == 0 {
+			for name, got := range map[string]string{"analyses": body, "summary": summary,
+				"sliding": sliding, "report": report} {
+				cutgolden.Check(t, filepath.Join("testdata", name+".golden"), got)
+			}
 			var got struct{ Ops int64 }
 			if err := json.Unmarshal([]byte(body), &got); err != nil || got.Ops == 0 {
 				t.Fatalf("%s: /api/analyses has no ops (%v):\n%s", form.name, err, body)

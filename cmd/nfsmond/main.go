@@ -21,6 +21,14 @@
 // goroutine that hands over every record as soon as it is decoded, so
 // a live feed is never held back. -follow tails text only.
 //
+// Analyses come from the one catalog in internal/jobspec that
+// nfsanalyze -analysis reads, with the same configurations and the
+// same tables. -analyses names any of the kinds that have a JSON form
+// — summary, hierarchy, runs, blocklife, reorder, peak (file instances
+// of trace hours 9–17 of the first day) and mailbox — or all of them
+// with "all"; summary is always maintained. hourly and names have no
+// JSON form and are refused.
+//
 // Endpoints:
 //
 //	/metrics       Prometheus-style text: per-procedure op counters,
@@ -47,15 +55,15 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/jobspec"
 	"repro/internal/pipeline"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -100,7 +108,8 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) error {
 	fs.IntVar(&cfg.slide, "slide", 5, "default k for the sliding view")
 	fs.BoolVar(&cfg.rebase, "rebase", false, "rebase record times to the first record (for wall-clock feeds into time-anchored analyses)")
 	fs.StringVar(&cfg.analyses, "analyses", "summary,hierarchy",
-		"comma-separated analyzers to maintain: summary, hierarchy, runs, blocklife, reorder, peak, mailbox, all (runs/reorder state grows with the stream)")
+		"comma-separated analyses to maintain: "+strings.Join(jobspec.JSONKinds(), ", ")+
+			", or all for every one of them (runs/reorder state grows with the stream)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return nil
@@ -112,11 +121,11 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) error {
 		return errUsage
 	}
 
-	analyzers, err := buildAnalyzers(cfg.analyses)
+	sets, err := analysisSets(cfg.analyses)
 	if err != nil {
 		return err
 	}
-	d := newDaemon(pipeline.Config{Workers: cfg.workers}, cfg.width, cfg.keep, cfg.slide, cfg.rebase, analyzers)
+	d := newDaemon(pipeline.Config{Workers: cfg.workers}, cfg.width, cfg.keep, cfg.slide, cfg.rebase, sets)
 
 	// Bind before ingest starts so the daemon is scrapeable from the
 	// first record.
@@ -229,49 +238,30 @@ func (in *readAheadInput) stop() {
 	in.f.Close()
 }
 
-// buildAnalyzers resolves the -analyses list. Summary is always first:
-// the windows/summary endpoints and Days fix-up key off it.
-func buildAnalyzers(list string) ([]pipeline.Analyzer, error) {
+// analysisSets resolves the -analyses list into the catalog kinds
+// nfsmond serves, in catalog order. Summary is always first: the
+// summary endpoint and the final report read it.
+func analysisSets(list string) ([]*jobspec.Set, error) {
+	served := jobspec.JSONKinds()
 	if list == "all" {
-		list = "summary,hierarchy,runs,blocklife,reorder,peak,mailbox"
+		list = strings.Join(served, ",")
 	}
-	picked := map[string]bool{}
+	picked := map[string]bool{"summary": true}
 	for _, name := range strings.Split(list, ",") {
-		name = strings.TrimSpace(name)
-		if name != "" {
-			picked[name] = true
+		if name = strings.TrimSpace(name); name != "" && !slices.Contains(served, name) {
+			return nil, fmt.Errorf("unknown analysis %q: nfsmond serves %s, or all", name, strings.Join(served, ", "))
+		}
+		picked[name] = true
+	}
+	var sets []*jobspec.Set
+	for _, k := range served {
+		if picked[k] {
+			set, err := jobspec.Build(jobspec.Default(k))
+			if err != nil {
+				return nil, err
+			}
+			sets = append(sets, set)
 		}
 	}
-	picked["summary"] = true
-	out := []pipeline.Analyzer{&pipeline.SummaryAnalyzer{}}
-	delete(picked, "summary")
-	for name := range picked {
-		switch name {
-		case "hierarchy", "runs", "blocklife", "reorder", "peak", "mailbox":
-		default:
-			return nil, fmt.Errorf("unknown analysis %q", name)
-		}
-	}
-	// Deterministic registration order regardless of flag order.
-	for _, name := range []string{"hierarchy", "runs", "blocklife", "reorder", "peak", "mailbox"} {
-		if !picked[name] {
-			continue
-		}
-		switch name {
-		case "hierarchy":
-			out = append(out, &pipeline.HierarchyAnalyzer{Warmup: 600})
-		case "runs":
-			out = append(out, &pipeline.RunsAnalyzer{Config: analysis.RunConfig{
-				ReorderWindow: 0.01, IdleGap: 30, JumpBlocks: 10}})
-		case "blocklife":
-			out = append(out, &pipeline.BlockLifeAnalyzer{Phase: workload.Day, Margin: workload.Day})
-		case "reorder":
-			out = append(out, &pipeline.ReorderSweepAnalyzer{WindowsMS: []float64{0, 1, 2, 5, 10, 20, 50}})
-		case "peak":
-			out = append(out, &pipeline.PeakHourAnalyzer{From: 9 * workload.Hour, To: 17 * workload.Hour})
-		case "mailbox":
-			out = append(out, &pipeline.MailboxAnalyzer{})
-		}
-	}
-	return out, nil
+	return sets, nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/jobspec"
 )
 
 // writeBurst appends n call/reply pairs to path, xids [from, from+n).
@@ -311,23 +313,36 @@ func TestDaemonStaticInput(t *testing.T) {
 	}
 }
 
-func TestBuildAnalyzersRejectsUnknown(t *testing.T) {
-	if _, err := buildAnalyzers("summary,bogus"); err == nil {
-		t.Fatal("expected error for unknown analysis")
+// TestAnalysisSets: -analyses takes the catalog kinds with a JSON form
+// and all, always serves summary first, keeps catalog order whatever
+// the flag's order, and refuses an unknown kind and one without a JSON
+// form with an error that names the kinds it serves.
+func TestAnalysisSets(t *testing.T) {
+	kinds := func(list string) []string {
+		t.Helper()
+		sets, err := analysisSets(list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, s := range sets {
+			out = append(out, s.Spec.Kind)
+		}
+		return out
 	}
-	as, err := buildAnalyzers("all")
-	if err != nil {
-		t.Fatal(err)
+	if got, want := kinds("all"), jobspec.JSONKinds(); !slices.Equal(got, want) {
+		t.Fatalf("all = %v, want %v", got, want)
 	}
-	if len(as) != 7 {
-		t.Fatalf("all = %d analyzers, want 7", len(as))
+	if got := kinds("all"); !slices.Equal(got, []string{"summary", "hierarchy", "runs", "blocklife", "reorder", "peak", "mailbox"}) {
+		t.Fatalf("all = %v, want the seven served kinds in registration order", got)
 	}
-	// Summary is always first even when not named.
-	as, err = buildAnalyzers("hierarchy")
-	if err != nil {
-		t.Fatal(err)
+	if got := kinds("mailbox, hierarchy"); !slices.Equal(got, []string{"summary", "hierarchy", "mailbox"}) {
+		t.Fatalf("mailbox,hierarchy = %v, want summary first, then catalog order", got)
 	}
-	if len(as) != 2 {
-		t.Fatalf("got %d analyzers, want summary+hierarchy", len(as))
+	for _, bad := range []string{"summary,bogus", "hourly", "names"} {
+		_, err := analysisSets(bad)
+		if err == nil || !strings.Contains(err.Error(), "nfsmond serves "+strings.Join(jobspec.JSONKinds(), ", ")) {
+			t.Fatalf("%s: error %v does not name the served kinds", bad, err)
+		}
 	}
 }

@@ -63,12 +63,13 @@ func main() {
 	// Cross-array analysis over the merged stream: the streaming joiner
 	// feeds the sharded engine directly.
 	joiner := pipeline.NewJoiner(&core.SliceSource{Records: merged})
-	sum := &pipeline.SummaryAnalyzer{Days: 1.5}
+	sum := &pipeline.SummaryAnalyzer{}
 	run, err := pipeline.Run(pipeline.Config{}, joiner, sum)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("joined %d operations (%d calls matched)\n", run.Ops, joiner.Stats().Matched)
+	sum.Result.Days = 1.5
 	fmt.Printf("both arrays: %s\n\n", sum.Result)
 
 	// The per-array view survives the merge: records carry the virtual

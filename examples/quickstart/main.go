@@ -22,7 +22,7 @@ func main() {
 
 	// One pass of the sharded engine feeds all three reducers, straight
 	// from the streaming call/reply joiner.
-	sum := &pipeline.SummaryAnalyzer{Days: scale.Days}
+	sum := &pipeline.SummaryAnalyzer{}
 	// Run detection with the paper's 10ms reorder window.
 	runs := &pipeline.RunsAnalyzer{Config: analysis.DefaultRunConfig(10)}
 	// Block lifetimes over the Monday window.
@@ -36,7 +36,8 @@ func main() {
 	fmt.Printf("  %d records, %d operations (%d calls matched to replies)\n\n",
 		len(records), stats.Ops, joiner.Stats().Matched)
 
-	// Table-2-style summary.
+	// Table-2-style summary, its per-day rates over the generated days.
+	sum.Result.Days = scale.Days
 	fmt.Printf("daily activity: %s\n\n", sum.Result)
 
 	// The workload's signature: almost everything is email. TopProcs is

@@ -81,7 +81,7 @@ func newAnalyses(days, reorderMS float64) *analyses {
 	}
 	return &analyses{
 		days:    days,
-		summary: &pipeline.SummaryAnalyzer{Days: days},
+		summary: &pipeline.SummaryAnalyzer{},
 		peakHour: &pipeline.PeakHourAnalyzer{
 			From: workload.Day + 10*workload.Hour,
 			To:   workload.Day + 11*workload.Hour,
@@ -92,7 +92,7 @@ func newAnalyses(days, reorderMS float64) *analyses {
 		rawRuns: &pipeline.RunsAnalyzer{Config: analysis.RunConfig{
 			ReorderWindow: reorderMS / 1000, IdleGap: 30, JumpBlocks: 1}},
 		runs:      &pipeline.RunsAnalyzer{Config: analysis.DefaultRunConfig(reorderMS)},
-		hourly:    &pipeline.HourlyAnalyzer{Span: days * workload.Day},
+		hourly:    &pipeline.HourlyAnalyzer{},
 		names:     &pipeline.NamesAnalyzer{},
 		hierarchy: &pipeline.HierarchyAnalyzer{Warmup: 10 * 60},
 	}
@@ -122,6 +122,7 @@ type results struct {
 
 // results reads the finished analyzers, and swept is Figure 1's sweep.
 func (a *analyses) results(swept []analysis.ReorderSweepPoint) results {
+	a.summary.Result.Days = a.days
 	return results{
 		summary:       a.summary.Result,
 		peakHour:      a.peakHour.Result,
@@ -133,7 +134,7 @@ func (a *analyses) results(swept []analysis.ReorderSweepPoint) results {
 		runs:          a.runs.Table(),
 		sizes:         analysis.SizeProfile(a.runs.Result),
 		sequentiality: analysis.SequentialityProfile(a.runs.Result),
-		hourly:        a.hourly.Result,
+		hourly:        a.hourly.Result.FixedTo(a.days * workload.Day),
 		swept:         swept,
 		names:         a.names.ReportAt(a.days * workload.Day),
 		coverage:      a.hierarchy.Coverage,

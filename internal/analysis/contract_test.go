@@ -49,7 +49,7 @@ func hourlyRows(h *analysis.HourlySeries, span float64) string {
 
 var contractCases = []contractCase{
 	{"summary", false,
-		func(float64) pipeline.Analyzer { return &pipeline.SummaryAnalyzer{Days: 1} },
+		func(float64) pipeline.Analyzer { return &pipeline.SummaryAnalyzer{} },
 		func(a pipeline.Analyzer, _ pipeline.Stats) string {
 			return fmt.Sprintf("%+v", *a.(*pipeline.SummaryAnalyzer).Result)
 		}},
@@ -58,11 +58,12 @@ var contractCases = []contractCase{
 		func(a pipeline.Analyzer, st pipeline.Stats) string {
 			return hourlyRows(a.(*pipeline.HourlyAnalyzer).Result, st.MaxT+1)
 		}},
+	// Folded to the stream's span, as nfsanalyze renders it: the hours
+	// past it are clamped into the last bucket.
 	{"hourly-fixed", false,
-		func(span float64) pipeline.Analyzer { return &pipeline.HourlyAnalyzer{Span: span} },
-		func(a pipeline.Analyzer, _ pipeline.Stats) string {
-			h := a.(*pipeline.HourlyAnalyzer)
-			return hourlyRows(h.Result, h.Span)
+		func(float64) pipeline.Analyzer { return &pipeline.HourlyAnalyzer{} },
+		func(a pipeline.Analyzer, st pipeline.Stats) string {
+			return hourlyRows(a.(*pipeline.HourlyAnalyzer).Result, st.Span())
 		}},
 	{"runs", false,
 		func(float64) pipeline.Analyzer {

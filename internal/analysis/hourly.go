@@ -11,7 +11,6 @@ import (
 
 // HourlySeries holds per-hour accumulations over the window.
 type HourlySeries struct {
-	Span       float64 // window length in seconds
 	Ops        *stats.TimeBuckets
 	ReadOps    *stats.TimeBuckets
 	WriteOps   *stats.TimeBuckets
@@ -19,21 +18,9 @@ type HourlySeries struct {
 	BytesWrite *stats.TimeBuckets
 }
 
-// NewHourly returns an empty per-hour accumulator over [0, span).
-func NewHourly(span float64) *HourlySeries {
-	return &HourlySeries{
-		Span:       span,
-		Ops:        stats.NewTimeBuckets(span, 3600),
-		ReadOps:    stats.NewTimeBuckets(span, 3600),
-		WriteOps:   stats.NewTimeBuckets(span, 3600),
-		BytesRead:  stats.NewTimeBuckets(span, 3600),
-		BytesWrite: stats.NewTimeBuckets(span, 3600),
-	}
-}
-
 // NewHourlyOpen returns a per-hour accumulator whose buckets grow on
-// demand — for incremental runs where the window span isn't known up
-// front. Convert with FixedTo once the span is known.
+// demand, since the window span is only known once the stream ends.
+// Convert with FixedTo then.
 func NewHourlyOpen() *HourlySeries {
 	return &HourlySeries{
 		Ops:        stats.NewOpenTimeBuckets(3600),
@@ -44,13 +31,11 @@ func NewHourlyOpen() *HourlySeries {
 	}
 }
 
-// FixedTo folds an open series into the fixed form over [0, span) —
-// identical to what NewHourly(span) would have accumulated, because
-// buckets are anchored at t=0 either way and the fixed form clamps
-// out-of-range hours into the last bucket.
+// FixedTo folds an open series into the fixed form over [0, span):
+// buckets are anchored at t=0, and hours past the span are clamped into
+// the last bucket.
 func (h *HourlySeries) FixedTo(span float64) *HourlySeries {
 	return &HourlySeries{
-		Span:       span,
 		Ops:        h.Ops.Fixed(span),
 		ReadOps:    h.ReadOps.Fixed(span),
 		WriteOps:   h.WriteOps.Fixed(span),

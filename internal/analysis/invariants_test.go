@@ -217,7 +217,7 @@ func TestHourlyConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		ops := randomOps(seed, 400)
 		span := ops[len(ops)-1].T + 1
-		h := addAll(NewHourly(span), ops)
+		h := addAll(NewHourlyOpen(), ops).FixedTo(span)
 		var sum float64
 		for i := 0; i < h.Ops.NumBuckets(); i++ {
 			sum += h.Ops.Bucket(i)

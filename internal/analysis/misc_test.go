@@ -59,7 +59,7 @@ func TestHourlyAndVariance(t *testing.T) {
 			}
 		}
 	}
-	h := addAll(NewHourly(7*day), ops)
+	h := addAll(NewHourlyOpen(), ops).FixedTo(7 * day)
 	if h.Ops.NumBuckets() != 168 {
 		t.Fatalf("buckets %d", h.Ops.NumBuckets())
 	}

@@ -53,7 +53,7 @@ func TestQuietPeriods(t *testing.T) {
 			}
 		}
 	}
-	h := addAll(NewHourly(7*day), ops)
+	h := addAll(NewHourlyOpen(), ops).FixedTo(7 * day)
 	ps := QuietPeriods(h, 0.1, 6)
 	if len(ps) == 0 {
 		t.Fatal("no quiet periods in a workload with dead nights")
@@ -79,7 +79,7 @@ func TestQuietPeriodsNoneWhenFlat(t *testing.T) {
 			ops = append(ops, &core.Op{T: float64(h)*3600 + float64(i)})
 		}
 	}
-	h := addAll(NewHourly(168*3600), ops)
+	h := addAll(NewHourlyOpen(), ops).FixedTo(168 * 3600)
 	if ps := QuietPeriods(h, 0.5, 3); len(ps) != 0 {
 		t.Fatalf("flat load yielded quiet periods: %+v", ps)
 	}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -19,7 +20,7 @@ import (
 	"repro/internal/pipeline"
 )
 
-var allKinds = []string{"summary", "runs", "blocklife", "hourly", "names", "hierarchy", "reorder"}
+var allKinds = Kinds()
 
 var seqKinds = map[string]bool{"blocklife": true, "hierarchy": true, "names": true}
 
@@ -29,7 +30,7 @@ func TestBuildEveryKind(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		if len(set.Analyzers) == 0 || set.Render == nil {
+		if len(set.Analyzers) != 1 {
 			t.Fatalf("%s: incomplete set", kind)
 		}
 		if set.Sequential() != seqKinds[kind] {
@@ -105,18 +106,26 @@ func TestRunFilesResumeChains(t *testing.T) {
 // the state RunTask returns for the same file (a loadable state file
 // with the right label and no parent link) — and checks each prints its
 // table and that the two renderings are byte-identical, which is the
-// promise every nfsanalyze mode rests on.
+// promise every nfsanalyze mode rests on. Exactly the JSONKinds have a
+// JSON form.
 func TestRenderEveryKind(t *testing.T) {
 	path := writeTrace(t, t.TempDir())
-	for _, tc := range []struct{ kind, want string }{
-		{"summary", "join: "},
-		{"runs", "runs="},
-		{"blocklife", "births="},
-		{"hourly", "peak hours:"},
-		{"names", "lifetime prediction"},
-		{"hierarchy", "hierarchy coverage after 10min warmup: "},
-		{"reorder", "window    50ms: "},
-	} {
+	wants := map[string]string{
+		"summary":   "join: ",
+		"runs":      "runs=",
+		"blocklife": "births=",
+		"hourly":    "peak hours:",
+		"names":     "lifetime prediction",
+		"hierarchy": "hierarchy coverage after 10min warmup: ",
+		"reorder":   "window    50ms: ",
+		"peak":      "file instances in hours 9-17: ",
+		"mailbox":   "mailbox bytes ",
+	}
+	for _, kind := range allKinds {
+		tc := struct{ kind, want string }{kind, wants[kind]}
+		if tc.want == "" {
+			t.Fatalf("%s: no expected text", kind)
+		}
 		spec := Default(tc.kind)
 		direct, err := Build(spec)
 		if err != nil {
@@ -133,6 +142,9 @@ func TestRenderEveryKind(t *testing.T) {
 		}
 		var want bytes.Buffer
 		direct.Render(&want, lv.Finish(), join)
+		if hasJSON := direct.JSON(direct.Analyzers[0]) != nil; hasJSON != slices.Contains(JSONKinds(), kind) {
+			t.Fatalf("%s: JSON form %v, listed in JSONKinds %v", kind, hasJSON, !hasJSON)
+		}
 		if !strings.Contains(want.String(), tc.want) {
 			t.Fatalf("%s: rendering lacks %q:\n%s", tc.kind, tc.want, want.String())
 		}

@@ -148,11 +148,9 @@ func (s *sharded[R]) decodeState(c *state.Codec) {
 func IsSequential(a Analyzer) bool { return a.adapter().sequential() }
 
 // SummaryAnalyzer computes the analysis.Summary of the stream
-// (Tables 1 and 2).
+// (Tables 1 and 2). The per-day averages divide by Result.Days, which
+// the caller sets after the run, once the span is known.
 type SummaryAnalyzer struct {
-	// Days scales per-day averages; it may also be set on the Result
-	// after the run when the span is only known then.
-	Days float64
 	// Result is valid after the run.
 	Result *analysis.Summary
 
@@ -161,18 +159,15 @@ type SummaryAnalyzer struct {
 
 func (a *SummaryAnalyzer) adapter() adapter {
 	return bind(&a.sh, "summary", false,
-		func() *analysis.Summary { return analysis.NewSummary(a.Days) },
+		func() *analysis.Summary { return analysis.NewSummary(0) },
 		func(s *analysis.Summary) { a.Result = s },
-		func() Analyzer { return &SummaryAnalyzer{Days: a.Days} })
+		func() Analyzer { return &SummaryAnalyzer{} })
 }
 
-// HourlyAnalyzer buckets the stream by hour (Table 5,
-// Figure 4). Span > 0 fixes the hour buckets at construction; Span == 0
-// accumulates open-ended buckets — fold the Result with FixedTo once
-// the span is known (it is identical to having fixed it up front,
-// because buckets anchor at t=0 either way).
+// HourlyAnalyzer buckets the stream by hour (Table 5, Figure 4). It
+// accumulates open-ended buckets: fold the Result with FixedTo once the
+// span is known.
 type HourlyAnalyzer struct {
-	Span float64
 	// Result is valid after the run.
 	Result *analysis.HourlySeries
 
@@ -181,14 +176,9 @@ type HourlyAnalyzer struct {
 
 func (a *HourlyAnalyzer) adapter() adapter {
 	return bind(&a.sh, "hourly", false,
-		func() *analysis.HourlySeries {
-			if a.Span > 0 {
-				return analysis.NewHourly(a.Span)
-			}
-			return analysis.NewHourlyOpen()
-		},
+		analysis.NewHourlyOpen,
 		func(h *analysis.HourlySeries) { a.Result = h },
-		func() Analyzer { return &HourlyAnalyzer{Span: a.Span} })
+		func() Analyzer { return &HourlyAnalyzer{} })
 }
 
 // RunsAnalyzer detects access runs (Table 3, Figures 2 and 5). Runs

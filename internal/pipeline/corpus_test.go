@@ -30,7 +30,7 @@ var update = flag.Bool("update", false, "rewrite the state corpus in testdata/st
 
 const corpusDir = "testdata/state/v2"
 
-var corpusKinds = []string{"summary", "runs", "blocklife", "hierarchy", "reorder", "hourly", "names"}
+var corpusKinds = jobspec.Kinds()
 
 // corpusRecords is the fixed tiny trace every corpus state was written from.
 func corpusRecords() []*core.Record {

@@ -55,8 +55,8 @@ var sweepWindows = []float64{0, 1, 5, 10, 50}
 
 func newAnalyzerSet(span float64) *analyzerSet {
 	return &analyzerSet{
-		summary:   &SummaryAnalyzer{Days: span / workload.Day},
-		hourly:    &HourlyAnalyzer{Span: span},
+		summary:   &SummaryAnalyzer{},
+		hourly:    &HourlyAnalyzer{},
 		rawRuns:   &RunsAnalyzer{Config: analysis.RunConfig{IdleGap: 30, JumpBlocks: 1}},
 		procRuns:  &RunsAnalyzer{Config: analysis.DefaultRunConfig(10)},
 		blockLife: &BlockLifeAnalyzer{Start: 0, Phase: span / 2, Margin: span / 2},
@@ -84,7 +84,7 @@ func TestShardMergeMatchesSequential(t *testing.T) {
 	days := span / workload.Day
 
 	wantSummary := addAll(analysis.NewSummary(days), ops)
-	wantHourly := addAll(analysis.NewHourly(span), ops)
+	wantHourly := addAll(analysis.NewHourlyOpen(), ops).FixedTo(span)
 	wantRaw := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.RunConfig{IdleGap: 30, JumpBlocks: 1}), ops).Runs())
 	wantProcRuns := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), ops).Runs()
 	wantProc := analysis.Tabulate(wantProcRuns)
@@ -101,8 +101,8 @@ func TestShardMergeMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		for _, batch := range []int{0, 7} {
 			set := newAnalyzerSet(span)
-			set.summary.Days = days
 			stats := RunSlice(Config{Workers: workers, BatchSize: batch}, ops, set.analyzers()...)
+			set.summary.Result.Days = days
 
 			if stats.Ops != int64(len(ops)) {
 				t.Errorf("workers=%d: stats.Ops = %d, want %d", workers, stats.Ops, len(ops))
@@ -114,10 +114,11 @@ func TestShardMergeMatchesSequential(t *testing.T) {
 				t.Errorf("workers=%d batch=%d: summary mismatch:\n got %+v\nwant %+v",
 					workers, batch, set.summary.Result, wantSummary)
 			}
+			hourly := set.hourly.Result.FixedTo(span)
 			for i := 0; i < wantHourly.Ops.NumBuckets(); i++ {
-				if set.hourly.Result.Ops.Bucket(i) != wantHourly.Ops.Bucket(i) ||
-					set.hourly.Result.BytesRead.Bucket(i) != wantHourly.BytesRead.Bucket(i) ||
-					set.hourly.Result.BytesWrite.Bucket(i) != wantHourly.BytesWrite.Bucket(i) {
+				if hourly.Ops.Bucket(i) != wantHourly.Ops.Bucket(i) ||
+					hourly.BytesRead.Bucket(i) != wantHourly.BytesRead.Bucket(i) ||
+					hourly.BytesWrite.Bucket(i) != wantHourly.BytesWrite.Bucket(i) {
 					t.Fatalf("workers=%d: hourly bucket %d mismatch", workers, i)
 				}
 			}

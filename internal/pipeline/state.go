@@ -241,13 +241,14 @@ func MergePartials(analyzers []Analyzer, partials []*Partial) (Stats, core.JoinS
 	}
 	var stats Stats
 	var join core.JoinStats
-	for i, p := range sorted {
+	for _, p := range sorted {
 		if err := p.decodeInto(analyzers); err != nil {
 			return Stats{}, core.JoinStats{}, err
 		}
-		if i == 0 {
+		// A piece without operations has no times to widen the span with.
+		if stats.Ops == 0 {
 			stats = p.Stats
-		} else {
+		} else if p.Stats.Ops > 0 {
 			if p.Stats.MinT < stats.MinT {
 				stats.MinT = p.Stats.MinT
 			}

@@ -30,11 +30,15 @@ if [ "${#pieces[@]}" -lt 2 ]; then
     echo "FAIL: expected at least 2 pieces"; exit 1
 fi
 
-# summary and runs merge independent states; blocklife, hierarchy and
-# names are order-dependent and require a -resume chain — together they
-# cover both composition modes and every state layout that carries
-# per-file state across the router's name bindings.
-for analysis in summary runs blocklife hierarchy names; do
+# Every -analysis kind, read from nfsanalyze's help so that a new kind
+# is covered without editing this list. blocklife, hierarchy and names
+# are order-dependent and require a -resume chain; the rest merge
+# independently computed states.
+kinds=$("$workdir/nfsanalyze" -h 2>&1 | sed -n 's/^[[:space:]]*analysis: \(.*\) (default.*/\1/p' | tr -d ,)
+if [ -z "$kinds" ]; then
+    echo "FAIL: no analysis kinds in nfsanalyze -h"; exit 1
+fi
+for analysis in $kinds; do
     echo "== analysis: $analysis"
     "$workdir/nfsanalyze" -analysis "$analysis" -i "$workdir/campus.trace" \
         >"$workdir/single.$analysis" 2>/dev/null

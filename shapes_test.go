@@ -222,7 +222,7 @@ func TestShapeHierarchyCoverage(t *testing.T) {
 
 func TestShapeDiurnalVariance(t *testing.T) {
 	campus, _ := traceOps(t)
-	h := addAll(analysis.NewHourly(testScale().Days*workload.Day), campus)
+	h := addAll(analysis.NewHourlyOpen(), campus).FixedTo(testScale().Days * workload.Day)
 	all := h.VarianceTable(false)
 	peak := h.VarianceTable(true)
 	for i := range all {

@@ -34,7 +34,7 @@ type snapBundle struct {
 func newSnapBundle(span float64) *snapBundle {
 	return &snapBundle{
 		sum:    &pipeline.SummaryAnalyzer{},
-		hourly: &pipeline.HourlyAnalyzer{Span: span},
+		hourly: &pipeline.HourlyAnalyzer{},
 		runs:   &pipeline.RunsAnalyzer{Config: analysis.DefaultRunConfig(10)},
 		bl:     &pipeline.BlockLifeAnalyzer{Start: 0, Phase: span / 2, Margin: span / 2},
 		sweep:  &pipeline.ReorderSweepAnalyzer{WindowsMS: []float64{0, 5, 10}},
@@ -51,9 +51,9 @@ func (b *snapBundle) list() []pipeline.Analyzer {
 // tables. The analyzers must be closed (post-Run or post-Finish).
 func renderAnalyses(analyzers []pipeline.Analyzer, join core.JoinStats, stats pipeline.Stats) string {
 	var sb strings.Builder
-	days := stats.Span() / workload.Day
+	days, span := stats.Span()/workload.Day, stats.Span()
 	if days <= 0 {
-		days = 1.0 / 24
+		days, span = 1.0/24, 3600
 	}
 	for _, a := range analyzers {
 		switch a := a.(type) {
@@ -63,8 +63,9 @@ func renderAnalyses(analyzers []pipeline.Analyzer, join core.JoinStats, stats pi
 			fmt.Fprintf(&sb, "join: %d calls, %d replies, %d unmatched calls, %d orphan replies (loss est %.2f%%)\n",
 				join.Calls, join.Replies, join.UnmatchedCalls, join.OrphanReplies, 100*join.LossEstimate())
 		case *pipeline.HourlyAnalyzer:
+			fixed := a.Result.FixedTo(span)
 			for _, peak := range []bool{false, true} {
-				for _, row := range a.Result.VarianceTable(peak) {
+				for _, row := range fixed.VarianceTable(peak) {
 					fmt.Fprintf(&sb, "  %-20s mean=%12.0f stddev=%5.0f%%\n", row.Name, row.Mean, 100*row.RelStddev)
 				}
 			}
