@@ -21,7 +21,7 @@ race-server: ## hammer the concurrent serving stack under -race (torture tests, 
 #   make bench BENCH_COUNT=10 > new.txt && benchstat old.txt new.txt
 BENCH_COUNT ?= 5
 
-bench: ## run the pipeline scaling, run-finish, ingest, analysis, partial-state round-trip, dispatch-transport, wire-codec, loopback-serving, pcap-capture, percentile and name-category benchmarks (benchstat-friendly)
+bench: ## run the pipeline scaling, run-finish, ingest (one file and a merged three-file trace set), analysis, partial-state round-trip, dispatch-transport, wire-codec, loopback-serving, pcap-capture, percentile and name-category benchmarks (benchstat-friendly)
 	$(GO) test -run xxx -bench 'BenchmarkPipelineWorkers|BenchmarkSortWindow|BenchmarkRunsFinish|BenchmarkReorderSweep' -benchmem -count $(BENCH_COUNT) .
 	$(GO) test -run xxx -bench . -benchmem -count $(BENCH_COUNT) ./internal/pipeline
 	$(GO) test -run xxx -bench 'BenchmarkIngest|BenchmarkUnmarshalRecordBytes|BenchmarkTextDecodeCorpus|BenchmarkAppendMarshal|BenchmarkInternFH' -benchmem -count $(BENCH_COUNT) ./internal/core
@@ -33,7 +33,7 @@ bench: ## run the pipeline scaling, run-finish, ingest, analysis, partial-state 
 	$(GO) test -run xxx -bench . -benchmem -count $(BENCH_COUNT) ./internal/stats
 	$(GO) test -run xxx -bench 'BenchmarkCategorize' -benchmem -count $(BENCH_COUNT) ./internal/analysis
 
-bench-smoke: ## run the ingest, pipeline (partial-state round trip included), run-finish, dispatch, wire-codec, loopback-serving, pcap-capture, percentile and name-category benchmarks once (CI regression visibility, not gating)
+bench-smoke: ## run the ingest (one file and a merged three-file trace set), pipeline (partial-state round trip included), run-finish, dispatch, wire-codec, loopback-serving, pcap-capture, percentile and name-category benchmarks once (CI regression visibility, not gating)
 	$(GO) test -run xxx -bench 'BenchmarkPipelineWorkers|BenchmarkSortWindow|BenchmarkRunsFinish|BenchmarkReorderSweep' -benchmem -benchtime 3x .
 	$(GO) test -run xxx -bench . -benchmem -benchtime 3x ./internal/pipeline
 	$(GO) test -run xxx -bench 'BenchmarkIngest|BenchmarkUnmarshalRecordBytes|BenchmarkTextDecodeCorpus|BenchmarkAppendMarshal|BenchmarkInternFH' -benchmem -benchtime 3x ./internal/core

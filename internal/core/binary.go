@@ -237,6 +237,8 @@ type BinaryReader struct {
 	lastUsec int64
 	readHdr  bool
 	buf      []byte
+	stock    recordStock
+	spent    RecycleBatch
 }
 
 // NewBinaryReader wraps r.
@@ -279,17 +281,15 @@ func (br *BinaryReader) Next() (*Record, error) {
 	if _, err := io.ReadFull(br.r, br.buf); err != nil {
 		return nil, fmt.Errorf("core: truncated binary record: %w", err)
 	}
-	r := NewRecord()
+	r := br.stock.next()
 	if err := decodeRecord(br.buf, &br.lastUsec, r); err != nil {
-		FreeRecord(r)
 		return nil, err
 	}
 	return r, nil
 }
 
-// Recycle implements RecordRecycler: records from Next come from the
-// shared pool.
-func (br *BinaryReader) Recycle(r *Record) { FreeRecord(r) }
+// Recycle implements RecordRecycler.
+func (br *BinaryReader) Recycle(r *Record) { br.spent.Recycle(r) }
 
 // byteCursor reads a record payload under the error rule xdr.Decoder
 // follows: the first failure is kept in err and ends the input, so every
@@ -361,7 +361,7 @@ func (c *byteCursor) byte() byte {
 }
 
 // decodeRecord decodes one record payload into r (which is
-// overwritten; pass a zeroed or pooled Record). lastUsec carries the
+// overwritten; pass a zeroed or recycled Record). lastUsec carries the
 // absolute time of the previous record (the format stores deltas) and
 // is advanced to this record's time.
 func decodeRecord(buf []byte, lastUsec *int64, r *Record) error {

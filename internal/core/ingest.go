@@ -41,11 +41,17 @@ type recordBatch struct {
 // The input is sniffed like DetectSource: gzip is decompressed
 // transparently and the text/binary format is auto-detected.
 type ReadAhead struct {
-	batches  chan recordBatch
+	batches chan recordBatch
+	// free returns consumed batch slices to the decoder. It holds
+	// readAheadDepth+2, every slice that can be in circulation (the
+	// queued batches, the one filling, the one being read), so a
+	// return never finds it full.
+	free     chan []*Record
 	stop     chan struct{}
 	stopOnce sync.Once
 	cur      recordBatch
 	i        int
+	spent    RecycleBatch
 }
 
 // NewReadAhead sniffs r and starts decoding it. Sniffing reads the first
@@ -53,7 +59,11 @@ type ReadAhead struct {
 // over the stream's end or error; call Stop to abandon the reader
 // earlier.
 func NewReadAhead(r io.Reader) (*ReadAhead, error) {
-	ra := &ReadAhead{batches: make(chan recordBatch, readAheadDepth), stop: make(chan struct{})}
+	ra := &ReadAhead{
+		batches: make(chan recordBatch, readAheadDepth),
+		free:    make(chan []*Record, readAheadDepth+2),
+		stop:    make(chan struct{}),
+	}
 	d := &decoder{ra: ra, in: r, recs: make([]*Record, 0, readAheadBatch)}
 	src, err := DetectSource(d)
 	if err != nil {
@@ -84,14 +94,20 @@ func (d *decoder) Read(p []byte) (int, error) {
 }
 
 // send hands over the batch being filled, with err on the last one,
-// and starts a new batch. It reports false once Stop was called.
+// and starts a new batch in a slice the consumer is done with, if one
+// has come back. It reports false once Stop was called.
 func (d *decoder) send(err error) bool {
 	select {
 	case d.ra.batches <- recordBatch{recs: d.recs, err: err}:
 	case <-d.ra.stop:
 		return false
 	}
-	d.recs = make([]*Record, 0, readAheadBatch)
+	select {
+	case recs := <-d.ra.free:
+		d.recs = recs[:0]
+	default:
+		d.recs = make([]*Record, 0, readAheadBatch)
+	}
 	return true
 }
 
@@ -121,6 +137,12 @@ func (ra *ReadAhead) Next() (*Record, error) {
 			return nil, ErrReaderStopped
 		default:
 		}
+		if ra.cur.recs != nil {
+			select {
+			case ra.free <- ra.cur.recs:
+			default:
+			}
+		}
 		select {
 		case ra.cur = <-ra.batches:
 			ra.i = 0
@@ -133,8 +155,9 @@ func (ra *ReadAhead) Next() (*Record, error) {
 	return rec, nil
 }
 
-// Recycle implements RecordRecycler: records come from the shared pool.
-func (ra *ReadAhead) Recycle(r *Record) { FreeRecord(r) }
+// Recycle implements RecordRecycler. It runs on the consumer's
+// goroutine, so its batch is the ReadAhead's, not the decoder's.
+func (ra *ReadAhead) Recycle(r *Record) { ra.spent.Recycle(r) }
 
 // Stop releases the decode goroutine. Next returns what is left of the
 // batch it is in, then ErrReaderStopped (or the stream's end, if that

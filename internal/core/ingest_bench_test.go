@@ -8,8 +8,9 @@ import (
 
 // benchIngest drains one full pass over data through a front end
 // and reports bytes/sec of trace input. Records are recycled the way
-// the streaming Joiner recycles them, so the pool is exercised as it is
-// in production.
+// the streaming Joiner recycles them, so they go back to the decoder
+// in batches as they do in a run: for the read-ahead, from this
+// goroutine to its decode goroutine.
 func benchIngest(b *testing.B, data []byte, open func(io.Reader) (RecordSource, error)) {
 	b.Helper()
 	b.SetBytes(int64(len(data)))

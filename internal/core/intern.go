@@ -179,18 +179,76 @@ var staticProcNames = [numStaticProcs]string{
 // register yet another distinct procedure name.
 var ErrProcTableFull = errors.New("core: procedure table full")
 
-// staticProcs maps the fixed vocabulary to its IDs. It is filled at
-// package initialization and never written again, so decoders read it
-// without a lock: nearly every record of every trace is answered here,
-// and a shared RWMutex's reader count would bounce between the cores of
-// concurrent decoders once per record.
-var staticProcs = func() map[string]ProcID {
-	m := make(map[string]ProcID, numStaticProcs)
-	for i, name := range staticProcNames {
-		m[name] = ProcID(i)
+// staticProc answers the fixed vocabulary. Nearly every record of
+// every trace is answered here, so it is a switch: no lock, whose
+// reader count would bounce between the cores of concurrent decoders
+// once per record, and no map hash either. TestStaticProcIDs holds it
+// equal to staticProcNames.
+func staticProc[T string | []byte](name T) (ProcID, bool) {
+	switch string(name) {
+	case "null":
+		return ProcNull, true
+	case "getattr":
+		return ProcGetattr, true
+	case "setattr":
+		return ProcSetattr, true
+	case "lookup":
+		return ProcLookup, true
+	case "access":
+		return ProcAccess, true
+	case "readlink":
+		return ProcReadlink, true
+	case "read":
+		return ProcRead, true
+	case "write":
+		return ProcWrite, true
+	case "create":
+		return ProcCreate, true
+	case "mkdir":
+		return ProcMkdir, true
+	case "symlink":
+		return ProcSymlink, true
+	case "mknod":
+		return ProcMknod, true
+	case "remove":
+		return ProcRemove, true
+	case "rmdir":
+		return ProcRmdir, true
+	case "rename":
+		return ProcRename, true
+	case "link":
+		return ProcLink, true
+	case "readdir":
+		return ProcReaddir, true
+	case "readdirplus":
+		return ProcReaddirplus, true
+	case "fsstat":
+		return ProcFsstat, true
+	case "fsinfo":
+		return ProcFsinfo, true
+	case "pathconf":
+		return ProcPathconf, true
+	case "commit":
+		return ProcCommit, true
+	case "root":
+		return ProcRoot, true
+	case "writecache":
+		return ProcWritecache, true
+	case "statfs":
+		return ProcStatfs, true
+	case "mnt":
+		return ProcMnt, true
+	case "dump":
+		return ProcDump, true
+	case "umnt":
+		return ProcUmnt, true
+	case "umntall":
+		return ProcUmntall, true
+	case "export":
+		return ProcExport, true
 	}
-	return m
-}()
+	return 0, false
+}
 
 // procTable holds the names registered dynamically, after the fixed
 // vocabulary; rev renders every ID, fixed and dynamic.
@@ -208,7 +266,7 @@ func init() {
 // InternProcBytes interns a procedure name given as bytes; the hit path
 // performs no allocation.
 func InternProcBytes(b []byte) (ProcID, error) {
-	if id, ok := staticProcs[string(b)]; ok {
+	if id, ok := staticProc(b); ok {
 		return id, nil
 	}
 	procTable.mu.RLock()
@@ -222,7 +280,7 @@ func InternProcBytes(b []byte) (ProcID, error) {
 
 // InternProc interns a procedure name.
 func InternProc(s string) (ProcID, error) {
-	if id, ok := staticProcs[s]; ok {
+	if id, ok := staticProc(s); ok {
 		return id, nil
 	}
 	procTable.mu.RLock()

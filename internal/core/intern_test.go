@@ -106,6 +106,37 @@ func TestInternProcVocabulary(t *testing.T) {
 	}
 }
 
+// TestStaticProcIDs: the switch that answers the fixed vocabulary
+// agrees with staticProcNames through both entry points, and a name
+// outside it still registers dynamically.
+func TestStaticProcIDs(t *testing.T) {
+	for i, name := range staticProcNames {
+		if id, ok := staticProc(name); !ok || id != ProcID(i) {
+			t.Fatalf("staticProc(%q) = %d, %v; want %d", name, id, ok, i)
+		}
+		if id, err := InternProc(name); err != nil || id != ProcID(i) {
+			t.Fatalf("InternProc(%q) = %d, %v; want %d", name, id, err, i)
+		}
+		if id, err := InternProcBytes([]byte(name)); err != nil || id != ProcID(i) {
+			t.Fatalf("InternProcBytes(%q) = %d, %v; want %d", name, id, err, i)
+		}
+	}
+	const unknown = "static-proc-test-unknown"
+	if _, ok := staticProc(unknown); ok {
+		t.Fatalf("staticProc(%q) answered a name outside the vocabulary", unknown)
+	}
+	id, err := InternProcBytes([]byte(unknown))
+	if err != nil || id < numStaticProcs {
+		t.Fatalf("InternProcBytes(%q) = %d, %v; want a dynamic ID", unknown, id, err)
+	}
+	if again, err := InternProc(unknown); err != nil || again != id {
+		t.Fatalf("InternProc(%q) = %d, %v; want %d", unknown, again, err, id)
+	}
+	if s := id.String(); s != unknown {
+		t.Fatalf("ProcID(%d).String() = %q, want %q", id, s, unknown)
+	}
+}
+
 // TestInternProcVocabularyTakesNoLock: the fixed vocabulary is answered
 // before procTable.mu, so a held write lock (a dynamic registration in
 // progress) does not stall the decoders on names they see every record.

@@ -40,8 +40,10 @@ func (tw *Writer) Flush() error { return tw.w.Flush() }
 // Reader streams trace records from an io.Reader, skipping blank lines
 // and '#' comments.
 type Reader struct {
-	s    *bufio.Scanner
-	line int64
+	s     *bufio.Scanner
+	line  int64
+	stock recordStock
+	spent RecycleBatch
 }
 
 // maxLineBytes caps one text line (anonymized names are bounded, but raw
@@ -57,8 +59,8 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{s: s}
 }
 
-// Next returns the next record, or io.EOF. Records come from the
-// shared pool; a consumer that drops one may hand it back via Recycle.
+// Next returns the next record, or io.EOF. A consumer that drops a
+// record may hand it back via Recycle.
 func (tr *Reader) Next() (*Record, error) {
 	for tr.s.Scan() {
 		tr.line++
@@ -66,9 +68,8 @@ func (tr *Reader) Next() (*Record, error) {
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		r := NewRecord()
+		r := tr.stock.next()
 		if err := UnmarshalRecordBytes(line, r); err != nil {
-			FreeRecord(r)
 			return nil, fmt.Errorf("line %d: %w", tr.line, err)
 		}
 		return r, nil
@@ -79,9 +80,8 @@ func (tr *Reader) Next() (*Record, error) {
 	return nil, io.EOF
 }
 
-// Recycle implements RecordRecycler: records from Next come from the
-// shared pool.
-func (tr *Reader) Recycle(r *Record) { FreeRecord(r) }
+// Recycle implements RecordRecycler.
+func (tr *Reader) Recycle(r *Record) { tr.spent.Recycle(r) }
 
 // WriteAll writes every record to w.
 func WriteAll(w io.Writer, records []*Record) error {

@@ -421,7 +421,7 @@ slow:
 }
 
 // UnmarshalRecordBytes parses one trace line into r, which must be
-// zeroed (fresh, pooled via NewRecord, or reset to Record{}): optional
+// zeroed (fresh, recycled, or reset to Record{}): optional
 // kv fields are assigned only when present, so a reused dirty Record
 // would keep stale values. No reference into line is retained: handles
 // and procedure names are interned, and filename fields are copied. On
@@ -585,9 +585,8 @@ func UnmarshalRecordBytes(line []byte, r *Record) error {
 
 // UnmarshalRecord parses one trace line.
 func UnmarshalRecord(line string) (*Record, error) {
-	r := NewRecord()
+	r := new(Record)
 	if err := UnmarshalRecordBytes([]byte(line), r); err != nil {
-		FreeRecord(r)
 		return nil, err
 	}
 	return r, nil

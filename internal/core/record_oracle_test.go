@@ -136,7 +136,7 @@ func oracleParseHexStrict(b []byte, bits int) (uint64, bool) {
 }
 
 // oracleUnmarshalRecordBytes parses one trace line into r, which must be
-// zeroed (fresh, pooled via NewRecord, or reset to Record{}): optional
+// zeroed (fresh, recycled, or reset to Record{}): optional
 // kv fields are assigned only when present, so a reused dirty Record
 // would keep stale values. No reference into line is retained: handles
 // and procedure names are interned, and filename fields are copied. On

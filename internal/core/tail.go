@@ -42,6 +42,9 @@ type TailReader struct {
 	records   int64
 	discarded int64
 	rotations int64
+
+	stock recordStock
+	spent RecycleBatch
 }
 
 // DefaultTailPoll is the end-of-file poll interval when none is given.
@@ -89,8 +92,8 @@ func (t *TailReader) Discarded() int64 { return t.discarded }
 // Rotations reports how many times the path was reopened.
 func (t *TailReader) Rotations() int64 { return t.rotations }
 
-// Recycle implements RecordRecycler: records come from the shared pool.
-func (t *TailReader) Recycle(r *Record) { FreeRecord(r) }
+// Recycle implements RecordRecycler.
+func (t *TailReader) Recycle(r *Record) { t.spent.Recycle(r) }
 
 // Next returns the next record, blocking at end of file until the file
 // grows, rotates, or Stop is called (then io.EOF after the drain).
@@ -165,9 +168,8 @@ func (t *TailReader) parse(line []byte) (*Record, error) {
 	if len(line) == 0 || line[0] == '#' {
 		return nil, nil
 	}
-	r := NewRecord()
+	r := t.stock.next()
 	if err := UnmarshalRecordBytes(line, r); err != nil {
-		FreeRecord(r)
 		return nil, fmt.Errorf("tail %s: line %d: %w", t.path, t.line, err)
 	}
 	t.records++

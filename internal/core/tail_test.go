@@ -13,7 +13,7 @@ import (
 // tailRecord builds a minimal distinguishable call record; xid is the
 // identity the assertions track.
 func tailRecord(t float64, xid uint32) *Record {
-	r := NewRecord()
+	r := new(Record)
 	r.Time = t
 	r.Client = 0x0a000001
 	r.Port = 1023

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -95,6 +96,71 @@ func BenchmarkJoiner(b *testing.B) {
 	}
 	form("streaming", pullJoin)
 	form("push", pushJoin)
+}
+
+// BenchmarkIngestTraceSet measures the multi-file front end: three
+// time-sorted files (a CAMPUS generator stream dealt out round-robin,
+// as per-array captures split one server's traffic) opened as one
+// TraceSet, each decoded on its own read-ahead and k-way merged. The
+// consumer recycles every record through the TraceSet the way the
+// Joiner does, so the batched hand-back runs as it does in a run.
+func BenchmarkIngestTraceSet(b *testing.B) {
+	records := genRecords(b, 4)
+	parts := make([][]*core.Record, 3)
+	for i, r := range records {
+		parts[i%3] = append(parts[i%3], r)
+	}
+	for _, f := range []struct {
+		name   string
+		binary bool
+	}{{"text", false}, {"binary", true}} {
+		files := make([][]byte, len(parts))
+		size := 0
+		for i, part := range parts {
+			var buf bytes.Buffer
+			w := core.NewFormatWriter(&buf, f.binary)
+			for _, r := range part {
+				if err := w.Write(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := w.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			files[i] = buf.Bytes()
+			size += buf.Len()
+		}
+		b.Run(f.name, func(b *testing.B) {
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			perUnit(b, "rec", len(records), func() {
+				inputs := make([]io.Reader, len(files))
+				for i, data := range files {
+					inputs[i] = bytes.NewReader(data)
+				}
+				ts, err := OpenTraceReaders(inputs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := 0
+				for {
+					r, err := ts.Next()
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					n++
+					ts.Recycle(r)
+				}
+				ts.Close()
+				if n != len(records) {
+					b.Fatalf("read %d records, want %d", n, len(records))
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkPartialRoundTrip measures the state codec over every reducer

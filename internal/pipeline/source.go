@@ -75,8 +75,11 @@ type Joiner struct {
 	// with: the joiner is the point where a record's last field has
 	// been copied into an Op, so each record it takes is recycled
 	// exactly once, and by the end of Drain all of them are. NewJoiner
-	// sets it to a pooling source; a push-mode caller that owns no
-	// reference to the records it pushes sets it to their source.
+	// sets it to a source that recycles; a push-mode caller that owns
+	// no reference to the records it pushes sets it to their source.
+	// Recycle must not be called from two goroutines at once, so a
+	// joiner whose Push runs on more than one goroutine is serialized
+	// by its caller.
 	Recycler core.RecordRecycler
 }
 
@@ -120,7 +123,7 @@ func NewPushJoiner() *Joiner {
 	return &Joiner{pending: make(map[joinKey]uint64)}
 }
 
-// free hands a dead record back to a pooling source.
+// free hands a dead record back to a recycling source.
 func (j *Joiner) free(r *core.Record) {
 	if j.Recycler != nil {
 		j.Recycler.Recycle(r)

@@ -115,6 +115,7 @@ type TraceSet struct {
 	files   []*os.File
 	sources []*fileSource
 	src     core.RecordSource
+	spent   core.RecycleBatch
 }
 
 // OpenTraceSet opens every path. The empty cfg remains only because the
@@ -179,9 +180,9 @@ func OpenTraceReaders(inputs []io.Reader) (*TraceSet, error) {
 // Next implements core.RecordSource over the merged set.
 func (ts *TraceSet) Next() (*core.Record, error) { return ts.src.Next() }
 
-// Recycle implements core.RecordRecycler: every file's read-ahead
-// allocates from the shared core pool, so dead records go back there.
-func (ts *TraceSet) Recycle(r *core.Record) { core.FreeRecord(r) }
+// Recycle implements core.RecordRecycler: dead records go back to the
+// decoders in batches, whichever file's read-ahead decoded them.
+func (ts *TraceSet) Recycle(r *core.Record) { ts.spent.Recycle(r) }
 
 // Stats reports per-file record counts, complete once Next returned
 // io.EOF.

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -310,5 +311,117 @@ func TestOpenTraceReaders(t *testing.T) {
 	}
 	if _, err := OpenTraceReaders(nil); err == nil {
 		t.Fatal("empty trace set opened")
+	}
+}
+
+// pairRecords is a time-ordered stream of n read calls, each answered
+// by its reply a millisecond later, from one client.
+func pairRecords(n int, seed int64, start float64, client uint32) []*core.Record {
+	rng := rand.New(rand.NewSource(seed))
+	var records []*core.Record
+	tm := start
+	for i := 0; i < n; i++ {
+		tm += 0.002 + rng.Float64()*0.01
+		call := &core.Record{
+			Time: tm, Kind: core.KindCall, Proto: core.ProtoUDP,
+			Client: client, Port: 800, Server: 0x0a000001,
+			XID: uint32(i), Version: 3, Proc: core.ProcRead, UID: uint32(rng.Intn(100)),
+			FH: core.InternFH("00000000000000bb"), Offset: uint64(i) * 8192, Count: 8192,
+		}
+		reply := *call
+		reply.Time, reply.Kind = tm+0.001, core.KindReply
+		reply.UID, reply.FH, reply.Offset, reply.Count = 0, 0, 0, 0
+		reply.RCount, reply.Size, reply.FileID, reply.EOF = 8192, uint64(rng.Intn(1<<30)), uint64(i), i%7 == 0
+		records = append(records, call, &reply)
+	}
+	return records
+}
+
+// TestHeldRecordsAreNeverReused: a consumer that keeps every record of
+// a three-file TraceSet, recycling none, sees them unchanged while a
+// second TraceSet in the same process recycles every record through a
+// Joiner — records that are never handed back are never decoded into
+// again.
+func TestHeldRecordsAreNeverReused(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	for i := 0; i < 3; i++ {
+		p := filepath.Join(dir, fmt.Sprintf("array%d.trace", i))
+		writeTextFile(t, p, pairRecords(3000, int64(i+1), 1000+float64(i)/3, 0x0a000010+uint32(i)), i == 1)
+		paths = append(paths, p)
+	}
+
+	// The reference: a serial decode of the same files, kept by value.
+	var srcs []core.RecordSource
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := core.DetectSource(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, src)
+	}
+	var want []core.Record
+	for m := core.NewMerger(srcs...); ; {
+		rec, err := m.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, *rec)
+	}
+
+	held, err := OpenTraceSet(paths, core.IngestConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	recycling, err := OpenTraceSet(paths, core.IngestConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recycling.Close()
+
+	var kept []*core.Record
+	keepErr := make(chan error, 1)
+	go func() {
+		for {
+			rec, err := held.Next()
+			if err != nil {
+				if err == io.EOF {
+					err = nil
+				}
+				keepErr <- err
+				return
+			}
+			kept = append(kept, rec)
+		}
+	}()
+	j := NewJoiner(recycling)
+	for {
+		if _, err := j.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-keepErr; err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st.Calls != int64(len(want)/2) || st.UnmatchedCalls != 0 {
+		t.Fatalf("joiner stats %+v: want every one of %d calls matched", st, len(want)/2)
+	}
+	if len(kept) != len(want) {
+		t.Fatalf("kept %d records, serial decode has %d", len(kept), len(want))
+	}
+	for i := range want {
+		if *kept[i] != want[i] {
+			t.Fatalf("kept record %d changed:\n got %+v\nwant %+v", i, kept[i], want[i])
+		}
 	}
 }

@@ -1,15 +1,13 @@
 package repro
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/jobspec"
 	"repro/internal/pipeline"
-	"repro/internal/workload"
 )
 
 // This file pins the mid-stream snapshot contract end to end: a Fork
@@ -20,94 +18,69 @@ import (
 // one Live share its run-detection and sweep finish caches, so the runs
 // themselves and the sweep points are compared too, not only the tables.
 
-// snapBundle is one of each streaming analyzer, configured identically
-// on the snapshot and batch sides.
-type snapBundle struct {
-	sum    *pipeline.SummaryAnalyzer
-	hourly *pipeline.HourlyAnalyzer
-	runs   *pipeline.RunsAnalyzer
-	bl     *pipeline.BlockLifeAnalyzer
-	sweep  *pipeline.ReorderSweepAnalyzer
-	hier   *pipeline.HierarchyAnalyzer
-}
-
-func newSnapBundle(span float64) *snapBundle {
-	return &snapBundle{
-		sum:    &pipeline.SummaryAnalyzer{},
-		hourly: &pipeline.HourlyAnalyzer{},
-		runs:   &pipeline.RunsAnalyzer{Config: analysis.DefaultRunConfig(10)},
-		bl:     &pipeline.BlockLifeAnalyzer{Start: 0, Phase: span / 2, Margin: span / 2},
-		sweep:  &pipeline.ReorderSweepAnalyzer{WindowsMS: []float64{0, 5, 10}},
-		hier:   &pipeline.HierarchyAnalyzer{Warmup: 600},
-	}
-}
-
-func (b *snapBundle) list() []pipeline.Analyzer {
-	return []pipeline.Analyzer{b.sum, b.hourly, b.runs, b.bl, b.sweep, b.hier}
-}
-
-// renderAnalyses renders every analyzer with nfsanalyze's exact output
-// formats, so byte equality here is byte equality of the CLI tool's
-// tables. The analyzers must be closed (post-Run or post-Finish).
-func renderAnalyses(analyzers []pipeline.Analyzer, join core.JoinStats, stats pipeline.Stats) string {
-	var sb strings.Builder
-	days, span := stats.Span()/workload.Day, stats.Span()
-	if days <= 0 {
-		days, span = 1.0/24, 3600
-	}
-	for _, a := range analyzers {
-		switch a := a.(type) {
-		case *pipeline.SummaryAnalyzer:
-			a.Result.Days = days
-			fmt.Fprintln(&sb, a.Result)
-			fmt.Fprintf(&sb, "join: %d calls, %d replies, %d unmatched calls, %d orphan replies (loss est %.2f%%)\n",
-				join.Calls, join.Replies, join.UnmatchedCalls, join.OrphanReplies, 100*join.LossEstimate())
-		case *pipeline.HourlyAnalyzer:
-			fixed := a.Result.FixedTo(span)
-			for _, peak := range []bool{false, true} {
-				for _, row := range fixed.VarianceTable(peak) {
-					fmt.Fprintf(&sb, "  %-20s mean=%12.0f stddev=%5.0f%%\n", row.Name, row.Mean, 100*row.RelStddev)
-				}
-			}
-		case *pipeline.RunsAnalyzer:
-			tab := a.Table()
-			fmt.Fprintf(&sb, "runs=%d\n", tab.TotalRuns)
-			fmt.Fprintf(&sb, "reads  %5.1f%% of runs: entire %5.1f%% seq %5.1f%% random %5.1f%%\n",
-				tab.ReadPct, tab.Read[0], tab.Read[1], tab.Read[2])
-			fmt.Fprintf(&sb, "writes %5.1f%% of runs: entire %5.1f%% seq %5.1f%% random %5.1f%%\n",
-				tab.WritePct, tab.Write[0], tab.Write[1], tab.Write[2])
-			fmt.Fprintf(&sb, "r-w    %5.1f%% of runs: entire %5.1f%% seq %5.1f%% random %5.1f%%\n",
-				tab.ReadWritePct, tab.ReadWrite[0], tab.ReadWrite[1], tab.ReadWrite[2])
-		case *pipeline.BlockLifeAnalyzer:
-			res := a.Result
-			fmt.Fprintf(&sb, "births=%d (writes %.1f%%, extension %.1f%%)\n",
-				res.Births, res.BirthPct(analysis.BirthWrite), res.BirthPct(analysis.BirthExtension))
-			fmt.Fprintf(&sb, "deaths=%d (overwrite %.1f%%, truncate %.1f%%, delete %.1f%%)\n",
-				res.Deaths, res.DeathPct(analysis.DeathOverwrite),
-				res.DeathPct(analysis.DeathTruncate), res.DeathPct(analysis.DeathDelete))
-			fmt.Fprintf(&sb, "end surplus %.1f%%; lifetime p50=%.1fs p90=%.1fs\n",
-				res.EndSurplusPct(), res.Lifetimes.Percentile(50), res.Lifetimes.Percentile(90))
-		case *pipeline.ReorderSweepAnalyzer:
-			for _, p := range a.Result {
-				fmt.Fprintf(&sb, "window %5.0fms: %.2f%% swapped\n", p.WindowMS, p.SwappedPct)
-			}
-		case *pipeline.HierarchyAnalyzer:
-			fmt.Fprintf(&sb, "hierarchy coverage after 10min warmup: %.2f%%\n", 100*a.Coverage)
+// snapSets builds one set of every analysis kind from the catalog
+// nfsanalyze and nfsmond build and print theirs from, so byte equality
+// here is byte equality of the CLI tool's tables. Block life's phases
+// are scaled to the trace, which is shorter than the day-long defaults.
+func snapSets(t *testing.T, span float64) []*jobspec.Set {
+	t.Helper()
+	var sets []*jobspec.Set
+	for _, kind := range jobspec.Kinds() {
+		spec := jobspec.Default(kind)
+		spec.Phase, spec.Margin = span/2, span/2
+		set, err := jobspec.Build(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		sets = append(sets, set)
+	}
+	return sets
+}
+
+// setAnalyzers lists the sets' analyzers in set order.
+func setAnalyzers(sets []*jobspec.Set) []pipeline.Analyzer {
+	var out []pipeline.Analyzer
+	for _, s := range sets {
+		out = append(out, s.Analyzers...)
+	}
+	return out
+}
+
+// renderSets prints analyzers[i], the analyzer sets[i] built or a fork
+// of it, through that set's printer. The analyzers must be closed
+// (post-Run or post-Finish).
+func renderSets(sets []*jobspec.Set, analyzers []pipeline.Analyzer, join core.JoinStats, stats pipeline.Stats) string {
+	var sb strings.Builder
+	for i, s := range sets {
+		s.Print(&sb, analyzers[i], stats, join)
 	}
 	return sb.String()
 }
 
+// findAnalyzer returns the analyzer of type T among analyzers.
+func findAnalyzer[T pipeline.Analyzer](t *testing.T, analyzers []pipeline.Analyzer) T {
+	t.Helper()
+	for _, a := range analyzers {
+		if a, ok := a.(T); ok {
+			return a
+		}
+	}
+	var zero T
+	t.Fatalf("no %T among the analyzers", zero)
+	return zero
+}
+
 // batchPrefix runs the batch pipeline (pull joiner, as nfsanalyze does)
 // over the first n records and renders the tables.
-func batchPrefix(cfg pipeline.Config, records []*core.Record, n int, span float64) (string, *snapBundle, error) {
-	b := newSnapBundle(span)
+func batchPrefix(t *testing.T, cfg pipeline.Config, records []*core.Record, n int, span float64) (string, []pipeline.Analyzer) {
+	t.Helper()
+	sets := snapSets(t, span)
 	j := pipeline.NewJoiner(&core.SliceSource{Records: records[:n]})
-	stats, err := pipeline.Run(cfg, j, b.list()...)
+	stats, err := pipeline.Run(cfg, j, setAnalyzers(sets)...)
 	if err != nil {
-		return "", nil, err
+		t.Fatal(err)
 	}
-	return renderAnalyses(b.list(), j.Stats(), stats), b, nil
+	return renderSets(sets, setAnalyzers(sets), j.Stats(), stats), setAnalyzers(sets)
 }
 
 // TestSnapshotMatchesBatchPrefix runs over CAMPUS, and over EECS, whose
@@ -137,16 +110,13 @@ func snapshotMatchesBatchPrefix(t *testing.T, records []*core.Record) {
 
 	// The no-fork reference for the full stream, used to prove forks
 	// don't perturb the live run.
-	fullWant, _, err := batchPrefix(pipeline.Config{Workers: 1}, records, len(records), span)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fullWant, _ := batchPrefix(t, pipeline.Config{Workers: 1}, records, len(records), span)
 
 	for _, workers := range []int{1, 2, 8} {
 		cfg := pipeline.Config{Workers: workers}
 
-		b := newSnapBundle(span)
-		lv := pipeline.NewLive(cfg, b.list()...)
+		sets := snapSets(t, span)
+		lv := pipeline.NewLive(cfg, setAnalyzers(sets)...)
 		j := pipeline.NewPushJoiner()
 
 		nextCut := 0
@@ -164,20 +134,19 @@ func snapshotMatchesBatchPrefix(t *testing.T, records []*core.Record) {
 				}
 				stats := snap.Finish()
 
-				got := renderAnalyses(snap.Analyzers, join, stats)
-				want, wb, err := batchPrefix(cfg, records, i, span)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := renderSets(sets, snap.Analyzers, join, stats)
+				want, wb := batchPrefix(t, cfg, records, i, span)
 				if got != want {
 					t.Errorf("workers=%d cut=%d: snapshot differs from batch prefix\n--- snapshot ---\n%s--- batch ---\n%s",
 						workers, i, got, want)
 				}
-				if runs := snap.Analyzers[2].(*pipeline.RunsAnalyzer).Result; !reflect.DeepEqual(runs, wb.runs.Result) {
+				runs := findAnalyzer[*pipeline.RunsAnalyzer](t, snap.Analyzers).Result
+				if wantRuns := findAnalyzer[*pipeline.RunsAnalyzer](t, wb).Result; !reflect.DeepEqual(runs, wantRuns) {
 					t.Errorf("workers=%d cut=%d: snapshot runs differ from batch prefix", workers, i)
 				}
-				if pts := snap.Analyzers[4].(*pipeline.ReorderSweepAnalyzer).Result; !reflect.DeepEqual(pts, wb.sweep.Result) {
-					t.Errorf("workers=%d cut=%d: snapshot sweep %v, batch %v", workers, i, pts, wb.sweep.Result)
+				pts := findAnalyzer[*pipeline.ReorderSweepAnalyzer](t, snap.Analyzers).Result
+				if wantPts := findAnalyzer[*pipeline.ReorderSweepAnalyzer](t, wb).Result; !reflect.DeepEqual(pts, wantPts) {
+					t.Errorf("workers=%d cut=%d: snapshot sweep %v, batch %v", workers, i, pts, wantPts)
 				}
 				nextCut++
 			}
@@ -193,7 +162,7 @@ func snapshotMatchesBatchPrefix(t *testing.T, records []*core.Record) {
 			lv.Feed(op)
 		}
 		stats := lv.Finish()
-		got := renderAnalyses(b.list(), j.Stats(), stats)
+		got := renderSets(sets, setAnalyzers(sets), j.Stats(), stats)
 		if got != fullWant {
 			t.Errorf("workers=%d: post-fork live run differs from batch over the full stream\n--- live ---\n%s--- batch ---\n%s",
 				workers, got, fullWant)
@@ -206,13 +175,13 @@ func snapshotMatchesBatchPrefix(t *testing.T, records []*core.Record) {
 // run over everything.
 func TestSnapshotOfDrainedStream(t *testing.T) {
 	scale := SmallScale()
-	scale.Days = 0.25
+	scale.Days = 0.5
 	records := GenerateCampusRecords(scale)
 	span := records[len(records)-1].Time - records[0].Time
 
 	cfg := pipeline.Config{Workers: 2}
-	b := newSnapBundle(span)
-	lv := pipeline.NewLive(cfg, b.list()...)
+	sets := snapSets(t, span)
+	lv := pipeline.NewLive(cfg, setAnalyzers(sets)...)
 	j := pipeline.NewPushJoiner()
 	var buf []*core.Op
 	for _, rec := range records {
@@ -230,11 +199,8 @@ func TestSnapshotOfDrainedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := snap.Finish()
-	got := renderAnalyses(snap.Analyzers, j.Stats(), stats)
-	want, _, err := batchPrefix(cfg, records, len(records), span)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := renderSets(sets, snap.Analyzers, j.Stats(), stats)
+	want, _ := batchPrefix(t, cfg, records, len(records), span)
 	if got != want {
 		t.Errorf("drained snapshot differs from batch\n--- snapshot ---\n%s--- batch ---\n%s", got, want)
 	}
