@@ -88,6 +88,7 @@ fuzz: ## run each native fuzz target for 10s
 	$(GO) test -run xxx -fuzz FuzzJoinerEquivalence -fuzztime 10s ./internal/pipeline
 	$(GO) test -run xxx -fuzz FuzzWorkerAssignment -fuzztime 10s ./internal/dispatch
 	$(GO) test -run xxx -fuzz FuzzSortWindowEquivalence -fuzztime 10s ./internal/analysis
+	$(GO) test -run xxx -fuzz FuzzRunsStreamOracle -fuzztime 10s ./internal/analysis
 	$(GO) test -run xxx -fuzz FuzzReducerState -fuzztime 10s ./internal/analysis
 	$(GO) test -run xxx -fuzz FuzzNFSDecode -fuzztime 10s ./internal/nfs
 	$(GO) test -run xxx -fuzz FuzzRPCDecode -fuzztime 10s ./internal/rpc

@@ -324,64 +324,76 @@ func perAccess(b *testing.B, accesses int, run func()) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/access")
 }
 
-// BenchmarkSortWindow measures the §4.2 reorder-window sort over every
-// file of a trace: CAMPUS at 1, 10 and 50 ms, EECS at its 5 ms.
-func BenchmarkSortWindow(b *testing.B) {
+// mailboxOps is one mailbox read from start to end, a read every 85 µs
+// as CAMPUS's busiest mailboxes are, with nfsiod reordering: within
+// each group of four reads the offsets are shuffled. A 10 ms window
+// then holds ≈ 118 pending accesses and a 50 ms one ≈ 590.
+func mailboxOps(n int) []*core.Op {
+	rng := rand.New(rand.NewSource(85))
+	fh := core.InternFH("bench-mailbox")
+	size := uint64(n) * 8192
+	ops := make([]*core.Op, n)
+	for i := range ops {
+		ops[i] = &core.Op{T: float64(i) * 85e-6, Replied: true, Proc: core.ProcRead, FH: fh,
+			Offset: uint64(i) * 8192, Count: 8192, RCount: 8192, Size: size, EOF: i == n-1}
+	}
+	for g := 0; g+4 <= n; g += 4 {
+		rng.Shuffle(4, func(i, j int) { ops[g+i].Offset, ops[g+j].Offset = ops[g+j].Offset, ops[g+i].Offset })
+	}
+	return ops
+}
+
+// finishCases are the streams the run and sweep benchmarks run over.
+func finishCases(b *testing.B) []struct {
+	name string
+	ops  []*core.Op
+	wms  float64
+} {
 	campus, eecs := finishOps(b)
-	for _, c := range []struct {
+	return []struct {
 		name string
 		ops  []*core.Op
 		wms  float64
-	}{{"campus-1ms", campus, 1}, {"campus-10ms", campus, 10}, {"campus-50ms", campus, 50}, {"eecs-5ms", eecs, 5}} {
+	}{{"CAMPUS", campus, 10}, {"EECS", eecs, 5}, {"mailbox", mailboxOps(50000), 10}}
+}
+
+// dataAccesses counts the reads and writes of ops.
+func dataAccesses(ops []*core.Op) int {
+	n := 0
+	for _, op := range ops {
+		if op.IsRead() || op.IsWrite() {
+			n++
+		}
+	}
+	return n
+}
+
+// BenchmarkRunsFinish measures run detection per access, from Add
+// through Runs, under the trace's own window: the reorder sort and the
+// run splitting happen as accesses arrive, and the finish replays each
+// file's head and flushes its pending window.
+func BenchmarkRunsFinish(b *testing.B) {
+	for _, c := range finishCases(b) {
 		b.Run(c.name, func(b *testing.B) {
-			files := addAll(make(analysis.AccessMap), c.ops)
-			total := 0
-			for _, accs := range files {
-				total += len(accs)
-			}
-			cp := make([]analysis.Access, 0, total)
-			perAccess(b, total, func() {
-				for _, accs := range files {
-					cp = append(cp[:0], accs...)
-					analysis.SortWindow(cp, c.wms/1000)
-				}
+			cfg := analysis.DefaultRunConfig(c.wms)
+			perAccess(b, dataAccesses(c.ops), func() { addAll(analysis.NewRunDetector(cfg), c.ops).Runs() })
+		})
+	}
+}
+
+// BenchmarkReorderSweep measures the Figure 1 sweep per access, from Add
+// through Points, at the seven windows an nfsmond scrape reports.
+func BenchmarkReorderSweep(b *testing.B) {
+	for _, c := range finishCases(b) {
+		if c.name == "EECS" {
+			continue
+		}
+		b.Run(c.name, func(b *testing.B) {
+			perAccess(b, dataAccesses(c.ops), func() {
+				addAll(analysis.NewReorderSweeper([]float64{0, 1, 2, 5, 10, 20, 50}), c.ops).Points()
 			})
 		})
 	}
-}
-
-// BenchmarkRunsFinish measures RunDetector.Runs — sort, split and
-// classify — over a whole access map under the trace's own window: the
-// finish the coordinator runs after the last piece returns and nfsmond
-// runs on every scrape.
-func BenchmarkRunsFinish(b *testing.B) {
-	campus, eecs := finishOps(b)
-	for _, c := range []struct {
-		name string
-		ops  []*core.Op
-		wms  float64
-	}{{"CAMPUS", campus, 10}, {"EECS", eecs, 5}} {
-		b.Run(c.name, func(b *testing.B) {
-			r := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(c.wms)), c.ops)
-			accesses := 0
-			for _, run := range r.Runs() {
-				accesses += len(run.Accesses)
-			}
-			perAccess(b, accesses, func() { r.Runs() })
-		})
-	}
-}
-
-// BenchmarkReorderSweep measures the Figure 1 sweep at the seven windows
-// an nfsmond scrape reports.
-func BenchmarkReorderSweep(b *testing.B) {
-	campus, _ := finishOps(b)
-	r := addAll(analysis.NewReorderSweeper([]float64{0, 1, 2, 5, 10, 20, 50}), campus)
-	accesses := 0
-	for _, accs := range addAll(make(analysis.AccessMap), campus) {
-		accesses += len(accs)
-	}
-	perAccess(b, accesses, func() { r.Points() })
 }
 
 // BenchmarkHourly measures the Figure 4 bucketing pass.

@@ -109,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) error {
 	fs.BoolVar(&cfg.rebase, "rebase", false, "rebase record times to the first record (for wall-clock feeds into time-anchored analyses)")
 	fs.StringVar(&cfg.analyses, "analyses", "summary,hierarchy",
 		"comma-separated analyses to maintain: "+strings.Join(jobspec.JSONKinds(), ", ")+
-			", or all for every one of them (runs/reorder state grows with the stream)")
+			", or all for every one of them")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return nil

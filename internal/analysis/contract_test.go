@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -19,7 +20,8 @@ import (
 // 1, 2 and 8 shards, and every property compares the rendered result
 // with a single one-shard pass:
 //
-//	(a) split anywhere + Merge = single pass    (parallel-exact reducers)
+//	(a) split anywhere + Merge = single pass    (parallel-exact reducers;
+//	    runs and reorder also at every op position of a dense stream)
 //	(b) a resume chain through serialized states = single pass
 //	(c) a clone and its original never affect each other
 //	(d) encode → decode into fresh → finish = finish
@@ -69,8 +71,8 @@ var contractCases = []contractCase{
 		func(float64) pipeline.Analyzer {
 			return &pipeline.RunsAnalyzer{Config: analysis.DefaultRunConfig(10)}
 		},
-		// The full run list, accesses included: a clone that shared a
-		// slice it should not have shows up here.
+		// The full run list: a clone that shared a window or a run
+		// list it should not have shows up here.
 		func(a pipeline.Analyzer, _ pipeline.Stats) string {
 			return fmt.Sprintf("%+v", a.(*pipeline.RunsAnalyzer).Result)
 		}},
@@ -145,6 +147,44 @@ func contractStreams(t *testing.T) map[string][]*core.Op {
 	}
 }
 
+// everyCut names the cases whose state carries reorder windows across
+// a cut: they also split at every op position of denseStream.
+var everyCut = map[string]bool{"runs": true, "reorder": true}
+
+// denseStream is a small time-ordered stream that puts several accesses
+// of a file in every 10 ms window: three files read (and one written)
+// 0–3 ms apart, equal times included, adjacent offsets of a file
+// swapped as nfsiod reorders them, an EOF every twelfth block of a file
+// and one 40 s idle gap.
+func denseStream() []*core.Op {
+	rng := rand.New(rand.NewSource(43))
+	files := []string{"dense-a", "dense-b", "dense-c"}
+	next := make(map[string]uint64)
+	var ops []*core.Op
+	t := 100.0
+	for i := 0; i < 90; i++ {
+		if i == 45 {
+			t += 40
+		}
+		t += float64(rng.Intn(4)) * 0.001
+		fh := files[rng.Intn(len(files))]
+		block := next[fh]
+		next[fh] = (block + 1) % 12
+		proc := core.ProcRead
+		if fh == "dense-c" {
+			proc = core.ProcWrite
+		}
+		ops = append(ops, &core.Op{T: t, Replied: true, Proc: proc, FH: core.InternFH(fh),
+			Offset: block * 8192, Count: 8192, RCount: 8192, Size: 12 * 8192, EOF: block == 11})
+	}
+	for i := 1; i < len(ops); i++ {
+		if a, b := ops[i-1], ops[i]; a.FH == b.FH && !a.EOF && rng.Intn(3) == 0 {
+			a.Offset, b.Offset = b.Offset, a.Offset
+		}
+	}
+	return ops
+}
+
 // contractRun is one case on one stream at one shard count.
 type contractRun struct {
 	t      *testing.T
@@ -207,9 +247,17 @@ func (r *contractRun) merged(partials ...*pipeline.Partial) string {
 }
 
 // splitMerge is (a): independent partials over a prefix and the rest,
-// merged from their serialized states, for cuts at both ends and inside.
-func (r *contractRun) splitMerge() {
-	for _, cut := range []int{0, len(r.ops) / 3, len(r.ops) / 2, len(r.ops)} {
+// merged from their serialized states, for cuts at both ends and inside
+// or, with every, at every op position.
+func (r *contractRun) splitMerge(every bool) {
+	cuts := []int{0, len(r.ops) / 3, len(r.ops) / 2, len(r.ops)}
+	if every {
+		cuts = cuts[:0]
+		for cut := 0; cut <= len(r.ops); cut++ {
+			cuts = append(cuts, cut)
+		}
+	}
+	for _, cut := range cuts {
 		got := r.merged(r.partial(r.shards, r.ops[:cut]), r.partial(r.shards, r.ops[cut:]))
 		r.check(fmt.Sprintf("split at %d + merge", cut), got, r.want)
 	}
@@ -301,7 +349,7 @@ func TestReducerContract(t *testing.T) {
 					r := &contractRun{t: t, c: c, ops: ops, span: span, shards: shards}
 					r.want = r.single(ops)
 					if !c.seq {
-						r.splitMerge()
+						r.splitMerge(false)
 					}
 					r.resumeChain()
 					r.cloneIndependence()
@@ -309,6 +357,19 @@ func TestReducerContract(t *testing.T) {
 					r.reshard()
 				})
 			}
+		}
+	}
+	dense := denseStream()
+	for _, c := range contractCases {
+		if !everyCut[c.name] {
+			continue
+		}
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("dense/%s/%d", c.name, shards), func(t *testing.T) {
+				r := &contractRun{t: t, c: c, ops: dense, span: dense[len(dense)-1].T - dense[0].T, shards: shards}
+				r.want = r.single(dense)
+				r.splitMerge(true)
+			})
 		}
 	}
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -34,14 +35,15 @@ func randomOps(seed int64, n int) []*core.Op {
 	return ops
 }
 
-// TestRunsPartitionAccesses: every data access lands in exactly one run.
+// TestRunsPartitionAccesses: in the oracle, every data access lands in
+// exactly one run, and the streaming detector finds the oracle's runs.
 func TestRunsPartitionAccesses(t *testing.T) {
 	f := func(seed int64) bool {
 		ops := randomOps(seed, 300)
-		runs := addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
+		oracle := DetectRunsInFiles(addAll(make(AccessMap), ops), DefaultRunConfig(10))
 		var total int
 		var bytes uint64
-		for _, r := range runs {
+		for _, r := range oracle {
 			total += len(r.Accesses)
 			for _, a := range r.Accesses {
 				bytes += uint64(a.Count)
@@ -66,7 +68,8 @@ func TestRunsPartitionAccesses(t *testing.T) {
 				wantBytes += op.Bytes()
 			}
 		}
-		return total == want && bytes == wantBytes
+		runs := addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
+		return total == want && bytes == wantBytes && reflect.DeepEqual(runs, runsOf(oracle))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -120,8 +123,8 @@ func TestTabulatePercentagesSum(t *testing.T) {
 	}
 }
 
-// TestSortWindowPreservesMultiset: the reorder sort permutes accesses,
-// never losing or duplicating them.
+// TestSortWindowPreservesMultiset: the reorder sort, fed through a
+// pending window, permutes accesses, never losing or duplicating them.
 func TestSortWindowPreservesMultiset(t *testing.T) {
 	f := func(seed int64, wexp uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -135,7 +138,7 @@ func TestSortWindowPreservesMultiset(t *testing.T) {
 		for _, a := range accs {
 			before[a.Offset]++
 		}
-		SortWindow(accs, float64(wexp%50)/1000)
+		streamSort(accs, float64(wexp%50)/1000)
 		after := map[uint64]int{}
 		for _, a := range accs {
 			after[a.Offset]++

@@ -30,7 +30,8 @@ import (
 //     src: finishing the copy equals finishing src.
 //   - The copy is independent. No later Add to either side may change
 //     what the other computes. Sharing is allowed only for state that
-//     is never mutated in place (AccessMap shares capped slices).
+//     is never mutated in place, or that a side copies before it
+//     changes it (runs and reorder share per-file state that way).
 //   - Merging src once under each of a set of filters whose Owns
 //     predicates partition the handle space is the same as merging it
 //     once unfiltered: per-file state follows its handle, and state
@@ -39,7 +40,9 @@ import (
 //
 // A parallel-exact reducer (summary, hourly, runs, reorder, peak-hour,
 // mailbox) additionally merges independent partials, in trace-time
-// order, into exactly the single-pass state. A sequential reducer
+// order, into exactly the single-pass state. Runs and reorder check the
+// order: a source whose accesses to a file begin inside a reorder
+// window the receiver left open is refused, and their Err reports it. A sequential reducer
 // (block lifetimes, hierarchy, names) is only ever merged into a fresh
 // receiver; its partials compose as a resume chain instead.
 //

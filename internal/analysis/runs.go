@@ -9,11 +9,10 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sort"
-	"sync"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -41,146 +40,67 @@ func (a Access) endBlock() int64 {
 
 func (a Access) startBlock() int64 { return int64(a.Offset / BlockSize) }
 
-// AccessMap groups data accesses by file handle, in trace order:
-// shards of the pipeline each accumulate one AccessMap for the files
-// they own. Keys are interned
-// handle IDs, so the per-op map update hashes one integer instead of a
-// hex string.
-type AccessMap map[core.FH][]Access
-
-// Add appends op's data access to its file's list; metadata ops are
-// ignored.
-func (m AccessMap) Add(op *core.Op) {
-	if !op.IsRead() && !op.IsWrite() {
-		return
-	}
-	m[op.FH] = append(m[op.FH], Access{
-		T:      op.T,
-		Offset: op.Offset,
-		Count:  uint32(op.Bytes()),
-		Write:  op.IsWrite(),
-		EOF:    op.EOF,
-		Size:   op.Size,
-	})
-}
-
-// merge appends src's lists for the handles f owns to m's and returns
-// the result; src must cover a later stretch of the trace than m does
-// for any file they share. A file m has not seen shares src's backing
-// array, capped at its current length (three-index slice), so the copy
-// costs O(files), not O(accesses), and an append on either side
-// reallocates instead of writing into the other's view. That is safe
-// because access lists are append-only: nothing mutates an element in
-// place. The finish never writes them either: the reorder pass runs on
-// a copy, and a file keeps its sorted copy only when the pass moved
-// something. Every other file's runs are capped views of its list here,
-// which a later Add appends past. A snapshot's finish keeps the sorted
-// copies, and the sweep's swap counts, in the live analyzer's
-// FinishCache, so the next snapshot re-sorts only the files that grew.
-func (m AccessMap) merge(src AccessMap, f Filter) AccessMap {
-	m = roomFor(m, src, f.Owns)
-	for fh, accs := range src {
-		if !f.owns(fh) {
-			continue
-		}
-		if cur, ok := m[fh]; ok {
-			m[fh] = append(cur, accs...)
-		} else {
-			m[fh] = accs[:len(accs):len(accs)]
-		}
-	}
-	return m
-}
-
-// SortWindow partially sorts accesses in ascending offset order within a
-// temporal window of w seconds (§4.2's "reorder window"), undoing
-// nfsiod reordering without masking true randomness. It returns the
-// number of swaps performed.
+// Both §4.2 reducers stream per file. The reorder-window sort is the
+// linear scan the paper describes: for each position i, the window is
+// every later access j up to the first one failing T_j - t <= w (NaN
+// fails), t being the T of the access at i as it stands after earlier
+// swaps; the leftmost smallest offset in it is swapped into i if it is
+// smaller. So position i is final as soon as an access arrives that
+// fails the test after every earlier one passed. A file's window holds
+// the accesses whose position is not yet final; the final ones go, in
+// sorted order, into the file's open run, which keeps only running
+// values and is closed into a Run at an idle gap or an EOF access.
 //
-// The pass is the linear scan the paper describes: for each position i,
-// the window is every later access j up to the first one failing
-// accs[j].T-accs[i].T <= w (NaN fails), with accs[i] as it stands after
-// earlier swaps; the leftmost smallest offset in it is swapped into i if
-// it is smaller than accs[i]'s. Scanning that window element by element
-// costs a comparison per access in it, which on a mailbox read every
-// ≈ 85 µs is a hundred per access at 10 ms.
+// A reducer may see a file from the middle of the stream: the pieces
+// of a time-split trace are reduced independently and merged. An
+// earlier piece's open windows may still swap accesses into this one's
+// first positions, so each file's state begins with a head: its raw
+// accesses up to the cut, the first access c that fails the window test
+// against every access of the head. No scan from a position before c
+// can cross c, so from c on the file streams as it would in one pass.
+// The finish replays the head as the file's beginning (once, when the
+// head is final: see headDone); a merge feeds the later piece's head
+// through the earlier one's state, checks that the later cut closes
+// every window the earlier piece still has open, and joins the earlier
+// piece's open run to the run the cut begins. The check holds for
+// pieces of one time-ordered trace (the joiner emits in call-time
+// order); where it does not, the merge records an error.
+
+// window is one file's pending reorder window: the accesses whose sort
+// position is not yet final, in their current order.
 //
-// So the list is cut into blocks of sortBlock accesses, each summarized
-// by its largest T, its leftmost smallest offset and whether all its T
-// are finite. The scan steps element by element up to the next block
-// boundary, then reads whole blocks through their summaries, and steps
-// element by element again inside the block the window ends in. A block
-// whose T are all finite lies wholly inside the window exactly when its
-// largest T passes the stop test: subtracting accs[i].T is monotone over
-// finite values, and maps all of them alike when accs[i].T is infinite
-// or NaN. Taking its summary's minimum only where it is strictly smaller
-// keeps the leftmost one, so the scan picks the same access and stops at
-// the same place; a block holding an infinite or NaN T is always stepped
-// through. A summary is built the first time its block is read whole —
-// never, when the window ends at the block's first access — and a swap
-// discards only the summary of the block it moved an access into: the
-// block holding i is behind every later scan. The swaps, their order and
-// the result are the linear scan's, which FuzzSortWindowEquivalence
-// checks against a copy of it.
-func SortWindow(accs []Access, w float64) int {
-	n := len(accs)
-	var blocks []blockSummary // built on first use, one block at a time
-	swaps := 0
-	for i := 0; i < n; i++ {
-		t := accs[i].T
-		best, bestOff := i, accs[i].Offset
-		j, stop := i+1, min(n, (i/sortBlock+1)*sortBlock)
-	scan:
-		for {
-			// Element by element up to the next block boundary...
-			for ; j < stop; j++ {
-				if !(accs[j].T-t <= w) {
-					break scan
-				}
-				if accs[j].Offset < bestOff {
-					best, bestOff = j, accs[j].Offset
-				}
-			}
-			// ...whole blocks while they lie inside the window...
-			for ; j < n; j += sortBlock {
-				if !(accs[j].T-t <= w) {
-					break scan
-				}
-				if blocks == nil {
-					blocks = make([]blockSummary, (n+sortBlock-1)/sortBlock)
-				}
-				s := &blocks[j/sortBlock]
-				if !s.valid {
-					*s = summarize(accs, j)
-				}
-				if !s.finite || !(s.maxT-t <= w) {
-					break
-				}
-				if s.minOff < bestOff {
-					best, bestOff = s.minIdx, s.minOff
-				}
-			}
-			if j >= n {
-				break
-			}
-			// ...then through the block the window ends in.
-			stop = min(n, j+sortBlock)
-		}
-		if best != i {
-			accs[i], accs[best] = accs[best], accs[i]
-			swaps++
-			if blocks != nil {
-				blocks[best/sortBlock].valid = false
-			}
-		}
-	}
-	return swaps
+// Scanning a window element by element costs a comparison per access
+// in it, which on a mailbox read every ≈ 85 µs is a hundred per access
+// at 10 ms. So the buffer is cut into blocks of sortBlock accesses,
+// each summarized by its largest T, its leftmost smallest offset and
+// whether all its T are finite. From a block boundary the scan reads a
+// complete block through its summary when the block lies wholly inside
+// the window, and steps through it element by element otherwise, as it
+// does up to the first boundary and through the incomplete last block.
+// A block whose T are all finite lies wholly inside the window exactly
+// when its largest T passes the test: subtracting t is monotone over finite
+// values, and maps all of them alike when t is infinite or NaN. Taking
+// a summary's minimum only where it is strictly smaller keeps the
+// leftmost one, so the scan picks the same access and stops at the same
+// place; a block holding an infinite or NaN T is always stepped
+// through. A summary is built the first time its block is read whole; a
+// swap discards only the summary of the block it moved an access into
+// (the block holding the oldest position is behind every later scan),
+// and compacting the buffer discards them all. FuzzSortWindowEquivalence
+// holds the result to the linear scan.
+type window struct {
+	accs   []Access // accs[h:] are pending; accs[h] holds the oldest open position
+	h      int
+	next   int            // where accs[h]'s scan resumes, when above h: accs[h+1:next] lie inside its window
+	best   int            // the leftmost smallest offset in accs[h:next]
+	swaps  int            // swaps made so far
+	blocks []blockSummary // of accs, sortBlock accesses each
 }
 
-// sortBlock is the number of accesses a SortWindow block summarizes.
+// sortBlock is the number of accesses a block summary covers.
 const sortBlock = 16
 
-// blockSummary is what SortWindow reads of a block it takes whole.
+// blockSummary is what a window scan reads of a block it takes whole.
 type blockSummary struct {
 	maxT   float64 // largest T; meaningful only when finite
 	minOff uint64  // smallest offset
@@ -207,52 +127,490 @@ func summarize(accs []Access, start int) blockSummary {
 	return s
 }
 
-// fan spreads n independent tasks across up to GOMAXPROCS goroutines,
-// handing out the largest first so that one big file is not what the
-// others wait for. The schedule is computed once and can run several
-// passes over the same tasks.
-type fan struct {
-	n, width int
-	order    []int // task indexes, largest first; nil when width is 1
-}
-
-func newFan(n int, size func(k int) int) fan {
-	f := fan{n: n, width: min(runtime.GOMAXPROCS(0), n)}
-	if f.width > 1 {
-		f.order = make([]int, n)
-		for k := range f.order {
-			f.order[k] = k
-		}
-		slices.SortFunc(f.order, func(a, b int) int { return size(b) - size(a) })
+// summary returns the summary of the complete block starting at j.
+func (p *window) summary(j int) *blockSummary {
+	k := j / sortBlock
+	for len(p.blocks) <= k {
+		p.blocks = append(p.blocks, blockSummary{})
 	}
-	return f
+	s := &p.blocks[k]
+	if !s.valid {
+		*s = summarize(p.accs, j)
+	}
+	return s
 }
 
-// run calls task k for every k. newWorker is called once per goroutine
-// and returns that goroutine's task function, so a worker can keep
-// scratch space across its tasks. Tasks must write only their own
-// result slots.
-func (f fan) run(newWorker func() func(k int)) {
-	if f.width <= 1 {
-		do := newWorker()
-		for k := 0; k < f.n; k++ {
-			do(k)
+// keepBuf is the largest buffer a window keeps beyond what its pending
+// accesses need: one left by a burst goes back to the heap when the
+// window empties, or shrinks when it is compacted.
+const keepBuf = 64
+
+func (p *window) push(a Access) {
+	if len(p.accs) == cap(p.accs) && 2*p.h >= len(p.accs) {
+		pending, buf := p.accs[p.h:], p.accs[:0]
+		if cap(buf) > keepBuf && 4*len(pending) < cap(buf) {
+			buf = make([]Access, 0, 2*len(pending))
 		}
+		p.accs, p.next, p.best, p.h = append(buf, pending...), p.next-p.h, p.best-p.h, 0
+		p.blocks = p.blocks[:0]
+	}
+	p.accs = append(p.accs, a)
+}
+
+// pop returns the access of the oldest open position once its window
+// has closed, or at eof whatever is left, one position per call.
+func (p *window) pop(w float64, eof bool) (Access, bool) {
+	accs, i, n := p.accs, p.h, len(p.accs)
+	if i == n {
+		return Access{}, false
+	}
+	t := accs[i].T
+	j, best := p.next, p.best
+	if j <= i {
+		j, best = i+1, i
+	}
+	bestOff := accs[best].Offset
+scan:
+	for j < n {
+		// A complete block from its boundary on, whole if it lies inside
+		// the window...
+		if j%sortBlock == 0 && j+sortBlock <= n && accs[j].T-t <= w {
+			if s := p.summary(j); s.finite && s.maxT-t <= w {
+				if s.minOff < bestOff {
+					best, bestOff = s.minIdx, s.minOff
+				}
+				j += sortBlock
+				continue
+			}
+		}
+		// ...else element by element up to the next boundary.
+		for stop := min(n, (j/sortBlock+1)*sortBlock); j < stop; j++ {
+			if !(accs[j].T-t <= w) {
+				break scan
+			}
+			if accs[j].Offset < bestOff {
+				best, bestOff = j, accs[j].Offset
+			}
+		}
+	}
+	if j == n && !eof {
+		p.next, p.best = j, best
+		return Access{}, false
+	}
+	if best != i {
+		accs[i], accs[best] = accs[best], accs[i]
+		p.swaps++
+		if k := best / sortBlock; k < len(p.blocks) {
+			p.blocks[k].valid = false
+		}
+	}
+	a := accs[i]
+	p.h, p.next = i+1, 0
+	if p.h == n { // empty: start over, in the same buffer if it is small
+		p.h, p.accs, p.blocks = 0, p.accs[:0], nil
+		if cap(p.accs) > keepBuf {
+			p.accs = nil
+		}
+	}
+	return a, true
+}
+
+// pending returns the accesses still in the window.
+func (p *window) pending() []Access { return p.accs[p.h:] }
+
+// closes reports whether an access at t fails the window test against
+// every access of accs, so that no window opened at one of them reaches
+// it.
+func closes(t, w float64, accs []Access) bool {
+	for i := range accs {
+		if t-accs[i].T <= w {
+			return false
+		}
+	}
+	return true
+}
+
+// set makes p a copy of q, in p's buffer.
+func (p *window) set(q *window) {
+	*p = window{accs: append(p.accs[:0], q.pending()...), next: q.next - q.h, best: q.best - q.h, swaps: q.swaps}
+}
+
+// head is the start of a file's stretch of the stream: the raw accesses
+// before the cut.
+type head struct {
+	accs       []Access
+	minT, maxT float64 // over accs; a NaN can only be the first access, which every later one cuts
+	cut        bool    // the cut has arrived: everything from it on streams
+	cutT       float64 // the cut's T
+}
+
+// take appends a to the head, or reports false when a is the cut or
+// comes after it. w is the widest reorder window. a is the cut when it
+// fails the window test against every access of the head, and testing
+// the head's smallest and largest T decides that exactly: t - T is
+// monotone in T except where an infinite t meets an equal T, and there
+// the test fails for T and passes for every other T if it passes for
+// the other end.
+func (h *head) take(a Access, w float64) bool {
+	if h.cut {
+		return false
+	}
+	if h.closedAt(a.T, w) {
+		h.cut, h.cutT = true, a.T
+		return false
+	}
+	if len(h.accs) == 0 {
+		h.minT, h.maxT = a.T, a.T
+	}
+	h.minT, h.maxT = min(h.minT, a.T), max(h.maxT, a.T)
+	h.accs = append(h.accs, a)
+	return true
+}
+
+// closedAt reports whether an access at t would be the head's cut.
+func (h *head) closedAt(t, w float64) bool {
+	return len(h.accs) > 0 && !(t-h.maxT <= w) && !(t-h.minT <= w)
+}
+
+// streams is the state RunDetector and ReorderSweeper share: per file,
+// a head, then one pending window per reorder window and, for run
+// detection, the runs the first window's sorted order feeds.
+type streams struct {
+	ws     []float64 // the reorder windows, in seconds
+	wmax   float64   // the widest, which bounds every file's head
+	detect bool      // detect runs under cfg
+	cfg    RunConfig
+	k      int64 // cfg.JumpBlocks, at least 1
+	files  map[core.FH]*fileState
+	err    error
+	// due lists the heads that grew, oldest first, each with its
+	// length then: once the stream's time is past a head's windows, no
+	// access of a time-ordered stream can extend it, and its headDone
+	// is worked out. In any other order that is only done too early,
+	// and undone by the next access to the head.
+	due     []dueHead // due[dueAt:] are waiting
+	dueAt   int
+	scratch fileState // headDone's, reused
+}
+
+type dueHead struct {
+	f *fileState
+	n int
+}
+
+func newStreams(ws []float64, detect bool, cfg RunConfig) streams {
+	s := streams{ws: ws, wmax: math.Inf(-1), detect: detect, cfg: cfg, k: max(cfg.JumpBlocks, 1),
+		files: make(map[core.FH]*fileState)}
+	for _, w := range ws {
+		if w > s.wmax { // a NaN window closes at every access and bounds nothing
+			s.wmax = w
+		}
+	}
+	return s
+}
+
+// fileState is one file's state over a stretch of the stream.
+type fileState struct {
+	fileData
+	// shared is set, atomically, once another reducer holds the state
+	// too (see merge); then whichever changes it copies it first.
+	shared int32
+}
+
+type fileData struct {
+	fh core.FH
+	head
+	n    int64     // accesses from the cut on
+	wins []window  // one per reorder window
+	runs *runList  // from the cut on, made on first use; the first may continue the run an earlier stretch left open
+	done *headDone // the head as the file's beginning, once it is final
+}
+
+// headDone is what a file's head comes to when the file begins with
+// it: the head replayed and flushed, which its cut allows. It is made
+// when the cut arrives, or earlier when the stream's time has passed
+// the head's windows (see streams.due), so a finish replays only a head
+// that may still grow; copies share it.
+type headDone struct {
+	n     int64
+	swaps []int
+	runs  []openRun // in stream order, the last one open
+}
+
+// runList is a file's runs in stream order: the closed ones, which
+// never change again and copies share, then the open one.
+type runList struct {
+	closed []openRun
+	open   openRun
+}
+
+// extend appends a finalized access to the open run, closing it first
+// if the access breaks it.
+func (l *runList) extend(a *Access, s *streams) {
+	if l.open.n > 0 && breaksRun(&l.open.last, a, s.cfg) {
+		l.closed = append(l.closed, l.open)
+		l.open = openRun{}
+	}
+	l.open.add(a, s.k)
+}
+
+// append adds r, a run that follows l's runs: it continues l's open
+// run unless its first access breaks it, as an access would. Runs that
+// follow one another in one list always break, so appending a list run
+// by run rebuilds it.
+func (l *runList) append(r *openRun, s *streams) {
+	switch {
+	case r.n == 0:
+	case l.open.n > 0 && !breaksRun(&l.open.last, &r.first, s.cfg):
+		l.open.join(r, s.k)
+	default:
+		if l.open.n > 0 {
+			l.closed = append(l.closed, l.open)
+		}
+		l.open = *r
+	}
+}
+
+// newFile returns a file's empty state. Without windows nothing sorts,
+// and a file streams from its first access.
+func (s *streams) newFile(fh core.FH) *fileState {
+	return &fileState{fileData: fileData{fh: fh, head: head{cut: len(s.ws) == 0}}}
+}
+
+// windows returns f's windows, made on first use: a file needs them
+// only from its cut on, and most files never reach one.
+func (f *fileState) windows(s *streams) []window {
+	if len(f.wins) < len(s.ws) {
+		f.wins = make([]window, len(s.ws))
+	}
+	return f.wins
+}
+
+// Add implements Reducer; metadata operations are ignored.
+func (s *streams) Add(op *core.Op) {
+	if !op.IsRead() && !op.IsWrite() {
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < f.width; g++ {
-		wg.Add(1)
-		do := newWorker()
-		go func() {
-			defer wg.Done()
-			for k := int(next.Add(1)) - 1; k < f.n; k = int(next.Add(1)) - 1 {
-				do(f.order[k])
-			}
-		}()
+	f := s.files[op.FH]
+	if f == nil {
+		f = s.newFile(op.FH)
+		s.files[op.FH] = f
 	}
-	wg.Wait()
+	f = s.own(f)
+	f.add(Access{T: op.T, Offset: op.Offset, Count: uint32(op.Bytes()), Write: op.IsWrite(), EOF: op.EOF, Size: op.Size}, s)
+	for ; s.dueAt < len(s.due); s.dueAt++ {
+		g := s.due[s.dueAt].f
+		if s.files[g.fh] != g || g.cut || len(g.head.accs) != s.due[s.dueAt].n {
+			continue // a copy, or a later entry, stands for it
+		}
+		if !g.closedAt(op.T, s.wmax) {
+			break
+		}
+		s.own(g).done = s.headDone(g)
+	}
+}
+
+func (f *fileState) add(a Access, s *streams) {
+	if f.take(a, s.wmax) {
+		f.done = nil
+		if len(s.due) == cap(s.due) && 2*s.dueAt >= len(s.due) {
+			s.due, s.dueAt = s.due[:copy(s.due, s.due[s.dueAt:])], 0
+		}
+		s.due = append(s.due, dueHead{f, len(f.head.accs)})
+		return
+	}
+	if f.done == nil {
+		f.done = s.headDone(f)
+	}
+	f.enter(a, s)
+}
+
+// enter takes a, an access from the cut on, into every window,
+// finalizing the positions it closes, or straight into the runs when
+// nothing sorts.
+func (f *fileState) enter(a Access, s *streams) {
+	f.n++
+	if len(s.ws) == 0 {
+		f.extend(&a, s)
+	}
+	for i, wins := 0, f.windows(s); i < len(wins); i++ {
+		wins[i].push(a)
+		f.settle(i, s, false)
+	}
+}
+
+// settle finalizes the positions of window i whose windows have
+// closed, or at eof all of them.
+func (f *fileState) settle(i int, s *streams, eof bool) {
+	for {
+		b, ok := f.wins[i].pop(s.ws[i], eof)
+		if !ok {
+			return
+		}
+		f.extend(&b, s)
+	}
+}
+
+func (f *fileState) flush(s *streams) {
+	for i := range f.wins {
+		f.settle(i, s, true)
+	}
+}
+
+// extend takes a finalized access into the runs; the sweep keeps none.
+func (f *fileState) extend(a *Access, s *streams) {
+	if s.detect {
+		f.runList().extend(a, s)
+	}
+}
+
+func (f *fileState) runList() *runList {
+	if f.runs == nil {
+		f.runs = new(runList)
+	}
+	return f.runs
+}
+
+// follow extends f with g, the stretch of the same file that follows
+// it.
+func (f *fileState) follow(g *fileState, s *streams) error {
+	for _, a := range g.head.accs {
+		f.add(a, s)
+	}
+	if !g.cut {
+		return nil
+	}
+	// g's cut must close every window f still has open: those of its
+	// head, or those of its pending positions.
+	closed := f.cut || closes(g.cutT, s.wmax, f.head.accs)
+	for i := range f.wins {
+		closed = closed && closes(g.cutT, s.ws[i], f.wins[i].pending())
+	}
+	if !closed {
+		return fmt.Errorf("file %s: the partial cut at t=%v begins inside a reorder window the partial before it left open; merge partials of one time-ordered trace, in time order", f.fh, g.cutT)
+	}
+	if !f.cut {
+		f.cut, f.cutT = true, g.cutT
+		f.done = s.headDone(f)
+	}
+	f.flush(s)
+	f.join(g, s)
+	return nil
+}
+
+// join appends g's stretch from its cut on to f, whose windows g's cut
+// has closed and f has flushed.
+func (f *fileState) join(g *fileState, s *streams) {
+	f.n += g.n
+	for i, wins := 0, f.windows(s); i < len(wins); i++ {
+		swaps := wins[i].swaps + g.wins[i].swaps
+		wins[i].set(&g.wins[i])
+		wins[i].swaps = swaps
+	}
+	if g.runs != nil {
+		runs := f.runList()
+		for i := range g.runs.closed {
+			runs.append(&g.runs.closed[i], s)
+		}
+		runs.append(&g.runs.open, s)
+	}
+}
+
+// own returns f ready to change: a state another reducer shares is
+// copied first, and the copy takes its place here. The head and the
+// closed runs only ever grow at their ends, so the copy shares them,
+// capped at their lengths: an append on either side reallocates
+// instead of writing into the other's view.
+func (s *streams) own(f *fileState) *fileState {
+	if atomic.LoadInt32(&f.shared) == 0 {
+		return f
+	}
+	c := &fileState{fileData: f.fileData}
+	c.head.accs = f.head.accs[:len(f.head.accs):len(f.head.accs)]
+	if f.runs != nil {
+		runs := *f.runs
+		runs.closed = runs.closed[:len(runs.closed):len(runs.closed)]
+		c.runs = &runs
+	}
+	c.wins = make([]window, len(f.wins))
+	for i := range f.wins {
+		c.wins[i].set(&f.wins[i])
+	}
+	s.files[f.fh] = c
+	return c
+}
+
+// merge shares the states of the files s lacks with src, copy on
+// write (see own), so a fork costs a pointer per file.
+func (s *streams) merge(src *streams, f Filter) {
+	s.files = roomFor(s.files, src.files, f.Owns)
+	for fh, g := range src.files {
+		if !f.owns(fh) {
+			continue
+		}
+		if mine := s.files[fh]; mine != nil {
+			if err := s.own(mine).follow(g, s); err != nil && s.err == nil {
+				s.err = err
+			}
+			continue
+		}
+		atomic.StoreInt32(&g.shared, 1)
+		s.files[fh] = g
+	}
+}
+
+// Err reports the first Merge whose source did not continue the
+// receiver's stream; see the package comment on heads and cuts.
+func (s *streams) Err() error { return s.err }
+
+// replay runs accs through fin as the whole of a file, reusing fin's
+// buffers.
+func (s *streams) replay(accs []Access, fin *fileState) {
+	for i := range fin.wins {
+		fin.wins[i] = window{accs: fin.wins[i].accs[:0]}
+	}
+	runs := fin.runList()
+	*runs = runList{closed: runs.closed[:0]}
+	fin.fileData = fileData{head: head{cut: true}, wins: fin.wins, runs: runs}
+	for _, a := range accs {
+		fin.enter(a, s)
+	}
+	fin.flush(s)
+}
+
+func (s *streams) headDone(f *fileState) *headDone {
+	fin := &s.scratch
+	s.replay(f.head.accs, fin)
+	d := &headDone{n: fin.n}
+	if fin.runs.open.n > 0 {
+		d.runs = append(slices.Clone(fin.runs.closed), fin.runs.open)
+	}
+	for i := range fin.wins {
+		d.swaps = append(d.swaps, fin.wins[i].swaps)
+	}
+	return d
+}
+
+// finish runs f to the end of the stream in fin: its head as the
+// file's beginning, then its stretch from the cut on, every window
+// flushed.
+func (s *streams) finish(f, fin *fileState) {
+	if f.done == nil { // only a head that is not cut lacks it
+		s.replay(f.head.accs, fin)
+		return
+	}
+	s.replay(nil, fin)
+	fin.n = f.done.n
+	for i := range f.done.runs {
+		fin.runs.append(&f.done.runs[i], s)
+	}
+	for i, wins := 0, fin.windows(s); i < len(wins); i++ {
+		wins[i].swaps = f.done.swaps[i]
+	}
+	if f.cut {
+		fin.join(f, s) // a file's own cut closes its head, which State checks on decoding
+		fin.flush(s)
+	}
 }
 
 // ReorderSweepPoint is one point of Figure 1.
@@ -263,87 +621,51 @@ type ReorderSweepPoint struct {
 	SwappedPct float64
 }
 
-// sweep measures, for each window size, what percentage of the files'
-// accesses the sorting pass moves. A file the cache holds a fresh entry
-// for adds the swap counts it recorded; every other file × window sorts
-// its own copy, fanned across cores. Swap counts are integers, so the
-// sum does not depend on the order the tasks finish in.
-func (l *accessLists) sweep(windowsMS []float64) []ReorderSweepPoint {
-	type file struct {
-		fh   core.FH
-		accs []Access
-	}
-	nw := len(windowsMS)
-	sums := make([]int, nw)
-	var stale []file
-	total := 0
-	l.cache.lock()
-	for fh, accs := range l.files {
-		total += len(accs)
-		if e, ok := l.cache.get(fh); ok && l.fresh(fh, accs, e) {
-			for wi, n := range e.swaps {
-				sums[wi] += n
-			}
-			continue
-		}
-		stale = append(stale, file{fh, accs})
-	}
-	l.cache.unlock()
-
-	swaps := make([]int, len(stale)*nw)
-	newFan(len(swaps), func(k int) int { return len(stale[k/nw].accs) }).run(func() func(int) {
-		var cp []Access
-		return func(k int) {
-			cp = append(cp[:0], stale[k/nw].accs...)
-			swaps[k] = SortWindow(cp, windowsMS[k%nw]/1000)
-		}
-	})
-	l.cache.lock()
-	for f, sf := range stale {
-		counts := swaps[f*nw : (f+1)*nw]
-		for wi, n := range counts {
-			sums[wi] += n
-		}
-		if l.cache != nil && !l.fed[sf.fh] {
-			l.cache.put(sf.fh, finishEntry{n: len(sf.accs), swaps: slices.Clone(counts)})
-		}
-	}
-	l.cache.unlock()
-
-	out := make([]ReorderSweepPoint, 0, nw)
-	for wi, wms := range windowsMS {
-		n := sums[wi]
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(n) / float64(total)
-		}
-		out = append(out, ReorderSweepPoint{WindowMS: wms, SwappedPct: pct})
-	}
-	return out
-}
-
-// ReorderSweeper is the Figure 1 reducer: per-file access lists under a
-// fixed list of window sizes. Sorting windows apply per file, so the
-// lists partition by handle.
+// ReorderSweeper is the Figure 1 reducer: per file, one pending window
+// and one swap count per window size. Sorting windows apply per file,
+// so the state partitions by handle.
 type ReorderSweeper struct {
 	windowsMS []float64
-	accessLists
+	streams
 }
 
 // NewReorderSweeper returns an empty sweep over the given window sizes
 // (milliseconds).
 func NewReorderSweeper(windowsMS []float64) *ReorderSweeper {
-	return &ReorderSweeper{windowsMS: windowsMS, accessLists: accessLists{files: make(AccessMap)}}
+	ws := make([]float64, len(windowsMS))
+	for i, wms := range windowsMS {
+		ws[i] = wms / 1000
+	}
+	return &ReorderSweeper{windowsMS: windowsMS, streams: newStreams(ws, false, RunConfig{})}
 }
 
-// Add implements Reducer.
-func (r *ReorderSweeper) Add(op *core.Op) { r.add(op) }
-
 // Merge implements Reducer.
-func (r *ReorderSweeper) Merge(src *ReorderSweeper, f Filter) { r.merge(&src.accessLists, f) }
+func (s *ReorderSweeper) Merge(src *ReorderSweeper, f Filter) { s.merge(&src.streams, f) }
 
-// Points runs the sweep over everything added so far.
-func (r *ReorderSweeper) Points() []ReorderSweepPoint { return r.sweep(r.windowsMS) }
+// Points runs the sweep to the end of everything added so far. Swap
+// counts are integers, so the sum does not depend on the order of the
+// files.
+func (s *ReorderSweeper) Points() []ReorderSweepPoint {
+	sums := make([]int, len(s.ws))
+	var total int64
+	var fin fileState
+	for _, f := range s.files {
+		s.finish(f, &fin)
+		total += fin.n
+		for i := range fin.wins {
+			sums[i] += fin.wins[i].swaps
+		}
+	}
+	out := make([]ReorderSweepPoint, 0, len(s.ws))
+	for wi, wms := range s.windowsMS {
+		pct := 0.0
+		if total > 0 {
+			pct = 100 * float64(sums[wi]) / float64(total)
+		}
+		out = append(out, ReorderSweepPoint{WindowMS: wms, SwappedPct: pct})
+	}
+	return out
+}
 
 // Run kinds.
 type RunKind int
@@ -367,10 +689,9 @@ const (
 
 // Run is one detected run on one file.
 type Run struct {
-	FH       core.FH
-	Accesses []Access
-	Kind     RunKind
-	Pattern  RunPattern
+	FH      core.FH
+	Kind    RunKind
+	Pattern RunPattern
 	// Bytes is the total bytes accessed in the run.
 	Bytes uint64
 	// FileSize is the largest file size observed during the run.
@@ -400,258 +721,167 @@ func DefaultRunConfig(windowMS float64) RunConfig {
 	return RunConfig{ReorderWindow: windowMS / 1000, IdleGap: 30, JumpBlocks: 10}
 }
 
-// DetectRunsInFiles splits each file's accesses into runs and
-// classifies them. Files are worked on in parallel and their runs laid
-// out in sorted-handle order, so the run list is reproducible. The sort
-// is by the rendered handle spelling, not the interned ID — ID numbering
-// depends on decode interleaving, spellings don't.
-//
-// With a reorder window each file is sorted in a copy, and only a file
-// the pass reorders keeps its copy; every other file's runs, and all of
-// them without a window, are capped views of the file's own list. A
-// run's Accesses share a backing array with its neighbours, capped at
-// its length, so appending to one reallocates instead of writing into
-// the next, and files is never written. A RunDetector forked from a
-// live engine does the same through its FinishCache, re-sorting only
-// the files whose lists grew since the entry was made.
-func DetectRunsInFiles(files map[core.FH][]Access, cfg RunConfig) []Run {
-	return (&accessLists{files: files}).runs(cfg)
-}
-
-func (l *accessLists) runs(cfg RunConfig) []Run {
-	type file struct {
-		fh    core.FH
-		spell string
-		accs  []Access // in reorder-window order once sorted
-		stale bool     // accs still needs the reorder pass
-		moved bool     // accs is a copy the pass reordered
-		runs  []Run
-	}
-	order := make([]file, 0, len(l.files))
-	l.cache.lock()
-	for fh, accs := range l.files {
-		f := file{fh: fh, accs: accs[:len(accs):len(accs)], stale: cfg.ReorderWindow > 0}
-		e, ok := l.cache.get(fh)
-		if !ok {
-			e.spell = fh.String()
-		} else if l.fresh(fh, accs, e) {
-			f.stale = false
-			if e.sorted != nil {
-				f.accs, f.moved = e.sorted, true
-			}
-		}
-		f.spell = e.spell
-		order = append(order, f)
-	}
-	l.cache.unlock()
-	sort.Slice(order, func(i, j int) bool { return order[i].spell < order[j].spell })
-	perFile := newFan(len(order), func(k int) int { return len(order[k].accs) })
-
-	// Sort and count each file's runs, so that one slice holds them all;
-	// then classify each file's runs into its stretch of it.
-	counts := make([]int, len(order))
-	perFile.run(func() func(int) {
-		var scratch []Access
-		return func(k int) {
-			f := &order[k]
-			if f.stale {
-				f.accs, f.moved, scratch = reorder(f.accs, cfg.ReorderWindow, scratch)
-			}
-			counts[k] = countRuns(f.accs, cfg)
-		}
-	})
-	if l.cache != nil {
-		l.cache.lock()
-		for _, f := range order {
-			if f.stale && !l.fed[f.fh] {
-				e := finishEntry{n: len(f.accs), spell: f.spell}
-				if f.moved {
-					e.sorted = f.accs
-				}
-				l.cache.put(f.fh, e)
-			}
-		}
-		l.cache.unlock()
-	}
-	nruns := 0
-	for _, c := range counts {
-		nruns += c
-	}
-	if nruns == 0 {
-		return nil
-	}
-	runs := make([]Run, nruns)
-	rest := runs
-	for k := range order {
-		order[k].runs, rest = rest[:0:counts[k]], rest[counts[k]:]
-	}
-	perFile.run(func() func(int) {
-		return func(k int) {
-			f := &order[k]
-			splitRuns(f.runs, f.fh, f.accs, cfg)
-		}
-	})
-	return runs
-}
-
-// reorder runs the reorder-window pass over a copy of accs made in
-// scratch. It returns accs itself when the pass moved nothing, else the
-// sorted copy (moved), together with the scratch buffer for the next
-// call: the copy takes the buffer over unless an earlier, larger file
-// left the buffer more than twice the copy's size.
-func reorder(accs []Access, w float64, scratch []Access) (sorted []Access, moved bool, rest []Access) {
-	buf := append(scratch[:0], accs...)
-	if SortWindow(buf, w) == 0 {
-		return accs, false, buf
-	}
-	n := len(buf)
-	if cap(buf) > 2*n {
-		return slices.Clip(slices.Clone(buf)), true, buf
-	}
-	return buf[:n:n], true, nil
-}
-
-// RunDetector is the Table 3 / Figure 2 / Figure 5 reducer: per-file
-// access lists under one run-detection configuration. Runs never span
-// files, so the lists partition by handle.
-type RunDetector struct {
-	cfg RunConfig
-	accessLists
-}
-
-// NewRunDetector returns an empty detector.
-func NewRunDetector(cfg RunConfig) *RunDetector {
-	return &RunDetector{cfg: cfg, accessLists: accessLists{files: make(AccessMap)}}
-}
-
-// Add implements Reducer.
-func (r *RunDetector) Add(op *core.Op) { r.add(op) }
-
-// Merge implements Reducer.
-func (r *RunDetector) Merge(src *RunDetector, f Filter) { r.merge(&src.accessLists, f) }
-
-// Runs detects and classifies the runs in everything added so far.
-func (r *RunDetector) Runs() []Run { return r.runs(r.cfg) }
-
 // breaksRun applies the §4.2 run-break rules: a new run begins after an
 // access that referenced end-of-file, or after an idle gap.
 func breaksRun(prev, next *Access, cfg RunConfig) bool {
 	return prev.EOF || (cfg.IdleGap > 0 && next.T-prev.T > cfg.IdleGap)
 }
 
-// countRuns reports how many runs splitRuns cuts accs into.
-func countRuns(accs []Access, cfg RunConfig) int {
-	if len(accs) == 0 {
-		return 0
-	}
-	n := 1
-	for i := 1; i < len(accs); i++ {
-		if breaksRun(&accs[i-1], &accs[i], cfg) {
-			n++
-		}
-	}
-	return n
+// openRun is a run's running values: everything its classification
+// reads of its accesses, kept as they arrive in sorted order.
+type openRun struct {
+	first, last Access
+	n, reads    int64
+	bytes       uint64
+	size        uint64 // largest file size seen
+	seqK, seqK1 int64  // steps of under k blocks, of zero blocks
+	random      bool   // some step broke sequentiality
 }
 
-// splitRuns appends the classified runs of accs to dst and returns it.
-// Each run's Accesses is a capped sub-slice of accs.
-func splitRuns(dst []Run, fh core.FH, accs []Access, cfg RunConfig) []Run {
-	start := 0
-	for i := 1; i <= len(accs); i++ {
-		if i == len(accs) || breaksRun(&accs[i-1], &accs[i], cfg) {
-			dst = append(dst, classifyRun(fh, accs[start:i:i], cfg))
-			start = i
-		}
+// step accounts for the step from prev to next, k being the jump
+// tolerance in blocks.
+func (r *openRun) step(prev, next *Access, k int64) {
+	prevEnd := prev.Offset + uint64(prev.Count)
+	// Sequentiality (§4.2): each request begins where the previous one
+	// left off, by byte offset, with forward slack of up to k 8 KB
+	// blocks (offsets and counts round to blocks, so exact byte-appends
+	// within a block are sequential too).
+	if next.Offset < prevEnd || next.Offset-prevEnd >= uint64(k)*BlockSize {
+		r.random = true
 	}
-	return dst
+	// The k-consecutive metric works on blocks, counting small jumps in
+	// either direction (§6.4).
+	gap := next.startBlock() - prev.endBlock()
+	if gap < 0 {
+		gap = -gap
+	}
+	if gap < k {
+		r.seqK++
+	}
+	if gap == 0 {
+		r.seqK1++
+	}
 }
 
-func classifyRun(fh core.FH, accs []Access, cfg RunConfig) Run {
-	r := Run{FH: fh, Accesses: accs}
-	reads, writes := 0, 0
-	var maxSize uint64
-	for _, a := range accs {
-		if a.Write {
-			writes++
-		} else {
-			reads++
-		}
-		r.Bytes += uint64(a.Count)
-		if a.Size > maxSize {
-			maxSize = a.Size
-		}
-	}
-	r.FileSize = maxSize
-	switch {
-	case writes == 0:
-		r.Kind = RunRead
-	case reads == 0:
-		r.Kind = RunWrite
-	default:
-		r.Kind = RunReadWrite
-	}
-
-	k := cfg.JumpBlocks
-	if k < 1 {
-		k = 1
-	}
-	sequential := true
-	var seqK, seqStrict, total int64
-	for i := 1; i < len(accs); i++ {
-		total++
-		prevEnd := accs[i-1].Offset + uint64(accs[i-1].Count)
-		// Sequentiality (§4.2): each request begins where the previous
-		// one left off, by byte offset, with forward slack of up to k
-		// 8 KB blocks (offsets and counts round to blocks, so exact
-		// byte-appends within a block are sequential too).
-		if accs[i].Offset < prevEnd ||
-			accs[i].Offset-prevEnd >= uint64(k)*BlockSize {
-			sequential = false
-		}
-		// The k-consecutive metric works on blocks, counting small
-		// jumps in either direction (§6.4).
-		gap := accs[i].startBlock() - accs[i-1].endBlock()
-		if gap < 0 {
-			gap = -gap
-		}
-		if gap < k {
-			seqK++
-		}
-		if gap == 0 {
-			seqStrict++
-		}
-	}
-	if total > 0 {
-		r.Metric = float64(seqK) / float64(total)
-		r.MetricK1 = float64(seqStrict) / float64(total)
+func (r *openRun) add(a *Access, k int64) {
+	if r.n == 0 {
+		r.first = *a
 	} else {
-		r.Metric, r.MetricK1 = 1, 1
+		r.step(&r.last, a, k)
+	}
+	r.last = *a
+	r.n++
+	if !a.Write {
+		r.reads++
+	}
+	r.bytes += uint64(a.Count)
+	r.size = max(r.size, a.Size)
+}
+
+// join appends s, a run that continues r without a break.
+func (r *openRun) join(s *openRun, k int64) {
+	r.step(&r.last, &s.first, k)
+	r.random = r.random || s.random
+	r.seqK += s.seqK
+	r.seqK1 += s.seqK1
+	r.last = s.last
+	r.n += s.n
+	r.reads += s.reads
+	r.bytes += s.bytes
+	r.size = max(r.size, s.size)
+}
+
+// run classifies the run.
+func (r *openRun) run(fh core.FH) Run {
+	out := Run{FH: fh, Bytes: r.bytes, FileSize: r.size}
+	switch {
+	case r.reads == r.n:
+		out.Kind = RunRead
+	case r.reads == 0:
+		out.Kind = RunWrite
+	default:
+		out.Kind = RunReadWrite
+	}
+	if steps := r.n - 1; steps > 0 {
+		out.Metric = float64(r.seqK) / float64(steps)
+		out.MetricK1 = float64(r.seqK1) / float64(steps)
+	} else {
+		out.Metric, out.MetricK1 = 1, 1
 	}
 
 	// Entire: sequential from offset 0 through end-of-file.
-	first := accs[0]
-	last := accs[len(accs)-1]
-	coversWhole := first.Offset == 0 &&
-		(last.EOF || (maxSize > 0 && last.Offset+uint64(last.Count) >= maxSize))
-	if len(accs) == 1 {
+	coversWhole := r.first.Offset == 0 &&
+		(r.last.EOF || (r.size > 0 && r.last.Offset+uint64(r.last.Count) >= r.size))
+	switch {
+	case r.n == 1 && coversWhole:
 		// Singleton runs: entire if they access the whole file,
 		// sequential otherwise (§5.1, Table 3 note).
-		if coversWhole {
-			r.Pattern = PatternEntire
-		} else {
-			r.Pattern = PatternSequential
-		}
-		return r
-	}
-	switch {
-	case sequential && coversWhole:
-		r.Pattern = PatternEntire
-	case sequential:
-		r.Pattern = PatternSequential
+		out.Pattern = PatternEntire
+	case r.n == 1:
+		out.Pattern = PatternSequential
+	case !r.random && coversWhole:
+		out.Pattern = PatternEntire
+	case !r.random:
+		out.Pattern = PatternSequential
 	default:
-		r.Pattern = PatternRandom
+		out.Pattern = PatternRandom
 	}
-	return r
+	return out
+}
+
+// RunDetector is the Table 3 / Figure 2 / Figure 5 reducer: per file, a
+// pending window and the runs it feeds, under one run-detection
+// configuration. Runs never span files, so the state partitions by
+// handle.
+type RunDetector struct{ streams }
+
+// NewRunDetector returns an empty detector.
+func NewRunDetector(cfg RunConfig) *RunDetector {
+	var ws []float64
+	if cfg.ReorderWindow > 0 {
+		ws = []float64{cfg.ReorderWindow}
+	}
+	return &RunDetector{newStreams(ws, true, cfg)}
+}
+
+// Merge implements Reducer.
+func (d *RunDetector) Merge(src *RunDetector, f Filter) { d.merge(&src.streams, f) }
+
+// Runs detects and classifies the runs in everything added so far,
+// files in handle-spelling order (interned IDs depend on decode
+// interleaving, spellings don't) and each file's runs in stream order.
+func (d *RunDetector) Runs() []Run {
+	type file struct {
+		spell string
+		f     *fileState
+	}
+	files := make([]file, 0, len(d.files))
+	n := 2 * len(d.files) // at most one open run each in head and stretch
+	for fh, f := range d.files {
+		files = append(files, file{fh.String(), f})
+		if f.done != nil {
+			n += len(f.done.runs)
+		}
+		if f.runs != nil {
+			n += len(f.runs.closed)
+		}
+	}
+	slices.SortFunc(files, func(a, b file) int { return strings.Compare(a.spell, b.spell) })
+	runs := make([]Run, 0, n)
+	var fin fileState
+	for _, file := range files {
+		d.finish(file.f, &fin)
+		for i := range fin.runs.closed {
+			runs = append(runs, fin.runs.closed[i].run(file.f.fh))
+		}
+		if fin.runs.open.n > 0 {
+			runs = append(runs, fin.runs.open.run(file.f.fh))
+		}
+	}
+	if len(runs) == 0 {
+		return nil
+	}
+	return runs
 }
 
 // RunTable is the Table 3 presentation: run-count percentages by kind

@@ -35,8 +35,7 @@ func traceStreams(t *testing.T) map[string][]*core.Op {
 	}
 }
 
-// accessMap groups ops into per-file access lists, as the run reducers
-// do.
+// accessMap groups ops into per-file access lists, as the oracle does.
 func accessMap(ops []*core.Op) analysis.AccessMap {
 	m := make(analysis.AccessMap)
 	for _, op := range ops {
@@ -64,8 +63,9 @@ func addAll[R interface{ Add(*core.Op) }](r R, ops []*core.Op) R {
 }
 
 // TestSortWindowMatchesOracleOnTraces: on every file of generated CAMPUS
-// and EECS traces, at every window Figure 1 and Table 3 use, the blocked
-// sort swaps exactly what the linear scan swaps.
+// and EECS traces, at every window Figure 1 and Table 3 use, the
+// pending window fed one access at a time, and the oracle's blocked
+// sort, swap exactly what the linear scan swaps.
 func TestSortWindowMatchesOracleOnTraces(t *testing.T) {
 	for name, ops := range traceStreams(t) {
 		m := accessMap(ops)
@@ -73,13 +73,15 @@ func TestSortWindowMatchesOracleOnTraces(t *testing.T) {
 		for _, accs := range m {
 			accesses += len(accs)
 			for _, wms := range []float64{0, 1, 5, 10, 50} {
-				got := append([]analysis.Access(nil), accs...)
 				want := append([]analysis.Access(nil), accs...)
-				gs, ws := analysis.SortWindow(got, wms/1000), analysis.SortWindowOracle(want, wms/1000)
-				if gs != ws || !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s at %vms, %d accesses: %d swaps, oracle %d", name, wms, len(accs), gs, ws)
+				ws := analysis.SortWindowOracle(want, wms/1000)
+				for _, sort := range []func([]analysis.Access, float64) int{analysis.StreamSort, analysis.SortWindow} {
+					got := append([]analysis.Access(nil), accs...)
+					if gs := sort(got, wms/1000); gs != ws || !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s at %vms, %d accesses: %d swaps, linear scan %d", name, wms, len(accs), gs, ws)
+					}
 				}
-				swapped += gs
+				swapped += ws
 			}
 		}
 		if accesses < 5000 || swapped == 0 {
@@ -88,9 +90,10 @@ func TestSortWindowMatchesOracleOnTraces(t *testing.T) {
 	}
 }
 
-// TestFanOutMatchesSerial: the run list and the reorder sweep computed
-// across goroutines equal a serial loop over the files in spelling
-// order — run by run and point by point — at GOMAXPROCS 1 and 4.
+// TestFanOutMatchesSerial: the run list and the reorder sweep of the
+// streaming reducers equal a serial loop of the whole-list oracle over
+// the files in spelling order — run by run and point by point — at
+// GOMAXPROCS 1 and 4.
 func TestFanOutMatchesSerial(t *testing.T) {
 	windows := []float64{0, 1, 2, 5, 10, 20, 50}
 	for name, ops := range traceStreams(t) {
@@ -105,7 +108,9 @@ func TestFanOutMatchesSerial(t *testing.T) {
 					analysis.SortWindowOracle(accs, cfg.ReorderWindow)
 				}
 				single := analysis.RunConfig{IdleGap: cfg.IdleGap, JumpBlocks: cfg.JumpBlocks}
-				want = append(want, analysis.DetectRunsInFiles(map[core.FH][]analysis.Access{fh: accs}, single)...)
+				for _, r := range analysis.DetectRunsInFiles(map[core.FH][]analysis.Access{fh: accs}, single) {
+					want = append(want, r.Run)
+				}
 			}
 			total := 0
 			for _, accs := range m {
@@ -145,9 +150,8 @@ func TestFanOutMatchesSerial(t *testing.T) {
 
 // TestForkedFinishSurvivesLaterAdds is the nfsmond scrape path: a
 // snapshot forked from a live engine is finished and its result
-// published while the engine keeps ingesting. Runs are capped views of
-// the snapshot's lists, which share arrays with the live ones, so this
-// pins that later appends on the live side never show through.
+// published while the engine keeps ingesting; later adds on the live
+// side must never show through.
 func TestForkedFinishSurvivesLaterAdds(t *testing.T) {
 	ops := traceStreams(t)["campus"]
 	cut := len(ops) / 2

@@ -208,7 +208,7 @@ func TestSortWindowDoesNotMaskTrueRandomness(t *testing.T) {
 	}
 	runs := addAll(NewRunDetector(RunConfig{ReorderWindow: 0.010, IdleGap: 30, JumpBlocks: 10}), ops).Runs()
 	for _, r := range runs {
-		if len(r.Accesses) > 3 && r.Pattern != PatternRandom {
+		if r.Bytes > 3*8192 && r.Pattern != PatternRandom {
 			t.Fatalf("random stream classified %v", r.Pattern)
 		}
 	}

@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -86,9 +88,30 @@ func fuzzAccesses(data []byte) []Access {
 // takes the input's own float, which may be NaN or negative.
 var fuzzWindows = []float64{0, 1e-9, 1e-3, 0.005, 0.05, 1e300, math.Inf(1)}
 
-// FuzzSortWindowEquivalence: on any access list and window, the blocked
-// SortWindow performs as many swaps as the linear scan and leaves the
-// same slice.
+// streamSort runs the reorder-window pass over accs through a pending
+// window, one access at a time as a reducer's Add does, writing each
+// position back as it becomes final and the rest at the end, and
+// returns the swaps.
+func streamSort(accs []Access, w float64) int {
+	var p window
+	k := 0
+	for _, a := range accs {
+		p.push(a)
+		for b, ok := p.pop(w, false); ok; b, ok = p.pop(w, false) {
+			accs[k] = b
+			k++
+		}
+	}
+	for b, ok := p.pop(w, true); ok; b, ok = p.pop(w, true) {
+		accs[k] = b
+		k++
+	}
+	return p.swaps
+}
+
+// FuzzSortWindowEquivalence: on any access list and window, the pending
+// window fed one access at a time, and the oracle's blocked SortWindow,
+// perform as many swaps as the linear scan and leave the same list.
 func FuzzSortWindowEquivalence(f *testing.F) {
 	ramp := func(n int, c byte) []byte {
 		b := make([]byte, 0, 2*n)
@@ -107,7 +130,7 @@ func FuzzSortWindowEquivalence(f *testing.F) {
 	f.Add(ramp(20, 0x61), uint8(7), math.NaN())
 	f.Add(ramp(20, 0x61), uint8(7), -0.001)
 	f.Fuzz(func(t *testing.T, data []byte, wsel uint8, wraw float64) {
-		// Both scans are quadratic under a huge window; a thousand
+		// The scans are quadratic under a huge window; a thousand
 		// accesses cover every block shape.
 		if len(data) > 2000 {
 			data = data[:2000]
@@ -116,28 +139,30 @@ func FuzzSortWindowEquivalence(f *testing.F) {
 		if int(wsel)%(len(fuzzWindows)+1) < len(fuzzWindows) {
 			w = fuzzWindows[int(wsel)%(len(fuzzWindows)+1)]
 		}
-		got := fuzzAccesses(data)
 		want := fuzzAccesses(data)
-		gs, ws := SortWindow(got, w), sortWindowOracle(want, w)
-		if gs != ws || !sameAccesses(got, want) {
-			t.Fatalf("window %v over %d accesses: %d swaps, oracle %d; lists equal: %v",
-				w, len(got), gs, ws, sameAccesses(got, want))
+		ws := sortWindowOracle(want, w)
+		for name, sort := range map[string]func([]Access, float64) int{"pending window": streamSort, "blocked": SortWindow} {
+			got := fuzzAccesses(data)
+			if gs := sort(got, w); gs != ws || !sameAccesses(got, want) {
+				t.Fatalf("%s, window %v over %d accesses: %d swaps, linear scan %d; lists equal: %v",
+					name, w, len(got), gs, ws, sameAccesses(got, want))
+			}
 		}
 	})
 }
 
-// aliasingDetector holds two files of a stream that breaks runs
-// often (EOF every seventh access), under the given reorder window.
-func aliasingDetector(window float64) *RunDetector {
-	r := NewRunDetector(RunConfig{ReorderWindow: window, IdleGap: 30, JumpBlocks: 10})
+// aliasingOps is a stream on two files that breaks runs often (EOF
+// every seventh access).
+func aliasingOps() []*core.Op {
+	var ops []*core.Op
 	for i := 0; i < 200; i++ {
 		fh := "alias-a"
 		if i%3 == 0 {
 			fh = "alias-b"
 		}
-		r.Add(mkOp(float64(i)*0.001, fh, i%2 == 0, uint64((i*37)%50)*BlockSize, BlockSize, 1<<20, i%7 == 6))
+		ops = append(ops, mkOp(float64(i)*0.001, fh, i%2 == 0, uint64((i*37)%50)*BlockSize, BlockSize, 1<<20, i%7 == 6))
 	}
-	return r
+	return ops
 }
 
 func cloneFiles(m AccessMap) AccessMap {
@@ -148,48 +173,74 @@ func cloneFiles(m AccessMap) AccessMap {
 	return out
 }
 
-// TestRunAccessesAreCappedViews: runs share backing arrays with each
-// other (and, without a reorder window, with the reducer's lists), so
-// each is capped at its length — appending to one run reallocates
-// instead of overwriting the next — and finishing never writes the
-// reducer's lists.
+// runsOf drops the oracle's accesses.
+func runsOf(o []OracleRun) []Run {
+	var runs []Run
+	for _, r := range o {
+		runs = append(runs, r.Run)
+	}
+	return runs
+}
+
+// TestRunAccessesAreCappedViews: the oracle's runs share backing arrays
+// with each other (and, without a reorder window, with the file's
+// list), so each is capped at its length — appending to one run
+// reallocates instead of overwriting the next — and the oracle never
+// writes the lists it is given. The streaming detector finds the same
+// runs; finishing it leaves its state as it was, and an Add after the
+// finish leaves the published runs alone.
 func TestRunAccessesAreCappedViews(t *testing.T) {
 	for _, window := range []float64{0, 0.010} {
-		r := aliasingDetector(window)
-		before := cloneFiles(r.files)
+		cfg := RunConfig{ReorderWindow: window, IdleGap: 30, JumpBlocks: 10}
+		ops := aliasingOps()
+		files := addAll(make(AccessMap), ops)
+		before := cloneFiles(files)
+		oracle := DetectRunsInFiles(files, cfg)
+		OracleSweep(files, []float64{0, 1, 5, 50})
+		if !reflect.DeepEqual(files, before) {
+			t.Fatalf("window %v: the oracle changed the access lists", window)
+		}
+		if len(oracle) < 10 {
+			t.Fatalf("window %v: only %d runs", window, len(oracle))
+		}
+
+		r := addAll(NewRunDetector(cfg), ops)
+		held := encodeState(t, r)
 		runs := r.Runs()
-		points := NewReorderSweeper([]float64{0, 1, 5, 50})
-		points.files = r.files
-		points.Points()
-		if !reflect.DeepEqual(r.files, before) {
-			t.Fatalf("window %v: finishing changed the reducer's access lists", window)
+		if !reflect.DeepEqual(runs, runsOf(oracle)) {
+			t.Fatalf("window %v: streaming runs differ from the oracle's:\n got %+v\nwant %+v", window, runs, runsOf(oracle))
 		}
-		if len(runs) < 10 {
-			t.Fatalf("window %v: only %d runs", window, len(runs))
+		if !bytes.Equal(encodeState(t, r), held) {
+			t.Fatalf("window %v: finishing changed the detector's state", window)
 		}
-		for i := 0; i+1 < len(runs); i++ {
-			next := append([]Access(nil), runs[i+1].Accesses...)
-			runs[i].Accesses = append(runs[i].Accesses, Access{T: -1, Offset: 1 << 40})
-			if !reflect.DeepEqual(runs[i+1].Accesses, next) {
-				t.Fatalf("window %v: appending to run %d changed run %d", window, i, i+1)
-			}
-		}
-		// Adding to the reducer after a finish leaves the runs alone.
-		last := append([]Access(nil), runs[len(runs)-1].Accesses...)
+		published := slices.Clone(runs)
 		r.Add(mkOp(1, "alias-a", false, 0, BlockSize, 1<<20, false))
 		r.Add(mkOp(1, "alias-b", false, 0, BlockSize, 1<<20, false))
-		if !reflect.DeepEqual(runs[len(runs)-1].Accesses, last) {
+		if !reflect.DeepEqual(runs, published) {
 			t.Fatalf("window %v: Add after the finish changed a published run", window)
+		}
+
+		for i := 0; i+1 < len(oracle); i++ {
+			next := append([]Access(nil), oracle[i+1].Accesses...)
+			oracle[i].Accesses = append(oracle[i].Accesses, Access{T: -1, Offset: 1 << 40})
+			if !reflect.DeepEqual(oracle[i+1].Accesses, next) {
+				t.Fatalf("window %v: appending to run %d changed run %d", window, i, i+1)
+			}
 		}
 	}
 }
 
-// TestSplitRunsEmpty: a file with no accesses has no runs.
+// TestSplitRunsEmpty: a file with no accesses has no runs, and neither
+// has a detector that saw none.
 func TestSplitRunsEmpty(t *testing.T) {
 	if runs := splitRuns(nil, core.InternFH("empty"), nil, DefaultRunConfig(10)); runs != nil {
 		t.Fatalf("runs of no accesses: %v", runs)
 	}
 	if runs := DetectRunsInFiles(map[core.FH][]Access{}, DefaultRunConfig(10)); runs != nil {
 		t.Fatalf("runs of no files: %v", runs)
+	}
+	meta := &core.Op{T: 1, Replied: true, Proc: core.MustProc("getattr"), FH: core.InternFH("empty")}
+	if runs := addAll(NewRunDetector(DefaultRunConfig(10)), []*core.Op{meta}).Runs(); runs != nil {
+		t.Fatalf("runs of a detector that saw no data access: %v", runs)
 	}
 }

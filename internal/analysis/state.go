@@ -125,47 +125,119 @@ func (h *HourlySeries) State(c *state.Codec) {
 	}
 }
 
-// state codes the per-file access lists.
-func (m *AccessMap) state(c *state.Codec) {
-	state.Map(c, m, "file count", state.CompareFH, func(fh *core.FH, accs *[]Access) {
+func accessState(c *state.Codec, a *Access) {
+	c.F64(&a.T)
+	c.Uvarint(&a.Offset)
+	state.Below(c, &a.Count, math.MaxUint32+1, "access byte count")
+	c.Bool(&a.Write)
+	c.Bool(&a.EOF)
+	c.Uvarint(&a.Size)
+}
+
+func accessesState(c *state.Codec, accs *[]Access) {
+	state.Slice(c, accs, "access count", func(a *Access) { accessState(c, a) })
+}
+
+// state codes a file's head and its cut. Decoding replays the head
+// through take, which recomputes its bounds and refuses a head that
+// runs past its cut or a cut that does not close it.
+func (h *head) state(c *state.Codec, w float64) {
+	accessesState(c, &h.accs)
+	c.Bool(&h.cut)
+	if h.cut {
+		c.F64(&h.cutT)
+	}
+	if !c.Decoding() {
+		return
+	}
+	replay := head{}
+	for _, a := range h.accs {
+		if !replay.take(a, w) {
+			c.Failf("file head runs past its cut")
+			return
+		}
+	}
+	if h.cut && len(h.accs) > 0 && replay.take(Access{T: h.cutT}, w) {
+		c.Failf("file cut at t=%v does not close its head", h.cutT)
+	}
+	h.minT, h.maxT = replay.minT, replay.maxT
+}
+
+// state codes the pending accesses and the swap count; decoding starts
+// the oldest position's scan afresh.
+func (p *window) state(c *state.Codec) {
+	pending, swaps := p.pending(), int64(p.swaps)
+	accessesState(c, &pending)
+	c.Varint(&swaps)
+	if c.Decoding() {
+		*p = window{accs: pending, swaps: int(swaps)}
+	}
+}
+
+// state codes a run's running values.
+func (r *openRun) state(c *state.Codec) {
+	c.Varint(&r.n)
+	c.Varint(&r.reads)
+	c.Uvarint(&r.bytes)
+	c.Uvarint(&r.size)
+	c.Varint(&r.seqK)
+	c.Varint(&r.seqK1)
+	c.Bool(&r.random)
+	accessState(c, &r.first)
+	accessState(c, &r.last)
+}
+
+// filesState codes each file's head and, from the cut on, its access
+// count, pending windows and runs.
+func (s *streams) filesState(c *state.Codec) {
+	state.Map(c, &s.files, "file count", state.CompareFH, func(fh *core.FH, p **fileState) {
 		c.FH(fh)
-		state.Slice(c, accs, "access count", func(a *Access) {
-			c.F64(&a.T)
-			c.Uvarint(&a.Offset)
-			state.Below(c, &a.Count, math.MaxUint32+1, "access byte count")
-			c.Bool(&a.Write)
-			c.Bool(&a.EOF)
-			c.Uvarint(&a.Size)
-		})
+		if *p == nil {
+			*p = s.newFile(*fh)
+		}
+		f := *p
+		if f.head.state(c, s.wmax); !f.cut || c.Err() != nil {
+			return
+		}
+		if c.Decoding() {
+			f.done = s.headDone(f)
+		}
+		c.Varint(&f.n)
+		for i, wins := 0, f.windows(s); i < len(wins); i++ {
+			wins[i].state(c)
+		}
+		runs := f.runList()
+		state.Slice(c, &runs.closed, "run count", func(r *openRun) { r.state(c) })
+		runs.open.state(c)
 	})
 }
 
-// State codes the run-detection configuration and the per-file access
-// lists. A partial is only meaningful under the configuration it was
-// built with.
-func (r *RunDetector) State(c *state.Codec) {
-	cfg := r.cfg
+// State codes the run-detection configuration and the files' state. A
+// partial is only meaningful under the configuration it was built
+// with.
+func (d *RunDetector) State(c *state.Codec) {
+	cfg := d.cfg
 	c.F64(&cfg.ReorderWindow)
 	c.F64(&cfg.IdleGap)
 	c.Varint(&cfg.JumpBlocks)
-	if cfg != r.cfg {
+	if cfg != d.cfg {
 		c.Failf("run config (window=%v gap=%v k=%v) does not match receiver (window=%v gap=%v k=%v)",
-			cfg.ReorderWindow, cfg.IdleGap, cfg.JumpBlocks, r.cfg.ReorderWindow, r.cfg.IdleGap, r.cfg.JumpBlocks)
+			cfg.ReorderWindow, cfg.IdleGap, cfg.JumpBlocks, d.cfg.ReorderWindow, d.cfg.IdleGap, d.cfg.JumpBlocks)
 		return
 	}
-	r.files.state(c)
+	d.filesState(c)
 }
 
-// State codes the window list, which must match the receiver's, and the
-// per-file access lists.
-func (r *ReorderSweeper) State(c *state.Codec) {
-	windows := r.windowsMS
+// State codes the window list, which must match the receiver's, and
+// the files' state.
+func (s *ReorderSweeper) State(c *state.Codec) {
+	windows := s.windowsMS
 	state.Slice(c, &windows, "window count", c.F64)
-	if !slices.Equal(windows, r.windowsMS) {
-		c.Failf("reorder windows %vms do not match receiver's %vms", windows, r.windowsMS)
+	if !slices.Equal(windows, s.windowsMS) {
+		c.Failf("reorder windows %vms do not match receiver's %vms", windows, s.windowsMS)
 		return
 	}
-	r.files.state(c)
+	s.filesState(c)
 }
 
 // State codes the full mid-stream block-lifetime state: the window

@@ -48,12 +48,11 @@ func (h mergeHeap) Less(i, j int) bool {
 }
 func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeItem)) }
+
+// Pop drops the last item; Merger never reads what it returns.
 func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	*h = (*h)[:len(*h)-1]
+	return nil
 }
 
 // Merger interleaves several time-sorted record sources into one
@@ -78,30 +77,38 @@ func (m *Merger) prime() error {
 		if err != nil {
 			return err
 		}
-		heap.Push(&m.h, mergeItem{rec: rec, src: i})
+		m.h = append(m.h, mergeItem{rec: rec, src: i})
 	}
+	heap.Init(&m.h)
 	m.primed = true
 	return nil
 }
 
-// Next implements RecordSource over the merged stream.
+// Next implements RecordSource over the merged stream. The top's source
+// refills the top in place and one Fix restores the order; only a source
+// at EOF pops, so no item goes through container/heap's any.
 func (m *Merger) Next() (*Record, error) {
 	if !m.primed {
 		if err := m.prime(); err != nil {
 			return nil, err
 		}
 	}
-	if m.h.Len() == 0 {
+	if len(m.h) == 0 {
 		return nil, io.EOF
 	}
-	item := heap.Pop(&m.h).(mergeItem)
-	next, err := m.sources[item.src].Next()
-	if err == nil {
-		heap.Push(&m.h, mergeItem{rec: next, src: item.src})
-	} else if err != io.EOF {
+	top := &m.h[0]
+	rec := top.rec
+	next, err := m.sources[top.src].Next()
+	switch {
+	case err == nil:
+		top.rec = next
+		heap.Fix(&m.h, 0)
+	case err == io.EOF:
+		heap.Pop(&m.h)
+	default:
 		return nil, err
 	}
-	return item.rec, nil
+	return rec, nil
 }
 
 // MergeAll drains a merger into a slice.

@@ -28,8 +28,7 @@ type adapter interface {
 	// fork returns a fresh analyzer holding an independent copy of every
 	// shard's state, plus the copies, so a snapshot can keep feeding
 	// them. Closing it yields what the original would have produced had
-	// the stream ended at the fork. Forks of one analyzer share its
-	// finish cache, if its reducer has one.
+	// the stream ended at the fork.
 	fork() (Analyzer, []Accumulator)
 	// stateKey names the section payload format; the section is written
 	// as "<index>:<key>" so one run can carry two analyzers of a kind.
@@ -44,8 +43,9 @@ type adapter interface {
 	// codec. It runs after Quiesce.
 	encodeState(c *state.Codec)
 	// decodeState folds one serialized state into the open shards, each
-	// taking the files it owns. It runs after open, before any Feed.
-	decodeState(c *state.Codec)
+	// taking the files it owns. It runs after open, before any Feed, and
+	// reports a shard whose Merge refused the state.
+	decodeState(c *state.Codec) error
 }
 
 // sharded runs one analysis.Reducer per shard. A global analysis is the
@@ -57,15 +57,12 @@ type sharded[R analysis.Reducer[R]] struct {
 	finish func(R)         // publishes the merged reducer's result
 	like   func() Analyzer // a fresh analyzer under the same configuration
 	parts  []R
-	// cache is what the finishes of this analyzer's forks share; made
-	// at the first fork, so a run that never forks never fills one.
-	cache *analysis.FinishCache
 }
 
-// cacher is a reducer whose finish can reuse an earlier finish's work.
-type cacher interface {
-	ShareCache(c *analysis.FinishCache)
-}
+// refuser is a reducer whose Merge can refuse its source; Err reports
+// the first refusal. Run detection and the reorder sweep merge only
+// partials of one trace in trace-time order.
+type refuser interface{ Err() error }
 
 // bind returns the adapter in *slot, creating it on first use.
 func bind[R analysis.Reducer[R]](slot **sharded[R], key string, seq bool,
@@ -112,12 +109,6 @@ func (s *sharded[R]) fork() (Analyzer, []Accumulator) {
 	accs := f.open(len(s.parts))
 	for i, p := range s.parts {
 		f.parts[i].Merge(p, analysis.Filter{})
-		if c, ok := any(f.parts[i]).(cacher); ok {
-			if s.cache == nil {
-				s.cache = new(analysis.FinishCache)
-			}
-			c.ShareCache(s.cache)
-		}
 	}
 	return a, accs
 }
@@ -130,16 +121,20 @@ func (s *sharded[R]) encodeState(c *state.Codec) {
 	s.merged(analysis.Filter{}).State(c)
 }
 
-func (s *sharded[R]) decodeState(c *state.Codec) {
+func (s *sharded[R]) decodeState(c *state.Codec) error {
 	tmp := s.mk()
 	if tmp.State(c); c.Err() != nil {
-		return
+		return nil // the codec's error is the caller's to report
 	}
 	n := len(s.parts)
 	for i, p := range s.parts {
 		i := i
 		p.Merge(tmp, analysis.Filter{Owns: func(fh core.FH) bool { return shardIndex(fh, n) == i }})
+		if r, ok := any(p).(refuser); ok && r.Err() != nil {
+			return r.Err()
+		}
 	}
+	return nil
 }
 
 // IsSequential reports whether the analyzer's reduction is order
@@ -182,8 +177,8 @@ func (a *HourlyAnalyzer) adapter() adapter {
 }
 
 // RunsAnalyzer detects access runs (Table 3, Figures 2 and 5). Runs
-// never span files, so each shard accumulates the access lists of the
-// files it owns.
+// never span files, so each shard detects the runs of the files it
+// owns.
 type RunsAnalyzer struct {
 	Config analysis.RunConfig
 	// Result is valid after the run.
@@ -223,8 +218,8 @@ func (a *BlockLifeAnalyzer) adapter() adapter {
 }
 
 // ReorderSweepAnalyzer measures swapped accesses per reorder-window
-// size (Figure 1). Sorting windows apply per file, so the access lists
-// shard by handle.
+// size (Figure 1). Sorting windows apply per file, so the sweep shards
+// by handle.
 type ReorderSweepAnalyzer struct {
 	WindowsMS []float64
 	// Result is valid after the run.

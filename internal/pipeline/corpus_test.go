@@ -17,18 +17,22 @@ import (
 	"repro/internal/workload"
 )
 
-// The committed state corpus pins format version 2 in absolute terms:
+// The committed state corpus pins format version 3 in absolute terms:
 // one state per nfsanalyze -analysis kind over a fixed tiny CAMPUS
-// trace, the table each renders, and one blocklife state of format
-// version 1 that this build must refuse. Rewrite the v2 files, after a
-// deliberate format change, with
+// trace and the table each renders. The states of older versions, one
+// blocklife state of version 1 and the version 2 corpus, are states
+// this build must refuse. Rewrite the v3 files, after a deliberate
+// format change, with
 //
 //	go test ./internal/pipeline -run TestStateCorpus -update
 //
-// The v1 file is history: nothing here writes it.
-var update = flag.Bool("update", false, "rewrite the state corpus in testdata/state/v2")
+// The older files are history: nothing here writes them.
+var update = flag.Bool("update", false, "rewrite the state corpus in testdata/state/v3")
 
-const corpusDir = "testdata/state/v2"
+const corpusDir = "testdata/state/v3"
+
+// refusedDirs holds the states of older format versions, by version.
+var refusedDirs = map[uint16]string{1: "testdata/state/v1", 2: "testdata/state/v2"}
 
 var corpusKinds = jobspec.Kinds()
 
@@ -39,7 +43,7 @@ func corpusRecords() []*core.Record {
 	return sink.Records
 }
 
-// writeCorpus rewrites every v2 state and its rendered golden.
+// writeCorpus rewrites every v3 state and its rendered golden.
 func writeCorpus(t *testing.T) {
 	if err := os.MkdirAll(corpusDir, 0o755); err != nil {
 		t.Fatal(err)
@@ -88,10 +92,10 @@ func render(t *testing.T, kind string, data []byte) []byte {
 	return out.Bytes()
 }
 
-// TestStateCorpus: every committed v2 state parses, resumes into a
+// TestStateCorpus: every committed v3 state parses, resumes into a
 // fresh Live at one and at three shards and writes back to the same
-// bytes, and renders its committed table; the v1 state is refused with
-// a *state.VersionError.
+// bytes, and renders its committed table; every older state is refused
+// with a *state.VersionError naming its version.
 func TestStateCorpus(t *testing.T) {
 	if *update {
 		writeCorpus(t)
@@ -134,9 +138,21 @@ func TestStateCorpus(t *testing.T) {
 			}
 		})
 	}
-	_, err := pipeline.ParsePartial(read("v1-blocklife.state"))
-	var ve *state.VersionError
-	if !errors.As(err, &ve) || ve.Got != 1 || ve.Supported != state.Version {
-		t.Fatalf("v1 state: got error %v, want a *state.VersionError for version 1", err)
+	for version, dir := range refusedDirs {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.state"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no version %d states in %s: %v", version, dir, err)
+		}
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = pipeline.ParsePartial(data)
+			var ve *state.VersionError
+			if !errors.As(err, &ve) || ve.Got != version || ve.Supported != state.Version {
+				t.Errorf("%s: got error %v, want a *state.VersionError for version %d", path, err, version)
+			}
+		}
 	}
 }

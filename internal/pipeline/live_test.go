@@ -171,17 +171,15 @@ func TestFeedFromStops(t *testing.T) {
 	}
 }
 
-// TestSnapshotFeedBypassesFinishCache pins the one case in which a
-// file's access list in a snapshot differs from the live engine's list
-// of the same length: the joiner's pending operations, which a snapshot
-// is fed after the fork. The live engine receives such an operation
-// later with its reply fields (EOF here), or finds another operation in
-// its place, so a finish cache entry written from the snapshot's list
-// would be wrong for the next snapshot. File f shows the first case to
-// run detection, file g the second to the reorder sweep; both have
-// their second access reordered by a 10 ms window, so their entries are
-// a sorted copy and a nonzero swap count, not views of the list.
-func TestSnapshotFeedBypassesFinishCache(t *testing.T) {
+// TestSnapshotFeedStaysInSnapshot: what a snapshot is fed after the
+// fork, the joiner's pending operations, never reaches the live engine
+// or a later snapshot. The live engine receives such an operation later
+// with its reply fields (EOF here), or finds another operation in its
+// place. File f shows the first case to run detection, file g the
+// second to the reorder sweep; both have their second access reordered
+// by a 10 ms window, so the pending window of each holds a swapped
+// access at the fork.
+func TestSnapshotFeedStaysInSnapshot(t *testing.T) {
 	read := func(fh string, at float64, off uint64, replied, eof bool) *core.Op {
 		return &core.Op{T: at, Proc: core.ProcRead, FH: core.InternFH(fh),
 			Offset: off, Count: 8192, Replied: replied, EOF: eof, Size: 3 * 8192}
@@ -235,8 +233,8 @@ func TestSnapshotFeedBypassesFinishCache(t *testing.T) {
 // TestConcurrentSnapshotFinishes finishes two forks of one Live at once
 // while the live engine keeps ingesting, as two scrapes of a monitor
 // do, then a third fork over everything; each must equal a batch run
-// over its prefix. Run it under -race: the forks share the live
-// analyzers' finish caches and the live engine's access lists.
+// over its prefix. Run it under -race: the forks are finished on their
+// own goroutines while the live engine's shards keep adding.
 func TestConcurrentSnapshotFinishes(t *testing.T) {
 	ops := genOps(t, 0.5)
 	span := ops[len(ops)-1].T - ops[0].T

@@ -153,9 +153,12 @@ func (p *Partial) decodeInto(analyzers []Analyzer) error {
 		if !found {
 			return fmt.Errorf("pipeline: state file has no section %q — written by a different analysis?: %w", name, state.ErrCorrupt)
 		}
-		ad.decodeState(d.Codec())
+		refused := ad.decodeState(d.Codec())
 		if err := d.Finish(); err != nil {
 			return err
+		}
+		if refused != nil {
+			return fmt.Errorf("pipeline: analysis %q refuses to merge the states: %w", ad.stateKey(), refused)
 		}
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/state"
 )
@@ -247,6 +248,50 @@ func TestMergePartialsValidation(t *testing.T) {
 	RunSlice(Config{Workers: 1}, ops, ref)
 	if *final.Result != *ref.Result {
 		t.Fatalf("chained merge differs:\n got %+v\nwant %+v", *final.Result, *ref.Result)
+	}
+}
+
+// TestMergePartialsRefusesOverlap: the second partial's accesses to a
+// file fall inside the 10 ms reorder window the first left open at its
+// last access (2.000): its cut, at 2.005, is 5 ms after it. No merge of
+// the two states can reproduce one pass over the interleaved stream, so
+// MergePartials refuses it and names the analysis.
+func TestMergePartialsRefusesOverlap(t *testing.T) {
+	read := func(at float64, off uint64) *core.Op {
+		return &core.Op{T: at, Proc: core.ProcRead, FH: core.InternFH("overlap"), Offset: off,
+			Count: 8192, RCount: 8192, Replied: true, Size: 1 << 20}
+	}
+	first := []*core.Op{read(1.000, 0), read(2.000, 16384)}
+	second := []*core.Op{read(1.500, 8192), read(2.005, 24576)}
+	for key, mk := range map[string]func() Analyzer{
+		"runs":    func() Analyzer { return &RunsAnalyzer{Config: analysis.DefaultRunConfig(10)} },
+		"reorder": func() Analyzer { return &ReorderSweepAnalyzer{WindowsMS: []float64{0, 10}} },
+	} {
+		var parts []*Partial
+		for _, ops := range [][]*core.Op{first, second} {
+			p, err := ReadPartial(bytes.NewReader(encodePartial(t, key, ops, nil, mk())))
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, p)
+		}
+		_, _, err := MergePartials([]Analyzer{mk()}, parts)
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) || !strings.Contains(err.Error(), "reorder window") {
+			t.Errorf("%s: merging overlapping partials: %v", key, err)
+		}
+		// In time order the same accesses merge.
+		ordered := []*core.Op{read(1.000, 0), read(1.500, 8192), read(2.000, 16384), read(2.005, 24576)}
+		parts = parts[:0]
+		for _, ops := range [][]*core.Op{ordered[:2], ordered[2:]} {
+			p, err := ReadPartial(bytes.NewReader(encodePartial(t, key, ops, nil, mk())))
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, p)
+		}
+		if _, _, err := MergePartials([]Analyzer{mk()}, parts); err != nil {
+			t.Errorf("%s: merging time-ordered partials: %v", key, err)
+		}
 	}
 }
 

@@ -44,8 +44,10 @@ import (
 // version and rejects any other with a *VersionError: there are no
 // compatibility paths. Version 2 dropped the (directory, name) bindings
 // the blocklife, hierarchy and names sections carried; the router
-// section is the one binding table.
-const Version = 2
+// section is the one binding table. Version 3 replaced the runs and
+// reorder sections' per-file access lists with streaming state: a raw
+// head, then runs, running values and pending reorder windows.
+const Version = 3
 
 // magic identifies a state file; it is exactly 8 bytes.
 const magic = "nfsstate"

@@ -14,9 +14,10 @@ import (
 // taken while the live engine is ingesting, finished with the joiner's
 // pending operations, must render every nfsanalyze table byte-identically
 // to a batch run over the same record prefix — at every worker count —
-// and the fork must not perturb the live run's final results. Forks of
-// one Live share its run-detection and sweep finish caches, so the runs
-// themselves and the sweep points are compared too, not only the tables.
+// and the fork must not perturb the live run's final results. Forks
+// share the heads' finished results (headDone) and closed runs with the
+// live engine, so the runs themselves and the sweep points are compared
+// too, not only the tables.
 
 // snapSets builds one set of every analysis kind from the catalog
 // nfsanalyze and nfsmond build and print theirs from, so byte equality
@@ -84,8 +85,8 @@ func batchPrefix(t *testing.T, cfg pipeline.Config, records []*core.Record, n in
 }
 
 // TestSnapshotMatchesBatchPrefix runs over CAMPUS, and over EECS, whose
-// many data operations put thousands of accesses into the finish caches
-// between two cuts.
+// many data operations add thousands of accesses to the files' windows
+// and heads between two cuts.
 func TestSnapshotMatchesBatchPrefix(t *testing.T) {
 	scale := SmallScale()
 	scale.Days = 0.5
