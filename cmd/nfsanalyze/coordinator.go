@@ -25,13 +25,13 @@ import (
 // remote nfsworker daemons reached over TCP via internal/dispatch
 // (-remote host:port,...), which are sent the trace bytes so no shared
 // filesystem is needed and analyse them as they arrive, and this
-// process. The pool
-// goes first and may be empty; whatever it leaves without a state —
-// every piece when there is no -remote, the pieces it gave up on when
-// its workers died — runs here. Order-independent analyses run their
-// pieces in parallel and merge independent states; order-dependent ones
-// (blocklife, hierarchy, names) run as a resume chain, one piece at a
-// time, each resuming from the state before it.
+// process. The pool goes first and may be empty; whatever it leaves
+// without a state — every piece when there is no -remote, the pieces it
+// gave up on when its workers died — runs here, all pieces in parallel.
+// Only mergeable analyses come here: run sends an order-dependent one
+// (blocklife, hierarchy, names) through the plain direct run instead,
+// since its states compose only as a serial chain, which would read
+// every byte in order in this process anyway.
 
 // coordConfig carries everything the coordinator needs.
 type coordConfig struct {
@@ -44,8 +44,8 @@ type coordConfig struct {
 
 // partitionFiles cuts paths into min(n, len(paths)) contiguous groups
 // of near-equal byte size (contiguous so a lexically sorted set of daily
-// files stays in time order for the chained analyses). Every group
-// gets at least one file, so n = len(paths) makes every file a piece.
+// files gives each piece one stretch of time). Every group gets at least
+// one file, so n = len(paths) makes every file a piece.
 func partitionFiles(paths []string, n int) [][]string {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -127,74 +127,55 @@ func runCoordinator(cc coordConfig, stdout, stderr io.Writer) error {
 		Logf: logf,
 	}
 
-	// runPieces leaves a state in states[t.ID] for every task: the remote
-	// pool, when there is one, gets each attempt the full
-	// retry/deadline/failover/speculation treatment, and every piece it
-	// could not finish then runs in this process.
-	states := make([][]byte, len(groups))
-	partials := make([]*pipeline.Partial, len(groups))
-	runPieces := func(tasks []dispatch.Task) error {
-		if len(cc.remote) > 0 {
-			results, rs, err := dispatch.Run(context.Background(), dcfg, tasks)
-			if err != nil {
-				return err
-			}
-			logf("coordinator: dispatch finished: %d/%d pieces remote (dispatched %d, retries %d, speculations %d, duplicates %d, divergent %d)",
-				rs.Completed, len(tasks), rs.Dispatched, rs.Retries, rs.Speculations, rs.Duplicates, rs.Divergent)
-			for _, res := range results {
-				if res.Divergent {
-					return fmt.Errorf("coordinator: piece %d: two attempts returned different states", res.TaskID)
-				}
-				states[res.TaskID] = res.State
-				// A duplicate attempt may have been vetted after the
-				// winner; only a decode of the winner's bytes stands in
-				// for it, and both digests are SHA-256 over those bytes.
-				if p := vetted[res.TaskID]; bytes.Equal(p.Digest, res.Digest[:]) {
-					partials[res.TaskID] = p
-				}
-			}
-		}
-		errs := make([]error, len(tasks))
-		var wg sync.WaitGroup
-		for k, t := range tasks {
-			if states[t.ID] != nil {
-				continue
-			}
-			if len(cc.remote) > 0 {
-				logf("coordinator: piece %d: worker pool degraded; running locally", t.ID)
-			}
-			wg.Add(1)
-			go func(k int, t dispatch.Task) {
-				defer wg.Done()
-				states[t.ID], errs[k] = runPiece(cc.timeout, t)
-			}(k, t)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	tasks := make([]dispatch.Task, len(groups))
 	for i, g := range groups {
 		tasks[i] = dispatch.Task{ID: i, Spec: specJSON, Files: g}
 	}
-	if cc.set.Sequential() {
-		// A resume chain: piece i+1 needs piece i's state, so the pieces
-		// go one at a time.
-		for i := range tasks {
-			if i > 0 {
-				tasks[i].Parent = states[i-1]
+	// The remote pool, when there is one, gets each attempt the full
+	// retry/deadline/failover/speculation treatment; every piece it could
+	// not finish then runs in this process.
+	states := make([][]byte, len(groups))
+	partials := make([]*pipeline.Partial, len(groups))
+	if len(cc.remote) > 0 {
+		results, rs, err := dispatch.Run(context.Background(), dcfg, tasks)
+		if err != nil {
+			return err
+		}
+		logf("coordinator: dispatch finished: %d/%d pieces remote (dispatched %d, retries %d, speculations %d, duplicates %d, divergent %d)",
+			rs.Completed, len(tasks), rs.Dispatched, rs.Retries, rs.Speculations, rs.Duplicates, rs.Divergent)
+		for _, res := range results {
+			if res.Divergent {
+				return fmt.Errorf("coordinator: piece %d: two attempts returned different states", res.TaskID)
 			}
-			if err := runPieces(tasks[i : i+1]); err != nil {
-				return err
+			states[res.TaskID] = res.State
+			// A duplicate attempt may have been vetted after the
+			// winner; only a decode of the winner's bytes stands in
+			// for it, and both digests are SHA-256 over those bytes.
+			if p := vetted[res.TaskID]; bytes.Equal(p.Digest, res.Digest[:]) {
+				partials[res.TaskID] = p
 			}
 		}
-	} else if err := runPieces(tasks); err != nil {
-		return err
+	}
+	errs := make([]error, len(tasks))
+	var wg sync.WaitGroup
+	for i, t := range tasks {
+		if states[i] != nil {
+			continue
+		}
+		if len(cc.remote) > 0 {
+			logf("coordinator: piece %d: worker pool degraded; running locally", i)
+		}
+		wg.Add(1)
+		go func(t dispatch.Task) {
+			defer wg.Done()
+			states[t.ID], errs[t.ID] = runPiece(cc.timeout, t)
+		}(t)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 
 	for i, blob := range states {
@@ -224,7 +205,7 @@ func runPiece(timeout time.Duration, t dispatch.Task) ([]byte, error) {
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	state, err := jobspec.RunTask(ctx, t.Spec, t.Parent, t.Files)
+	state, err := jobspec.RunTask(ctx, t.Spec, t.Files)
 	if err != nil {
 		return nil, fmt.Errorf("coordinator: piece %d (files %s): %w", t.ID, strings.Join(t.Files, ", "), err)
 	}

@@ -181,6 +181,50 @@ func TestResumeRendersDirectly(t *testing.T) {
 	}
 }
 
+// TestMergeChainInAnyOrder: -merge orders a resume chain by its parent
+// digests, not by its arguments — every link's stats are cumulative and
+// start where the first link's do, so nothing else tells the links
+// apart — and every order of a 3-link chain renders the plain run's
+// bytes. Two links resumed from the same parent are still no chain.
+func TestMergeChainInAnyOrder(t *testing.T) {
+	dir := t.TempDir()
+	path, _ := smokeTrace(t, dir)
+	pieces := splitQuiescent(t, path, 3, dir, false)
+	want := directOutput(t, "names", path)
+	partial := func(name, piece, resume string) string {
+		t.Helper()
+		st := filepath.Join(dir, name+".state")
+		args := []string{"-analysis", "names", "-i", piece, "-partial", st}
+		if resume != "" {
+			args = append(args, "-resume", resume)
+		}
+		var out, errb bytes.Buffer
+		if err := run(args, &out, &errb); err != nil {
+			t.Fatalf("%s: %v (stderr: %s)", name, err, errb.String())
+		}
+		return st
+	}
+	a := partial("a", pieces[0], "")
+	b := partial("b", pieces[1], a)
+	c := partial("c", pieces[2], b)
+	for _, order := range [][]string{{a, b, c}, {a, c, b}, {b, a, c}, {b, c, a}, {c, a, b}, {c, b, a}} {
+		var out, errb bytes.Buffer
+		if err := run(append([]string{"-analysis", "names", "-merge"}, order...), &out, &errb); err != nil {
+			t.Fatalf("merge %v: %v", order, err)
+		}
+		if out.String() != want {
+			t.Fatalf("merge %v: output differs:\n--- direct ---\n%s--- merged ---\n%s", order, want, out.String())
+		}
+	}
+
+	forked := partial("b2", pieces[1], a)
+	var out, errb bytes.Buffer
+	err := run([]string{"-analysis", "names", "-merge", b, a, forked}, &out, &errb)
+	if err == nil || !strings.Contains(err.Error(), "two pieces resume from the same state") {
+		t.Fatalf("two links resumed from one parent: got %v", err)
+	}
+}
+
 // TestCoordinatorMatchesDirect runs -coordinator with no -remote pool,
 // so every piece runs in this process, over a gzip multi-file trace set
 // and checks the rendered tables are byte-identical to the plain run —
@@ -221,7 +265,7 @@ func TestCoordinatorPieceFailures(t *testing.T) {
 	path, _ := smokeTrace(t, dir)
 	pieces := splitQuiescent(t, path, 2, dir, true)
 
-	for _, kind := range []string{"summary", "names"} {
+	for _, kind := range []string{"summary", "runs"} {
 		var out, errb bytes.Buffer
 		args := append([]string{"-analysis", kind, "-coordinator", "-workers", "2", "-worker-timeout", "1ns"}, pieces...)
 		err := run(args, &out, &errb)

@@ -10,20 +10,21 @@
 // incrementally, and the analysis reducers run across -workers shards.
 // Memory depends on the reducer, not the record count: summary,
 // hierarchy, names, peak and mailbox hold per-file or constant-size
-// state, blocklife holds live-block state, while runs and reorder
-// accumulate one entry per data access (run detection needs each
-// file's full access list).
+// state, blocklife holds live-block state, and runs and reorder hold
+// each file's open run and the accesses still inside the reorder
+// window, so theirs grows with the files in play, not with the stream.
 //
 // Every analysis can also run distributed. -partial serializes the
 // reducers' mid-stream state to a file instead of rendering tables;
 // -resume seeds a run from such a file (checkpoint/resume, or chaining
 // consecutive trace pieces); -merge combines state files and renders
 // the tables, byte-identical to one run over everything; -coordinator
-// does all of that in one command, cutting the trace set's files into
-// -workers pieces and running each piece on a -remote nfsworker or,
-// where there is none, in this process. Order-dependent analyses
-// (blocklife, hierarchy, names) distribute as a resume chain; the rest
-// merge independently computed states.
+// does all of that in one command for the mergeable analyses, cutting
+// the trace set's files into -workers pieces and running each piece on
+// a -remote nfsworker or, where there is none, in this process. The
+// order-dependent analyses (blocklife, hierarchy, names) compose only as
+// a -resume chain, which is serial, so under -coordinator they run as
+// the plain direct run over all the files, and nothing is dispatched.
 //
 // Usage:
 //
@@ -86,12 +87,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	start := fs.Float64("start", 0, "blocklife phase-1 start (seconds)")
 	phase := fs.Float64("phase", workload.Day, "blocklife phase-1 length (seconds)")
 	margin := fs.Float64("margin", workload.Day, "blocklife end margin (seconds)")
-	workers := fs.Int("workers", 0, "pipeline shard count; with -coordinator, the number of pieces the input files are cut into (0 = one per CPU, or two per -remote worker)")
+	workers := fs.Int("workers", 0, "pipeline shard count; with -coordinator, the number of pieces the input files of a mergeable analysis are cut into (0 = one per CPU, or two per -remote worker)")
 	fs.Int("decoders", 0, "ignored: each input file is decoded on one read-ahead goroutine (still parsed so existing scripts keep working)")
 	partialOut := fs.String("partial", "", "serialize partial analysis state to this file instead of rendering tables")
 	resumeIn := fs.String("resume", "", "seed the analysis from this state file before reading input")
 	mergeMode := fs.Bool("merge", false, "inputs are state files: merge them and render the tables")
-	coordMode := fs.Bool("coordinator", false, "cut the input files into -workers pieces, analyze each piece on a -remote worker or else in this process, merge the states, render")
+	coordMode := fs.Bool("coordinator", false, "cut the input files into -workers pieces, analyze each piece on a -remote worker or else in this process, merge the states, render; an order-dependent analysis (blocklife, hierarchy, names) runs as the plain run instead")
 	remote := fs.String("remote", "", "comma-separated nfsworker addresses; with -coordinator, dispatch pieces to them over TCP (a piece the pool cannot finish runs in this process)")
 	workerTimeout := fs.Duration("worker-timeout", 10*time.Minute, "deadline per piece attempt in coordinator mode; a remote attempt past it is abandoned and re-dispatched, an in-process piece past it fails the run")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -158,17 +159,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *remote != "" && !*coordMode {
 		return fmt.Errorf("-remote requires -coordinator")
 	}
-	if *coordMode {
-		if *partialOut != "" || *resumeIn != "" {
-			return fmt.Errorf("-coordinator cannot be combined with -partial or -resume")
-		}
-		if len(inputs) == 0 {
-			return fmt.Errorf("-coordinator needs file inputs, not stdin")
-		}
-		paths, err := pipeline.ExpandInputs(inputs)
-		if err != nil {
+	if *coordMode && (*partialOut != "" || *resumeIn != "") {
+		return fmt.Errorf("-coordinator cannot be combined with -partial or -resume")
+	}
+	if *coordMode && len(inputs) == 0 {
+		return fmt.Errorf("-coordinator needs file inputs, not stdin")
+	}
+	var paths []string
+	if len(inputs) > 0 {
+		if paths, err = pipeline.ExpandInputs(inputs); err != nil {
 			return err
 		}
+	}
+	if *coordMode {
 		cc := coordConfig{
 			set:     set,
 			paths:   paths,
@@ -184,7 +187,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 				cc.remote = append(cc.remote, addr)
 			}
 		}
-		return runCoordinator(cc, stdout, stderr)
+		if !set.Sequential() {
+			return runCoordinator(cc, stdout, stderr)
+		}
+		fmt.Fprintf(stderr, "nfsanalyze: coordinator: %s is order-dependent, so it runs in this process as one pass over %d files; no piece is dispatched\n",
+			set.Spec.Kind, len(paths))
 	}
 
 	var src core.RecordSource
@@ -197,10 +204,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer ra.Stop()
 		src = ra
 	} else {
-		paths, err := pipeline.ExpandInputs(inputs)
-		if err != nil {
-			return err
-		}
 		ts, err = pipeline.OpenTraceSet(paths, core.IngestConfig{})
 		if err != nil {
 			return err

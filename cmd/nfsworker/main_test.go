@@ -183,29 +183,22 @@ func TestServeAndDrain(t *testing.T) {
 	}
 }
 
-// rendered decodes serialized states (one, or a resume chain in order)
-// and renders them the way the coordinator's merge tail would: metadata,
-// join statistics and tables. State bytes are canonical — the same input
-// at the same shard count writes the same bytes in any process — so
-// states compare byte for byte, and this shows what differs.
-func rendered(t *testing.T, spec jobspec.Spec, states ...[]byte) string {
+// rendered decodes a serialized state and renders it the way the
+// coordinator's merge tail would: metadata, join statistics and tables.
+// State bytes are canonical — the same input at the same shard count
+// writes the same bytes in any process — so states compare byte for
+// byte, and this shows what differs.
+func rendered(t *testing.T, spec jobspec.Spec, state []byte) string {
 	t.Helper()
 	set, err := jobspec.Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var partials []*pipeline.Partial
-	for _, state := range states {
-		if state == nil {
-			continue
-		}
-		p, err := jobspec.DecodeState(spec.Kind, state)
-		if err != nil {
-			t.Fatal(err)
-		}
-		partials = append(partials, p)
+	p, err := jobspec.DecodeState(spec.Kind, state)
+	if err != nil {
+		t.Fatal(err)
 	}
-	stats, join, err := pipeline.MergePartials(set.Analyzers, partials)
+	stats, join, err := pipeline.MergePartials(set.Analyzers, []*pipeline.Partial{p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +212,7 @@ func rendered(t *testing.T, spec jobspec.Spec, states ...[]byte) string {
 // arrives yields the state jobspec.RunFiles computes from the same files
 // on disk — byte for byte — for a two-file piece (a k-way
 // merge fed by two queues, the second filling only after the first is
-// through), a gzip piece, a binary piece, and a chained analysis
-// resuming from a parent state that travels with the assignment.
+// through), a gzip piece and a binary piece.
 func TestStreamedPieceEqualsRunFiles(t *testing.T) {
 	dir := t.TempDir()
 	scale := repro.SmallScale()
@@ -260,21 +252,14 @@ func TestStreamedPieceEqualsRunFiles(t *testing.T) {
 	zipped, binary := write("all.trace.gz", records, false, true), write("all.btrace", records, true, false)
 
 	ctx := context.Background()
-	chainSpec := jobspec.Default("blocklife")
-	parentState, err := jobspec.RunFiles(ctx, chainSpec, []string{first}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
-		name   string
-		spec   jobspec.Spec
-		files  []string
-		parent []byte
+		name  string
+		spec  jobspec.Spec
+		files []string
 	}{
-		{"two files", jobspec.Default("runs"), []string{first, second}, nil},
-		{"gzip", jobspec.Default("summary"), []string{zipped}, nil},
-		{"binary", jobspec.Default("names"), []string{binary}, nil},
-		{"chained with parent", chainSpec, []string{second}, parentState},
+		{"two files", jobspec.Default("runs"), []string{first, second}},
+		{"gzip", jobspec.Default("summary"), []string{zipped}},
+		{"binary", jobspec.Default("names"), []string{binary}},
 	}
 	tasks := make([]dispatch.Task, len(cases))
 	for i, tc := range cases {
@@ -282,7 +267,7 @@ func TestStreamedPieceEqualsRunFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tasks[i] = dispatch.Task{ID: i, Spec: specJSON, Files: tc.files, Parent: tc.parent}
+		tasks[i] = dispatch.Task{ID: i, Spec: specJSON, Files: tc.files}
 	}
 
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -298,11 +283,11 @@ func TestStreamedPieceEqualsRunFiles(t *testing.T) {
 	}
 	for _, res := range results {
 		tc := cases[res.TaskID]
-		want, err := jobspec.RunTask(ctx, tasks[res.TaskID].Spec, tc.parent, tc.files)
+		want, err := jobspec.RunTask(ctx, tasks[res.TaskID].Spec, tc.files)
 		if err != nil {
 			t.Fatalf("%s: RunTask: %v", tc.name, err)
 		}
-		got, ref := rendered(t, tc.spec, tc.parent, res.State), rendered(t, tc.spec, tc.parent, want)
+		got, ref := rendered(t, tc.spec, res.State), rendered(t, tc.spec, want)
 		if !bytes.Equal(res.State, want) || got != ref {
 			t.Errorf("%s: streamed state (%d bytes) differs from the state computed from the files (%d bytes):\n--- streamed ---\n%s--- files ---\n%s",
 				tc.name, len(res.State), len(want), got, ref)

@@ -16,14 +16,13 @@ import (
 )
 
 // Task is one piece of a distributed analysis: which trace files to
-// analyze under which spec, and (for chained analyses) the parent
-// state to resume from. Files are coordinator-local paths; their bytes
-// are streamed to the worker, so workers need no shared filesystem.
+// analyze under which spec. Files are coordinator-local paths; their
+// bytes are streamed to the worker, so workers need no shared
+// filesystem.
 type Task struct {
-	ID     int
-	Spec   json.RawMessage
-	Files  []string
-	Parent []byte
+	ID    int
+	Spec  json.RawMessage
+	Files []string
 }
 
 // Result is one completed task: the serialized partial state plus the
@@ -433,7 +432,6 @@ func (r *run) runAssignment(ctx context.Context, addr string, conn net.Conn, fr 
 		ID:          t.ID,
 		Attempt:     attempt,
 		Spec:        t.Spec,
-		HasParent:   len(t.Parent) > 0,
 		Files:       files,
 		DeadlineMS:  r.cfg.AssignTimeout.Milliseconds(),
 		HeartbeatMS: r.cfg.HeartbeatInterval.Milliseconds(),
@@ -719,16 +717,10 @@ func (r *run) stragglerThresholdLocked() time.Duration {
 	return th
 }
 
-// sendPiece writes one whole assignment: the header, the parent state
-// if the piece has one, and every file.
+// sendPiece writes one whole assignment: the header and every file.
 func sendPiece(fr *frameRW, ah assignHeader, t Task) error {
 	if err := fr.sendJSON(frameAssign, ah); err != nil {
 		return err
-	}
-	if len(t.Parent) > 0 {
-		if err := fr.sendBlob(t.Parent); err != nil {
-			return err
-		}
 	}
 	for _, p := range t.Files {
 		if err := sendFileBlob(fr, p); err != nil {

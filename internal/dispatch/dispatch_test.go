@@ -42,7 +42,7 @@ func (l *testLog) String() string {
 // stubRunner computes a deterministic state from everything the worker
 // received, optionally sleeping first (to play the straggler).
 func stubRunner(delay time.Duration) StreamRunner {
-	return func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
+	return func(ctx context.Context, spec []byte, files []io.Reader) ([]byte, error) {
 		if delay > 0 {
 			select {
 			case <-time.After(delay):
@@ -50,16 +50,15 @@ func stubRunner(delay time.Duration) StreamRunner {
 				return nil, ctx.Err()
 			}
 		}
-		return stubState(spec, parent, files)
+		return stubState(spec, files)
 	}
 }
 
 // stubState hashes the assignment; a file that does not arrive whole is
 // an error, as it must be for any real runner.
-func stubState(spec, parent []byte, files []io.Reader) ([]byte, error) {
+func stubState(spec []byte, files []io.Reader) ([]byte, error) {
 	h := sha256.New()
 	h.Write(spec)
-	h.Write(parent)
 	for _, f := range files {
 		if _, err := io.Copy(h, f); err != nil {
 			return nil, err
@@ -239,11 +238,11 @@ func TestDispatchCorruptStateRejected(t *testing.T) {
 func TestDispatchAnalysisErrorReportedInBand(t *testing.T) {
 	lg := &testLog{}
 	var calls atomic.Int64
-	runner := func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
+	runner := func(ctx context.Context, spec []byte, files []io.Reader) ([]byte, error) {
 		if calls.Add(1) == 1 {
 			return nil, errors.New("synthetic analysis failure")
 		}
-		return stubState(spec, parent, files)
+		return stubState(spec, files)
 	}
 	addr := startWorker(t, &Worker{Stream: runner, Logf: lg.logf})
 	tasks, expected := makeTasks(t, 2)
@@ -300,8 +299,8 @@ func TestDispatchStragglerSpeculation(t *testing.T) {
 			bothVetted  = make(chan struct{})
 		)
 		runner := func(slow bool) StreamRunner {
-			return func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
-				state, err := stubState(spec, parent, files)
+			return func(ctx context.Context, spec []byte, files []io.Reader) ([]byte, error) {
+				state, err := stubState(spec, files)
 				if err != nil {
 					return nil, err
 				}
@@ -415,8 +414,8 @@ func TestDispatchNoAddrs(t *testing.T) {
 func TestDispatchNetemCutMidAssignmentRetries(t *testing.T) {
 	lg := &testLog{}
 	var cutReads, clean atomic.Int64
-	runner := func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
-		state, err := stubState(spec, parent, files)
+	runner := func(ctx context.Context, spec []byte, files []io.Reader) ([]byte, error) {
+		state, err := stubState(spec, files)
 		switch {
 		case errors.Is(err, io.ErrUnexpectedEOF):
 			cutReads.Add(1)
@@ -526,10 +525,10 @@ func TestWorkerDrainFinishesInFlight(t *testing.T) {
 	lg := &testLog{}
 	release := make(chan struct{})
 	started := make(chan struct{})
-	runner := func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
+	runner := func(ctx context.Context, spec []byte, files []io.Reader) ([]byte, error) {
 		close(started)
 		<-release
-		return stubState(spec, parent, files)
+		return stubState(spec, files)
 	}
 	w := &Worker{Stream: runner, Logf: lg.logf}
 	addr := startWorker(t, w)
@@ -561,39 +560,4 @@ func TestWorkerDrainFinishesInFlight(t *testing.T) {
 		t.Fatalf("Run: %v\n%s", runErr, lg)
 	}
 	checkResults(t, results, expected)
-}
-
-func TestRecvBlobToleratesHeartbeats(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	sender, receiver := newFrameRW(a), newFrameRW(b)
-	go func() {
-		sender.send(frameChunk, []byte("hello "))
-		sender.sendJSON(frameHeartbeat, heartbeat{ID: 1, Ops: 42})
-		sender.send(frameChunk, []byte("world"))
-		sender.send(frameBlobEnd, nil)
-	}()
-	var beats int
-	blob, err := receiver.recvBlob(maxBlobLen, func([]byte) { beats++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(blob) != "hello world" || beats != 1 {
-		t.Fatalf("blob %q, beats %d", blob, beats)
-	}
-}
-
-func TestRecvBlobTruncationIsUnexpectedEOF(t *testing.T) {
-	a, b := net.Pipe()
-	defer b.Close()
-	receiver := newFrameRW(b)
-	go func() {
-		sender := newFrameRW(a)
-		sender.send(frameChunk, []byte("partial"))
-		a.Close() // cut before blob-end
-	}()
-	if _, err := receiver.recvBlob(maxBlobLen, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("mid-blob cut: err = %v, want io.ErrUnexpectedEOF", err)
-	}
 }

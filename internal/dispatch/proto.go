@@ -14,7 +14,6 @@
 // bytes for data chunks. One assignment flows as
 //
 //	coord → worker   assign {id, attempt, spec, files, deadline}
-//	coord → worker   [parent-state blob]   (chained analyses only)
 //	coord → worker   one blob per input file
 //	worker → coord   heartbeat … heartbeat (from the runner's start on)
 //	worker → coord   result {id, size} + state blob   (or error {id, msg})
@@ -24,7 +23,7 @@
 // error rather than a short file.
 //
 // The worker is a stream, not a spool. Its runner starts as soon as the
-// assign header and the parent blob are in, and is handed one io.Reader
+// assign header is in, and is handed one io.Reader
 // per announced file; the connection's receive loop queues each chunk
 // payload on the file it belongs to and the runner reads the queue, so
 // transfer, decode and reduce overlap and no trace byte is reassembled
@@ -51,7 +50,6 @@ package dispatch
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -62,7 +60,9 @@ import (
 
 // ProtocolVersion gates coordinator/worker compatibility: a worker
 // whose hello carries a different version is rejected at registration.
-const ProtocolVersion = 1
+// Version 1 sent a chained piece's resume state ahead of its files;
+// version 2 sends the files only.
+const ProtocolVersion = 2
 
 // Frame types. Values are wire format; do not renumber.
 const (
@@ -101,14 +101,13 @@ type fileMeta struct {
 	Size int64 `json:"size"`
 }
 
-// assignHeader announces one piece assignment; the parent blob (when
-// HasParent) and one blob per file follow immediately.
+// assignHeader announces one piece assignment; one blob per file
+// follows immediately.
 type assignHeader struct {
-	ID        int             `json:"id"`
-	Attempt   int             `json:"attempt"`
-	Spec      json.RawMessage `json:"spec"`
-	HasParent bool            `json:"has_parent"`
-	Files     []fileMeta      `json:"files"`
+	ID      int             `json:"id"`
+	Attempt int             `json:"attempt"`
+	Spec    json.RawMessage `json:"spec"`
+	Files   []fileMeta      `json:"files"`
 	// DeadlineMS is the worker-side execution budget in milliseconds;
 	// the coordinator enforces the same budget on its side, so a worker
 	// that ignores it is cut off anyway.
@@ -201,38 +200,4 @@ func (f *frameRW) sendBlob(data []byte) error {
 		}
 	}
 	return f.send(frameBlobEnd, nil)
-}
-
-// recvBlob reassembles one blob sent by sendBlob, bounding its total
-// size — for blobs that are needed whole (a parent state). Heartbeat
-// frames arriving interleaved are delivered to onBeat (which may be
-// nil) rather than treated as protocol errors.
-func (f *frameRW) recvBlob(limit int64, onBeat func([]byte)) ([]byte, error) {
-	var buf []byte
-	for {
-		t, payload, err := f.recv()
-		if err != nil {
-			if err == io.EOF {
-				// A blob was promised; a clean close mid-blob is still
-				// a truncation at this layer.
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-		switch t {
-		case frameChunk:
-			if int64(len(buf))+int64(len(payload)) > limit {
-				return nil, fmt.Errorf("dispatch: blob exceeds %d byte limit", limit)
-			}
-			buf = append(buf, payload...)
-		case frameBlobEnd:
-			return buf, nil
-		case frameHeartbeat:
-			if onBeat != nil {
-				onBeat(payload)
-			}
-		default:
-			return nil, fmt.Errorf("dispatch: unexpected frame 0x%02x inside blob", t)
-		}
-	}
 }

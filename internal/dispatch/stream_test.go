@@ -38,13 +38,13 @@ func dialThrough(cfg *Config, first netem.ConnConfig) {
 func TestWorkerStreamsWhileReceiving(t *testing.T) {
 	lg := &testLog{}
 	first := make(chan struct{})
-	runner := func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
+	runner := func(ctx context.Context, spec []byte, files []io.Reader) ([]byte, error) {
 		head := make([]byte, 64)
 		if _, err := io.ReadFull(files[0], head); err != nil {
 			return nil, err
 		}
 		close(first)
-		return stubState(spec, parent, []io.Reader{io.MultiReader(bytes.NewReader(head), files[0])})
+		return stubState(spec, []io.Reader{io.MultiReader(bytes.NewReader(head), files[0])})
 	}
 	addr := startWorker(t, &Worker{Stream: runner, Logf: lg.logf})
 	tasks, expected := makeSizedTasks(t, 1, 4*chunkSize-100)
@@ -105,7 +105,7 @@ func TestDispatchStalledTransferAbandoned(t *testing.T) {
 func TestDeprecatedRunnerSpoolsUnderTempDir(t *testing.T) {
 	lg := &testLog{}
 	spool := t.TempDir()
-	runner := func(ctx context.Context, spec, parent []byte, files []string, decoders int) ([]byte, error) {
+	runner := func(ctx context.Context, spec, _ []byte, files []string, decoders int) ([]byte, error) {
 		var readers []io.Reader
 		for _, p := range files {
 			if !strings.HasPrefix(p, filepath.Join(spool, "nfsworker-")) {
@@ -118,7 +118,7 @@ func TestDeprecatedRunnerSpoolsUnderTempDir(t *testing.T) {
 			defer f.Close()
 			readers = append(readers, f)
 		}
-		return stubState(spec, parent, readers)
+		return stubState(spec, readers)
 	}
 	addr := startWorker(t, &Worker{Runner: runner, TempDir: spool, Logf: lg.logf})
 	tasks, expected := makeSizedTasks(t, 2, chunkSize+100)
@@ -198,8 +198,8 @@ func TestWorkerBoundsWhatItBuffers(t *testing.T) {
 	for _, tc := range cases {
 		lg := &testLog{}
 		var sawEOF atomic.Bool
-		w := &Worker{Logf: lg.logf, Stream: func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
-			state, err := stubState(spec, parent, files)
+		w := &Worker{Logf: lg.logf, Stream: func(ctx context.Context, spec []byte, files []io.Reader) ([]byte, error) {
+			state, err := stubState(spec, files)
 			sawEOF.Store(err == nil)
 			return state, err
 		}}
@@ -222,9 +222,10 @@ func TestWorkerBoundsWhatItBuffers(t *testing.T) {
 	}
 }
 
-// TestWorkerIgnoresDecodersField: coordinators of the same protocol
-// version that predate the read-ahead still send a decoder count in the
-// assign header. The worker must ignore it and run the piece as usual.
+// TestWorkerIgnoresDecodersField: an assign header may carry a field the
+// worker does not know, such as the decoder count coordinators sent
+// before the read-ahead. The worker must ignore it and run the piece as
+// usual.
 func TestWorkerIgnoresDecodersField(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
@@ -238,7 +239,7 @@ func TestWorkerIgnoresDecodersField(t *testing.T) {
 		t.Fatalf("hello: frame 0x%02x, err %v", typ, err)
 	}
 	spec, content := []byte(`{"kind":"stub"}`), []byte("op 0;")
-	header := `{"id":7,"attempt":0,"spec":` + string(spec) + `,"decoders":4,"has_parent":false,"files":[{"name":"a","size":5}]}`
+	header := `{"id":7,"attempt":0,"spec":` + string(spec) + `,"decoders":4,"files":[{"name":"a","size":5}]}`
 	if err := fr.send(frameAssign, []byte(header)); err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +254,16 @@ func TestWorkerIgnoresDecodersField(t *testing.T) {
 	if err := json.Unmarshal(payload, &rh); err != nil || rh.ID != 7 {
 		t.Fatalf("result header %s: %v", payload, err)
 	}
-	state, err := fr.recvBlob(maxBlobLen, nil)
-	if err != nil {
-		t.Fatal(err)
+	var state []byte
+	for typ != frameBlobEnd {
+		if typ, payload, err = fr.recv(); err != nil {
+			t.Fatal(err)
+		}
+		if typ == frameChunk {
+			state = append(state, payload...)
+		}
 	}
-	want, _ := stubState(spec, nil, []io.Reader{bytes.NewReader(content)})
+	want, _ := stubState(spec, []io.Reader{bytes.NewReader(content)})
 	if !bytes.Equal(state, want) {
 		t.Fatalf("state %x, want %x", state, want)
 	}
@@ -305,7 +311,7 @@ func FuzzWorkerAssignment(f *testing.F) {
 
 		// The whole connection handler, with a runner that reads.
 		var running atomic.Int64
-		w := &Worker{Stream: func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
+		w := &Worker{Stream: func(ctx context.Context, spec []byte, files []io.Reader) ([]byte, error) {
 			running.Add(1)
 			defer running.Add(-1)
 			for i, r := range files {
@@ -377,7 +383,7 @@ func BenchmarkDispatchLoopback(b *testing.B) {
 		}
 		tasks[i] = Task{ID: i, Spec: json.RawMessage(`{}`), Files: []string{path}}
 	}
-	drain := func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
+	drain := func(ctx context.Context, spec []byte, files []io.Reader) ([]byte, error) {
 		for _, r := range files {
 			if _, err := io.Copy(io.Discard, r); err != nil {
 				return nil, err

@@ -14,10 +14,9 @@ import (
 )
 
 // StreamRunner executes one assignment in the worker process: build the
-// analysis the spec JSON describes, optionally resume from the parent
-// state bytes, analyze the trace files, and return the serialized
-// partial state. It is called as soon as the assign header and parent
-// are in; files holds one reader per announced file, in order, each
+// analysis the spec JSON describes, analyze the trace files, and return
+// the serialized partial state. It is called as soon as the assign
+// header is in; files holds one reader per announced file, in order, each
 // yielding that file's bytes as the connection delivers them (and its
 // name from a Name method). A reader
 // ends in io.EOF only when its file arrived whole, and in
@@ -25,7 +24,7 @@ import (
 // on that, not return a state for the prefix. It must respect ctx — the
 // coordinator has already imposed the same deadline on its side — and
 // must not use the readers after it returns.
-type StreamRunner func(ctx context.Context, spec []byte, parent []byte, files []io.Reader) ([]byte, error)
+type StreamRunner func(ctx context.Context, spec []byte, files []io.Reader) ([]byte, error)
 
 // Runner is a StreamRunner that wants the files on disk: the worker
 // spools every file under TempDir before calling it, so nothing
@@ -33,13 +32,13 @@ type StreamRunner func(ctx context.Context, spec []byte, parent []byte, files []
 //
 // Deprecated: set Worker.Stream. Runner and TempDir remain only for the
 // benchmark's layer tracer (tools/perf/layers/dist.go) and go when a
-// benchmark change moves it to Stream. Its decoders argument is always 0
-// and is kept for the same tracer.
+// benchmark change moves it to Stream. Its parent argument is always nil
+// and its decoders argument always 0; both are kept for the same tracer.
 type Runner func(ctx context.Context, spec []byte, parent []byte, files []string, decoders int) ([]byte, error)
 
 // spooled adapts a Runner to the streaming core.
 func spooled(run Runner, tempDir string) StreamRunner {
-	return func(ctx context.Context, spec, parent []byte, files []io.Reader) ([]byte, error) {
+	return func(ctx context.Context, spec []byte, files []io.Reader) ([]byte, error) {
 		dir, err := os.MkdirTemp(tempDir, "nfsworker-")
 		if err != nil {
 			return nil, err
@@ -60,7 +59,7 @@ func spooled(run Runner, tempDir string) StreamRunner {
 				return nil, err
 			}
 		}
-		return run(ctx, spec, parent, paths, 0)
+		return run(ctx, spec, nil, paths, 0)
 	}
 }
 
@@ -366,14 +365,6 @@ func (w *Worker) runAssignment(fr *frameRW, ah assignHeader, seq int) error {
 		readers[i] = files[i]
 	}
 
-	var parent []byte
-	if ah.HasParent {
-		var err error
-		if parent, err = fr.recvBlob(maxBlobLen, nil); err != nil {
-			return fmt.Errorf("receiving parent state: %w", err)
-		}
-	}
-
 	ctx := context.Background()
 	cancel := context.CancelFunc(func() {})
 	if ah.DeadlineMS > 0 {
@@ -412,7 +403,7 @@ func (w *Worker) runAssignment(fr *frameRW, ah assignHeader, seq int) error {
 	ran := make(chan struct{})
 	go func() {
 		defer close(ran)
-		state, runErr = run(ctx, ah.Spec, parent, readers)
+		state, runErr = run(ctx, ah.Spec, readers)
 		for _, pf := range files {
 			pf.end(errRunnerReturned)
 		}

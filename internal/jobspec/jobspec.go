@@ -314,17 +314,18 @@ func (s *Set) JSON(a pipeline.Analyzer) any {
 func (s *Set) Sequential() bool { return pipeline.IsSequential(s.Analyzers[0]) }
 
 // Ingest is the one records → Joiner → Live loop: open the analyzers
-// on the given shard count, optionally resume from a parent state, join
-// calls to replies and feed every operation through. The direct run,
-// -partial/-resume, the coordinator's in-process pieces and nfsworker
-// all ingest here. It returns the still-open Live — Finish it to render,
-// or hand it to State — and the join statistics, cumulative across the
-// resume chain like every other reducer. ctx is checked every few
-// thousand operations, so a deadline abandons the run promptly.
-func (s *Set) Ingest(ctx context.Context, src core.RecordSource, shards int, parent *pipeline.Partial) (*pipeline.Live, core.JoinStats, error) {
+// on the given shard count, optionally resume from a state file read
+// for -resume, join calls to replies and feed every operation through.
+// The direct run, -partial/-resume, the coordinator's in-process pieces
+// and nfsworker all ingest here. It returns the still-open Live — Finish
+// it to render, or hand it to State — and the join statistics,
+// cumulative across -resume like every other reducer. ctx is checked
+// every few thousand operations, so a deadline abandons the run
+// promptly.
+func (s *Set) Ingest(ctx context.Context, src core.RecordSource, shards int, resumed *pipeline.Partial) (*pipeline.Live, core.JoinStats, error) {
 	lv := pipeline.NewLive(pipeline.Config{Workers: shards}, s.Analyzers...)
-	if parent != nil {
-		if err := parent.Resume(lv); err != nil {
+	if resumed != nil {
+		if err := resumed.Resume(lv); err != nil {
 			lv.Abort()
 			return nil, core.JoinStats{}, err
 		}
@@ -334,49 +335,38 @@ func (s *Set) Ingest(ctx context.Context, src core.RecordSource, shards int, par
 		return nil, core.JoinStats{}, err
 	}
 	join := j.Stats()
-	if parent != nil {
-		join.Merge(parent.Join)
+	if resumed != nil {
+		join.Merge(resumed.Join)
 	}
 	return lv, join, nil
 }
 
 // State quiesces an ingested Live and serializes its partial state: a
-// complete state file, checksummed and mergeable.
-func (s *Set) State(lv *pipeline.Live, join core.JoinStats, parent *pipeline.Partial) ([]byte, error) {
+// complete state file, checksummed and mergeable, linked to the state
+// the run resumed from, if any.
+func (s *Set) State(lv *pipeline.Live, join core.JoinStats, resumed *pipeline.Partial) ([]byte, error) {
 	if lv.Quiesce().Ops == 0 {
 		return nil, fmt.Errorf("no operations in trace")
 	}
 	var buf bytes.Buffer
-	if err := pipeline.WritePartial(&buf, lv, s.Spec.Kind, join, parent); err != nil {
+	if err := pipeline.WritePartial(&buf, lv, s.Spec.Kind, join, resumed); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
-// RunFiles analyzes one piece — the trace files at paths, resumed from
-// parent when the piece is a link in a chain — and returns its state.
-// The ignored decoders parameter remains only because the benchmark's
-// layer tracer (tools/perf/layers/dist.go) passes one, and goes when a
-// benchmark change drops it.
-func RunFiles(ctx context.Context, spec Spec, paths []string, _ int, parent *pipeline.Partial) ([]byte, error) {
-	return run(ctx, spec, parent, func() (*pipeline.TraceSet, error) {
+// RunFiles analyzes one piece, the trace files at paths, and returns its
+// state. The two ignored parameters remain only because the benchmark's
+// layer tracer (tools/perf/layers/dist.go) passes them (0 and nil), and
+// go when a benchmark change drops them.
+func RunFiles(ctx context.Context, spec Spec, paths []string, _ int, _ *pipeline.Partial) ([]byte, error) {
+	return run(ctx, spec, func() (*pipeline.TraceSet, error) {
 		return pipeline.OpenTraceSet(paths, core.IngestConfig{})
 	})
 }
 
-// RunReaders is RunFiles over streams that are already open, one per
-// trace file in trace-set order. It reads them as they produce bytes, so
-// a piece still arriving over a connection is decoded, joined and
-// reduced while it arrives; any read error (a cut stream's
-// io.ErrUnexpectedEOF included) fails the run, never shortens it.
-func RunReaders(ctx context.Context, spec Spec, files []io.Reader, parent *pipeline.Partial) ([]byte, error) {
-	return run(ctx, spec, parent, func() (*pipeline.TraceSet, error) {
-		return pipeline.OpenTraceReaders(files)
-	})
-}
-
 // run is the one piece execution: build, open, ingest, serialize.
-func run(ctx context.Context, spec Spec, parent *pipeline.Partial, open func() (*pipeline.TraceSet, error)) ([]byte, error) {
+func run(ctx context.Context, spec Spec, open func() (*pipeline.TraceSet, error)) ([]byte, error) {
 	set, err := Build(spec)
 	if err != nil {
 		return nil, err
@@ -386,50 +376,47 @@ func run(ctx context.Context, spec Spec, parent *pipeline.Partial, open func() (
 		return nil, err
 	}
 	defer ts.Close()
-	lv, join, err := set.Ingest(ctx, ts, 1, parent)
+	lv, join, err := set.Ingest(ctx, ts, 1, nil)
 	if err != nil {
 		return nil, err
 	}
-	return set.State(lv, join, parent)
+	return set.State(lv, join, nil)
 }
 
-// decodeTask parses what a dispatch assignment carries as bytes: the
-// spec as JSON and, for a link in a chain, the parent's serialized state.
-func decodeTask(specJSON, parent []byte) (Spec, *pipeline.Partial, error) {
+// decodeSpec parses the spec a dispatch assignment carries as JSON.
+func decodeSpec(specJSON []byte) (Spec, error) {
 	var spec Spec
 	if err := json.Unmarshal(specJSON, &spec); err != nil {
-		return spec, nil, fmt.Errorf("decoding analysis spec: %w", err)
+		return spec, fmt.Errorf("decoding analysis spec: %w", err)
 	}
-	if len(parent) == 0 {
-		return spec, nil, nil
-	}
-	p, err := DecodeState(spec.Kind, parent)
-	if err != nil {
-		return spec, nil, fmt.Errorf("decoding parent state: %w", err)
-	}
-	return spec, p, nil
+	return spec, nil
 }
 
 // RunTask is RunFiles for a piece described in bytes, which is how a
 // dispatch.Task carries it: what the coordinator calls for the pieces it
 // runs in its own process.
-func RunTask(ctx context.Context, specJSON, parent []byte, files []string) ([]byte, error) {
-	spec, pp, err := decodeTask(specJSON, parent)
+func RunTask(ctx context.Context, specJSON []byte, files []string) ([]byte, error) {
+	spec, err := decodeSpec(specJSON)
 	if err != nil {
 		return nil, err
 	}
-	return RunFiles(ctx, spec, files, 0, pp)
+	return RunFiles(ctx, spec, files, 0, nil)
 }
 
-// RunStream is RunReaders for a piece described in bytes: the
-// dispatch.StreamRunner of nfsworker, handed the piece's files as the
-// connection delivers them.
-func RunStream(ctx context.Context, specJSON, parent []byte, files []io.Reader) ([]byte, error) {
-	spec, pp, err := decodeTask(specJSON, parent)
+// RunStream is RunTask over streams that are already open, one per
+// trace file in trace-set order: the dispatch.StreamRunner of nfsworker,
+// handed the piece's files as the connection delivers them. It reads
+// them as they produce bytes, so a piece still arriving is decoded,
+// joined and reduced while it arrives; any read error (a cut stream's
+// io.ErrUnexpectedEOF included) fails the run, never shortens it.
+func RunStream(ctx context.Context, specJSON []byte, files []io.Reader) ([]byte, error) {
+	spec, err := decodeSpec(specJSON)
 	if err != nil {
 		return nil, err
 	}
-	return RunReaders(ctx, spec, files, pp)
+	return run(ctx, spec, func() (*pipeline.TraceSet, error) {
+		return pipeline.OpenTraceReaders(files)
+	})
 }
 
 // DecodeState parses a serialized partial state and checks that it

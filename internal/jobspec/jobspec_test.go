@@ -73,31 +73,45 @@ func writeTraceDays(t *testing.T, dir string, days float64) string {
 	return path
 }
 
-// TestRunFilesResumeChains runs a chained analysis in two RunFiles
-// calls and checks the child state records the parent's digest — the
-// linkage MergePartials later validates.
-func TestRunFilesResumeChains(t *testing.T) {
-	dir := t.TempDir()
-	path := writeTrace(t, dir)
-	spec := Default("names")
-	first, err := RunFiles(context.Background(), spec, []string{path}, 1, nil)
+// TestStateLinksResumedRun runs a chained analysis the way -partial
+// and -resume do, in two Ingest/State passes, and checks the child state
+// records the digest of the state it resumed from — the linkage
+// MergePartials later validates.
+func TestStateLinksResumedRun(t *testing.T) {
+	path := writeTrace(t, t.TempDir())
+	set, err := Build(Default("names"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent, err := pipeline.ReadPartial(bytes.NewReader(first))
+	pass := func(resumed *pipeline.Partial) *pipeline.Partial {
+		t.Helper()
+		ts, err := pipeline.OpenTraceSet([]string{path}, core.IngestConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ts.Close()
+		lv, join, err := set.Ingest(context.Background(), ts, 1, resumed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := set.State(lv, join, resumed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := DecodeState("names", blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	first := pass(nil)
+	set, err = Build(Default("names"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := RunFiles(context.Background(), spec, []string{path}, 1, parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	child, err := pipeline.ReadPartial(bytes.NewReader(second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(child.ParentDigest, parent.Digest) {
-		t.Fatal("resumed state does not link to its parent")
+	second := pass(first)
+	if len(first.ParentDigest) != 0 || !bytes.Equal(second.ParentDigest, first.Digest) {
+		t.Fatal("resumed state does not link to the state it resumed from")
 	}
 }
 
@@ -153,7 +167,7 @@ func TestRenderEveryKind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := RunTask(context.Background(), specJSON, nil, []string{path})
+		blob, err := RunTask(context.Background(), specJSON, []string{path})
 		if err != nil {
 			t.Fatalf("%s: RunTask: %v", tc.kind, err)
 		}
@@ -189,7 +203,7 @@ func TestDecodeStateDoesNotCopyTheState(t *testing.T) {
 	path := writeTraceDays(t, t.TempDir(), 1)
 	for _, kind := range []string{"runs", "reorder"} {
 		specJSON, _ := json.Marshal(Default(kind))
-		blob, err := RunTask(context.Background(), specJSON, nil, []string{path})
+		blob, err := RunTask(context.Background(), specJSON, []string{path})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,29 +226,46 @@ func TestDecodeStateDoesNotCopyTheState(t *testing.T) {
 }
 
 // TestRunTaskRejectsBadBytes covers what arrives over the wire: the spec
-// and the parent state are bytes from another process.
+// is bytes from another process.
 func TestRunTaskRejectsBadBytes(t *testing.T) {
 	path := writeTrace(t, t.TempDir())
-	ctx := context.Background()
-	names, _ := json.Marshal(Default("names"))
+	_, err := RunTask(context.Background(), []byte("{"), []string{path})
+	if err == nil || !strings.Contains(err.Error(), "decoding analysis spec") {
+		t.Errorf("spec not JSON: got %v, want an error mentioning %q", err, "decoding analysis spec")
+	}
+}
+
+// TestDecodeStateRejectsBadBytes: a state file is bytes from another
+// process too. A cut one and one of another analysis are refused by
+// DecodeState, and a Set cannot resume from a state of another kind.
+func TestDecodeStateRejectsBadBytes(t *testing.T) {
+	path := writeTrace(t, t.TempDir())
 	summary, _ := json.Marshal(Default("summary"))
-	state, err := RunTask(ctx, summary, nil, []string{path})
+	state, err := RunTask(context.Background(), summary, []string{path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name         string
-		spec, parent []byte
-		want         string
-	}{
-		{"spec not JSON", []byte("{"), nil, "decoding analysis spec"},
-		{"parent truncated", summary, state[:len(state)/2], "decoding parent state"},
-		{"parent of another analysis", names, state, `holds a "summary" analysis, not "names"`},
-	} {
-		_, err := RunTask(ctx, tc.spec, tc.parent, []string{path})
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: got %v, want an error mentioning %q", tc.name, err, tc.want)
-		}
+	if _, err := DecodeState("summary", state[:len(state)/2]); err == nil {
+		t.Error("truncated state accepted")
+	}
+	if _, err := DecodeState("names", state); err == nil || !strings.Contains(err.Error(), `holds a "summary" analysis, not "names"`) {
+		t.Errorf("state of another analysis: got %v", err)
+	}
+	p, err := DecodeState("summary", state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := Build(Default("names"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := pipeline.OpenTraceSet([]string{path}, core.IngestConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	if _, _, err := set.Ingest(context.Background(), ts, 1, p); err == nil {
+		t.Error("names resumed from a summary state")
 	}
 }
 
@@ -272,9 +303,8 @@ func cutReader(data []byte, n int) io.Reader {
 
 // TestRunStreamOverReaders: the reader form is the path form — a piece
 // read from streams that trickle (one byte per Read) renders what the
-// same bytes render from a file, with and without a parent state — and a
-// stream cut anywhere fails the run instead of yielding a state for the
-// prefix.
+// same bytes render from a file — and a stream cut anywhere fails the
+// run instead of yielding a state for the prefix.
 func TestRunStreamOverReaders(t *testing.T) {
 	path := writeTrace(t, t.TempDir())
 	data, err := os.ReadFile(path)
@@ -283,19 +313,12 @@ func TestRunStreamOverReaders(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, kind := range []string{"runs", "blocklife"} {
-		spec := Default(kind)
-		specJSON, _ := json.Marshal(spec)
-		var parent []byte
-		if seqKinds[kind] {
-			if parent, err = RunTask(ctx, specJSON, nil, []string{path}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := RunTask(ctx, specJSON, parent, []string{path})
+		specJSON, _ := json.Marshal(Default(kind))
+		want, err := RunTask(ctx, specJSON, []string{path})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunStream(ctx, specJSON, parent, []io.Reader{iotest.OneByteReader(bytes.NewReader(data))})
+		got, err := RunStream(ctx, specJSON, []io.Reader{iotest.OneByteReader(bytes.NewReader(data))})
 		if err != nil {
 			t.Fatalf("%s: RunStream: %v", kind, err)
 		}
@@ -309,7 +332,7 @@ func TestRunStreamOverReaders(t *testing.T) {
 	summary, _ := json.Marshal(Default("summary"))
 	boundary := bytes.IndexByte(data[len(data)/2:], '\n') + len(data)/2 + 1
 	for _, n := range []int{0, 1, boundary, boundary + 5, len(data) - 1} {
-		state, err := RunStream(ctx, summary, nil, []io.Reader{cutReader(data, n)})
+		state, err := RunStream(ctx, summary, []io.Reader{cutReader(data, n)})
 		if err == nil || state != nil {
 			t.Errorf("stream cut after %d of %d bytes produced a state (err %v)", n, len(data), err)
 		}
@@ -317,10 +340,10 @@ func TestRunStreamOverReaders(t *testing.T) {
 			t.Errorf("stream cut after %d of %d bytes: err = %v, want io.ErrUnexpectedEOF", n, len(data), err)
 		}
 	}
-	if _, err := RunStream(ctx, []byte("{"), nil, []io.Reader{bytes.NewReader(data)}); err == nil {
+	if _, err := RunStream(ctx, []byte("{"), []io.Reader{bytes.NewReader(data)}); err == nil {
 		t.Error("spec that is not JSON accepted")
 	}
-	if _, err := RunReaders(ctx, Default("summary"), nil, nil); err == nil {
+	if _, err := RunStream(ctx, summary, nil); err == nil {
 		t.Error("a piece of no files produced a state")
 	}
 }

@@ -196,8 +196,8 @@ func (p *Partial) Resume(lv *Live) error {
 // a Run. Two composition modes, detected from the states themselves:
 //
 //   - A resume chain (any partial names a parent): the states must form
-//     one unbroken digest-validated chain; each link is cumulative, so
-//     the result renders from the last link alone.
+//     one unbroken digest-validated chain, given in any order; each link
+//     is cumulative, so the result renders from the last link alone.
 //
 //   - Independent partials: merged in trace-time order. Rejected if any
 //     analyzer is sequential — those states only compose by chaining.
@@ -218,19 +218,11 @@ func MergePartials(analyzers []Analyzer, partials []*Partial) (Stats, core.JoinS
 		}
 	}
 	if chained {
-		for i, p := range sorted {
-			if i == 0 {
-				if len(p.ParentDigest) > 0 {
-					return Stats{}, core.JoinStats{}, fmt.Errorf("pipeline: chained states: first piece resumed from a state not given here")
-				}
-				continue
-			}
-			if !bytes.Equal(p.ParentDigest, sorted[i-1].Digest) {
-				return Stats{}, core.JoinStats{}, fmt.Errorf("pipeline: chained states: piece %d does not resume from piece %d — pieces missing, reordered, or from different runs", i+1, i)
-			}
+		last, err := chainEnd(partials)
+		if err != nil {
+			return Stats{}, core.JoinStats{}, err
 		}
-		// Each link is cumulative; the last holds everything.
-		sorted = sorted[len(sorted)-1:]
+		sorted = []*Partial{last}
 	} else if len(sorted) > 1 {
 		for _, a := range analyzers {
 			if IsSequential(a) {
@@ -266,6 +258,41 @@ func MergePartials(analyzers []Analyzer, partials []*Partial) (Stats, core.JoinS
 		a.adapter().close()
 	}
 	return stats, join, nil
+}
+
+// chainEnd follows a resume chain's parent digests from its root, the
+// one link that resumed from nothing, and returns its last link. Every
+// link's stats are cumulative, so they all start at the root's MinT and
+// only the digests say which link comes next. Each link must have
+// exactly one successor but the last, and the walk must reach them all.
+func chainEnd(links []*Partial) (*Partial, error) {
+	var root *Partial
+	next := make(map[string]*Partial, len(links))
+	for _, p := range links {
+		if len(p.ParentDigest) == 0 {
+			if root != nil {
+				return nil, fmt.Errorf("pipeline: chained states: two pieces start a chain — pieces from different runs")
+			}
+			root = p
+			continue
+		}
+		if next[string(p.ParentDigest)] != nil {
+			return nil, fmt.Errorf("pipeline: chained states: two pieces resume from the same state — pieces from different runs")
+		}
+		next[string(p.ParentDigest)] = p
+	}
+	if root == nil {
+		return nil, fmt.Errorf("pipeline: chained states: first piece resumed from a state not given here")
+	}
+	last := root
+	for n := 1; n < len(links); n++ {
+		p := next[string(last.Digest)]
+		if p == nil {
+			return nil, fmt.Errorf("pipeline: chained states: the chain breaks after piece %d of %d — pieces missing or from different runs", n, len(links))
+		}
+		last = p
+	}
+	return last, nil
 }
 
 // RunPartitioned runs analyzers over pre-joined op pieces as a resume

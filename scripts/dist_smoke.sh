@@ -8,7 +8,9 @@
 # one that hangs past the per-assignment deadline without heartbeating.
 # The rendered tables must be byte-identical to the single-process run,
 # the re-dispatch machinery must be visible in the coordinator log, and
-# no speculative duplicate may diverge from the attempt it lost to.
+# no speculative duplicate may diverge from the attempt it lost to. An
+# order-dependent analysis is not dispatched at all: the coordinator
+# runs it in process, byte-identical too.
 set -euo pipefail
 
 workdir=$(mktemp -d)
@@ -63,9 +65,9 @@ w_crash=$(start_worker "$workdir/worker-crash.log" -flaky crash:1)
 w_hang=$(start_worker "$workdir/worker-hang.log" -flaky hang:1)
 echo "   $w_ok (healthy) $w_crash (crash:1) $w_hang (hang:1)"
 
-# summary merges independent states; names runs as a resume chain —
-# both must survive the faulty pool byte-identically.
-for analysis in summary names; do
+# summary and runs merge independently computed states — both go
+# through the faulty pool and must survive it byte-identically.
+for analysis in summary runs; do
     echo "== analysis: $analysis"
     "$workdir/nfsanalyze" -analysis "$analysis" -i "$workdir/campus.trace" \
         >"$workdir/single.$analysis" 2>/dev/null
@@ -82,6 +84,27 @@ for analysis in summary names; do
     fi
     echo "   remote dispatch: byte-identical"
 done
+
+# names is order-dependent: its states compose only as a serial resume
+# chain, so -coordinator runs it in process as the plain run and says so.
+echo "== analysis: names (order-dependent)"
+"$workdir/nfsanalyze" -analysis names -i "$workdir/campus.trace" \
+    >"$workdir/single.names" 2>/dev/null
+"$workdir/nfsanalyze" -analysis names -coordinator \
+    -remote "$w_ok,$w_crash,$w_hang" -worker-timeout 15s \
+    "${pieces[@]}" \
+    >"$workdir/inproc.names" 2>"$workdir/inproc.names.err"
+if ! cmp -s "$workdir/single.names" "$workdir/inproc.names"; then
+    echo "FAIL: coordinator output differs from single process for names"
+    diff "$workdir/single.names" "$workdir/inproc.names" || true
+    exit 1
+fi
+if ! grep -q "runs in this process" "$workdir/inproc.names.err"; then
+    echo "FAIL: coordinator did not report running names in process"
+    cat "$workdir/inproc.names.err"
+    exit 1
+fi
+echo "   in process: byte-identical"
 
 # The injected faults must actually have fired and been supervised:
 # a crash-on-first worker that never got an assignment proves nothing.
