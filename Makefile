@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: help build test race race-server bench fuzz cover vet fmt-check staticcheck check nfsbench-smoke mond-smoke merge-smoke dist-smoke examples-smoke perf perf-check loc
+.PHONY: help build test race race-server race-pipeline bench fuzz cover vet fmt-check staticcheck check nfsbench-smoke mond-smoke merge-smoke dist-smoke examples-smoke perf perf-check loc
 
 help: ## list targets
 	@grep -E '^[a-z-]+:.*##' $(MAKEFILE_LIST) | awk -F':.*## ' '{printf "  %-10s %s\n", $$1, $$2}'
@@ -16,6 +16,9 @@ race: ## run the full test suite under the race detector
 
 race-server: ## hammer the concurrent serving stack under -race (torture tests, repeated runs)
 	$(GO) test -race -count=2 -timeout 10m ./internal/vfs ./internal/server ./internal/client ./internal/wire/... ./cmd/nfsbench
+
+race-pipeline: ## run the analysis engine under -race repeatedly (ops and shard batches are handed back across goroutines)
+	$(GO) test -race -count=3 -timeout 15m ./internal/core ./internal/pipeline ./cmd/nfsmond ./cmd/nfsanalyze
 
 # BENCH_COUNT > 1 emits benchstat-friendly repeated runs:
 #   make bench BENCH_COUNT=10 > new.txt && benchstat old.txt new.txt
@@ -121,4 +124,4 @@ fmt-check: ## fail if any file needs gofmt
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-check: vet staticcheck build race race-server fmt-check ## everything CI runs
+check: vet staticcheck build race race-server race-pipeline fmt-check ## everything CI runs

@@ -110,6 +110,7 @@ func (d *daemon) ingest(rec *core.Record) {
 	d.opsBuf = d.j.Push(rec, d.opsBuf[:0])
 	for _, op := range d.opsBuf {
 		d.feed(op)
+		d.j.RecycleOp(op)
 	}
 }
 

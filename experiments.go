@@ -520,8 +520,8 @@ func ExpLoss(scale Scale) string {
 }
 
 // ExpHierarchy demonstrates §4.1.1: namespace reconstruction coverage.
-// The hierarchy is a global analyzer: the pipeline streams it the full
-// ordered trace on its own goroutine.
+// The hierarchy is a global analyzer: the pipeline feeds it the full
+// ordered trace on the feeding goroutine.
 func ExpHierarchy(campus *Trace) string {
 	cov := campus.res.coverage
 	var b strings.Builder

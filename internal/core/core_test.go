@@ -225,11 +225,11 @@ func TestOpClassification(t *testing.T) {
 	}
 }
 
-// TestOpSize pins the Op layout: Target fills the padding after FH2,
-// so the router's copies and the joiner's chunks cost what they did
-// before it existed.
+// TestOpSize pins the Op layout: fields ordered by size leave one byte
+// of padding, so the engine's by-value batches and the joiner's chunks
+// copy and hold 144 bytes an operation.
 func TestOpSize(t *testing.T) {
-	if n := unsafe.Sizeof(Op{}); n != 168 {
-		t.Fatalf("unsafe.Sizeof(Op{}) = %d, want 168", n)
+	if n := unsafe.Sizeof(Op{}); n != 144 {
+		t.Fatalf("unsafe.Sizeof(Op{}) = %d, want 144", n)
 	}
 }

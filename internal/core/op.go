@@ -10,37 +10,40 @@ package core
 // issued. The pipeline's router resolves it from the bindings that
 // lookups and creates made and delivers a copy of the op with Target
 // set; a source always yields zero, and so does the router when the
-// name was never bound. It fills the padding after FH2, so an Op stays
-// 168 bytes.
+// name was never bound.
+//
+// The fields are ordered by size, widest first, so the struct carries
+// one byte of padding and an Op is 144 bytes: the engine copies every
+// operation into its shard batches by value.
 type Op struct {
 	T       float64 // call time
 	RT      float64 // reply time (0 when unreplied)
-	Replied bool
-
-	Client   uint32
-	Port     uint16
-	UID, GID uint32
-	Version  uint32
-	Proc     ProcID
-
-	FH      FH // primary handle, interned
-	Name    string
-	FH2     FH
-	Target  FH // the file a bound REMOVE, RMDIR or RENAME names; see below
-	Name2   string
 	Offset  uint64
-	Count   uint32 // requested
-	Stable  uint32
 	SetSize uint64
-	HasSet  bool
-
-	Status  uint32
-	RCount  uint32 // moved
 	Size    uint64 // post-op size
 	PreSize uint64
-	HasPre  bool
 	FileID  uint64
-	NewFH   FH
+
+	Name  string
+	Name2 string
+
+	Client   uint32
+	UID, GID uint32
+	Version  uint32
+	FH       FH // primary handle, interned
+	FH2      FH
+	Target   FH // the file a bound REMOVE, RMDIR or RENAME names; see above
+	NewFH    FH
+	Count    uint32 // requested
+	Stable   uint32
+	Status   uint32
+	RCount   uint32 // moved
+
+	Port    uint16
+	Proc    ProcID
+	Replied bool
+	HasSet  bool
+	HasPre  bool
 	EOF     bool
 }
 

@@ -270,7 +270,7 @@ func (a *MailboxAnalyzer) adapter() adapter {
 // HierarchyAnalyzer measures §4.1.1 namespace-reconstruction coverage.
 // Its state is inherently global — a directory becomes "known" through
 // lookups of the files in it — so this is a GlobalAnalyzer:
-// it sees the whole ordered stream on its own goroutine, overlapping
+// it sees the whole ordered stream on the feeding goroutine, beside
 // the sharded work instead of partitioning it. A fork of it is global
 // too, so a snapshot continuation feeds it the full stream as well.
 type HierarchyAnalyzer struct {

@@ -19,6 +19,13 @@ import (
 // it. A daemon that snapshots from another goroutine (cmd/nfsmond)
 // serializes Feed and Fork with its own mutex; the batch path pays no
 // synchronization at all on the per-op hot loop.
+//
+// Feed copies each operation into its shard's batch by value, so the
+// caller owns the op again as soon as Feed returns. A worker hands the
+// batch it has consumed back on its shard's spares channel, and Feed
+// fills it again, so the steady state allocates no batches. Global
+// analyzers run on the feeder, against the batch's copy before it is
+// sent.
 type Live struct {
 	workers int
 	batch   int
@@ -26,25 +33,31 @@ type Live struct {
 	analyzers []Analyzer
 
 	perShard [][]Accumulator
+	global   []Accumulator
 	shardCh  []chan liveBatch
-	globalCh []chan liveBatch
+	spares   []chan []core.Op
 	wg       sync.WaitGroup
 
-	rt      *router
-	bufs    [][]*core.Op
-	ordered []*core.Op
-	stats   Stats
-	done    bool
+	rt    *router
+	bufs  [][]core.Op
+	stats Stats
+	done  bool
 }
 
-// liveBatch is one message to a worker: a batch of operations and,
-// when arrive is non-nil, a snapshot barrier — the worker signals
-// arrival after consuming the batch and parks until release closes.
+// liveBatch is one message to a worker: a batch of operations or, when
+// arrive is non-nil, a snapshot barrier that carries none — the worker
+// signals arrival and parks until release closes.
 type liveBatch struct {
-	ops     []*core.Op
+	ops     []core.Op
 	arrive  *sync.WaitGroup
 	release chan struct{}
 }
+
+// sparesPerShard is how many consumed batches a shard keeps for Feed
+// to refill. Two cover a worker that is one batch behind; a worker
+// that returns a batch while both are there drops it for the collector,
+// so a burst that made more batches does not hold their memory.
+const sparesPerShard = 2
 
 // NewLive opens every analyzer and starts the shard workers.
 func NewLive(cfg Config, analyzers ...Analyzer) *Live {
@@ -53,11 +66,10 @@ func NewLive(cfg Config, analyzers ...Analyzer) *Live {
 		batch:     cfg.batchSize(),
 		analyzers: analyzers,
 	}
-	var global []Accumulator
 	lv.perShard = make([][]Accumulator, lv.workers)
 	for _, a := range analyzers {
 		if _, ok := a.(GlobalAnalyzer); ok {
-			global = append(global, a.adapter().open(1)[0])
+			lv.global = append(lv.global, a.adapter().open(1)[0])
 			continue
 		}
 		for i, acc := range a.adapter().open(lv.workers) {
@@ -66,64 +78,61 @@ func NewLive(cfg Config, analyzers ...Analyzer) *Live {
 	}
 
 	lv.shardCh = make([]chan liveBatch, lv.workers)
+	lv.spares = make([]chan []core.Op, lv.workers)
 	for w := 0; w < lv.workers; w++ {
 		lv.shardCh[w] = make(chan liveBatch, 4)
+		lv.spares[w] = make(chan []core.Op, sparesPerShard)
 		lv.wg.Add(1)
 		go func(w int) {
 			defer lv.wg.Done()
 			accs := lv.perShard[w]
 			for b := range lv.shardCh[w] {
-				for _, op := range b.ops {
-					for _, acc := range accs {
-						acc.Add(op)
-					}
-				}
 				if b.arrive != nil {
 					b.arrive.Done()
 					<-b.release
+					continue
+				}
+				for i := range b.ops {
+					for _, acc := range accs {
+						acc.Add(&b.ops[i])
+					}
+				}
+				select {
+				case lv.spares[w] <- b.ops[:0]:
+				default:
 				}
 			}
 		}(w)
 	}
 
-	lv.globalCh = make([]chan liveBatch, len(global))
-	for g, acc := range global {
-		lv.globalCh[g] = make(chan liveBatch, 4)
-		lv.wg.Add(1)
-		go func(g int, acc Accumulator) {
-			defer lv.wg.Done()
-			for b := range lv.globalCh[g] {
-				for _, op := range b.ops {
-					acc.Add(op)
-				}
-				if b.arrive != nil {
-					b.arrive.Done()
-					<-b.release
-				}
-			}
-		}(g, acc)
-	}
-
 	lv.rt = newRouter(lv.workers)
-	lv.bufs = make([][]*core.Op, lv.workers)
+	lv.bufs = make([][]core.Op, lv.workers)
 	return lv
 }
 
-// Feed routes one operation into the engine. The op must not be
-// mutated afterwards; the engine never writes it.
+// Feed routes one operation into the engine. The engine never writes
+// op and keeps no reference to it once Feed returns.
 func (lv *Live) Feed(op *core.Op) {
 	lv.stats.count(op)
 
-	op, w := lv.rt.route(op)
-	lv.bufs[w] = append(lv.bufs[w], op)
-	if len(lv.bufs[w]) >= lv.batch {
-		lv.flushShard(w)
-	}
-	if len(lv.globalCh) > 0 {
-		lv.ordered = append(lv.ordered, op)
-		if len(lv.ordered) >= lv.batch {
-			lv.flushOrdered()
+	target, w := lv.rt.route(op)
+	buf := lv.bufs[w]
+	if buf == nil {
+		select {
+		case buf = <-lv.spares[w]:
+		default:
+			buf = make([]core.Op, 0, lv.batch)
 		}
+	}
+	buf = append(buf, *op)
+	cp := &buf[len(buf)-1]
+	cp.Target = target
+	for _, acc := range lv.global {
+		acc.Add(cp)
+	}
+	lv.bufs[w] = buf
+	if len(buf) >= lv.batch {
+		lv.flushShard(w)
 	}
 }
 
@@ -138,22 +147,9 @@ func (lv *Live) flushShard(w int) {
 	}
 }
 
-func (lv *Live) flushOrdered() {
-	if len(lv.ordered) > 0 {
-		for _, ch := range lv.globalCh {
-			// One read-only batch shared by every global analyzer.
-			ch <- liveBatch{ops: lv.ordered}
-		}
-		lv.ordered = nil
-	}
-}
-
 // shutdown closes every channel and waits for the workers to drain.
 func (lv *Live) shutdown() {
 	for _, ch := range lv.shardCh {
-		close(ch)
-	}
-	for _, ch := range lv.globalCh {
 		close(ch)
 	}
 	lv.wg.Wait()
@@ -179,7 +175,6 @@ func (lv *Live) Quiesce() Stats {
 	for w := range lv.bufs {
 		lv.flushShard(w)
 	}
-	lv.flushOrdered()
 	lv.shutdown()
 	return lv.stats
 }
@@ -190,7 +185,6 @@ func (lv *Live) Abort() {
 	for w := range lv.bufs {
 		lv.bufs[w] = nil
 	}
-	lv.ordered = nil
 	lv.shutdown()
 }
 
@@ -209,12 +203,14 @@ type Snapshot struct {
 	perShard   [][]Accumulator
 	globalAccs []Accumulator
 	rt         *router
+	op         core.Op // the routed copy of the op being fed
 	stats      Stats
 	finished   bool
 }
 
 // Fork takes a snapshot. It flushes every buffered batch, parks all
-// workers at a barrier (so no Add is in flight), deep-copies every
+// shard workers at a barrier (so no Add is in flight; the global
+// analyzers run on the feeder and are idle), deep-copies every
 // analyzer and the router, then releases the workers. Ingest stalls
 // only for the copy, not for the analyses.
 func (lv *Live) Fork() (*Snapshot, error) {
@@ -226,14 +222,10 @@ func (lv *Live) Fork() (*Snapshot, error) {
 	for w := range lv.bufs {
 		lv.flushShard(w)
 	}
-	lv.flushOrdered()
 	var arrive sync.WaitGroup
-	arrive.Add(lv.workers + len(lv.globalCh))
+	arrive.Add(lv.workers)
 	release := make(chan struct{})
 	for _, ch := range lv.shardCh {
-		ch <- liveBatch{arrive: &arrive, release: release}
-	}
-	for _, ch := range lv.globalCh {
 		ch <- liveBatch{arrive: &arrive, release: release}
 	}
 	arrive.Wait()
@@ -260,16 +252,19 @@ func (lv *Live) Fork() (*Snapshot, error) {
 	return snap, nil
 }
 
-// Feed routes one operation into the snapshot continuation.
+// Feed routes one operation into the snapshot continuation. Like
+// Live.Feed, it never writes op and keeps no reference to it.
 func (s *Snapshot) Feed(op *core.Op) {
 	s.stats.count(op)
 
-	op, w := s.rt.route(op)
+	target, w := s.rt.route(op)
+	s.op = *op
+	s.op.Target = target
 	for _, acc := range s.perShard[w] {
-		acc.Add(op)
+		acc.Add(&s.op)
 	}
 	for _, acc := range s.globalAccs {
-		acc.Add(op)
+		acc.Add(&s.op)
 	}
 }
 

@@ -28,9 +28,8 @@
 // Table 5 and Figure 1 through Figure 5 therefore produce
 // byte-identical output at any worker count, which the tests enforce.
 // Analyses whose state genuinely spans files — §4.1.1 hierarchy
-// coverage — implement GlobalAnalyzer and run on a dedicated goroutine
-// over the full ordered stream instead (pipeline parallelism rather
-// than data parallelism).
+// coverage — implement GlobalAnalyzer and run on the feeding goroutine
+// over the full ordered stream instead, beside the router.
 package pipeline
 
 import (
@@ -48,8 +47,10 @@ type Config struct {
 	// count produces identical results by construction.
 	Workers int
 	// BatchSize is the number of ops handed to a worker at a time;
-	// <= 0 selects 1024. Larger batches amortize channel overhead,
-	// smaller ones bound latency and memory.
+	// <= 0 selects 1024. A batch holds its ops by value, so the
+	// default one is 1024 × 144 B, and a shard holds up to eight
+	// (filling, queued, in work and spare). Larger batches amortize
+	// channel overhead, smaller ones bound latency and memory.
 	BatchSize int
 }
 
@@ -113,8 +114,8 @@ type Analyzer interface {
 // GlobalAnalyzer marks analyses whose state cannot be partitioned by
 // file handle (hierarchy coverage, where a directory becomes known
 // through lookups routed to the files in it). The engine opens them
-// with one shard and streams every operation to it, in order, on a
-// dedicated goroutine.
+// with one shard and feeds every operation to it, in order, on the
+// feeding goroutine.
 type GlobalAnalyzer interface {
 	Analyzer
 	// Unsharded is a marker; it is never called.
@@ -153,9 +154,9 @@ func (s Stats) Span() float64 {
 // §4.1.1 reconstruction every analysis resolves removes and renames
 // through. Operations that create bindings are routed by the new
 // handle; a REMOVE, RMDIR or RENAME whose name is bound goes to the
-// bound file's shard as a copy carrying that file in core.Op.Target,
-// so a shard's reducers see the complete story of their files without
-// keeping names of their own.
+// bound file's shard, and the engine's copy of it carries that file in
+// core.Op.Target, so a shard's reducers see the complete story of their
+// files without keeping names of their own.
 type router struct {
 	shards uint64
 	names  map[binding]core.FH
@@ -196,13 +197,14 @@ func shardIndex(fh core.FH, n int) int {
 	return int(mix32(uint32(fh)) % uint64(n))
 }
 
-// route maintains the binding table and returns the op to deliver with
-// the shard it goes to. Both run at every shard count, so the table and
-// every Target are the same whatever the partitioning. The caller's op
-// is never written: a resolved one is delivered as a copy, because one
-// op may feed several engines (a Live and its snapshots) at once.
-func (r *router) route(op *core.Op) (*core.Op, int) {
-	fh := op.FH
+// route maintains the binding table and returns the Target to deliver
+// op with (op.Target when its name is not bound) and the shard it goes
+// to. Both run at every shard count, so the table and every Target are
+// the same whatever the partitioning. op is never written: the engines
+// deliver copies, because one op may feed several (a Live and its
+// snapshots) at once.
+func (r *router) route(op *core.Op) (core.FH, int) {
+	fh, target := op.FH, op.Target
 	switch op.Proc {
 	case core.ProcLookup, core.ProcCreate, core.ProcMkdir, core.ProcSymlink:
 		// The op names a (possibly new) file: bind and route by it.
@@ -219,7 +221,7 @@ func (r *router) route(op *core.Op) (*core.Op, int) {
 		if t, ok := r.names[k]; ok {
 			delete(r.names, k)
 			r.names[binding{op.FH2, op.Name2}] = t
-			op, fh = targeted(op, t), t
+			fh, target = t, t
 		}
 	case core.ProcRemove, core.ProcRmdir:
 		// Only a successful removal drops the binding: a failed one
@@ -230,25 +232,18 @@ func (r *router) route(op *core.Op) (*core.Op, int) {
 			if op.OK() {
 				delete(r.names, k)
 			}
-			op, fh = targeted(op, t), t
+			fh, target = t, t
 		}
 	}
 	switch {
 	case r.shards == 1:
-		return op, 0
+		return target, 0
 	case fh == 0:
 		// Handleless ops (null, fsstat against the root, ...): spread
 		// by client so no shard becomes a hot spot.
-		return op, int(mix32(op.Client^0x9e3779b9) % r.shards)
+		return target, int(mix32(op.Client^0x9e3779b9) % r.shards)
 	}
-	return op, shardIndex(fh, int(r.shards))
-}
-
-// targeted returns a copy of op naming target.
-func targeted(op *core.Op, target core.FH) *core.Op {
-	cp := *op
-	cp.Target = target
-	return &cp
+	return target, shardIndex(fh, int(r.shards))
 }
 
 // cancelCheckEvery is how many operations FeedFrom feeds between looks
@@ -258,9 +253,12 @@ const cancelCheckEvery = 4096
 
 // FeedFrom feeds every operation of src into the engine until io.EOF.
 // This is the one ingest loop: Run, nfsanalyze in every mode and
-// nfsworker all come through it. A source error or a done context
-// aborts the Live and is returned; analyzer results are then undefined.
+// nfsworker all come through it. When src is a *Joiner, each operation
+// goes back to it once fed, so the joiner refills the same few ops. A
+// source error or a done context aborts the Live and is returned;
+// analyzer results are then undefined.
 func (lv *Live) FeedFrom(ctx context.Context, src OpSource) error {
+	j, _ := src.(*Joiner)
 	for n := 0; ; n++ {
 		if n%cancelCheckEvery == 0 && ctx.Err() != nil {
 			lv.Abort()
@@ -275,6 +273,9 @@ func (lv *Live) FeedFrom(ctx context.Context, src OpSource) error {
 			return err
 		}
 		lv.Feed(op)
+		if j != nil {
+			j.RecycleOp(op)
+		}
 	}
 }
 

@@ -60,8 +60,9 @@ type Joiner struct {
 	head, tail uint64
 	pending    map[joinKey]uint64
 
-	now     float64   // time of the latest record
-	chunk   []core.Op // unused remainder of the current Op allocation
+	now     float64    // time of the latest record
+	spare   []*core.Op // operations handed back by RecycleOp
+	chunk   []core.Op  // unused remainder of the current Op allocation
 	drained bool
 	stats   core.JoinStats
 
@@ -83,21 +84,23 @@ type Joiner struct {
 	Recycler core.RecordRecycler
 }
 
-// opChunk is how many Ops the joiner allocates at a time. Nothing
-// downstream keeps an *Op past the call that received it, so a chunk
-// dies as a whole soon after its last operation is reduced; but one op
-// waiting in a sparsely fed shard's batch keeps its whole chunk alive,
-// so chunks stay small. At 64 (10 KiB) the joiner runs as fast as with
-// larger chunks and about 8 % faster than at 32.
+// opChunk is how many Ops the joiner allocates at a time when no
+// handed-back operation is spare. A caller that recycles every
+// operation, as Live.FeedFrom does, brings the joiner to a steady state
+// of a handful of ops in flight, so chunks are carved only while the
+// in-flight window grows. One op kept by a caller that recycles nothing
+// keeps its whole chunk alive, so chunks stay small. At 64 (9 KiB) the
+// joiner runs as fast as with larger chunks and about 8 % faster than
+// at 32.
 const opChunk = 64
 
+// joinKey is a call's (client, port, xid). Three uint32 fields leave no
+// padding, so the pending map hashes the key as one block of memory.
 type joinKey struct {
-	client uint32
-	port   uint16
-	xid    uint32
+	client, xid, port uint32
 }
 
-func keyOf(r *core.Record) joinKey { return joinKey{r.Client, r.Port, r.XID} }
+func keyOf(r *core.Record) joinKey { return joinKey{r.Client, r.XID, uint32(r.Port)} }
 
 // slot is one ring position: a call awaiting its reply, or, once call
 // is nil, its joined operation awaiting release. t is the call's time,
@@ -121,6 +124,29 @@ func NewJoiner(src core.RecordSource) *Joiner {
 // a push-mode joiner (there is no underlying source to pull from).
 func NewPushJoiner() *Joiner {
 	return &Joiner{pending: make(map[joinKey]uint64)}
+}
+
+// RecycleOp hands back an operation that Next, Push or Drain returned,
+// once the caller holds no reference to it: the joiner will overwrite
+// it with a later operation. An operation that is never handed back
+// stays the caller's for good. RecycleOp must not run concurrently with
+// the joiner's other methods.
+func (j *Joiner) RecycleOp(op *core.Op) { j.spare = append(j.spare, op) }
+
+// newOp returns an operation to fill: a handed-back one if there is
+// one, else the next of the current chunk.
+func (j *Joiner) newOp() *core.Op {
+	if n := len(j.spare); n > 0 {
+		op := j.spare[n-1]
+		j.spare = j.spare[:n-1]
+		return op
+	}
+	if len(j.chunk) == 0 {
+		j.chunk = make([]core.Op, opChunk)
+	}
+	op := &j.chunk[0]
+	j.chunk = j.chunk[1:]
+	return op
 }
 
 // free hands a dead record back to a recycling source.
@@ -186,11 +212,7 @@ func (j *Joiner) complete(pos uint64, reply *core.Record) {
 	mask := uint64(len(j.ring) - 1)
 	call := j.ring[pos&mask].call
 	delete(j.pending, keyOf(call))
-	if len(j.chunk) == 0 {
-		j.chunk = make([]core.Op, opChunk)
-	}
-	op := &j.chunk[0]
-	j.chunk = j.chunk[1:]
+	op := j.newOp()
 	op.SetPair(call, reply)
 	j.free(call)
 	for ; pos != j.head; pos-- {
@@ -356,12 +378,19 @@ func (j *Joiner) Held() int { return int(j.tail-j.head) - len(j.pending) }
 // right now, in the order Drain would yield them, without disturbing
 // the joiner: it drains a copy of the ring and map that has no
 // recycler, so the joiner's records stay live and its state and
-// statistics are unchanged. Held operations are returned as is (they
-// are read-only from here on either way); unmatched calls produce
-// freshly built ones. This is what makes a mid-stream snapshot
-// finishable: snapshot the reducers, feed them PendingOps, and the
-// result equals a batch run over every record pushed so far.
+// statistics are unchanged. Every operation returned is a fresh copy
+// that the joiner never reuses, held ones included, so a caller may
+// read them while the joiner goes on and recycles the originals. This
+// is what makes a mid-stream snapshot finishable: snapshot the
+// reducers, feed them PendingOps, and the result equals a batch run
+// over every record pushed so far.
 func (j *Joiner) PendingOps() []*core.Op {
 	c := &Joiner{ring: slices.Clone(j.ring), head: j.head, tail: j.tail, pending: maps.Clone(j.pending)}
+	for p := c.head; p != c.tail; p++ {
+		if s := &c.ring[p&uint64(len(c.ring)-1)]; s.op != nil {
+			op := *s.op
+			s.op = &op
+		}
+	}
 	return c.Drain(make([]*core.Op, 0, c.tail-c.head))
 }

@@ -2,8 +2,11 @@ package pipeline
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -102,7 +105,7 @@ func joinOracle(records []*core.Record) ([]*core.Op, core.JoinStats) {
 	var ops []*core.Op
 	pending := make(map[joinKey]*core.Record)
 	for _, r := range records {
-		k := joinKey{r.Client, r.Port, r.XID}
+		k := joinKey{r.Client, r.XID, uint32(r.Port)}
 		switch call, ok := pending[k]; {
 		case r.Kind == core.KindCall:
 			stats.Calls++
@@ -427,17 +430,162 @@ func pushJoin(records []*core.Record) core.JoinStats {
 	return j.Stats()
 }
 
-// TestJoinerAllocations pins the joiner's steady state: it runs at about
-// one allocation per hundred records (Op chunks and the growth of its
-// ring and map), and 1.1 per record is the budget the benchmark's
-// pipeline.join_allocs_per_rec holds it to.
+// recyclingJoin is pullJoin for a caller that hands every operation
+// back as soon as it has read it, as Live.FeedFrom does.
+func recyclingJoin(records []*core.Record) core.JoinStats {
+	j := NewJoiner(&core.SliceSource{Records: records})
+	for {
+		op, err := j.Next()
+		if err != nil {
+			return j.Stats()
+		}
+		j.RecycleOp(op)
+	}
+}
+
+// TestJoinerAllocations pins the joiner's steady state. A caller that
+// keeps its operations costs about one allocation per hundred records
+// (Op chunks and the growth of the ring and map), and 1.1 per record is
+// the budget the benchmark's pipeline.join_allocs_per_rec holds the
+// pull and push forms to. A caller that hands every operation back
+// leaves only the ring and map growth and a few chunks.
 func TestJoinerAllocations(t *testing.T) {
 	records := genRecords(t, 0.5)
-	for name, join := range map[string]func([]*core.Record) core.JoinStats{"pull": pullJoin, "push": pushJoin} {
-		perRec := testing.AllocsPerRun(5, func() { join(records) }) / float64(len(records))
-		t.Logf("%s: %.3f allocations per record over %d records", name, perRec, len(records))
-		if perRec > 1.1 {
-			t.Errorf("%s joiner: %.2f allocations per record, want at most 1.1", name, perRec)
+	for _, form := range []struct {
+		name   string
+		join   func([]*core.Record) core.JoinStats
+		budget float64
+	}{
+		{"pull", pullJoin, 1.1},
+		{"push", pushJoin, 1.1},
+		{"recycling", recyclingJoin, 0.01},
+	} {
+		perRec := testing.AllocsPerRun(5, func() { form.join(records) }) / float64(len(records))
+		t.Logf("%s: %.4f allocations per record over %d records", form.name, perRec, len(records))
+		if perRec > form.budget {
+			t.Errorf("%s joiner: %.4f allocations per record, want at most %g", form.name, perRec, form.budget)
+		}
+	}
+}
+
+// TestFeedFromBytesPerOp bounds what the ingest loop allocates per
+// operation: FeedFrom hands each op back to its joiner and the shards
+// hand their batches back to Feed, so what is left is the joiner's ring
+// and map, the reducer's own state, and the batches a shard holds
+// before the first ones come back (up to eight of 144 KiB, about 25 B
+// an op here). A fresh op per operation alone would be 144 B. How many
+// batches a run allocates depends on how the shard workers are
+// scheduled, so the best of three runs is held to the bound.
+func TestFeedFromBytesPerOp(t *testing.T) {
+	records := genRecords(t, 4)
+	best := math.Inf(1)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		lv := NewLive(Config{Workers: 2}, &SummaryAnalyzer{})
+		if err := lv.FeedFrom(context.Background(), NewJoiner(&core.SliceSource{Records: records})); err != nil {
+			t.Fatal(err)
+		}
+		stats := lv.Finish()
+		runtime.ReadMemStats(&after)
+		best = min(best, float64(after.TotalAlloc-before.TotalAlloc)/float64(stats.Ops))
+	}
+	t.Logf("%.1f bytes allocated per op at best over 3 runs", best)
+	if best > 80 {
+		t.Errorf("FeedFrom allocated %.1f bytes per op, want at most 80", best)
+	}
+}
+
+// TestPendingOpsOutliveRecycling: the operations PendingOps returns
+// are the caller's, held ones included. nfsmond feeds them to a
+// snapshot outside its lock while ingest goes on handing every
+// released operation back to the joiner, so they must not change when
+// the joiner moves on.
+func TestPendingOpsOutliveRecycling(t *testing.T) {
+	records := genRecords(t, 0.5)
+	j := NewPushJoiner()
+	var out, pend []*core.Op
+	var want []core.Op
+	held := 0
+	check := func(at int) {
+		for i := range want {
+			if *pend[i] != want[i] {
+				t.Fatalf("pending op %d of the cut before record %d changed:\n got %+v\nwant %+v", i, at, *pend[i], want[i])
+			}
+		}
+	}
+	for i, r := range records {
+		if i%100 == 0 {
+			check(i)
+			held += j.Held()
+			pend, want = j.PendingOps(), want[:0]
+			for _, op := range pend {
+				want = append(want, *op)
+			}
+		}
+		out = j.Push(r, out[:0])
+		for _, op := range out {
+			j.RecycleOp(op)
+		}
+	}
+	check(len(records))
+	if held == 0 {
+		t.Fatal("no cut found a held operation")
+	}
+}
+
+// TestHeldOpsAreNeverReused: a consumer that keeps every operation of
+// a Joiner, handing none back, sees them unchanged while a second
+// joiner over the same records, on another goroutine, gets every one
+// of its operations back from FeedFrom — operations that are never
+// handed back are never filled again.
+func TestHeldOpsAreNeverReused(t *testing.T) {
+	records := genRecords(t, 0.25)
+	var want []core.Op
+	ref := NewJoiner(&core.SliceSource{Records: records})
+	for {
+		op, err := ref.Next()
+		if err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, *op)
+	}
+
+	var kept []*core.Op
+	keepErr := make(chan error, 1)
+	go func() {
+		j := NewJoiner(&core.SliceSource{Records: records})
+		for {
+			op, err := j.Next()
+			if err != nil {
+				if err == io.EOF {
+					err = nil
+				}
+				keepErr <- err
+				return
+			}
+			kept = append(kept, op)
+		}
+	}()
+	summary := &SummaryAnalyzer{}
+	lv := NewLive(Config{Workers: 2}, summary, &HierarchyAnalyzer{})
+	if err := lv.FeedFrom(context.Background(), NewJoiner(&core.SliceSource{Records: records})); err != nil {
+		t.Fatal(err)
+	}
+	if stats := lv.Finish(); stats.Ops != int64(len(want)) {
+		t.Fatalf("recycling run fed %d ops, want %d", stats.Ops, len(want))
+	}
+	if err := <-keepErr; err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != len(want) {
+		t.Fatalf("kept %d ops, copied %d", len(kept), len(want))
+	}
+	for i := range want {
+		if *kept[i] != want[i] {
+			t.Fatalf("kept op %d changed:\n got %+v\nwant %+v", i, *kept[i], want[i])
 		}
 	}
 }
