@@ -86,6 +86,7 @@ fuzz: ## run each native fuzz target for 10s
 	$(GO) test -run xxx -fuzz FuzzTextTokenizerOracle -fuzztime 10s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzTextRoundTrip -fuzztime 10s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s ./internal/core
+	$(GO) test -run xxx -fuzz FuzzBinaryReaderOracle -fuzztime 10s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzIngestEquivalence -fuzztime 10s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzStateDecode -fuzztime 10s ./internal/pipeline
 	$(GO) test -run xxx -fuzz FuzzJoinerEquivalence -fuzztime 10s ./internal/pipeline

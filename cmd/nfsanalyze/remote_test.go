@@ -131,7 +131,11 @@ func TestCoordinatorDropsOldProtocolWorker(t *testing.T) {
 	t.Cleanup(func() { lis.Close() })
 	var dials, assigned atomic.Int32
 	var conns sync.WaitGroup
+	// accepting closes once the accept loop has returned, so every
+	// conns.Add happens before conns.Wait.
+	accepting := make(chan struct{})
 	go func() {
+		defer close(accepting)
 		for {
 			conn, err := lis.Accept()
 			if err != nil {
@@ -166,6 +170,8 @@ func TestCoordinatorDropsOldProtocolWorker(t *testing.T) {
 		!strings.Contains(log, "0/2 pieces remote") || !strings.Contains(log, "running locally") {
 		t.Fatalf("stderr does not show the old worker dropped and its pieces run locally: %s", log)
 	}
+	lis.Close()
+	<-accepting
 	conns.Wait()
 	if dials.Load() != 1 || assigned.Load() != 0 {
 		t.Fatalf("old worker: dialled %d times, sent %d frames after its hello; want 1 and 0", dials.Load(), assigned.Load())

@@ -2,9 +2,11 @@ package core
 
 // Binary trace format: a compact varint encoding for long-term trace
 // storage. A week of CAMPUS records in the text format runs to
-// gigabytes at production scale; the binary form is roughly 4× smaller
-// and parses an order of magnitude faster. The original nfsdump tools
-// grew an equivalent format for the same reason.
+// gigabytes at production scale; the binary form is 2.1–2.4× smaller
+// and reads in 160–210 ns per record where text takes 260–530 (the
+// generated EECS and CAMPUS traces of BenchmarkReaderCorpus, 2 cores;
+// docs/BENCHMARKS.md). The original nfsdump tools grew an equivalent
+// format for the same reason.
 //
 // Layout: an 8-byte magic+version header, then one length-prefixed
 // record after another. Within a record, a presence bitmap selects
@@ -231,12 +233,22 @@ func (bw *BinaryWriter) Flush() error {
 	return bw.w.Flush()
 }
 
-// BinaryReader streams records from the binary format.
+// BinaryReader streams records from the binary format. A record that
+// lies whole in the read buffer is decoded there; one that does not
+// (it straddles the end of what was read, or is larger than the
+// buffer) is read into buf first.
 type BinaryReader struct {
-	r        *bufio.Reader
+	r *bufio.Reader
+	// held is what r had buffered past the last record Next read from
+	// it, and taken the bytes of records decoded from held since: a
+	// record that lies whole in held is decoded there without a call
+	// into r, and taken is discarded from r before r is next read.
+	held     []byte
+	taken    int
 	lastUsec int64
 	readHdr  bool
-	buf      []byte
+	buf      []byte // the copy of a record not whole in held
+	memo     fhMemo
 	stock    recordStock
 	spent    RecycleBatch
 }
@@ -248,6 +260,14 @@ func NewBinaryReader(r io.Reader) *BinaryReader {
 
 // Next returns the next record or io.EOF.
 func (br *BinaryReader) Next() (*Record, error) {
+	if n, k := binary.Uvarint(br.held); k > 0 && n <= uint64(len(br.held)-k) {
+		body := br.held[k : k+int(n)]
+		br.held = br.held[k+int(n):]
+		br.taken += k + int(n)
+		return br.decode(body)
+	}
+	br.r.Discard(br.taken)
+	br.held, br.taken = nil, 0
 	if !br.readHdr {
 		var hdr [8]byte
 		if _, err := io.ReadFull(br.r, hdr[:]); err != nil {
@@ -261,6 +281,8 @@ func (br *BinaryReader) Next() (*Record, error) {
 		}
 		br.readHdr = true
 	}
+	// The length prefix is read byte by byte, so a live feed never
+	// waits for input past the record it is in.
 	recLen, err := binary.ReadUvarint(br.r)
 	if err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -281,8 +303,16 @@ func (br *BinaryReader) Next() (*Record, error) {
 	if _, err := io.ReadFull(br.r, br.buf); err != nil {
 		return nil, fmt.Errorf("core: truncated binary record: %w", err)
 	}
+	// Peeking what is buffered reads nothing.
+	br.held, _ = br.r.Peek(br.r.Buffered())
+	return br.decode(br.buf)
+}
+
+// decode decodes one record body into a record from the stock.
+func (br *BinaryReader) decode(body []byte) (*Record, error) {
 	r := br.stock.next()
-	if err := decodeRecord(br.buf, &br.lastUsec, r); err != nil {
+	c := byteCursor{b: body, memo: &br.memo}
+	if err := c.record(&br.lastUsec, r); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -294,10 +324,12 @@ func (br *BinaryReader) Recycle(r *Record) { br.spent.Recycle(r) }
 // byteCursor reads a record payload under the error rule xdr.Decoder
 // follows: the first failure is kept in err and ends the input, so every
 // later read returns the zero value, and a decode checks err once.
+// Handles are interned through memo (nil: the process-wide table).
 type byteCursor struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	err  error
+	memo *fhMemo
 }
 
 var (
@@ -306,6 +338,14 @@ var (
 	errRecordShort   = errors.New("core: binary record too short")
 )
 
+// errBadKind and errBadField refuse what BinaryWriter never writes: a
+// kind other than call or reply, and a value wider than its field.
+func errBadKind(k byte) error { return fmt.Errorf("core: bad kind %q in binary record", []byte{k}) }
+
+func errBadField(field string, v uint64) error {
+	return fmt.Errorf("core: bad %s %d in binary record", field, v)
+}
+
 func (c *byteCursor) fail(err error) {
 	if c.err == nil {
 		c.err = err
@@ -313,7 +353,40 @@ func (c *byteCursor) fail(err error) {
 	}
 }
 
+// uvarint decodes values of up to 5 bytes, which is nearly every value
+// of a trace, unrolled; longer ones and the last bytes of a record go
+// to binary.Uvarint.
 func (c *byteCursor) uvarint() uint64 {
+	if b := c.b[c.off:]; len(b) >= 5 {
+		v := uint64(b[0])
+		if v < 0x80 {
+			c.off++
+			return v
+		}
+		x := uint64(b[1])
+		if x < 0x80 {
+			c.off += 2
+			return v&0x7f | x<<7
+		}
+		v = v&0x7f | (x&0x7f)<<7
+		x = uint64(b[2])
+		if x < 0x80 {
+			c.off += 3
+			return v | x<<14
+		}
+		v |= (x & 0x7f) << 14
+		x = uint64(b[3])
+		if x < 0x80 {
+			c.off += 4
+			return v | x<<21
+		}
+		v |= (x & 0x7f) << 21
+		x = uint64(b[4])
+		if x < 0x80 {
+			c.off += 5
+			return v | x<<28
+		}
+	}
 	v, n := binary.Uvarint(c.b[c.off:])
 	if n <= 0 {
 		c.fail(errBadVarint)
@@ -321,6 +394,16 @@ func (c *byteCursor) uvarint() uint64 {
 	}
 	c.off += n
 	return v
+}
+
+// u32 reads a varint that must fit 32 bits; field names it in the
+// error.
+func (c *byteCursor) u32(field string) uint32 {
+	v := c.uvarint()
+	if v > math.MaxUint32 {
+		c.fail(errBadField(field, v))
+	}
+	return uint32(v)
 }
 
 func (c *byteCursor) str() string { return string(c.strBytes()) }
@@ -347,7 +430,7 @@ func (c *byteCursor) fh() FH {
 	if c.err != nil {
 		return 0
 	}
-	return InternFHBytes(b)
+	return c.memo.intern(b)
 }
 
 func (c *byteCursor) byte() byte {
@@ -365,19 +448,31 @@ func (c *byteCursor) byte() byte {
 // absolute time of the previous record (the format stores deltas) and
 // is advanced to this record's time.
 func decodeRecord(buf []byte, lastUsec *int64, r *Record) error {
-	c := &byteCursor{b: buf}
-	bits := uint32(c.uvarint())
+	c := byteCursor{b: buf}
+	return c.record(lastUsec, r)
+}
+
+// record decodes the cursor's payload as decodeRecord does.
+func (c *byteCursor) record(lastUsec *int64, r *Record) error {
+	bits := uint32(c.uvarint()) // presence bits past bfUIDGID are ignored
 	zz := c.uvarint()
 	*lastUsec += int64(zz>>1) ^ -int64(zz&1)
 
 	r.Time = float64(*lastUsec) / 1e6
 	r.Kind = c.byte()
+	if c.err == nil && r.Kind != KindCall && r.Kind != KindReply {
+		c.fail(errBadKind(r.Kind))
+	}
 	r.Proto = c.byte()
-	r.Client = uint32(c.uvarint())
-	r.Port = uint16(c.uvarint())
-	r.Server = uint32(c.uvarint())
-	r.XID = uint32(c.uvarint())
-	r.Version = uint32(c.uvarint())
+	r.Client = c.u32("client")
+	port := c.uvarint()
+	if port > math.MaxUint16 {
+		c.fail(errBadField("port", port))
+	}
+	r.Port = uint16(port)
+	r.Server = c.u32("server")
+	r.XID = c.u32("xid")
+	r.Version = c.u32("version")
 	// Interning is deferred to the end of the decode so a record whose
 	// later fields are corrupt does not register a garbage name in the
 	// bounded process-global proc table.
@@ -399,20 +494,20 @@ func decodeRecord(buf []byte, lastUsec *int64, r *Record) error {
 		r.Offset = c.uvarint()
 	}
 	if bits&bfCount != 0 {
-		r.Count = uint32(c.uvarint())
+		r.Count = c.u32("count")
 	}
 	if bits&bfStable != 0 {
-		r.Stable = uint32(c.uvarint())
+		r.Stable = c.u32("stable")
 	}
 	if bits&bfSetSize != 0 {
 		r.SetSize = c.uvarint()
 		r.HasSet = true
 	}
 	if bits&bfStatus != 0 {
-		r.Status = uint32(c.uvarint())
+		r.Status = c.u32("status")
 	}
 	if bits&bfRCount != 0 {
-		r.RCount = uint32(c.uvarint())
+		r.RCount = c.u32("rcount")
 	}
 	if bits&bfSize != 0 {
 		r.Size = c.uvarint()
@@ -432,8 +527,8 @@ func decodeRecord(buf []byte, lastUsec *int64, r *Record) error {
 	}
 	r.EOF = bits&bfEOF != 0
 	if bits&bfUIDGID != 0 {
-		r.UID = uint32(c.uvarint())
-		r.GID = uint32(c.uvarint())
+		r.UID = c.u32("uid")
+		r.GID = c.u32("gid")
 	}
 	if c.err != nil {
 		return c.err

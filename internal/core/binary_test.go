@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -285,6 +286,148 @@ func BenchmarkTextRead(b *testing.B) {
 		}
 		if _, err := tr.Next(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// binaryStream frames record payloads as a binary trace.
+func binaryStream(payloads ...[]byte) []byte {
+	out := append([]byte{}, binaryMagic[:]...)
+	for _, p := range payloads {
+		out = binary.AppendUvarint(out, uint64(len(p)))
+		out = append(out, p...)
+	}
+	return out
+}
+
+// TestBinaryRefusesWhatTheWriterNeverWrites holds the binary decoder to
+// the text decoder's rule: a kind other than call or reply, and a value
+// wider than its field, are refused with an error naming the field, not
+// truncated into a record that the joiner would drop or misread.
+func TestBinaryRefusesWhatTheWriterNeverWrites(t *testing.T) {
+	// payload encodes a record with every 32-bit field present, the
+	// one named field set to v.
+	payload := func(kind byte, field string, v uint64) []byte {
+		val := func(name string, def uint64) uint64 {
+			if name == field {
+				return v
+			}
+			return def
+		}
+		bits := bfCount | bfStable | bfStatus | bfRCount | bfUIDGID
+		p := binary.AppendUvarint(nil, uint64(bits))
+		p = binary.AppendUvarint(p, 2) // time delta +1 µs, zigzagged
+		p = append(p, kind, ProtoUDP)
+		for _, f := range []struct {
+			name string
+			def  uint64
+		}{{"client", 0x0a000005}, {"port", 801}, {"server", 0x0a000001}, {"xid", 0xa2f3}, {"version", 3}} {
+			p = binary.AppendUvarint(p, val(f.name, f.def))
+		}
+		p = binary.AppendUvarint(p, 4)
+		p = append(p, "read"...)
+		for _, name := range []string{"count", "stable", "status", "rcount", "uid", "gid"} {
+			p = binary.AppendUvarint(p, val(name, 7))
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		kind  byte
+		field string
+		v     uint64
+		want  string
+	}{
+		{KindCall, "", 0, ""},
+		{KindReply, "port", math.MaxUint16, ""},
+		{KindCall, "xid", math.MaxUint32, ""},
+		{'X', "", 0, `core: bad kind "X" in binary record`},
+		{0, "", 0, `core: bad kind "\x00" in binary record`},
+		{KindCall, "port", math.MaxUint16 + 1, "core: bad port 65536 in binary record"},
+		{KindCall, "client", math.MaxUint32 + 1, "core: bad client 4294967296 in binary record"},
+		{KindCall, "server", math.MaxUint32 + 1, "core: bad server 4294967296 in binary record"},
+		{KindCall, "xid", math.MaxUint64, "core: bad xid 18446744073709551615 in binary record"},
+		{KindCall, "version", math.MaxUint32 + 1, "core: bad version 4294967296 in binary record"},
+		{KindCall, "count", math.MaxUint32 + 1, "core: bad count 4294967296 in binary record"},
+		{KindCall, "stable", math.MaxUint32 + 1, "core: bad stable 4294967296 in binary record"},
+		{KindCall, "status", math.MaxUint32 + 1, "core: bad status 4294967296 in binary record"},
+		{KindCall, "rcount", math.MaxUint32 + 1, "core: bad rcount 4294967296 in binary record"},
+		{KindCall, "uid", math.MaxUint32 + 1, "core: bad uid 4294967296 in binary record"},
+		{KindCall, "gid", math.MaxUint32 + 1, "core: bad gid 4294967296 in binary record"},
+	} {
+		p := payload(tc.kind, tc.field, tc.v)
+		_, err := NewBinaryReader(bytes.NewReader(binaryStream(p))).Next()
+		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
+			t.Errorf("kind %q %s=%d: error %v, want %q", tc.kind, tc.field, tc.v, err, tc.want)
+		}
+		if diff := BinaryOracleDiff(binaryStream(p, p), 0); diff != "" {
+			t.Errorf("kind %q %s=%d: %s", tc.kind, tc.field, tc.v, diff)
+		}
+	}
+}
+
+// TestBinaryRecordLargerThanBuffer covers a record that cannot lie
+// whole in the reader's 64 KiB read buffer and is copied out: a
+// 70 000-byte name between two small records round-trips, and a stream
+// cut inside it fails as the oracle does.
+func TestBinaryRecordLargerThanBuffer(t *testing.T) {
+	small := sampleCall()
+	big := *small
+	big.Time = 1003680000.005742
+	big.Name = strings.Repeat("n", 70000)
+	last := *small
+	last.Time = 1003680000.006742
+	var buf bytes.Buffer
+	w := NewBinaryWriter(&buf)
+	var ends []int
+	for _, r := range []*Record{small, &big, &last} {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, buf.Len())
+	}
+	data := buf.Bytes()
+	br := NewBinaryReader(bytes.NewReader(data))
+	for i, want := range []*Record{small, &big, &last} {
+		got, err := br.Next()
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if *got != *want {
+			t.Fatalf("record %d differs", i)
+		}
+	}
+	if _, err := br.Next(); err != io.EOF {
+		t.Fatalf("after 3 records: %v, want EOF", err)
+	}
+	for input := range oracleInputs {
+		if diff := BinaryOracleDiff(data, input); diff != "" {
+			t.Fatal(diff)
+		}
+	}
+	for _, cut := range []struct {
+		name string
+		at   int
+	}{
+		{"in the length prefix", ends[0] + 1},
+		{"in the name", ends[0] + 40000},
+		{"a byte before its end", ends[1] - 1},
+		{"a byte before the stream's end", ends[2] - 1},
+	} {
+		for input := range oracleInputs {
+			if diff := BinaryOracleDiff(data[:cut.at], input); diff != "" {
+				t.Errorf("cut %s: %s", cut.name, diff)
+			}
+		}
+		br := NewBinaryReader(bytes.NewReader(data[:cut.at]))
+		var err error
+		for err == nil {
+			_, err = br.Next()
+		}
+		if err == io.EOF {
+			t.Errorf("cut %s: clean EOF", cut.name)
 		}
 	}
 }

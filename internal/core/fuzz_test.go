@@ -154,11 +154,10 @@ func fuzzRecords(data []byte) []*Record {
 	return records
 }
 
-// FuzzBinaryRoundTrip fuzzes the binary format from both sides: the
-// reader must survive arbitrary bytes (truncated varints and payloads
-// return errors, never panic or spin), and records derived from the
-// bytes must survive a write→read round trip exactly.
-func FuzzBinaryRoundTrip(f *testing.F) {
+// binaryFuzzSeeds are the seeds of the binary reader's fuzz targets: a
+// stream of eight records, cut and extended, and inputs that are no
+// trace at all.
+func binaryFuzzSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(11))
 	var seed bytes.Buffer
 	w := NewBinaryWriter(&seed)
@@ -169,14 +168,25 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 	}
 	w.Flush()
 	stream := seed.Bytes()
-	f.Add(stream)
-	f.Add(stream[:len(stream)-3])                    // truncated payload
-	f.Add(stream[:9])                                // truncated just past the magic
-	f.Add(append(append([]byte{}, stream...), 0x80)) // dangling varint
-	f.Add([]byte{})
-	f.Add([]byte("NOTATRACE"))
-	f.Add(binaryMagic[:])
+	return [][]byte{
+		stream,
+		stream[:len(stream)-3], // truncated payload
+		stream[:9],             // truncated just past the magic
+		append(append([]byte{}, stream...), 0x80), // dangling varint
+		{},
+		[]byte("NOTATRACE"),
+		binaryMagic[:],
+	}
+}
 
+// FuzzBinaryRoundTrip fuzzes the binary format from both sides: the
+// reader must survive arbitrary bytes (truncated varints and payloads
+// return errors, never panic or spin), and records derived from the
+// bytes must survive a write→read round trip exactly.
+func FuzzBinaryRoundTrip(f *testing.F) {
+	for _, seed := range binaryFuzzSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			t.Skip()
