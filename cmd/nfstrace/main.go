@@ -14,7 +14,10 @@
 // counts the inputs of the §4.1.4 loss estimate: replies whose call was
 // never seen (orphans) and calls whose reply was never seen (unmatched:
 // given up after 300 s, or still waiting when the capture ends). The
-// estimate is the one nfsanalyze prints for its join.
+// estimate is the one nfsanalyze prints for its join. The line ends
+// with the UDP datagrams given up with fragments missing: each was a
+// call or reply the estimate cannot see, so a capture that drops
+// datagrams loses more than the estimate says.
 //
 // Usage:
 //
@@ -64,8 +67,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stderr,
-		"nfstrace: %d packets, %d calls, %d replies, %d orphan replies (loss est %.2f%%), %d decode errors, %d unmatched calls\n",
-		st.Packets, st.Calls, st.Replies, st.OrphanReplies, 100*st.LossEstimate(), st.DecodeErrors, st.UnmatchedCalls)
+		"nfstrace: %d packets, %d calls, %d replies, %d orphan replies (loss est %.2f%%), %d decode errors, %d unmatched calls, %d dropped datagrams\n",
+		st.Packets, st.Calls, st.Replies, st.OrphanReplies, 100*st.LossEstimate(), st.DecodeErrors, st.UnmatchedCalls,
+		st.DroppedDatagrams)
 	return 0
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -110,7 +111,8 @@ func runTrace(t *testing.T, args ...string) string {
 // The golden files pin nfstrace's output, records and statistics line,
 // in absolute terms. Their records were cut with the binary of commit
 // f1e08f1, before the capture path reused its read buffer, and the
-// statistics line has since gained its count of unmatched calls; the
+// statistics line has since gained its counts of unmatched calls and
+// of dropped datagrams; the
 // anonymized golden was cut again when the anonymizer began keeping the
 // name features the analyses read (done.txt keeps its ".txt"). All are
 // over the captures writeCapture writes:
@@ -229,4 +231,94 @@ func TestUsageErrors(t *testing.T) {
 		!strings.Contains(stderr.String(), "anon.map") {
 		t.Errorf("unwritable mapfile: exit %d, stderr %q", code, stderr.String())
 	}
+}
+
+// TestStatsLineCountsDroppedDatagrams: a datagram given up with a
+// fragment missing shows at the end of the statistics line, whether a
+// second first fragment restarted it (the records stay the plain
+// capture's) or the capture ended without its last fragment.
+func TestStatsLineCountsDroppedDatagrams(t *testing.T) {
+	in := capturePath(t, "udp")
+	f, err := os.Open(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := pcap.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkts packetList
+	for {
+		p, err := r.Next()
+		if err != nil {
+			break
+		}
+		pkts.Packet(p.Time, p.Data)
+	}
+	first, last := -1, -1 // the first fragmented datagram's first and last fragments
+	for i, p := range pkts {
+		fr, err := wire.Decode(p.data)
+		if err != nil || !fr.IsFragment {
+			continue
+		}
+		if first < 0 && fr.MoreFrags && fr.FragOffset == 0 {
+			first = i
+		} else if first >= 0 && !fr.MoreFrags {
+			last = i
+			break
+		}
+	}
+	if last < 0 {
+		t.Fatal("the capture has no fragmented datagram")
+	}
+
+	plain := runTrace(t, "-r", in)
+	if !strings.HasSuffix(plain, " unmatched calls, 0 dropped datagrams\n") {
+		t.Fatalf("statistics line does not end with the dropped datagrams:\n%s", lastLine(plain))
+	}
+
+	// The same first fragment, ahead of its datagram.
+	doubled := append(append(pkts[:first:first], pkts[first]), pkts[first:]...)
+	want := strings.Replace(plain, "0 dropped datagrams\n", "1 dropped datagrams\n", 1)
+	want = regexp.MustCompile(`nfstrace: \d+ packets`).ReplaceAllString(want, fmt.Sprintf("nfstrace: %d packets", len(doubled)))
+	if got := runTrace(t, "-r", writePackets(t, doubled)); got != want {
+		t.Errorf("doubled first fragment:\n%s", firstDiff(got, want))
+	}
+
+	// The datagram's last fragment never arrives.
+	cut := append(pkts[:last:last], pkts[last+1:]...)
+	if got := runTrace(t, "-r", writePackets(t, cut)); !strings.HasSuffix(got, " unmatched calls, 1 dropped datagrams\n") {
+		t.Errorf("last fragment lost: %s", lastLine(got))
+	}
+}
+
+// writePackets writes pkts to a new pcap file and returns its path.
+func writePackets(t *testing.T, pkts packetList) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "lossy.pcap")
+	out, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	w, err := pcap.NewWriter(out, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pkts {
+		if err := w.WritePacket(p.t, p.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// lastLine is the last line of out.
+func lastLine(out string) string {
+	out = strings.TrimSuffix(out, "\n")
+	return out[strings.LastIndex(out, "\n")+1:]
 }

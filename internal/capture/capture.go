@@ -35,8 +35,9 @@ type Stats struct {
 	NonNFS       int64 // RPC calls for other programs
 	DecodeErrors int64 // NFS bodies that failed to parse
 	// DroppedDatagrams counts incomplete UDP datagrams whose fragments
-	// were given up: restarted by a reused IPID, or dropped oldest first
-	// once the defragmenter's cap on open reassemblies was reached.
+	// were given up: restarted by a reused IPID, dropped oldest first
+	// once the defragmenter's cap on open reassemblies was reached, or
+	// still missing fragments when ReadPcap ends.
 	DroppedDatagrams int64
 }
 
@@ -62,7 +63,12 @@ type Sniffer struct {
 
 	Stats Stats
 
-	frame   wire.Frame // the packet being handled
+	frame wire.Frame // the packet being handled
+	// The decoders' storage, reused for every message: what they
+	// return is done with before the next message is decoded.
+	rpc     rpc.Decoder
+	auth    rpc.AuthSysBody
+	nfs     nfs.Decoder
 	defrag  *wire.Defragmenter
 	asm     *tcpasm.Assembler
 	pending map[pendingKey]pendingCall
@@ -91,8 +97,9 @@ func (s *Sniffer) HandlePacket(t float64, data []byte) {
 	}
 	if f.IsFragment {
 		s.Stats.Fragments++
+		dropped := s.defrag.Dropped()
 		whole := s.defrag.Reassemble(f)
-		s.Stats.DroppedDatagrams = s.defrag.Dropped()
+		s.Stats.DroppedDatagrams += s.defrag.Dropped() - dropped
 		if !whole {
 			return
 		}
@@ -106,6 +113,9 @@ func (s *Sniffer) HandlePacket(t float64, data []byte) {
 		_, st := s.asm.Add(f)
 		s.records(t, st)
 	}
+	// Like the packet, a reassembled datagram is done with: the records
+	// keep none of it.
+	s.defrag.Recycle(f)
 }
 
 // records handles the RPC records a TCP stream has completed.
@@ -126,9 +136,10 @@ func (s *Sniffer) records(t float64, st *tcpasm.Stream) {
 }
 
 // handleMessage decodes one RPC message (a full datagram or record)
-// carried by the flow direction k.
+// carried by the flow direction k. The record it emits holds nothing
+// of msg: names are copied and handles interned.
 func (s *Sniffer) handleMessage(t float64, k wire.FlowKey, msg []byte) {
-	dec, err := rpc.Decode(msg)
+	dec, err := s.rpc.Decode(msg)
 	if err != nil {
 		s.Stats.NonRPC++
 		return
@@ -151,7 +162,7 @@ func (s *Sniffer) handleMessage(t float64, k wire.FlowKey, msg []byte) {
 			XID: ch.XID, Version: ch.Version,
 		}
 		if ch.Program == rpc.ProgramNFS {
-			if nfs.CallRecord(rec, ch.Version, ch.Proc, ch.Args) != nil {
+			if s.nfs.CallRecord(rec, ch.Version, ch.Proc, ch.Args) != nil {
 				s.Stats.DecodeErrors++
 				return
 			}
@@ -168,8 +179,8 @@ func (s *Sniffer) handleMessage(t float64, k wire.FlowKey, msg []byte) {
 		}
 		s.Stats.Calls++
 		if ch.Cred.Flavor == rpc.AuthSys {
-			if auth, err := rpc.DecodeAuthSys(ch.Cred.Body); err == nil {
-				rec.UID, rec.GID = auth.UID, auth.GID
+			if rpc.DecodeAuthSysInto(&s.auth, ch.Cred.Body) == nil {
+				rec.UID, rec.GID = s.auth.UID, s.auth.GID
 			}
 		}
 		key := pendingKey{rec.Client, rec.Port, ch.XID}
@@ -211,7 +222,7 @@ func (s *Sniffer) handleMessage(t float64, k wire.FlowKey, msg []byte) {
 				rec.Status, rec.NewFH = res.Status, res.FH.Intern()
 			}
 		default:
-			if nfs.ReplyRecord(rec, call.version, call.proc, rh.Results) != nil {
+			if s.nfs.ReplyRecord(rec, call.version, call.proc, rh.Results) != nil {
 				s.Stats.DecodeErrors++
 				return
 			}
@@ -270,15 +281,15 @@ func (s *Sniffer) evictOld(now float64) {
 func (s *Sniffer) PendingCalls() int { return len(s.pending) }
 
 // ReadPcap drains an entire pcap stream through the sniffer, reading
-// every packet into the one buffer the Reader reuses. The calls still
-// pending at its end count as unmatched.
+// every packet into the one buffer the Reader reuses. At its end the
+// calls still pending count as unmatched and the datagrams still
+// missing fragments as dropped.
 func (s *Sniffer) ReadPcap(r *pcap.Reader) error {
 	var p pcap.Packet
 	for {
 		err := r.ReadPacket(&p)
 		if err == io.EOF {
-			s.Stats.UnmatchedCalls += int64(len(s.pending))
-			clear(s.pending)
+			s.endCapture()
 			return nil
 		}
 		if err != nil {
@@ -286,4 +297,12 @@ func (s *Sniffer) ReadPcap(r *pcap.Reader) error {
 		}
 		s.HandlePacket(p.Time, p.Data)
 	}
+}
+
+// endCapture gives up what the capture's end leaves waiting: pending
+// calls become unmatched and incomplete datagrams dropped.
+func (s *Sniffer) endCapture() {
+	s.Stats.UnmatchedCalls += int64(len(s.pending))
+	clear(s.pending)
+	s.Stats.DroppedDatagrams += int64(s.defrag.Evict())
 }

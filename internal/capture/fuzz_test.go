@@ -38,8 +38,8 @@ func sniffReadPcap(capture []byte) sniffResult {
 }
 
 // sniffFresh feeds HandlePacket packets from Next, each in storage of
-// its own that nothing else writes, and counts the calls still pending
-// at the end as unmatched, as ReadPcap does. It fails tb when the TCP
+// its own that nothing else writes, and ends the capture as ReadPcap
+// does. It fails tb when the TCP
 // flows hold more than their cap behind holes after any packet.
 func sniffFresh(tb testing.TB, capture []byte) sniffResult {
 	var res sniffResult
@@ -51,7 +51,7 @@ func sniffFresh(tb testing.TB, capture []byte) sniffResult {
 	for {
 		p, err := r.Next()
 		if err == io.EOF {
-			s.Stats.UnmatchedCalls += int64(s.PendingCalls())
+			s.endCapture()
 		}
 		if err != nil {
 			if err != io.EOF {

@@ -12,6 +12,8 @@
 // one record per call or reply with the fields the analyses need
 // (handle, name, offset, count, attributes, status). The sniffer, the
 // server's trace tap and the simulated client all build records there.
+// Every decode returns storage of its own, except through a Decoder
+// (decoder.go), which runs the same parsers into storage it reuses.
 package nfs
 
 import (
@@ -143,11 +145,15 @@ func EncodeArgs(version uint32, e *xdr.Encoder, proc uint32, args any) error {
 // DecodeArgs parses the argument body of proc in the given version,
 // through DecodeArgs3 or DecodeArgs2.
 func DecodeArgs(version, proc uint32, body []byte) (any, error) {
+	return decodeArgs(nil, version, proc, body)
+}
+
+func decodeArgs(s *Decoder, version, proc uint32, body []byte) (any, error) {
 	switch version {
 	case V3:
-		return DecodeArgs3(proc, body)
+		return decodeArgs3(s, proc, body)
 	case V2:
-		return DecodeArgs2(proc, body)
+		return decodeArgs2(s, proc, body)
 	}
 	return nil, ErrBadProc
 }
@@ -171,11 +177,15 @@ func EncodeRes(version uint32, e *xdr.Encoder, proc uint32, res any) error {
 // DecodeRes parses the result body of proc in the given version,
 // through DecodeRes3 or DecodeRes2.
 func DecodeRes(version, proc uint32, body []byte) (any, error) {
+	return decodeRes(nil, version, proc, body)
+}
+
+func decodeRes(s *Decoder, version, proc uint32, body []byte) (any, error) {
 	switch version {
 	case V3:
-		return DecodeRes3(proc, body)
+		return decodeRes3(s, proc, body)
 	case V2:
-		return DecodeRes2(proc, body)
+		return decodeRes2(s, proc, body)
 	}
 	return nil, ErrBadProc
 }

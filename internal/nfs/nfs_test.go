@@ -473,7 +473,7 @@ func TestSattr3RoundTrip(t *testing.T) {
 	e := xdr.NewEncoder(128)
 	encodeSattr3(e, s)
 	d := xdr.NewDecoder(e.Bytes())
-	got := decodeSattr3(d)
+	got := decodeSattr3(d, nil)
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}

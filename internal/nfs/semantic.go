@@ -42,15 +42,7 @@ type ReplyInfo struct {
 
 // ParseCall decodes the argument body of an NFS call into semantic form.
 func ParseCall(version, proc uint32, body []byte) (*CallInfo, error) {
-	info := &CallInfo{Version: version, Proc: proc, Name: ProcName(version, proc)}
-	switch version {
-	case V3:
-		return parseCall3(info, proc, body)
-	case V2:
-		return parseCall2(info, proc, body)
-	default:
-		return nil, ErrBadProc
-	}
+	return parseCall(nil, new(CallInfo), version, proc, body)
 }
 
 // CallRecord runs ParseCall on the argument body of an NFS call and
@@ -63,6 +55,11 @@ func CallRecord(rec *core.Record, version, proc uint32, body []byte) error {
 	if err != nil {
 		return err
 	}
+	fillCall(rec, info)
+	return nil
+}
+
+func fillCall(rec *core.Record, info *CallInfo) {
 	rec.Proc = core.MustProc(info.Name)
 	rec.FH, rec.Name = info.FH.Intern(), info.FName
 	rec.FH2, rec.Name2 = info.FH2.Intern(), info.FName2
@@ -70,7 +67,6 @@ func CallRecord(rec *core.Record, version, proc uint32, body []byte) error {
 	if info.SetSize != nil {
 		rec.SetSize, rec.HasSet = *info.SetSize, true
 	}
-	return nil
 }
 
 // ReplyRecord runs ParseReply on the result body of an NFS reply to
@@ -83,6 +79,11 @@ func ReplyRecord(rec *core.Record, version, proc uint32, body []byte) error {
 	if err != nil {
 		return err
 	}
+	fillReply(rec, info)
+	return nil
+}
+
+func fillReply(rec *core.Record, info *ReplyInfo) {
 	rec.Proc = core.MustProc(info.Name)
 	rec.Status, rec.RCount, rec.EOF = info.Status, info.Count, info.EOF
 	rec.NewFH = info.NewFH.Intern()
@@ -94,11 +95,14 @@ func ReplyRecord(rec *core.Record, version, proc uint32, body []byte) error {
 	if info.Pre != nil {
 		rec.PreSize, rec.HasPre = info.Pre.Size, true
 	}
-	return nil
 }
 
-func parseCall3(info *CallInfo, proc uint32, body []byte) (*CallInfo, error) {
-	args, err := DecodeArgs3(proc, body)
+// parseCall is ParseCall into info, with the typed args from s. One
+// switch serves both versions: the v2 argument structs that share a v3
+// shape are the v3 types.
+func parseCall(s *Decoder, info *CallInfo, version, proc uint32, body []byte) (*CallInfo, error) {
+	*info = CallInfo{Version: version, Proc: proc, Name: ProcName(version, proc)}
+	args, err := decodeArgs(s, version, proc, body)
 	if err != nil {
 		return nil, err
 	}
@@ -107,6 +111,9 @@ func parseCall3(info *CallInfo, proc uint32, body []byte) (*CallInfo, error) {
 	case *GetattrArgs3:
 		info.FH = a.FH
 	case *SetattrArgs3:
+		info.FH = a.FH
+		info.SetSize = a.Attr.Size
+	case *SetattrArgs2:
 		info.FH = a.FH
 		info.SetSize = a.Attr.Size
 	case *DirOpArgs3:
@@ -118,12 +125,25 @@ func parseCall3(info *CallInfo, proc uint32, body []byte) (*CallInfo, error) {
 		info.FH = a.FH
 		info.Offset = a.Offset
 		info.Count = a.Count
+	case *ReadArgs2:
+		info.FH = a.FH
+		info.Offset = uint64(a.Offset)
+		info.Count = a.Count
 	case *WriteArgs3:
 		info.FH = a.FH
 		info.Offset = a.Offset
 		info.Count = a.Count
 		info.Stable = a.Stable
+	case *WriteArgs2:
+		info.FH = a.FH
+		info.Offset = uint64(a.Offset)
+		info.Count = uint32(len(a.Data))
+		info.Stable = FileSync // v2 writes are synchronous
 	case *CreateArgs3:
+		info.FH = a.Where.Dir
+		info.FName = a.Where.Name
+		info.SetSize = a.Attr.Size
+	case *CreateArgs2:
 		info.FH = a.Where.Dir
 		info.FName = a.Where.Name
 		info.SetSize = a.Attr.Size
@@ -145,56 +165,12 @@ func parseCall3(info *CallInfo, proc uint32, body []byte) (*CallInfo, error) {
 	case *ReaddirArgs3:
 		info.FH = a.Dir
 		info.Count = a.MaxCount
+	case *ReaddirArgs2:
+		info.FH = a.Dir
+		info.Count = a.Count
 	case *CommitArgs3:
 		info.FH = a.FH
 		info.Offset = a.Offset
-		info.Count = a.Count
-	}
-	return info, nil
-}
-
-func parseCall2(info *CallInfo, proc uint32, body []byte) (*CallInfo, error) {
-	args, err := DecodeArgs2(proc, body)
-	if err != nil {
-		return nil, err
-	}
-	switch a := args.(type) {
-	case nil:
-	case *GetattrArgs3:
-		info.FH = a.FH
-	case *SetattrArgs2:
-		info.FH = a.FH
-		info.SetSize = a.Attr.Size
-	case *DirOpArgs3:
-		info.FH = a.Dir
-		info.FName = a.Name
-	case *ReadArgs2:
-		info.FH = a.FH
-		info.Offset = uint64(a.Offset)
-		info.Count = a.Count
-	case *WriteArgs2:
-		info.FH = a.FH
-		info.Offset = uint64(a.Offset)
-		info.Count = uint32(len(a.Data))
-		info.Stable = FileSync // v2 writes are synchronous
-	case *CreateArgs2:
-		info.FH = a.Where.Dir
-		info.FName = a.Where.Name
-		info.SetSize = a.Attr.Size
-	case *RenameArgs3:
-		info.FH = a.From.Dir
-		info.FName = a.From.Name
-		info.FH2 = a.To.Dir
-		info.FName2 = a.To.Name
-	case *LinkArgs3:
-		info.FH = a.FH
-		info.FH2 = a.To.Dir
-		info.FName2 = a.To.Name
-	case *SymlinkArgs3:
-		info.FH = a.Where.Dir
-		info.FName = a.Where.Name
-	case *ReaddirArgs2:
-		info.FH = a.Dir
 		info.Count = a.Count
 	}
 	return info, nil
@@ -204,19 +180,15 @@ func parseCall2(info *CallInfo, proc uint32, body []byte) (*CallInfo, error) {
 // The caller must supply the procedure from the matched call, since RPC
 // replies do not carry it.
 func ParseReply(version, proc uint32, body []byte) (*ReplyInfo, error) {
-	info := &ReplyInfo{Version: version, Proc: proc, Name: ProcName(version, proc)}
-	switch version {
-	case V3:
-		return parseReply3(info, proc, body)
-	case V2:
-		return parseReply2(info, proc, body)
-	default:
-		return nil, ErrBadProc
-	}
+	return parseReply(nil, new(ReplyInfo), version, proc, body)
 }
 
-func parseReply3(info *ReplyInfo, proc uint32, body []byte) (*ReplyInfo, error) {
-	res, err := DecodeRes3(proc, body)
+// parseReply is ParseReply into info, with the typed results from s.
+// The v2 and v3 result structs are distinct types, so one switch serves
+// both versions.
+func parseReply(s *Decoder, info *ReplyInfo, version, proc uint32, body []byte) (*ReplyInfo, error) {
+	*info = ReplyInfo{Version: version, Proc: proc, Name: ProcName(version, proc)}
+	res, err := decodeRes(s, version, proc, body)
 	if err != nil {
 		return nil, err
 	}
@@ -227,10 +199,7 @@ func parseReply3(info *ReplyInfo, proc uint32, body []byte) (*ReplyInfo, error) 
 		info.Attr = r.Attr
 	case *SetattrRes3:
 		info.Status = r.Status
-		if r.Wcc != nil {
-			info.Attr = r.Wcc.After
-			info.Pre = r.Wcc.Before
-		}
+		info.wcc(r.Wcc)
 	case *LookupRes3:
 		info.Status = r.Status
 		info.NewFH = r.FH
@@ -246,20 +215,14 @@ func parseReply3(info *ReplyInfo, proc uint32, body []byte) (*ReplyInfo, error) 
 	case *WriteRes3:
 		info.Status = r.Status
 		info.Count = r.Count
-		if r.Wcc != nil {
-			info.Attr = r.Wcc.After
-			info.Pre = r.Wcc.Before
-		}
+		info.wcc(r.Wcc)
 	case *CreateRes3:
 		info.Status = r.Status
 		info.NewFH = r.FH
 		info.Attr = r.Attr
 	case *RemoveRes3:
 		info.Status = r.Status
-		if r.Wcc != nil {
-			info.Attr = r.Wcc.After
-			info.Pre = r.Wcc.Before
-		}
+		info.wcc(r.Wcc)
 	case *RenameRes3:
 		info.Status = r.Status
 	case *ReaddirRes3:
@@ -274,17 +237,6 @@ func parseReply3(info *ReplyInfo, proc uint32, body []byte) (*ReplyInfo, error) 
 		if r.Wcc != nil {
 			info.Attr = r.Wcc.After
 		}
-	}
-	return info, nil
-}
-
-func parseReply2(info *ReplyInfo, proc uint32, body []byte) (*ReplyInfo, error) {
-	res, err := DecodeRes2(proc, body)
-	if err != nil {
-		return nil, err
-	}
-	switch r := res.(type) {
-	case nil:
 	case *AttrStatRes2:
 		// A v2 WRITE reply carries no count: its attributes confirm the
 		// whole request landed, so Count stays zero and a joined op
@@ -311,4 +263,13 @@ func parseReply2(info *ReplyInfo, proc uint32, body []byte) (*ReplyInfo, error) 
 		info.Status = r.Status
 	}
 	return info, nil
+}
+
+// wcc takes the attributes after and before the operation from a
+// wcc_data.
+func (info *ReplyInfo) wcc(w *WccData) {
+	if w != nil {
+		info.Attr = w.After
+		info.Pre = w.Before
+	}
 }

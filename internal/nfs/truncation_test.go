@@ -15,7 +15,11 @@ import (
 // result decoder returns for each prefix of a populated body and for the
 // body with trailing bytes: the decoded value, or the first error. The
 // samples are the round-trip tests' own, plus each result with a
-// non-OK status, plus one procedure past the table. Delete
+// non-OK status, plus one procedure past the table. Every sample is
+// rendered a second time through one Decoder, which decodes the sample
+// before it whole ahead of each cut, and must render the same golden: a
+// field the reuse failed to overwrite would show on some line (an OK
+// result's count in its non-OK twin, say). Delete
 // testdata/truncation.golden and rerun to regenerate it.
 func TestDecodeTruncationGolden(t *testing.T) {
 	type codec struct {
@@ -37,18 +41,32 @@ func TestDecodeTruncationGolden(t *testing.T) {
 		}
 		return e.Bytes()
 	}
-	var b strings.Builder
+	var fresh, reused strings.Builder
+	var dec Decoder
+	before := func() {} // decodes the previous sample whole through dec
+	// render renders one sample through a fresh and the reused decode.
+	render := func(name string, body []byte, decode, reuse func([]byte) (any, error)) {
+		cutgolden.Render(&fresh, name, body, decode)
+		prev := before
+		cutgolden.Render(&reused, name, body, func(cut []byte) (any, error) {
+			prev()
+			return reuse(cut)
+		})
+		before = func() { _, _ = reuse(body) }
+	}
 	for _, c := range codecs {
 		for proc := uint32(0); proc <= c.procs; proc++ {
 			proc := proc
 			name := fmt.Sprintf("v%d %s", c.version, ProcName(c.version, proc))
-			decodeArgs := func(body []byte) (any, error) { return c.decodeArgs(proc, body) }
-			decodeRes := func(body []byte) (any, error) { return c.decodeRes(proc, body) }
-			cutgolden.Render(&b, name+" args", encode(c.encodeArgs, proc, c.argsFor(proc)), decodeArgs)
-			cutgolden.Render(&b, name+" res", encode(c.encodeRes, proc, c.resFor(proc)), decodeRes)
+			freshArgs := func(body []byte) (any, error) { return c.decodeArgs(proc, body) }
+			freshRes := func(body []byte) (any, error) { return c.decodeRes(proc, body) }
+			reuseArgs := func(body []byte) (any, error) { return decodeArgs(&dec, c.version, proc, body) }
+			reuseRes := func(body []byte) (any, error) { return decodeRes(&dec, c.version, proc, body) }
+			render(name+" args", encode(c.encodeArgs, proc, c.argsFor(proc)), freshArgs, reuseArgs)
+			render(name+" res", encode(c.encodeRes, proc, c.resFor(proc)), freshRes, reuseRes)
 			if res := c.resFor(proc); res != nil {
 				reflect.ValueOf(res).Elem().FieldByName("Status").SetUint(ErrNoEnt)
-				cutgolden.Render(&b, name+" res noent", encode(c.encodeRes, proc, res), decodeRes)
+				render(name+" res noent", encode(c.encodeRes, proc, res), freshRes, reuseRes)
 			}
 		}
 	}
@@ -90,12 +108,15 @@ func TestDecodeTruncationGolden(t *testing.T) {
 		h := h
 		e := xdr.NewEncoder(256)
 		h.build(e)
-		cutgolden.Render(&b, h.name, e.Bytes(), func(body []byte) (any, error) {
-			if h.v2 {
-				return DecodeArgs2(h.proc, body)
-			}
-			return DecodeArgs3(h.proc, body)
-		})
+		version := uint32(V3)
+		if h.v2 {
+			version = V2
+		}
+		render(h.name, e.Bytes(),
+			func(body []byte) (any, error) { return DecodeArgs(version, h.proc, body) },
+			func(body []byte) (any, error) { return decodeArgs(&dec, version, h.proc, body) })
 	}
-	cutgolden.Check(t, filepath.Join("testdata", "truncation.golden"), b.String())
+	golden := filepath.Join("testdata", "truncation.golden")
+	cutgolden.Check(t, golden, fresh.String())
+	cutgolden.Check(t, golden, reused.String())
 }

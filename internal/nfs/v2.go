@@ -18,7 +18,7 @@ func encodeFH2(e *xdr.Encoder, fh FH) {
 	e.PutFixedOpaque(buf[:])
 }
 
-func decodeFH2(d *xdr.Decoder) FH {
+func decodeFH2(d *xdr.Decoder, s *Decoder) FH {
 	b := d.FixedOpaque(V2FHSize)
 	if b == nil {
 		return nil
@@ -36,14 +36,12 @@ func decodeFH2(d *xdr.Decoder) FH {
 	if allZero {
 		n = 8
 	}
-	out := make(FH, n)
-	copy(out, b[:n])
-	return out
+	return s.handle(b[:n])
 }
 
 // decodeDirOp2 reads v2 diropargs: a directory handle and a name.
-func decodeDirOp2(d *xdr.Decoder) DirOpArgs3 {
-	return DirOpArgs3{Dir: decodeFH2(d), Name: d.String()}
+func decodeDirOp2(d *xdr.Decoder, s *Decoder) DirOpArgs3 {
+	return DirOpArgs3{Dir: decodeFH2(d, s), Name: d.String()}
 }
 
 func encodeTime2(e *xdr.Encoder, t Time) {
@@ -79,8 +77,12 @@ func EncodeFattr2(e *xdr.Encoder, a *Fattr) {
 
 // DecodeFattr2 parses a v2 fattr block into the version-neutral form.
 // After a short read the result is meaningless and d.Err reports it.
-func DecodeFattr2(d *xdr.Decoder) *Fattr {
-	a := &Fattr{Type: d.Uint32(), Mode: d.Uint32(), Nlink: d.Uint32(), UID: d.Uint32(), GID: d.Uint32()}
+func DecodeFattr2(d *xdr.Decoder) *Fattr { return readFattr2(d, nil) }
+
+// readFattr2 parses a v2 fattr block into storage from s.
+func readFattr2(d *xdr.Decoder, s *Decoder) *Fattr {
+	a := s.fattr()
+	*a = Fattr{Type: d.Uint32(), Mode: d.Uint32(), Nlink: d.Uint32(), UID: d.Uint32(), GID: d.Uint32()}
 	a.Size = uint64(d.Uint32())
 	d.Uint32()                        // blocksize
 	d.Uint32()                        // rdev
@@ -123,30 +125,29 @@ func encodeSattr2(e *xdr.Encoder, s *Sattr) {
 	putTime(s.Mtime)
 }
 
-func decodeSattr2(d *xdr.Decoder) Sattr {
-	opt := func() *uint32 {
+func decodeSattr2(d *xdr.Decoder, s *Decoder) Sattr {
+	own := s.sattrSlots()
+	opt := func(own *uint32) *uint32 {
 		v := d.Uint32()
 		if v == v2NoValue {
 			return nil
 		}
-		return &v
+		return val(own, v)
 	}
-	optTime := func() *Time {
+	optTime := func(own *Time) *Time {
 		sec, usec := d.Uint32(), d.Uint32()
 		if sec == v2NoValue && usec == v2NoValue {
 			return nil
 		}
-		return &Time{Sec: sec, Nsec: usec * 1000}
+		return val(own, Time{Sec: sec, Nsec: usec * 1000})
 	}
-	s := Sattr{Mode: opt(), UID: opt(), GID: opt()}
-	sz := d.Uint32()
-	if sz != v2NoValue {
-		size := uint64(sz)
-		s.Size = &size
+	a := Sattr{Mode: opt(own.mode), UID: opt(own.uid), GID: opt(own.gid)}
+	if sz := d.Uint32(); sz != v2NoValue {
+		a.Size = val(own.size, uint64(sz))
 	}
-	s.Atime = optTime()
-	s.Mtime = optTime()
-	return s
+	a.Atime = optTime(own.atime)
+	a.Mtime = optTime(own.mtime)
+	return a
 }
 
 // --- v2 argument structs (reusing v3 shapes where the fields match) ---
@@ -294,37 +295,59 @@ func EncodeArgs2(e *xdr.Encoder, proc uint32, args any) error {
 }
 
 // DecodeArgs2 parses the v2 argument body for proc.
-func DecodeArgs2(proc uint32, body []byte) (any, error) {
+func DecodeArgs2(proc uint32, body []byte) (any, error) { return decodeArgs2(nil, proc, body) }
+
+// decodeArgs2 is DecodeArgs2 into storage from s.
+func decodeArgs2(s *Decoder, proc uint32, body []byte) (any, error) {
 	d := xdr.NewDecoder(body)
+	t := s.procs(V2, false)
 	var args any
 	switch proc {
 	case V2Null, V2Root, V2Writecache:
 	case V2Getattr, V2Readlink, V2Statfs:
-		args = &GetattrArgs3{FH: decodeFH2(d)}
+		a := own[GetattrArgs3](t, proc)
+		a.FH = decodeFH2(d, s)
+		args = a
 	case V2Setattr:
-		args = &SetattrArgs2{FH: decodeFH2(d), Attr: decodeSattr2(d)}
+		a := own[SetattrArgs2](t, proc)
+		*a = SetattrArgs2{FH: decodeFH2(d, s), Attr: decodeSattr2(d, s)}
+		args = a
 	case V2Lookup, V2Remove, V2Rmdir:
-		where := decodeDirOp2(d)
-		args = &where
+		a := own[DirOpArgs3](t, proc)
+		*a = decodeDirOp2(d, s)
+		args = a
 	case V2Read:
-		args = &ReadArgs2{FH: decodeFH2(d), Offset: d.Uint32(), Count: d.Uint32(), TotalCount: d.Uint32()}
+		a := own[ReadArgs2](t, proc)
+		*a = ReadArgs2{FH: decodeFH2(d, s), Offset: d.Uint32(), Count: d.Uint32(), TotalCount: d.Uint32()}
+		args = a
 	case V2Write:
-		a := &WriteArgs2{FH: decodeFH2(d)}
+		a := own[WriteArgs2](t, proc)
+		a.FH = decodeFH2(d, s)
 		d.Uint32() // beginoffset
 		a.Offset = d.Uint32()
 		d.Uint32() // totalcount
 		a.Data = d.Opaque()
 		args = a
 	case V2Create, V2Mkdir:
-		args = &CreateArgs2{Where: decodeDirOp2(d), Attr: decodeSattr2(d)}
+		a := own[CreateArgs2](t, proc)
+		*a = CreateArgs2{Where: decodeDirOp2(d, s), Attr: decodeSattr2(d, s)}
+		args = a
 	case V2Rename:
-		args = &RenameArgs3{From: decodeDirOp2(d), To: decodeDirOp2(d)}
+		a := own[RenameArgs3](t, proc)
+		*a = RenameArgs3{From: decodeDirOp2(d, s), To: decodeDirOp2(d, s)}
+		args = a
 	case V2Link:
-		args = &LinkArgs3{FH: decodeFH2(d), To: decodeDirOp2(d)}
+		a := own[LinkArgs3](t, proc)
+		*a = LinkArgs3{FH: decodeFH2(d, s), To: decodeDirOp2(d, s)}
+		args = a
 	case V2Symlink:
-		args = &SymlinkArgs3{Where: decodeDirOp2(d), Target: d.String(), Attr: decodeSattr2(d)}
+		a := own[SymlinkArgs3](t, proc)
+		*a = SymlinkArgs3{Where: decodeDirOp2(d, s), Target: d.String(), Attr: decodeSattr2(d, s)}
+		args = a
 	case V2Readdir:
-		args = &ReaddirArgs2{Dir: decodeFH2(d), Cookie: d.Uint32(), Count: d.Uint32()}
+		a := own[ReaddirArgs2](t, proc)
+		*a = ReaddirArgs2{Dir: decodeFH2(d, s), Cookie: d.Uint32(), Count: d.Uint32()}
+		args = a
 	default:
 		d.Fail(fmt.Errorf("%w: v2 proc %d", ErrBadProc, proc))
 	}
@@ -398,8 +421,12 @@ func EncodeRes2(e *xdr.Encoder, proc uint32, res any) error {
 }
 
 // DecodeRes2 parses the v2 result body for proc.
-func DecodeRes2(proc uint32, body []byte) (any, error) {
+func DecodeRes2(proc uint32, body []byte) (any, error) { return decodeRes2(nil, proc, body) }
+
+// decodeRes2 is DecodeRes2 into storage from s.
+func decodeRes2(s *Decoder, proc uint32, body []byte) (any, error) {
 	d := xdr.NewDecoder(body)
+	t := s.procs(V2, true)
 	var status uint32
 	if proc != V2Null && proc != V2Root && proc != V2Writecache {
 		status = d.Uint32()
@@ -409,43 +436,54 @@ func DecodeRes2(proc uint32, body []byte) (any, error) {
 	switch proc {
 	case V2Null, V2Root, V2Writecache:
 	case V2Getattr, V2Setattr, V2Write:
-		r := &AttrStatRes2{Status: status}
+		r := own[AttrStatRes2](t, proc)
+		r.Status = status
 		if ok {
-			r.Attr = DecodeFattr2(d)
+			r.Attr = readFattr2(d, s)
 		}
 		res = r
 	case V2Lookup, V2Create, V2Mkdir:
-		r := &DirOpRes2{Status: status}
+		r := own[DirOpRes2](t, proc)
+		r.Status = status
 		if ok {
-			r.FH = decodeFH2(d)
-			r.Attr = DecodeFattr2(d)
+			r.FH = decodeFH2(d, s)
+			r.Attr = readFattr2(d, s)
 		}
 		res = r
 	case V2Readlink:
 		if ok {
 			d.Opaque() // target path, not modeled
 		}
-		res = &StatusRes2{Status: status}
+		r := own[StatusRes2](t, proc)
+		r.Status = status
+		res = r
 	case V2Read:
-		r := &ReadRes2{Status: status}
+		r := own[ReadRes2](t, proc)
+		r.Status = status
 		if ok {
-			r.Attr = DecodeFattr2(d)
+			r.Attr = readFattr2(d, s)
 			r.Data = d.Opaque()
 		}
 		res = r
 	case V2Remove, V2Rename, V2Link, V2Symlink, V2Rmdir:
-		res = &StatusRes2{Status: status}
+		r := own[StatusRes2](t, proc)
+		r.Status = status
+		res = r
 	case V2Readdir:
-		r := &ReaddirRes2{Status: status}
+		r := own[ReaddirRes2](t, proc)
+		r.Status = status
 		if ok {
+			entries := s.dirEntries()
 			for d.Bool() {
-				r.Entries = append(r.Entries, DirEntry{FileID: uint64(d.Uint32()), Name: d.String(), Cookie: uint64(d.Uint32())})
+				entries = append(entries, DirEntry{FileID: uint64(d.Uint32()), Name: d.String(), Cookie: uint64(d.Uint32())})
 			}
+			r.Entries = s.setEntries(entries)
 			r.EOF = d.Bool()
 		}
 		res = r
 	case V2Statfs:
-		r := &StatfsRes2{Status: status}
+		r := own[StatfsRes2](t, proc)
+		r.Status = status
 		if ok {
 			r.Tsize = d.Uint32()
 			r.Bsize = d.Uint32()

@@ -15,15 +15,13 @@ import (
 
 func encodeFH3(e *xdr.Encoder, fh FH) { e.PutOpaque(fh) }
 
-func decodeFH3(d *xdr.Decoder) FH {
+func decodeFH3(d *xdr.Decoder, s *Decoder) FH {
 	b := d.Opaque()
 	if len(b) > V3MaxFHSize {
 		d.Fail(fmt.Errorf("%w: fh of %d bytes", ErrDecode, len(b)))
 		return nil
 	}
-	out := make(FH, len(b))
-	copy(out, b)
-	return out
+	return s.handle(b)
 }
 
 func encodeTime3(e *xdr.Encoder, t Time) {
@@ -55,8 +53,11 @@ func EncodeFattr3(e *xdr.Encoder, a *Fattr) {
 
 // DecodeFattr3 parses a fattr3 block. After a short or malformed read
 // the result is meaningless and d.Err reports the failure.
-func DecodeFattr3(d *xdr.Decoder) *Fattr {
-	a := &Fattr{Type: d.Uint32(), Mode: d.Uint32(), Nlink: d.Uint32(), UID: d.Uint32(), GID: d.Uint32()}
+func DecodeFattr3(d *xdr.Decoder) *Fattr { return readFattr3(d, nil) }
+
+// decodeFattr3 parses a fattr3 block into a, overwriting every field.
+func decodeFattr3(d *xdr.Decoder, a *Fattr) {
+	*a = Fattr{Type: d.Uint32(), Mode: d.Uint32(), Nlink: d.Uint32(), UID: d.Uint32(), GID: d.Uint32()}
 	a.Size = d.Uint64()
 	a.Used = d.Uint64()
 	d.Uint64() // rdev (specdata3: major, minor)
@@ -65,6 +66,12 @@ func DecodeFattr3(d *xdr.Decoder) *Fattr {
 	a.Atime = decodeTime3(d)
 	a.Mtime = decodeTime3(d)
 	a.Ctime = decodeTime3(d)
+}
+
+// readFattr3 parses a fattr3 block into storage from s.
+func readFattr3(d *xdr.Decoder, s *Decoder) *Fattr {
+	a := s.fattr()
+	decodeFattr3(d, a)
 	return a
 }
 
@@ -78,11 +85,19 @@ func encodePostOpAttr(e *xdr.Encoder, a *Fattr) {
 	EncodeFattr3(e, a)
 }
 
-func decodePostOpAttr(d *xdr.Decoder) *Fattr {
+func decodePostOpAttr(d *xdr.Decoder, s *Decoder) *Fattr {
 	if !d.Bool() {
 		return nil
 	}
-	return DecodeFattr3(d)
+	return readFattr3(d, s)
+}
+
+// skipPostOpAttr reads a post_op_attr the result does not keep.
+func skipPostOpAttr(d *xdr.Decoder) {
+	if d.Bool() {
+		var a Fattr
+		decodeFattr3(d, &a)
+	}
 }
 
 // WccAttr is the pre-operation attribute subset in wcc_data.
@@ -116,13 +131,13 @@ func encodeWccData(e *xdr.Encoder, w *WccData) {
 	encodePostOpAttr(e, w.After)
 }
 
-func decodeWccData(d *xdr.Decoder) *WccData {
-	var w WccData
+func decodeWccData(d *xdr.Decoder, s *Decoder) *WccData {
+	w, before := s.wcc()
 	if d.Bool() {
-		w.Before = &WccAttr{Size: d.Uint64(), Mtime: decodeTime3(d), Ctime: decodeTime3(d)}
+		w.Before = val(before, WccAttr{Size: d.Uint64(), Mtime: decodeTime3(d), Ctime: decodeTime3(d)})
 	}
-	w.After = decodePostOpAttr(d)
-	return &w
+	w.After = decodePostOpAttr(d, s)
+	return w
 }
 
 func encodeSattr3(e *xdr.Encoder, s *Sattr) {
@@ -155,37 +170,35 @@ func encodeSattr3(e *xdr.Encoder, s *Sattr) {
 	putOptTime(s.Mtime)
 }
 
-func decodeSattr3(d *xdr.Decoder) Sattr {
-	opt32 := func() *uint32 {
+func decodeSattr3(d *xdr.Decoder, s *Decoder) Sattr {
+	own := s.sattrSlots()
+	opt32 := func(own *uint32) *uint32 {
 		if !d.Bool() {
 			return nil
 		}
-		v := d.Uint32()
-		return &v
+		return val(own, d.Uint32())
 	}
-	optTime := func() *Time {
+	optTime := func(own *Time) *Time {
 		how := d.Uint32()
 		switch how {
 		case 0: // DONT_CHANGE
 			return nil
 		case 1: // SET_TO_SERVER_TIME
-			return &Time{}
+			return val(own, Time{})
 		case 2: // SET_TO_CLIENT_TIME
-			t := decodeTime3(d)
-			return &t
+			return val(own, decodeTime3(d))
 		default:
 			d.Fail(fmt.Errorf("%w: time_how %d", ErrDecode, how))
 			return nil
 		}
 	}
-	s := Sattr{Mode: opt32(), UID: opt32(), GID: opt32()}
+	a := Sattr{Mode: opt32(own.mode), UID: opt32(own.uid), GID: opt32(own.gid)}
 	if d.Bool() {
-		size := d.Uint64()
-		s.Size = &size
+		a.Size = val(own.size, d.Uint64())
 	}
-	s.Atime = optTime()
-	s.Mtime = optTime()
-	return s
+	a.Atime = optTime(own.atime)
+	a.Mtime = optTime(own.mtime)
+	return a
 }
 
 // DirOpArgs3 is the (dir handle, name) pair used by LOOKUP, CREATE,
@@ -200,8 +213,8 @@ func encodeDirOp(e *xdr.Encoder, a *DirOpArgs3) {
 	e.PutString(a.Name)
 }
 
-func decodeDirOp(d *xdr.Decoder) DirOpArgs3 {
-	return DirOpArgs3{Dir: decodeFH3(d), Name: d.String()}
+func decodeDirOp(d *xdr.Decoder, s *Decoder) DirOpArgs3 {
+	return DirOpArgs3{Dir: decodeFH3(d, s), Name: d.String()}
 }
 
 // --- Procedure argument structs ---
@@ -470,40 +483,65 @@ func EncodeArgs3(e *xdr.Encoder, proc uint32, args any) error {
 
 // DecodeArgs3 parses the argument body for proc, returning the matching
 // *Args3 struct (nil for NULL).
-func DecodeArgs3(proc uint32, body []byte) (any, error) {
+func DecodeArgs3(proc uint32, body []byte) (any, error) { return decodeArgs3(nil, proc, body) }
+
+// decodeArgs3 is DecodeArgs3 into storage from s.
+func decodeArgs3(s *Decoder, proc uint32, body []byte) (any, error) {
 	d := xdr.NewDecoder(body)
+	t := s.procs(V3, false)
 	var args any
 	switch proc {
 	case V3Null:
 	case V3Getattr, V3Readlink, V3Fsstat, V3Fsinfo, V3Pathconf:
-		args = &GetattrArgs3{FH: decodeFH3(d)}
+		a := own[GetattrArgs3](t, proc)
+		a.FH = decodeFH3(d, s)
+		args = a
 	case V3Setattr:
-		args = &SetattrArgs3{FH: decodeFH3(d), Attr: decodeSattr3(d)}
+		a := own[SetattrArgs3](t, proc)
+		*a = SetattrArgs3{FH: decodeFH3(d, s), Attr: decodeSattr3(d, s)}
+		args = a
 	case V3Lookup, V3Remove, V3Rmdir:
-		where := decodeDirOp(d)
-		args = &where
+		a := own[DirOpArgs3](t, proc)
+		*a = decodeDirOp(d, s)
+		args = a
 	case V3Access:
-		args = &AccessArgs3{FH: decodeFH3(d), Access: d.Uint32()}
+		a := own[AccessArgs3](t, proc)
+		*a = AccessArgs3{FH: decodeFH3(d, s), Access: d.Uint32()}
+		args = a
 	case V3Read:
-		args = &ReadArgs3{FH: decodeFH3(d), Offset: d.Uint64(), Count: d.Uint32()}
+		a := own[ReadArgs3](t, proc)
+		*a = ReadArgs3{FH: decodeFH3(d, s), Offset: d.Uint64(), Count: d.Uint32()}
+		args = a
 	case V3Write:
-		args = &WriteArgs3{FH: decodeFH3(d), Offset: d.Uint64(), Count: d.Uint32(), Stable: d.Uint32(), Data: d.Opaque()}
+		a := own[WriteArgs3](t, proc)
+		*a = WriteArgs3{FH: decodeFH3(d, s), Offset: d.Uint64(), Count: d.Uint32(), Stable: d.Uint32(), Data: d.Opaque()}
+		args = a
 	case V3Create:
-		a := &CreateArgs3{Where: decodeDirOp(d)}
+		a := own[CreateArgs3](t, proc)
+		a.Where = decodeDirOp(d, s)
 		if d.Uint32() != 2 { // EXCLUSIVE carries a verf instead of sattr
-			a.Attr = decodeSattr3(d)
+			a.Attr = decodeSattr3(d, s)
 		}
 		args = a
 	case V3Mkdir:
-		args = &MkdirArgs3{Where: decodeDirOp(d), Attr: decodeSattr3(d)}
+		a := own[MkdirArgs3](t, proc)
+		*a = MkdirArgs3{Where: decodeDirOp(d, s), Attr: decodeSattr3(d, s)}
+		args = a
 	case V3Symlink:
-		args = &SymlinkArgs3{Where: decodeDirOp(d), Attr: decodeSattr3(d), Target: d.String()}
+		a := own[SymlinkArgs3](t, proc)
+		*a = SymlinkArgs3{Where: decodeDirOp(d, s), Attr: decodeSattr3(d, s), Target: d.String()}
+		args = a
 	case V3Rename:
-		args = &RenameArgs3{From: decodeDirOp(d), To: decodeDirOp(d)}
+		a := own[RenameArgs3](t, proc)
+		*a = RenameArgs3{From: decodeDirOp(d, s), To: decodeDirOp(d, s)}
+		args = a
 	case V3Link:
-		args = &LinkArgs3{FH: decodeFH3(d), To: decodeDirOp(d)}
+		a := own[LinkArgs3](t, proc)
+		*a = LinkArgs3{FH: decodeFH3(d, s), To: decodeDirOp(d, s)}
+		args = a
 	case V3Readdir, V3Readdirplus:
-		a := &ReaddirArgs3{Dir: decodeFH3(d), Cookie: d.Uint64()}
+		a := own[ReaddirArgs3](t, proc)
+		*a = ReaddirArgs3{Dir: decodeFH3(d, s), Cookie: d.Uint64()}
 		d.Uint64() // cookieverf
 		a.MaxCount = d.Uint32()
 		if proc == V3Readdirplus {
@@ -511,7 +549,9 @@ func DecodeArgs3(proc uint32, body []byte) (any, error) {
 		}
 		args = a
 	case V3Commit:
-		args = &CommitArgs3{FH: decodeFH3(d), Offset: d.Uint64(), Count: d.Uint32()}
+		a := own[CommitArgs3](t, proc)
+		*a = CommitArgs3{FH: decodeFH3(d, s), Offset: d.Uint64(), Count: d.Uint32()}
+		args = a
 	default:
 		d.Fail(fmt.Errorf("%w: v3 proc %d", ErrBadProc, proc))
 	}
@@ -676,8 +716,12 @@ func EncodeRes3(e *xdr.Encoder, proc uint32, res any) error {
 }
 
 // DecodeRes3 parses the result body for proc.
-func DecodeRes3(proc uint32, body []byte) (any, error) {
+func DecodeRes3(proc uint32, body []byte) (any, error) { return decodeRes3(nil, proc, body) }
+
+// decodeRes3 is DecodeRes3 into storage from s.
+func decodeRes3(s *Decoder, proc uint32, body []byte) (any, error) {
 	d := xdr.NewDecoder(body)
+	t := s.procs(V3, true)
 	var status uint32
 	if proc != V3Null {
 		status = d.Uint32()
@@ -687,35 +731,42 @@ func DecodeRes3(proc uint32, body []byte) (any, error) {
 	switch proc {
 	case V3Null:
 	case V3Getattr:
-		r := &GetattrRes3{Status: status}
+		r := own[GetattrRes3](t, proc)
+		r.Status = status
 		if ok {
-			r.Attr = DecodeFattr3(d)
+			r.Attr = readFattr3(d, s)
 		}
 		res = r
 	case V3Setattr:
-		res = &SetattrRes3{Status: status, Wcc: decodeWccData(d)}
+		r := own[SetattrRes3](t, proc)
+		*r = SetattrRes3{Status: status, Wcc: decodeWccData(d, s)}
+		res = r
 	case V3Lookup:
-		r := &LookupRes3{Status: status}
+		r := own[LookupRes3](t, proc)
+		r.Status = status
 		if ok {
-			r.FH = decodeFH3(d)
-			r.Attr = decodePostOpAttr(d)
+			r.FH = decodeFH3(d, s)
+			r.Attr = decodePostOpAttr(d, s)
 		}
-		r.DirAttr = decodePostOpAttr(d)
+		r.DirAttr = decodePostOpAttr(d, s)
 		res = r
 	case V3Access:
-		r := &AccessRes3{Status: status, Attr: decodePostOpAttr(d)}
+		r := own[AccessRes3](t, proc)
+		*r = AccessRes3{Status: status, Attr: decodePostOpAttr(d, s)}
 		if ok {
 			r.Access = d.Uint32()
 		}
 		res = r
 	case V3Readlink:
-		r := &LookupRes3{Status: status, Attr: decodePostOpAttr(d)}
+		r := own[LookupRes3](t, proc)
+		*r = LookupRes3{Status: status, Attr: decodePostOpAttr(d, s)}
 		if ok {
 			d.Opaque() // target path, not modeled
 		}
 		res = r
 	case V3Read:
-		r := &ReadRes3{Status: status, Attr: decodePostOpAttr(d)}
+		r := own[ReadRes3](t, proc)
+		*r = ReadRes3{Status: status, Attr: decodePostOpAttr(d, s)}
 		if ok {
 			r.Count = d.Uint32()
 			r.EOF = d.Bool()
@@ -723,7 +774,8 @@ func DecodeRes3(proc uint32, body []byte) (any, error) {
 		}
 		res = r
 	case V3Write:
-		r := &WriteRes3{Status: status, Wcc: decodeWccData(d)}
+		r := own[WriteRes3](t, proc)
+		*r = WriteRes3{Status: status, Wcc: decodeWccData(d, s)}
 		if ok {
 			r.Count = d.Uint32()
 			r.Committed = d.Uint32()
@@ -731,40 +783,51 @@ func DecodeRes3(proc uint32, body []byte) (any, error) {
 		}
 		res = r
 	case V3Create, V3Mkdir, V3Symlink, V3Mknod:
-		r := &CreateRes3{Status: status}
+		r := own[CreateRes3](t, proc)
+		r.Status = status
 		if ok {
 			if d.Bool() {
-				r.FH = decodeFH3(d)
+				r.FH = decodeFH3(d, s)
 			}
-			r.Attr = decodePostOpAttr(d)
+			r.Attr = decodePostOpAttr(d, s)
 		}
-		r.Wcc = decodeWccData(d)
+		r.Wcc = decodeWccData(d, s)
 		res = r
 	case V3Remove, V3Rmdir:
-		res = &RemoveRes3{Status: status, Wcc: decodeWccData(d)}
+		r := own[RemoveRes3](t, proc)
+		*r = RemoveRes3{Status: status, Wcc: decodeWccData(d, s)}
+		res = r
 	case V3Rename:
-		res = &RenameRes3{Status: status, FromWcc: decodeWccData(d), ToWcc: decodeWccData(d)}
+		r := own[RenameRes3](t, proc)
+		*r = RenameRes3{Status: status, FromWcc: decodeWccData(d, s), ToWcc: decodeWccData(d, s)}
+		res = r
 	case V3Link:
-		decodePostOpAttr(d) // the linked file's attributes, not modeled
-		res = &RemoveRes3{Status: status, Wcc: decodeWccData(d)}
+		skipPostOpAttr(d) // the linked file's attributes, not modeled
+		r := own[RemoveRes3](t, proc)
+		*r = RemoveRes3{Status: status, Wcc: decodeWccData(d, s)}
+		res = r
 	case V3Readdir, V3Readdirplus:
-		r := &ReaddirRes3{Status: status, DirAttr: decodePostOpAttr(d)}
+		r := own[ReaddirRes3](t, proc)
+		*r = ReaddirRes3{Status: status, DirAttr: decodePostOpAttr(d, s)}
 		if ok {
 			d.Uint64() // cookieverf
+			entries := s.dirEntries()
 			for d.Bool() {
-				r.Entries = append(r.Entries, DirEntry{FileID: d.Uint64(), Name: d.String(), Cookie: d.Uint64()})
+				entries = append(entries, DirEntry{FileID: d.Uint64(), Name: d.String(), Cookie: d.Uint64()})
 				if proc == V3Readdirplus {
-					decodePostOpAttr(d)
+					skipPostOpAttr(d)
 					if d.Bool() {
-						decodeFH3(d)
+						decodeFH3(d, s)
 					}
 				}
 			}
+			r.Entries = s.setEntries(entries)
 			r.EOF = d.Bool()
 		}
 		res = r
 	case V3Fsstat:
-		r := &FsstatRes3{Status: status, Attr: decodePostOpAttr(d)}
+		r := own[FsstatRes3](t, proc)
+		*r = FsstatRes3{Status: status, Attr: decodePostOpAttr(d, s)}
 		if ok {
 			r.Tbytes = d.Uint64()
 			r.Fbytes = d.Uint64()
@@ -772,9 +835,13 @@ func DecodeRes3(proc uint32, body []byte) (any, error) {
 		}
 		res = r
 	case V3Fsinfo, V3Pathconf:
-		res = &GetattrRes3{Status: status, Attr: decodePostOpAttr(d)}
+		r := own[GetattrRes3](t, proc)
+		*r = GetattrRes3{Status: status, Attr: decodePostOpAttr(d, s)}
+		res = r
 	case V3Commit:
-		res = &CommitRes3{Status: status, Wcc: decodeWccData(d)}
+		r := own[CommitRes3](t, proc)
+		*r = CommitRes3{Status: status, Wcc: decodeWccData(d, s)}
+		res = r
 	default:
 		d.Fail(fmt.Errorf("%w: v3 proc %d", ErrBadProc, proc))
 	}

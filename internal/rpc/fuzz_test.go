@@ -2,6 +2,8 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -15,16 +17,20 @@ import (
 // None may panic. A header either decoder accepts re-encodes to a
 // fixed point: encoding what a decode of the first encoding returns
 // gives the same bytes again. A credential or MOUNT result it accepts
-// survives encode and decode unchanged.
+// survives encode and decode unchanged. A second input b2, decoded
+// after b through the Decoder and AuthSysBody that decoded b, must decode
+// as it does fresh.
 func FuzzRPCDecode(f *testing.F) {
 	cred := xdr.NewEncoder(64)
 	sampleAuthSys().Encode(cred)
-	f.Add(cred.Bytes())
+	noGroups := xdr.NewEncoder(64)
+	(&AuthSysBody{Stamp: 1, MachineName: "other"}).Encode(noGroups)
+	seeds := [][]byte{cred.Bytes(), noGroups.Bytes()}
 	e := xdr.NewEncoder(128)
 	EncodeCall(e, &CallHeader{XID: 0xCAFEBABE, Program: ProgramNFS, Version: 3, Proc: 6,
 		Cred: OpaqueAuth{Flavor: AuthSys, Body: cred.Bytes()}, Verf: OpaqueAuth{Flavor: AuthNone},
 		Args: []byte{0, 0, 0, 4, 1, 2, 3, 4}})
-	f.Add(append([]byte(nil), e.Bytes()...))
+	seeds = append(seeds, append([]byte(nil), e.Bytes()...))
 	for _, h := range []*ReplyHeader{
 		{XID: 7, ReplyStat: MsgAccepted, AcceptStat: Success, Results: []byte{0, 0, 0, 0, 9, 9, 9, 9}},
 		{XID: 8, ReplyStat: MsgAccepted, AcceptStat: ProgUnavail},
@@ -32,16 +38,43 @@ func FuzzRPCDecode(f *testing.F) {
 	} {
 		e.Reset()
 		EncodeReply(e, h)
-		f.Add(append([]byte(nil), e.Bytes()...))
+		seeds = append(seeds, append([]byte(nil), e.Bytes()...))
 	}
 	e.Reset()
 	mount.EncodeMntArgs(e, &mount.MntArgs{DirPath: "/home02/u0001"})
-	f.Add(append([]byte(nil), e.Bytes()...))
+	seeds = append(seeds, append([]byte(nil), e.Bytes()...))
 	e.Reset()
 	mount.EncodeMntRes(e, &mount.MntRes{Status: mount.OK, FH: nfs.MakeFH(42), Flavors: []uint32{AuthSys}})
-	f.Add(append([]byte(nil), e.Bytes()...))
+	seeds = append(seeds, append([]byte(nil), e.Bytes()...))
+	for _, b := range seeds {
+		for _, b2 := range seeds {
+			f.Add(b, b2)
+		}
+	}
 
-	f.Fuzz(func(t *testing.T, b []byte) {
+	f.Fuzz(func(t *testing.T, b, b2 []byte) {
+		var dec Decoder
+		var auth AuthSysBody
+		_, _ = dec.Decode(b)
+		_ = DecodeAuthSysInto(&auth, b)
+		fresh, err := Decode(b2)
+		reused, err2 := dec.Decode(b2)
+		if fmt.Sprint(err2) != fmt.Sprint(err) {
+			t.Fatalf("reused decode of %x after %x: error %v, fresh %v", b2, b, err2, err)
+		}
+		if !reflect.DeepEqual(reused, fresh) {
+			got, _ := json.Marshal(reused)
+			want, _ := json.Marshal(fresh)
+			t.Fatalf("reused decode of %x after %x:\n got %s\nwant %s", b2, b, got, want)
+		}
+		freshAuth, err := DecodeAuthSys(b2)
+		if err2 := DecodeAuthSysInto(&auth, b2); fmt.Sprint(err2) != fmt.Sprint(err) {
+			t.Fatalf("reused AUTH_SYS decode of %x after %x: error %v, fresh %v", b2, b, err2, err)
+		}
+		if err == nil && !reflect.DeepEqual(auth, *freshAuth) {
+			t.Fatalf("reused AUTH_SYS decode of %x after %x:\n got %#v\nwant %#v", b2, b, auth, *freshAuth)
+		}
+
 		if dec, err := Decode(b); err == nil {
 			first := encodeDecoded(dec)
 			again, err := Decode(first)

@@ -85,22 +85,44 @@ func (a *AuthSysBody) Encode(e *xdr.Encoder) {
 	}
 }
 
-// DecodeAuthSys parses an AUTH_SYS credential body.
+// DecodeAuthSys parses an AUTH_SYS credential body into a new
+// AuthSysBody.
 func DecodeAuthSys(body []byte) (*AuthSysBody, error) {
+	a := new(AuthSysBody)
+	if err := DecodeAuthSysInto(a, body); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// DecodeAuthSysInto parses an AUTH_SYS credential body into a,
+// overwriting every field. It reuses a.GIDs' storage, and keeps
+// a.MachineName when the body spells the same name, so a caller that
+// decodes every credential into one AuthSysBody allocates only when a
+// name changes or the group list outgrows what it held. A body with no
+// groups leaves GIDs nil, as a fresh decode does. On error a's contents
+// are unspecified.
+func DecodeAuthSysInto(a *AuthSysBody, body []byte) error {
 	d := xdr.NewDecoder(body)
-	a := &AuthSysBody{Stamp: d.Uint32(), MachineName: d.String(), UID: d.Uint32(), GID: d.Uint32()}
+	a.Stamp = d.Uint32()
+	if name := d.Opaque(); string(name) != a.MachineName {
+		a.MachineName = string(name)
+	}
+	a.UID, a.GID = d.Uint32(), d.Uint32()
 	n := d.Count()
+	gids := a.GIDs[:0]
 	if n > 16 { // RFC 1831 limits auth_sys gids to 16
 		d.Fail(fmt.Errorf("rpc: %d gids exceeds AUTH_SYS limit", n))
 	} else {
 		for i := 0; i < n; i++ {
-			a.GIDs = append(a.GIDs, d.Uint32())
+			gids = append(gids, d.Uint32())
 		}
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
+	if len(gids) == 0 {
+		gids = nil
 	}
-	return a, nil
+	a.GIDs = gids
+	return d.Err()
 }
 
 // CallHeader is a decoded RPC call header. Args holds the procedure
@@ -162,23 +184,59 @@ func EncodeReply(e *xdr.Encoder, h *ReplyHeader) {
 }
 
 // Decoded is the result of decoding one RPC message of either direction.
+// Exactly one of Call and Reply is set, by Type.
 type Decoded struct {
 	Type  uint32 // Call or Reply
 	Call  *CallHeader
 	Reply *ReplyHeader
 }
 
-// Decode parses one RPC message from a datagram or reassembled record.
-// A message too short for its header is bare ErrNotRPC; a header field
-// with an impossible value is ErrNotRPC wrapped with that value.
+// Decode parses one RPC message from a datagram or reassembled record
+// into a new Decoded. A message too short for its header is bare
+// ErrNotRPC; a header field with an impossible value is ErrNotRPC
+// wrapped with that value.
 func Decode(b []byte) (*Decoded, error) {
+	m := new(Decoded)
+	if err := decode(m, nil, nil, b); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Decoder decodes RPC messages into storage of its own, so a caller
+// that decodes every message through one Decoder allocates nothing.
+// The zero value is ready to use.
+type Decoder struct {
+	m     Decoded
+	call  CallHeader
+	reply ReplyHeader
+}
+
+// Decode parses one RPC message, failing as the package's Decode does.
+// The Decoded and header it returns are the Decoder's, and the header's
+// opaque bodies and Args or Results alias b: the next Decode overwrites
+// all of it.
+func (d *Decoder) Decode(b []byte) (*Decoded, error) {
+	if err := decode(&d.m, &d.call, &d.reply, b); err != nil {
+		return nil, err
+	}
+	return &d.m, nil
+}
+
+// decode parses one RPC message into m and the header of its direction,
+// call or reply, overwriting every field; a nil header is allocated.
+func decode(m *Decoded, call *CallHeader, reply *ReplyHeader, b []byte) error {
 	d := xdr.NewDecoder(b)
-	m := &Decoded{}
 	xid := d.Uint32()
 	m.Type = d.Uint32()
+	m.Call, m.Reply = nil, nil
 	switch m.Type {
 	case Call:
-		h := &CallHeader{XID: xid}
+		h := call
+		if h == nil {
+			h = new(CallHeader)
+		}
+		*h = CallHeader{XID: xid}
 		vers := d.Uint32()
 		if vers != RPCVersion {
 			d.Fail(fmt.Errorf("%w: rpc version %d", ErrNotRPC, vers))
@@ -191,7 +249,11 @@ func Decode(b []byte) (*Decoded, error) {
 		h.Args = b[d.Offset():]
 		m.Call = h
 	case Reply:
-		h := &ReplyHeader{XID: xid, ReplyStat: d.Uint32()}
+		h := reply
+		if h == nil {
+			h = new(ReplyHeader)
+		}
+		*h = ReplyHeader{XID: xid, ReplyStat: d.Uint32()}
 		if h.ReplyStat == MsgAccepted {
 			h.Verf = OpaqueAuth{Flavor: d.Uint32(), Body: d.Opaque()}
 			h.AcceptStat = d.Uint32()
@@ -207,9 +269,9 @@ func Decode(b []byte) (*Decoded, error) {
 		if !errors.Is(err, ErrNotRPC) {
 			err = ErrNotRPC
 		}
-		return nil, err
+		return err
 	}
-	return m, nil
+	return nil
 }
 
 // Record marking (RFC 1831 §10): each RPC message sent over TCP is

@@ -2,6 +2,8 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -308,5 +310,62 @@ func TestCallReplyXIDMatch(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDecodeAuthSysIntoReuse: a credential decoded into an AuthSysBody
+// that held another reads as it does fresh. A body with no groups
+// leaves GIDs nil, not an empty slice of the old storage, so it renders
+// as null as a fresh decode does.
+func TestDecodeAuthSysIntoReuse(t *testing.T) {
+	var a AuthSysBody
+	for _, want := range []*AuthSysBody{
+		sampleAuthSys(),
+		{Stamp: 7, MachineName: "other", UID: 1, GID: 2},
+		{Stamp: 8, MachineName: "other", UID: 3, GID: 4, GIDs: []uint32{5}},
+		{Stamp: 9, UID: 6, GID: 7},
+	} {
+		e := xdr.NewEncoder(64)
+		want.Encode(e)
+		if err := DecodeAuthSysInto(&a, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := DecodeAuthSys(e.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := json.Marshal(&a)
+		wantJSON, _ := json.Marshal(fresh)
+		if !reflect.DeepEqual(&a, fresh) || string(got) != string(wantJSON) {
+			t.Fatalf("reused decode %s, fresh %s", got, wantJSON)
+		}
+	}
+}
+
+// TestDecoderAllocations: one Decoder and one AuthSysBody decode a
+// call, its credential and a reply without allocating.
+func TestDecoderAllocations(t *testing.T) {
+	cred := xdr.NewEncoder(64)
+	sampleAuthSys().Encode(cred)
+	e := xdr.NewEncoder(128)
+	EncodeCall(e, &CallHeader{XID: 1, Program: ProgramNFS, Version: 3, Proc: 6,
+		Cred: OpaqueAuth{Flavor: AuthSys, Body: cred.Bytes()}})
+	call := append([]byte(nil), e.Bytes()...)
+	e.Reset()
+	EncodeReply(e, &ReplyHeader{XID: 1, ReplyStat: MsgAccepted, AcceptStat: Success, Results: []byte{0, 0, 0, 0}})
+	reply := e.Bytes()
+	var dec Decoder
+	var a AuthSysBody
+	allocs := testing.AllocsPerRun(100, func() {
+		m, err := dec.Decode(call)
+		if err != nil || DecodeAuthSysInto(&a, m.Call.Cred.Body) != nil {
+			t.Fatal("call decode failed")
+		}
+		if _, err := dec.Decode(reply); err != nil {
+			t.Fatal("reply decode failed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per call, credential and reply; want 0", allocs)
 	}
 }

@@ -12,7 +12,12 @@ import (
 // TestDecodeTruncationGolden pins what Decode and DecodeAuthSys return
 // for each prefix of a call, the reply shapes, and an AUTH_SYS body, and
 // for each with trailing bytes: the decoded value, or the first error.
-// Delete testdata/truncation.golden and rerun to regenerate it.
+// Every sample is rendered a second time through one Decoder and one
+// AuthSysBody, which Decoder.Decode and DecodeAuthSysInto fill with the
+// sample before it whole ahead of each cut, and must render the same
+// golden: a field the reuse failed to overwrite would show on some line
+// (the accepted reply's results in the next reply, say). Delete
+// testdata/truncation.golden and rerun to regenerate it.
 func TestDecodeTruncationGolden(t *testing.T) {
 	cred := xdr.NewEncoder(64)
 	sampleAuthSys().Encode(cred)
@@ -46,19 +51,42 @@ func TestDecodeTruncationGolden(t *testing.T) {
 			EncodeReply(e, &ReplyHeader{XID: 9, ReplyStat: MsgDenied})
 		}},
 	}
-	var b strings.Builder
+	var fresh, reused strings.Builder
+	// render renders one sample fresh and through reuse, which must
+	// return the storage it reuses.
+	var prev []byte
+	render := func(name string, sample []byte, decode, reuse func([]byte) (any, error)) {
+		cutgolden.Render(&fresh, name, sample, decode)
+		before := prev
+		cutgolden.Render(&reused, name, sample, func(cut []byte) (any, error) {
+			if before != nil {
+				_, _ = reuse(before)
+			}
+			return reuse(cut)
+		})
+		prev = sample
+	}
+	var dec Decoder
 	for _, m := range messages {
 		e := xdr.NewEncoder(128)
 		m.build(e)
-		cutgolden.Render(&b, m.name, e.Bytes(), func(msg []byte) (any, error) { return Decode(msg) })
+		render(m.name, e.Bytes(),
+			func(msg []byte) (any, error) { return Decode(msg) },
+			func(msg []byte) (any, error) { return dec.Decode(msg) })
 	}
+	prev = nil
 	tooMany := xdr.NewEncoder(128)
 	(&AuthSysBody{Stamp: 1, MachineName: "m", GIDs: make([]uint32, 17)}).Encode(tooMany)
+	var auth AuthSysBody
 	for _, a := range []struct {
 		name string
 		body []byte
 	}{{"auth_sys", cred.Bytes()}, {"auth_sys 17 gids", tooMany.Bytes()}} {
-		cutgolden.Render(&b, a.name, a.body, func(body []byte) (any, error) { return DecodeAuthSys(body) })
+		render(a.name, a.body,
+			func(body []byte) (any, error) { return DecodeAuthSys(body) },
+			func(body []byte) (any, error) { return &auth, DecodeAuthSysInto(&auth, body) })
 	}
-	cutgolden.Check(t, filepath.Join("testdata", "truncation.golden"), b.String())
+	golden := filepath.Join("testdata", "truncation.golden")
+	cutgolden.Check(t, golden, fresh.String())
+	cutgolden.Check(t, golden, reused.String())
 }

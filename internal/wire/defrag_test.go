@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -235,5 +236,92 @@ func TestDecodeTotalLengthBelowHeader(t *testing.T) {
 	binary.BigEndian.PutUint16(frame[EthernetHeaderLen+2:], IPv4HeaderLen-4)
 	if _, err := Decode(frame); err != ErrTruncated {
 		t.Fatalf("err = %v, want ErrTruncated", err)
+	}
+}
+
+// reassembleAll feeds frames to df in the given order through
+// Reassemble and returns the frame that completed the datagram.
+func reassembleAll(t *testing.T, df *Defragmenter, frames [][]byte, order []int) *Frame {
+	t.Helper()
+	for n, i := range order {
+		f := mustDecode(t, frames[i])
+		if whole := df.Reassemble(f); whole != (n == len(order)-1) {
+			t.Fatalf("fragment %d (%d of %d): whole = %v", i, n+1, len(order), whole)
+		}
+		if n == len(order)-1 {
+			return f
+		}
+	}
+	return nil
+}
+
+func inOrder(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
+// TestDefragRecycle: a recycled datagram's buffer carries the next
+// datagram, and none of its bytes survive into it. The shorter second
+// datagram's fragments arrive last first, so the buffer holds the old
+// datagram's bytes ahead of every fragment until the first one lands.
+// Recycling anything but the datagram completed last changes nothing.
+func TestDefragRecycle(t *testing.T) {
+	long := patterned(8192)
+	df := NewDefragmenter()
+	frames := FragmentUDP(serverIP, clientIP, 2049, 700, 1, long, StandardMTU)
+	f := reassembleAll(t, df, frames, inOrder(len(frames)))
+	if !bytes.Equal(f.Payload, long) {
+		t.Fatal("first datagram reassembled wrong")
+	}
+	buf := &f.Payload[0]
+	df.Recycle(f)
+
+	short := bytes.Repeat([]byte{0xEE}, 3000)
+	frames = FragmentUDP(serverIP, clientIP, 2049, 701, 2, short, StandardMTU)
+	order := inOrder(len(frames))
+	slices.Reverse(order)
+	g := reassembleAll(t, df, frames, order)
+	if !bytes.Equal(g.Payload, short) || g.DstPort != 701 || g.UDPLen != UDPHeaderLen+3000 {
+		t.Fatalf("second datagram: %d bytes to port %d, length %d; want exactly its own 3000 bytes",
+			len(g.Payload), g.DstPort, g.UDPLen)
+	}
+	if &g.Payload[0] != buf {
+		t.Fatal("the recycled buffer was not reused")
+	}
+
+	// Neither a copy of the datagram nor an unfragmented frame hands it
+	// back: the next datagram must leave it alone.
+	held := append([]byte(nil), g.Payload...)
+	df.Recycle(&Frame{Payload: held})
+	df.Recycle(mustDecode(t, BuildUDP(clientIP, serverIP, 1, 2, 3, []byte("x"))))
+	frames = FragmentUDP(serverIP, clientIP, 2049, 702, 3, patterned(5000), StandardMTU)
+	reassembleAll(t, df, frames, inOrder(len(frames)))
+	if !bytes.Equal(g.Payload, short) {
+		t.Fatal("a datagram never recycled was overwritten")
+	}
+}
+
+// TestDefragRecycleAllocations: a caller that recycles every datagram
+// reassembles the next one of the same size without allocating.
+func TestDefragRecycleAllocations(t *testing.T) {
+	frames := FragmentUDP(serverIP, clientIP, 2049, 700, 1, patterned(8192), StandardMTU)
+	decoded := make([]Frame, len(frames))
+	df := NewDefragmenter()
+	allocs := testing.AllocsPerRun(50, func() {
+		for i, raw := range frames {
+			f := &decoded[i]
+			if err := DecodeInto(f, raw); err != nil {
+				t.Fatal(err)
+			}
+			if df.Reassemble(f) {
+				df.Recycle(f)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per recycled datagram, want 0", allocs)
 	}
 }

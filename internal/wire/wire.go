@@ -387,10 +387,17 @@ func (r *reassembly) complete() bool {
 // Defragmenter reassembles fragmented IPv4 datagrams. Feed it every
 // decoded fragment; it hands back the datagram when the last missing
 // piece arrives. At most maxReassemblies datagrams are open at once.
+//
+// A completed datagram's buffer is the caller's until the caller hands
+// it back with Recycle; the next datagram to open then reuses that
+// buffer and its bookkeeping instead of allocating and zeroing new
+// ones. A caller that never recycles, like Add's, keeps every payload.
 type Defragmenter struct {
 	pending map[fragKey]*reassembly
 	opened  uint64
 	dropped int64
+	out     *reassembly // the last datagram completed, until recycled
+	spare   *reassembly // a recycled datagram, for the next open
 }
 
 // NewDefragmenter returns an empty reassembler.
@@ -425,8 +432,8 @@ func (df *Defragmenter) Add(f *Frame) *Frame {
 // Reassemble is Add without a new Frame: it copies fragment f into its
 // datagram and reports whether f is now a whole datagram. A fragment
 // that completes one is rewritten in place as the reassembled datagram,
-// whose Payload then belongs to the caller; an unfragmented frame is
-// whole already.
+// whose Payload then belongs to the caller until it hands it back with
+// Recycle; an unfragmented frame is whole already.
 func (df *Defragmenter) Reassemble(f *Frame) bool {
 	if !f.IsFragment {
 		return true
@@ -467,6 +474,7 @@ func (df *Defragmenter) Reassemble(f *Frame) bool {
 		return false
 	}
 	delete(df.pending, key)
+	df.out = r
 	d := r.buf[:r.end]
 	f.IsFragment, f.MoreFrags, f.FragOffset = false, false, 0
 	f.SrcPort = binary.BigEndian.Uint16(d[0:2])
@@ -490,10 +498,37 @@ func (df *Defragmenter) open(key fragKey) *reassembly {
 		df.drop(oldest)
 	}
 	df.opened++
-	r := &reassembly{key: key, seq: df.opened}
-	r.covered = r.spans[:0]
+	r := df.spare
+	if r != nil {
+		df.spare = nil
+		*r = reassembly{key: key, buf: r.buf[:0], covered: r.covered[:0], seq: df.opened}
+	} else {
+		r = &reassembly{key: key, seq: df.opened}
+		r.covered = r.spans[:0]
+	}
 	df.pending[key] = r
 	return r
+}
+
+// Recycle hands back a datagram Reassemble completed, once the caller
+// is done with f.Payload and anything that aliases it: the next
+// datagram to open reuses its buffer. Only the datagram completed last
+// is taken back; any other frame, whole or not, is left alone, so a
+// caller may recycle every frame it handled. The buffer is reused
+// as it is: no byte of it reaches a later datagram, since a datagram
+// completes only once fragments have overwritten every byte of it.
+func (df *Defragmenter) Recycle(f *Frame) {
+	r := df.out
+	if r == nil || !sameSlice(f.Payload, r.buf[UDPHeaderLen:r.end]) {
+		return
+	}
+	df.out, df.spare = nil, r
+}
+
+// sameSlice reports whether a and b are the same slice of the same
+// array.
+func sameSlice(a, b []byte) bool {
+	return len(a) == len(b) && cap(a) == cap(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // drop gives up on an incomplete datagram.
