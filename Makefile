@@ -17,8 +17,8 @@ race: ## run the full test suite under the race detector
 race-server: ## hammer the concurrent serving stack under -race (torture tests, repeated runs)
 	$(GO) test -race -count=2 -timeout 10m ./internal/vfs ./internal/server ./internal/client ./internal/wire/... ./cmd/nfsbench
 
-race-pipeline: ## run the analysis engine under -race repeatedly (ops and shard batches are handed back across goroutines)
-	$(GO) test -race -count=3 -timeout 15m ./internal/core ./internal/pipeline ./cmd/nfsmond ./cmd/nfsanalyze
+race-pipeline: ## run the analysis engine and the tracer under -race repeatedly (ops, shard batches and sniffed records are handed back across goroutines)
+	$(GO) test -race -count=3 -timeout 15m ./internal/core ./internal/pipeline ./cmd/nfsmond ./cmd/nfsanalyze ./internal/capture ./internal/pcap ./cmd/nfstrace
 
 # BENCH_COUNT > 1 emits benchstat-friendly repeated runs:
 #   make bench BENCH_COUNT=10 > new.txt && benchstat old.txt new.txt

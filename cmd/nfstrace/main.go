@@ -109,22 +109,16 @@ func trace(in, out string, anonymize bool, seed int64, mapFile string, stdout io
 		defer of.Close()
 		w = of
 	}
-	tw := core.NewWriter(w)
-	var werr error
-	sn := capture.NewSniffer(func(rec *core.Record) {
-		if werr == nil {
-			werr = tw.Write(rec)
-		}
-	})
+	sn := capture.NewSniffer(nil)
 	sn.Anon = anonymizer
-	if err := sn.ReadPcap(pr); err != nil {
+	rw := startWriter(core.NewWriter(w), sn)
+	sn.Emit = rw.emit
+	err = sn.ReadPcap(pr)
+	if werr := rw.close(); err == nil {
+		err = werr
+	}
+	if err != nil {
 		return sn.Stats, err
-	}
-	if werr == nil {
-		werr = tw.Flush()
-	}
-	if werr != nil {
-		return sn.Stats, werr
 	}
 	if of != nil {
 		if err := of.Close(); err != nil {
@@ -146,4 +140,86 @@ func trace(in, out string, anonymize bool, seed int64, mapFile string, stdout io
 		}
 	}
 	return sn.Stats, nil
+}
+
+// The sniffer hands records to the writer goroutine in batches of
+// batchSize, at most batchDepth of them queued: per record, the
+// hand-off costs a slice append, and a batch's wake-up is paid once
+// per thousand records.
+const (
+	batchSize  = 1024
+	batchDepth = 4
+)
+
+// recordWriter renders the sniffer's records on a goroutine of its
+// own, so that decoding and rendering share the two stages of a
+// pipeline. Records reach it in capture order, and each goes back to
+// the sniffer for reuse once it is written; the emptied batches come
+// back to emit. After a write error it writes nothing more but keeps
+// taking batches, and it returns only once full is closed, so the
+// sniffer never waits on a dead writer.
+type recordWriter struct {
+	full  chan []*core.Record // batches to write, in capture order
+	empty chan []*core.Record // written batches for emit to refill
+	batch []*core.Record      // the batch emit is filling
+	done  chan struct{}       // closed once the goroutine has returned
+	err   error               // the first write error; read after done
+}
+
+// startWriter starts the goroutine that writes records with tw and
+// hands each back to rc.
+func startWriter(tw *core.Writer, rc core.RecordRecycler) *recordWriter {
+	w := &recordWriter{
+		full: make(chan []*core.Record, batchDepth),
+		// emit makes a batch only when empty holds none, so there are
+		// never more than the queued ones, the one being written and the
+		// one being filled: empty has room for all, and a send to it
+		// never waits.
+		empty: make(chan []*core.Record, batchDepth+2),
+		done:  make(chan struct{}),
+	}
+	go func() {
+		defer close(w.done)
+		for b := range w.full {
+			for _, rec := range b {
+				if w.err == nil {
+					w.err = tw.Write(rec)
+				}
+				rc.Recycle(rec)
+			}
+			w.empty <- b[:0]
+		}
+		if w.err == nil {
+			w.err = tw.Flush()
+		}
+	}()
+	return w
+}
+
+// emit queues rec for writing; it is the sniffer's Emit.
+func (w *recordWriter) emit(rec *core.Record) {
+	if w.batch == nil {
+		select {
+		case w.batch = <-w.empty:
+		default:
+			w.batch = make([]*core.Record, 0, batchSize)
+		}
+	}
+	w.batch = append(w.batch, rec)
+	if len(w.batch) == batchSize {
+		w.full <- w.batch
+		w.batch = nil
+	}
+}
+
+// close writes what is queued, flushes, waits for the goroutine to
+// return and reports the first write error.
+func (w *recordWriter) close() error {
+	if len(w.batch) > 0 {
+		w.full <- w.batch
+		w.batch = nil
+	}
+	close(w.full)
+	<-w.done
+	return w.err
 }

@@ -2,14 +2,20 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"repro"
+	"repro/internal/anon"
+	"repro/internal/capture"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/nfs"
@@ -17,6 +23,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/vfs"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 type packet struct {
@@ -321,4 +328,148 @@ func writePackets(t *testing.T, pkts packetList) string {
 func lastLine(out string) string {
 	out = strings.TrimSuffix(out, "\n")
 	return out[strings.LastIndex(out, "\n")+1:]
+}
+
+// generated writes a generated system's capture, as nfsgen -pcap does,
+// to a pcap file and returns its path: EECS over UDP at the standard
+// MTU (IP fragments), CAMPUS over TCP at the jumbo MTU.
+func generated(t *testing.T, system string) string {
+	t.Helper()
+	var pkts packetList
+	discard := client.FuncSink(func(*core.Record, int) {})
+	switch system {
+	case "eecs":
+		gen := workload.NewEECS(workload.DefaultEECSConfig(2, 0.4, 7), discard)
+		gen.Capture(&pkts, wire.StandardMTU)
+		gen.Run()
+	case "campus":
+		gen := workload.NewCampus(workload.DefaultCampusConfig(12, 0.4, 7), discard)
+		gen.Capture(&pkts, wire.JumboMTU)
+		gen.Run()
+	}
+	return writePackets(t, pkts)
+}
+
+// recycleCounter hands each record on to the sniffer and counts them.
+type recycleCounter struct {
+	sn *capture.Sniffer
+	n  int
+}
+
+func (c *recycleCounter) Recycle(rec *core.Record) { c.n++; c.sn.Recycle(rec) }
+
+// TestRecycledRecordsRenderAsKept: records handed back for reuse carry
+// nothing from their last use. The sniffer and writer goroutine trace
+// wires together, whose every record is rendered and recycled, print
+// byte for byte what repro.Sniff's records, which are all kept and
+// never reused, render to — on a UDP capture, a TCP capture at the
+// jumbo MTU and under -anonymize — and the records did come back:
+// fewer distinct records carried the trace than it has lines. (How
+// many fewer depends on how far the writer falls behind.)
+func TestRecycledRecordsRenderAsKept(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates an EECS and a CAMPUS capture")
+	}
+	eecs, campus := generated(t, "eecs"), generated(t, "campus")
+	for _, c := range []struct {
+		name, path string
+		seed       int64 // anonymization seed; 0: raw
+	}{{"eecs udp", eecs, 0}, {"campus tcp jumbo", campus, 0}, {"eecs anonymize", eecs, 42}} {
+		c := c
+		newAnon := func() *anon.Anonymizer {
+			if c.seed == 0 {
+				return nil
+			}
+			return anon.New(anon.DefaultConfig(c.seed))
+		}
+		data, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, _, err := repro.Sniff(bytes.NewReader(data), newAnon())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := repro.WriteTrace(&want, kept); err != nil {
+			t.Fatal(err)
+		}
+
+		pr, err := pcap.NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		sn := capture.NewSniffer(nil)
+		sn.Anon = newAnon()
+		counter := &recycleCounter{sn: sn}
+		rw := startWriter(core.NewWriter(&got), counter)
+		distinct := map[*core.Record]bool{}
+		sn.Emit = func(rec *core.Record) { distinct[rec] = true; rw.emit(rec) }
+		err = sn.ReadPcap(pr)
+		if werr := rw.close(); err == nil {
+			err = werr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: recycled records render otherwise than kept ones:\n%s", c.name, firstDiff(got.String(), want.String()))
+		}
+		if counter.n != len(kept) || len(distinct) >= len(kept) {
+			t.Errorf("%s: %d records recycled, %d distinct, of %d", c.name, counter.n, len(distinct), len(kept))
+		}
+		t.Logf("%s: %d records carried by %d", c.name, len(kept), len(distinct))
+	}
+}
+
+// errFull is what failAfter's writes fail with once its room is used.
+var errFull = errors.New("no space left on device")
+
+// failAfter is a stdout that takes n bytes and then fails every write,
+// as a closed pipe or a full disk does.
+type failAfter struct{ n int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestOutputFailure: an output that fails in the middle of the trace
+// ends nfstrace with exit 1 and the error, promptly, with the writer
+// goroutine gone — the sniffer does not wait on a writer that has
+// stopped writing.
+func TestOutputFailure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates an EECS capture")
+	}
+	in := generated(t, "eecs")
+	for _, room := range []int{0, 100 << 10, 1 << 20} {
+		room := room
+		before := runtime.NumGoroutine()
+		var stderr bytes.Buffer
+		code := make(chan int, 1)
+		go func() { code <- run([]string{"-r", in}, &failAfter{n: room}, &stderr) }()
+		select {
+		case c := <-code:
+			if c != 1 || stderr.String() != "nfstrace: "+errFull.Error()+"\n" {
+				t.Errorf("output failing after %d bytes: exit %d, stderr %q", room, c, stderr.String())
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("output failing after %d bytes: nfstrace has not returned after a minute", room)
+		}
+		// The goroutine has closed its done channel and may not have
+		// returned quite yet.
+		for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("output failing after %d bytes: %d goroutines after the run, %d before", room, n, before)
+		}
+	}
 }

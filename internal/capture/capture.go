@@ -41,10 +41,13 @@ type Stats struct {
 	DroppedDatagrams int64
 }
 
+// pendingKey names a call: its client's address and port and its xid.
+// The fields are ordered so that all three lie in one run of memory,
+// which the map hashes in one call.
 type pendingKey struct {
 	client uint32
-	port   uint16
 	xid    uint32
+	port   uint16
 }
 
 type pendingCall struct {
@@ -58,7 +61,9 @@ type pendingCall struct {
 type Sniffer struct {
 	// Anon, when set, anonymizes each record before emission.
 	Anon *anon.Anonymizer
-	// Emit receives each decoded record in capture order.
+	// Emit receives each decoded record in capture order. The record
+	// is the consumer's to keep, or to hand back through Recycle once
+	// it is done with it.
 	Emit func(*core.Record)
 
 	Stats Stats
@@ -74,6 +79,14 @@ type Sniffer struct {
 	pending map[pendingKey]pendingCall
 	// evictq tracks insertion order for timeout eviction.
 	evictq []pendingKey
+
+	// Records come from stock, refilled with the records consumers hand
+	// back through spent (core's record pool). rec is the one taken for
+	// the message being decoded; a message that emits nothing leaves it
+	// to the next, which zeroes it.
+	stock core.RecordStock
+	spent core.RecycleBatch
+	rec   *core.Record
 }
 
 // NewSniffer builds a sniffer delivering records to emit.
@@ -155,12 +168,10 @@ func (s *Sniffer) handleMessage(t float64, k wire.FlowKey, msg []byte) {
 			s.Stats.NonNFS++
 			return
 		}
-		rec := &core.Record{
-			Time: t, Kind: core.KindCall,
-			Client: k.SrcIP.Uint32(), Port: k.SrcPort,
-			Server: k.DstIP.Uint32(), Proto: proto,
-			XID: ch.XID, Version: ch.Version,
-		}
+		rec := s.record()
+		rec.Time, rec.Kind, rec.Proto = t, core.KindCall, proto
+		rec.Client, rec.Port, rec.Server = k.SrcIP.Uint32(), k.SrcPort, k.DstIP.Uint32()
+		rec.XID, rec.Version = ch.XID, ch.Version
 		if ch.Program == rpc.ProgramNFS {
 			if s.nfs.CallRecord(rec, ch.Version, ch.Proc, ch.Args) != nil {
 				s.Stats.DecodeErrors++
@@ -183,7 +194,7 @@ func (s *Sniffer) handleMessage(t float64, k wire.FlowKey, msg []byte) {
 				rec.UID, rec.GID = s.auth.UID, s.auth.GID
 			}
 		}
-		key := pendingKey{rec.Client, rec.Port, ch.XID}
+		key := pendingKey{client: rec.Client, xid: ch.XID, port: rec.Port}
 		if _, dup := s.pending[key]; !dup {
 			s.pending[key] = pendingCall{program: ch.Program, version: ch.Version, proc: ch.Proc, t: t}
 			s.evictq = append(s.evictq, key)
@@ -193,19 +204,17 @@ func (s *Sniffer) handleMessage(t float64, k wire.FlowKey, msg []byte) {
 	case rpc.Reply:
 		rh := dec.Reply
 		// The reply's client is the packet's destination.
-		key := pendingKey{k.DstIP.Uint32(), k.DstPort, rh.XID}
+		key := pendingKey{client: k.DstIP.Uint32(), xid: rh.XID, port: k.DstPort}
 		call, ok := s.pending[key]
 		if !ok {
 			s.Stats.OrphanReplies++
 			return
 		}
 		delete(s.pending, key)
-		rec := &core.Record{
-			Time: t, Kind: core.KindReply,
-			Client: k.DstIP.Uint32(), Port: k.DstPort,
-			Server: k.SrcIP.Uint32(), Proto: proto,
-			XID: rh.XID, Version: call.version,
-		}
+		rec := s.record()
+		rec.Time, rec.Kind, rec.Proto = t, core.KindReply, proto
+		rec.Client, rec.Port, rec.Server = k.DstIP.Uint32(), k.DstPort, k.SrcIP.Uint32()
+		rec.XID, rec.Version = rh.XID, call.version
 		switch {
 		case rh.ReplyStat != rpc.MsgAccepted || rh.AcceptStat != rpc.Success:
 			// Rejected RPCs carry no NFS body; emit a bare error reply.
@@ -249,7 +258,24 @@ func internProc(proc, program, version uint32) core.ProcID {
 	return id
 }
 
+// record returns a zeroed record to decode the current message into.
+func (s *Sniffer) record() *core.Record {
+	if s.rec == nil {
+		s.rec = s.stock.Next()
+	} else {
+		*s.rec = core.Record{} // filled by a message that emitted nothing
+	}
+	return s.rec
+}
+
+// Recycle implements core.RecordRecycler: it takes back a record Emit
+// received, once its consumer holds no other reference to it, for a
+// later message to be decoded into. It may be called from a goroutine
+// other than the one running the sniffer, but from one at a time.
+func (s *Sniffer) Recycle(rec *core.Record) { s.spent.Recycle(rec) }
+
 func (s *Sniffer) deliver(rec *core.Record) {
+	s.rec = nil
 	if s.Anon != nil {
 		s.Anon.Record(rec)
 	}
@@ -280,8 +306,8 @@ func (s *Sniffer) evictOld(now float64) {
 // PendingCalls reports calls still awaiting replies.
 func (s *Sniffer) PendingCalls() int { return len(s.pending) }
 
-// ReadPcap drains an entire pcap stream through the sniffer, reading
-// every packet into the one buffer the Reader reuses. At its end the
+// ReadPcap drains an entire pcap stream through the sniffer, each
+// packet read where it lies in the Reader's buffer. At its end the
 // calls still pending count as unmatched and the datagrams still
 // missing fragments as dropped.
 func (s *Sniffer) ReadPcap(r *pcap.Reader) error {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/core"
 	"repro/internal/nfs"
@@ -21,15 +22,21 @@ type sniffResult struct {
 	packets int64
 }
 
-// sniffReadPcap runs ReadPcap, which reads every packet into the one
-// buffer the pcap reader reuses.
+// sniffReadPcap runs ReadPcap as nfstrace does: every packet is read
+// where it lies in the pcap reader's buffer, and every record is handed
+// back once rendered. The file comes a byte at a time, so each packet
+// is read over the place of the one before it, as a refill does.
 func sniffReadPcap(capture []byte) sniffResult {
 	var res sniffResult
-	r, err := pcap.NewReader(bytes.NewReader(capture))
+	r, err := pcap.NewReader(iotest.OneByteReader(bytes.NewReader(capture)))
 	if err != nil {
 		return sniffResult{err: err.Error()}
 	}
-	s := NewSniffer(func(rec *core.Record) { res.lines = append(res.lines, rec.Marshal()) })
+	var s *Sniffer
+	s = NewSniffer(func(rec *core.Record) {
+		res.lines = append(res.lines, rec.Marshal())
+		s.Recycle(rec)
+	})
 	if err := s.ReadPcap(r); err != nil {
 		res.err = err.Error()
 	}
@@ -83,13 +90,15 @@ func fuzzSeedWorkload(tb testing.TB, version uint32, proto byte, mtu int) []byte
 }
 
 // FuzzCapture feeds arbitrary packet records, after a valid pcap file
-// header, through the capture path twice: ReadPcap, which reuses one
-// read buffer, and Next + HandlePacket on fresh packets. The two must
+// header, through the capture path twice: ReadPcap, which reads each
+// packet in place and whose records are recycled, and Next +
+// HandlePacket on fresh packets, whose records are kept. The two must
 // emit the same records and statistics, neither may panic, and no TCP
 // flow may hold more than its cap behind a hole after any packet. Any
 // reference the sniffer kept into a packet past HandlePacket would be
-// overwritten by the next read in the first pass and show as a
-// difference. At the standard MTU only data bytes reach non-first
+// overwritten by the next read in the first pass, and any field a
+// recycled record carried over would change its line: either shows as
+// a difference. At the standard MTU only data bytes reach non-first
 // fragments, so the 68-byte MTU seed spreads every RPC header and NFS
 // argument list over several, where a stale reference changes records.
 func FuzzCapture(f *testing.F) {

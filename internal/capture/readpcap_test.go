@@ -89,8 +89,9 @@ func TestSnifferMatchesGenerator(t *testing.T) {
 	}
 }
 
-// traceCapture runs nfstrace's loop — ReadPcap into the text writer —
-// over one capture and reports the packets read.
+// traceCapture runs nfstrace's loop — ReadPcap into the text writer,
+// each record handed back to the sniffer once written — over one
+// capture and reports the packets read.
 func traceCapture(tb testing.TB, capture []byte, out io.Writer) int64 {
 	tb.Helper()
 	r, err := pcap.NewReader(bytes.NewReader(capture))
@@ -99,10 +100,12 @@ func traceCapture(tb testing.TB, capture []byte, out io.Writer) int64 {
 	}
 	tw := core.NewWriter(out)
 	var werr error
-	s := NewSniffer(func(rec *core.Record) {
+	var s *Sniffer
+	s = NewSniffer(func(rec *core.Record) {
 		if werr == nil {
 			werr = tw.Write(rec)
 		}
+		s.Recycle(rec)
 	})
 	if err := s.ReadPcap(r); err != nil {
 		tb.Fatal(err)
@@ -118,11 +121,12 @@ func traceCapture(tb testing.TB, capture []byte, out io.Writer) int64 {
 
 // TestReadPcapAllocations bounds what the capture path allocates per
 // packet, from pcap bytes to text lines. On a UDP capture at the
-// standard MTU that is the records the sniffer hands out and the names
-// in them: no buffer per packet, no header, credential or NFS body per
-// message, and no buffer per reassembled datagram. A TCP capture at the
-// jumbo MTU also pays for the stream: each record is copied out of its
-// segments into a buffer of its own.
+// standard MTU that is the names in the records: packets are read
+// where they lie in the reader's buffer, records come back for reuse,
+// and no header, credential, NFS body or reassembled datagram is
+// allocated per message. A TCP capture at the jumbo MTU also pays for
+// the stream: its bytes are gathered into buffers of the scanner's, a
+// new one every few segments, which the records are sliced from.
 func TestReadPcapAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates an EECS and a CAMPUS capture")
@@ -138,10 +142,11 @@ func TestReadPcapAllocations(t *testing.T) {
 		bytes     float64
 		boundText string
 	}{
-		{"eecs udp", eecsPcap(t, 2, 0.5), 2, 400, "≤ 2 and ≤ 400 B"},
-		// Measured 3.06 allocations and 9.4 KiB per packet; the bytes are
-		// the record buffers rpc.RecordScanner.Next makes.
-		{"campus tcp", campus(), 4, 12 << 10, "≤ 4 and ≤ 12 KiB"},
+		// Measured 0.55 allocations and 20 B per packet: the names.
+		{"eecs udp", eecsPcap(t, 2, 0.5), 0.8, 40, "≤ 0.8 and ≤ 40 B"},
+		// Measured 0.26 allocations and 5.3 KiB per packet; the bytes are
+		// the stream buffers rpc.RecordScanner.Append makes.
+		{"campus tcp", campus(), 0.4, 7 << 10, "≤ 0.4 and ≤ 7 KiB"},
 	} {
 		traceCapture(t, c.capture, io.Discard) // handles and procedures interned
 		var before, after runtime.MemStats

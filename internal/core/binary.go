@@ -248,8 +248,8 @@ type BinaryReader struct {
 	lastUsec int64
 	readHdr  bool
 	buf      []byte // the copy of a record not whole in held
-	memo     fhMemo
-	stock    recordStock
+	memo     FHMemo
+	stock    RecordStock
 	spent    RecycleBatch
 }
 
@@ -310,7 +310,7 @@ func (br *BinaryReader) Next() (*Record, error) {
 
 // decode decodes one record body into a record from the stock.
 func (br *BinaryReader) decode(body []byte) (*Record, error) {
-	r := br.stock.next()
+	r := br.stock.Next()
 	c := byteCursor{b: body, memo: &br.memo}
 	if err := c.record(&br.lastUsec, r); err != nil {
 		return nil, err
@@ -329,7 +329,7 @@ type byteCursor struct {
 	b    []byte
 	off  int
 	err  error
-	memo *fhMemo
+	memo *FHMemo
 }
 
 var (
@@ -430,7 +430,7 @@ func (c *byteCursor) fh() FH {
 	if c.err != nil {
 		return 0
 	}
-	return c.memo.intern(b)
+	return c.memo.Intern(b)
 }
 
 func (c *byteCursor) byte() byte {

@@ -84,7 +84,7 @@ type oracleBinaryReader struct {
 	lastUsec int64
 	readHdr  bool
 	buf      []byte
-	stock    recordStock
+	stock    RecordStock
 }
 
 // Next returns the next record or io.EOF.
@@ -122,7 +122,7 @@ func (br *oracleBinaryReader) Next() (*Record, error) {
 	if _, err := io.ReadFull(br.r, br.buf); err != nil {
 		return nil, fmt.Errorf("core: truncated binary record: %w", err)
 	}
-	r := br.stock.next()
+	r := br.stock.Next()
 	if err := oracleDecodeRecord(br.buf, &br.lastUsec, r); err != nil {
 		return nil, err
 	}

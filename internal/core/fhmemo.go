@@ -5,24 +5,26 @@ import (
 	"math/bits"
 )
 
-// fhMemoBits sizes a reader's handle memo: 1024 slots, 20 KiB.
+// fhMemoBits sizes a decoder's handle memo: 1024 slots, 20 KiB.
 const fhMemoBits = 10
 
-// fhMemo is a reader's private, direct-mapped cache of handle spelling
+// FHMemo is a decoder's private, direct-mapped cache of handle spelling
 // → FH in front of the process-wide intern table. A trace names the
 // same few thousand handles over and over, so nearly every handle a
-// reader decodes is a hit: one string compare, where the table costs
+// decoder sees is a hit: one string compare, where the table costs
 // a shard hash, a read lock whose count every concurrent decoder
 // bounces, and a map probe. A miss interns through the table and keeps
 // the table's canonical spelling, so filling a slot allocates nothing.
-// The memo is used from its reader's goroutine only.
-type fhMemo struct {
+// BinaryReader and the NFS body decoder (nfs.Decoder) each keep one.
+// A memo is used from one goroutine at a time; the zero value is
+// ready.
+type FHMemo struct {
 	keys [1 << fhMemoBits]string
 	ids  [1 << fhMemoBits]FH
 }
 
-// intern returns the FH of spelling b. A nil memo goes to the table.
-func (m *fhMemo) intern(b []byte) FH {
+// Intern returns the FH of spelling b. A nil memo goes to the table.
+func (m *FHMemo) Intern(b []byte) FH {
 	if m == nil {
 		return InternFHBytes(b)
 	}

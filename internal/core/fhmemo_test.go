@@ -102,7 +102,7 @@ func TestFHMemoAgreesWithTable(t *testing.T) {
 // hit, and not on a miss whose spelling the table already holds (the
 // slot keeps the table's own copy).
 func TestFHMemoAllocations(t *testing.T) {
-	var m fhMemo
+	var m FHMemo
 	// Two spellings that share a slot: more spellings than slots
 	// guarantee a pair.
 	var a, b []byte
@@ -116,14 +116,14 @@ func TestFHMemoAllocations(t *testing.T) {
 		seen[slot] = []byte(s)
 	}
 	ida, idb := InternFHBytes(a), InternFHBytes(b)
-	if got := m.intern(a); got != ida {
+	if got := m.Intern(a); got != ida {
 		t.Fatalf("intern(a) = %d, want %d", got, ida)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { m.intern(a) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { m.Intern(a) }); allocs != 0 {
 		t.Errorf("hit: %v allocations", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if m.intern(b) != idb || m.intern(a) != ida {
+		if m.Intern(b) != idb || m.Intern(a) != ida {
 			t.Fatal("wrong handle")
 		}
 	}); allocs != 0 {

@@ -42,7 +42,7 @@ func (tw *Writer) Flush() error { return tw.w.Flush() }
 type Reader struct {
 	s     *bufio.Scanner
 	line  int64
-	stock recordStock
+	stock RecordStock
 	spent RecycleBatch
 }
 
@@ -68,7 +68,7 @@ func (tr *Reader) Next() (*Record, error) {
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		r := tr.stock.next()
+		r := tr.stock.Next()
 		if err := UnmarshalRecordBytes(line, r); err != nil {
 			return nil, fmt.Errorf("line %d: %w", tr.line, err)
 		}

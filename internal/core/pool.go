@@ -12,7 +12,7 @@ package core
 // exchange would pay a cross-goroutine hand-off for every record.
 // Instead the consumer collects dead records in a RecycleBatch and
 // sends a full batch to one process-wide channel of spares; a decoder
-// takes records from its own recordStock and refills it from that
+// takes records from its own RecordStock and refills it from that
 // channel with one receive per batch. Both sides use non-blocking
 // channel operations: a decoder that finds no spare batch allocates,
 // and a full batch that finds the channel full is left to the GC. The
@@ -29,8 +29,9 @@ package core
 //
 //   - Recycle is called from one goroutine at a time: each RecycleBatch
 //     belongs to the object whose Recycle fills it. The Joiner is the
-//     one caller in a pipeline, and nfsmond pushes records to its joiner
-//     under one lock.
+//     one caller in a pipeline, nfsmond pushes records to its joiner
+//     under one lock, and nfstrace's writer goroutine hands back what
+//     its sniffer (capture.Sniffer) emitted.
 //   - A record that is never handed back is never reused. Only records
 //     passed to Recycle enter a batch, so a consumer may keep any record
 //     it does not recycle (tools that materialize a whole trace, tests
@@ -55,14 +56,15 @@ var (
 	emptyBatches = make(chan []*Record, spareBatches)
 )
 
-// recordStock is a decoder's supply of records to decode into.
-type recordStock struct {
+// RecordStock is a decoder's supply of records to decode into. The
+// zero value is ready; a stock is used from one goroutine at a time.
+type RecordStock struct {
 	recs []*Record
 }
 
-// next returns a zeroed record: from the stock, else from a spare
+// Next returns a zeroed record: from the stock, else from a spare
 // batch, else freshly allocated.
-func (s *recordStock) next() *Record {
+func (s *RecordStock) Next() *Record {
 	if n := len(s.recs); n > 0 {
 		r := s.recs[n-1]
 		s.recs = s.recs[:n-1]

@@ -43,7 +43,7 @@ type TailReader struct {
 	discarded int64
 	rotations int64
 
-	stock recordStock
+	stock RecordStock
 	spent RecycleBatch
 }
 
@@ -168,7 +168,7 @@ func (t *TailReader) parse(line []byte) (*Record, error) {
 	if len(line) == 0 || line[0] == '#' {
 		return nil, nil
 	}
-	r := t.stock.next()
+	r := t.stock.Next()
 	if err := UnmarshalRecordBytes(line, r); err != nil {
 		return nil, fmt.Errorf("tail %s: line %d: %w", t.path, t.line, err)
 	}

@@ -11,9 +11,10 @@ import "repro/internal/core"
 // is the Decoder's and is overwritten by its next call, and the handles
 // in it alias the body.
 // CallRecord and ReplyRecord intern those handles before they return,
-// so the record they fill holds nothing of the Decoder or the body, and
-// once a Decoder has seen each procedure they allocate only the names
-// the record keeps.
+// through a handle memo of the Decoder's own (core.FHMemo), so the
+// record they fill holds nothing of the Decoder or the body, and once a
+// Decoder has seen each procedure they allocate only the names the
+// record keeps.
 //
 // The zero value is ready to use. A Decoder is not safe for concurrent
 // use.
@@ -32,6 +33,8 @@ type Decoder struct {
 	nwcc    int // wccs handed out in the current decode
 	sattr   sattrVals
 	entries []DirEntry // backing of the last READDIR result's Entries
+
+	memo core.FHMemo // spelling → interned handle, for the records filled
 }
 
 // procSlots holds one version and direction's typed structs, by
@@ -57,7 +60,7 @@ func (s *Decoder) CallRecord(rec *core.Record, version, proc uint32, body []byte
 	if err != nil {
 		return err
 	}
-	fillCall(rec, info)
+	fillCall(rec, info, &s.memo)
 	return nil
 }
 
@@ -68,7 +71,7 @@ func (s *Decoder) ReplyRecord(rec *core.Record, version, proc uint32, body []byt
 	if err != nil {
 		return err
 	}
-	fillReply(rec, info)
+	fillReply(rec, info, &s.memo)
 	return nil
 }
 

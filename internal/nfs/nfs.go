@@ -246,12 +246,16 @@ func (fh FH) String() string { return hex.EncodeToString(fh) }
 // string, since it is only looked up and copied only the first time the
 // table sees it; a handle longer than any protocol allows (the MOUNT
 // reply's, from a hostile capture) takes the string path instead.
-func (fh FH) Intern() core.FH {
+func (fh FH) Intern() core.FH { return fh.internIn(nil) }
+
+// internIn is Intern through the memo m, or through the process-wide
+// table when m is nil.
+func (fh FH) internIn(m *core.FHMemo) core.FH {
 	if len(fh) > V3MaxFHSize {
 		return core.InternFH(fh.String())
 	}
 	var spelling [2 * V3MaxFHSize]byte
-	return core.InternFHBytes(spelling[:hex.Encode(spelling[:], fh)])
+	return m.Intern(spelling[:hex.Encode(spelling[:], fh)])
 }
 
 // Equal reports whether two handles are byte-equal.

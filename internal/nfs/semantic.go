@@ -55,14 +55,16 @@ func CallRecord(rec *core.Record, version, proc uint32, body []byte) error {
 	if err != nil {
 		return err
 	}
-	fillCall(rec, info)
+	fillCall(rec, info, nil)
 	return nil
 }
 
-func fillCall(rec *core.Record, info *CallInfo) {
+// fillCall fills rec from info, interning its handles through memo
+// (nil: the process-wide table).
+func fillCall(rec *core.Record, info *CallInfo, memo *core.FHMemo) {
 	rec.Proc = core.MustProc(info.Name)
-	rec.FH, rec.Name = info.FH.Intern(), info.FName
-	rec.FH2, rec.Name2 = info.FH2.Intern(), info.FName2
+	rec.FH, rec.Name = info.FH.internIn(memo), info.FName
+	rec.FH2, rec.Name2 = info.FH2.internIn(memo), info.FName2
 	rec.Offset, rec.Count, rec.Stable = info.Offset, info.Count, info.Stable
 	if info.SetSize != nil {
 		rec.SetSize, rec.HasSet = *info.SetSize, true
@@ -79,14 +81,14 @@ func ReplyRecord(rec *core.Record, version, proc uint32, body []byte) error {
 	if err != nil {
 		return err
 	}
-	fillReply(rec, info)
+	fillReply(rec, info, nil)
 	return nil
 }
 
-func fillReply(rec *core.Record, info *ReplyInfo) {
+func fillReply(rec *core.Record, info *ReplyInfo, memo *core.FHMemo) {
 	rec.Proc = core.MustProc(info.Name)
 	rec.Status, rec.RCount, rec.EOF = info.Status, info.Count, info.EOF
-	rec.NewFH = info.NewFH.Intern()
+	rec.NewFH = info.NewFH.internIn(memo)
 	if info.Attr != nil {
 		rec.Size = info.Attr.Size
 		rec.FileID = info.Attr.FileID

@@ -115,8 +115,8 @@ type Reader struct {
 	snapLen uint32
 	link    uint32
 
-	hdr [packetHeaderLen]byte // packet header scratch; a local would escape through io.ReadFull
-	buf []byte                // packet body storage ReadPacket reuses
+	lent int    // bytes of r ReadPacket handed out, discarded on the next read
+	buf  []byte // storage ReadPacket reuses for a packet larger than r's buffer
 }
 
 // NewReader validates the file header of r and returns a Reader.
@@ -154,51 +154,69 @@ func (r *Reader) LinkType() uint32 { return r.link }
 func (r *Reader) Nano() bool { return r.nano }
 
 // ReadPacket reads the next packet into p, or returns io.EOF at end of
-// file. p.Data points into a buffer the Reader reuses: it is valid until
-// the next ReadPacket call, so a caller that keeps bytes past that copies
-// them.
-func (r *Reader) ReadPacket(p *Packet) error { return r.read(p, &r.buf) }
-
-// Next returns the next packet in storage of its own, or io.EOF at end
-// of file.
-func (r *Reader) Next() (*Packet, error) {
-	p := new(Packet)
-	var fresh []byte
-	if err := r.read(p, &fresh); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// read fills p with the next packet, its body read into *buf's storage,
-// which it replaces with a larger slice when the body does not fit.
-func (r *Reader) read(p *Packet, buf *[]byte) error {
-	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return io.EOF // truncated trailer: treat as clean end
+// file. p.Data is valid until the next ReadPacket or Next call, so a
+// caller that keeps bytes past that copies them. A packet that fits the
+// Reader's 64 KiB read buffer is handed out where it lies in that
+// buffer, without a copy; only a larger one is copied, into storage the
+// Reader reuses.
+func (r *Reader) ReadPacket(p *Packet) error {
+	r.r.Discard(r.lent) // buffered bytes: this cannot fail
+	r.lent = 0
+	hdr, err := r.r.Peek(packetHeaderLen)
+	if err != nil {
+		if err == io.EOF {
+			return io.EOF // a truncated trailer is a clean end
 		}
 		return err
 	}
-	sec := r.order.Uint32(r.hdr[0:4])
-	sub := r.order.Uint32(r.hdr[4:8])
-	capLen := r.order.Uint32(r.hdr[8:12])
-	origLen := r.order.Uint32(r.hdr[12:16])
-	if capLen > 10*DefaultSnapLen {
-		return fmt.Errorf("pcap: implausible capture length %d", capLen)
-	}
-	if uint32(cap(*buf)) < capLen {
-		*buf = make([]byte, capLen)
-	}
-	p.Data = (*buf)[:capLen]
-	if _, err := io.ReadFull(r.r, p.Data); err != nil {
-		return fmt.Errorf("pcap: reading packet body: %w", err)
-	}
+	sec := r.order.Uint32(hdr[0:4])
+	sub := r.order.Uint32(hdr[4:8])
+	capLen := r.order.Uint32(hdr[8:12])
+	origLen := r.order.Uint32(hdr[12:16])
 	t := float64(sec)
 	if r.nano {
 		t += float64(sub) / 1e9
 	} else {
 		t += float64(sub) / 1e6
 	}
+	if capLen > 10*DefaultSnapLen {
+		r.r.Discard(packetHeaderLen)
+		return fmt.Errorf("pcap: implausible capture length %d", capLen)
+	}
+	n := packetHeaderLen + int(capLen)
+	if n > r.r.Size() {
+		r.r.Discard(packetHeaderLen)
+		if uint32(cap(r.buf)) < capLen {
+			r.buf = make([]byte, capLen)
+		}
+		if _, err := io.ReadFull(r.r, r.buf[:capLen]); err != nil {
+			return fmt.Errorf("pcap: reading packet body: %w", err)
+		}
+		p.Data = r.buf[:capLen]
+	} else {
+		b, err := r.r.Peek(n)
+		if err != nil {
+			// Consume what there is, as reading the body would have.
+			r.r.Discard(len(b))
+			if err == io.EOF && len(b) > packetHeaderLen {
+				err = io.ErrUnexpectedEOF
+			}
+			return fmt.Errorf("pcap: reading packet body: %w", err)
+		}
+		p.Data = b[packetHeaderLen:n:n]
+		r.lent = n
+	}
 	p.Time, p.OrigLen = t, int(origLen)
 	return nil
+}
+
+// Next returns the next packet in storage of its own, or io.EOF at end
+// of file.
+func (r *Reader) Next() (*Packet, error) {
+	p := new(Packet)
+	if err := r.ReadPacket(p); err != nil {
+		return nil, err
+	}
+	p.Data = append([]byte(nil), p.Data...)
+	return p, nil
 }

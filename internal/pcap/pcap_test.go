@@ -181,70 +181,92 @@ func TestImplausibleLength(t *testing.T) {
 	}
 }
 
-// TestReadPacketReusesBuffer: ReadPacket reads every body into the one
-// buffer the Reader keeps, growing it only for a larger packet, while
-// Next hands out storage of the packet's own.
-func TestReadPacketReusesBuffer(t *testing.T) {
+// TestReadPacketContract pins what ReadPacket promises, not where it
+// keeps a packet: every packet reads back byte for byte — packets that
+// straddle a refill of the Reader's 64 KiB buffer, one larger than the
+// buffer, and empty ones — whether read by ReadPacket or by Next, in any
+// interleaving; a Next packet stays intact across later reads; and
+// ReadPacket allocates nothing in steady state.
+func TestReadPacketContract(t *testing.T) {
+	sizes := []int{1500, 60, 9000, 0, 1500, 100 << 10, 0, 70}
+	for i := 0; i < 80; i++ { // refills at offsets that drift
+		sizes = append(sizes, []int{1514, 9014, 60, 590, 0}[i%5]+i)
+	}
+	body := func(i int) []byte {
+		b := make([]byte, sizes[i])
+		for j := range b {
+			b[j] = byte(i*7 + j)
+		}
+		return b
+	}
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf, true)
-	bodies := [][]byte{
-		bytes.Repeat([]byte{1}, 1500), bytes.Repeat([]byte{2}, 60),
-		bytes.Repeat([]byte{3}, 9000), bytes.Repeat([]byte{4}, 1500), {},
-	}
-	for i, b := range bodies {
-		w.WritePacket(float64(i)+0.5, b)
+	for i := range sizes {
+		w.WritePacket(float64(i)+0.5, body(i))
 	}
 	w.Flush()
 	capture := buf.Bytes()
 
-	r, _ := NewReader(bytes.NewReader(capture))
-	var p Packet
-	var first *byte
-	for i, want := range bodies {
-		if err := r.ReadPacket(&p); err != nil {
-			t.Fatalf("packet %d: %v", i, err)
-		}
-		if !bytes.Equal(p.Data, want) || p.Time != float64(i)+0.5 || p.OrigLen != len(want) {
-			t.Fatalf("packet %d: %d bytes at %v", i, len(p.Data), p.Time)
-		}
-		switch {
-		case i == 0:
-			first = &p.Data[:1][0]
-		case i == 1 && &p.Data[:1][0] != first:
-			t.Fatal("a smaller packet did not reuse the read buffer")
+	check := func(how string, i int, p *Packet) {
+		t.Helper()
+		if !bytes.Equal(p.Data, body(i)) || p.Time != float64(i)+0.5 || p.OrigLen != sizes[i] {
+			t.Fatalf("%s packet %d: %d bytes at %v, want %d at %v", how, i, len(p.Data), p.Time, sizes[i], float64(i)+0.5)
 		}
 	}
-	if err := r.ReadPacket(&p); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
-	}
-	// Reading 200 more packets costs no allocation beyond the reader's own.
-	for i := 0; i < 200; i++ {
-		w.WritePacket(float64(i), bodies[0])
-	}
-	w.Flush()
-	passAllocs := func(capture []byte) float64 {
-		return testing.AllocsPerRun(10, func() {
-			r, _ := NewReader(bytes.NewReader(capture))
-			for r.ReadPacket(&p) == nil {
+	// Each interleaving: ReadPacket only, Next only, and the two
+	// alternating and in runs.
+	for _, useNext := range []func(i int) bool{
+		func(int) bool { return false },
+		func(int) bool { return true },
+		func(i int) bool { return i%2 == 1 },
+		func(i int) bool { return i%7 < 3 },
+	} {
+		r, _ := NewReader(bytes.NewReader(capture))
+		var p Packet
+		kept := map[int]*Packet{}
+		for i := range sizes {
+			if useNext(i) {
+				q, err := r.Next()
+				if err != nil {
+					t.Fatalf("Next packet %d: %v", i, err)
+				}
+				check("Next", i, q)
+				kept[i] = q
+				continue
 			}
-		})
-	}
-	if short, long := passAllocs(capture), passAllocs(buf.Bytes()); long > short {
-		t.Errorf("%v allocations per pass of %d packets, %v of %d", long, len(bodies)+200, short, len(bodies))
+			if err := r.ReadPacket(&p); err != nil {
+				t.Fatalf("ReadPacket packet %d: %v", i, err)
+			}
+			check("ReadPacket", i, &p)
+		}
+		if err := r.ReadPacket(&p); err != io.EOF {
+			t.Fatalf("want EOF, got %v", err)
+		}
+		if _, err := r.Next(); err != io.EOF {
+			t.Fatalf("Next: want EOF, got %v", err)
+		}
+		for i, q := range kept {
+			check("kept Next", i, q)
+		}
 	}
 
-	r, _ = NewReader(bytes.NewReader(capture))
-	var kept []*Packet
-	for {
-		q, err := r.Next()
-		if err != nil {
-			break
-		}
-		kept = append(kept, q)
+	// Steady state: past the first packets, reading one more — refills
+	// included — allocates nothing.
+	w.WritePacket(0, body(0)) // a pass of AllocsPerRun past the end would read EOF
+	for i := 0; i < 400; i++ {
+		w.WritePacket(float64(i), bytes.Repeat([]byte{byte(i)}, 1514))
 	}
-	for i, q := range kept {
-		if !bytes.Equal(q.Data, bodies[i]) {
-			t.Fatalf("Next packet %d changed after later reads", i)
+	w.Flush()
+	r, _ := NewReader(bytes.NewReader(buf.Bytes()))
+	var p Packet
+	for range sizes {
+		r.ReadPacket(&p)
+	}
+	if allocs := testing.AllocsPerRun(300, func() {
+		if err := r.ReadPacket(&p); err != nil {
+			t.Fatal(err)
 		}
+	}); allocs != 0 {
+		t.Errorf("ReadPacket: %v allocations per packet, want 0", allocs)
 	}
 }

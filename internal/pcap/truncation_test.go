@@ -21,8 +21,8 @@ type capture struct {
 // TestReadTruncationGolden pins what a Reader returns for each prefix
 // of a capture, a file header and two records, and for the capture with
 // trailing bytes: the packets read and how reading ended, or the file
-// header's error. ReadPacket, which reuses one buffer, and Next, which
-// returns storage of each packet's own, must read the same. Delete
+// header's error. ReadPacket, which hands packets out in place, and
+// Next, which returns storage of each packet's own, must read the same. Delete
 // testdata/truncation.golden and rerun to regenerate it.
 func TestReadTruncationGolden(t *testing.T) {
 	var b strings.Builder

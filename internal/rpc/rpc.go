@@ -333,13 +333,30 @@ func MarkRecordFragmented(msg []byte, fragSize int) []byte {
 // RecordScanner incrementally extracts record-marked RPC messages from a
 // reassembled TCP byte stream. Feed it stream bytes in order with Append;
 // Next returns complete messages as they become available.
+//
+// A message Next returns stays valid for good: later calls never write
+// over it. A record of one fragment, the common case, is a slice of the
+// scanner's stream buffer, which Append only ever writes past; when the
+// buffer is full, Append moves the unread bytes to a new one and leaves
+// the old one to the messages that point into it. Only the fragments of
+// a multi-fragment record are gathered into a buffer of their own.
 type RecordScanner struct {
 	buf  []byte
 	frag []byte // accumulated fragments of the current record
 }
 
+// minScanBuf is the least stream buffer Append allocates: room for
+// several segments at the jumbo MTU, so a buffer is made every few
+// segments rather than for each.
+const minScanBuf = 32 << 10
+
 // Append adds stream bytes to the scanner.
 func (s *RecordScanner) Append(b []byte) {
+	if need := len(s.buf) + len(b); need > cap(s.buf) {
+		nb := make([]byte, len(s.buf), max(2*need, minScanBuf))
+		copy(nb, s.buf)
+		s.buf = nb
+	}
 	s.buf = append(s.buf, b...)
 }
 
@@ -362,14 +379,15 @@ func (s *RecordScanner) Next() ([]byte, error) {
 		if len(s.buf) < 4+n {
 			return nil, nil
 		}
-		s.frag = append(s.frag, s.buf[4:4+n]...)
+		body := s.buf[4 : 4+n : 4+n]
 		s.buf = s.buf[4+n:]
+		if last && s.frag == nil {
+			return body, nil // never nil: an empty record is a message, not "need more bytes"
+		}
+		s.frag = append(s.frag, body...)
 		if last {
 			msg := s.frag
 			s.frag = nil
-			if msg == nil {
-				msg = []byte{} // an empty record is a message, not "need more bytes"
-			}
 			return msg, nil
 		}
 	}

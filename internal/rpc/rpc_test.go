@@ -227,6 +227,49 @@ func TestRecordScannerMultipleMessages(t *testing.T) {
 	}
 }
 
+// TestRecordScannerKeepsMessages: every message Next returned stays
+// intact while the scanner goes on, through many Appends that refill
+// and outgrow its stream buffer. Records of one fragment, returned in
+// place, and of several, gathered, alternate; segment sizes vary.
+func TestRecordScannerKeepsMessages(t *testing.T) {
+	var stream []byte
+	var want [][]byte
+	for i := 0; i < 300; i++ {
+		msg := bytes.Repeat([]byte{byte(i)}, 1+i*97%9000)
+		want = append(want, msg)
+		if i%3 == 2 {
+			stream = append(stream, MarkRecordFragmented(msg, 1000)...)
+		} else {
+			stream = append(stream, MarkRecord(msg)...)
+		}
+	}
+	var s RecordScanner
+	var got [][]byte
+	for off, i := 0, 0; off < len(stream); i++ {
+		n := min(len(stream)-off, []int{1, 1448, 8948, 60000, 3}[i%5])
+		s.Append(stream[off : off+n])
+		off += n
+		for {
+			msg, err := s.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg == nil {
+				break
+			}
+			got = append(got, msg)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d messages, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("message %d changed after later calls", i)
+		}
+	}
+}
+
 // TestRecordScannerEmptyRecord: a zero-length record is delivered as an
 // empty message, and the records buffered behind it come out of the same
 // Append instead of waiting for more stream bytes.
