@@ -91,7 +91,8 @@ func BenchmarkAblationWindow(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var randomPct float64
 			for i := 0; i < b.N; i++ {
-				tab := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.RunConfig{ReorderWindow: winMS / 1000, IdleGap: 30, JumpBlocks: 10}), campus).Runs())
+				tabs := addAll(analysis.NewRunDetector(analysis.RunConfig{ReorderWindow: winMS / 1000, IdleGap: 30, JumpBlocks: 10}), campus).Tables()
+				tab := tabs.Tabulate()
 				randomPct = tab.Read[analysis.PatternRandom]
 			}
 			b.ReportMetric(randomPct, "%random-reads")
@@ -108,7 +109,8 @@ func BenchmarkAblationK(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var randomPct float64
 			for i := 0; i < b.N; i++ {
-				tab := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.RunConfig{ReorderWindow: 0.010, IdleGap: 30, JumpBlocks: k}), campus).Runs())
+				tabs := addAll(analysis.NewRunDetector(analysis.RunConfig{ReorderWindow: 0.010, IdleGap: 30, JumpBlocks: k}), campus).Tables()
+				tab := tabs.Tabulate()
 				randomPct = tab.Write[analysis.PatternRandom]
 			}
 			b.ReportMetric(randomPct, "%random-writes")
@@ -125,8 +127,8 @@ func BenchmarkAblationBreak(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var runs int
 			for i := 0; i < b.N; i++ {
-				rs := addAll(analysis.NewRunDetector(analysis.RunConfig{ReorderWindow: 0.010, IdleGap: gap, JumpBlocks: 10}), campus).Runs()
-				runs = len(rs)
+				tabs := addAll(analysis.NewRunDetector(analysis.RunConfig{ReorderWindow: 0.010, IdleGap: gap, JumpBlocks: 10}), campus).Tables()
+				runs = tabs.Tabulate().TotalRuns
 			}
 			b.ReportMetric(float64(runs), "runs")
 		})
@@ -369,14 +371,14 @@ func dataAccesses(ops []*core.Op) int {
 }
 
 // BenchmarkRunsFinish measures run detection per access, from Add
-// through Runs, under the trace's own window: the reorder sort and the
+// through Tables, under the trace's own window: the reorder sort and the
 // run splitting happen as accesses arrive, and the finish replays each
 // file's head and flushes its pending window.
 func BenchmarkRunsFinish(b *testing.B) {
 	for _, c := range finishCases(b) {
 		b.Run(c.name, func(b *testing.B) {
 			cfg := analysis.DefaultRunConfig(c.wms)
-			perAccess(b, dataAccesses(c.ops), func() { addAll(analysis.NewRunDetector(cfg), c.ops).Runs() })
+			perAccess(b, dataAccesses(c.ops), func() { addAll(analysis.NewRunDetector(cfg), c.ops).Tables() })
 		})
 	}
 }

@@ -111,9 +111,7 @@ type results struct {
 	peakHour                 analysis.PeakHourResult
 	mailboxBytes, totalBytes uint64
 	life, nvram              *analysis.BlockLifeResult
-	rawRuns, runs            analysis.RunTable
-	sizes                    []analysis.SizeProfilePoint
-	sequentiality            []analysis.SeqMetricPoint
+	rawRuns, runs            analysis.RunTables
 	hourly                   *analysis.HourlySeries
 	swept                    []analysis.ReorderSweepPoint
 	names                    *analysis.NameReport
@@ -124,20 +122,18 @@ type results struct {
 func (a *analyses) results(swept []analysis.ReorderSweepPoint) results {
 	a.summary.Result.Days = a.days
 	return results{
-		summary:       a.summary.Result,
-		peakHour:      a.peakHour.Result,
-		mailboxBytes:  a.mailbox.MailboxBytes,
-		totalBytes:    a.mailbox.TotalBytes,
-		life:          a.life.Result,
-		nvram:         a.nvram.Result,
-		rawRuns:       a.rawRuns.Table(),
-		runs:          a.runs.Table(),
-		sizes:         analysis.SizeProfile(a.runs.Result),
-		sequentiality: analysis.SequentialityProfile(a.runs.Result),
-		hourly:        a.hourly.Result.FixedTo(a.days * workload.Day),
-		swept:         swept,
-		names:         a.names.ReportAt(a.days * workload.Day),
-		coverage:      a.hierarchy.Coverage,
+		summary:      a.summary.Result,
+		peakHour:     a.peakHour.Result,
+		mailboxBytes: a.mailbox.MailboxBytes,
+		totalBytes:   a.mailbox.TotalBytes,
+		life:         a.life.Result,
+		nvram:        a.nvram.Result,
+		rawRuns:      a.rawRuns.Result,
+		runs:         a.runs.Result,
+		hourly:       a.hourly.Result.FixedTo(a.days * workload.Day),
+		swept:        swept,
+		names:        a.names.ReportAt(a.days * workload.Day),
+		coverage:     a.hierarchy.Coverage,
 	}
 }
 
@@ -226,8 +222,8 @@ func Table3(campus, eecs *Trace) string {
 	fmt.Fprintf(&b, "%-22s %28s %28s\n", "", "CAMPUS", "EECS")
 	fmt.Fprintf(&b, "%-22s %9s %9s %9s %9s %9s %9s\n", "", "raw", "processed", "paper",
 		"raw", "processed", "paper")
-	rawC, procC := campus.res.rawRuns, campus.res.runs
-	rawE, procE := eecs.res.rawRuns, eecs.res.runs
+	rawC, procC := campus.res.rawRuns.Tabulate(), campus.res.runs.Tabulate()
+	rawE, procE := eecs.res.rawRuns.Tabulate(), eecs.res.runs.Tabulate()
 
 	type rowSpec struct {
 		name   string
@@ -322,7 +318,7 @@ func Figure2(campus, eecs *Trace) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 2: cumulative %% of bytes accessed vs file size\n")
 	for _, tr := range []*Trace{campus, eecs} {
-		pts := tr.res.sizes
+		pts := tr.res.runs.SizeProfile()
 		fmt.Fprintf(&b, "%s\n%12s %8s %8s %8s %8s\n", tr.Name,
 			"file size", "total", "entire", "seq", "random")
 		for _, p := range pts {
@@ -410,7 +406,7 @@ func Figure5(campus, eecs *Trace) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 5: average sequentiality metric vs bytes accessed in run\n")
 	for _, tr := range []*Trace{campus, eecs} {
-		pts := tr.res.sequentiality
+		pts := tr.res.runs.SequentialityProfile()
 		fmt.Fprintf(&b, "%s\n%10s %9s %9s %9s %9s %9s\n", tr.Name,
 			"run bytes", "readK10", "readK1", "writeK10", "writeK1", "cum runs")
 		for _, p := range pts {

@@ -45,26 +45,17 @@ type BlockLifeResult struct {
 
 // BirthPct reports the percentage of births with the given cause.
 func (r *BlockLifeResult) BirthPct(cause int) float64 {
-	if r.Births == 0 {
-		return 0
-	}
-	return 100 * float64(r.BirthCause[cause]) / float64(r.Births)
+	return pct(r.BirthCause[cause], r.Births)
 }
 
 // DeathPct reports the percentage of deaths with the given cause.
 func (r *BlockLifeResult) DeathPct(cause int) float64 {
-	if r.Deaths == 0 {
-		return 0
-	}
-	return 100 * float64(r.DeathCause[cause]) / float64(r.Deaths)
+	return pct(r.DeathCause[cause], r.Deaths)
 }
 
 // EndSurplusPct reports the end surplus as a percentage of births.
 func (r *BlockLifeResult) EndSurplusPct() float64 {
-	if r.Births == 0 {
-		return 0
-	}
-	return 100 * float64(r.EndSurplus) / float64(r.Births)
+	return pct(r.EndSurplus, r.Births)
 }
 
 // blockLifeState tracks one analysis window.

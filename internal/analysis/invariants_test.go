@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -36,7 +35,8 @@ func randomOps(seed int64, n int) []*core.Op {
 }
 
 // TestRunsPartitionAccesses: in the oracle, every data access lands in
-// exactly one run, and the streaming detector finds the oracle's runs.
+// exactly one run, and the streaming detector's tables are those of the
+// oracle's runs.
 func TestRunsPartitionAccesses(t *testing.T) {
 	f := func(seed int64) bool {
 		ops := randomOps(seed, 300)
@@ -48,7 +48,7 @@ func TestRunsPartitionAccesses(t *testing.T) {
 			for _, a := range r.Accesses {
 				bytes += uint64(a.Count)
 			}
-			if r.Bytes == 0 && len(r.Accesses) > 0 {
+			if r.bytes == 0 && len(r.Accesses) > 0 {
 				hasBytes := false
 				for _, a := range r.Accesses {
 					if a.Count > 0 {
@@ -68,8 +68,7 @@ func TestRunsPartitionAccesses(t *testing.T) {
 				wantBytes += op.Bytes()
 			}
 		}
-		runs := addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
-		return total == want && bytes == wantBytes && reflect.DeepEqual(runs, runsOf(oracle))
+		return total == want && bytes == wantBytes && detect(DefaultRunConfig(10), ops) == OracleTables(oracle)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -77,17 +76,22 @@ func TestRunsPartitionAccesses(t *testing.T) {
 }
 
 // TestMetricBounds: sequentiality metrics stay in [0,1] and the strict
-// metric never exceeds the jump-tolerant one.
+// metric never exceeds the jump-tolerant one, run by run in the oracle
+// and bin by bin in the detector's sums.
 func TestMetricBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		ops := randomOps(seed, 200)
-		runs := addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
-		for _, r := range runs {
-			if r.Metric < 0 || r.Metric > 1 || r.MetricK1 < 0 || r.MetricK1 > 1 {
+		for _, r := range DetectRunsInFiles(addAll(make(AccessMap), ops), DefaultRunConfig(10)) {
+			if r.metric < 0 || r.metric > 1 || r.metricK1 < 0 || r.metricK1 > 1 || r.metricK1 > r.metric {
 				return false
 			}
-			if r.MetricK1 > r.Metric+1e-9 {
-				return false
+		}
+		tabs := detect(DefaultRunConfig(10), ops)
+		for k, m := range tabs.metrics {
+			for i := range m[0] {
+				if m[0][i] > tabs.binRuns[k][i]*fixedOne || m[1][i] > m[0][i] {
+					return false
+				}
 			}
 		}
 		return true
@@ -102,7 +106,8 @@ func TestMetricBounds(t *testing.T) {
 func TestTabulatePercentagesSum(t *testing.T) {
 	f := func(seed int64) bool {
 		ops := randomOps(seed, 250)
-		tab := Tabulate(addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs())
+		tabs := detect(DefaultRunConfig(10), ops)
+		tab := tabs.Tabulate()
 		if tab.TotalRuns == 0 {
 			return true
 		}

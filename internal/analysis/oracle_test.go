@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 )
@@ -12,11 +11,12 @@ import (
 // AccessMap, each file sorted in a copy by the blocked SortWindow, split
 // into runs and classified at the finish. FuzzRunsStreamOracle and the
 // trace tests require the streaming RunDetector and ReorderSweeper to
-// produce what it produces. The functions are the ones the reducers
-// used, minus the finish cache and the fan-out across cores that only
-// made re-finishing whole lists affordable; an OracleRun keeps the
-// accesses a Run no longer carries. SortWindow reads the block
-// summaries the pending window keeps, of sortBlock accesses each.
+// produce what it produces, folding its runs into RunTables through the
+// detector's own fold. The functions are the ones the reducers used,
+// minus the finish cache and the fan-out across cores that only made
+// re-finishing whole lists affordable; an OracleRun keeps the accesses
+// it covers. SortWindow reads the block summaries the pending window
+// keeps, of sortBlock accesses each.
 
 // AccessMap groups data accesses by file handle, in trace order.
 type AccessMap map[core.FH][]Access
@@ -122,33 +122,50 @@ func SortWindow(accs []Access, w float64) int {
 	return swaps
 }
 
-// OracleRun is a run as the whole-list path detects it: the Run and the
-// accesses it covers, a capped view of the file's sorted list.
+// OracleRun is a run as the whole-list path detects it: its
+// classification and the accesses it covers, a capped view of the
+// file's sorted list.
 type OracleRun struct {
-	Run
+	run
 	Accesses []Access
 }
 
-// DetectRunsInFiles splits each file's accesses into runs and
-// classifies them, files in handle-spelling order. With a reorder
-// window each file is sorted in a copy, and only a file the pass
-// reorders keeps its copy; every other file's runs, and all of them
-// without a window, are capped views of the file's own list.
-func DetectRunsInFiles(files map[core.FH][]Access, cfg RunConfig) []OracleRun {
-	fhs := make([]core.FH, 0, len(files))
-	for fh := range files {
-		fhs = append(fhs, fh)
+// OracleTables folds runs into run tables.
+func OracleTables(runs []OracleRun) RunTables {
+	var t RunTables
+	for _, r := range runs {
+		t.add(r.run)
 	}
-	sort.Slice(fhs, func(i, j int) bool { return fhs[i].String() < fhs[j].String() })
+	return t
+}
+
+// endBlock returns the block just past the access, with counts rounded
+// up to whole blocks as §4.2 prescribes.
+func (a Access) endBlock() int64 {
+	return int64((a.Offset + uint64(a.Count) + BlockSize - 1) / BlockSize)
+}
+
+func (a Access) startBlock() int64 { return int64(a.Offset / BlockSize) }
+
+// breaks applies breaksRun to two accesses.
+func breaks(prev, next *Access, cfg RunConfig) bool {
+	return breaksRun(&runEnd{prev.T, prev.Offset, prev.Count, prev.EOF}, next.T, cfg)
+}
+
+// DetectRunsInFiles splits each file's accesses into runs and
+// classifies them. With a reorder window each file is sorted in a copy,
+// and only a file the pass reorders keeps its copy; every other file's
+// runs, and all of them without a window, are capped views of the
+// file's own list.
+func DetectRunsInFiles(files map[core.FH][]Access, cfg RunConfig) []OracleRun {
 	var runs []OracleRun
 	var scratch []Access
-	for _, fh := range fhs {
-		accs := files[fh]
+	for _, accs := range files {
 		accs = accs[:len(accs):len(accs)]
 		if cfg.ReorderWindow > 0 {
 			accs, _, scratch = reorder(accs, cfg.ReorderWindow, scratch)
 		}
-		runs = splitRuns(runs, fh, accs, cfg)
+		runs = splitRuns(runs, accs, cfg)
 	}
 	return runs
 }
@@ -201,7 +218,7 @@ func countRuns(accs []Access, cfg RunConfig) int {
 	}
 	n := 1
 	for i := 1; i < len(accs); i++ {
-		if breaksRun(&accs[i-1], &accs[i], cfg) {
+		if breaks(&accs[i-1], &accs[i], cfg) {
 			n++
 		}
 	}
@@ -210,19 +227,19 @@ func countRuns(accs []Access, cfg RunConfig) int {
 
 // splitRuns appends the classified runs of accs to dst and returns it.
 // Each run's Accesses is a capped sub-slice of accs.
-func splitRuns(dst []OracleRun, fh core.FH, accs []Access, cfg RunConfig) []OracleRun {
+func splitRuns(dst []OracleRun, accs []Access, cfg RunConfig) []OracleRun {
 	start := 0
 	for i := 1; i <= len(accs); i++ {
-		if i == len(accs) || breaksRun(&accs[i-1], &accs[i], cfg) {
-			dst = append(dst, classifyRun(fh, accs[start:i:i], cfg))
+		if i == len(accs) || breaks(&accs[i-1], &accs[i], cfg) {
+			dst = append(dst, classifyRun(accs[start:i:i], cfg))
 			start = i
 		}
 	}
 	return dst
 }
 
-func classifyRun(fh core.FH, accs []Access, cfg RunConfig) OracleRun {
-	r := OracleRun{Run: Run{FH: fh}, Accesses: accs}
+func classifyRun(accs []Access, cfg RunConfig) OracleRun {
+	r := OracleRun{Accesses: accs}
 	reads, writes := 0, 0
 	var maxSize uint64
 	for _, a := range accs {
@@ -231,19 +248,19 @@ func classifyRun(fh core.FH, accs []Access, cfg RunConfig) OracleRun {
 		} else {
 			reads++
 		}
-		r.Bytes += uint64(a.Count)
+		r.bytes += uint64(a.Count)
 		if a.Size > maxSize {
 			maxSize = a.Size
 		}
 	}
-	r.FileSize = maxSize
+	r.fileSize = maxSize
 	switch {
 	case writes == 0:
-		r.Kind = RunRead
+		r.kind = RunRead
 	case reads == 0:
-		r.Kind = RunWrite
+		r.kind = RunWrite
 	default:
-		r.Kind = RunReadWrite
+		r.kind = RunReadWrite
 	}
 
 	k := cfg.JumpBlocks
@@ -277,10 +294,10 @@ func classifyRun(fh core.FH, accs []Access, cfg RunConfig) OracleRun {
 		}
 	}
 	if total > 0 {
-		r.Metric = float64(seqK) / float64(total)
-		r.MetricK1 = float64(seqStrict) / float64(total)
+		r.metric = float64(seqK) / float64(total)
+		r.metricK1 = float64(seqStrict) / float64(total)
 	} else {
-		r.Metric, r.MetricK1 = 1, 1
+		r.metric, r.metricK1 = 1, 1
 	}
 
 	// Entire: sequential from offset 0 through end-of-file.
@@ -292,19 +309,19 @@ func classifyRun(fh core.FH, accs []Access, cfg RunConfig) OracleRun {
 		// Singleton runs: entire if they access the whole file,
 		// sequential otherwise (§5.1, Table 3 note).
 		if coversWhole {
-			r.Pattern = PatternEntire
+			r.pattern = PatternEntire
 		} else {
-			r.Pattern = PatternSequential
+			r.pattern = PatternSequential
 		}
 		return r
 	}
 	switch {
 	case sequential && coversWhole:
-		r.Pattern = PatternEntire
+		r.pattern = PatternEntire
 	case sequential:
-		r.Pattern = PatternSequential
+		r.pattern = PatternSequential
 	default:
-		r.Pattern = PatternRandom
+		r.pattern = PatternRandom
 	}
 	return r
 }

@@ -11,8 +11,8 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -32,14 +32,6 @@ type Access struct {
 	Size   uint64 // post-op file size, when known
 }
 
-// endBlock returns the block just past the access, with counts rounded
-// up to whole blocks as §4.2 prescribes.
-func (a Access) endBlock() int64 {
-	return int64((a.Offset + uint64(a.Count) + BlockSize - 1) / BlockSize)
-}
-
-func (a Access) startBlock() int64 { return int64(a.Offset / BlockSize) }
-
 // Both §4.2 reducers stream per file. The reorder-window sort is the
 // linear scan the paper describes: for each position i, the window is
 // every later access j up to the first one failing T_j - t <= w (NaN
@@ -49,7 +41,10 @@ func (a Access) startBlock() int64 { return int64(a.Offset / BlockSize) }
 // fails the test after every earlier one passed. A file's window holds
 // the accesses whose position is not yet final; the final ones go, in
 // sorted order, into the file's open run, which keeps only running
-// values and is closed into a Run at an idle gap or an EOF access.
+// values and is closed at an idle gap or an EOF access. A closed run is
+// classified and folded into the detector's RunTables at once, except
+// the file's first run from its cut on, which a merge may still join to
+// the run an earlier piece left open (see runList).
 //
 // A reducer may see a file from the middle of the stream: the pieces
 // of a time-split trace are reduced independently and merged. An
@@ -291,6 +286,12 @@ type streams struct {
 	due     []dueHead // due[dueAt:] are waiting
 	dueAt   int
 	scratch fileState // headDone's, reused
+	// tables holds every run that closed past its file's first. While
+	// a finish or a head's replay runs, sink takes every run that
+	// closes instead.
+	tables   RunTables
+	sink     runSink
+	headRuns runBuf // headDone's sink, reused
 }
 
 type dueHead struct {
@@ -330,42 +331,66 @@ type fileData struct {
 // it: the head replayed and flushed, which its cut allows. It is made
 // when the cut arrives, or earlier when the stream's time has passed
 // the head's windows (see streams.due), so a finish replays only a head
-// that may still grow; copies share it.
+// that may still grow; copies share it. Its runs stay unfolded: when
+// the file turns out to continue an earlier piece, a merge feeds the
+// head through that piece's state instead.
 type headDone struct {
 	n     int64
 	swaps []int
 	runs  []openRun // in stream order, the last one open
 }
 
-// runList is a file's runs in stream order: the closed ones, which
-// never change again and copies share, then the open one.
+// runList is what a file keeps of its runs from the cut on: the first
+// one once it has closed, because a merge may still join it to the run
+// an earlier stretch left open (see join), and the open one. Every run
+// closing after the first folds into the streams' tables.
 type runList struct {
-	closed []openRun
-	open   openRun
+	first, open openRun
+}
+
+// runSink takes closed runs in the tables' place while a finish or a
+// head's replay runs.
+type runSink interface{ take(r *openRun) }
+
+// runBuf collects runs, in the order they close.
+type runBuf []openRun
+
+func (b *runBuf) take(r *openRun) { *b = append(*b, *r) }
+
+// close ends the open run.
+func (l *runList) close(s *streams) {
+	switch {
+	case s.sink != nil:
+		s.sink.take(&l.open)
+	case l.first.n == 0:
+		l.first = l.open
+	default:
+		s.tables.take(&l.open)
+	}
+	l.open = openRun{}
 }
 
 // extend appends a finalized access to the open run, closing it first
 // if the access breaks it.
 func (l *runList) extend(a *Access, s *streams) {
-	if l.open.n > 0 && breaksRun(&l.open.last, a, s.cfg) {
-		l.closed = append(l.closed, l.open)
-		l.open = openRun{}
+	if l.open.n > 0 && breaksRun(&l.open.last, a.T, s.cfg) {
+		l.close(s)
 	}
 	l.open.add(a, s.k)
 }
 
 // append adds r, a run that follows l's runs: it continues l's open
 // run unless its first access breaks it, as an access would. Runs that
-// follow one another in one list always break, so appending a list run
-// by run rebuilds it.
+// follow one another always break, so appending them one by one
+// rebuilds a stretch.
 func (l *runList) append(r *openRun, s *streams) {
 	switch {
 	case r.n == 0:
-	case l.open.n > 0 && !breaksRun(&l.open.last, &r.first, s.cfg):
+	case l.open.n > 0 && !breaksRun(&l.open.last, r.first.T, s.cfg):
 		l.open.join(r, s.k)
 	default:
 		if l.open.n > 0 {
-			l.closed = append(l.closed, l.open)
+			l.close(s)
 		}
 		l.open = *r
 	}
@@ -507,20 +532,24 @@ func (f *fileState) join(g *fileState, s *streams) {
 		wins[i].set(&g.wins[i])
 		wins[i].swaps = swaps
 	}
-	if g.runs != nil {
-		runs := f.runList()
-		for i := range g.runs.closed {
-			runs.append(&g.runs.closed[i], s)
+	// Only g's first run may continue f's open one: the runs between it
+	// and g's open one are in g's tables, and its open one began with a
+	// break.
+	if m := g.runs; m != nil {
+		l := f.runList()
+		if m.first.n > 0 {
+			l.append(&m.first, s)
+			l.close(s)
 		}
-		runs.append(&g.runs.open, s)
+		l.append(&m.open, s)
 	}
 }
 
 // own returns f ready to change: a state another reducer shares is
-// copied first, and the copy takes its place here. The head and the
-// closed runs only ever grow at their ends, so the copy shares them,
-// capped at their lengths: an append on either side reallocates
-// instead of writing into the other's view.
+// copied first, and the copy takes its place here. The head only ever
+// grows at its end, so the copy shares it, capped at its length: an
+// append on either side reallocates instead of writing into the other's
+// view.
 func (s *streams) own(f *fileState) *fileState {
 	if atomic.LoadInt32(&f.shared) == 0 {
 		return f
@@ -529,7 +558,6 @@ func (s *streams) own(f *fileState) *fileState {
 	c.head.accs = f.head.accs[:len(f.head.accs):len(f.head.accs)]
 	if f.runs != nil {
 		runs := *f.runs
-		runs.closed = runs.closed[:len(runs.closed):len(runs.closed)]
 		c.runs = &runs
 	}
 	c.wins = make([]window, len(f.wins))
@@ -541,8 +569,12 @@ func (s *streams) own(f *fileState) *fileState {
 }
 
 // merge shares the states of the files s lacks with src, copy on
-// write (see own), so a fork costs a pointer per file.
+// write (see own), so a fork costs a pointer per file, and adds src's
+// run tables, which no handle keys.
 func (s *streams) merge(src *streams, f Filter) {
+	if f.unkeyed() {
+		s.tables.merge(&src.tables)
+	}
 	s.files = roomFor(s.files, src.files, f.Owns)
 	for fh, g := range src.files {
 		if !f.owns(fh) {
@@ -570,7 +602,7 @@ func (s *streams) replay(accs []Access, fin *fileState) {
 		fin.wins[i] = window{accs: fin.wins[i].accs[:0]}
 	}
 	runs := fin.runList()
-	*runs = runList{closed: runs.closed[:0]}
+	*runs = runList{}
 	fin.fileData = fileData{head: head{cut: true}, wins: fin.wins, runs: runs}
 	for _, a := range accs {
 		fin.enter(a, s)
@@ -580,10 +612,12 @@ func (s *streams) replay(accs []Access, fin *fileState) {
 
 func (s *streams) headDone(f *fileState) *headDone {
 	fin := &s.scratch
+	s.headRuns, s.sink = s.headRuns[:0], &s.headRuns
 	s.replay(f.head.accs, fin)
+	s.sink = nil
 	d := &headDone{n: fin.n}
 	if fin.runs.open.n > 0 {
-		d.runs = append(slices.Clone(fin.runs.closed), fin.runs.open)
+		d.runs = append(slices.Clone(s.headRuns), fin.runs.open)
 	}
 	for i := range fin.wins {
 		d.swaps = append(d.swaps, fin.wins[i].swaps)
@@ -658,11 +692,7 @@ func (s *ReorderSweeper) Points() []ReorderSweepPoint {
 	}
 	out := make([]ReorderSweepPoint, 0, len(s.ws))
 	for wi, wms := range s.windowsMS {
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(sums[wi]) / float64(total)
-		}
-		out = append(out, ReorderSweepPoint{WindowMS: wms, SwappedPct: pct})
+		out = append(out, ReorderSweepPoint{WindowMS: wms, SwappedPct: pct(int64(sums[wi]), total)})
 	}
 	return out
 }
@@ -687,21 +717,6 @@ const (
 	PatternRandom
 )
 
-// Run is one detected run on one file.
-type Run struct {
-	FH      core.FH
-	Kind    RunKind
-	Pattern RunPattern
-	// Bytes is the total bytes accessed in the run.
-	Bytes uint64
-	// FileSize is the largest file size observed during the run.
-	FileSize uint64
-	// Metric is the sequentiality metric with the configured jump
-	// tolerance; MetricK1 is the strict (k=1) variant.
-	Metric   float64
-	MetricK1 float64
-}
-
 // RunConfig controls run detection.
 type RunConfig struct {
 	// ReorderWindow is the §4.2 sorting window in seconds (0 disables
@@ -721,16 +736,34 @@ func DefaultRunConfig(windowMS float64) RunConfig {
 	return RunConfig{ReorderWindow: windowMS / 1000, IdleGap: 30, JumpBlocks: 10}
 }
 
+// runStart is what a run keeps of its first access: what breaksRun and
+// step read of the access that follows another.
+type runStart struct {
+	T      float64
+	Offset uint64
+}
+
+// runEnd is what a run keeps of its last access: what breaksRun and
+// step read of the access that another follows, and what the entire
+// test reads.
+type runEnd struct {
+	T      float64
+	Offset uint64
+	Count  uint32
+	EOF    bool
+}
+
 // breaksRun applies the §4.2 run-break rules: a new run begins after an
 // access that referenced end-of-file, or after an idle gap.
-func breaksRun(prev, next *Access, cfg RunConfig) bool {
-	return prev.EOF || (cfg.IdleGap > 0 && next.T-prev.T > cfg.IdleGap)
+func breaksRun(prev *runEnd, nextT float64, cfg RunConfig) bool {
+	return prev.EOF || (cfg.IdleGap > 0 && nextT-prev.T > cfg.IdleGap)
 }
 
 // openRun is a run's running values: everything its classification
 // reads of its accesses, kept as they arrive in sorted order.
 type openRun struct {
-	first, last Access
+	first       runStart
+	last        runEnd
 	n, reads    int64
 	bytes       uint64
 	size        uint64 // largest file size seen
@@ -738,20 +771,20 @@ type openRun struct {
 	random      bool   // some step broke sequentiality
 }
 
-// step accounts for the step from prev to next, k being the jump
-// tolerance in blocks.
-func (r *openRun) step(prev, next *Access, k int64) {
+// step accounts for the step from prev to an access at offset next, k
+// being the jump tolerance in blocks.
+func (r *openRun) step(prev *runEnd, next uint64, k int64) {
 	prevEnd := prev.Offset + uint64(prev.Count)
 	// Sequentiality (§4.2): each request begins where the previous one
 	// left off, by byte offset, with forward slack of up to k 8 KB
 	// blocks (offsets and counts round to blocks, so exact byte-appends
 	// within a block are sequential too).
-	if next.Offset < prevEnd || next.Offset-prevEnd >= uint64(k)*BlockSize {
+	if next < prevEnd || next-prevEnd >= uint64(k)*BlockSize {
 		r.random = true
 	}
 	// The k-consecutive metric works on blocks, counting small jumps in
-	// either direction (§6.4).
-	gap := next.startBlock() - prev.endBlock()
+	// either direction (§6.4); counts round up to whole blocks.
+	gap := int64(next/BlockSize) - int64((prevEnd+BlockSize-1)/BlockSize)
 	if gap < 0 {
 		gap = -gap
 	}
@@ -765,11 +798,11 @@ func (r *openRun) step(prev, next *Access, k int64) {
 
 func (r *openRun) add(a *Access, k int64) {
 	if r.n == 0 {
-		r.first = *a
+		r.first = runStart{a.T, a.Offset}
 	} else {
-		r.step(&r.last, a, k)
+		r.step(&r.last, a.Offset, k)
 	}
-	r.last = *a
+	r.last = runEnd{a.T, a.Offset, a.Count, a.EOF}
 	r.n++
 	if !a.Write {
 		r.reads++
@@ -780,7 +813,7 @@ func (r *openRun) add(a *Access, k int64) {
 
 // join appends s, a run that continues r without a break.
 func (r *openRun) join(s *openRun, k int64) {
-	r.step(&r.last, &s.first, k)
+	r.step(&r.last, s.first.Offset, k)
 	r.random = r.random || s.random
 	r.seqK += s.seqK
 	r.seqK1 += s.seqK1
@@ -791,22 +824,34 @@ func (r *openRun) join(s *openRun, k int64) {
 	r.size = max(r.size, s.size)
 }
 
-// run classifies the run.
-func (r *openRun) run(fh core.FH) Run {
-	out := Run{FH: fh, Bytes: r.bytes, FileSize: r.size}
+// run is a closed run as the tables read it.
+type run struct {
+	kind    RunKind
+	pattern RunPattern
+	// bytes is the total bytes accessed in the run, fileSize the largest
+	// file size observed during it.
+	bytes, fileSize uint64
+	// metric is the sequentiality metric with the configured jump
+	// tolerance; metricK1 is the strict (k=1) variant.
+	metric, metricK1 float64
+}
+
+// classify classifies the run.
+func (r *openRun) classify() run {
+	out := run{bytes: r.bytes, fileSize: r.size}
 	switch {
 	case r.reads == r.n:
-		out.Kind = RunRead
+		out.kind = RunRead
 	case r.reads == 0:
-		out.Kind = RunWrite
+		out.kind = RunWrite
 	default:
-		out.Kind = RunReadWrite
+		out.kind = RunReadWrite
 	}
 	if steps := r.n - 1; steps > 0 {
-		out.Metric = float64(r.seqK) / float64(steps)
-		out.MetricK1 = float64(r.seqK1) / float64(steps)
+		out.metric = float64(r.seqK) / float64(steps)
+		out.metricK1 = float64(r.seqK1) / float64(steps)
 	} else {
-		out.Metric, out.MetricK1 = 1, 1
+		out.metric, out.metricK1 = 1, 1
 	}
 
 	// Entire: sequential from offset 0 through end-of-file.
@@ -816,23 +861,96 @@ func (r *openRun) run(fh core.FH) Run {
 	case r.n == 1 && coversWhole:
 		// Singleton runs: entire if they access the whole file,
 		// sequential otherwise (§5.1, Table 3 note).
-		out.Pattern = PatternEntire
+		out.pattern = PatternEntire
 	case r.n == 1:
-		out.Pattern = PatternSequential
+		out.pattern = PatternSequential
 	case !r.random && coversWhole:
-		out.Pattern = PatternEntire
+		out.pattern = PatternEntire
 	case !r.random:
-		out.Pattern = PatternSequential
+		out.pattern = PatternSequential
 	default:
-		out.Pattern = PatternRandom
+		out.pattern = PatternRandom
 	}
 	return out
 }
 
+// The bins of Figures 2 and 5: file sizes from 1 KB to 256 MB and run
+// sizes from 16 KB to 64 MB, powers of two, each bin holding what lies
+// above the one before and at most its bound; the last holds the rest.
+const (
+	minSizeExp, sizeBins = 10, 19
+	minRunExp, runBins   = 14, 13
+)
+
+// bin returns the bin of v among n bins whose first bound is 2^minExp:
+// the first whose bound is at least v, or the last.
+func bin(v uint64, minExp, n int) int {
+	if v <= 1<<uint(minExp) {
+		return 0
+	}
+	return min(bits.Len64(v-1)-minExp, n-1)
+}
+
+// fixedOne is 1 in the fixed point the metric sums are kept in.
+const fixedOne = 1 << 32
+
+// RunTables is what Table 3 and Figures 2 and 5 read of a set of runs:
+// fixed-size integer sums that each run adds to as it closes, so that
+// they come out the same in any order and merge by adding. Sequentiality
+// metrics are summed in fixed point, round(metric × 2^32), exact for
+// fewer than 2^32 runs in a bin.
+type RunTables struct {
+	kinds   [3][3]uint64          // Table 3: runs by kind, then pattern
+	binRuns [3][runBins]uint64    // Figure 5: runs by kind, then run-size bin
+	bytes   [3][sizeBins]uint64   // Figure 2: bytes by pattern, then file-size bin
+	metrics [2][2][runBins]uint64 // Figure 5: read and write runs' metric, then strict metric, sums by run-size bin
+}
+
+// rows returns every row of t, the six rows of run counts first.
+func (t *RunTables) rows() [][]uint64 {
+	return [][]uint64{t.kinds[0][:], t.kinds[1][:], t.kinds[2][:],
+		t.binRuns[0][:], t.binRuns[1][:], t.binRuns[2][:],
+		t.bytes[0][:], t.bytes[1][:], t.bytes[2][:],
+		t.metrics[0][0][:], t.metrics[0][1][:], t.metrics[1][0][:], t.metrics[1][1][:]}
+}
+
+func sum(ns []uint64) (n uint64) {
+	for _, v := range ns {
+		n += v
+	}
+	return n
+}
+
+// take classifies r and adds it.
+func (t *RunTables) take(r *openRun) { t.add(r.classify()) }
+
+func (t *RunTables) add(r run) {
+	t.kinds[r.kind][r.pattern]++
+	if r.bytes > 0 {
+		t.bytes[r.pattern][bin(r.fileSize, minSizeExp, sizeBins)] += r.bytes
+	}
+	b := bin(r.bytes, minRunExp, runBins)
+	t.binRuns[r.kind][b]++
+	if r.kind != RunReadWrite {
+		t.metrics[r.kind][0][b] += uint64(math.Round(r.metric * fixedOne))
+		t.metrics[r.kind][1][b] += uint64(math.Round(r.metricK1 * fixedOne))
+	}
+}
+
+// merge adds u to t.
+func (t *RunTables) merge(u *RunTables) {
+	theirs := u.rows()
+	for i, row := range t.rows() {
+		for j := range row {
+			row[j] += theirs[i][j]
+		}
+	}
+}
+
 // RunDetector is the Table 3 / Figure 2 / Figure 5 reducer: per file, a
 // pending window and the runs it feeds, under one run-detection
-// configuration. Runs never span files, so the state partitions by
-// handle.
+// configuration, and the tables the closed runs fold into. Runs never
+// span files, so the per-file state partitions by handle.
 type RunDetector struct{ streams }
 
 // NewRunDetector returns an empty detector.
@@ -847,41 +965,19 @@ func NewRunDetector(cfg RunConfig) *RunDetector {
 // Merge implements Reducer.
 func (d *RunDetector) Merge(src *RunDetector, f Filter) { d.merge(&src.streams, f) }
 
-// Runs detects and classifies the runs in everything added so far,
-// files in handle-spelling order (interned IDs depend on decode
-// interleaving, spellings don't) and each file's runs in stream order.
-func (d *RunDetector) Runs() []Run {
-	type file struct {
-		spell string
-		f     *fileState
-	}
-	files := make([]file, 0, len(d.files))
-	n := 2 * len(d.files) // at most one open run each in head and stretch
-	for fh, f := range d.files {
-		files = append(files, file{fh.String(), f})
-		if f.done != nil {
-			n += len(f.done.runs)
-		}
-		if f.runs != nil {
-			n += len(f.runs.closed)
-		}
-	}
-	slices.SortFunc(files, func(a, b file) int { return strings.Compare(a.spell, b.spell) })
-	runs := make([]Run, 0, n)
+// Tables returns the run tables of everything added so far: the runs
+// already folded, and each file's head, first and open runs, folded into
+// a copy by a copy of the detector, so that finishing changes nothing.
+func (d *RunDetector) Tables() RunTables {
+	t, s := d.tables, d.streams
+	s.sink = &t
 	var fin fileState
-	for _, file := range files {
-		d.finish(file.f, &fin)
-		for i := range fin.runs.closed {
-			runs = append(runs, fin.runs.closed[i].run(file.f.fh))
-		}
-		if fin.runs.open.n > 0 {
-			runs = append(runs, fin.runs.open.run(file.f.fh))
+	for _, f := range d.files {
+		if s.finish(f, &fin); fin.runs.open.n > 0 {
+			t.take(&fin.runs.open)
 		}
 	}
-	if len(runs) == 0 {
-		return nil
-	}
-	return runs
+	return t
 }
 
 // RunTable is the Table 3 presentation: run-count percentages by kind
@@ -895,42 +991,27 @@ type RunTable struct {
 	TotalRuns              int
 }
 
-// Tabulate builds Table 3 from detected runs.
-func Tabulate(runs []Run) RunTable {
-	var t RunTable
-	t.TotalRuns = len(runs)
-	if len(runs) == 0 {
-		return t
+// pct is n as a percentage of d, 0 when d is.
+func pct[T int | int64 | uint64](n, d T) float64 {
+	if d == 0 {
+		return 0
 	}
-	var kindCount [3]int
-	var pat [3][3]int
-	for _, r := range runs {
-		kindCount[r.Kind]++
-		pat[r.Kind][r.Pattern]++
-	}
-	pct := func(n, d int) float64 {
-		if d == 0 {
-			return 0
-		}
-		return 100 * float64(n) / float64(d)
-	}
-	t.ReadPct = pct(kindCount[RunRead], len(runs))
-	t.WritePct = pct(kindCount[RunWrite], len(runs))
-	t.ReadWritePct = pct(kindCount[RunReadWrite], len(runs))
-	for kind := 0; kind < 3; kind++ {
-		for p := 0; p < 3; p++ {
-			v := pct(pat[kind][p], kindCount[kind])
-			switch RunKind(kind) {
-			case RunRead:
-				t.Read[p] = v
-			case RunWrite:
-				t.Write[p] = v
-			case RunReadWrite:
-				t.ReadWrite[p] = v
-			}
+	return 100 * float64(n) / float64(d)
+}
+
+// Tabulate builds Table 3.
+func (t *RunTables) Tabulate() RunTable {
+	total := sum(t.kinds[0][:]) + sum(t.kinds[1][:]) + sum(t.kinds[2][:])
+	tab := RunTable{TotalRuns: int(total)}
+	kindPct := []*float64{&tab.ReadPct, &tab.WritePct, &tab.ReadWritePct}
+	for k, split := range []*[3]float64{&tab.Read, &tab.Write, &tab.ReadWrite} {
+		n := sum(t.kinds[k][:])
+		*kindPct[k] = pct(n, total)
+		for p := range split {
+			split[p] = pct(t.kinds[k][p], n)
 		}
 	}
-	return t
+	return tab
 }
 
 // SizeProfilePoint is one file-size bucket of Figure 2.
@@ -946,41 +1027,23 @@ type SizeProfilePoint struct {
 // SizeProfile builds Figure 2: the cumulative percentage of bytes
 // accessed, by the size of the file and the pattern of the run moving
 // them.
-func SizeProfile(runs []Run) []SizeProfilePoint {
-	const minExp, maxExp = 10, 28 // 1 KB .. 256 MB
-	var total float64
-	var byPat [3][maxExp - minExp + 1]float64
-	var all [maxExp - minExp + 1]float64
-	for _, r := range runs {
-		if r.Bytes == 0 {
-			continue
-		}
-		e := minExp
-		for (uint64(1)<<uint(e)) < r.FileSize && e < maxExp {
-			e++
-		}
-		idx := e - minExp
-		all[idx] += float64(r.Bytes)
-		byPat[r.Pattern][idx] += float64(r.Bytes)
-		total += float64(r.Bytes)
-	}
+func (t *RunTables) SizeProfile() []SizeProfilePoint {
+	total := sum(t.bytes[0][:]) + sum(t.bytes[1][:]) + sum(t.bytes[2][:])
 	if total == 0 {
 		return nil
 	}
-	var out []SizeProfilePoint
-	var cumAll float64
-	var cumPat [3]float64
-	for i := 0; i <= maxExp-minExp; i++ {
-		cumAll += all[i]
-		for p := 0; p < 3; p++ {
-			cumPat[p] += byPat[p][i]
+	out := make([]SizeProfilePoint, 0, sizeBins)
+	var cum [3]uint64
+	for i := 0; i < sizeBins; i++ {
+		for p := range cum {
+			cum[p] += t.bytes[p][i]
 		}
 		out = append(out, SizeProfilePoint{
-			SizeCeil:      1 << uint(i+minExp),
-			TotalPct:      100 * cumAll / total,
-			EntirePct:     100 * cumPat[PatternEntire] / total,
-			SequentialPct: 100 * cumPat[PatternSequential] / total,
-			RandomPct:     100 * cumPat[PatternRandom] / total,
+			SizeCeil:      1 << uint(i+minSizeExp),
+			TotalPct:      pct(sum(cum[:]), total),
+			EntirePct:     pct(cum[PatternEntire], total),
+			SequentialPct: pct(cum[PatternSequential], total),
+			RandomPct:     pct(cum[PatternRandom], total),
 		})
 	}
 	return out
@@ -1000,66 +1063,31 @@ type SeqMetricPoint struct {
 }
 
 // SequentialityProfile builds Figure 5 from runs detected with
-// JumpBlocks=10 (Metric) — MetricK1 supplies the strict curves.
-func SequentialityProfile(runs []Run) []SeqMetricPoint {
-	const minExp, maxExp = 14, 26 // 16 KB .. 64 MB
-	nb := maxExp - minExp + 1
-	type acc struct {
-		k10, k1 float64
-		n       int
+// JumpBlocks=10, whose metric sums supply the k=10 curves; the strict
+// sums supply the k=1 ones.
+func (t *RunTables) SequentialityProfile() []SeqMetricPoint {
+	var totals, cum [3]uint64
+	for k := range t.binRuns {
+		totals[k] = sum(t.binRuns[k][:])
 	}
-	var readB, writeB [16]acc
-	var runCount, readCount, writeCount [16]int
-	var totalRuns, totalRead, totalWrite int
-	for _, r := range runs {
-		e := minExp
-		for (uint64(1)<<uint(e)) < r.Bytes && e < maxExp {
-			e++
+	mean := func(kind RunKind, m, i int) float64 {
+		if n := t.binRuns[kind][i]; n > 0 {
+			return float64(t.metrics[kind][m][i]) / fixedOne / float64(n)
 		}
-		i := e - minExp
-		runCount[i]++
-		totalRuns++
-		switch r.Kind {
-		case RunRead:
-			readB[i].k10 += r.Metric
-			readB[i].k1 += r.MetricK1
-			readB[i].n++
-			readCount[i]++
-			totalRead++
-		case RunWrite:
-			writeB[i].k10 += r.Metric
-			writeB[i].k1 += r.MetricK1
-			writeB[i].n++
-			writeCount[i]++
-			totalWrite++
-		}
+		return -1
 	}
-	var out []SeqMetricPoint
-	var cum, cumR, cumW int
-	for i := 0; i < nb; i++ {
-		p := SeqMetricPoint{BytesCeil: 1 << uint(i+minExp),
-			ReadK10: -1, ReadK1: -1, WriteK10: -1, WriteK1: -1}
-		if readB[i].n > 0 {
-			p.ReadK10 = readB[i].k10 / float64(readB[i].n)
-			p.ReadK1 = readB[i].k1 / float64(readB[i].n)
+	out := make([]SeqMetricPoint, 0, runBins)
+	for i := 0; i < runBins; i++ {
+		for k := range cum {
+			cum[k] += t.binRuns[k][i]
 		}
-		if writeB[i].n > 0 {
-			p.WriteK10 = writeB[i].k10 / float64(writeB[i].n)
-			p.WriteK1 = writeB[i].k1 / float64(writeB[i].n)
-		}
-		cum += runCount[i]
-		cumR += readCount[i]
-		cumW += writeCount[i]
-		if totalRuns > 0 {
-			p.CumRunsPct = 100 * float64(cum) / float64(totalRuns)
-		}
-		if totalRead > 0 {
-			p.CumReadRunsPct = 100 * float64(cumR) / float64(totalRead)
-		}
-		if totalWrite > 0 {
-			p.CumWriteRunsPct = 100 * float64(cumW) / float64(totalWrite)
-		}
-		out = append(out, p)
+		out = append(out, SeqMetricPoint{BytesCeil: 1 << uint(i+minRunExp),
+			ReadK10: mean(RunRead, 0, i), ReadK1: mean(RunRead, 1, i),
+			WriteK10: mean(RunWrite, 0, i), WriteK1: mean(RunWrite, 1, i),
+			CumRunsPct:      pct(sum(cum[:]), sum(totals[:])),
+			CumReadRunsPct:  pct(cum[RunRead], totals[RunRead]),
+			CumWriteRunsPct: pct(cum[RunWrite], totals[RunWrite]),
+		})
 	}
 	return out
 }

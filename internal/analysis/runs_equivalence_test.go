@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sort"
 	"testing"
 
 	"repro/internal/analysis"
@@ -44,17 +43,6 @@ func accessMap(ops []*core.Op) analysis.AccessMap {
 	return m
 }
 
-// sortedFiles lists a map's handles in spelling order, the order runs
-// are reported in.
-func sortedFiles(m analysis.AccessMap) []core.FH {
-	fhs := make([]core.FH, 0, len(m))
-	for fh := range m {
-		fhs = append(fhs, fh)
-	}
-	sort.Slice(fhs, func(i, j int) bool { return fhs[i].String() < fhs[j].String() })
-	return fhs
-}
-
 func addAll[R interface{ Add(*core.Op) }](r R, ops []*core.Op) R {
 	for _, op := range ops {
 		r.Add(op)
@@ -90,10 +78,10 @@ func TestSortWindowMatchesOracleOnTraces(t *testing.T) {
 	}
 }
 
-// TestFanOutMatchesSerial: the run list and the reorder sweep of the
+// TestFanOutMatchesSerial: the run tables and the reorder sweep of the
 // streaming reducers equal a serial loop of the whole-list oracle over
-// the files in spelling order — run by run and point by point — at
-// GOMAXPROCS 1 and 4.
+// the files — count by count and point by point — at GOMAXPROCS 1 and
+// 4.
 func TestFanOutMatchesSerial(t *testing.T) {
 	windows := []float64{0, 1, 2, 5, 10, 20, 50}
 	for name, ops := range traceStreams(t) {
@@ -101,17 +89,16 @@ func TestFanOutMatchesSerial(t *testing.T) {
 		for _, cfg := range []analysis.RunConfig{analysis.DefaultRunConfig(10), {IdleGap: 30, JumpBlocks: 1}} {
 			// Serial reference: sort a copy of each file with the oracle
 			// (a zero window means no sorting), then split it alone.
-			var want []analysis.Run
-			for _, fh := range sortedFiles(m) {
-				accs := append([]analysis.Access(nil), m[fh]...)
+			var runs []analysis.OracleRun
+			for fh, file := range m {
+				accs := append([]analysis.Access(nil), file...)
 				if cfg.ReorderWindow > 0 {
 					analysis.SortWindowOracle(accs, cfg.ReorderWindow)
 				}
 				single := analysis.RunConfig{IdleGap: cfg.IdleGap, JumpBlocks: cfg.JumpBlocks}
-				for _, r := range analysis.DetectRunsInFiles(map[core.FH][]analysis.Access{fh: accs}, single) {
-					want = append(want, r.Run)
-				}
+				runs = append(runs, analysis.DetectRunsInFiles(map[core.FH][]analysis.Access{fh: accs}, single)...)
 			}
+			want := analysis.OracleTables(runs)
 			total := 0
 			for _, accs := range m {
 				total += len(accs)
@@ -128,14 +115,8 @@ func TestFanOutMatchesSerial(t *testing.T) {
 			for _, procs := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/window=%v/procs=%d", name, cfg.ReorderWindow, procs), func(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					got := addAll(analysis.NewRunDetector(cfg), ops).Runs()
-					if len(got) != len(want) {
-						t.Fatalf("%d runs, serial %d", len(got), len(want))
-					}
-					for i := range got {
-						if !reflect.DeepEqual(got[i], want[i]) {
-							t.Fatalf("run %d differs:\n got %+v\nwant %+v", i, got[i], want[i])
-						}
+					if got := addAll(analysis.NewRunDetector(cfg), ops).Tables(); got != want {
+						t.Fatalf("tables differ:\n got %+v\nwant %+v", got, want)
 					}
 					for i, p := range addAll(analysis.NewReorderSweeper(windows), ops).Points() {
 						if p != wantPts[i] {
@@ -179,7 +160,7 @@ func TestForkedFinishSurvivesLaterAdds(t *testing.T) {
 		if render() != published {
 			t.Fatalf("window %vms: ingest after the forked finish changed the published result", window)
 		}
-		if len(runs.Result) <= len(snap.Analyzers[0].(*pipeline.RunsAnalyzer).Result) {
+		if runs.Table().TotalRuns <= snap.Analyzers[0].(*pipeline.RunsAnalyzer).Table().TotalRuns {
 			t.Fatalf("window %vms: the live engine saw no more runs after the fork", window)
 		}
 	}

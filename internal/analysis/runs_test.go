@@ -42,22 +42,27 @@ func seqReadOps(fh string, size uint64, t0 float64) []*core.Op {
 	return ops
 }
 
+// detect returns the run tables of a detector fed ops under cfg.
+func detect(cfg RunConfig, ops []*core.Op) RunTables {
+	return addAll(NewRunDetector(cfg), ops).Tables()
+}
+
+// sameTables requires got to be the tables of exactly the runs want.
+func sameTables(t *testing.T, got RunTables, want ...run) {
+	t.Helper()
+	var w RunTables
+	for _, r := range want {
+		w.add(r)
+	}
+	if got != w {
+		t.Fatalf("tables\n got %+v\nwant %+v (runs %+v)", got, w, want)
+	}
+}
+
 func TestDetectRunsEntireRead(t *testing.T) {
 	ops := seqReadOps("f1", 64*1024, 1.0)
-	runs := addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
-	if len(runs) != 1 {
-		t.Fatalf("%d runs", len(runs))
-	}
-	r := runs[0]
-	if r.Kind != RunRead || r.Pattern != PatternEntire {
-		t.Fatalf("run: kind=%v pattern=%v", r.Kind, r.Pattern)
-	}
-	if r.Bytes != 64*1024 {
-		t.Fatalf("bytes %d", r.Bytes)
-	}
-	if r.Metric != 1 || r.MetricK1 != 1 {
-		t.Fatalf("metric %v/%v", r.Metric, r.MetricK1)
-	}
+	sameTables(t, detect(DefaultRunConfig(10), ops),
+		run{kind: RunRead, pattern: PatternEntire, bytes: 64 * 1024, fileSize: 64 * 1024, metric: 1, metricK1: 1})
 }
 
 func TestDetectRunsSequentialPartial(t *testing.T) {
@@ -67,25 +72,20 @@ func TestDetectRunsSequentialPartial(t *testing.T) {
 		ops = append(ops, mkOp(1.0+float64(i)*0.001, "f", false,
 			8192*uint64(i+2), 8192, 1<<20, false))
 	}
-	runs := addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
-	if len(runs) != 1 || runs[0].Pattern != PatternSequential {
-		t.Fatalf("runs: %+v", runs)
-	}
+	sameTables(t, detect(DefaultRunConfig(10), ops),
+		run{kind: RunRead, pattern: PatternSequential, bytes: 5 * 8192, fileSize: 1 << 20, metric: 1, metricK1: 1})
 }
 
 func TestDetectRunsRandom(t *testing.T) {
+	// The window sorts the offsets to blocks 0, 3, 11, 40, 90: two of
+	// the four steps jump under k=10 blocks, none by zero.
 	offsets := []uint64{0, 40 * 8192, 3 * 8192, 90 * 8192, 11 * 8192}
 	var ops []*core.Op
 	for i, off := range offsets {
 		ops = append(ops, mkOp(1.0+float64(i)*0.001, "f", false, off, 8192, 1<<20, false))
 	}
-	runs := addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
-	if len(runs) != 1 || runs[0].Pattern != PatternRandom {
-		t.Fatalf("runs: %+v", runs)
-	}
-	if runs[0].Metric > 0.6 {
-		t.Fatalf("metric %v for random run", runs[0].Metric)
-	}
+	sameTables(t, detect(DefaultRunConfig(10), ops),
+		run{kind: RunRead, pattern: PatternRandom, bytes: 5 * 8192, fileSize: 1 << 20, metric: 0.5, metricK1: 0})
 }
 
 func TestSmallForwardJumpStaysSequential(t *testing.T) {
@@ -97,22 +97,17 @@ func TestSmallForwardJumpStaysSequential(t *testing.T) {
 		mkOp(1.002, "f", false, 16384, 7168, 1<<20, false),
 		mkOp(1.003, "f", false, 24576, 8192, 1<<20, false),
 	}
-	runs := addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
-	if len(runs) != 1 || runs[0].Pattern != PatternSequential {
-		t.Fatalf("runs: %+v", runs)
-	}
-	// A 5-block forward jump is fine with k=10 but not with k=1.
+	sameTables(t, detect(DefaultRunConfig(10), ops),
+		run{kind: RunRead, pattern: PatternSequential, bytes: 31744, fileSize: 1 << 20, metric: 1, metricK1: 1})
+	// A 5-block forward jump is fine with k=10 but not with k=1; it
+	// counts towards the k=10 metric only.
 	ops = append(ops, mkOp(1.004, "f", false, 8192*9, 8192, 1<<20, false))
-	runs = addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
-	if runs[0].Pattern != PatternSequential {
-		t.Fatalf("k=10 jump broke the run: %+v", runs[0])
-	}
+	sameTables(t, detect(DefaultRunConfig(10), ops),
+		run{kind: RunRead, pattern: PatternSequential, bytes: 39936, fileSize: 1 << 20, metric: 1, metricK1: 0.75})
 	cfg := DefaultRunConfig(10)
 	cfg.JumpBlocks = 1
-	runs = addAll(NewRunDetector(cfg), ops).Runs()
-	if runs[0].Pattern != PatternRandom {
-		t.Fatalf("k=1 did not break the run: %+v", runs[0])
-	}
+	sameTables(t, detect(cfg, ops),
+		run{kind: RunRead, pattern: PatternRandom, bytes: 39936, fileSize: 1 << 20, metric: 0.75, metricK1: 0.75})
 }
 
 func TestBackwardSeekBreaksSequential(t *testing.T) {
@@ -121,14 +116,10 @@ func TestBackwardSeekBreaksSequential(t *testing.T) {
 		mkOp(1.001, "f", false, 16384, 8192, 1<<20, false),
 		mkOp(1.002, "f", false, 0, 8192, 1<<20, false), // back
 	}
-	runs := addAll(NewRunDetector(RunConfig{IdleGap: 30, JumpBlocks: 10}), ops).Runs()
-	if len(runs) != 1 || runs[0].Pattern != PatternRandom {
-		t.Fatalf("runs: %+v", runs)
-	}
-	// But the small back-jump still counts toward the k-metric.
-	if runs[0].Metric < 0.99 {
-		t.Fatalf("metric %v; small back jump should be k-consecutive", runs[0].Metric)
-	}
+	// The back-jump makes the run random, but as a small jump it still
+	// counts toward the k-metric.
+	sameTables(t, detect(RunConfig{IdleGap: 30, JumpBlocks: 10}, ops),
+		run{kind: RunRead, pattern: PatternRandom, bytes: 3 * 8192, fileSize: 1 << 20, metric: 1, metricK1: 0.5})
 }
 
 func TestRunBreaksOnEOFAndIdle(t *testing.T) {
@@ -138,32 +129,19 @@ func TestRunBreaksOnEOFAndIdle(t *testing.T) {
 	// Idle gap: third run starts 100s later without EOF before it.
 	ops = append(ops, mkOp(100.0, "f", false, 0, 8192, 16384, false))
 	ops = append(ops, mkOp(200.0, "f", false, 8192, 8192, 16384, false))
-	runs := addAll(NewRunDetector(DefaultRunConfig(0)), ops).Runs()
-	if len(runs) != 4 {
-		t.Fatalf("%d runs, want 4 (two EOF-terminated, two idle-split)", len(runs))
-	}
+	// Two EOF-terminated runs, two idle-split singletons.
+	whole := run{kind: RunRead, pattern: PatternEntire, bytes: 16384, fileSize: 16384, metric: 1, metricK1: 1}
+	half := run{kind: RunRead, pattern: PatternSequential, bytes: 8192, fileSize: 16384, metric: 1, metricK1: 1}
+	sameTables(t, detect(DefaultRunConfig(0), ops), whole, whole, half, half)
 }
 
 func TestSingletonClassification(t *testing.T) {
 	// Partial singleton → sequential; whole-file singleton → entire.
 	part := []*core.Op{mkOp(1, "a", true, 8192, 8192, 1<<20, false)}
 	whole := []*core.Op{mkOp(1, "b", false, 0, 4096, 4096, true)}
-	runs := addAll(NewRunDetector(DefaultRunConfig(10)), append(part, whole...)).Runs()
-	if len(runs) != 2 {
-		t.Fatalf("%d runs", len(runs))
-	}
-	for _, r := range runs {
-		switch r.FH.String() {
-		case "a":
-			if r.Pattern != PatternSequential || r.Kind != RunWrite {
-				t.Fatalf("partial singleton: %+v", r)
-			}
-		case "b":
-			if r.Pattern != PatternEntire || r.Kind != RunRead {
-				t.Fatalf("whole singleton: %+v", r)
-			}
-		}
-	}
+	sameTables(t, detect(DefaultRunConfig(10), append(part, whole...)),
+		run{kind: RunWrite, pattern: PatternSequential, bytes: 8192, fileSize: 1 << 20, metric: 1, metricK1: 1},
+		run{kind: RunRead, pattern: PatternEntire, bytes: 4096, fileSize: 4096, metric: 1, metricK1: 1})
 }
 
 func TestReadWriteRun(t *testing.T) {
@@ -171,10 +149,8 @@ func TestReadWriteRun(t *testing.T) {
 		mkOp(1.0, "f", false, 0, 8192, 1<<20, false),
 		mkOp(1.1, "f", true, 8192, 8192, 1<<20, false),
 	}
-	runs := addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs()
-	if len(runs) != 1 || runs[0].Kind != RunReadWrite {
-		t.Fatalf("runs: %+v", runs)
-	}
+	sameTables(t, detect(DefaultRunConfig(10), ops),
+		run{kind: RunReadWrite, pattern: PatternSequential, bytes: 16384, fileSize: 1 << 20, metric: 1, metricK1: 1})
 }
 
 func TestSortWindowRepairsReordering(t *testing.T) {
@@ -185,32 +161,26 @@ func TestSortWindowRepairsReordering(t *testing.T) {
 		mkOp(1.0015, "f", false, 8192, 8192, 1<<20, false),
 		mkOp(1.003, "f", false, 24576, 8192, 1<<20, false),
 	}
-	// Without sorting: random.
-	raw := addAll(NewRunDetector(RunConfig{IdleGap: 30, JumpBlocks: 1}), ops).Runs()
-	if raw[0].Pattern != PatternRandom {
-		t.Fatalf("raw: %+v", raw[0])
-	}
+	// Without sorting: random, every step a one-block jump.
+	sameTables(t, detect(RunConfig{IdleGap: 30, JumpBlocks: 1}, ops),
+		run{kind: RunRead, pattern: PatternRandom, bytes: 4 * 8192, fileSize: 1 << 20, metric: 0, metricK1: 0})
 	// With a 5ms window: sequential again.
-	sorted := addAll(NewRunDetector(RunConfig{ReorderWindow: 0.005, IdleGap: 30, JumpBlocks: 1}), ops).Runs()
-	if sorted[0].Pattern != PatternEntire && sorted[0].Pattern != PatternSequential {
-		t.Fatalf("sorted: %+v", sorted[0])
-	}
+	sameTables(t, detect(RunConfig{ReorderWindow: 0.005, IdleGap: 30, JumpBlocks: 1}, ops),
+		run{kind: RunRead, pattern: PatternSequential, bytes: 4 * 8192, fileSize: 1 << 20, metric: 1, metricK1: 1})
 }
 
 func TestSortWindowDoesNotMaskTrueRandomness(t *testing.T) {
 	// Random accesses spaced 1s apart: a 10ms window must not "fix"
-	// them.
+	// them. They make one run, of 50 blocks.
 	rng := rand.New(rand.NewSource(2))
 	var ops []*core.Op
 	for i := 0; i < 50; i++ {
 		ops = append(ops, mkOp(float64(i), "f", false,
 			uint64(rng.Intn(1000))*8192, 8192, 100<<20, false))
 	}
-	runs := addAll(NewRunDetector(RunConfig{ReorderWindow: 0.010, IdleGap: 30, JumpBlocks: 10}), ops).Runs()
-	for _, r := range runs {
-		if r.Bytes > 3*8192 && r.Pattern != PatternRandom {
-			t.Fatalf("random stream classified %v", r.Pattern)
-		}
+	tabs := detect(RunConfig{ReorderWindow: 0.010, IdleGap: 30, JumpBlocks: 10}, ops)
+	if tabs.kinds != [3][3]uint64{RunRead: {PatternRandom: 1}} || tabs.binRuns[RunRead][bin(50*8192, minRunExp, runBins)] != 1 {
+		t.Fatalf("random stream classified %+v", tabs)
 	}
 }
 
@@ -254,7 +224,8 @@ func TestTabulate(t *testing.T) {
 	ops = append(ops, seqReadOps("r1", 32768, 1)...)
 	ops = append(ops, seqReadOps("r2", 32768, 2)...)
 	ops = append(ops, mkOp(3, "w1", true, 0, 8192, 8192, false))
-	tab := Tabulate(addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs())
+	tabs := detect(DefaultRunConfig(10), ops)
+	tab := tabs.Tabulate()
 	if tab.TotalRuns != 3 {
 		t.Fatalf("runs %d", tab.TotalRuns)
 	}
@@ -271,7 +242,8 @@ func TestSizeProfile(t *testing.T) {
 	// 10 KB of bytes from a small file, 4 MB from a big one.
 	ops = append(ops, mkOp(1, "small", false, 0, 10240, 10240, true))
 	ops = append(ops, seqReadOps("big", 4<<20, 2)...)
-	pts := SizeProfile(addAll(NewRunDetector(DefaultRunConfig(10)), ops).Runs())
+	tabs := detect(DefaultRunConfig(10), ops)
+	pts := tabs.SizeProfile()
 	if len(pts) == 0 {
 		t.Fatal("no profile")
 	}
@@ -311,8 +283,8 @@ func TestSequentialityProfile(t *testing.T) {
 			off += 8192
 		}
 	}
-	runs := addAll(NewRunDetector(RunConfig{IdleGap: 30, JumpBlocks: 10}), ops).Runs()
-	pts := SequentialityProfile(runs)
+	tabs := detect(RunConfig{IdleGap: 30, JumpBlocks: 10}, ops)
+	pts := tabs.SequentialityProfile()
 	var readAt4M, writeAt4M float64 = -1, -1
 	for _, p := range pts {
 		if p.BytesCeil == 4<<20 {

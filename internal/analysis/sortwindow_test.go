@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -173,22 +172,12 @@ func cloneFiles(m AccessMap) AccessMap {
 	return out
 }
 
-// runsOf drops the oracle's accesses.
-func runsOf(o []OracleRun) []Run {
-	var runs []Run
-	for _, r := range o {
-		runs = append(runs, r.Run)
-	}
-	return runs
-}
-
 // TestRunAccessesAreCappedViews: the oracle's runs share backing arrays
 // with each other (and, without a reorder window, with the file's
 // list), so each is capped at its length — appending to one run
 // reallocates instead of overwriting the next — and the oracle never
-// writes the lists it is given. The streaming detector finds the same
-// runs; finishing it leaves its state as it was, and an Add after the
-// finish leaves the published runs alone.
+// writes the lists it is given. The streaming detector's tables are
+// those of the same runs, and finishing it leaves its state as it was.
 func TestRunAccessesAreCappedViews(t *testing.T) {
 	for _, window := range []float64{0, 0.010} {
 		cfg := RunConfig{ReorderWindow: window, IdleGap: 30, JumpBlocks: 10}
@@ -206,18 +195,11 @@ func TestRunAccessesAreCappedViews(t *testing.T) {
 
 		r := addAll(NewRunDetector(cfg), ops)
 		held := encodeState(t, r)
-		runs := r.Runs()
-		if !reflect.DeepEqual(runs, runsOf(oracle)) {
-			t.Fatalf("window %v: streaming runs differ from the oracle's:\n got %+v\nwant %+v", window, runs, runsOf(oracle))
+		if got, want := r.Tables(), OracleTables(oracle); got != want {
+			t.Fatalf("window %v: streaming tables differ from the oracle's:\n got %+v\nwant %+v", window, got, want)
 		}
 		if !bytes.Equal(encodeState(t, r), held) {
 			t.Fatalf("window %v: finishing changed the detector's state", window)
-		}
-		published := slices.Clone(runs)
-		r.Add(mkOp(1, "alias-a", false, 0, BlockSize, 1<<20, false))
-		r.Add(mkOp(1, "alias-b", false, 0, BlockSize, 1<<20, false))
-		if !reflect.DeepEqual(runs, published) {
-			t.Fatalf("window %v: Add after the finish changed a published run", window)
 		}
 
 		for i := 0; i+1 < len(oracle); i++ {
@@ -230,17 +212,17 @@ func TestRunAccessesAreCappedViews(t *testing.T) {
 	}
 }
 
-// TestSplitRunsEmpty: a file with no accesses has no runs, and neither
-// has a detector that saw none.
+// TestSplitRunsEmpty: a file with no accesses has no runs, and a
+// detector that saw none has empty tables.
 func TestSplitRunsEmpty(t *testing.T) {
-	if runs := splitRuns(nil, core.InternFH("empty"), nil, DefaultRunConfig(10)); runs != nil {
+	if runs := splitRuns(nil, nil, DefaultRunConfig(10)); runs != nil {
 		t.Fatalf("runs of no accesses: %v", runs)
 	}
 	if runs := DetectRunsInFiles(map[core.FH][]Access{}, DefaultRunConfig(10)); runs != nil {
 		t.Fatalf("runs of no files: %v", runs)
 	}
 	meta := &core.Op{T: 1, Replied: true, Proc: core.MustProc("getattr"), FH: core.InternFH("empty")}
-	if runs := addAll(NewRunDetector(DefaultRunConfig(10)), []*core.Op{meta}).Runs(); runs != nil {
-		t.Fatalf("runs of a detector that saw no data access: %v", runs)
+	if tabs := detect(DefaultRunConfig(10), []*core.Op{meta}); tabs != (RunTables{}) {
+		t.Fatalf("tables of a detector that saw no data access: %+v", tabs)
 	}
 }

@@ -174,7 +174,9 @@ func (p *window) state(c *state.Codec) {
 	}
 }
 
-// state codes a run's running values.
+// state codes a run's running values and what it keeps of its first
+// and last accesses. A run's counts must be ones its accesses can give:
+// the tables it folds into hold metrics between 0 and 1.
 func (r *openRun) state(c *state.Codec) {
 	c.Varint(&r.n)
 	c.Varint(&r.reads)
@@ -183,12 +185,47 @@ func (r *openRun) state(c *state.Codec) {
 	c.Varint(&r.seqK)
 	c.Varint(&r.seqK1)
 	c.Bool(&r.random)
-	accessState(c, &r.first)
-	accessState(c, &r.last)
+	c.F64(&r.first.T)
+	c.Uvarint(&r.first.Offset)
+	c.F64(&r.last.T)
+	c.Uvarint(&r.last.Offset)
+	state.Below(c, &r.last.Count, math.MaxUint32+1, "access byte count")
+	c.Bool(&r.last.EOF)
+	if r.reads < 0 || r.reads > r.n || r.seqK1 < 0 || r.seqK1 > r.seqK || r.seqK > max(r.n-1, 0) {
+		c.Failf("run of %d accesses with %d reads and %d, %d sequential steps", r.n, r.reads, r.seqK, r.seqK1)
+	}
+}
+
+// state codes the tables. Every run count is below 2^32, a kind's
+// Table 3 count is the sum of its Figure 5 bins, and a bin's metric sum
+// is at most one per run in it.
+func (t *RunTables) state(c *state.Codec) {
+	for i, row := range t.rows() {
+		for j := range row {
+			if c.Uvarint(&row[j]); i < 6 && row[j] >= fixedOne {
+				c.Failf("run count %d out of range", row[j])
+			}
+		}
+	}
+	for k := range t.kinds {
+		if sum(t.kinds[k][:]) != sum(t.binRuns[k][:]) {
+			c.Failf("%d runs of kind %d in Table 3, %d in Figure 5", sum(t.kinds[k][:]), k, sum(t.binRuns[k][:]))
+		}
+	}
+	for k := range t.metrics {
+		for _, sums := range t.metrics[k] {
+			for i, m := range sums {
+				if m > t.binRuns[k][i]*fixedOne {
+					c.Failf("metric sum %d over %d runs", m, t.binRuns[k][i])
+				}
+			}
+		}
+	}
 }
 
 // filesState codes each file's head and, from the cut on, its access
-// count, pending windows and runs.
+// count, pending windows and, when detecting runs, its first and open
+// runs.
 func (s *streams) filesState(c *state.Codec) {
 	state.Map(c, &s.files, "file count", state.CompareFH, func(fh *core.FH, p **fileState) {
 		c.FH(fh)
@@ -206,15 +243,17 @@ func (s *streams) filesState(c *state.Codec) {
 		for i, wins := 0, f.windows(s); i < len(wins); i++ {
 			wins[i].state(c)
 		}
-		runs := f.runList()
-		state.Slice(c, &runs.closed, "run count", func(r *openRun) { r.state(c) })
-		runs.open.state(c)
+		if s.detect {
+			runs := f.runList()
+			runs.first.state(c)
+			runs.open.state(c)
+		}
 	})
 }
 
-// State codes the run-detection configuration and the files' state. A
-// partial is only meaningful under the configuration it was built
-// with.
+// State codes the run-detection configuration, the files' state and
+// the tables. A partial is only meaningful under the configuration it
+// was built with.
 func (d *RunDetector) State(c *state.Codec) {
 	cfg := d.cfg
 	c.F64(&cfg.ReorderWindow)
@@ -226,6 +265,7 @@ func (d *RunDetector) State(c *state.Codec) {
 		return
 	}
 	d.filesState(c)
+	d.tables.state(c)
 }
 
 // State codes the window list, which must match the receiver's, and

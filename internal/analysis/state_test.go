@@ -263,6 +263,52 @@ func TestStateDecodeValidation(t *testing.T) {
 			decodeWantErr(t, blob, NewNamesStream().State, "out of range")
 		})
 	}
+	// A run table is coded entry by entry; tablesBlob writes one without
+	// the checks an encoding codec makes.
+	tablesBlob := func(t *testing.T, tabs *RunTables) []byte {
+		return encodeSection(t, func(e *state.Encoder) {
+			for _, row := range tabs.rows() {
+				for _, n := range row {
+					e.Uvarint(n)
+				}
+			}
+		})
+	}
+	decodeTables := func(c *state.Codec) { new(RunTables).state(c) }
+	for name, c := range map[string]struct {
+		tabs RunTables
+		want string
+	}{
+		"runs-table3-figure5-mismatch": {RunTables{kinds: [3][3]uint64{RunRead: {PatternEntire: 2}}, binRuns: [3][runBins]uint64{RunRead: {1}}}, "in Table 3"},
+		"runs-metric-sum-over-count": {RunTables{
+			kinds:   [3][3]uint64{RunWrite: {PatternRandom: 1}},
+			binRuns: [3][runBins]uint64{RunWrite: {3: 1}},
+			metrics: [2][2][runBins]uint64{RunWrite: {{3: fixedOne + 1}}},
+		}, "metric sum"},
+		"runs-count-overflow": {RunTables{kinds: [3][3]uint64{RunRead: {fixedOne, 0, 0}}, binRuns: [3][runBins]uint64{RunRead: {fixedOne}}}, "out of range"},
+	} {
+		c := c
+		t.Run(name, func(t *testing.T) { decodeWantErr(t, tablesBlob(t, &c.tabs), decodeTables, c.want) })
+	}
+	t.Run("runs-open-run-counts", func(t *testing.T) {
+		r := openRun{n: 2, reads: 1, seqK: 2, seqK1: 1}
+		blob := encodeSection(t, func(e *state.Encoder) {
+			e.Varint(r.n)
+			e.Varint(r.reads)
+			e.Uvarint(0)
+			e.Uvarint(0)
+			e.Varint(r.seqK)
+			e.Varint(r.seqK1)
+			e.Bool(false)
+			e.F64(0)
+			e.Uvarint(0)
+			e.F64(0)
+			e.Uvarint(0)
+			e.Uvarint(0)
+			e.Bool(false)
+		})
+		decodeWantErr(t, blob, func(c *state.Codec) { new(openRun).state(c) }, "sequential steps")
+	})
 	t.Run("access-count-overflow", func(t *testing.T) {
 		blob := encodeSection(t, func(e *state.Encoder) {
 			runConfig(e)
@@ -419,6 +465,15 @@ func FuzzReducerState(f *testing.F) {
 		f.Add(append([]byte{byte(i)}, seedPayload(f, fed(mk()))...))
 		f.Add(append([]byte{byte(i)}, seedPayload(f, mk())...))
 	}
+	// A runs state with tables that hold a run: f1's third run closes
+	// its second, past its first, once a fourth leaves the window.
+	runs := fed(reducerKinds[2]().(*RunDetector))
+	runs.Add(mkOp(7300, "f1", false, 0, 4096, 4096, false))
+	runs.Add(mkOp(7400, "f1", true, 0, 4096, 4096, false))
+	if runs.tables == (RunTables{}) {
+		f.Fatal("the seed's run tables are empty")
+	}
+	f.Add(append([]byte{2}, seedPayload(f, runs)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

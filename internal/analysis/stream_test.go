@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -34,24 +35,12 @@ func timeOrdered(ops []*core.Op) bool {
 	return true
 }
 
-// sameRuns requires runs to equal the oracle's run for run, and the
-// Table 3 and Figure 2 and 5 projections of both to be equal bit for
-// bit (%v prints a float's shortest exact spelling).
-func sameRuns(t *testing.T, what string, runs []Run, oracle []OracleRun) {
+// matchesOracle requires tables to equal those of the oracle's runs
+// folded through the detector's fold: every count and sum exactly.
+func matchesOracle(t *testing.T, what string, tables RunTables, oracle []OracleRun) {
 	t.Helper()
-	want := runsOf(oracle)
-	for _, c := range []struct {
-		name      string
-		got, want any
-	}{
-		{"runs", runs, want},
-		{"Tabulate", Tabulate(runs), Tabulate(want)},
-		{"SizeProfile", SizeProfile(runs), SizeProfile(want)},
-		{"SequentialityProfile", SequentialityProfile(runs), SequentialityProfile(want)},
-	} {
-		if g, w := fmt.Sprintf("%+v", c.got), fmt.Sprintf("%+v", c.want); g != w {
-			t.Fatalf("%s: %s differs from the oracle's:\n got %s\nwant %s", what, c.name, g, w)
-		}
+	if want := OracleTables(oracle); tables != want {
+		t.Fatalf("%s: tables differ from the oracle's:\n got %+v\nwant %+v", what, tables, want)
 	}
 }
 
@@ -61,10 +50,12 @@ func sameRuns(t *testing.T, what string, runs []Run, oracle []OracleRun) {
 var fuzzWindowsMS = []float64{0, 5, 10, 50}
 
 // FuzzRunsStreamOracle drives one access sequence through the streaming
-// RunDetector and ReorderSweeper, in one pass and split in two merged
-// partials, and through the whole-list oracle. The runs, Table 3, both
-// profiles and the sweep points must be equal. A merge may refuse a
-// split only where the stream is not time-ordered.
+// RunDetector and ReorderSweeper, in one pass, split in two merged
+// partials and split in three merged as (a+b)+c and as a+(b+c), and
+// through the whole-list oracle. The run tables must equal the oracle's
+// exactly, the two groupings must write the same state, and the sweep
+// points must be equal. A merge may refuse a split only where the
+// stream is not time-ordered.
 func FuzzRunsStreamOracle(f *testing.F) {
 	ramp := func(n int, c byte) []byte {
 		b := make([]byte, 0, 2*n)
@@ -73,22 +64,23 @@ func FuzzRunsStreamOracle(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(ramp(40, 0x61), uint8(1), uint16(20))   // 5 ms window, steps of 0.1 ms
-	f.Add(ramp(40, 0x30), uint8(2), uint16(7))    // equal timestamps
-	f.Add(ramp(40, 0x41), uint8(3), uint16(13))   // T stepping backwards
-	f.Add(ramp(300, 0x6f), uint8(8), uint16(150)) // 1.5 ms steps, 1 ms idle gap
-	f.Add(append(ramp(17, 0x61), 0x00, 0x04, 0x10, 0x08, 0x20, 0x0c, 0x61, 0x00), uint8(13), uint16(18))
-	f.Add(append(append(ramp(20, 0x62), ramp(20, 0x10)...), ramp(20, 0x63)...), uint8(2), uint16(30))
+	f.Add(ramp(40, 0x61), uint8(1), uint16(20), uint16(9))    // 5 ms window, steps of 0.1 ms
+	f.Add(ramp(40, 0x30), uint8(2), uint16(7), uint16(20))    // equal timestamps
+	f.Add(ramp(40, 0x41), uint8(3), uint16(13), uint16(5))    // T stepping backwards
+	f.Add(ramp(300, 0x6f), uint8(8), uint16(150), uint16(77)) // 1.5 ms steps, 1 ms idle gap
+	f.Add(append(ramp(17, 0x61), 0x00, 0x04, 0x10, 0x08, 0x20, 0x0c, 0x61, 0x00), uint8(13), uint16(18), uint16(3))
+	f.Add(append(append(ramp(20, 0x62), ramp(20, 0x10)...), ramp(20, 0x63)...), uint8(2), uint16(30), uint16(15))
 	// Under an infinite window a finite T keeps its window open past
 	// +Inf: the third access is not the cut.
-	f.Add([]byte{0x61, 0x08, 0x10, 0x04, 0x61, 0x00, 0x10, 0x00}, uint8(4), uint16(2))
-	f.Fuzz(func(t *testing.T, data []byte, sel uint8, cut uint16) {
+	f.Add([]byte{0x61, 0x08, 0x10, 0x04, 0x61, 0x00, 0x10, 0x00}, uint8(4), uint16(2), uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, sel uint8, cut, cut2 uint16) {
 		if len(data) > 1200 {
 			data = data[:1200]
 		}
 		ops := fuzzOps(data)
 		files := addAll(make(AccessMap), ops)
 		k := int(cut) % (len(ops) + 1)
+		k2 := k + int(cut2)%(len(ops)-k+1)
 		ordered := timeOrdered(ops)
 
 		cfg := RunConfig{
@@ -97,16 +89,42 @@ func FuzzRunsStreamOracle(f *testing.F) {
 			JumpBlocks:    []int64{10, 1}[sel/10%2],
 		}
 		oracle := DetectRunsInFiles(files, cfg)
-		sameRuns(t, "one pass", addAll(NewRunDetector(cfg), ops).Runs(), oracle)
-		runs := NewRunDetector(cfg)
-		runs.Merge(addAll(NewRunDetector(cfg), ops[:k]), Filter{})
-		runs.Merge(addAll(NewRunDetector(cfg), ops[k:]), Filter{})
-		if err := runs.Err(); err != nil {
-			if ordered {
-				t.Fatalf("split at %d of a time-ordered stream: %v", k, err)
+		matchesOracle(t, "one pass", addAll(NewRunDetector(cfg), ops).Tables(), oracle)
+		piece := func(ops []*core.Op) *RunDetector { return addAll(NewRunDetector(cfg), ops) }
+		// merge folds ds into a fresh detector, which keeps the first
+		// refusal among them and its own.
+		merge := func(ds ...*RunDetector) *RunDetector {
+			m := NewRunDetector(cfg)
+			for _, d := range ds {
+				m.Merge(d, Filter{})
+				if m.err == nil {
+					m.err = d.err
+				}
 			}
-		} else {
-			sameRuns(t, fmt.Sprintf("split at %d", k), runs.Runs(), oracle)
+			return m
+		}
+		a, b, c := ops[:k], ops[k:k2], ops[k2:]
+		halves := merge(piece(ops[:k]), piece(ops[k:]))
+		left := merge(merge(piece(a), piece(b)), piece(c))
+		right := merge(piece(a), merge(piece(b), piece(c)))
+		for _, m := range []struct {
+			what string
+			d    *RunDetector
+		}{
+			{fmt.Sprintf("split at %d", k), halves},
+			{fmt.Sprintf("(a+b)+c cut at %d and %d", k, k2), left},
+			{fmt.Sprintf("a+(b+c) cut at %d and %d", k, k2), right},
+		} {
+			if err := m.d.Err(); err != nil {
+				if ordered {
+					t.Fatalf("%s of a time-ordered stream: %v", m.what, err)
+				}
+			} else {
+				matchesOracle(t, m.what, m.d.Tables(), oracle)
+			}
+		}
+		if left.Err() == nil && right.Err() == nil && !bytes.Equal(encodeState(t, left), encodeState(t, right)) {
+			t.Fatalf("cut at %d and %d: (a+b)+c and a+(b+c) write different states", k, k2)
 		}
 
 		want := fmt.Sprintf("%+v", OracleSweep(files, fuzzWindowsMS))

@@ -176,13 +176,13 @@ func (a *HourlyAnalyzer) adapter() adapter {
 		func() Analyzer { return &HourlyAnalyzer{} })
 }
 
-// RunsAnalyzer detects access runs (Table 3, Figures 2 and 5). Runs
-// never span files, so each shard detects the runs of the files it
-// owns.
+// RunsAnalyzer detects access runs and tabulates them (Table 3, Figures
+// 2 and 5). Runs never span files, so each shard detects the runs of
+// the files it owns; the shards' tables add up.
 type RunsAnalyzer struct {
 	Config analysis.RunConfig
 	// Result is valid after the run.
-	Result []analysis.Run
+	Result analysis.RunTables
 
 	sh *sharded[*analysis.RunDetector]
 }
@@ -190,12 +190,12 @@ type RunsAnalyzer struct {
 func (a *RunsAnalyzer) adapter() adapter {
 	return bind(&a.sh, "runs", false,
 		func() *analysis.RunDetector { return analysis.NewRunDetector(a.Config) },
-		func(r *analysis.RunDetector) { a.Result = r.Runs() },
+		func(r *analysis.RunDetector) { a.Result = r.Tables() },
 		func() Analyzer { return &RunsAnalyzer{Config: a.Config} })
 }
 
-// Table reports Tabulate over the detected runs.
-func (a *RunsAnalyzer) Table() analysis.RunTable { return analysis.Tabulate(a.Result) }
+// Table reports Table 3 of the detected runs.
+func (a *RunsAnalyzer) Table() analysis.RunTable { return a.Result.Tabulate() }
 
 // BlockLifeAnalyzer runs the create-based block-lifetime analysis
 // (Table 4, Figure 3). Block state is per file, and the router delivers

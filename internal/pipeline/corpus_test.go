@@ -17,22 +17,22 @@ import (
 	"repro/internal/workload"
 )
 
-// The committed state corpus pins format version 3 in absolute terms:
+// The committed state corpus pins format version 4 in absolute terms:
 // one state per nfsanalyze -analysis kind over a fixed tiny CAMPUS
 // trace and the table each renders. The states of older versions, one
-// blocklife state of version 1 and the version 2 corpus, are states
-// this build must refuse. Rewrite the v3 files, after a deliberate
-// format change, with
+// blocklife state of version 1 and the version 2 and 3 corpora, are
+// states this build must refuse. Rewrite the v4 files, after a
+// deliberate format change, with
 //
 //	go test ./internal/pipeline -run TestStateCorpus -update
 //
 // The older files are history: nothing here writes them.
-var update = flag.Bool("update", false, "rewrite the state corpus in testdata/state/v3")
+var update = flag.Bool("update", false, "rewrite the state corpus in testdata/state/v4")
 
-const corpusDir = "testdata/state/v3"
+const corpusDir = "testdata/state/v4"
 
 // refusedDirs holds the states of older format versions, by version.
-var refusedDirs = map[uint16]string{1: "testdata/state/v1", 2: "testdata/state/v2"}
+var refusedDirs = map[uint16]string{1: "testdata/state/v1", 2: "testdata/state/v2", 3: "testdata/state/v3"}
 
 var corpusKinds = jobspec.Kinds()
 
@@ -43,7 +43,7 @@ func corpusRecords() []*core.Record {
 	return sink.Records
 }
 
-// writeCorpus rewrites every v3 state and its rendered golden.
+// writeCorpus rewrites every v4 state and its rendered golden.
 func writeCorpus(t *testing.T) {
 	if err := os.MkdirAll(corpusDir, 0o755); err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func render(t *testing.T, kind string, data []byte) []byte {
 	return out.Bytes()
 }
 
-// TestStateCorpus: every committed v3 state parses, resumes into a
+// TestStateCorpus: every committed v4 state parses, resumes into a
 // fresh Live at one and at three shards and writes back to the same
 // bytes, and renders its committed table; every older state is refused
 // with a *state.VersionError naming its version.

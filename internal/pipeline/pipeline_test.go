@@ -85,11 +85,12 @@ func TestShardMergeMatchesSequential(t *testing.T) {
 
 	wantSummary := addAll(analysis.NewSummary(days), ops)
 	wantHourly := addAll(analysis.NewHourlyOpen(), ops).FixedTo(span)
-	wantRaw := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.RunConfig{IdleGap: 30, JumpBlocks: 1}), ops).Runs())
-	wantProcRuns := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), ops).Runs()
-	wantProc := analysis.Tabulate(wantProcRuns)
-	wantSize := analysis.SizeProfile(wantProcRuns)
-	wantSeq := analysis.SequentialityProfile(wantProcRuns)
+	rawTables := addAll(analysis.NewRunDetector(analysis.RunConfig{IdleGap: 30, JumpBlocks: 1}), ops).Tables()
+	wantRaw := rawTables.Tabulate()
+	wantProcRuns := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), ops).Tables()
+	wantProc := wantProcRuns.Tabulate()
+	wantSize := wantProcRuns.SizeProfile()
+	wantSeq := wantProcRuns.SequentialityProfile()
 	wantSweep := addAll(analysis.NewReorderSweeper(sweepWindows), ops).Points()
 	wantCov := addAll(analysis.NewHierarchyCoverage(600), ops).Coverage()
 	// Block life resolves removes through the router, so its reference
@@ -128,10 +129,10 @@ func TestShardMergeMatchesSequential(t *testing.T) {
 			if got := set.procRuns.Table(); !reflect.DeepEqual(got, wantProc) {
 				t.Errorf("workers=%d: processed run table mismatch:\n got %+v\nwant %+v", workers, got, wantProc)
 			}
-			if got := analysis.SizeProfile(set.procRuns.Result); !reflect.DeepEqual(got, wantSize) {
+			if got := set.procRuns.Result.SizeProfile(); !reflect.DeepEqual(got, wantSize) {
 				t.Errorf("workers=%d: size profile mismatch", workers)
 			}
-			if got := analysis.SequentialityProfile(set.procRuns.Result); !reflect.DeepEqual(got, wantSeq) {
+			if got := set.procRuns.Result.SequentialityProfile(); !reflect.DeepEqual(got, wantSeq) {
 				t.Errorf("workers=%d: sequentiality profile mismatch", workers)
 			}
 			gotLife := set.blockLife.Result

@@ -46,8 +46,12 @@ import (
 // the blocklife, hierarchy and names sections carried; the router
 // section is the one binding table. Version 3 replaced the runs and
 // reorder sections' per-file access lists with streaming state: a raw
-// head, then runs, running values and pending reorder windows.
-const Version = 3
+// head, then runs, running values and pending reorder windows. Version 4
+// folds each closed run of the runs section into fixed-size run tables,
+// keeps per file only its first and open runs, and codes only the
+// fields of their first and last accesses that the classification
+// reads.
+const Version = 4
 
 // magic identifies a state file; it is exactly 8 bytes.
 const magic = "nfsstate"

@@ -97,8 +97,9 @@ func TestShapeBlockLifetimes(t *testing.T) {
 
 func TestShapeRunMix(t *testing.T) {
 	campus, eecs := traceOps(t)
-	ct := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), campus).Runs())
-	et := analysis.Tabulate(addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(5)), eecs).Runs())
+	ctabs := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), campus).Tables()
+	etabs := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(5)), eecs).Tables()
+	ct, et := ctabs.Tabulate(), etabs.Tabulate()
 
 	// EECS is utterly write-run dominated (paper 82.3%).
 	if et.WritePct < 65 {
@@ -142,8 +143,8 @@ func TestShapeFigure1Knee(t *testing.T) {
 
 func TestShapeFigure2SizeMass(t *testing.T) {
 	campus, _ := traceOps(t)
-	runs := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), campus).Runs()
-	pts := analysis.SizeProfile(runs)
+	tabs := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), campus).Tables()
+	pts := tabs.SizeProfile()
 	var at1M float64
 	for _, p := range pts {
 		if p.SizeCeil == 1<<20 {
@@ -172,8 +173,8 @@ func TestShapeFigure2SizeMass(t *testing.T) {
 
 func TestShapeFigure5Sequentiality(t *testing.T) {
 	campus, _ := traceOps(t)
-	runs := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), campus).Runs()
-	pts := analysis.SequentialityProfile(runs)
+	tabs := addAll(analysis.NewRunDetector(analysis.DefaultRunConfig(10)), campus).Tables()
+	pts := tabs.SequentialityProfile()
 	// Long CAMPUS reads are highly sequential.
 	for _, p := range pts {
 		if p.BytesCeil >= 1<<20 && p.ReadK10 >= 0 && p.ReadK10 < 0.9 {

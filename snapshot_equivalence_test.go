@@ -15,9 +15,9 @@ import (
 // pending operations, must render every nfsanalyze table byte-identically
 // to a batch run over the same record prefix — at every worker count —
 // and the fork must not perturb the live run's final results. Forks
-// share the heads' finished results (headDone) and closed runs with the
-// live engine, so the runs themselves and the sweep points are compared
-// too, not only the tables.
+// share each file's head and its finished result (headDone) with the
+// live engine, so the run tables themselves and the sweep points are
+// compared too, not only the rendered tables.
 
 // snapSets builds one set of every analysis kind from the catalog
 // nfsanalyze and nfsmond build and print theirs from, so byte equality
@@ -143,7 +143,7 @@ func snapshotMatchesBatchPrefix(t *testing.T, records []*core.Record) {
 				}
 				runs := findAnalyzer[*pipeline.RunsAnalyzer](t, snap.Analyzers).Result
 				if wantRuns := findAnalyzer[*pipeline.RunsAnalyzer](t, wb).Result; !reflect.DeepEqual(runs, wantRuns) {
-					t.Errorf("workers=%d cut=%d: snapshot runs differ from batch prefix", workers, i)
+					t.Errorf("workers=%d cut=%d: snapshot run tables differ from batch prefix", workers, i)
 				}
 				pts := findAnalyzer[*pipeline.ReorderSweepAnalyzer](t, snap.Analyzers).Result
 				if wantPts := findAnalyzer[*pipeline.ReorderSweepAnalyzer](t, wb).Result; !reflect.DeepEqual(pts, wantPts) {
