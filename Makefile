@@ -79,8 +79,9 @@ perf-check: ## vet and test the benchmark module, including the tracer's smoke r
 loc: ## non-test, non-blank, non-comment Go lines per package (tools/perf excluded); the number simplicity PRs quote
 	@bash scripts/loc.sh
 
-# FuzzCapture's seeds are whole captures of a few KiB; without a short
-# -fuzzminimizetime the fuzzer spends its budget minimizing them.
+# FuzzCapture's and FuzzServeConn's seeds are whole captures and call
+# streams of a few KiB; without a short -fuzzminimizetime the fuzzer
+# spends its budget minimizing them.
 fuzz: ## run each native fuzz target for 10s
 	$(GO) test -run xxx -fuzz FuzzTextRecord -fuzztime 10s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzTextTokenizerOracle -fuzztime 10s ./internal/core
@@ -98,6 +99,7 @@ fuzz: ## run each native fuzz target for 10s
 	$(GO) test -run xxx -fuzz FuzzRPCDecode -fuzztime 10s ./internal/rpc
 	$(GO) test -run xxx -fuzz FuzzRecordFraming -fuzztime 10s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzCapture -fuzztime 10s -fuzzminimizetime 2s ./internal/capture
+	$(GO) test -run xxx -fuzz FuzzServeConn -fuzztime 10s -fuzzminimizetime 2s ./internal/server
 	$(GO) test -run xxx -fuzz FuzzAppendSeconds -fuzztime 10s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzAnonymizeKeepsCategory -fuzztime 10s ./internal/anon
 

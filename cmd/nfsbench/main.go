@@ -402,13 +402,14 @@ func (r *runner) draw(rng *rand.Rand) op {
 // failure: a READ must carry as many bytes as its count says (and, from
 // the in-process server, exactly server.Filler's), a WRITE must report
 // all -xfer bytes written, and a LOOKUP must return the handle set-up
-// recorded for the name.
-func (r *runner) execute(o op) (uint32, error) {
+// recorded for the name. A READ's data is copied into buf (fresh memory
+// when buf is nil), which must not be in use by another operation.
+func (r *runner) execute(o op, buf []byte) (uint32, error) {
 	fh := r.fhs[o.file]
 	xfer := uint32(r.cfg.xfer)
 	switch o.kind {
 	case kindRead:
-		n, data, status, err := r.client.NetReadData(fh, o.off, xfer)
+		n, data, status, err := r.client.NetReadInto(fh, o.off, xfer, buf)
 		if err == nil && status == nfs.OK {
 			err = r.checkRead(o, n, data)
 		}
@@ -445,10 +446,11 @@ func (r *runner) checkRead(o op, n uint32, data []byte) error {
 }
 
 // measure runs one operation, charging latency from issueAt (wall time
-// for closed loop, intended arrival for open loop).
-func (r *runner) measure(shard *stats.LatencyShard, o op, issueAt time.Time) {
+// for closed loop, intended arrival for open loop), with buf as
+// execute's READ buffer.
+func (r *runner) measure(shard *stats.LatencyShard, o op, issueAt time.Time, buf []byte) {
 	class := kindClass[o.kind]
-	status, err := r.execute(o)
+	status, err := r.execute(o, buf)
 	if err == nil && status != nfs.OK {
 		err = fmt.Errorf("%s: status %d", kindName[o.kind], status)
 	}
@@ -463,7 +465,8 @@ func (r *runner) measure(shard *stats.LatencyShard, o op, issueAt time.Time) {
 
 // closedLoop keeps cfg.outstanding operations in flight by running that
 // many synchronous workers over the shared connection. Each worker owns
-// a deterministic draw stream and a collector shard.
+// a deterministic draw stream, a collector shard and the buffer its
+// READs land in.
 func (r *runner) closedLoop() error {
 	total := r.cfg.opsFor(r.clientIdx)
 	workers := r.cfg.outstanding
@@ -482,11 +485,12 @@ func (r *runner) closedLoop() error {
 			defer wg.Done()
 			rng := r.rng(int64(w))
 			shard := r.collector.Shard()
+			buf := make([]byte, r.cfg.xfer)
 			local := make(map[string]int64, numKinds)
 			for i := 0; i < ops; i++ {
 				o := r.draw(rng)
 				local[kindName[o.kind]]++
-				r.measure(shard, o, time.Now())
+				r.measure(shard, o, time.Now(), buf)
 			}
 			countsMu.Lock()
 			for k, v := range local {
@@ -502,6 +506,8 @@ func (r *runner) closedLoop() error {
 // openLoop issues operations on a Poisson arrival schedule at
 // rate/T ops/sec, without waiting for completions (bounded by
 // -maxinflight). Latency is measured from the intended arrival time.
+// Each operation runs on a goroutine of its own, so each READ gets a
+// fresh data buffer.
 func (r *runner) openLoop() error {
 	total := r.cfg.opsFor(r.clientIdx)
 	perClientRate := r.cfg.rate / float64(r.cfg.T)
@@ -526,7 +532,7 @@ func (r *runner) openLoop() error {
 		wg.Add(1)
 		go func(o op, arrival time.Time) {
 			defer wg.Done()
-			r.measure(shard, o, arrival)
+			r.measure(shard, o, arrival, nil)
 			<-sem
 		}(o, arrival)
 	}

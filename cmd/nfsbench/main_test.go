@@ -203,24 +203,36 @@ func tamperingServer(t *testing.T, tamper func(proc uint32, res any), stray bool
 	return ln.Addr().String()
 }
 
+// tamperPayload flips one bit in the middle of every READ's data.
+func tamperPayload(proc uint32, res any) {
+	if r, ok := res.(*nfs.ReadRes3); ok && len(r.Data) > 0 {
+		r.Data = bytes.Clone(r.Data) // Filler is shared storage
+		r.Data[len(r.Data)/2] ^= 0x20
+	}
+}
+
 // TestBenchChecksReplies points the harness, with the in-process data
 // check on, at servers that each get one kind of reply wrong, and
-// expects every such reply in the report's errors.
+// expects every such reply in the report's errors. The runs at -T 8 -c 4
+// pipeline four calls on each connection, so replies interleave on one
+// client and each closed-loop worker's READ buffer is reused: an honest
+// server must still see no error and no unmatched reply, and a wrong
+// payload must still be caught in every READ.
 func TestBenchChecksReplies(t *testing.T) {
+	pipelined := []string{"-n", "2000", "-T", "8", "-c", "4"}
 	cases := []struct {
 		name   string
+		flags  []string
 		tamper func(proc uint32, res any)
 		stray  bool
 		// wrong returns how many errors the report must show.
 		wrong func(rep *Report) int64
 	}{
 		{name: "honest", wrong: func(*Report) int64 { return 0 }},
-		{name: "read payload", tamper: func(proc uint32, res any) {
-			if r, ok := res.(*nfs.ReadRes3); ok && len(r.Data) > 0 {
-				r.Data = bytes.Clone(r.Data) // Filler is shared storage
-				r.Data[len(r.Data)/2] ^= 0x20
-			}
-		}, wrong: func(rep *Report) int64 { return rep.OpCounts["READ"] }},
+		{name: "honest pipelined", flags: pipelined, wrong: func(*Report) int64 { return 0 }},
+		{name: "read payload", tamper: tamperPayload, wrong: func(rep *Report) int64 { return rep.OpCounts["READ"] }},
+		{name: "read payload pipelined", flags: pipelined, tamper: tamperPayload,
+			wrong: func(rep *Report) int64 { return rep.OpCounts["READ"] }},
 		{name: "read count", tamper: func(proc uint32, res any) {
 			if r, ok := res.(*nfs.ReadRes3); ok {
 				r.Count++
@@ -240,11 +252,11 @@ func TestBenchChecksReplies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg, err := parseFlags([]string{
+			cfg, err := parseFlags(append([]string{
 				"-addr", tamperingServer(t, tc.tamper, tc.stray),
 				"-seed", "3", "-n", "300", "-T", "2", "-c", "2",
 				"-files", "8", "-filesize", "8192", "-xfer", "1024", "-interval", "0",
-			}, &bytes.Buffer{})
+			}, tc.flags...), &bytes.Buffer{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,14 +270,22 @@ func TestBenchChecksReplies(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := tc.wrong(&rep)
-			if tc.name != "honest" && want == 0 {
+			if tc.tamper == nil && !tc.stray {
+				if rep.OpCounts["READ"] == 0 {
+					t.Fatalf("op stream has no READ to check: %v", rep.OpCounts)
+				}
+			} else if want == 0 {
 				t.Fatalf("op stream has no operation to get wrong: %v", rep.OpCounts)
 			}
 			if rep.Errors != want {
 				t.Fatalf("report errors %d (unmatched %d), want %d\n%s", rep.Errors, rep.Unmatched, want, stderr.String())
 			}
-			if tc.stray && rep.Unmatched != want {
-				t.Fatalf("unmatched %d, want %d", rep.Unmatched, want)
+			wantUnmatched := int64(0)
+			if tc.stray {
+				wantUnmatched = want
+			}
+			if rep.Unmatched != wantUnmatched {
+				t.Fatalf("unmatched %d, want %d", rep.Unmatched, wantUnmatched)
 			}
 		})
 	}

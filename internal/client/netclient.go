@@ -45,11 +45,23 @@ type NetClient struct {
 	Unmatched atomic.Int64
 }
 
+// netCall is one call waiting for its reply. A READ reply's data
+// aliases the reader's reply buffer, which the next reply overwrites, so
+// the reader moves it out before it wakes the caller: into dst, like
+// append (fresh memory when dst is nil or too small), or nowhere when
+// drop is set.
 type netCall struct {
 	version uint32
 	proc    uint32
+	dst     []byte
+	drop    bool
 	done    chan netReply
 }
+
+// netCalls recycles netCalls with their one-slot done channels: three
+// allocations a call. A call goes back only once its reply has been
+// received, when nothing else holds it.
+var netCalls = sync.Pool{New: func() any { return &netCall{done: make(chan netReply, 1)} }}
 
 type netReply struct {
 	res any
@@ -103,61 +115,93 @@ func (c *NetClient) fail(err error) {
 	}
 }
 
+// readLoop reads every reply into one buffer and decodes its header
+// into one rpc.Decoder, both reused from reply to reply. The results are
+// decoded into fresh structs that the caller keeps (handles copied,
+// names strings); only READ data aliases the buffer, and keepData moves
+// it out before the caller wakes and before the next read.
 func (c *NetClient) readLoop() {
+	var buf []byte
+	var dec rpc.Decoder
 	for {
-		msg, err := c.rc.ReadRecord()
+		msg, err := c.rc.ReadRecordInto(buf)
 		if err != nil {
 			c.fail(fmt.Errorf("client: read: %w", err))
 			return
 		}
-		dec, err := rpc.Decode(msg)
-		if err != nil || dec.Type != rpc.Reply {
+		m, err := dec.Decode(msg)
+		if err != nil || m.Type != rpc.Reply {
 			c.fail(fmt.Errorf("client: bad reply message: %v", err))
 			return
 		}
-		h := dec.Reply
+		h := m.Reply
 		c.mu.Lock()
 		call := c.inflight[h.XID]
 		delete(c.inflight, h.XID)
 		c.mu.Unlock()
 		if call == nil {
 			c.Unmatched.Add(1)
-			continue
+		} else {
+			call.done <- call.decodeReply(h)
 		}
-		call.done <- decodeReply(call.version, call.proc, h)
+		buf = wire.Recycle(msg)
 	}
 }
 
-func decodeReply(version, proc uint32, h *rpc.ReplyHeader) netReply {
+func (call *netCall) decodeReply(h *rpc.ReplyHeader) netReply {
 	if h.ReplyStat != rpc.MsgAccepted {
 		return netReply{err: fmt.Errorf("client: rpc denied (stat %d)", h.ReplyStat)}
 	}
 	if h.AcceptStat != rpc.Success {
 		return netReply{err: fmt.Errorf("client: rpc accept stat %d", h.AcceptStat)}
 	}
-	res, err := nfs.DecodeRes(version, proc, h.Results)
+	res, err := nfs.DecodeRes(call.version, call.proc, h.Results)
 	if err != nil {
 		return netReply{err: fmt.Errorf("client: decoding results: %w", err)}
 	}
+	switch r := res.(type) {
+	case *nfs.ReadRes3:
+		r.Data = call.keepData(r.Data)
+	case *nfs.ReadRes2:
+		r.Data = call.keepData(r.Data)
+	}
 	return netReply{res: res}
+}
+
+// keepData returns READ data the caller may keep: copied into the
+// call's dst, or nil for a call that drops it.
+func (call *netCall) keepData(data []byte) []byte {
+	if call.drop {
+		return nil
+	}
+	return append(call.dst[:0], data...)
 }
 
 // Call issues one procedure in the client's own version vocabulary and
 // blocks until the reply arrives. It is safe to call from many
 // goroutines; concurrent calls pipeline on the shared connection.
 //
-// Each reply is read into a fresh record that the decoded results
-// alias and that callers keep (nfsbench holds LOOKUP and CREATE handles
-// for a whole run), so replies are never read into a reused buffer.
+// The results are the caller's: nothing in them aliases the client's
+// reply buffer, and a READ's data is a fresh copy.
 func (c *NetClient) Call(proc uint32, args any) (any, error) {
-	call := &netCall{version: c.Version, proc: proc, done: make(chan netReply, 1)}
+	return c.do(proc, args, nil, false)
+}
+
+// do is Call with a READ reply's data copied into dst, or dropped
+// (see netCall).
+func (c *NetClient) do(proc uint32, args any, dst []byte, drop bool) (any, error) {
+	call := netCalls.Get().(*netCall)
+	call.version, call.proc, call.dst, call.drop = c.Version, proc, dst, drop
 	c.wmu.Lock()
 	err := c.send(call, args)
 	c.wmu.Unlock()
 	if err != nil {
+		// fail may still send to done, so the call is not reused.
 		return nil, err
 	}
 	r := <-call.done
+	call.dst = nil
+	netCalls.Put(call)
 	return r.res, r.err
 }
 
@@ -212,11 +256,16 @@ func (c *NetClient) forget(xid uint32) {
 // callV3 issues a call expressed in v3 vocabulary, translating args for
 // v2 connections the same way the in-process Client does.
 func (c *NetClient) callV3(v3proc uint32, v3args any) (any, error) {
+	return c.doV3(v3proc, v3args, nil, false)
+}
+
+// doV3 is callV3 with a READ reply's data copied into dst, or dropped.
+func (c *NetClient) doV3(v3proc uint32, v3args any, dst []byte, drop bool) (any, error) {
 	proc, args := v3proc, v3args
 	if c.Version == nfs.V2 {
 		proc, args = translateV2(v3proc, v3args)
 	}
-	return c.Call(proc, args)
+	return c.do(proc, args, dst, drop)
 }
 
 // StatusOf extracts the NFS status from any decoded result struct; nil
@@ -301,18 +350,29 @@ func (c *NetClient) NetLookup(dir nfs.FH, name string) (nfs.FH, uint32, error) {
 	return nil, nfs.ErrIO, nil
 }
 
-// NetRead reads count bytes at offset and returns the status.
+// NetRead reads count bytes at offset and returns the status. The
+// data is not copied out of the reply.
 func (c *NetClient) NetRead(fh nfs.FH, offset uint64, count uint32) (uint32, error) {
-	_, _, status, err := c.NetReadData(fh, offset, count)
-	return status, err
+	res, err := c.doV3(nfs.V3Read, &nfs.ReadArgs3{FH: fh, Offset: offset, Count: count}, nil, true)
+	if err != nil {
+		return 0, err
+	}
+	return StatusOf(res), nil
 }
 
 // NetReadData is NetRead that also returns the reply's byte count and
-// data. The data aliases the reply record, which the client never
-// reuses. A v2 reply carries no separate count, so n is then the data
-// length.
+// a fresh copy of its data. A v2 reply carries no separate count, so n
+// is then the data length.
 func (c *NetClient) NetReadData(fh nfs.FH, offset uint64, count uint32) (n uint32, data []byte, status uint32, err error) {
-	res, err := c.callV3(nfs.V3Read, &nfs.ReadArgs3{FH: fh, Offset: offset, Count: count})
+	return c.NetReadInto(fh, offset, count, nil)
+}
+
+// NetReadInto is NetReadData with the data copied into dst, like
+// append(dst[:0], data...): it lands in dst's storage when it fits and
+// in fresh memory when it does not, and data is the result. A caller
+// that passes one buffer to every read allocates no payload.
+func (c *NetClient) NetReadInto(fh nfs.FH, offset uint64, count uint32, dst []byte) (n uint32, data []byte, status uint32, err error) {
+	res, err := c.doV3(nfs.V3Read, &nfs.ReadArgs3{FH: fh, Offset: offset, Count: count}, dst, false)
 	if err != nil {
 		return 0, nil, 0, err
 	}

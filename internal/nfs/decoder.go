@@ -4,12 +4,12 @@ import "repro/internal/core"
 
 // Decoder decodes NFS bodies into storage it owns, for a caller that
 // decodes one message after another and is done with each before the
-// next: the sniffer. Its methods are the package functions of the same
-// names through the same parsers, with one difference. What they
-// decode — the typed args or results, their Fattr, WccData, WccAttr and
-// Sattr pointees, the CallInfo or ReplyInfo the record is filled from —
-// is the Decoder's and is overwritten by its next call, and the handles
-// in it alias the body.
+// next: the sniffer, and each NetServer connection. Its methods are the
+// package functions of the same names through the same parsers, with
+// one difference. What they decode — the typed args or results, their
+// Fattr, WccData, WccAttr and Sattr pointees, the CallInfo or ReplyInfo
+// the record is filled from — is the Decoder's and is overwritten by its
+// next call, and the handles in it alias the body.
 // CallRecord and ReplyRecord intern those handles before they return,
 // through a handle memo of the Decoder's own (core.FHMemo), so the
 // record they fill holds nothing of the Decoder or the body, and once a
@@ -51,6 +51,13 @@ type sattrVals struct {
 	mode, uid, gid uint32
 	size           uint64
 	atime, mtime   Time
+}
+
+// DecodeArgs is the package's DecodeArgs, decoding into the Decoder's
+// storage: the args are valid until the Decoder's next call, and their
+// handles and WRITE data alias body.
+func (s *Decoder) DecodeArgs(version, proc uint32, body []byte) (any, error) {
+	return decodeArgs(s, version, proc, body)
 }
 
 // CallRecord is the package's CallRecord, decoding into the Decoder's

@@ -130,13 +130,18 @@ func (ns *NetServer) serveConn(conn net.Conn) {
 }
 
 // connBuffers is what one connection reuses from call to call: the
-// buffer each call record is read into and the encoder each reply is
-// built in. A call's decoded args alias the call buffer and are dead
-// once its reply is written; neither vfs nor the trace tap keeps them
-// (names are copied into strings, handles interned from FH.String).
+// buffer each call record is read into, the decoders its RPC header,
+// NFS args and credential are decoded into, and the encoder each reply
+// is built in. A call's decoded header and args alias the call buffer
+// or the decoders and are dead once its reply is written; neither the
+// Server, vfs nor the trace tap keeps them (vfs takes counts, names are
+// copied into strings, the tap interns handles).
 type connBuffers struct {
 	call  []byte
 	reply xdr.Encoder
+	rpc   rpc.Decoder
+	nfs   nfs.Decoder
+	auth  rpc.AuthSysBody
 }
 
 // serve answers calls in order until the stream ends or goes bad.
@@ -147,7 +152,7 @@ func (ns *NetServer) serve(rc *wire.RecordConn, id connID, bufs *connBuffers) {
 			return // EOF or peer gone
 		}
 		bufs.reply.Reset()
-		if err := ns.handle(&bufs.reply, msg, id); err != nil {
+		if err := ns.handle(bufs, msg, id); err != nil {
 			ns.badRPC.Add(1)
 			return // garbage stream: drop the connection
 		}
@@ -161,11 +166,13 @@ func (ns *NetServer) serve(rc *wire.RecordConn, id connID, bufs *connBuffers) {
 	}
 }
 
-// handle executes one RPC call message and encodes the reply into e,
-// which must be empty. A non-nil error means the message was not a
-// well-formed call and the connection cannot be trusted to stay in sync.
-func (ns *NetServer) handle(e *xdr.Encoder, msg []byte, id connID) error {
-	dec, err := rpc.Decode(msg)
+// handle executes one RPC call message, decoding it through c's
+// decoders, and encodes the reply into c.reply, which must be empty. A
+// non-nil error means the message was not a well-formed call and the
+// connection cannot be trusted to stay in sync.
+func (ns *NetServer) handle(c *connBuffers, msg []byte, id connID) error {
+	e := &c.reply
+	dec, err := c.rpc.Decode(msg)
 	if err != nil {
 		return err
 	}
@@ -180,14 +187,16 @@ func (ns *NetServer) handle(e *xdr.Encoder, msg []byte, id connID) error {
 	case h.Version != nfs.V2 && h.Version != nfs.V3:
 		reply.AcceptStat = rpc.ProgMismatch
 	default:
-		args, err := nfs.DecodeArgs(h.Version, h.Proc, h.Args)
+		args, err := c.nfs.DecodeArgs(h.Version, h.Proc, h.Args)
 		if err != nil {
 			reply.AcceptStat = rpc.GarbageArgs
 			break
 		}
 		var callRec *core.Record
 		if ns.trace != nil {
-			callRec = traceCall(traceNow(), id, h)
+			// Decodes the same body into the same structs again, so
+			// args keep their values.
+			callRec = c.traceCall(traceNow(), id, h)
 		}
 		res := ns.srv.Handle(h.Version, h.Proc, args)
 		ns.calls.Add(1)
@@ -206,7 +215,7 @@ func (ns *NetServer) handle(e *xdr.Encoder, msg []byte, id connID) error {
 		// loss to the analyses).
 		if callRec != nil {
 			ns.trace(callRec)
-			if rr := traceReply(traceNow(), id, h, e.Bytes()[hdrLen:]); rr != nil {
+			if rr := c.traceReply(traceNow(), id, h, e.Bytes()[hdrLen:]); rr != nil {
 				ns.trace(rr)
 			}
 		}

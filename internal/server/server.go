@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/nfs"
 	"repro/internal/vfs"
+	"repro/internal/wire"
 )
 
 // Server executes NFS procedures against a filesystem. It is safe for
@@ -193,7 +194,7 @@ func (s *Server) HandleV3(proc uint32, args any) any {
 		if err != nil {
 			return &nfs.ReadRes3{Status: errStatus(err)}
 		}
-		n, eof, err := s.FS.Read(ino.ID, a.Offset, uint64(a.Count))
+		n, eof, err := s.FS.Read(ino.ID, a.Offset, uint64(min(a.Count, MaxReadCount)))
 		if err != nil {
 			return &nfs.ReadRes3{Status: errStatus(err), Attr: s.FS.Attr(ino)}
 		}
@@ -443,6 +444,13 @@ func init() {
 	}
 	filler.Store(&b)
 }
+
+// MaxReadCount bounds the bytes one READ returns (RFC 1813 lets a
+// server return fewer than asked): the largest payload whose reply still
+// fits one RPC record, wire.MaxRecordLen, with room for its headers. A
+// larger READ would build a reply no connection can send, and grow
+// Filler's shared payload to the size asked for.
+const MaxReadCount = wire.MaxRecordLen - 1<<12
 
 // Filler returns n bytes of synthetic payload (shared storage; callers
 // must not modify it). Safe for concurrent use.

@@ -77,6 +77,30 @@ func TestCreateUncheckedTruncatesExisting(t *testing.T) {
 	}
 }
 
+// TestReadCapped: a READ larger than a reply record can carry returns
+// MaxReadCount bytes, on both versions, instead of building a reply no
+// connection can send.
+func TestReadCapped(t *testing.T) {
+	s := newServer()
+	cres := s.HandleV3(nfs.V3Create, &nfs.CreateArgs3{
+		Where: nfs.DirOpArgs3{Dir: s.FS.RootFH(), Name: "huge"}}).(*nfs.CreateRes3)
+	if cres.Status != nfs.OK {
+		t.Fatalf("create: %+v", cres)
+	}
+	id, _ := cres.FH.FileID()
+	if _, err := s.FS.Truncate(id, 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	r3 := s.HandleV3(nfs.V3Read, &nfs.ReadArgs3{FH: cres.FH, Count: MaxReadCount + 1<<20}).(*nfs.ReadRes3)
+	if r3.Status != nfs.OK || r3.Count != MaxReadCount || len(r3.Data) != MaxReadCount || r3.EOF {
+		t.Fatalf("v3 read: status %d, count %d, %d data bytes, eof %v", r3.Status, r3.Count, len(r3.Data), r3.EOF)
+	}
+	r2 := s.HandleV2(nfs.V2Read, &nfs.ReadArgs2{FH: cres.FH, Count: MaxReadCount + 1<<20}).(*nfs.ReadRes2)
+	if r2.Status != nfs.OK || len(r2.Data) != MaxReadCount {
+		t.Fatalf("v2 read: status %d, %d data bytes", r2.Status, len(r2.Data))
+	}
+}
+
 func TestLookupMiss(t *testing.T) {
 	s := newServer()
 	res := s.HandleV3(nfs.V3Lookup, &nfs.LookupArgs3{

@@ -6,19 +6,18 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/nfs"
 	"repro/internal/rpc"
 )
 
 // Passive trace tap: when a NetServer is given a trace callback, every
 // successfully dispatched NFS procedure emits one call record and one
-// reply record. nfs.CallRecord and nfs.ReplyRecord fill their NFS
-// fields from the raw XDR bodies, the same builders internal/capture
-// runs on sniffed packets; this file adds only the envelope (times,
-// connection endpoints, xid, version, credentials). The server is its
-// own mirror port: nfsbench traffic becomes a live trace that
-// cmd/nfsmond can tail, reproducing the paper's passive-tracing
-// deployment shape without a pcap in the loop.
+// reply record. The connection's nfs.Decoder fills their NFS fields
+// from the raw XDR bodies (CallRecord, ReplyRecord), the same builders
+// internal/capture runs on sniffed packets; this file adds only the
+// envelope (times, connection endpoints, xid, version, credentials).
+// The server is its own mirror port: nfsbench traffic becomes a live
+// trace that cmd/nfsmond can tail, reproducing the paper's
+// passive-tracing deployment shape without a pcap in the loop.
 //
 // The callback runs on per-connection goroutines, so it must be safe
 // for concurrent use. Record times are wall-clock Unix seconds; reply
@@ -58,36 +57,36 @@ func addrIPPort(a net.Addr) (uint32, uint16) {
 // traceNow stamps a record with wall-clock seconds.
 func traceNow() float64 { return float64(time.Now().UnixNano()) / 1e9 }
 
-// traceCall builds the call record for one decoded RPC call. It
-// returns nil when the call body does not parse (the dispatch path
-// already rejected it).
-func traceCall(t float64, id connID, h *rpc.CallHeader) *core.Record {
+// traceCall builds the call record for one decoded RPC call, decoding
+// its args and credential through the connection's storage. It returns
+// nil when the call body does not parse (the dispatch path already
+// rejected it).
+func (c *connBuffers) traceCall(t float64, id connID, h *rpc.CallHeader) *core.Record {
 	rec := &core.Record{
 		Time: t, Kind: core.KindCall,
 		Client: id.client, Port: id.port,
 		Server: id.server, Proto: core.ProtoTCP,
 		XID: h.XID, Version: h.Version,
 	}
-	if nfs.CallRecord(rec, h.Version, h.Proc, h.Args) != nil {
+	if c.nfs.CallRecord(rec, h.Version, h.Proc, h.Args) != nil {
 		return nil
 	}
-	if h.Cred.Flavor == rpc.AuthSys {
-		if auth, err := rpc.DecodeAuthSys(h.Cred.Body); err == nil {
-			rec.UID, rec.GID = auth.UID, auth.GID
-		}
+	if h.Cred.Flavor == rpc.AuthSys && rpc.DecodeAuthSysInto(&c.auth, h.Cred.Body) == nil {
+		rec.UID, rec.GID = c.auth.UID, c.auth.GID
 	}
 	return rec
 }
 
-// traceReply builds the reply record for one encoded result body.
-func traceReply(t float64, id connID, h *rpc.CallHeader, results []byte) *core.Record {
+// traceReply builds the reply record for one encoded result body,
+// decoding it through the connection's storage.
+func (c *connBuffers) traceReply(t float64, id connID, h *rpc.CallHeader, results []byte) *core.Record {
 	rec := &core.Record{
 		Time: t, Kind: core.KindReply,
 		Client: id.client, Port: id.port,
 		Server: id.server, Proto: core.ProtoTCP,
 		XID: h.XID, Version: h.Version,
 	}
-	if nfs.ReplyRecord(rec, h.Version, h.Proc, results) != nil {
+	if c.nfs.ReplyRecord(rec, h.Version, h.Proc, results) != nil {
 		return nil
 	}
 	return rec

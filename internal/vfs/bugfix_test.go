@@ -215,3 +215,41 @@ func TestUsageInvariant(t *testing.T) {
 		checkInvariants(t, fs)
 	}
 }
+
+// TestChownMovesUsage: a SETATTR that changes a file's owner moves the
+// file's usage to the new owner, within the new owner's quota, so
+// removing the file later leaves no charge behind on either.
+func TestChownMovesUsage(t *testing.T) {
+	fs := newFS()
+	fs.QuotaPerUID = BlockSize
+	f, _ := fs.Create(fs.Root(), "f", 1, 1, 0644)
+	if _, err := fs.Write(f.ID, 0, 5000); err != nil {
+		t.Fatal(err)
+	}
+	two := uint32(2)
+	if _, _, err := fs.Setattr(f.ID, nil, nil, &two, nil); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Usage(1) != 0 || fs.Usage(2) != BlockSize {
+		t.Fatalf("after chown: usage %d and %d, want 0 and %d", fs.Usage(1), fs.Usage(2), BlockSize)
+	}
+	checkInvariants(t, fs)
+
+	g, _ := fs.Create(fs.Root(), "g", 3, 3, 0644)
+	if _, err := fs.Write(g.ID, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := fs.Setattr(g.ID, nil, nil, &two, nil); !errors.Is(err, ErrQuota) {
+		t.Fatalf("chown past the new owner's quota: %v, want ErrQuota", err)
+	}
+	if g.UID != 3 || fs.Usage(3) != BlockSize || fs.Usage(2) != BlockSize {
+		t.Fatalf("refused chown: owner %d, usage %d and %d", g.UID, fs.Usage(3), fs.Usage(2))
+	}
+	if err := fs.Remove(fs.Root(), "f"); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Usage(1) != 0 || fs.Usage(2) != 0 {
+		t.Fatalf("after remove: usage %d and %d, want 0", fs.Usage(1), fs.Usage(2))
+	}
+	checkInvariants(t, fs)
+}

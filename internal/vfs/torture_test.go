@@ -10,71 +10,12 @@ import (
 	"repro/internal/nfs"
 )
 
-// checkInvariants asserts the structural health of a quiescent
-// filesystem: every inode is reachable from the root, link counts match
-// directory entries, the tree is acyclic, and the per-UID usage ledger
-// equals the sum of live Used(). Callers must have joined all writers.
+// checkInvariants fails t unless fs passes CheckInvariants. Callers
+// must have joined all writers.
 func checkInvariants(t *testing.T, fs *FS) {
 	t.Helper()
-	entries := make(map[uint64]int) // inode → directory entries referencing it
-	subdirs := make(map[uint64]int) // dir → child directory count
-	visited := make(map[uint64]bool)
-	var walk func(id uint64)
-	walk = func(id uint64) {
-		if visited[id] {
-			t.Fatalf("directory cycle through inode %d", id)
-		}
-		visited[id] = true
-		d := fs.inodes[id]
-		for name, cid := range d.children {
-			c := fs.inodes[cid]
-			if c == nil {
-				t.Fatalf("entry %q in dir %d points at missing inode %d", name, id, cid)
-			}
-			entries[cid]++
-			if c.Type == nfs.TypeDir {
-				subdirs[id]++
-				if entries[cid] > 1 {
-					t.Fatalf("directory inode %d has %d links", cid, entries[cid])
-				}
-				walk(cid)
-			}
-		}
-	}
-	walk(fs.root)
-
-	usageWant := make(map[uint32]uint64)
-	for id, ino := range fs.inodes {
-		if ino.Type != nfs.TypeDir {
-			usageWant[ino.UID] += ino.Used()
-		}
-		if id == fs.root {
-			if want := uint32(2 + subdirs[id]); ino.Nlink != want {
-				t.Errorf("root nlink = %d, want %d", ino.Nlink, want)
-			}
-			continue
-		}
-		if entries[id] == 0 {
-			t.Errorf("orphan inode %d (type %d, nlink %d)", id, ino.Type, ino.Nlink)
-			continue
-		}
-		if ino.Type == nfs.TypeDir {
-			if want := uint32(2 + subdirs[id]); ino.Nlink != want {
-				t.Errorf("dir %d nlink = %d, want %d", id, ino.Nlink, want)
-			}
-		} else if ino.Nlink != uint32(entries[id]) {
-			t.Errorf("inode %d nlink = %d, want %d entries", id, ino.Nlink, entries[id])
-		}
-	}
-	for uid, got := range fs.usage {
-		if got != usageWant[uid] {
-			t.Errorf("usage[%d] = %d, want %d (sum of live Used)", uid, got, usageWant[uid])
-		}
-	}
-	for uid, want := range usageWant {
-		if fs.usage[uid] != want {
-			t.Errorf("usage[%d] = %d, want %d", uid, fs.usage[uid], want)
-		}
+	if err := fs.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

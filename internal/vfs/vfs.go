@@ -751,11 +751,18 @@ func (fs *FS) Setattr(id uint64, size *uint64, mode, uid, gid *uint32) (before *
 			return before, fs.attrLocked(ino), err
 		}
 	}
+	if uid != nil && *uid != ino.UID {
+		// A new owner takes over the file's usage, within its quota.
+		if used := int64(ino.Used()); ino.Type != nfs.TypeDir && used > 0 {
+			if err := fs.chargeQuota(*uid, used); err != nil {
+				return before, fs.attrLocked(ino), err
+			}
+			fs.chargeUser(ino.UID, -used)
+		}
+		ino.UID = *uid
+	}
 	if mode != nil {
 		ino.Mode = *mode
-	}
-	if uid != nil {
-		ino.UID = *uid
 	}
 	if gid != nil {
 		ino.GID = *gid
