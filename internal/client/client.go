@@ -43,6 +43,7 @@ type Client struct {
 	xid uint32
 	tap Tap
 	msg xdr.Encoder // the call or reply being sent, reused
+	dec nfs.Decoder // re-parses msg into the record emitted
 
 	attrs map[string]*attrEntry
 	data  map[string]float64 // fh key → mtime of cached contents
@@ -495,11 +496,4 @@ func (c *Client) WriteRange(t float64, fh nfs.FH, offset, n uint64) float64 {
 		last = c.Commit(last, fh)
 	}
 	return last
-}
-
-// InvalidateAttrs expires the attribute cache entry for fh, modeling
-// cross-client invalidation signals (none exist in NFS; this models the
-// timeout path deterministically in tests).
-func (c *Client) InvalidateAttrs(fh nfs.FH) {
-	delete(c.attrs, fh.Key())
 }

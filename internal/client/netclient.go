@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -36,32 +37,34 @@ type NetClient struct {
 	wmu        sync.Mutex
 	call, cred xdr.Encoder
 
-	mu       sync.Mutex // guards xid, inflight, err
+	mu       sync.Mutex // guards xid, inflight, err, idle
 	xid      uint32
 	inflight map[uint32]*netCall
 	err      error
+	// idle holds the calls handed back to release, for reuse. A
+	// sync.Pool would drop some at every GC, and under the race
+	// detector on Put, and a dropped call costs its ~2 KiB Decoder.
+	idle []*netCall
 
 	// Unmatched counts replies whose xid matched no outstanding call.
 	Unmatched atomic.Int64
 }
 
-// netCall is one call waiting for its reply. A READ reply's data
-// aliases the reader's reply buffer, which the next reply overwrites, so
-// the reader moves it out before it wakes the caller: into dst, like
-// append (fresh memory when dst is nil or too small), or nowhere when
-// drop is set.
+// netCall is one call waiting for its reply. The reader decodes the
+// reply's results into the call's own Decoder, so they stay valid
+// until the call is reused. What in them aliases the reader's reply
+// buffer, which the next reply overwrites, the reader moves out before
+// it wakes the caller: LOOKUP and CREATE handles into fresh memory, and
+// READ data into dst, like append (fresh memory when dst is nil or too
+// small), or nowhere when drop is set.
 type netCall struct {
 	version uint32
 	proc    uint32
 	dst     []byte
 	drop    bool
 	done    chan netReply
+	nfs     nfs.Decoder
 }
-
-// netCalls recycles netCalls with their one-slot done channels: three
-// allocations a call. A call goes back only once its reply has been
-// received, when nothing else holds it.
-var netCalls = sync.Pool{New: func() any { return &netCall{done: make(chan netReply, 1)} }}
 
 type netReply struct {
 	res any
@@ -116,10 +119,8 @@ func (c *NetClient) fail(err error) {
 }
 
 // readLoop reads every reply into one buffer and decodes its header
-// into one rpc.Decoder, both reused from reply to reply. The results are
-// decoded into fresh structs that the caller keeps (handles copied,
-// names strings); only READ data aliases the buffer, and keepData moves
-// it out before the caller wakes and before the next read.
+// into one rpc.Decoder, both reused from reply to reply, and the results
+// into their call's nfs.Decoder (see netCall).
 func (c *NetClient) readLoop() {
 	var buf []byte
 	var dec rpc.Decoder
@@ -155,7 +156,7 @@ func (call *netCall) decodeReply(h *rpc.ReplyHeader) netReply {
 	if h.AcceptStat != rpc.Success {
 		return netReply{err: fmt.Errorf("client: rpc accept stat %d", h.AcceptStat)}
 	}
-	res, err := nfs.DecodeRes(call.version, call.proc, h.Results)
+	res, err := call.nfs.DecodeRes(call.version, call.proc, h.Results)
 	if err != nil {
 		return netReply{err: fmt.Errorf("client: decoding results: %w", err)}
 	}
@@ -164,6 +165,12 @@ func (call *netCall) decodeReply(h *rpc.ReplyHeader) netReply {
 		r.Data = call.keepData(r.Data)
 	case *nfs.ReadRes2:
 		r.Data = call.keepData(r.Data)
+	case *nfs.LookupRes3:
+		r.FH = nfs.FH(bytes.Clone(r.FH))
+	case *nfs.CreateRes3:
+		r.FH = nfs.FH(bytes.Clone(r.FH))
+	case *nfs.DirOpRes2:
+		r.FH = nfs.FH(bytes.Clone(r.FH))
 	}
 	return netReply{res: res}
 }
@@ -182,27 +189,56 @@ func (call *netCall) keepData(data []byte) []byte {
 // goroutines; concurrent calls pipeline on the shared connection.
 //
 // The results are the caller's: nothing in them aliases the client's
-// reply buffer, and a READ's data is a fresh copy.
+// reply buffer, a READ's data is a fresh copy, and the call they were
+// decoded into is never reused.
 func (c *NetClient) Call(proc uint32, args any) (any, error) {
-	return c.do(proc, args, nil, false)
+	_, res, err := c.do(proc, args, nil, false)
+	return res, err
 }
 
-// do is Call with a READ reply's data copied into dst, or dropped
-// (see netCall).
-func (c *NetClient) do(proc uint32, args any, dst []byte, drop bool) (any, error) {
-	call := netCalls.Get().(*netCall)
+// do issues proc and blocks until its reply arrives, with a READ
+// reply's data copied into dst or dropped (see netCall). The results
+// are decoded into the returned call, and the caller may hand it back
+// to c.release once it is done with them.
+func (c *NetClient) do(proc uint32, args any, dst []byte, drop bool) (*netCall, any, error) {
+	call := c.acquire()
 	call.version, call.proc, call.dst, call.drop = c.Version, proc, dst, drop
 	c.wmu.Lock()
 	err := c.send(call, args)
 	c.wmu.Unlock()
 	if err != nil {
 		// fail may still send to done, so the call is not reused.
-		return nil, err
+		return nil, nil, err
 	}
 	r := <-call.done
 	call.dst = nil
-	netCalls.Put(call)
-	return r.res, r.err
+	return call, r.res, r.err
+}
+
+// acquire returns a call handed back to release, or a new one.
+func (c *NetClient) acquire() *netCall {
+	c.mu.Lock()
+	var call *netCall
+	if n := len(c.idle); n > 0 {
+		call = c.idle[n-1]
+		c.idle = c.idle[:n-1]
+	}
+	c.mu.Unlock()
+	if call == nil {
+		call = &netCall{done: make(chan netReply, 1)}
+	}
+	return call
+}
+
+// release hands back a call whose reply was received and whose results
+// are read, for reuse; nil is ignored.
+func (c *NetClient) release(call *netCall) {
+	if call == nil {
+		return
+	}
+	c.mu.Lock()
+	c.idle = append(c.idle, call)
+	c.mu.Unlock()
 }
 
 // send registers call under a fresh xid and writes it. The caller holds
@@ -254,13 +290,14 @@ func (c *NetClient) forget(xid uint32) {
 }
 
 // callV3 issues a call expressed in v3 vocabulary, translating args for
-// v2 connections the same way the in-process Client does.
-func (c *NetClient) callV3(v3proc uint32, v3args any) (any, error) {
+// v2 connections the same way the in-process Client does. The results
+// are valid until the returned call goes back to c.release.
+func (c *NetClient) callV3(v3proc uint32, v3args any) (*netCall, any, error) {
 	return c.doV3(v3proc, v3args, nil, false)
 }
 
 // doV3 is callV3 with a READ reply's data copied into dst, or dropped.
-func (c *NetClient) doV3(v3proc uint32, v3args any, dst []byte, drop bool) (any, error) {
+func (c *NetClient) doV3(v3proc uint32, v3args any, dst []byte, drop bool) (*netCall, any, error) {
 	proc, args := v3proc, v3args
 	if c.Version == nfs.V2 {
 		proc, args = translateV2(v3proc, v3args)
@@ -319,7 +356,8 @@ func StatusOf(res any) uint32 {
 
 // NetGetattr fetches attributes and returns the NFS status.
 func (c *NetClient) NetGetattr(fh nfs.FH) (uint32, error) {
-	res, err := c.callV3(nfs.V3Getattr, &nfs.GetattrArgs3{FH: fh})
+	call, res, err := c.callV3(nfs.V3Getattr, &nfs.GetattrArgs3{FH: fh})
+	defer c.release(call)
 	if err != nil {
 		return 0, err
 	}
@@ -328,7 +366,8 @@ func (c *NetClient) NetGetattr(fh nfs.FH) (uint32, error) {
 
 // NetAccess checks permissions (GETATTR on v2).
 func (c *NetClient) NetAccess(fh nfs.FH) (uint32, error) {
-	res, err := c.callV3(nfs.V3Access, &nfs.AccessArgs3{FH: fh, Access: 0x3F})
+	call, res, err := c.callV3(nfs.V3Access, &nfs.AccessArgs3{FH: fh, Access: 0x3F})
+	defer c.release(call)
 	if err != nil {
 		return 0, err
 	}
@@ -337,7 +376,8 @@ func (c *NetClient) NetAccess(fh nfs.FH) (uint32, error) {
 
 // NetLookup resolves name in dir, returning the handle on success.
 func (c *NetClient) NetLookup(dir nfs.FH, name string) (nfs.FH, uint32, error) {
-	res, err := c.callV3(nfs.V3Lookup, &nfs.LookupArgs3{Dir: dir, Name: name})
+	call, res, err := c.callV3(nfs.V3Lookup, &nfs.LookupArgs3{Dir: dir, Name: name})
+	defer c.release(call)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -353,7 +393,8 @@ func (c *NetClient) NetLookup(dir nfs.FH, name string) (nfs.FH, uint32, error) {
 // NetRead reads count bytes at offset and returns the status. The
 // data is not copied out of the reply.
 func (c *NetClient) NetRead(fh nfs.FH, offset uint64, count uint32) (uint32, error) {
-	res, err := c.doV3(nfs.V3Read, &nfs.ReadArgs3{FH: fh, Offset: offset, Count: count}, nil, true)
+	call, res, err := c.doV3(nfs.V3Read, &nfs.ReadArgs3{FH: fh, Offset: offset, Count: count}, nil, true)
+	defer c.release(call)
 	if err != nil {
 		return 0, err
 	}
@@ -372,7 +413,8 @@ func (c *NetClient) NetReadData(fh nfs.FH, offset uint64, count uint32) (n uint3
 // in fresh memory when it does not, and data is the result. A caller
 // that passes one buffer to every read allocates no payload.
 func (c *NetClient) NetReadInto(fh nfs.FH, offset uint64, count uint32, dst []byte) (n uint32, data []byte, status uint32, err error) {
-	res, err := c.doV3(nfs.V3Read, &nfs.ReadArgs3{FH: fh, Offset: offset, Count: count}, dst, false)
+	call, res, err := c.doV3(nfs.V3Read, &nfs.ReadArgs3{FH: fh, Offset: offset, Count: count}, dst, false)
+	defer c.release(call)
 	if err != nil {
 		return 0, nil, 0, err
 	}
@@ -395,9 +437,10 @@ func (c *NetClient) NetWrite(fh nfs.FH, offset uint64, count uint32) (uint32, er
 // reports written. A v2 reply carries no count: a successful v2 WRITE
 // writes all of its data, so n is then count.
 func (c *NetClient) NetWriteCount(fh nfs.FH, offset uint64, count uint32) (n uint32, status uint32, err error) {
-	res, err := c.callV3(nfs.V3Write, &nfs.WriteArgs3{
+	call, res, err := c.callV3(nfs.V3Write, &nfs.WriteArgs3{
 		FH: fh, Offset: offset, Count: count, Stable: nfs.FileSync,
 		Data: server.Filler(int(count))})
+	defer c.release(call)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -416,8 +459,9 @@ func (c *NetClient) NetWriteCount(fh nfs.FH, offset uint64, count uint32) (n uin
 // NetCreate makes name in dir, returning the new handle.
 func (c *NetClient) NetCreate(dir nfs.FH, name string) (nfs.FH, uint32, error) {
 	attr := nfs.Sattr{UID: &c.UID, GID: &c.GID}
-	res, err := c.callV3(nfs.V3Create, &nfs.CreateArgs3{
+	call, res, err := c.callV3(nfs.V3Create, &nfs.CreateArgs3{
 		Where: nfs.DirOpArgs3{Dir: dir, Name: name}, Attr: attr})
+	defer c.release(call)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -432,8 +476,9 @@ func (c *NetClient) NetCreate(dir nfs.FH, name string) (nfs.FH, uint32, error) {
 
 // NetTruncate sets the file size.
 func (c *NetClient) NetTruncate(fh nfs.FH, size uint64) (uint32, error) {
-	res, err := c.callV3(nfs.V3Setattr, &nfs.SetattrArgs3{FH: fh,
+	call, res, err := c.callV3(nfs.V3Setattr, &nfs.SetattrArgs3{FH: fh,
 		Attr: nfs.Sattr{Size: &size}})
+	defer c.release(call)
 	if err != nil {
 		return 0, err
 	}
@@ -442,7 +487,8 @@ func (c *NetClient) NetTruncate(fh nfs.FH, size uint64) (uint32, error) {
 
 // NetRemove unlinks name in dir.
 func (c *NetClient) NetRemove(dir nfs.FH, name string) (uint32, error) {
-	res, err := c.callV3(nfs.V3Remove, &nfs.DirOpArgs3{Dir: dir, Name: name})
+	call, res, err := c.callV3(nfs.V3Remove, &nfs.DirOpArgs3{Dir: dir, Name: name})
+	defer c.release(call)
 	if err != nil {
 		return 0, err
 	}

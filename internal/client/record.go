@@ -6,12 +6,13 @@ import (
 )
 
 // Record construction: the client encodes each call and each reply
-// once through the real wire codecs. nfs.CallRecord and nfs.ReplyRecord
-// build the records from those bytes, the same builders the sniffer
-// runs on captured packets, and an attached Tap receives the same bytes
-// inside their RPC message. So the records the client emits are exactly
-// what a sniffer would extract from its packets, which keeps the fast
-// record-level pipeline byte-faithful to the wire-level one.
+// once through the real wire codecs. The client's nfs.Decoder builds
+// the records from those bytes with CallRecord and ReplyRecord, the
+// same builders the sniffer runs on captured packets, and an attached
+// Tap receives the same bytes inside their RPC message. So the records
+// the client emits are exactly what a sniffer would extract from its
+// packets, which keeps the fast record-level pipeline byte-faithful to
+// the wire-level one.
 
 // sendCall encodes args, emits the call record and hands the call
 // message to the tap.
@@ -23,7 +24,7 @@ func (c *Client) sendCall(t float64, version, proc uint32, args any) {
 	}
 	rec := c.envelope(t, core.KindCall, version)
 	rec.UID, rec.GID = c.UID, c.GID
-	if err := nfs.CallRecord(rec, version, proc, e.Bytes()); err != nil {
+	if err := c.dec.CallRecord(rec, version, proc, e.Bytes()); err != nil {
 		panic("client: re-parsing own call failed: " + err.Error())
 	}
 	// Wire size estimate: eth+ip+transport+rpc header ≈ 150 bytes plus
@@ -43,7 +44,7 @@ func (c *Client) sendReply(t float64, version, proc uint32, res any) {
 		panic("client: encoding reply failed: " + err.Error())
 	}
 	rec := c.envelope(t, core.KindReply, version)
-	if err := nfs.ReplyRecord(rec, version, proc, e.Bytes()); err != nil {
+	if err := c.dec.ReplyRecord(rec, version, proc, e.Bytes()); err != nil {
 		panic("client: re-parsing reply failed: " + err.Error())
 	}
 	c.Sink.Record(rec, 150+e.Len())

@@ -91,7 +91,8 @@ func BenchmarkFattr3RoundTrip(b *testing.B) {
 		e.Reset()
 		EncodeFattr3(e, a)
 		d := xdr.NewDecoder(e.Bytes())
-		DecodeFattr3(d)
+		var got Fattr
+		decodeFattr3(d, &got)
 		if err := d.Err(); err != nil {
 			b.Fatal(err)
 		}

@@ -1,20 +1,28 @@
 package nfs
 
-import "repro/internal/core"
+import (
+	"bytes"
 
-// Decoder decodes NFS bodies into storage it owns, for a caller that
+	"repro/internal/core"
+)
+
+// Decoder is the storage every NFS body is decoded into. What a decode
+// returns — the typed args or results, their Fattr, WccData, WccAttr
+// and Sattr pointees, the CallInfo or ReplyInfo a record is filled
+// from — is the Decoder's and is overwritten by its next decode, and
+// the handles and opaque data in it alias the body. A caller that
 // decodes one message after another and is done with each before the
-// next: the sniffer, and each NetServer connection. Its methods are the
-// package functions of the same names through the same parsers, with
-// one difference. What they decode — the typed args or results, their
-// Fattr, WccData, WccAttr and Sattr pointees, the CallInfo or ReplyInfo
-// the record is filled from — is the Decoder's and is overwritten by its
-// next call, and the handles in it alias the body.
-// CallRecord and ReplyRecord intern those handles before they return,
-// through a handle memo of the Decoder's own (core.FHMemo), so the
-// record they fill holds nothing of the Decoder or the body, and once a
-// Decoder has seen each procedure they allocate only the names the
-// record keeps.
+// next (the sniffer, each NetServer connection, each pending NetClient
+// call, the simulated client) keeps one Decoder and allocates nothing
+// once it has seen each procedure. The package functions (DecodeArgs,
+// ParseCall, ...) are a fresh Decoder over a private copy of the body,
+// so their results own every byte.
+//
+// CallRecord and ReplyRecord intern the handles they fill a record
+// with through a handle memo of the Decoder's own (core.FHMemo, made on
+// the first record), so the record holds nothing of the Decoder or the
+// body, and once a Decoder has seen each procedure they allocate only
+// the names the record keeps.
 //
 // The zero value is ready to use. A Decoder is not safe for concurrent
 // use.
@@ -34,7 +42,7 @@ type Decoder struct {
 	sattr   sattrVals
 	entries []DirEntry // backing of the last READDIR result's Entries
 
-	memo core.FHMemo // spelling → interned handle, for the records filled
+	memo *core.FHMemo // spelling → interned handle, for the records filled
 }
 
 // procSlots holds one version and direction's typed structs, by
@@ -53,47 +61,106 @@ type sattrVals struct {
 	atime, mtime   Time
 }
 
-// DecodeArgs is the package's DecodeArgs, decoding into the Decoder's
-// storage: the args are valid until the Decoder's next call, and their
-// handles and WRITE data alias body.
+// DecodeArgs parses the argument body of proc in the given version
+// into the Decoder.
 func (s *Decoder) DecodeArgs(version, proc uint32, body []byte) (any, error) {
-	return decodeArgs(s, version, proc, body)
+	switch version {
+	case V3:
+		return decodeArgs3(s, proc, body)
+	case V2:
+		return decodeArgs2(s, proc, body)
+	}
+	return nil, ErrBadProc
 }
 
-// CallRecord is the package's CallRecord, decoding into the Decoder's
-// storage.
+// DecodeRes parses the result body of proc in the given version into
+// the Decoder.
+func (s *Decoder) DecodeRes(version, proc uint32, body []byte) (any, error) {
+	switch version {
+	case V3:
+		return decodeRes3(s, proc, body)
+	case V2:
+		return decodeRes2(s, proc, body)
+	}
+	return nil, ErrBadProc
+}
+
+// CallRecord decodes the argument body of an NFS call and fills the
+// NFS fields of rec: the procedure, handles, names, range, stability
+// and truncation target. It leaves rec untouched on error. The caller
+// fills the envelope: time, kind, endpoints, xid, version and
+// credentials.
 func (s *Decoder) CallRecord(rec *core.Record, version, proc uint32, body []byte) error {
-	info, err := parseCall(s, &s.call, version, proc, body)
+	info, err := parseCall(s, version, proc, body)
 	if err != nil {
 		return err
 	}
-	fillCall(rec, info, &s.memo)
+	fillCall(rec, info, s.handles())
 	return nil
 }
 
-// ReplyRecord is the package's ReplyRecord, decoding into the Decoder's
-// storage.
+// ReplyRecord decodes the result body of an NFS reply to proc and
+// fills the NFS fields of rec: the procedure, status, bytes moved, EOF,
+// the new handle and the attributes before and after. It leaves rec
+// untouched on error; the caller fills the envelope as for CallRecord.
 func (s *Decoder) ReplyRecord(rec *core.Record, version, proc uint32, body []byte) error {
-	info, err := parseReply(s, &s.reply, version, proc, body)
+	info, err := parseReply(s, version, proc, body)
 	if err != nil {
 		return err
 	}
-	fillReply(rec, info, &s.memo)
+	fillReply(rec, info, s.handles())
 	return nil
 }
 
-// The helpers below hand a parser the storage it fills. Every parser
-// takes the Decoder as s, nil for the package functions, whose results
-// belong to the caller: then each helper allocates only what the result
-// holds, one object per struct, pointee and handle present.
+// handles returns the Decoder's handle memo, made the first time a
+// record is filled: a Decoder that only decodes typed bodies never
+// needs its 20 KiB.
+func (s *Decoder) handles() *core.FHMemo {
+	if s.memo == nil {
+		s.memo = new(core.FHMemo)
+	}
+	return s.memo
+}
+
+// DecodeArgs parses the argument body of proc in the given version.
+func DecodeArgs(version, proc uint32, body []byte) (any, error) {
+	return new(Decoder).DecodeArgs(version, proc, bytes.Clone(body))
+}
+
+// DecodeRes parses the result body of proc in the given version.
+func DecodeRes(version, proc uint32, body []byte) (any, error) {
+	return new(Decoder).DecodeRes(version, proc, bytes.Clone(body))
+}
+
+// DecodeArgs3 parses the v3 argument body for proc, returning the
+// matching *Args3 struct (nil for NULL).
+func DecodeArgs3(proc uint32, body []byte) (any, error) {
+	return decodeArgs3(new(Decoder), proc, bytes.Clone(body))
+}
+
+// DecodeRes3 parses the v3 result body for proc.
+func DecodeRes3(proc uint32, body []byte) (any, error) {
+	return decodeRes3(new(Decoder), proc, bytes.Clone(body))
+}
+
+// ParseCall decodes the argument body of an NFS call into semantic form.
+func ParseCall(version, proc uint32, body []byte) (*CallInfo, error) {
+	return parseCall(new(Decoder), version, proc, bytes.Clone(body))
+}
+
+// ParseReply decodes the result body of an NFS reply into semantic form.
+// The caller must supply the procedure from the matched call, since RPC
+// replies do not carry it.
+func ParseReply(version, proc uint32, body []byte) (*ReplyInfo, error) {
+	return parseReply(new(Decoder), version, proc, bytes.Clone(body))
+}
+
+// The helpers below hand a parser the Decoder's storage to fill.
 
 // procs returns the Decoder's typed structs for a version and
-// direction, or nil when s is nil, and starts a new decode: the
-// pointees handed out for the previous one are free again.
+// direction, and starts a new decode: the pointees handed out for the
+// previous one are free again.
 func (s *Decoder) procs(version uint32, reply bool) *procSlots {
-	if s == nil {
-		return nil
-	}
 	s.nfattr, s.nwcc = 0, 0
 	dir := 0
 	if reply {
@@ -102,12 +169,8 @@ func (s *Decoder) procs(version uint32, reply bool) *procSlots {
 	return &s.slots[version-V2][dir]
 }
 
-// own returns the struct a decode of proc fills: the Decoder's own,
-// zeroed, or a new one when t is nil.
+// own returns the struct a decode of proc fills, zeroed.
 func own[T any](t *procSlots, proc uint32) *T {
-	if t == nil {
-		return new(T)
-	}
 	p, _ := t[proc].(*T)
 	if p == nil {
 		p = new(T)
@@ -118,81 +181,37 @@ func own[T any](t *procSlots, proc uint32) *T {
 	return p
 }
 
-// handle returns the decoded handle bytes b: aliasing the body for the
-// Decoder, copied for a caller-owned result.
-func (s *Decoder) handle(b []byte) FH {
-	if s != nil {
-		return FH(b[:len(b):len(b)])
-	}
-	out := make(FH, len(b))
-	copy(out, b)
-	return out
-}
+// handle returns the decoded handle bytes b, aliasing the body.
+func handle(b []byte) FH { return FH(b[:len(b):len(b)]) }
 
 // fattr returns an attribute block to fill.
 func (s *Decoder) fattr() *Fattr {
-	if s == nil {
-		return new(Fattr)
-	}
 	a := &s.fattrs[s.nfattr]
 	s.nfattr++
 	return a
 }
 
-// wcc returns a zeroed wcc_data to fill, and the pre-op attributes to
-// fill if the body carries them: nil for a caller-owned result, which
-// allocates them only then.
+// wcc returns a zeroed wcc_data to fill, and where its pre-op
+// attributes go if the body carries them.
 func (s *Decoder) wcc() (*WccData, *WccAttr) {
-	if s == nil {
-		return new(WccData), nil
-	}
 	w := &s.wccs[s.nwcc]
 	s.nwcc++
 	w.data = WccData{}
 	return &w.data, &w.before
 }
 
-// sattrSlots returns where a Sattr's values go: the Decoder's, or all
-// nil for a caller-owned result, whose values are allocated one by one
-// as they are present.
-func (s *Decoder) sattrSlots() sattrPtrs {
-	if s == nil {
-		return sattrPtrs{}
-	}
-	v := &s.sattr
-	return sattrPtrs{&v.mode, &v.uid, &v.gid, &v.size, &v.atime, &v.mtime}
+// val stores v at p and returns p. (Returning &v instead would move v
+// to the heap on every call.)
+func val[T any](p *T, v T) *T {
+	*p = v
+	return p
 }
 
-type sattrPtrs struct {
-	mode, uid, gid *uint32
-	size           *uint64
-	atime, mtime   *Time
-}
-
-// val stores v at own, or at a new T when own is nil, and returns where
-// it went. (Returning &v instead would move v to the heap on every
-// call, own or not.)
-func val[T any](own *T, v T) *T {
-	if own == nil {
-		own = new(T)
-	}
-	*own = v
-	return own
-}
-
-// dirEntries returns the storage a READDIR result's entries append to:
-// the Decoder's, emptied, or nil.
-func (s *Decoder) dirEntries() []DirEntry {
-	if s == nil {
-		return nil
-	}
-	return s.entries[:0]
-}
-
-// setEntries stores a READDIR result's entries: nil when there are
-// none, as a fresh decode leaves them. The Decoder keeps the storage.
+// setEntries stores a READDIR result's entries, appended to
+// s.entries[:0]: nil when there are none, as the encoder's zero result
+// has them. The Decoder keeps the storage.
 func (s *Decoder) setEntries(e []DirEntry) []DirEntry {
-	if s != nil && cap(e) > cap(s.entries) {
+	if cap(e) > cap(s.entries) {
 		s.entries = e[:0]
 	}
 	if len(e) == 0 {

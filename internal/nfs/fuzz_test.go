@@ -87,7 +87,7 @@ func FuzzNFSDecode(f *testing.F) {
 			decoded, err = DecodeRes(v, p, body)
 			var info *ReplyInfo
 			info, semErr = ParseReply(v, p, body)
-			recErr = ReplyRecord(&rec, v, p, body)
+			recErr = new(Decoder).ReplyRecord(&rec, v, p, body)
 			if info != nil {
 				got, want = []core.FH{rec.NewFH}, []core.FH{core.InternFH(info.NewFH.String())}
 			}
@@ -95,7 +95,7 @@ func FuzzNFSDecode(f *testing.F) {
 			decoded, err = DecodeArgs(v, p, body)
 			var info *CallInfo
 			info, semErr = ParseCall(v, p, body)
-			recErr = CallRecord(&rec, v, p, body)
+			recErr = new(Decoder).CallRecord(&rec, v, p, body)
 			if info != nil {
 				got = []core.FH{rec.FH, rec.FH2}
 				want = []core.FH{core.InternFH(info.FH.String()), core.InternFH(info.FH2.String())}
@@ -130,8 +130,9 @@ func FuzzNFSDecode(f *testing.F) {
 }
 
 // decodeForms decode one body in each form a Decoder offers — typed
-// and record — through s, or through the package functions when s is
-// nil, and render the answer before the next decode can overwrite it.
+// and record — through s, or fresh when s is nil: through the package
+// functions, or a new Decoder for the records. Each renders its answer
+// before the next decode can overwrite it.
 var decodeForms = []func(s *Decoder, version, proc uint32, reply bool, body []byte) string{
 	func(s *Decoder, version, proc uint32, reply bool, body []byte) string {
 		var v any
@@ -142,20 +143,19 @@ var decodeForms = []func(s *Decoder, version, proc uint32, reply bool, body []by
 		case s == nil:
 			v, err = DecodeArgs(version, proc, body)
 		case reply:
-			v, err = decodeRes(s, version, proc, body)
+			v, err = s.DecodeRes(version, proc, body)
 		default:
-			v, err = decodeArgs(s, version, proc, body)
+			v, err = s.DecodeArgs(version, proc, body)
 		}
 		return render(v, err)
 	},
 	func(s *Decoder, version, proc uint32, reply bool, body []byte) string {
 		var rec core.Record
 		var err error
+		if s == nil {
+			s = new(Decoder)
+		}
 		switch {
-		case s == nil && reply:
-			err = ReplyRecord(&rec, version, proc, body)
-		case s == nil:
-			err = CallRecord(&rec, version, proc, body)
 		case reply:
 			err = s.ReplyRecord(&rec, version, proc, body)
 		default:

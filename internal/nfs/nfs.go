@@ -12,8 +12,9 @@
 // one record per call or reply with the fields the analyses need
 // (handle, name, offset, count, attributes, status). The sniffer, the
 // server's trace tap and the simulated client all build records there.
-// Every decode returns storage of its own, except through a Decoder
-// (decoder.go), which runs the same parsers into storage it reuses.
+// Every decode fills a Decoder (decoder.go): a caller's own, reused
+// from body to body, or a fresh one over a copy of the body for the
+// package functions, whose results are then the caller's.
 package nfs
 
 import (
@@ -142,22 +143,6 @@ func EncodeArgs(version uint32, e *xdr.Encoder, proc uint32, args any) error {
 	return ErrBadProc
 }
 
-// DecodeArgs parses the argument body of proc in the given version,
-// through DecodeArgs3 or DecodeArgs2.
-func DecodeArgs(version, proc uint32, body []byte) (any, error) {
-	return decodeArgs(nil, version, proc, body)
-}
-
-func decodeArgs(s *Decoder, version, proc uint32, body []byte) (any, error) {
-	switch version {
-	case V3:
-		return decodeArgs3(s, proc, body)
-	case V2:
-		return decodeArgs2(s, proc, body)
-	}
-	return nil, ErrBadProc
-}
-
 // EncodeRes writes the result body of proc in the given version,
 // through EncodeRes3 or EncodeRes2. A nil result (NULL, and v2's void
 // procedures) writes nothing.
@@ -172,22 +157,6 @@ func EncodeRes(version uint32, e *xdr.Encoder, proc uint32, res any) error {
 		return EncodeRes2(e, proc, res)
 	}
 	return ErrBadProc
-}
-
-// DecodeRes parses the result body of proc in the given version,
-// through DecodeRes3 or DecodeRes2.
-func DecodeRes(version, proc uint32, body []byte) (any, error) {
-	return decodeRes(nil, version, proc, body)
-}
-
-func decodeRes(s *Decoder, version, proc uint32, body []byte) (any, error) {
-	switch version {
-	case V3:
-		return decodeRes3(s, proc, body)
-	case V2:
-		return decodeRes2(s, proc, body)
-	}
-	return nil, ErrBadProc
 }
 
 // v3ProcNames are the lower-case procedure names as they appear in

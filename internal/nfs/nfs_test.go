@@ -96,7 +96,7 @@ func TestFattr3RoundTrip(t *testing.T) {
 	e := xdr.NewEncoder(128)
 	EncodeFattr3(e, a)
 	d := xdr.NewDecoder(e.Bytes())
-	got := DecodeFattr3(d)
+	got := readFattr3(d, new(Decoder))
 	if err := d.Err(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -113,7 +113,7 @@ func TestFattr2RoundTrip(t *testing.T) {
 	e := xdr.NewEncoder(128)
 	EncodeFattr2(e, a)
 	d := xdr.NewDecoder(e.Bytes())
-	got := DecodeFattr2(d)
+	got := readFattr2(d, new(Decoder))
 	if err := d.Err(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -373,7 +373,7 @@ func TestV2ArgsRoundTripAllProcs(t *testing.T) {
 		if err := EncodeArgs2(e, proc, args); err != nil {
 			t.Fatalf("%s: encode: %v", ProcName(V2, proc), err)
 		}
-		if _, err := DecodeArgs2(proc, e.Bytes()); err != nil {
+		if _, err := DecodeArgs(V2, proc, e.Bytes()); err != nil {
 			t.Fatalf("%s: decode: %v", ProcName(V2, proc), err)
 		}
 		if _, err := ParseCall(V2, proc, e.Bytes()); err != nil {
@@ -416,7 +416,7 @@ func TestV2ResRoundTripAllProcs(t *testing.T) {
 		if err := EncodeRes2(e, proc, res); err != nil {
 			t.Fatalf("%s: encode: %v", ProcName(V2, proc), err)
 		}
-		if _, err := DecodeRes2(proc, e.Bytes()); err != nil {
+		if _, err := DecodeRes(V2, proc, e.Bytes()); err != nil {
 			t.Fatalf("%s: decode: %v", ProcName(V2, proc), err)
 		}
 		if _, err := ParseReply(V2, proc, e.Bytes()); err != nil {
@@ -431,7 +431,7 @@ func TestV2FHPaddingRoundTrip(t *testing.T) {
 	if err := EncodeArgs2(e, V2Getattr, &GetattrArgs3{FH: MakeFH(0xDEAD)}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeArgs2(V2Getattr, e.Bytes())
+	got, err := DecodeArgs(V2, V2Getattr, e.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestSattr3RoundTrip(t *testing.T) {
 	e := xdr.NewEncoder(128)
 	encodeSattr3(e, s)
 	d := xdr.NewDecoder(e.Bytes())
-	got := decodeSattr3(d, nil)
+	got := decodeSattr3(d, new(Decoder))
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}

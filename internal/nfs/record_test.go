@@ -67,13 +67,14 @@ func TestRecordBuilders(t *testing.T) {
 		e := xdr.NewEncoder(256)
 		var got core.Record
 		var err error
+		var dec Decoder
 		if tc.reply {
 			if err = EncodeRes(tc.version, e, tc.proc, tc.body); err == nil {
-				err = ReplyRecord(&got, tc.version, tc.proc, e.Bytes())
+				err = dec.ReplyRecord(&got, tc.version, tc.proc, e.Bytes())
 			}
 		} else {
 			if err = EncodeArgs(tc.version, e, tc.proc, tc.body); err == nil {
-				err = CallRecord(&got, tc.version, tc.proc, e.Bytes())
+				err = dec.CallRecord(&got, tc.version, tc.proc, e.Bytes())
 			}
 		}
 		if err != nil {
@@ -108,13 +109,14 @@ func TestInternLongHandle(t *testing.T) {
 func TestRecordBuildersRejectLeaveRecord(t *testing.T) {
 	env := core.Record{Time: 1, Kind: core.KindCall, XID: 9, Version: V3}
 	rec := env
-	if CallRecord(&rec, V3, V3Read, []byte{0, 0, 0}) == nil || rec != env {
+	var dec Decoder
+	if dec.CallRecord(&rec, V3, V3Read, []byte{0, 0, 0}) == nil || rec != env {
 		t.Fatalf("truncated READ call: %+v", rec)
 	}
-	if ReplyRecord(&rec, V3, V3Read, []byte{0, 0}) == nil || rec != env {
+	if dec.ReplyRecord(&rec, V3, V3Read, []byte{0, 0}) == nil || rec != env {
 		t.Fatalf("truncated READ reply: %+v", rec)
 	}
-	if CallRecord(&rec, 4, V3Null, nil) == nil || rec != env {
+	if dec.CallRecord(&rec, 4, V3Null, nil) == nil || rec != env {
 		t.Fatalf("NFSv4 call: %+v", rec)
 	}
 }

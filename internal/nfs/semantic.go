@@ -40,27 +40,7 @@ type ReplyInfo struct {
 	Pre    *WccAttr
 }
 
-// ParseCall decodes the argument body of an NFS call into semantic form.
-func ParseCall(version, proc uint32, body []byte) (*CallInfo, error) {
-	return parseCall(nil, new(CallInfo), version, proc, body)
-}
-
-// CallRecord runs ParseCall on the argument body of an NFS call and
-// fills the NFS fields of rec: the procedure, handles, names, range,
-// stability and truncation target. It leaves rec untouched on error.
-// The caller fills the envelope: time, kind, endpoints, xid, version
-// and credentials.
-func CallRecord(rec *core.Record, version, proc uint32, body []byte) error {
-	info, err := ParseCall(version, proc, body)
-	if err != nil {
-		return err
-	}
-	fillCall(rec, info, nil)
-	return nil
-}
-
-// fillCall fills rec from info, interning its handles through memo
-// (nil: the process-wide table).
+// fillCall fills rec from info, interning its handles through memo.
 func fillCall(rec *core.Record, info *CallInfo, memo *core.FHMemo) {
 	rec.Proc = core.MustProc(info.Name)
 	rec.FH, rec.Name = info.FH.internIn(memo), info.FName
@@ -69,20 +49,6 @@ func fillCall(rec *core.Record, info *CallInfo, memo *core.FHMemo) {
 	if info.SetSize != nil {
 		rec.SetSize, rec.HasSet = *info.SetSize, true
 	}
-}
-
-// ReplyRecord runs ParseReply on the result body of an NFS reply to
-// proc and fills the NFS fields of rec: the procedure, status, bytes
-// moved, EOF, the new handle and the attributes before and after. It
-// leaves rec untouched on error; the caller fills the envelope as for
-// CallRecord.
-func ReplyRecord(rec *core.Record, version, proc uint32, body []byte) error {
-	info, err := ParseReply(version, proc, body)
-	if err != nil {
-		return err
-	}
-	fillReply(rec, info, nil)
-	return nil
 }
 
 func fillReply(rec *core.Record, info *ReplyInfo, memo *core.FHMemo) {
@@ -99,15 +65,15 @@ func fillReply(rec *core.Record, info *ReplyInfo, memo *core.FHMemo) {
 	}
 }
 
-// parseCall is ParseCall into info, with the typed args from s. One
-// switch serves both versions: the v2 argument structs that share a v3
-// shape are the v3 types.
-func parseCall(s *Decoder, info *CallInfo, version, proc uint32, body []byte) (*CallInfo, error) {
-	*info = CallInfo{Version: version, Proc: proc, Name: ProcName(version, proc)}
-	args, err := decodeArgs(s, version, proc, body)
+// parseCall is ParseCall into s. One switch serves both versions: the
+// v2 argument structs that share a v3 shape are the v3 types.
+func parseCall(s *Decoder, version, proc uint32, body []byte) (*CallInfo, error) {
+	args, err := s.DecodeArgs(version, proc, body)
 	if err != nil {
 		return nil, err
 	}
+	info := &s.call
+	*info = CallInfo{Version: version, Proc: proc, Name: ProcName(version, proc)}
 	switch a := args.(type) {
 	case nil:
 	case *GetattrArgs3:
@@ -178,22 +144,15 @@ func parseCall(s *Decoder, info *CallInfo, version, proc uint32, body []byte) (*
 	return info, nil
 }
 
-// ParseReply decodes the result body of an NFS reply into semantic form.
-// The caller must supply the procedure from the matched call, since RPC
-// replies do not carry it.
-func ParseReply(version, proc uint32, body []byte) (*ReplyInfo, error) {
-	return parseReply(nil, new(ReplyInfo), version, proc, body)
-}
-
-// parseReply is ParseReply into info, with the typed results from s.
-// The v2 and v3 result structs are distinct types, so one switch serves
-// both versions.
-func parseReply(s *Decoder, info *ReplyInfo, version, proc uint32, body []byte) (*ReplyInfo, error) {
-	*info = ReplyInfo{Version: version, Proc: proc, Name: ProcName(version, proc)}
-	res, err := decodeRes(s, version, proc, body)
+// parseReply is ParseReply into s. The v2 and v3 result structs are
+// distinct types, so one switch serves both versions.
+func parseReply(s *Decoder, version, proc uint32, body []byte) (*ReplyInfo, error) {
+	res, err := s.DecodeRes(version, proc, body)
 	if err != nil {
 		return nil, err
 	}
+	info := &s.reply
+	*info = ReplyInfo{Version: version, Proc: proc, Name: ProcName(version, proc)}
 	switch r := res.(type) {
 	case nil:
 	case *GetattrRes3:

@@ -26,11 +26,10 @@ func TestDecodeTruncationGolden(t *testing.T) {
 		version, procs        uint32
 		argsFor, resFor       func(uint32) any
 		encodeArgs, encodeRes func(*xdr.Encoder, uint32, any) error
-		decodeArgs, decodeRes func(uint32, []byte) (any, error)
 	}
 	codecs := []codec{
-		{V2, V2NumProcs, v2ArgsFor, v2ResFor, EncodeArgs2, EncodeRes2, DecodeArgs2, DecodeRes2},
-		{V3, V3NumProcs, v3ArgsFor, v3ResFor, EncodeArgs3, EncodeRes3, DecodeArgs3, DecodeRes3},
+		{V2, V2NumProcs, v2ArgsFor, v2ResFor, EncodeArgs2, EncodeRes2},
+		{V3, V3NumProcs, v3ArgsFor, v3ResFor, EncodeArgs3, EncodeRes3},
 	}
 	encode := func(enc func(*xdr.Encoder, uint32, any) error, proc uint32, v any) []byte {
 		e := xdr.NewEncoder(512)
@@ -58,10 +57,10 @@ func TestDecodeTruncationGolden(t *testing.T) {
 		for proc := uint32(0); proc <= c.procs; proc++ {
 			proc := proc
 			name := fmt.Sprintf("v%d %s", c.version, ProcName(c.version, proc))
-			freshArgs := func(body []byte) (any, error) { return c.decodeArgs(proc, body) }
-			freshRes := func(body []byte) (any, error) { return c.decodeRes(proc, body) }
-			reuseArgs := func(body []byte) (any, error) { return decodeArgs(&dec, c.version, proc, body) }
-			reuseRes := func(body []byte) (any, error) { return decodeRes(&dec, c.version, proc, body) }
+			freshArgs := func(body []byte) (any, error) { return DecodeArgs(c.version, proc, body) }
+			freshRes := func(body []byte) (any, error) { return DecodeRes(c.version, proc, body) }
+			reuseArgs := func(body []byte) (any, error) { return dec.DecodeArgs(c.version, proc, body) }
+			reuseRes := func(body []byte) (any, error) { return dec.DecodeRes(c.version, proc, body) }
 			render(name+" args", encode(c.encodeArgs, proc, c.argsFor(proc)), freshArgs, reuseArgs)
 			render(name+" res", encode(c.encodeRes, proc, c.resFor(proc)), freshRes, reuseRes)
 			if res := c.resFor(proc); res != nil {
@@ -114,7 +113,7 @@ func TestDecodeTruncationGolden(t *testing.T) {
 		}
 		render(h.name, e.Bytes(),
 			func(body []byte) (any, error) { return DecodeArgs(version, h.proc, body) },
-			func(body []byte) (any, error) { return decodeArgs(&dec, version, h.proc, body) })
+			func(body []byte) (any, error) { return dec.DecodeArgs(version, h.proc, body) })
 	}
 	golden := filepath.Join("testdata", "truncation.golden")
 	cutgolden.Check(t, golden, fresh.String())

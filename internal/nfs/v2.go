@@ -18,7 +18,7 @@ func encodeFH2(e *xdr.Encoder, fh FH) {
 	e.PutFixedOpaque(buf[:])
 }
 
-func decodeFH2(d *xdr.Decoder, s *Decoder) FH {
+func decodeFH2(d *xdr.Decoder) FH {
 	b := d.FixedOpaque(V2FHSize)
 	if b == nil {
 		return nil
@@ -36,12 +36,12 @@ func decodeFH2(d *xdr.Decoder, s *Decoder) FH {
 	if allZero {
 		n = 8
 	}
-	return s.handle(b[:n])
+	return handle(b[:n])
 }
 
 // decodeDirOp2 reads v2 diropargs: a directory handle and a name.
-func decodeDirOp2(d *xdr.Decoder, s *Decoder) DirOpArgs3 {
-	return DirOpArgs3{Dir: decodeFH2(d, s), Name: d.String()}
+func decodeDirOp2(d *xdr.Decoder) DirOpArgs3 {
+	return DirOpArgs3{Dir: decodeFH2(d), Name: d.String()}
 }
 
 func encodeTime2(e *xdr.Encoder, t Time) {
@@ -75,11 +75,9 @@ func EncodeFattr2(e *xdr.Encoder, a *Fattr) {
 	encodeTime2(e, a.Ctime)
 }
 
-// DecodeFattr2 parses a v2 fattr block into the version-neutral form.
-// After a short read the result is meaningless and d.Err reports it.
-func DecodeFattr2(d *xdr.Decoder) *Fattr { return readFattr2(d, nil) }
-
-// readFattr2 parses a v2 fattr block into storage from s.
+// readFattr2 parses a v2 fattr block into one of s's, in the
+// version-neutral form. After a short read the result is meaningless
+// and d.Err reports it.
 func readFattr2(d *xdr.Decoder, s *Decoder) *Fattr {
 	a := s.fattr()
 	*a = Fattr{Type: d.Uint32(), Mode: d.Uint32(), Nlink: d.Uint32(), UID: d.Uint32(), GID: d.Uint32()}
@@ -126,27 +124,27 @@ func encodeSattr2(e *xdr.Encoder, s *Sattr) {
 }
 
 func decodeSattr2(d *xdr.Decoder, s *Decoder) Sattr {
-	own := s.sattrSlots()
-	opt := func(own *uint32) *uint32 {
-		v := d.Uint32()
-		if v == v2NoValue {
+	v := &s.sattr
+	opt := func(p *uint32) *uint32 {
+		x := d.Uint32()
+		if x == v2NoValue {
 			return nil
 		}
-		return val(own, v)
+		return val(p, x)
 	}
-	optTime := func(own *Time) *Time {
+	optTime := func(p *Time) *Time {
 		sec, usec := d.Uint32(), d.Uint32()
 		if sec == v2NoValue && usec == v2NoValue {
 			return nil
 		}
-		return val(own, Time{Sec: sec, Nsec: usec * 1000})
+		return val(p, Time{Sec: sec, Nsec: usec * 1000})
 	}
-	a := Sattr{Mode: opt(own.mode), UID: opt(own.uid), GID: opt(own.gid)}
+	a := Sattr{Mode: opt(&v.mode), UID: opt(&v.uid), GID: opt(&v.gid)}
 	if sz := d.Uint32(); sz != v2NoValue {
-		a.Size = val(own.size, uint64(sz))
+		a.Size = val(&v.size, uint64(sz))
 	}
-	a.Atime = optTime(own.atime)
-	a.Mtime = optTime(own.mtime)
+	a.Atime = optTime(&v.atime)
+	a.Mtime = optTime(&v.mtime)
 	return a
 }
 
@@ -294,10 +292,7 @@ func EncodeArgs2(e *xdr.Encoder, proc uint32, args any) error {
 	return nil
 }
 
-// DecodeArgs2 parses the v2 argument body for proc.
-func DecodeArgs2(proc uint32, body []byte) (any, error) { return decodeArgs2(nil, proc, body) }
-
-// decodeArgs2 is DecodeArgs2 into storage from s.
+// decodeArgs2 parses the v2 argument body for proc into s.
 func decodeArgs2(s *Decoder, proc uint32, body []byte) (any, error) {
 	d := xdr.NewDecoder(body)
 	t := s.procs(V2, false)
@@ -306,23 +301,23 @@ func decodeArgs2(s *Decoder, proc uint32, body []byte) (any, error) {
 	case V2Null, V2Root, V2Writecache:
 	case V2Getattr, V2Readlink, V2Statfs:
 		a := own[GetattrArgs3](t, proc)
-		a.FH = decodeFH2(d, s)
+		a.FH = decodeFH2(d)
 		args = a
 	case V2Setattr:
 		a := own[SetattrArgs2](t, proc)
-		*a = SetattrArgs2{FH: decodeFH2(d, s), Attr: decodeSattr2(d, s)}
+		*a = SetattrArgs2{FH: decodeFH2(d), Attr: decodeSattr2(d, s)}
 		args = a
 	case V2Lookup, V2Remove, V2Rmdir:
 		a := own[DirOpArgs3](t, proc)
-		*a = decodeDirOp2(d, s)
+		*a = decodeDirOp2(d)
 		args = a
 	case V2Read:
 		a := own[ReadArgs2](t, proc)
-		*a = ReadArgs2{FH: decodeFH2(d, s), Offset: d.Uint32(), Count: d.Uint32(), TotalCount: d.Uint32()}
+		*a = ReadArgs2{FH: decodeFH2(d), Offset: d.Uint32(), Count: d.Uint32(), TotalCount: d.Uint32()}
 		args = a
 	case V2Write:
 		a := own[WriteArgs2](t, proc)
-		a.FH = decodeFH2(d, s)
+		a.FH = decodeFH2(d)
 		d.Uint32() // beginoffset
 		a.Offset = d.Uint32()
 		d.Uint32() // totalcount
@@ -330,23 +325,23 @@ func decodeArgs2(s *Decoder, proc uint32, body []byte) (any, error) {
 		args = a
 	case V2Create, V2Mkdir:
 		a := own[CreateArgs2](t, proc)
-		*a = CreateArgs2{Where: decodeDirOp2(d, s), Attr: decodeSattr2(d, s)}
+		*a = CreateArgs2{Where: decodeDirOp2(d), Attr: decodeSattr2(d, s)}
 		args = a
 	case V2Rename:
 		a := own[RenameArgs3](t, proc)
-		*a = RenameArgs3{From: decodeDirOp2(d, s), To: decodeDirOp2(d, s)}
+		*a = RenameArgs3{From: decodeDirOp2(d), To: decodeDirOp2(d)}
 		args = a
 	case V2Link:
 		a := own[LinkArgs3](t, proc)
-		*a = LinkArgs3{FH: decodeFH2(d, s), To: decodeDirOp2(d, s)}
+		*a = LinkArgs3{FH: decodeFH2(d), To: decodeDirOp2(d)}
 		args = a
 	case V2Symlink:
 		a := own[SymlinkArgs3](t, proc)
-		*a = SymlinkArgs3{Where: decodeDirOp2(d, s), Target: d.String(), Attr: decodeSattr2(d, s)}
+		*a = SymlinkArgs3{Where: decodeDirOp2(d), Target: d.String(), Attr: decodeSattr2(d, s)}
 		args = a
 	case V2Readdir:
 		a := own[ReaddirArgs2](t, proc)
-		*a = ReaddirArgs2{Dir: decodeFH2(d, s), Cookie: d.Uint32(), Count: d.Uint32()}
+		*a = ReaddirArgs2{Dir: decodeFH2(d), Cookie: d.Uint32(), Count: d.Uint32()}
 		args = a
 	default:
 		d.Fail(fmt.Errorf("%w: v2 proc %d", ErrBadProc, proc))
@@ -420,10 +415,7 @@ func EncodeRes2(e *xdr.Encoder, proc uint32, res any) error {
 	return nil
 }
 
-// DecodeRes2 parses the v2 result body for proc.
-func DecodeRes2(proc uint32, body []byte) (any, error) { return decodeRes2(nil, proc, body) }
-
-// decodeRes2 is DecodeRes2 into storage from s.
+// decodeRes2 parses the v2 result body for proc into s.
 func decodeRes2(s *Decoder, proc uint32, body []byte) (any, error) {
 	d := xdr.NewDecoder(body)
 	t := s.procs(V2, true)
@@ -446,7 +438,7 @@ func decodeRes2(s *Decoder, proc uint32, body []byte) (any, error) {
 		r := own[DirOpRes2](t, proc)
 		r.Status = status
 		if ok {
-			r.FH = decodeFH2(d, s)
+			r.FH = decodeFH2(d)
 			r.Attr = readFattr2(d, s)
 		}
 		res = r
@@ -473,7 +465,7 @@ func decodeRes2(s *Decoder, proc uint32, body []byte) (any, error) {
 		r := own[ReaddirRes2](t, proc)
 		r.Status = status
 		if ok {
-			entries := s.dirEntries()
+			entries := s.entries[:0]
 			for d.Bool() {
 				entries = append(entries, DirEntry{FileID: uint64(d.Uint32()), Name: d.String(), Cookie: uint64(d.Uint32())})
 			}

@@ -15,13 +15,13 @@ import (
 
 func encodeFH3(e *xdr.Encoder, fh FH) { e.PutOpaque(fh) }
 
-func decodeFH3(d *xdr.Decoder, s *Decoder) FH {
+func decodeFH3(d *xdr.Decoder) FH {
 	b := d.Opaque()
 	if len(b) > V3MaxFHSize {
 		d.Fail(fmt.Errorf("%w: fh of %d bytes", ErrDecode, len(b)))
 		return nil
 	}
-	return s.handle(b)
+	return handle(b)
 }
 
 func encodeTime3(e *xdr.Encoder, t Time) {
@@ -51,10 +51,6 @@ func EncodeFattr3(e *xdr.Encoder, a *Fattr) {
 	encodeTime3(e, a.Ctime)
 }
 
-// DecodeFattr3 parses a fattr3 block. After a short or malformed read
-// the result is meaningless and d.Err reports the failure.
-func DecodeFattr3(d *xdr.Decoder) *Fattr { return readFattr3(d, nil) }
-
 // decodeFattr3 parses a fattr3 block into a, overwriting every field.
 func decodeFattr3(d *xdr.Decoder, a *Fattr) {
 	*a = Fattr{Type: d.Uint32(), Mode: d.Uint32(), Nlink: d.Uint32(), UID: d.Uint32(), GID: d.Uint32()}
@@ -68,7 +64,7 @@ func decodeFattr3(d *xdr.Decoder, a *Fattr) {
 	a.Ctime = decodeTime3(d)
 }
 
-// readFattr3 parses a fattr3 block into storage from s.
+// readFattr3 parses a fattr3 block into one of s's.
 func readFattr3(d *xdr.Decoder, s *Decoder) *Fattr {
 	a := s.fattr()
 	decodeFattr3(d, a)
@@ -171,33 +167,33 @@ func encodeSattr3(e *xdr.Encoder, s *Sattr) {
 }
 
 func decodeSattr3(d *xdr.Decoder, s *Decoder) Sattr {
-	own := s.sattrSlots()
-	opt32 := func(own *uint32) *uint32 {
+	v := &s.sattr
+	opt32 := func(p *uint32) *uint32 {
 		if !d.Bool() {
 			return nil
 		}
-		return val(own, d.Uint32())
+		return val(p, d.Uint32())
 	}
-	optTime := func(own *Time) *Time {
+	optTime := func(p *Time) *Time {
 		how := d.Uint32()
 		switch how {
 		case 0: // DONT_CHANGE
 			return nil
 		case 1: // SET_TO_SERVER_TIME
-			return val(own, Time{})
+			return val(p, Time{})
 		case 2: // SET_TO_CLIENT_TIME
-			return val(own, decodeTime3(d))
+			return val(p, decodeTime3(d))
 		default:
 			d.Fail(fmt.Errorf("%w: time_how %d", ErrDecode, how))
 			return nil
 		}
 	}
-	a := Sattr{Mode: opt32(own.mode), UID: opt32(own.uid), GID: opt32(own.gid)}
+	a := Sattr{Mode: opt32(&v.mode), UID: opt32(&v.uid), GID: opt32(&v.gid)}
 	if d.Bool() {
-		a.Size = val(own.size, d.Uint64())
+		a.Size = val(&v.size, d.Uint64())
 	}
-	a.Atime = optTime(own.atime)
-	a.Mtime = optTime(own.mtime)
+	a.Atime = optTime(&v.atime)
+	a.Mtime = optTime(&v.mtime)
 	return a
 }
 
@@ -213,8 +209,8 @@ func encodeDirOp(e *xdr.Encoder, a *DirOpArgs3) {
 	e.PutString(a.Name)
 }
 
-func decodeDirOp(d *xdr.Decoder, s *Decoder) DirOpArgs3 {
-	return DirOpArgs3{Dir: decodeFH3(d, s), Name: d.String()}
+func decodeDirOp(d *xdr.Decoder) DirOpArgs3 {
+	return DirOpArgs3{Dir: decodeFH3(d), Name: d.String()}
 }
 
 // --- Procedure argument structs ---
@@ -481,11 +477,7 @@ func EncodeArgs3(e *xdr.Encoder, proc uint32, args any) error {
 	return nil
 }
 
-// DecodeArgs3 parses the argument body for proc, returning the matching
-// *Args3 struct (nil for NULL).
-func DecodeArgs3(proc uint32, body []byte) (any, error) { return decodeArgs3(nil, proc, body) }
-
-// decodeArgs3 is DecodeArgs3 into storage from s.
+// decodeArgs3 parses the v3 argument body for proc into s.
 func decodeArgs3(s *Decoder, proc uint32, body []byte) (any, error) {
 	d := xdr.NewDecoder(body)
 	t := s.procs(V3, false)
@@ -494,54 +486,54 @@ func decodeArgs3(s *Decoder, proc uint32, body []byte) (any, error) {
 	case V3Null:
 	case V3Getattr, V3Readlink, V3Fsstat, V3Fsinfo, V3Pathconf:
 		a := own[GetattrArgs3](t, proc)
-		a.FH = decodeFH3(d, s)
+		a.FH = decodeFH3(d)
 		args = a
 	case V3Setattr:
 		a := own[SetattrArgs3](t, proc)
-		*a = SetattrArgs3{FH: decodeFH3(d, s), Attr: decodeSattr3(d, s)}
+		*a = SetattrArgs3{FH: decodeFH3(d), Attr: decodeSattr3(d, s)}
 		args = a
 	case V3Lookup, V3Remove, V3Rmdir:
 		a := own[DirOpArgs3](t, proc)
-		*a = decodeDirOp(d, s)
+		*a = decodeDirOp(d)
 		args = a
 	case V3Access:
 		a := own[AccessArgs3](t, proc)
-		*a = AccessArgs3{FH: decodeFH3(d, s), Access: d.Uint32()}
+		*a = AccessArgs3{FH: decodeFH3(d), Access: d.Uint32()}
 		args = a
 	case V3Read:
 		a := own[ReadArgs3](t, proc)
-		*a = ReadArgs3{FH: decodeFH3(d, s), Offset: d.Uint64(), Count: d.Uint32()}
+		*a = ReadArgs3{FH: decodeFH3(d), Offset: d.Uint64(), Count: d.Uint32()}
 		args = a
 	case V3Write:
 		a := own[WriteArgs3](t, proc)
-		*a = WriteArgs3{FH: decodeFH3(d, s), Offset: d.Uint64(), Count: d.Uint32(), Stable: d.Uint32(), Data: d.Opaque()}
+		*a = WriteArgs3{FH: decodeFH3(d), Offset: d.Uint64(), Count: d.Uint32(), Stable: d.Uint32(), Data: d.Opaque()}
 		args = a
 	case V3Create:
 		a := own[CreateArgs3](t, proc)
-		a.Where = decodeDirOp(d, s)
+		a.Where = decodeDirOp(d)
 		if d.Uint32() != 2 { // EXCLUSIVE carries a verf instead of sattr
 			a.Attr = decodeSattr3(d, s)
 		}
 		args = a
 	case V3Mkdir:
 		a := own[MkdirArgs3](t, proc)
-		*a = MkdirArgs3{Where: decodeDirOp(d, s), Attr: decodeSattr3(d, s)}
+		*a = MkdirArgs3{Where: decodeDirOp(d), Attr: decodeSattr3(d, s)}
 		args = a
 	case V3Symlink:
 		a := own[SymlinkArgs3](t, proc)
-		*a = SymlinkArgs3{Where: decodeDirOp(d, s), Attr: decodeSattr3(d, s), Target: d.String()}
+		*a = SymlinkArgs3{Where: decodeDirOp(d), Attr: decodeSattr3(d, s), Target: d.String()}
 		args = a
 	case V3Rename:
 		a := own[RenameArgs3](t, proc)
-		*a = RenameArgs3{From: decodeDirOp(d, s), To: decodeDirOp(d, s)}
+		*a = RenameArgs3{From: decodeDirOp(d), To: decodeDirOp(d)}
 		args = a
 	case V3Link:
 		a := own[LinkArgs3](t, proc)
-		*a = LinkArgs3{FH: decodeFH3(d, s), To: decodeDirOp(d, s)}
+		*a = LinkArgs3{FH: decodeFH3(d), To: decodeDirOp(d)}
 		args = a
 	case V3Readdir, V3Readdirplus:
 		a := own[ReaddirArgs3](t, proc)
-		*a = ReaddirArgs3{Dir: decodeFH3(d, s), Cookie: d.Uint64()}
+		*a = ReaddirArgs3{Dir: decodeFH3(d), Cookie: d.Uint64()}
 		d.Uint64() // cookieverf
 		a.MaxCount = d.Uint32()
 		if proc == V3Readdirplus {
@@ -550,7 +542,7 @@ func decodeArgs3(s *Decoder, proc uint32, body []byte) (any, error) {
 		args = a
 	case V3Commit:
 		a := own[CommitArgs3](t, proc)
-		*a = CommitArgs3{FH: decodeFH3(d, s), Offset: d.Uint64(), Count: d.Uint32()}
+		*a = CommitArgs3{FH: decodeFH3(d), Offset: d.Uint64(), Count: d.Uint32()}
 		args = a
 	default:
 		d.Fail(fmt.Errorf("%w: v3 proc %d", ErrBadProc, proc))
@@ -715,10 +707,7 @@ func EncodeRes3(e *xdr.Encoder, proc uint32, res any) error {
 	return nil
 }
 
-// DecodeRes3 parses the result body for proc.
-func DecodeRes3(proc uint32, body []byte) (any, error) { return decodeRes3(nil, proc, body) }
-
-// decodeRes3 is DecodeRes3 into storage from s.
+// decodeRes3 parses the v3 result body for proc into s.
 func decodeRes3(s *Decoder, proc uint32, body []byte) (any, error) {
 	d := xdr.NewDecoder(body)
 	t := s.procs(V3, true)
@@ -745,7 +734,7 @@ func decodeRes3(s *Decoder, proc uint32, body []byte) (any, error) {
 		r := own[LookupRes3](t, proc)
 		r.Status = status
 		if ok {
-			r.FH = decodeFH3(d, s)
+			r.FH = decodeFH3(d)
 			r.Attr = decodePostOpAttr(d, s)
 		}
 		r.DirAttr = decodePostOpAttr(d, s)
@@ -787,7 +776,7 @@ func decodeRes3(s *Decoder, proc uint32, body []byte) (any, error) {
 		r.Status = status
 		if ok {
 			if d.Bool() {
-				r.FH = decodeFH3(d, s)
+				r.FH = decodeFH3(d)
 			}
 			r.Attr = decodePostOpAttr(d, s)
 		}
@@ -811,13 +800,13 @@ func decodeRes3(s *Decoder, proc uint32, body []byte) (any, error) {
 		*r = ReaddirRes3{Status: status, DirAttr: decodePostOpAttr(d, s)}
 		if ok {
 			d.Uint64() // cookieverf
-			entries := s.dirEntries()
+			entries := s.entries[:0]
 			for d.Bool() {
 				entries = append(entries, DirEntry{FileID: d.Uint64(), Name: d.String(), Cookie: d.Uint64()})
 				if proc == V3Readdirplus {
 					skipPostOpAttr(d)
 					if d.Bool() {
-						decodeFH3(d, s)
+						decodeFH3(d)
 					}
 				}
 			}

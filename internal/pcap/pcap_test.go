@@ -129,6 +129,47 @@ func TestBadMagic(t *testing.T) {
 	}
 }
 
+// TestBigEndian reads captures written on a big-endian host, in both
+// timestamp formats: every header field is in the file's byte order.
+func TestBigEndian(t *testing.T) {
+	for _, tc := range []struct {
+		magic uint32
+		sub   uint32
+		want  float64
+	}{
+		{MagicMicro, 250000, 1000.25},
+		{MagicNano, 500000000, 1000.5},
+	} {
+		be := binary.BigEndian
+		var b []byte
+		b = be.AppendUint32(b, tc.magic)
+		b = be.AppendUint16(b, 2)
+		b = be.AppendUint16(b, 4)
+		b = append(b, make([]byte, 8)...) // thiszone, sigfigs
+		b = be.AppendUint32(b, DefaultSnapLen)
+		b = be.AppendUint32(b, LinkTypeEthernet)
+		b = be.AppendUint32(b, 1000)
+		b = be.AppendUint32(b, tc.sub)
+		b = be.AppendUint32(b, 3)  // captured
+		b = be.AppendUint32(b, 60) // on the wire
+		b = append(b, 7, 8, 9)
+		r, err := NewReader(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.LinkType() != LinkTypeEthernet || r.Nano() != (tc.magic == MagicNano) {
+			t.Fatalf("magic %#x: link type %d, nano %v", tc.magic, r.LinkType(), r.Nano())
+		}
+		p, err := r.Next()
+		if err != nil {
+			t.Fatalf("magic %#x: %v", tc.magic, err)
+		}
+		if p.Time != tc.want || p.OrigLen != 60 || !bytes.Equal(p.Data, []byte{7, 8, 9}) {
+			t.Fatalf("magic %#x: got %+v", tc.magic, p)
+		}
+	}
+}
+
 func TestShortHeader(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader([]byte{1, 2, 3})); err == nil {
 		t.Fatal("short header accepted")

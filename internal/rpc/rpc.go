@@ -192,16 +192,10 @@ type Decoded struct {
 }
 
 // Decode parses one RPC message from a datagram or reassembled record
-// into a new Decoded. A message too short for its header is bare
+// through a new Decoder. A message too short for its header is bare
 // ErrNotRPC; a header field with an impossible value is ErrNotRPC
 // wrapped with that value.
-func Decode(b []byte) (*Decoded, error) {
-	m := new(Decoded)
-	if err := decode(m, nil, nil, b); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func Decode(b []byte) (*Decoded, error) { return new(Decoder).Decode(b) }
 
 // Decoder decodes RPC messages into storage of its own, so a caller
 // that decodes every message through one Decoder allocates nothing.
@@ -212,30 +206,19 @@ type Decoder struct {
 	reply ReplyHeader
 }
 
-// Decode parses one RPC message, failing as the package's Decode does.
-// The Decoded and header it returns are the Decoder's, and the header's
-// opaque bodies and Args or Results alias b: the next Decode overwrites
-// all of it.
-func (d *Decoder) Decode(b []byte) (*Decoded, error) {
-	if err := decode(&d.m, &d.call, &d.reply, b); err != nil {
-		return nil, err
-	}
-	return &d.m, nil
-}
-
-// decode parses one RPC message into m and the header of its direction,
-// call or reply, overwriting every field; a nil header is allocated.
-func decode(m *Decoded, call *CallHeader, reply *ReplyHeader, b []byte) error {
+// Decode parses one RPC message into the Decoder, failing as the
+// package's Decode does. The Decoded and header it returns are the
+// Decoder's, and the header's opaque bodies and Args or Results alias
+// b: the next Decode overwrites all of it.
+func (dec *Decoder) Decode(b []byte) (*Decoded, error) {
+	m := &dec.m
 	d := xdr.NewDecoder(b)
 	xid := d.Uint32()
 	m.Type = d.Uint32()
 	m.Call, m.Reply = nil, nil
 	switch m.Type {
 	case Call:
-		h := call
-		if h == nil {
-			h = new(CallHeader)
-		}
+		h := &dec.call
 		*h = CallHeader{XID: xid}
 		vers := d.Uint32()
 		if vers != RPCVersion {
@@ -249,10 +232,7 @@ func decode(m *Decoded, call *CallHeader, reply *ReplyHeader, b []byte) error {
 		h.Args = b[d.Offset():]
 		m.Call = h
 	case Reply:
-		h := reply
-		if h == nil {
-			h = new(ReplyHeader)
-		}
+		h := &dec.reply
 		*h = ReplyHeader{XID: xid, ReplyStat: d.Uint32()}
 		if h.ReplyStat == MsgAccepted {
 			h.Verf = OpaqueAuth{Flavor: d.Uint32(), Body: d.Opaque()}
@@ -269,9 +249,9 @@ func decode(m *Decoded, call *CallHeader, reply *ReplyHeader, b []byte) error {
 		if !errors.Is(err, ErrNotRPC) {
 			err = ErrNotRPC
 		}
-		return err
+		return nil, err
 	}
-	return nil
+	return m, nil
 }
 
 // Record marking (RFC 1831 §10): each RPC message sent over TCP is

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -113,7 +114,9 @@ func checkReply(h *rpc.CallHeader, msg []byte) error {
 	case h.Version != nfs.V2 && h.Version != nfs.V3:
 		want = rpc.ProgMismatch
 	default:
-		if _, err := nfs.DecodeArgs(h.Version, h.Proc, h.Args); err != nil {
+		if _, err := nfs.DecodeArgs(h.Version, h.Proc, h.Args); errors.Is(err, nfs.ErrBadProc) {
+			want = rpc.ProcUnavail
+		} else if err != nil {
 			want = rpc.GarbageArgs
 		}
 	}
@@ -198,6 +201,8 @@ func serveSeeds() [][]byte {
 		call{rpc.ProgramMount, 3, 0, nil},
 		call{rpc.ProgramNFS, 4, 0, nil},
 		nfs3(99, nil),
+		nfs3(nfs.V3Mknod, nil),
+		nfs2(nfs.V2NumProcs, nil),
 		nfs3(nfs.V3Read, nil), // no args
 	)
 	var reply xdr.Encoder

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -189,7 +190,7 @@ func (ns *NetServer) handle(c *connBuffers, msg []byte, id connID) error {
 	default:
 		args, err := c.nfs.DecodeArgs(h.Version, h.Proc, h.Args)
 		if err != nil {
-			reply.AcceptStat = rpc.GarbageArgs
+			reply.AcceptStat = argsStat(err)
 			break
 		}
 		var callRec *core.Record
@@ -223,4 +224,15 @@ func (ns *NetServer) handle(c *connBuffers, msg []byte, id connID) error {
 	}
 	rpc.EncodeReply(e, &reply)
 	return nil
+}
+
+// argsStat is the accept status of a call whose args failed to decode
+// with err (RFC 5531): PROC_UNAVAIL for a procedure the codec does not
+// model, v3 MKNOD's among them, and GARBAGE_ARGS for a body it cannot
+// parse.
+func argsStat(err error) uint32 {
+	if errors.Is(err, nfs.ErrBadProc) {
+		return rpc.ProcUnavail
+	}
+	return rpc.GarbageArgs
 }

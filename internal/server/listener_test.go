@@ -268,3 +268,75 @@ func TestBadProgramAndGarbage(t *testing.T) {
 		t.Error("BadRPC not counted")
 	}
 }
+
+// TestUnavailProcAndGarbageArgs checks the accept status of calls whose
+// args do not decode: PROC_UNAVAIL for a procedure the codec does not
+// model, GARBAGE_ARGS for args cut short. Each is followed by a NULL
+// call, which must still be answered on the same connection.
+func TestUnavailProcAndGarbageArgs(t *testing.T) {
+	ns, _ := startServer(t, 0, 0)
+	conn, err := net.Dial("tcp", ns.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	rc := wire.NewRecordConn(conn)
+	var xid uint32
+	// call sends one call whose args are what build writes and returns
+	// the reply's accept status.
+	call := func(version, proc uint32, build func(e *xdr.Encoder)) uint32 {
+		t.Helper()
+		xid++
+		e := xdr.NewEncoder(128)
+		rpc.EncodeCall(e, &rpc.CallHeader{
+			XID: xid, Program: rpc.ProgramNFS, Version: version, Proc: proc,
+			Cred: rpc.OpaqueAuth{Flavor: rpc.AuthNone},
+			Verf: rpc.OpaqueAuth{Flavor: rpc.AuthNone},
+		})
+		build(e)
+		if err := rc.WriteRecord(e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := rc.ReadRecord()
+		if err != nil {
+			t.Fatalf("xid %d: %v", xid, err)
+		}
+		dec, err := rpc.Decode(reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.Type != rpc.Reply || dec.Reply.XID != xid || dec.Reply.ReplyStat != rpc.MsgAccepted {
+			t.Fatalf("xid %d: not an accepted reply to it: %+v", xid, dec.Reply)
+		}
+		return dec.Reply.AcceptStat
+	}
+	none := func(*xdr.Encoder) {}
+	for _, tc := range []struct {
+		name          string
+		version, proc uint32
+		args          func(e *xdr.Encoder)
+		want          uint32
+	}{
+		{"v3 proc 99", nfs.V3, 99, none, rpc.ProcUnavail},
+		{"v3 MKNOD", nfs.V3, nfs.V3Mknod, func(e *xdr.Encoder) {
+			e.PutOpaque(nfs.MakeFH(2))
+			e.PutString("dev")
+			e.PutUint32(nfs.TypeReg)
+		}, rpc.ProcUnavail},
+		{"v2 proc 18", nfs.V2, 18, none, rpc.ProcUnavail},
+		{"v3 GETATTR cut short", nfs.V3, nfs.V3Getattr, func(e *xdr.Encoder) {
+			e.PutUint32(8) // an 8-byte handle of which 4 bytes follow
+			e.PutUint32(0x01020304)
+		}, rpc.GarbageArgs},
+	} {
+		if got := call(tc.version, tc.proc, tc.args); got != tc.want {
+			t.Errorf("%s: accept stat %d, want %d", tc.name, got, tc.want)
+		}
+		if got := call(nfs.V3, nfs.V3Null, none); got != rpc.Success {
+			t.Fatalf("NULL after %s: accept stat %d", tc.name, got)
+		}
+	}
+	if n := ns.BadRPC(); n != 0 {
+		t.Errorf("%d calls counted as bad RPC", n)
+	}
+}
